@@ -147,13 +147,17 @@ class PlacedQuorumSystem:
         This is the paper's load model: a node hosting several elements of
         the accessed quorum processes the request once *per element*.
         """
-        assignment = self.placement.assignment
-        m = self.system.num_quorums
-        a = np.zeros((m, self.n_nodes), dtype=np.float64)
-        for i, quorum in enumerate(self.system.quorums):
-            for u in quorum:
-                a[i, assignment[u]] += 1.0
-        return a
+        table, sizes = self.system.element_table
+        m, n = table.shape[0], self.n_nodes
+        members = table[np.arange(table.shape[1]) < sizes[:, None]]
+        cells = np.repeat(np.arange(m) * n, sizes)
+        cells += self.placement.assignment[members]
+        # Float weights make bincount accumulate straight into the float64
+        # result (exact for integer counts) without an int64 intermediate.
+        counts = np.bincount(
+            cells, weights=np.ones(cells.size), minlength=m * n
+        )
+        return counts.reshape(m, n)
 
     @cached_property
     def incidence_indicator(self) -> np.ndarray:
@@ -169,51 +173,60 @@ class PlacedQuorumSystem:
     # Delays
     # ------------------------------------------------------------------
     @cached_property
-    def _padded_quorum_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Placed quorums as a rectangular (m, k_max) index matrix + mask.
+    def _quorum_slots(self) -> np.ndarray:
+        """``slots[j, i]``: support column of slot ``j`` of quorum ``Q_i``.
 
-        ``idx[i, :len(f(Q_i))]`` holds the distinct nodes of ``f(Q_i)``;
-        ``mask`` marks which slots are real. This shape is what lets the
-        per-quorum max in :attr:`delay_matrix` and
-        :meth:`augmented_delay_matrix` run as one numpy gather+reduce
-        instead of a Python loop over quorums.
+        The system's padded element table mapped through the placement onto
+        positions in :attr:`support_distances`, stored slot-major so each
+        slot's column indices are contiguous. Duplicate nodes (many-to-one
+        placements) and padding repeats are harmless under max.
         """
-        placed = self.placed_quorums
-        k_max = max(nodes.size for nodes in placed)
-        idx = np.zeros((len(placed), k_max), dtype=np.intp)
-        mask = np.zeros((len(placed), k_max), dtype=bool)
-        for i, nodes in enumerate(placed):
-            idx[i, : nodes.size] = nodes
-            mask[i, : nodes.size] = True
-        return idx, mask
+        table, _ = self.system.element_table
+        support_col = np.searchsorted(
+            self.placement.support_set, self.placement.assignment
+        )
+        return np.ascontiguousarray(support_col[table].T)
 
     def _max_over_quorums(self, values: np.ndarray) -> np.ndarray:
-        """``out[v, i] = max_{w in f(Q_i)} values[v, w]`` as a broadcast.
+        """``out[v, i] = max_j values[v, slots[j, i]]`` over support columns.
 
-        Chunked over quorums so the (clients, chunk, k_max) gather stays
-        within a few megabytes even for enumerated threshold systems.
+        ``values`` is (clients, |f(U)|). One running ``np.maximum`` per slot,
+        chunked over quorums so each gathered (clients, chunk) temporary
+        stays within a few megabytes even for enumerated threshold systems.
         """
-        idx, mask = self._padded_quorum_nodes
-        n, (m, k_max) = values.shape[0], idx.shape
+        slots = self._quorum_slots
+        n, m = values.shape[0], slots.shape[1]
         out = np.empty((n, m))
-        chunk = max(1, 2_000_000 // max(1, n * k_max))
-        neg_inf = -np.inf
+        chunk = max(1, 2_000_000 // max(1, n))
         for start in range(0, m, chunk):
-            sl = slice(start, min(start + chunk, m))
-            gathered = values[:, idx[sl]]  # (n, chunk, k_max)
-            out[:, sl] = np.where(
-                mask[sl][None, :, :], gathered, neg_inf
-            ).max(axis=2)
+            cols = slots[:, start : start + chunk]
+            block = out[:, start : start + chunk]
+            np.take(values, cols[0], axis=1, out=block)
+            for slot in cols[1:]:
+                np.maximum(block, values[:, slot], out=block)
         return out
+
+    def _support_costs(self, node_costs: object) -> np.ndarray:
+        """``node_costs`` (validated over all nodes) on the support columns."""
+        costs = np.asarray(node_costs, dtype=np.float64)
+        if costs.shape != (self.n_nodes,):
+            raise PlacementError(
+                f"node_costs must have shape ({self.n_nodes},), "
+                f"got {costs.shape}"
+            )
+        return costs[self.placement.support_set]
 
     @cached_property
     def delay_matrix(self) -> np.ndarray:
         """``delta[v, i] = max_{w in f(Q_i)} d(v, w)`` for all clients/quorums.
 
         Requires an enumerable system; threshold systems use
-        :meth:`support_distances` with order statistics instead.
+        :meth:`support_distances` with order statistics instead. Read-only:
+        it is cached and shared with :meth:`augmented_delay_matrix`.
         """
-        return self._max_over_quorums(self.topology.rtt)
+        delta = self._max_over_quorums(self.support_distances)
+        delta.setflags(write=False)
+        return delta
 
     def delay_matrix_for(
         self, rtt: np.ndarray, node_costs: np.ndarray | None = None
@@ -234,14 +247,9 @@ class PlacedQuorumSystem:
                 f"rtt must have shape ({self.n_nodes}, {self.n_nodes}), "
                 f"got {values.shape}"
             )
+        values = values[:, self.placement.support_set]
         if node_costs is not None:
-            costs = np.asarray(node_costs, dtype=np.float64)
-            if costs.shape != (self.n_nodes,):
-                raise PlacementError(
-                    f"node_costs must have shape ({self.n_nodes},), "
-                    f"got {costs.shape}"
-                )
-            values = values + costs[None, :]
+            values += self._support_costs(node_costs)[None, :]
         return self._max_over_quorums(values)
 
     def quorum_delay(self, client: int, quorum_index: int) -> float:
@@ -257,15 +265,14 @@ class PlacedQuorumSystem:
     def augmented_delay_matrix(self, node_costs: np.ndarray) -> np.ndarray:
         """``max_{w in f(Q_i)} (d(v, w) + node_costs[w])`` for all v, i.
 
-        This is equation (4.1) with ``node_costs = alpha * load_f``.
+        This is equation (4.1) with ``node_costs = alpha * load_f``. Costs
+        that are zero on the support leave the delays unchanged, so that
+        case returns the cached (read-only) :attr:`delay_matrix`.
         """
-        costs = np.asarray(node_costs, dtype=np.float64)
-        if costs.shape != (self.n_nodes,):
-            raise PlacementError(
-                f"node_costs must have shape ({self.n_nodes},), "
-                f"got {costs.shape}"
-            )
-        return self._max_over_quorums(self.topology.rtt + costs[None, :])
+        costs = self._support_costs(node_costs)
+        if not costs.any():
+            return self.delay_matrix
+        return self._max_over_quorums(self.support_distances + costs[None, :])
 
     def __repr__(self) -> str:
         return (

@@ -132,11 +132,16 @@ def evaluate(
         raise StrategyError("alpha must be non-negative")
     client_idx = _resolve_clients(placed, clients)
     loads = strategy.node_loads(placed, coalesce=coalesce)
-    response = strategy.expected_response_times(
-        placed, alpha * loads, client_idx
-    )
     network = strategy.expected_response_times(
         placed, np.zeros(placed.n_nodes), client_idx
+    )
+    costs = alpha * loads
+    # Zero queueing costs (alpha = 0 or an idle profile) make (4.1) the
+    # pure network delay: reuse it instead of evaluating it twice.
+    response = (
+        strategy.expected_response_times(placed, costs, client_idx)
+        if costs.any()
+        else network
     )
     return ResponseTimeResult(
         avg_response_time=float(response.mean()),

@@ -93,25 +93,9 @@ def grid_onion_placement(
     dists = topology.distances_from(v0)[ball]
     # Ball nodes from farthest to nearest (stable on node id).
     order = np.lexsort((ball, -dists))
-    nodes_desc = ball[order]
-
-    # Cell fill order: (0,0); then for each shell l, the top of column l
-    # followed by row l (shells truncate at the grid boundary for
-    # rectangles). Earlier cells receive larger distances.
-    cells: list[tuple[int, int]] = [(0, 0)]
-    for level in range(1, max(rows, cols)):
-        if level < cols:
-            cells.extend((r, level) for r in range(min(level, rows)))
-        if level < rows:
-            cells.extend(
-                (level, c) for c in range(min(level + 1, cols))
-            )
-    if len(cells) != n:
-        raise PlacementError("onion construction failed to cover the grid")
-
+    # Earlier cells of the onion fill order receive larger distances.
     assignment = np.empty(n, dtype=np.intp)
-    for rank, (r, c) in enumerate(cells):
-        assignment[system.element(r, c)] = nodes_desc[rank]
+    assignment[system.onion_order] = ball[order]
     return Placement(assignment)
 
 

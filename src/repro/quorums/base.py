@@ -24,6 +24,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import cached_property
 
+import numpy as np
+
 from repro.errors import QuorumSystemError
 
 __all__ = ["QuorumSystem", "EnumeratedQuorumSystem"]
@@ -102,6 +104,28 @@ class QuorumSystem(ABC):
                         f"{self.name}: disjoint quorums "
                         f"{sorted(a)} and {sorted(b)}"
                     )
+
+    @cached_property
+    def element_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quorums as a rectangular ``(m, k_max)`` element-id table + sizes.
+
+        Row ``i`` holds the ``sizes[i]`` elements of quorum ``i`` (sorted),
+        padded to ``k_max`` by repeating its first element: a max over the
+        row is unchanged by the padding, so the evaluation kernel can reduce
+        slot by slot without a mask. Built once per system (read-only).
+        """
+        quorums = self.quorums
+        sizes = np.fromiter(
+            map(len, quorums), dtype=np.intp, count=len(quorums)
+        )
+        table = np.empty((len(quorums), int(sizes.max())), dtype=np.intp)
+        for i, quorum in enumerate(quorums):
+            members = sorted(quorum)
+            table[i, : len(members)] = members
+            table[i, len(members) :] = members[0]
+        table.setflags(write=False)
+        sizes.setflags(write=False)
+        return table, sizes
 
     def element_membership_counts(self) -> list[int]:
         """For each element, the number of quorums containing it."""

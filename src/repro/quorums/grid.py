@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
+
 from repro.errors import QuorumSystemError
 from repro.quorums.base import QuorumSystem
 
@@ -100,6 +102,29 @@ class RectangularGridQuorumSystem(QuorumSystem):
             for r in range(self._rows)
             for c in range(self._cols)
         )
+
+    @cached_property
+    def onion_order(self) -> np.ndarray:
+        """Element ids in the onion placement's cell fill order.
+
+        Cell ``(0, 0)`` first; then for each shell ``l`` the top of column
+        ``l`` followed by row ``l``, truncated at the grid boundary for
+        rectangles. Earlier cells receive larger distances from ``v0``
+        (see :func:`repro.placement.one_to_one.grid_onion_placement`).
+        Built once per grid shape (read-only).
+        """
+        rows, cols = self._rows, self._cols
+        order = [0]
+        for level in range(1, max(rows, cols)):
+            if level < cols:
+                order.extend(r * cols + level for r in range(min(level, rows)))
+            if level < rows:
+                order.extend(
+                    level * cols + c for c in range(min(level + 1, cols))
+                )
+        cells = np.array(order, dtype=np.intp)
+        cells.setflags(write=False)
+        return cells
 
     def validate(self) -> None:
         """Structural check: any two row+column quorums share a cell."""

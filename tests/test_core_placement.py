@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.core.strategy import ExplicitStrategy
 from repro.errors import PlacementError
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -115,6 +116,18 @@ class TestPlacedQuorumSystem:
         )
         with pytest.raises(PlacementError):
             placed.augmented_delay_matrix(np.zeros(3))
+
+    def test_zero_cost_response_shape_check(self, line_topology):
+        # Zero costs reuse the cached delay matrix; validation still runs.
+        grid = GridQuorumSystem(2)
+        placed = PlacedQuorumSystem(
+            grid, Placement([0, 1, 2, 3]), line_topology
+        )
+        strategy = ExplicitStrategy.uniform(placed)
+        with pytest.raises(PlacementError):
+            strategy.expected_response_times(
+                placed, np.zeros(3), np.arange(placed.n_nodes)
+            )
 
     def test_is_threshold_flag(self, line_topology):
         maj = ThresholdQuorumSystem(3, 2)
