@@ -7,9 +7,9 @@ candidate client, every iteration, across a sweep of capacity levels
 from *real* ``iterative_optimize`` runs (>= 5 iterations in total across
 the levels), then replayed through both paths:
 
-* **cold** — ``fractional_placement_loop``: row-by-row assembly plus one
-  cold ``linprog`` call per solve, the shape of the code before the
-  batched backend existed;
+* **cold** — a fresh ``fractional_placement`` per solve: the vectorized
+  assembly plus the program's first (calibrated) solve, i.e. what every
+  solve would cost if nothing were kept between solves;
 * **batched** — one ``FractionalFamily``: per-candidate programs are
   assembled once through the vectorized COO path, later solves only
   rewrite the element-load rows / objective in place and re-solve —
@@ -18,10 +18,11 @@ the levels), then replayed through both paths:
 Every replayed solve is asserted objective-equivalent within 1e-9.
 Batched solves are canonical (anchored — each re-solve restarts from the
 program's calibration basis, a pure function of the request), so they may
-land on a different vertex of a *tied* optimum than the cold row-by-row
-path — deterministically so (that is why ``CACHE_SCHEMA_VERSION`` was
-bumped, twice now); the bench records the vertex agreement rate rather
-than asserting it.
+land on a different vertex of a *tied* optimum than a fresh program solved
+for that request alone — deterministically so; the bench records the
+vertex agreement rate rather than asserting it. (The row-by-row reference
+assembly lives in ``tests/test_fractional_batched.py``, which pins it
+matrix-identical to the vectorized one.)
 
 The run writes a machine-readable record to
 ``benchmarks/results/bench_fractional_lp.json``, extending the JSON perf
@@ -40,7 +41,7 @@ from _iterative_schedule import replay_family, solve_schedule
 from repro.obs.bench import BenchRecorder
 from repro.lp import lp_backend_name
 from repro.network.datasets import planetlab_50
-from repro.placement.fractional import fractional_placement_loop
+from repro.placement.fractional import fractional_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.strategies.capacity_sweep import capacity_levels
@@ -56,7 +57,7 @@ def _replay_cold(topology, system, candidates, schedule):
     for caps, strategy in schedule:
         for v0 in candidates:
             solutions.append(
-                fractional_placement_loop(
+                fractional_placement(
                     topology, system, int(v0),
                     capacities=caps, strategy=strategy,
                 )
@@ -88,7 +89,7 @@ def test_batched_fractional_lp_speedup(results_dir):
 
     backend = lp_backend_name()
 
-    # Equivalence: every solve of the family matches the cold loop path
+    # Equivalence: every solve of the family matches a fresh program
     # within 1e-9 on the objective. Vertex identity is not asserted:
     # anchored re-solves canonically tie-break degenerate optima, which
     # need not coincide with the cold path's choice — the agreement rate
@@ -132,10 +133,14 @@ def test_batched_fractional_lp_speedup(results_dir):
 
     if backend == "scipy":
         # Without HiGHS bindings only assembly (not the cold solve) is
-        # amortized — require batching not to lose, not the warm factor.
+        # amortized — require batching not to lose, not the warm factor
+        # (measured 1.03-1.09x on a 2-core x86_64 host).
         assert speedup >= 0.9
     else:
-        assert speedup >= 2.0
+        # Measured 2.0-2.2x against fresh programs on a 2-core x86_64
+        # host with scipy's vendored HiGHS bindings; the floor leaves
+        # room for timing noise on shared machines.
+        assert speedup >= 1.5
 
 
 def test_bench_json_is_machine_readable(results_dir):

@@ -10,11 +10,6 @@ The run both asserts the speedup and the batched/per-level equivalence
 (same best capacity, objectives within 1e-9) and emits a machine-readable
 record to ``benchmarks/results/bench_lp_batched.json`` — the start of the
 JSON perf trajectory the roadmap tracks.
-
-It also measures basis-aware level ordering (the ``order=`` knob): the
-same sweep handed over in a scrambled level order, solved as given vs
-re-sorted into monotone RHS order. The ratio is recorded in the JSON so
-the trajectory shows what sorting buys on top of the warm-start win.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from __future__ import annotations
 import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.response_time import alpha_from_demand
@@ -107,25 +101,6 @@ def test_batched_lp_sweep_speedup(results_dir):
     ).best.capacity
     assert batched_best == per_level_best
 
-    # Basis-aware ordering: the same levels handed over scrambled, swept
-    # as given vs re-sorted into monotone RHS order (results always
-    # un-permute back to the input order).
-    rng = np.random.default_rng(7)
-    scrambled = [float(c) for c in levels[rng.permutation(N_LEVELS)]]
-    order_program = StrategyProgram(placed)
-    order_program.solve_many(scrambled)  # warm the assembled program
-    given_s, from_given = _timed(
-        lambda: order_program.solve_many(scrambled, order="given")
-    )
-    sorted_s, from_sorted = _timed(
-        lambda: order_program.solve_many(scrambled, order="sorted")
-    )
-    max_order_gap = max(
-        abs(_objective(placed, a) - _objective(placed, b))
-        for a, b in zip(from_given, from_sorted)
-    )
-    assert max_order_gap <= 1e-9
-
     recorder = BenchRecorder("lp_batched_sweep")
     recorder.update(
         topology="planetlab-50",
@@ -141,10 +116,6 @@ def test_batched_lp_sweep_speedup(results_dir):
         best_capacity_matches_per_level=bool(
             batched_best == per_level_best
         ),
-        order_given_seconds=given_s,
-        order_sorted_seconds=sorted_s,
-        sorted_order_gain=given_s / sorted_s,
-        max_order_gap=max_order_gap,
     )
     recorder.write(results_dir, "bench_lp_batched.json")
 
@@ -156,9 +127,6 @@ def test_batched_lp_sweep_speedup(results_dir):
     print(f"   batched sweep:    {batched_s * 1000:8.1f} ms")
     print(f"   speedup:          {speedup:8.2f}x")
     print(f"   max obj gap:      {max_objective_gap:.2e}")
-    print(f"   scrambled given:  {given_s * 1000:8.1f} ms")
-    print(f"   scrambled sorted: {sorted_s * 1000:8.1f} ms")
-    print(f"   sorted gain:      {given_s / sorted_s:8.2f}x")
 
     if backend == "scipy":
         # Without HiGHS bindings only assembly (not the cold solve) is

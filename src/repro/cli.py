@@ -13,6 +13,7 @@ time. Subcommands::
     python -m repro plan --system grid:4 --many-to-one 0.8
     python -m repro figure fig_6_3 --fast --jobs 4
     python -m repro figure fig_7_6 --no-cache
+    python -m repro figure all --fast --jobs 4
     python -m repro figure fig_throughput --fast --sim-backend fluid
     python -m repro dynamics --scenario mixed --epochs 24 --jobs 2
     python -m repro dynamics --scenario diurnal --policies static,threshold:0.1
@@ -255,27 +256,35 @@ def _cmd_figure(args) -> int:
         raise ReproError(
             f"--cache-max-mb must be positive, got {args.cache_max_mb}"
         )
+    kwargs = {}
+    if args.sim_backend is not None:
+        if args.figure_id == "all":
+            raise ReproError(
+                "--sim-backend applies to one simulation figure, not 'all'"
+            )
+        kwargs["backend"] = args.sim_backend
     cache = (
         None
         if args.no_cache
         else ResultCache(args.cache_dir, max_size_bytes=max_bytes)
     )
-    kwargs = {}
-    if args.sim_backend is not None:
-        kwargs["backend"] = args.sim_backend
-    try:
-        result = run_figure(
-            args.figure_id, fast=args.fast, jobs=args.jobs, cache=cache,
-            **kwargs,
-        )
-    except TypeError as exc:
-        if kwargs and "backend" in str(exc):
-            raise ReproError(
-                f"figure {args.figure_id!r} does not accept --sim-backend "
-                "(it runs no simulation)"
-            ) from None
-        raise
-    print(result.render_text())
+    targets = sorted(FIGURES) if args.figure_id == "all" else [args.figure_id]
+    for index, figure_id in enumerate(targets):
+        try:
+            result = run_figure(
+                figure_id, fast=args.fast, jobs=args.jobs, cache=cache,
+                **kwargs,
+            )
+        except TypeError as exc:
+            if kwargs and "backend" in str(exc):
+                raise ReproError(
+                    f"figure {figure_id!r} does not accept --sim-backend "
+                    "(it runs no simulation)"
+                ) from None
+            raise
+        if index:
+            print()
+        print(result.render_text())
     if cache is not None:
         print(
             f"cache: {cache.hits} hit(s), {cache.misses} miss(es), "
@@ -438,9 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "run (inspect with 'trace summarize')")
 
     figure = sub.add_parser(
-        "figure", help="regenerate one of the paper's figures"
+        "figure", help="regenerate one of the paper's figures, or all"
     )
-    figure.add_argument("figure_id", choices=sorted(FIGURES))
+    figure.add_argument("figure_id", choices=sorted(FIGURES) + ["all"],
+                        help="figure id, or 'all' to run every figure "
+                        "in sorted order")
     figure.add_argument("--fast", action="store_true",
                         help="shrink the parameter grid for a quick run")
     figure.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.response_time import evaluate
 from repro.core.strategy import ExplicitStrategy
-from repro.errors import InfeasibleError, ReproError
+from repro.errors import InfeasibleError
 from repro.network.graph import Topology
 from repro.placement.fractional import FractionalFamily
 from repro.placement.many_to_one import best_many_to_one_placement
@@ -97,7 +97,6 @@ def iterative_optimize(
     coalesce: bool = False,
     runner: object = None,
     family: FractionalFamily | None = None,
-    fractional: str = "batched",
 ) -> IterativeResult:
     """Run the iterative algorithm until response time stops improving.
 
@@ -121,31 +120,16 @@ def iterative_optimize(
         iterations re-solve warm instead of rebuilding cold per task.
         Canonical (anchored) LP solves keep the outcome bit-identical to
         the serial family path for any worker count. Inside one of its
-        workers, or serial, the runner is a no-op and the batched family
-        below is used instead.
+        workers, or serial, the runner is a no-op and the family below is
+        used instead.
     family:
         A :class:`~repro.placement.fractional.FractionalFamily` to reuse
         across *calls* (e.g. a capacity sweep over one
         ``(topology, system)``); by default a fresh family is created per
-        call. Requires ``fractional="batched"``.
-    fractional:
-        ``"batched"`` (default) assembles each candidate's fractional LP
-        once and re-solves it warm across iterations; ``"loop"`` keeps the
-        original assemble-row-by-row/solve-cold reference path (used by
-        the equivalence tests and benchmarks).
+        call. Each candidate's fractional LP is assembled once per family
+        and re-solved warm across iterations.
     """
-    if fractional not in ("batched", "loop"):
-        raise ReproError(
-            f"unknown fractional mode {fractional!r}; "
-            "choose 'batched' or 'loop'"
-        )
-    if fractional == "loop":
-        if family is not None:
-            raise ReproError(
-                "a FractionalFamily implies the batched path; "
-                "drop family= or use fractional='batched'"
-            )
-    elif family is None and not in_worker():
+    if family is None and not in_worker():
         # Build the cross-iteration family only where it will actually be
         # consulted: the serial path. Inside a pool worker the search
         # pulls the worker-local cached family instead, and when the
@@ -201,7 +185,6 @@ def iterative_optimize(
             clients=clients,
             family=family,
             runner=runner,
-            fractional=fractional,
         )
         placed_j = search.placed
 

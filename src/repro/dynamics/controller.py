@@ -288,7 +288,7 @@ class AdaptiveController:
             )
             # A single-variant batch is exactly one cold solve — no anchor
             # calibration — which is what a from-scratch rebuild would pay.
-            strategy = program.solve_many([capacities], order="given")[0]
+            strategy = program.solve_many([capacities])[0]
             matrix = None if strategy is None else strategy.matrix
             return matrix, program.lp_solves, 1
 

@@ -3,7 +3,7 @@
 Every table/figure in the paper's evaluation has a runner here returning a
 :class:`~repro.experiments.series.FigureResult` — labelled series of the
 same rows the paper plots — plus a text renderer, so benchmarks and the CLI
-(``python -m repro.experiments <figure>``) can regenerate any figure.
+(``python -m repro figure <figure|all>``) can regenerate any figure.
 
 Runners accept a ``fast=True`` flag that shrinks parameter grids for quick
 runs (used by the test suite); benchmarks run the full grids.

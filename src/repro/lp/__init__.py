@@ -1,15 +1,15 @@
 """Sparse linear-programming layer.
 
-The paper implemented its LPs in GNU MathProg and solved them with
-``glpsol`` 4.8 (limited to 100,000 constraints). This package provides the
-equivalent substrate on ``scipy.optimize.linprog`` (HiGHS): a builder for
-sparse LPs (:class:`~repro.lp.problem.LinearProgram`) with a vectorized
-batch assembler, a one-shot solver wrapper that converts solver statuses
-into the library's exceptions (:func:`~repro.lp.solver.solve`), and a
-build-once/solve-many backend
-(:class:`~repro.lp.batched.BatchedProgram`) for LP families that share
+The paper implemented its LPs in GNU MathProg and solved them all with one
+solver, ``glpsol`` 4.8 (limited to 100,000 constraints). This package
+provides the equivalent substrate on HiGHS: a builder for sparse LPs
+(:class:`~repro.lp.problem.LinearProgram`) with a vectorized batch
+assembler, and one solve path,
+:class:`~repro.lp.batched.BatchedProgram`, which converts solver statuses
+into the library's exceptions. It is built for LP families that share
 structure and differ only in inequality right-hand sides — the shape of
-both the capacity-sweep technique and the iterative algorithm.
+both the capacity-sweep technique and the iterative algorithm — and a
+one-off program is simply a family of one: ``BatchedProgram(lp).solve()``.
 
 Build-once/solve-many usage::
 
@@ -18,7 +18,8 @@ Build-once/solve-many usage::
     lp.set_objective_many(vars, coefs)      # array arguments
     lp.add_le_many(rows, cols, vals, rhs)   # broadcast COO batch
     batched = BatchedProgram(lp)            # matrices assembled once
-    solutions = batched.solve_many(rhs_variants)  # warm-started when
+    solutions = batched.solve_many(rhs_variants)  # ascending RHS order,
+                                                  # warm-started when
                                                   # HiGHS bindings exist
     batched.update_le_rows(rows, values)    # coefficient drift in place
     batched.update_objective(vars, coefs)   # (same fixed sparsity)
@@ -30,14 +31,12 @@ capacity sweeps) and the fractional-placement LP
 element-load rows drift as the iterative algorithm's strategy evolves).
 """
 
-from repro.lp.batched import BatchedProgram, lp_backend_name
+from repro.lp.batched import BatchedProgram, LPSolution, lp_backend_name
 from repro.lp.problem import LinearProgram
-from repro.lp.solver import LPSolution, solve
 
 __all__ = [
     "BatchedProgram",
     "LinearProgram",
     "LPSolution",
     "lp_backend_name",
-    "solve",
 ]

@@ -45,17 +45,21 @@ from that anchor. Each solve's result is then a pure function of (built
 program, request) — tied optima always break the same way, no matter
 which process solved what before. A :meth:`BatchedProgram.solve_many`
 batch instead starts cold and chains warm starts *within* itself: the
-variant list (and ``order``) is one request, so batches are equally
-deterministic without paying for a calibration. The anchor costs one
-extra solve per program and keeps most of the warm win: re-solves start
-from an optimal basis of a sibling LP instead of from scratch.
+variant list is one request, so batches are equally deterministic without
+paying for a calibration. The anchor costs one extra solve per program
+and keeps most of the warm win: re-solves start from an optimal basis of
+a sibling LP instead of from scratch.
 
-:meth:`BatchedProgram.solve_many` additionally takes
-``order="given"|"sorted"``: ``"sorted"`` sweeps the RHS variants in
+:meth:`BatchedProgram.solve_many` always sweeps the RHS variants in
 lexicographically ascending order (monotone for capacity sweeps, so each
 warm step is a small dual-simplex perturbation) and un-permutes the
 results, making the returned list independent of the caller's level
 order.
+
+This module is the only place the library calls a solver: every LP in
+:mod:`repro` — the access-strategy and fractional-placement families as
+well as one-off programs such as the optimal-load LP — is solved through
+:class:`BatchedProgram`, so status handling lives here once.
 
 The probe is transparent: callers never see which path ran unless they ask
 (:attr:`BatchedProgram.backend`). Set ``REPRO_LP_BACKEND=scipy`` to force
@@ -66,6 +70,7 @@ scipy path is stateless per solve, hence trivially canonical.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -73,16 +78,31 @@ from scipy.optimize import linprog
 
 from repro.errors import InfeasibleError, SolverError
 from repro.lp.problem import LinearProgram
-from repro.lp.solver import LPSolution
 from repro.obs import tracer as obs
 
-__all__ = ["BatchedProgram", "lp_backend_name"]
+__all__ = ["BatchedProgram", "LPSolution", "lp_backend_name"]
 
 #: Environment variable forcing a backend ("scipy" disables the HiGHS probe).
 LP_BACKEND_ENV = "REPRO_LP_BACKEND"
 
 _STATUS_INFEASIBLE = 2
 _STATUS_UNBOUNDED = 3
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """Solution of a :class:`~repro.lp.problem.LinearProgram`.
+
+    ``x`` is the flat solution vector; use the program's variable blocks to
+    reshape it. ``objective`` is the attained minimum.
+    """
+
+    x: np.ndarray
+    objective: float
+
+    def block_values(self, program: LinearProgram, name: str) -> np.ndarray:
+        """Extract one named variable block from the solution."""
+        return program.block(name).reshape(self.x)
 
 
 def _probe_highs_bindings() -> tuple[Any, str]:
@@ -315,7 +335,7 @@ class BatchedProgram:
     reported infeasible rather than raising.)
 
     ``solve_many`` returns one entry per variant: an
-    :class:`~repro.lp.solver.LPSolution` when that variant is feasible,
+    :class:`LPSolution` when that variant is feasible,
     ``None`` when it is infeasible (so sweeps can record dropped levels).
     Unbounded or otherwise failed solves raise
     :class:`~repro.errors.SolverError` — those are programming errors, not
@@ -522,52 +542,51 @@ class BatchedProgram:
     def solve_many(
         self,
         b_ub_variants: Iterable[Sequence[float] | np.ndarray],
-        order: str = "given",
     ) -> list[LPSolution | None]:
         """Solve every RHS variant against the shared structure.
 
         The batch starts from a cold solver state and chains warm starts
         *within* itself — deterministic, because the whole variant list
-        (and ``order``) is one request and nothing from earlier requests
-        leaks in. (Unlike single solves, batches skip the anchor: the
-        first variant's cold solve plays the calibration role and every
-        later variant chains off it, so a sweep costs no extra solve.)
+        is one request and nothing from earlier requests leaks in.
+        (Unlike single solves, batches skip the anchor: the first
+        variant's cold solve plays the calibration role and every later
+        variant chains off it, so a sweep costs no extra solve.)
 
-        Parameters
-        ----------
-        order:
-            ``"given"`` solves variants in input order. ``"sorted"``
-            solves them in lexicographically ascending RHS order — the
-            basis-aware schedule: a monotone capacity sweep makes every
-            warm step a small dual-simplex perturbation — and un-permutes,
-            so the returned list always lines up with the input *and* no
-            longer depends on the caller's level order.
+        Variants are solved in lexicographically ascending RHS order — the
+        basis-aware schedule: a monotone capacity sweep makes every warm
+        step a small dual-simplex perturbation — and un-permuted, so the
+        returned list lines up with the input *and* does not depend on the
+        caller's level order.
         """
-        if order not in ("given", "sorted"):
-            raise SolverError(
-                f"unknown solve order {order!r}; choose 'given' or 'sorted'"
-            )
         variants = [self._check_rhs(v) for v in b_ub_variants]
         self.solve_count += len(variants)
         if variants:
             obs.count("lp.solve", len(variants))
         self._impl.cold_restart()
-        if order == "sorted" and self._n_le and len(variants) > 1:
-            stacked = np.stack(variants)
-            # lexsort's last key is primary: reverse so coordinate 0 leads
-            permutation = np.lexsort(stacked.T[::-1])
-            results: list[LPSolution | None] = [None] * len(variants)
-            for index in permutation:
-                results[index] = self._impl.solve(variants[index])
-            return results
-        return [self._impl.solve(variant) for variant in variants]
+        if not self._n_le or len(variants) < 2:
+            return [self._impl.solve(variant) for variant in variants]
+        # lexsort's last key is primary: reverse so coordinate 0 leads
+        permutation = np.lexsort(np.stack(variants).T[::-1])
+        results: list[LPSolution | None] = [None] * len(variants)
+        for index in permutation:
+            results[index] = self._impl.solve(variants[index])
+        return results
 
     def solve(
         self, b_ub: Sequence[float] | np.ndarray | None = None
     ) -> LPSolution:
         """Solve one variant; raises :class:`InfeasibleError` if infeasible.
 
-        With ``b_ub=None`` the RHS the program was built with is used.
+        With ``b_ub=None`` the RHS the program was built with is used:
+
+        >>> from repro.lp.problem import LinearProgram
+        >>> lp = LinearProgram()
+        >>> x = lp.add_block("x", 1, lower=0.0)
+        >>> lp.set_objective(x.index(0), 1.0)
+        >>> lp.add_le([x.index(0)], [-1.0], -2.0)   # x >= 2
+        0
+        >>> BatchedProgram(lp).solve().objective
+        2.0
         """
         if b_ub is None and self._n_le:
             b_ub = self._arrays["b_ub"]

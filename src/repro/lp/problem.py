@@ -1,11 +1,11 @@
 """Incremental sparse LP builder with a vectorized constraint assembler.
 
 :class:`LinearProgram` accumulates variables, objective coefficients and
-constraints (as COO triplets) and produces the arrays
-``scipy.optimize.linprog`` consumes. Variables are created in named blocks so
-callers can recover structured solutions (e.g. the ``x[u, w]`` placement
-block and the ``z[Q]`` delay block of the fractional-placement LP) without
-tracking flat indices by hand.
+constraints (as COO triplets) and produces the sparse solver arrays that
+:class:`~repro.lp.batched.BatchedProgram` solves. Variables are created in
+named blocks so callers can recover structured solutions (e.g. the
+``x[u, w]`` placement block and the ``z[Q]`` delay block of the
+fractional-placement LP) without tracking flat indices by hand.
 
 Constraints can be added one row at a time (:meth:`LinearProgram.add_le`,
 :meth:`LinearProgram.add_eq`) or — the fast path — as whole batches of rows
@@ -162,8 +162,8 @@ class LinearProgram:
     0
     >>> lp.n_variables, lp.n_le_constraints
     (2, 1)
-    >>> from repro.lp import solve
-    >>> solve(lp).objective
+    >>> from repro.lp import BatchedProgram
+    >>> BatchedProgram(lp).solve().objective
     1.0
 
     For families of LPs sharing structure and differing only in their
@@ -294,7 +294,8 @@ class LinearProgram:
     # Assembly
     # ------------------------------------------------------------------
     def build(self) -> dict:
-        """Arrays for :func:`scipy.optimize.linprog` (method ``highs``)."""
+        """Solver arrays: ``c``, CSR ``A_ub``/``A_eq``, ``b_ub``/``b_eq``
+        (``None`` without rows of that kind) and per-variable ``bounds``."""
         if self._n_vars == 0:
             raise SolverError("LP has no variables")
         c = np.zeros(self._n_vars)

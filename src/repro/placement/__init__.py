@@ -27,7 +27,6 @@ from repro.placement.fractional import (
     FractionalPlacement,
     FractionalProgram,
     fractional_placement,
-    fractional_placement_loop,
 )
 from repro.placement.gap import round_fractional_placement
 from repro.placement.hierarchical import (
@@ -54,7 +53,6 @@ __all__ = [
     "one_to_one_placement",
     "singleton_placement",
     "fractional_placement",
-    "fractional_placement_loop",
     "FractionalFamily",
     "FractionalPlacement",
     "FractionalProgram",

@@ -43,10 +43,12 @@ right-hand side move. The batched entry points exploit exactly that split:
   vectors as pure RHS variants in ascending order (un-permuted),
   returning ``None`` for infeasible ones.
 * :func:`fractional_placement` — the one-shot wrapper (builds a program,
-  solves once). :func:`fractional_placement_loop` keeps the original
-  row-by-row assembly and cold solve as the reference implementation; the
-  batched path is pinned matrix-identical and objective-equivalent to it
-  by ``tests/test_fractional_batched.py``.
+  solves once).
+
+This is the only implementation in the library. The row-by-row assembly
+and cold solve it replaced live on as a test-side reference in
+``tests/test_fractional_batched.py``, which pins this path
+matrix-identical and objective-equivalent to it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PlacementError
-from repro.lp import BatchedProgram, LinearProgram, solve
+from repro.lp import BatchedProgram, LinearProgram
 from repro.network.graph import Topology
 from repro.obs import tracer as obs
 from repro.quorums.base import QuorumSystem
@@ -67,7 +69,6 @@ __all__ = [
     "FractionalProgram",
     "element_loads_of_strategy",
     "fractional_placement",
-    "fractional_placement_loop",
 ]
 
 
@@ -80,13 +81,7 @@ def element_loads_of_strategy(
         raise PlacementError(
             f"strategy must cover {system.num_quorums} quorums"
         )
-    loads = np.zeros(system.universe_size)
-    for i, quorum in enumerate(system.quorums):
-        if p[i] == 0.0:  # repro-lint: disable=RL006 -- exact-zero skip is a pure optimization; near-zero weights must still accumulate
-            continue
-        for u in quorum:
-            loads[u] += p[i]
-    return loads
+    return system.element_loads(p)
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def _build_structure(topology: Topology, system: QuorumSystem) -> _Structure:
     n_nodes = topology.n_nodes
     m = system.num_quorums
     # Preserve each quorum's iteration order so the delay rows come out in
-    # exactly the order the row-by-row reference path emits them.
+    # exactly the order the row-by-row reference (tests/) emits them.
     quorums = [
         np.fromiter(q, dtype=np.intp, count=len(q)) for q in system.quorums
     ]
@@ -248,10 +243,9 @@ class FractionalProgram:
         Initial per-node capacities / access strategy (defaults: the
         topology's capacities, uniform over quorums). Both can be
         overridden per solve.
-    backend:
-        Passed to :class:`~repro.lp.batched.BatchedProgram` (``None``
-        auto-probes for HiGHS bindings; ``"scipy"`` forces the cold
-        per-variant fallback).
+
+    The solver backend is auto-probed (``REPRO_LP_BACKEND=scipy`` forces
+    the cold per-variant fallback; see :mod:`repro.lp.batched`).
     """
 
     def __init__(
@@ -261,7 +255,6 @@ class FractionalProgram:
         v0: int,
         capacities: np.ndarray | None = None,
         strategy: np.ndarray | None = None,
-        backend: str | None = None,
         _structure: _Structure | None = None,
     ) -> None:
         _validate_inputs(topology, system, v0)
@@ -305,7 +298,7 @@ class FractionalProgram:
         self._cap_row_ids = cap_first + np.arange(s.n_nodes, dtype=np.intp)
         self._x_block = x
         self._z_block = z
-        self._batched = BatchedProgram(lp, backend=backend)
+        self._batched = BatchedProgram(lp)
         obs.count("fractional.assemble")
 
     @property
@@ -372,23 +365,20 @@ class FractionalProgram:
         self,
         capacity_variants,
         strategy: np.ndarray | None = None,
-        order: str = "sorted",
     ) -> list[FractionalPlacement | None]:
         """Solve a family of capacity vectors against the shared structure.
 
         Returns one entry per variant: the fractional placement, or
         ``None`` where that variant's capacities are infeasible — recorded,
         never silently dropped, matching the sweep convention of
-        :meth:`~repro.lp.batched.BatchedProgram.solve_many`.
-
-        ``order="sorted"`` (the default) sweeps the capacity vectors in
-        ascending RHS order — monotone for uniform sweeps, so each warm
-        step is a small basis perturbation — and un-permutes the results;
-        ``order="given"`` keeps the input order.
+        :meth:`~repro.lp.batched.BatchedProgram.solve_many`, which sweeps
+        the capacity vectors in ascending RHS order — monotone for uniform
+        sweeps, so each warm step is a small basis perturbation — and
+        un-permutes the results.
         """
         self._set_strategy(strategy)
         solutions = self._batched.solve_many(
-            [self._rhs(caps) for caps in capacity_variants], order=order
+            [self._rhs(caps) for caps in capacity_variants]
         )
         return [
             None if sol is None else self._placement_from(sol)
@@ -407,16 +397,10 @@ class FractionalFamily:
     iteration only rewrites load rows and re-solves warm.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        system: QuorumSystem,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology, system: QuorumSystem) -> None:
         _validate_inputs(topology, system)
         self.topology = topology
         self.system = system
-        self.backend = backend
         self._structure = _build_structure(topology, system)
         self._programs: dict[int, FractionalProgram] = {}
 
@@ -428,7 +412,6 @@ class FractionalFamily:
                 self.topology,
                 self.system,
                 int(v0),
-                backend=self.backend,
                 _structure=self._structure,
             )
             self._programs[int(v0)] = program
@@ -477,57 +460,3 @@ def fractional_placement(
     return FractionalProgram(
         topology, system, v0, capacities=capacities, strategy=strategy
     ).solve()
-
-
-def fractional_placement_loop(
-    topology: Topology,
-    system: QuorumSystem,
-    v0: int,
-    capacities: np.ndarray | None = None,
-    strategy: np.ndarray | None = None,
-) -> FractionalPlacement:
-    """Row-by-row reference implementation of :func:`fractional_placement`.
-
-    Assembles the LP one constraint at a time and solves it cold — the
-    shape of the code before the batched path existed. Kept as the
-    equivalence baseline: ``tests/test_fractional_batched.py`` pins the
-    batched path matrix-identical and objective-equivalent (1e-9) to this
-    one, and ``benchmarks/bench_fractional_lp.py`` measures the speedup
-    against it.
-    """
-    _validate_inputs(topology, system, v0)
-    n = system.universe_size
-    n_nodes = topology.n_nodes
-    m = system.num_quorums
-    caps = _normalize_capacities(topology, capacities)
-    p = _normalize_strategy(system, strategy)
-    loads = element_loads_of_strategy(system, p)
-    dist = topology.distances_from(v0)
-
-    lp = LinearProgram()
-    x = lp.add_block("x", (n, n_nodes), lower=0.0, upper=1.0)
-    z = lp.add_block("z", m, lower=0.0)
-    for i in range(m):
-        lp.set_objective(z.index(i), float(p[i]))
-
-    node_cols = list(range(n_nodes))
-    dist_vals = dist.tolist()
-    for i, quorum in enumerate(system.quorums):
-        for u in quorum:
-            cols = [x.index(u, w) for w in node_cols] + [z.index(i)]
-            vals = dist_vals + [-1.0]
-            lp.add_le(cols, vals, 0.0)
-    for u in range(n):
-        lp.add_eq([x.index(u, w) for w in node_cols], [1.0] * n_nodes, 1.0)
-    for w in range(n_nodes):
-        cols = [x.index(u, w) for u in range(n)]
-        lp.add_le(cols, loads.tolist(), float(caps[w]))
-
-    solution = solve(lp)
-    return FractionalPlacement(
-        v0=v0,
-        x=solution.block_values(lp, "x"),
-        quorum_delays=solution.block_values(lp, "z"),
-        objective=solution.objective,
-        element_loads=loads,
-    )

@@ -37,7 +37,6 @@ from repro.placement.fractional import (
     FractionalFamily,
     FractionalProgram,
     fractional_placement,
-    fractional_placement_loop,
 )
 from repro.placement.gap import round_fractional_placement
 from repro.quorums.base import QuorumSystem
@@ -62,40 +61,24 @@ def many_to_one_placement(
     strategy: np.ndarray | None = None,
     eps: float = 1.0 / 3.0,
     program: FractionalProgram | None = None,
-    fractional: str = "batched",
 ) -> Placement:
     """LP + filter + round for designated client ``v0``.
 
     With ``program`` (an assembled
     :class:`~repro.placement.fractional.FractionalProgram` for this
     ``v0``), the LP stage re-solves the existing program — warm-started
-    when HiGHS bindings import — instead of assembling from scratch.
-    Otherwise ``fractional`` picks the one-shot path: ``"batched"``
-    (vectorized assembly) or ``"loop"`` (the row-by-row reference).
+    when HiGHS bindings import — instead of assembling from scratch;
+    otherwise a fresh program is built and solved once.
 
     Raises :class:`~repro.errors.InfeasibleError` when the capacities admit
     no fractional placement at all.
     """
-    if fractional not in ("batched", "loop"):
-        raise PlacementError(
-            f"unknown fractional mode {fractional!r}; "
-            "choose 'batched' or 'loop'"
-        )
     if program is not None:
-        if fractional == "loop":
-            raise PlacementError(
-                "an assembled program implies the batched path; "
-                "drop program= or use fractional='batched'"
-            )
         if program.v0 != v0:
             raise PlacementError(
                 f"program was assembled for v0={program.v0}, not v0={v0}"
             )
         frac = program.solve(capacities=capacities, strategy=strategy)
-    elif fractional == "loop":
-        frac = fractional_placement_loop(
-            topology, system, v0, capacities=capacities, strategy=strategy
-        )
     else:
         frac = fractional_placement(
             topology, system, v0, capacities=capacities, strategy=strategy
@@ -152,7 +135,6 @@ def _many_to_one_candidate(
     eps: float,
     clients: np.ndarray,
     program: FractionalProgram | None = None,
-    fractional: str = "batched",
 ) -> tuple[np.ndarray, float] | None:
     """``(assignment, delay)`` for one candidate, or None if infeasible.
 
@@ -160,7 +142,7 @@ def _many_to_one_candidate(
     candidates out over a process pool; ``topology`` may be a
     :class:`~repro.runtime.shm.TopologyHandle`, which resolves to a
     zero-copy shared-memory view once per worker instead of a per-task
-    unpickled matrix. Inside a pool worker the batched path pulls the
+    unpickled matrix. Inside a pool worker the search pulls the
     candidate's program from the worker-local family cache, so repeated
     searches (the iterative algorithm's per-iteration fan-out) re-solve
     assembled programs warm instead of rebuilding them cold per task;
@@ -168,12 +150,12 @@ def _many_to_one_candidate(
     arguments either way.
     """
     topology = resolve_topology(topology)
-    if program is None and fractional == "batched" and in_worker():
+    if program is None and in_worker():
         program = _worker_family(topology, system).program(v0)
     try:
         placement = many_to_one_placement(
             topology, system, v0, capacities=capacities, strategy=strategy,
-            eps=eps, program=program, fractional=fractional,
+            eps=eps, program=program,
         )
     except InfeasibleError:
         return None
@@ -192,7 +174,6 @@ def best_many_to_one_placement(
     clients: object = None,
     family: FractionalFamily | None = None,
     runner: object = None,
-    fractional: str = "batched",
 ) -> ManyToOneSearchResult:
     """Run :func:`many_to_one_placement` from candidate clients, keep the best.
 
@@ -207,8 +188,8 @@ def best_many_to_one_placement(
     family:
         A :class:`~repro.placement.fractional.FractionalFamily` whose
         per-candidate programs are reused (and warm-started) across
-        searches. Consulted on the serial path; on the batched path one is
-        created internally when omitted, so serial searches are always
+        searches. Consulted on the serial path, where one is created
+        internally when omitted, so serial searches are always
         family-warm. The parallel path uses each worker's own cached
         family instead (``family`` itself cannot cross process
         boundaries); canonical solves keep both paths bit-identical.
@@ -220,11 +201,6 @@ def best_many_to_one_placement(
         Inside a worker — or with ``jobs=1`` — the runner degrades to the
         serial path and the (given or internal) family is used.
     """
-    if family is not None and fractional == "loop":
-        raise PlacementError(
-            "a FractionalFamily implies the batched path; "
-            "drop family= or use fractional='batched'"
-        )
     if candidates is None:
         candidate_idx = np.arange(topology.n_nodes)
     else:
@@ -264,7 +240,6 @@ def best_many_to_one_placement(
                         "strategy": p,
                         "eps": eps,
                         "clients": client_idx,
-                        "fractional": fractional,
                     },
                 )
                 for i, v0 in enumerate(v0_list)
@@ -274,7 +249,7 @@ def best_many_to_one_placement(
             results[(i, v0)] for i, v0 in enumerate(v0_list)
         ]
     else:
-        if family is None and fractional == "batched":
+        if family is None:
             # The serial path is then family-warm by construction — the
             # same per-candidate program shape the pool workers keep in
             # their worker-local caches, so jobs=1 and jobs=N run the
@@ -291,8 +266,7 @@ def best_many_to_one_placement(
         outcomes = [
             _many_to_one_candidate(
                 topology, system, v0, capacities, p, eps, client_idx,
-                program=None if family is None else family.program(v0),
-                fractional=fractional,
+                program=family.program(v0),
             )
             for v0 in v0_list
         ]

@@ -127,6 +127,22 @@ class QuorumSystem(ABC):
         sizes.setflags(write=False)
         return table, sizes
 
+    def element_loads(self, strategy: np.ndarray) -> np.ndarray:
+        """``load_p(u) = sum_{Q_i ni u} p_i`` for every element (unvalidated).
+
+        One quorum-major ``np.bincount`` over the unpadded (quorum,
+        element) pairs of :attr:`element_table`: every element sums its
+        quorums' weights in ascending quorum order — the order of a
+        quorum-by-quorum loop — so the result is bit-identical to one.
+        """
+        table, sizes = self.element_table
+        present = np.arange(table.shape[1]) < sizes[:, None]
+        return np.bincount(
+            table[present],
+            weights=np.repeat(np.asarray(strategy, dtype=np.float64), sizes),
+            minlength=self.universe_size,
+        )
+
     def element_membership_counts(self) -> list[int]:
         """For each element, the number of quorums containing it."""
         counts = [0] * self.universe_size

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QuorumSystemError
-from repro.lp import LinearProgram, solve
+from repro.lp import BatchedProgram, LinearProgram
 from repro.quorums.base import QuorumSystem
 from repro.quorums.grid import RectangularGridQuorumSystem
 from repro.quorums.singleton import SingletonQuorumSystem
@@ -51,11 +51,7 @@ def load_of_strategy(system: QuorumSystem, strategy: np.ndarray) -> float:
         )
     if np.any(p < -1e-12) or not np.isclose(p.sum(), 1.0, atol=1e-9):
         raise QuorumSystemError("strategy must be a probability distribution")
-    loads = np.zeros(system.universe_size)
-    for i, quorum in enumerate(system.quorums):
-        for u in quorum:
-            loads[u] += p[i]
-    return float(loads.max())
+    return float(system.element_loads(p).max())
 
 
 def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
@@ -75,7 +71,7 @@ def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
         lp.add_le(cols, vals, 0.0)
     lp.add_eq([p.index(i) for i in range(system.num_quorums)],
               [1.0] * system.num_quorums, 1.0)
-    solution = solve(lp)
+    solution = BatchedProgram(lp).solve()
     return LoadAnalysis(
         l_opt=float(solution.objective),
         strategy=solution.block_values(lp, "p"),

@@ -22,8 +22,8 @@ winner. This package provides the machinery every such workload shares:
   fingerprint so parallel candidate searches ship a tiny handle per grid
   point instead of pickling the matrix per task.
 
-``python -m repro figure`` and ``python -m repro.experiments`` surface the
-runtime through ``--jobs`` and ``--no-cache`` flags.
+``python -m repro figure <id|all>`` surfaces the runtime through
+``--jobs`` and ``--no-cache`` flags.
 """
 
 from repro.runtime.cache import (  # cache-key-input

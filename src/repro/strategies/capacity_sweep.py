@@ -10,10 +10,9 @@ quorums (good under low demand).
 The ten LPs of a sweep share every coefficient except the capacity RHS, so
 the sweep assembles the constraint system once per placement
 (:class:`~repro.strategies.lp_optimizer.StrategyProgram`) and batch-solves
-all levels against the shared structure — in ascending capacity order
-(``order="sorted"``), so each warm re-solve is a small monotone
-perturbation of the previous basis, with results un-permuted back to the
-caller's level order. Inside a pool worker the assembled program comes
+all levels against the shared structure — in ascending capacity order,
+so each warm re-solve is a small monotone perturbation of the previous
+basis, with results un-permuted back to the caller's level order. Inside a pool worker the assembled program comes
 from the worker-local cache
 (:func:`~repro.strategies.lp_optimizer.shared_strategy_program`), so grid
 points sharing a placement share one warm program. Levels whose LP is

@@ -29,7 +29,7 @@ the backend covers with in-place row updates.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.runtime.runner import in_worker, worker_memo
 __all__ = [
     "StrategyProgram",
     "optimize_access_strategies",
-    "optimize_access_strategies_many",
     "shared_strategy_program",
 ]
 
@@ -230,7 +229,6 @@ class StrategyProgram:
     def solve_many(
         self,
         capacity_variants: Iterable[np.ndarray | float],
-        order: str = "sorted",
     ) -> list[ExplicitStrategy | None]:
         """Solve a family of capacity vectors against the shared structure.
 
@@ -239,18 +237,16 @@ class StrategyProgram:
         any profile can meet) — callers record those as dropped levels
         rather than silently skipping them.
 
-        ``order="sorted"`` (the default) sweeps the variants in ascending
-        RHS order — the basis-aware schedule, each warm step a small
-        perturbation — and un-permutes, so results line up with the input
-        and do not depend on the caller's level order. ``order="given"``
-        keeps the input order (the benchmarks use it to measure what
-        sorting buys).
+        Variants are swept in ascending RHS order — the basis-aware
+        schedule, each warm step a small perturbation — and un-permuted,
+        so results line up with the input and do not depend on the
+        caller's level order.
         """
         rhs = [
             self.normalize_capacities(caps)[self.support_nodes]
             for caps in capacity_variants
         ]
-        solutions = self._batched.solve_many(rhs, order=order)
+        solutions = self._batched.solve_many(rhs)
         return [
             None if sol is None else self._strategy_from(sol)
             for sol in solutions
@@ -316,19 +312,3 @@ def optimize_access_strategies(
         capacities below the optimal load of the placed system).
     """
     return StrategyProgram(placed, coalesce=coalesce).solve(capacities)
-
-
-def optimize_access_strategies_many(
-    placed: PlacedQuorumSystem,
-    capacity_variants: Sequence[np.ndarray | float],
-    coalesce: bool = False,
-) -> list[ExplicitStrategy | None]:
-    """Solve LP (4.3)-(4.6) for many capacity vectors, assembling once.
-
-    The build-once/solve-many entry point behind the capacity sweeps:
-    returns one strategy per variant, with ``None`` marking infeasible
-    variants so callers can report what was dropped.
-    """
-    return StrategyProgram(placed, coalesce=coalesce).solve_many(
-        capacity_variants
-    )

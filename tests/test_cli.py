@@ -156,3 +156,44 @@ class TestCommands:
         )
         assert code == 1
         assert "comma-separated numbers" in capsys.readouterr().err
+
+
+class TestFigureAll:
+    class _Result:
+        def __init__(self, figure_id):
+            self.figure_id = figure_id
+
+        def render_text(self):
+            return f"<{self.figure_id}>"
+
+    def test_all_runs_every_figure_in_sorted_order(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        calls = []
+
+        def fake_run_figure(figure_id, **kwargs):
+            calls.append((figure_id, kwargs))
+            return self._Result(figure_id)
+
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        assert main(["figure", "all", "--fast", "--no-cache"]) == 0
+        assert [figure_id for figure_id, _ in calls] == sorted(cli.FIGURES)
+        assert all(
+            kwargs == {"fast": True, "jobs": 1, "cache": None}
+            for _, kwargs in calls
+        )
+        out = capsys.readouterr().out
+        for figure_id in cli.FIGURES:
+            assert f"<{figure_id}>" in out
+
+    def test_all_rejects_sim_backend(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_figure", lambda figure_id, **kw: calls.append(figure_id)
+        )
+        code = main(["figure", "all", "--no-cache", "--sim-backend", "fluid"])
+        assert code == 1
+        assert "--sim-backend" in capsys.readouterr().err
+        assert calls == []

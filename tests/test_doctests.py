@@ -14,7 +14,6 @@ import repro.cli
 import repro.dynamics.controller
 import repro.lp.batched
 import repro.lp.problem
-import repro.lp.solver
 import repro.quorums.threshold
 import repro.runtime.cache
 import repro.runtime.grid
@@ -28,7 +27,6 @@ import repro.runtime.runner
         repro.dynamics.controller,
         repro.lp.batched,
         repro.lp.problem,
-        repro.lp.solver,
         repro.quorums.threshold,
         repro.runtime.cache,
         repro.runtime.grid,

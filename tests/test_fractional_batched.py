@@ -2,8 +2,9 @@
 
 Pins the build-once/solve-many path (`FractionalProgram` /
 `FractionalFamily`, load rows rewritten in place, warm-started HiGHS when
-bindings import) against the row-by-row cold reference
-(`fractional_placement_loop`): assembled matrices must be *identical*
+bindings import) against the row-by-row cold reference defined here
+(`fractional_placement_loop`, the library's original implementation of
+the LP, kept test-side only): assembled matrices must be *identical*
 (including explicitly stored zero-load entries), objectives must match
 within 1e-9 across evolving strategies, chosen placements must agree on
 Grid and Majority systems, and infeasible capacity vectors must surface
@@ -17,14 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core.iterative import iterative_optimize
-from repro.errors import InfeasibleError, PlacementError, ReproError
-from repro.lp import LinearProgram
+from repro.errors import InfeasibleError, PlacementError
+from repro.lp import BatchedProgram, LinearProgram
 from repro.placement.fractional import (
     FractionalFamily,
+    FractionalPlacement,
     FractionalProgram,
     element_loads_of_strategy,
     fractional_placement,
-    fractional_placement_loop,
 )
 from repro.placement.many_to_one import (
     best_many_to_one_placement,
@@ -38,14 +39,18 @@ GRID = GridQuorumSystem(3)
 MAJORITY = majority(MajorityKind.SIMPLE, 2)
 
 
-def _loop_arrays(topology, system, v0, strategy=None):
-    """The row-by-row assembly, stopped right before the solve."""
+def _loop_program(topology, system, v0, capacities=None, strategy=None):
+    """The row-by-row assembly: ``(program, x block, z block, loads)``."""
     n, n_nodes, m = system.universe_size, topology.n_nodes, system.num_quorums
-    caps = topology.capacities
+    caps = (
+        topology.capacities
+        if capacities is None
+        else np.asarray(capacities, dtype=np.float64)
+    )
     p = (
         np.full(m, 1.0 / m)
         if strategy is None
-        else np.asarray(strategy, dtype=np.float64)
+        else np.array(strategy, dtype=np.float64)
     )
     loads = element_loads_of_strategy(system, p)
     dist = topology.distances_from(v0)
@@ -66,7 +71,53 @@ def _loop_arrays(topology, system, v0, strategy=None):
     for w in range(n_nodes):
         cols = [x.index(u, w) for u in range(n)]
         lp.add_le(cols, loads.tolist(), float(caps[w]))
-    return lp.build()
+    return lp, x, z, loads
+
+
+def _loop_arrays(topology, system, v0, strategy=None):
+    """The row-by-row assembly, stopped right before the solve."""
+    return _loop_program(topology, system, v0, strategy=strategy)[0].build()
+
+
+def fractional_placement_loop(
+    topology, system, v0, capacities=None, strategy=None
+):
+    """Reference: row-by-row assembly plus one cold solve per call."""
+    lp, x, z, loads = _loop_program(
+        topology, system, v0, capacities=capacities, strategy=strategy
+    )
+    solution = BatchedProgram(lp, backend="scipy").solve()
+    return FractionalPlacement(
+        v0=v0,
+        x=x.reshape(solution.x),
+        quorum_delays=z.reshape(solution.x),
+        objective=solution.objective,
+        element_loads=loads,
+    )
+
+
+class _LoopProgram:
+    """Duck-typed ``FractionalProgram`` that re-solves the reference cold,
+    so the placement pipeline can run on the reference LP stage."""
+
+    def __init__(self, topology, system, v0):
+        self.topology, self.system, self.v0 = topology, system, v0
+
+    def solve(self, capacities=None, strategy=None):
+        return fractional_placement_loop(
+            self.topology, self.system, self.v0,
+            capacities=capacities, strategy=strategy,
+        )
+
+
+class _LoopFamily:
+    """Duck-typed ``FractionalFamily`` handing out reference programs."""
+
+    def __init__(self, topology, system):
+        self.topology, self.system = topology, system
+
+    def program(self, v0):
+        return _LoopProgram(self.topology, self.system, int(v0))
 
 
 def _assert_arrays_identical(ref, got):
@@ -140,7 +191,8 @@ class TestObjectiveEquivalence:
                 planetlab, system, v0, capacities=caps
             )
             loop = many_to_one_placement(
-                planetlab, system, v0, capacities=caps, fractional="loop"
+                planetlab, system, v0, capacities=caps,
+                program=_LoopProgram(planetlab, system, v0),
             )
             assert np.array_equal(batched.assignment, loop.assignment)
 
@@ -158,12 +210,6 @@ class TestObjectiveEquivalence:
         loop = fractional_placement_loop(line_topology, g, 4, strategy=p)
         assert np.array_equal(mutated.element_loads, loop.element_loads)
         assert mutated.objective == pytest.approx(loop.objective, abs=1e-9)
-
-    def test_unknown_fractional_mode_rejected_at_pipeline(self, line_topology):
-        with pytest.raises(PlacementError):
-            many_to_one_placement(
-                line_topology, GridQuorumSystem(2), 0, fractional="lop"
-            )
 
     def test_one_shot_wrapper_honors_strategy(self, planetlab):
         p = np.zeros(GRID.num_quorums)
@@ -247,7 +293,8 @@ class TestIterativeIntegration:
             planetlab, GridQuorumSystem(2), **kwargs
         )
         loop = iterative_optimize(
-            planetlab, GridQuorumSystem(2), fractional="loop", **kwargs
+            planetlab, GridQuorumSystem(2),
+            family=_LoopFamily(planetlab, GridQuorumSystem(2)), **kwargs
         )
         first_b, first_l = batched.history[0], loop.history[0]
         assert np.array_equal(
@@ -289,22 +336,6 @@ class TestIterativeIntegration:
         ]
         assert len(family) == len(self.CANDIDATES)
         assert shared == pytest.approx(fresh, abs=1e-9)
-
-    def test_loop_mode_rejects_family(self, line_topology):
-        g = GridQuorumSystem(2)
-        with pytest.raises(ReproError):
-            iterative_optimize(
-                line_topology, g, capacities=1.0, alpha=7.0,
-                candidates=self.CANDIDATES, fractional="loop",
-                family=FractionalFamily(line_topology, g),
-            )
-
-    def test_unknown_fractional_mode_rejected(self, line_topology):
-        with pytest.raises(ReproError):
-            iterative_optimize(
-                line_topology, GridQuorumSystem(2), capacities=1.0,
-                alpha=7.0, fractional="glpk",
-            )
 
 
 class TestParallelSearch:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuorumSystemError
+from repro.placement.fractional import element_loads_of_strategy
 from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import (
@@ -86,3 +87,57 @@ class TestLoadOfStrategy:
             load_of_strategy(g, np.array([0.5, 0.5]))  # wrong length
         with pytest.raises(QuorumSystemError):
             load_of_strategy(g, np.full(4, 0.3))  # does not sum to 1
+
+
+def _loop_element_loads(system, p):
+    """The quorum-by-quorum double loop both load functions used to run."""
+    loads = np.zeros(system.universe_size)
+    for i, quorum in enumerate(system.quorums):
+        for u in quorum:
+            loads[u] += p[i]
+    return loads
+
+
+def _strategies(m, seed):
+    rng = np.random.default_rng(seed)
+    point = np.zeros(m)
+    point[m // 2] = 1.0
+    sparse = rng.dirichlet(np.ones(m))
+    sparse[::2] = 0.0  # zero-weight quorums between positive ones
+    sparse /= sparse.sum()
+    return [
+        np.full(m, 1.0 / m),
+        point,
+        sparse,
+        *rng.dirichlet(np.ones(m), size=4),
+    ]
+
+
+class TestElementLoadsBitIdentity:
+    """The shared quorum-major bincount sums every element's quorum
+    weights in the loop's order, so both public functions stay
+    bit-identical to the loop they replaced."""
+
+    SYSTEMS = [
+        GridQuorumSystem(3),
+        ThresholdQuorumSystem(5, 3),
+        EnumeratedQuorumSystem(
+            [
+                frozenset({0, 1}),
+                frozenset({0, 2, 3}),
+                frozenset({1, 2, 3, 4}),
+                frozenset({0, 4}),
+            ],
+            universe_size=6,  # element 5 sits in no quorum
+            name="variable-size",
+        ),
+    ]
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_matches_loop_bit_for_bit(self, system):
+        for p in _strategies(system.num_quorums, seed=system.num_quorums):
+            ref = _loop_element_loads(system, p)
+            got = element_loads_of_strategy(system, p)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+            assert load_of_strategy(system, p) == float(ref.max())

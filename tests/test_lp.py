@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import InfeasibleError, SolverError
-from repro.lp import LinearProgram, solve
+from repro.lp import BatchedProgram, LinearProgram
+
+
+def solve(lp):
+    """A one-off program is a batched family of one."""
+    return BatchedProgram(lp).solve()
 
 
 class TestVariableBlocks:

@@ -7,7 +7,8 @@ These target the load-bearing mathematical properties:
 * metric axioms of generated topologies,
 * load conservation and linearity,
 * response-time model monotonicity,
-* filtering/rounding invariants of the placement pipeline.
+* filtering/rounding invariants of the placement pipeline,
+* the paper's delay bound of the many-to-one placement pipeline.
 """
 
 import itertools
@@ -25,13 +26,19 @@ from repro.core.strategy import ExplicitStrategy
 from repro.network.generators import ClusterSpec, generate_cluster_topology
 from repro.network.graph import Topology
 from repro.placement.filtering import lin_vitter_filter
+from repro.placement.fractional import FractionalProgram
 from repro.placement.gap import round_fractional_placement
+from repro.placement.many_to_one import many_to_one_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.order_stats import (
     expected_max_of_random_subset,
     max_order_statistic_pmf,
 )
-from repro.quorums.threshold import ThresholdQuorumSystem
+from repro.quorums.threshold import (
+    MajorityKind,
+    ThresholdQuorumSystem,
+    majority,
+)
 from repro.quorums.weighted import WeightedMajorityQuorumSystem
 
 
@@ -237,6 +244,55 @@ def test_rounding_respects_slot_counts(case):
     for w in range(x.shape[1]):
         # Slot construction creates max(1, ceil(mass)) slots per node.
         assert counts[w] <= max(1, int(np.ceil(mass[w] + 1e-9)))
+
+
+@st.composite
+def many_to_one_case(draw):
+    """A small Euclidean topology, a Grid or Majority system, a Dirichlet
+    strategy, a designated client and capacities summing to at least the
+    total element load (so the fractional LP is feasible)."""
+    if draw(st.booleans()):
+        system = GridQuorumSystem(draw(st.integers(min_value=2, max_value=3)))
+    else:
+        system = majority(
+            MajorityKind.SIMPLE, draw(st.integers(min_value=1, max_value=2))
+        )
+    n_nodes = draw(st.integers(min_value=3, max_value=8))
+    v0 = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+    slack = draw(st.floats(min_value=1.05, max_value=3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    points = rng.uniform(0, 100, size=(n_nodes, 2))
+    diff = points[:, None, :] - points[None, :, :]
+    topo = Topology(np.sqrt((diff**2).sum(axis=2)), metric_closure=False)
+    p = rng.dirichlet(np.ones(system.num_quorums))
+    total_load = float(system.element_loads(p).sum())
+    caps = rng.uniform(0.5, 1.5, size=n_nodes)
+    caps *= slack * total_load / caps.sum()
+    return topo, system, v0, p, caps
+
+
+@given(many_to_one_case(), st.floats(min_value=0.1, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_many_to_one_delay_within_lin_vitter_radius(case, eps):
+    """Filtering keeps each element within ``(1 + eps)`` of its fractional
+    distance ``D_u``, and the LP bounds ``D_u <= z_i`` for ``u`` in
+    ``Q_i``; GAP rounding stays inside the filtered support. So the
+    rounded single-client delay ``sum_i p_i max_{u in Q_i} d(v0, f(u))``
+    is at most ``(1 + eps)`` times the fractional objective."""
+    topo, system, v0, p, caps = case
+    program = FractionalProgram(topo, system, v0, capacities=caps, strategy=p)
+    objective = program.solve().objective
+    placement = many_to_one_placement(
+        topo, system, v0, capacities=caps, strategy=p, eps=eps,
+        program=program,
+    )
+    dist = topo.distances_from(v0)[placement.assignment]
+    delay = sum(
+        p_i * max(dist[u] for u in quorum)
+        for p_i, quorum in zip(p, system.quorums)
+    )
+    solver_tolerance = 1e-6 * (1.0 + float(dist.max()))
+    assert delay <= (1.0 + eps) * (1.0 + 1e-9) * objective + solver_tolerance
 
 
 # ---------------------------------------------------------------------------

@@ -171,34 +171,43 @@ class TestCanonicalTieBreak:
 
 
 class TestSortedVsGiven:
+    """``solve_many`` always sweeps in sorted RHS order; the caller's
+    (given) order must not leak into the answers."""
+
     VARIANTS = [[-1.8], [-0.3], [-2.7], [-1.2], [-0.9]]
 
     @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_orders_agree_on_objectives_and_feasibility(
         self, monkeypatch, backend_env
     ):
+        """A permuted variant list yields the same answers, permuted, bit
+        for bit: the sweep order is a function of the variant set, so on
+        the tied program even the warm HiGHS chain cannot tell the two
+        input orders apart."""
         _force_backend(monkeypatch, backend_env)
-        given = _tied_program().solve_many(self.VARIANTS, order="given")
-        sorted_ = _tied_program().solve_many(self.VARIANTS, order="sorted")
-        assert [s is None for s in given] == [s is None for s in sorted_]
-        for a, b in zip(given, sorted_):
+        permutation = [3, 0, 4, 2, 1]
+        given = _tied_program().solve_many(self.VARIANTS)
+        permuted = _tied_program().solve_many(
+            [self.VARIANTS[i] for i in permutation]
+        )
+        for position, index in enumerate(permutation):
+            a, b = given[index], permuted[position]
+            assert (a is None) == (b is None)
             if a is not None:
-                assert a.objective == pytest.approx(b.objective, abs=1e-9)
+                assert np.array_equal(a.x, b.x)
+                assert a.objective == b.objective
 
     def test_sorted_is_bitwise_stable_on_scipy(self, monkeypatch):
-        """The stateless backend solves each variant independently, so
-        sorting must change nothing at all — the permutation round-trips."""
+        """The stateless backend solves each variant independently, so the
+        sorted sweep must return exactly the per-variant ``solve`` results
+        taken in the given order, bit for bit — the permutation
+        round-trips."""
         monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-        given = _tied_program().solve_many(self.VARIANTS, order="given")
-        sorted_ = _tied_program().solve_many(self.VARIANTS, order="sorted")
-        for a, b in zip(given, sorted_):
+        swept = _tied_program().solve_many(self.VARIANTS)
+        single = [_tied_program().solve(v) for v in self.VARIANTS]
+        for a, b in zip(swept, single):
             assert np.array_equal(a.x, b.x)
-
-    def test_unknown_order_rejected(self):
-        from repro.errors import SolverError
-
-        with pytest.raises(SolverError):
-            _tied_program().solve_many([[-1.0]], order="descending")
+            assert a.objective == b.objective
 
 
 def _assert_search_identical(serial, parallel):
