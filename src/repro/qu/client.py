@@ -14,6 +14,7 @@ contention/retry path instead.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -56,7 +57,8 @@ class QUClient:
         self.node = node
         self._sim = sim
         self._send_request = send_request
-        self._rtt_to_server = rtt_to_server
+        # RTT to every server, read once per completed operation.
+        self._server_rtt = [rtt_to_server(s) for s in range(n_servers)]
         self._n_servers = n_servers
         self._quorum_size = quorum_size
         self._rng = np.random.default_rng(seed)
@@ -97,16 +99,17 @@ class QUClient:
         chosen = self._rng.choice(
             self._n_servers, size=self._quorum_size, replace=False
         )
-        return [int(s) for s in chosen]
+        return chosen.tolist()
 
     def _issue(self, is_retry: bool = False) -> None:
         if not self._running:
             return
+        now = self._sim.now
         if not is_retry:
             self._op_seq += 1
             self._retries = 0
-            self._first_issued_at_ms = self._sim.now
-        self._issued_at_ms = self._sim.now
+            self._first_issued_at_ms = now
+        self._issued_at_ms = now
         self._pending_quorum = self._pick_quorum()
         self._replies = {}
         for server_id in self._pending_quorum:
@@ -116,7 +119,7 @@ class QUClient:
                 object_id=self.object_id,
                 condition_on=self._condition_on,
                 is_write=True,
-                sent_at_ms=self._sim.now,
+                sent_at_ms=now,
             )
             self._send_request(request, server_id)
 
@@ -140,10 +143,8 @@ class QUClient:
         the topology's RTT directly keeps the measure exact even when the
         last reply was delayed by server queueing rather than the network.
         """
-        return max(
-            self._rtt_to_server(server_id)
-            for server_id in self._pending_quorum
-        )
+        rtt = self._server_rtt
+        return max([rtt[server_id] for server_id in self._pending_quorum])
 
     def _complete(self) -> None:
         status, top = classify_replies(
@@ -179,7 +180,7 @@ class QUClient:
             )
         scale = self._backoff_base_ms * (2.0 ** min(self._retries, 8))
         backoff = float(self._rng.uniform(0.0, scale))
-        self._sim.schedule(backoff, lambda: self._issue(is_retry=True))
+        self._sim.schedule(backoff, partial(self._issue, True))
 
     @property
     def operations_completed(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.qu.timestamps import QUTimestamp
 
-__all__ = ["Candidate", "ReplicaHistory", "classify_replies"]
+__all__ = ["KEEP_LAST", "Candidate", "ReplicaHistory", "classify_replies"]
 
 
 @dataclass(frozen=True)
@@ -29,42 +29,71 @@ class Candidate:
     value: int
 
 
+#: Candidates a pruned history keeps. :meth:`ReplicaHistory.accept` prunes
+#: a history once it holds more than twice this many, so no history grows
+#: past ``2 * KEEP_LAST`` candidates however long the run.
+KEEP_LAST = 8
+
+
+def _timestamp(candidate: Candidate) -> QUTimestamp:
+    return candidate.timestamp
+
+
 @dataclass
 class ReplicaHistory:
-    """The per-object version history a server maintains."""
+    """The per-object version history a server maintains.
+
+    ``latest`` is the highest-timestamped candidate — the *first* one in
+    list order on ties, as ``max`` over ``candidates`` returns. It is kept
+    current by :meth:`accept` and :meth:`prune`, so reading it costs no
+    scan; change a history only through those two methods.
+    """
 
     candidates: list[Candidate] = field(default_factory=list)
-    pruned_below: QUTimestamp = field(default_factory=QUTimestamp.zero)
+    # Timestamps are immutable, so every history can share one zero.
+    pruned_below: QUTimestamp = QUTimestamp.zero()
+    latest: Candidate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.candidates:
-            self.candidates.append(
+        candidates = self.candidates
+        if not candidates:
+            candidates.append(
                 Candidate(timestamp=QUTimestamp.zero(), value=0)
             )
-
-    @property
-    def latest(self) -> Candidate:
-        """The highest-timestamped candidate."""
-        return max(self.candidates, key=lambda c: c.timestamp)
+        if len(candidates) == 1:
+            self.latest = candidates[0]
+        else:
+            self.latest = max(candidates, key=_timestamp)
 
     def accept(self, candidate: Candidate) -> None:
-        """Append a new candidate (server-side accept)."""
-        self.candidates.append(candidate)
+        """Append a new candidate (server-side accept).
 
-    def prune(self, keep_last: int = 8) -> None:
+        A strictly newer timestamp becomes ``latest``; an equal one leaves
+        the earlier candidate in place, exactly as ``max`` would.
+        """
+        self.candidates.append(candidate)
+        if candidate.timestamp > self.latest.timestamp:
+            self.latest = candidate
+        if len(self.candidates) > 2 * KEEP_LAST:
+            self.prune()
+
+    def prune(self, keep_last: int = KEEP_LAST) -> None:
         """Discard old candidates, keeping the most recent ``keep_last``.
 
         Q/U servers prune replica histories once versions are known to be
         established; keeping a short suffix bounds memory in long runs.
+        The sort is stable, so tied candidates keep their list order, and
+        ``latest`` is recomputed over the candidates that remain.
         """
         if len(self.candidates) <= keep_last:
             return
-        self.candidates.sort(key=lambda c: c.timestamp)
+        self.candidates.sort(key=_timestamp)
         dropped = self.candidates[:-keep_last]
         self.candidates = self.candidates[-keep_last:]
         self.pruned_below = max(
             self.pruned_below, max(c.timestamp for c in dropped)
         )
+        self.latest = max(self.candidates, key=_timestamp)
 
     def copy_latest(self) -> "ReplicaHistory":
         """A lightweight copy carrying only the latest candidate (what a
@@ -80,7 +109,7 @@ def classify_replies(histories: list[ReplicaHistory]) -> tuple[str, Candidate]:
     seen (the version to re-condition on).
     """
     latests = [h.latest for h in histories]
-    top = max(latests, key=lambda c: c.timestamp)
+    top = max(latests, key=_timestamp)
     if all(c.timestamp == top.timestamp for c in latests):
         return "complete", top
     return "contended", top

@@ -15,6 +15,7 @@ the reply carries the server's latest so the client can re-condition.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -35,7 +36,6 @@ class QUServer:
         sim: Simulator,
         send_reply: Callable[[QUReply, int], None],
         service_time_ms: float = 1.0,
-        prune_every: int = 64,
     ) -> None:
         if service_time_ms < 0:
             raise SimulationError("service time must be non-negative")
@@ -44,7 +44,6 @@ class QUServer:
         self._sim = sim
         self._send_reply = send_reply
         self._service_time_ms = service_time_ms
-        self._prune_every = prune_every
         self._queue: deque[QURequest] = deque()
         self._busy = False
         self._store: dict[int, ReplicaHistory] = {}
@@ -69,7 +68,7 @@ class QUServer:
         request = self._queue.popleft()
         self.busy_time_ms += self._service_time_ms
         self._sim.schedule(
-            self._service_time_ms, lambda: self._finish(request)
+            self._service_time_ms, partial(self._finish, request)
         )
 
     # ------------------------------------------------------------------
@@ -108,8 +107,6 @@ class QUServer:
             else:
                 accepted = False  # server has newer state: stale condition
         self.requests_processed += 1
-        if self.requests_processed % self._prune_every == 0:
-            history.prune()
         reply = QUReply(
             server_id=self.server_id,
             client_id=request.client_id,

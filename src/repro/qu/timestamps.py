@@ -11,33 +11,25 @@ Byzantine verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 __all__ = ["QUTimestamp"]
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class QUTimestamp:
     """A totally ordered logical timestamp.
 
     ``time`` is the logical clock; ``barrier`` marks barrier candidates
     (used by the repair protocol; always False on the common path);
     ``client_id`` and ``op_seq`` break ties between concurrent updates.
+    Timestamps compare lexicographically in field order, so the field
+    order *is* the total order.
     """
 
     time: int = 0
     barrier: bool = False
     client_id: int = -1
     op_seq: int = -1
-
-    def _key(self) -> tuple[int, int, int, int]:
-        return (self.time, int(self.barrier), self.client_id, self.op_seq)
-
-    def __lt__(self, other: "QUTimestamp") -> bool:
-        if not isinstance(other, QUTimestamp):
-            return NotImplemented
-        return self._key() < other._key()
 
     def next_for(self, client_id: int, op_seq: int) -> "QUTimestamp":
         """The timestamp a successful update conditioned on ``self`` creates."""

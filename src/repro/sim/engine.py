@@ -13,9 +13,10 @@ Figures 3.1-3.2.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import sys
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -96,33 +97,41 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
+        """Drop cancelled entries and re-heapify, in place.
 
         Heap order is determined solely by the ``(time, sequence)`` tuple
         prefix, so rebuilding preserves the deterministic firing order of
-        the surviving events.
+        the surviving events. The list object itself is kept, so a
+        ``run()`` loop holding it (compaction can fire from inside a
+        callback) keeps seeing the live heap.
         """
+        heap = self._heap
         live = []
-        for entry in self._heap:
+        for entry in heap:
             if entry[2].cancelled:
                 entry[2]._in_heap = False
             else:
                 live.append(entry)
-        self._heap = live
-        heapq.heapify(self._heap)
+        heap[:] = live
+        heapify(heap)
         self._cancelled_in_heap = 0
 
     def schedule(
         self, delay: float, callback: Callable[[], None]
     ) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` ms from now."""
-        # NaN must be rejected explicitly: `delay < 0` is False for NaN,
-        # and a NaN time silently corrupts the heap's ordering invariant.
-        if not math.isfinite(delay) or delay < 0:
+        # One chained comparison rejects negative, infinite and NaN delays
+        # alike: every comparison with NaN is False, and a NaN time would
+        # silently corrupt the heap's ordering invariant.
+        if not 0.0 <= delay < math.inf:
             raise SimulationError(
                 f"event delay must be finite and non-negative, got {delay}"
             )
-        return self.schedule_at(self._now + delay, callback)
+        time = self._now + delay
+        event = ScheduledEvent(time, callback, self)
+        event._in_heap = True
+        heappush(self._heap, (time, next(self._sequence), event))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[[], None]
@@ -138,7 +147,7 @@ class Simulator:
             )
         event = ScheduledEvent(time, callback, sim=self)
         event._in_heap = True
-        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        heappush(self._heap, (time, next(self._sequence), event))
         return event
 
     def run(
@@ -160,12 +169,15 @@ class Simulator:
             raise SimulationError(
                 "run() needs a time bound or an event budget"
             )
+        heap = self._heap
+        bound = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         processed = 0
-        while self._heap:
-            time, _, event = self._heap[0]
-            if until is not None and time > until:
+        while heap:
+            time, _, event = heap[0]
+            if time > bound:
                 break
-            heapq.heappop(self._heap)
+            heappop(heap)
             event._in_heap = False
             if event.cancelled:
                 self._cancelled_in_heap -= 1
@@ -174,7 +186,7 @@ class Simulator:
             event.callback()
             self._events_processed += 1
             processed += 1
-            if max_events is not None and processed >= max_events:
+            if processed >= budget:
                 return
         if until is not None:
             self._now = max(self._now, until)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class _Server:
         # paper's per-element load model. `message.units` carries the count.
         service = self.service_time_ms * message.units
         self.busy_time_ms += service
-        self.sim.schedule(service, lambda: self._reply(message))
+        self.sim.schedule(service, partial(self._reply, message))
 
     def _reply(self, message) -> None:
         if self._down():

@@ -10,6 +10,7 @@ exactly.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,10 @@ class SimNetwork:
         self._jitter_ms = jitter_ms
         self._rng = np.random.default_rng(seed)
         self.messages_sent = 0
+        # One-way delays by source, filled one pair on first use: only the
+        # pairs that exchange messages are ever stored, so memory stays
+        # proportional to the traffic pattern, not O(n^2).
+        self._delays: dict[int, dict[int, float]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -55,8 +60,13 @@ class SimNetwork:
         on_delivery: Callable[[object], None],
     ) -> None:
         """Deliver ``payload`` to ``on_delivery`` after the one-way delay."""
-        delay = self.one_way_delay(src, dst)
+        try:
+            delay = self._delays[src][dst]
+        except KeyError:
+            delay = self._delays.setdefault(src, {})[dst] = (
+                self.one_way_delay(src, dst)
+            )
         if self._jitter_ms > 0:
             delay += float(self._rng.exponential(self._jitter_ms))
         self.messages_sent += 1
-        self._sim.schedule(delay, lambda: on_delivery(payload))
+        self._sim.schedule(delay, partial(on_delivery, payload))

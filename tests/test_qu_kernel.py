@@ -1,0 +1,557 @@
+"""Bit-identity of the Q/U event path against the formulation it replaced.
+
+The Section-3 Q/U simulation pays a few cheap Python calls per event:
+:class:`~repro.qu.timestamps.QUTimestamp` orders natively as a
+``dataclass(order=True)``, :class:`~repro.qu.objects.ReplicaHistory` keeps
+its latest candidate instead of scanning for it and prunes itself on
+``accept``, :meth:`Simulator.schedule` pushes onto the heap directly, and
+:meth:`SimNetwork.send` reads one-way delays from a per-source memo. The
+reference below is the straightforward formulation those replaced —
+``total_ordering`` timestamps compared through ``_key``, a history whose
+``latest`` is a ``max`` over every candidate and which the server prunes
+every 64th request, ``schedule`` re-validating through ``schedule_at``,
+``send`` through ``one_way_delay`` — and every run must match it byte for
+byte: the same events in the same order, the same random draws, the same
+records. Any difference is a bug, not rounding.
+"""
+
+import dataclasses
+import heapq
+import math
+from functools import total_ordering
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.qu.client as client_module
+import repro.qu.server as server_module
+from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.core.strategy import ThresholdBalancedStrategy
+from repro.errors import SimulationError
+from repro.qu.messages import QUReply
+from repro.qu.objects import KEEP_LAST, Candidate, ReplicaHistory
+from repro.qu.server import QUServer
+from repro.qu.service import QUService
+from repro.qu.timestamps import QUTimestamp
+from repro.quorums.threshold import ThresholdQuorumSystem
+from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.experiment import QUExperimentConfig, run_qu_experiment
+from repro.sim.failures import CrashWindow, FailureSchedule
+from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.metrics import OperationRecord
+from repro.sim.network import SimNetwork
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation (total_ordering timestamps, max-scan histories,
+# server-paced pruning, schedule via schedule_at, send via one_way_delay)
+# ---------------------------------------------------------------------------
+def _key(ts):
+    return (ts.time, int(ts.barrier), ts.client_id, ts.op_seq)
+
+
+@total_ordering
+@dataclasses.dataclass(frozen=True)
+class RefTimestamp:
+    time: int = 0
+    barrier: bool = False
+    client_id: int = -1
+    op_seq: int = -1
+
+    def __lt__(self, other):
+        if not isinstance(other, RefTimestamp):
+            return NotImplemented
+        return _key(self) < _key(other)
+
+    def next_for(self, client_id, op_seq):
+        return RefTimestamp(
+            time=self.time + 1, barrier=False,
+            client_id=client_id, op_seq=op_seq,
+        )
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+
+def _max_scan(candidates):
+    return max(candidates, key=lambda c: _key(c.timestamp))
+
+
+@dataclasses.dataclass
+class RefHistory:
+    candidates: list = dataclasses.field(default_factory=list)
+    pruned_below: object = dataclasses.field(default_factory=RefTimestamp.zero)
+
+    def __post_init__(self):
+        if not self.candidates:
+            self.candidates.append(
+                Candidate(timestamp=RefTimestamp.zero(), value=0)
+            )
+
+    @property
+    def latest(self):
+        return _max_scan(self.candidates)
+
+    def accept(self, candidate):
+        self.candidates.append(candidate)
+
+    def prune(self, keep_last=KEEP_LAST):
+        if len(self.candidates) <= keep_last:
+            return
+        self.candidates.sort(key=lambda c: _key(c.timestamp))
+        dropped = self.candidates[:-keep_last]
+        self.candidates = self.candidates[-keep_last:]
+        self.pruned_below = max(
+            self.pruned_below,
+            max((c.timestamp for c in dropped), key=_key),
+            key=_key,
+        )
+
+    def copy_latest(self):
+        return RefHistory(candidates=[self.latest])
+
+
+_REF_PRUNE_EVERY = 64
+
+
+def _ref_start_next(self):
+    if not self._queue:
+        self._busy = False
+        return
+    self._busy = True
+    request = self._queue.popleft()
+    self.busy_time_ms += self._service_time_ms
+    self._sim.schedule(self._service_time_ms, lambda: self._finish(request))
+
+
+def _ref_finish(self, request):
+    history = self._history_for(request.object_id)
+    latest = history.latest
+    accepted = True
+    if request.is_write:
+        if latest.timestamp <= request.condition_on:
+            if latest.timestamp < request.condition_on:
+                history.accept(
+                    Candidate(
+                        timestamp=request.condition_on,
+                        value=request.op_seq - 1,
+                    )
+                )
+            new_ts = request.condition_on.next_for(
+                request.client_id, request.op_seq
+            )
+            history.accept(Candidate(timestamp=new_ts, value=request.op_seq))
+        else:
+            accepted = False
+    self.requests_processed += 1
+    if self.requests_processed % _REF_PRUNE_EVERY == 0:
+        history.prune()
+    reply = QUReply(
+        server_id=self.server_id,
+        client_id=request.client_id,
+        op_seq=request.op_seq,
+        accepted=accepted,
+        history=history.copy_latest(),
+        request_arrived_at_ms=request.arrived_at_ms,
+        sent_at_ms=self._sim.now,
+    )
+    self._send_reply(reply, request.client_id)
+    self._start_next()
+
+
+def _ref_schedule(self, delay, callback):
+    if not math.isfinite(delay) or delay < 0:
+        raise SimulationError(
+            f"event delay must be finite and non-negative, got {delay}"
+        )
+    return self.schedule_at(self._now + delay, callback)
+
+
+def _ref_compact(self):
+    live = []
+    for entry in self._heap:
+        if entry[2].cancelled:
+            entry[2]._in_heap = False
+        else:
+            live.append(entry)
+    self._heap = live
+    heapq.heapify(self._heap)
+    self._cancelled_in_heap = 0
+
+
+def _ref_run(self, until=None, max_events=None):
+    if until is None and max_events is None:
+        raise SimulationError("run() needs a time bound or an event budget")
+    processed = 0
+    while self._heap:
+        time, _, event = self._heap[0]
+        if until is not None and time > until:
+            break
+        heapq.heappop(self._heap)
+        event._in_heap = False
+        if event.cancelled:
+            self._cancelled_in_heap -= 1
+            continue
+        self._now = time
+        event.callback()
+        self._events_processed += 1
+        processed += 1
+        if max_events is not None and processed >= max_events:
+            return
+    if until is not None:
+        self._now = max(self._now, until)
+
+
+def _ref_send(self, src, dst, payload, on_delivery):
+    delay = self.one_way_delay(src, dst)
+    if self._jitter_ms > 0:
+        delay += float(self._rng.exponential(self._jitter_ms))
+    self.messages_sent += 1
+    self._sim.schedule(delay, lambda: on_delivery(payload))
+
+
+def _reference_engine(monkeypatch):
+    monkeypatch.setattr(Simulator, "schedule", _ref_schedule)
+    monkeypatch.setattr(Simulator, "run", _ref_run)
+    monkeypatch.setattr(Simulator, "_compact", _ref_compact)
+    monkeypatch.setattr(SimNetwork, "send", _ref_send)
+
+
+def _reference_qu(monkeypatch):
+    _reference_engine(monkeypatch)
+    monkeypatch.setattr(client_module, "QUTimestamp", RefTimestamp)
+    monkeypatch.setattr(server_module, "ReplicaHistory", RefHistory)
+    monkeypatch.setattr(QUServer, "_start_next", _ref_start_next)
+    monkeypatch.setattr(QUServer, "_finish", _ref_finish)
+
+
+# ---------------------------------------------------------------------------
+# Comparison helpers
+# ---------------------------------------------------------------------------
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(OperationRecord)]
+
+
+def _record_bytes(records):
+    return {
+        name: np.asarray([getattr(r, name) for r in records]).tobytes()
+        for name in _RECORD_FIELDS
+    }
+
+
+def _assert_identical(actual, expected, path="result"):
+    if dataclasses.is_dataclass(expected):
+        assert type(actual) is type(expected), path
+        for f in dataclasses.fields(expected):
+            _assert_identical(
+                getattr(actual, f.name),
+                getattr(expected, f.name),
+                f"{path}.{f.name}",
+            )
+    elif isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, path
+        assert actual.shape == expected.shape, path
+        assert actual.tobytes() == expected.tobytes(), path
+    elif isinstance(expected, float):
+        actual_bits = np.float64(actual).tobytes()
+        assert actual_bits == np.float64(expected).tobytes(), path
+    else:
+        assert actual == expected, path
+
+
+def _spy_services(monkeypatch):
+    services = []
+    original = QUService.run
+
+    def run(self, *args, **kwargs):
+        services.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(QUService, "run", run)
+    return services
+
+
+def _service_outcome(service):
+    return (
+        service.sim.events_processed,
+        service.sim.now,
+        service.network.messages_sent,
+        [c.retries_total for c in service.clients],
+        _record_bytes(service.all_records()),
+        service.server_utilizations().tobytes(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Timestamp ordering
+# ---------------------------------------------------------------------------
+_GRID = [
+    QUTimestamp(time=t, barrier=b, client_id=c, op_seq=s)
+    for t in (0, 1, 2)
+    for b in (False, True)
+    for c in (-1, 0, 3)
+    for s in (-1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a < b,
+        lambda a, b: a <= b,
+        lambda a, b: a > b,
+        lambda a, b: a >= b,
+        lambda a, b: a == b,
+        lambda a, b: a != b,
+    ],
+    ids=["lt", "le", "gt", "ge", "eq", "ne"],
+)
+def test_timestamp_order_matches_key(op):
+    for a in _GRID:
+        for b in _GRID:
+            assert op(a, b) == op(_key(a), _key(b)), (a, b)
+            assert op(a, b) == op(_as_ref(a), _as_ref(b)), (a, b)
+
+
+def _as_ref(ts):
+    return RefTimestamp(ts.time, ts.barrier, ts.client_id, ts.op_seq)
+
+
+def test_timestamp_max_and_sort_match_key():
+    shuffled = list(reversed(_GRID))
+    assert sorted(shuffled) == sorted(shuffled, key=_key)
+    assert max(shuffled) is max(shuffled, key=_key)
+
+
+def test_timestamp_hash_and_next_for_unchanged():
+    ts = QUTimestamp(time=4, barrier=True, client_id=2, op_seq=9)
+    assert hash(ts) == hash(QUTimestamp(4, True, 2, 9))
+    assert ts.next_for(5, 11) == QUTimestamp(5, False, 5, 11)
+    assert QUTimestamp.zero() == QUTimestamp(0, False, -1, -1)
+    with pytest.raises(TypeError):
+        _ = ts < (4, True, 2, 9)
+
+
+# ---------------------------------------------------------------------------
+# ReplicaHistory: cached latest == max-scan, bounded on accept
+# ---------------------------------------------------------------------------
+_SMALL_TS = st.builds(
+    QUTimestamp,
+    time=st.integers(0, 3),
+    barrier=st.booleans(),
+    client_id=st.integers(0, 2),
+    op_seq=st.integers(0, 1),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("accept"), _SMALL_TS),
+        st.tuples(st.just("prune"), st.integers(1, 2 * KEEP_LAST + 2)),
+        st.tuples(st.just("copy"), st.none()),
+    ),
+    max_size=60,
+)
+
+
+def _check_history_ops(history_cls, initial, ops):
+    """Drive ``history_cls`` and the max-scan reference through ``ops``.
+
+    The reference applies the same bound (prune once more than
+    ``2 * KEEP_LAST`` candidates) explicitly, so both hold the same
+    candidate objects in the same order after every step and ``latest``
+    must be the very object the max-scan returns.
+    """
+    history = history_cls(candidates=list(initial))
+    reference = RefHistory(candidates=list(initial))
+    for step, (op, arg) in enumerate(ops):
+        if op == "accept":
+            candidate = Candidate(timestamp=arg, value=step)
+            history.accept(candidate)
+            reference.accept(candidate)
+            if len(reference.candidates) > 2 * KEEP_LAST:
+                reference.prune()
+        elif op == "prune":
+            history.prune(keep_last=arg)
+            reference.prune(keep_last=arg)
+        else:
+            copy = history.copy_latest()
+            assert len(copy.candidates) == 1
+            assert copy.latest is history.latest
+        assert len(history.candidates) <= 2 * KEEP_LAST
+        assert len(history.candidates) == len(reference.candidates)
+        assert all(
+            a is b for a, b in zip(history.candidates, reference.candidates)
+        )
+        assert history.latest is reference.latest
+        assert history.latest is _max_scan(history.candidates)
+        assert _key(history.pruned_below) == _key(reference.pruned_below)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.lists(_SMALL_TS, min_size=1, max_size=5).map(
+        lambda stamps: [Candidate(ts, -i - 1) for i, ts in enumerate(stamps)]
+    ),
+    ops=_OPS,
+)
+def test_history_latest_is_max_scan_object(initial, ops):
+    _check_history_ops(ReplicaHistory, initial, ops)
+
+
+def test_fresh_history_starts_at_zero():
+    history = ReplicaHistory()
+    assert history.candidates == [Candidate(QUTimestamp.zero(), 0)]
+    assert history.latest is history.candidates[0]
+
+
+_TIED = QUTimestamp(time=1, client_id=0, op_seq=0)
+_TIE_OPS = [("accept", _TIED), ("accept", _TIED), ("copy", None)]
+
+
+def test_equal_timestamps_keep_first_candidate():
+    history = ReplicaHistory()
+    first, second = Candidate(_TIED, 1), Candidate(_TIED, 2)
+    history.accept(first)
+    history.accept(second)
+    assert history.latest is first
+    _check_history_ops(
+        ReplicaHistory, [Candidate(QUTimestamp.zero(), 0)], _TIE_OPS
+    )
+
+
+class _GreaterEqualMutant(ReplicaHistory):
+    """``accept`` with ``>=``: the last of tied candidates wins."""
+
+    def accept(self, candidate):
+        self.candidates.append(candidate)
+        if candidate.timestamp >= self.latest.timestamp:
+            self.latest = candidate
+        if len(self.candidates) > 2 * KEEP_LAST:
+            self.prune()
+
+
+def test_greater_equal_mutant_is_caught():
+    with pytest.raises(AssertionError):
+        _check_history_ops(
+            _GreaterEqualMutant, [Candidate(QUTimestamp.zero(), 0)], _TIE_OPS
+        )
+
+
+# ---------------------------------------------------------------------------
+# End to end: records, event counts and random draws match the reference
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "t,clients_per_site", [(1, 2), (1, 10), (3, 2), (3, 10)]
+)
+def test_run_qu_experiment_bit_identical(
+    planetlab, monkeypatch, t, clients_per_site
+):
+    config = QUExperimentConfig(
+        t=t, clients_per_site=clients_per_site, duration_ms=600.0,
+        warmup_ms=100.0, seed=5,
+    )
+    services = _spy_services(monkeypatch)
+    actual = run_qu_experiment(planetlab, config)
+    with monkeypatch.context() as patch:
+        _reference_qu(patch)
+        expected = run_qu_experiment(planetlab, config)
+    new, ref = services
+    assert _service_outcome(new) == _service_outcome(ref)
+    assert new.sim.events_processed > 0
+    _assert_identical(actual, expected)
+
+
+def _jittered_service(planetlab, object_id=None):
+    service = QUService(
+        planetlab, np.arange(6), quorum_size=5, seed=42,
+        network_jitter_ms=0.5,
+    )
+    for site in (10, 20, 30, 40):
+        for _ in range(3):
+            service.add_client(site, object_id=object_id)
+    service.run(duration_ms=800.0)
+    return service
+
+
+def test_qu_service_with_jitter_bit_identical(planetlab, monkeypatch):
+    new = _jittered_service(planetlab)
+    with monkeypatch.context() as patch:
+        _reference_qu(patch)
+        ref = _jittered_service(planetlab)
+    assert _service_outcome(new) == _service_outcome(ref)
+
+
+def test_shared_object_contention_bit_identical(planetlab, monkeypatch):
+    """Every client writes object 0: rejections, re-conditioning and the
+    randomized backoff draws must replay exactly."""
+    new = _jittered_service(planetlab, object_id=0)
+    assert sum(c.retries_total for c in new.clients) > 0
+    with monkeypatch.context() as patch:
+        _reference_qu(patch)
+        ref = _jittered_service(planetlab, object_id=0)
+    assert _service_outcome(new) == _service_outcome(ref)
+
+
+def _generic_run(line_topology):
+    placed = PlacedQuorumSystem(
+        ThresholdQuorumSystem(5, 3), Placement([0, 2, 4, 6, 8]), line_topology
+    )
+    simulation = GenericQuorumSimulation(
+        placed,
+        ThresholdBalancedStrategy(),
+        client_nodes=np.array([0, 3, 5, 9]),
+        service_time_ms=1.0,
+        network_jitter_ms=0.3,
+        failures=FailureSchedule(
+            [CrashWindow(4, 300.0, 1500.0), CrashWindow(0, 800.0, 1200.0)]
+        ),
+        timeout_ms=250.0,
+        seed=7,
+        collect_telemetry=True,
+    )
+    result = simulation.run(duration_ms=3000.0, warmup_ms=100.0)
+    records = [r for c in simulation.clients for r in c.records]
+    return simulation, result, records
+
+
+def test_generic_events_backend_bit_identical(line_topology, monkeypatch):
+    """Crash windows and timeouts: every completed operation cancels its
+    timeout event, so cancellation and heap compaction are on the path."""
+    compactions = []
+    compact = Simulator._compact
+
+    def counting_compact(self):
+        compactions.append(len(self._heap))
+        compact(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "_compact", counting_compact)
+        new, new_result, new_records = _generic_run(line_topology)
+    assert compactions
+    assert new_result.timeouts_total > 0
+    assert new_result.requests_dropped > 0
+    with monkeypatch.context() as patch:
+        _reference_engine(patch)
+        ref, ref_result, ref_records = _generic_run(line_topology)
+    assert new.sim.events_processed == ref.sim.events_processed
+    assert new.network.messages_sent == ref.network.messages_sent
+    assert _record_bytes(new_records) == _record_bytes(ref_records)
+    _assert_identical(new_result, ref_result)
+
+
+def test_schedule_matches_schedule_at_validation():
+    """The inline push in ``schedule`` accepts and rejects exactly what
+    ``schedule`` → ``schedule_at`` did."""
+    for delay in (0.0, 1e-300, 2.5, 1e300, -0.0):
+        new, ref = Simulator(), Simulator()
+        a = new.schedule(delay, lambda: None)
+        b = _ref_schedule(ref, delay, lambda: None)
+        assert isinstance(a, ScheduledEvent)
+        assert (a.time, new._heap[0][:2]) == (b.time, ref._heap[0][:2])
+    for delay in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
+        for schedule in (Simulator.schedule, _ref_schedule):
+            sim = Simulator()
+            with pytest.raises(SimulationError):
+                schedule(sim, delay, lambda: None)
+            assert sim.pending_events == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.qu.objects import KEEP_LAST
 from repro.qu.service import QUService
 from repro.sim.metrics import summarize
 
@@ -163,3 +164,20 @@ class TestContention:
             service.add_client(node=0)  # distinct default object ids
         service.run(duration_ms=1000.0)
         assert all(c.retries_total == 0 for c in service.clients)
+
+
+class TestBoundedHistories:
+    def test_histories_stay_bounded_in_long_runs(self, planetlab):
+        """Servers prune each object's history on accept, so a history
+        never holds more than ``2 * KEEP_LAST`` candidates, however many
+        operations the run completes."""
+        service = build_service(planetlab, range(6), 5, seed=2)
+        client = service.add_client(node=10)
+        service.run(duration_ms=5000.0)
+        assert client.operations_completed > 4 * KEEP_LAST
+        sizes = [
+            len(history.candidates)
+            for server in service.servers
+            for history in server._store.values()
+        ]
+        assert sizes and max(sizes) <= 2 * KEEP_LAST == 16

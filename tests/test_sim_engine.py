@@ -172,6 +172,54 @@ class TestHeapCompaction:
         sim.run(until=10.0)
         assert fired == ["x"]
 
+    def test_compaction_inside_run_keeps_loop_alive(self):
+        """A callback that cancels most pending events compacts the heap
+        while ``run()`` is popping from it. Survivors and events scheduled
+        after the sweep must still fire in ``(time, seq)`` order, and the
+        counters must stay exact throughout."""
+        sim = Simulator()
+        fired = []
+        seen_processed = []
+        handles = []
+
+        def record(tag):
+            fired.append((tag, sim.now))
+            seen_processed.append(sim.events_processed)
+
+        def canceller():
+            record("cancel")
+            # 15 of the 20 pending go: the 11th cancellation (i == 14)
+            # tips the heap past half cancelled and compacts it to 9
+            # entries; the last 4 cancellations linger after the sweep.
+            for i, handle in enumerate(handles):
+                if i % 4 != 0:
+                    handle.cancel()
+                if i == 14:
+                    assert sim.cancelled_pending == 0
+                    assert sim.pending_events == 9
+            assert sim.cancelled_pending == 4
+            assert sim.pending_events == 9
+            sim.schedule(0.5, lambda: record("late"))
+
+        sim.schedule(1.0, canceller)
+        for i in range(20):
+            handles.append(
+                sim.schedule(2.0 + (i % 5) * 0.25, lambda i=i: record(i))
+            )
+        sim.run(until=10.0)
+        survivors = sorted(
+            (i for i in range(20) if i % 4 == 0),
+            key=lambda i: (2.0 + (i % 5) * 0.25, i),
+        )
+        assert fired == (
+            [("cancel", 1.0), ("late", 1.5)]
+            + [(i, 2.0 + (i % 5) * 0.25) for i in survivors]
+        )
+        assert seen_processed == list(range(len(fired)))
+        assert sim.events_processed == len(fired) == 7
+        assert sim.cancelled_pending == 0
+        assert sim.pending_events == 0
+
     def test_cancelled_counter_tracks_pops(self):
         sim = Simulator()
         a = sim.schedule(1.0, lambda: None)
