@@ -32,7 +32,7 @@ from repro.dynamics.scenarios import (
     diurnal_scenario,
     flash_crowd_scenario,
 )
-from repro.dynamics.telemetry import TelemetryConfig
+from repro.dynamics.telemetry import PROBE_BACKEND, TelemetryConfig
 from repro.lp import lp_backend_name
 from repro.network.datasets import planetlab_50
 from repro.quorums.grid import GridQuorumSystem
@@ -117,7 +117,7 @@ def test_closed_loop_overhead_is_bounded(results_dir):
         scenario="diurnal+flash-crowd",
         policy=POLICY,
         backend=backend,
-        probe_backend=telemetry.sim_backend,
+        probe_backend=PROBE_BACKEND,
         noise=telemetry.noise,
         oracle_seconds=oracle_s,
         closed_loop_seconds=closed_s,
@@ -133,7 +133,7 @@ def test_closed_loop_overhead_is_bounded(results_dir):
     print()
     print(f"== closed-loop overhead: grid:{GRID_K} on planetlab-50, "
           f"{N_EPOCHS} epochs, {POLICY} ==")
-    print(f"   backend:        {backend} (probe: {telemetry.sim_backend})")
+    print(f"   backend:        {backend} (probe: {PROBE_BACKEND})")
     print(f"   oracle replay:  {oracle_s * 1000:8.1f} ms "
           f"({record['oracle_reopts']} reopts)")
     print(f"   closed loop:    {closed_s * 1000:8.1f} ms "

@@ -1,17 +1,17 @@
-"""Benchmark of warm incremental re-optimization vs cold rebuilds (ISSUE 5).
+"""Benchmark of warm incremental re-optimization vs cold rebuilds.
 
-The dynamics controller's ``incremental`` mode answers every
-re-optimization against one persistent program: capacity events are pure
-RHS re-solves, RTT drift rewrites the objective in place, and (with HiGHS
-bindings importable) each solve restarts from the program's anchor basis.
-The ``cold`` mode is what a controller without the build-once/solve-many
-machinery would do — assemble a fresh :class:`StrategyProgram` and solve
-it from scratch at every epoch.
+The dynamics controller answers every re-optimization against one
+persistent program: capacity events are pure RHS re-solves, RTT drift
+rewrites the objective in place, and (with HiGHS bindings importable) each
+solve restarts from the program's anchor basis. The baseline here,
+:class:`ColdRebuildController`, is what a controller without the
+build-once/solve-many machinery would do — assemble a fresh
+:class:`StrategyProgram` and solve it from scratch at every epoch.
 
 This benchmark replays the same >= 20-epoch planetlab-50 scenario
 (diurnal RTT drift + a flash-crowd capacity crunch, Grid k=5, clairvoyant
-policy so *every* epoch re-optimizes) through both modes in-process — no
-pool scheduling noise — asserts the per-epoch objectives agree within
+policy so *every* epoch re-optimizes) through both controllers in-process
+— no pool scheduling noise — asserts the per-epoch objectives agree within
 1e-9, and records the speedup to
 ``benchmarks/results/bench_dynamics.json``.
 
@@ -28,7 +28,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.dynamics.controller import replay_segment
+from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.dynamics.controller import AdaptiveController, parse_policy
 from repro.obs.bench import BenchRecorder
 from repro.dynamics.replay import _segment_placement
 from repro.dynamics.scenarios import (
@@ -39,9 +40,29 @@ from repro.dynamics.scenarios import (
 from repro.lp import lp_backend_name
 from repro.network.datasets import planetlab_50
 from repro.quorums.grid import GridQuorumSystem
+from repro.strategies.lp_optimizer import StrategyProgram
 
 GRID_K = 5
 N_EPOCHS = 24
+
+
+class ColdRebuildController(AdaptiveController):
+    """The baseline: a fresh program assembled and solved cold at every
+    re-optimization."""
+
+    def _reoptimize(self, delta, capacities):
+        program = StrategyProgram(self.placed, delay_matrix=delta)
+        # A single-variant batch is exactly one cold solve — no anchor
+        # calibration — which is what a from-scratch rebuild would pay.
+        strategy = program.solve_many([capacities])[0]
+        matrix = None if strategy is None else strategy.matrix
+        return matrix, program.lp_solves, 1
+
+
+def _replay(controller_cls, topology, system, assignment, policy, stacks):
+    placed = PlacedQuorumSystem(system, Placement(assignment), topology)
+    controller = controller_cls(placed, parse_policy(policy))
+    return controller.run_segment(*stacks)
 
 
 def _scenario_inputs():
@@ -75,18 +96,16 @@ def test_warm_incremental_beats_cold_rebuild(results_dir):
         topology=topology,
         system=system,
         assignment=assignment,
-        rtt_factors=factors,
-        capacities=caps,
-        rtt_changed=changed,
         policy="periodic:1",  # clairvoyant: re-optimize every epoch
+        stacks=(factors, caps, changed),
     )
 
     started = time.perf_counter()
-    cold = replay_segment(mode="cold", **kwargs)
+    cold = _replay(ColdRebuildController, **kwargs)
     cold_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    warm = replay_segment(mode="incremental", **kwargs)
+    warm = _replay(AdaptiveController, **kwargs)
     warm_s = time.perf_counter() - started
     speedup = cold_s / warm_s
 

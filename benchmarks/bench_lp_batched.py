@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.response_time import alpha_from_demand
+from repro.lp.batched import LP_BACKEND_ENV
 from repro.obs.bench import BenchRecorder
 from repro.network.datasets import planetlab_50
 from repro.placement.search import best_placement
@@ -47,6 +49,14 @@ def _timed(fn, repeats: int = 3):
     return best, result
 
 
+@contextmanager
+def scipy_backend():
+    """Programs built inside take the cold per-variant ``linprog`` path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(LP_BACKEND_ENV, "scipy")
+        yield
+
+
 def _objective(placed, strategy) -> float:
     delta = placed.delay_matrix
     return float((delta * strategy.matrix).sum() / placed.n_nodes)
@@ -54,10 +64,8 @@ def _objective(placed, strategy) -> float:
 
 def _per_level_sweep(placed, levels):
     """The pre-backend shape: one assembly + one cold solve per level."""
-    return [
-        StrategyProgram(placed, backend="scipy").solve(float(c))
-        for c in levels
-    ]
+    with scipy_backend():
+        return [StrategyProgram(placed).solve(float(c)) for c in levels]
 
 
 def _batched_sweep(placed, levels):
@@ -93,11 +101,10 @@ def test_batched_lp_sweep_speedup(results_dir):
     batched_best = sweep_uniform_capacities(
         placed, alpha, levels=levels
     ).best.capacity
+    with scipy_backend():
+        per_level_program = StrategyProgram(placed)
     per_level_best = sweep_uniform_capacities(
-        placed,
-        alpha,
-        levels=levels,
-        program=StrategyProgram(placed, backend="scipy"),
+        placed, alpha, levels=levels, program=per_level_program
     ).best.capacity
     assert batched_best == per_level_best
 

@@ -13,7 +13,7 @@ fresh assembly + cold scipy solve per level.
 
 import numpy as np
 
-from bench_lp_batched import _timed
+from bench_lp_batched import _timed, scipy_backend
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.response_time import alpha_from_demand, evaluate
@@ -33,12 +33,11 @@ from repro.strategies.simple import balanced_strategy, closest_strategy
 def time_sweep_paths(sub, levels) -> tuple[float, float]:
     """(per-level seconds, batched seconds) for the candidate LP sweep."""
     level_list = [float(c) for c in levels]
-    per_level_s, _ = _timed(
-        lambda: [
-            StrategyProgram(sub, backend="scipy").solve(c)
-            for c in level_list
-        ]
-    )
+    def per_level():
+        with scipy_backend():
+            return [StrategyProgram(sub).solve(c) for c in level_list]
+
+    per_level_s, _ = _timed(per_level)
     batched_s, _ = _timed(
         lambda: StrategyProgram(sub).solve_many(level_list)
     )

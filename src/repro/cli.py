@@ -113,6 +113,9 @@ def parse_system(spec: str):
 #: instant. Matches the hierarchical search's exact-search threshold.
 _STATS_MAX_SITES = 200
 
+#: Policies ``dynamics`` replays when ``--policies`` is not given.
+_DEFAULT_POLICIES = "static,periodic:4,threshold:0.05"
+
 
 def _cmd_topologies(_args) -> int:
     for name in available_topologies():
@@ -320,14 +323,19 @@ def _cmd_dynamics(args) -> int:
         raise ReproError("--noise requires --closed-loop")
     if args.tune_thresholds is not None and not args.closed_loop:
         raise ReproError("--tune-thresholds requires --closed-loop")
+    if args.tune_thresholds is not None and args.policies is not None:
+        raise ReproError(
+            "--policies does not apply to --tune-thresholds "
+            "(the sweep's baseline is static)"
+        )
     telemetry = None
     if args.closed_loop:
         noise = 0.05 if args.noise is None else args.noise
         telemetry = TelemetryConfig(noise=noise, seed=args.seed)
     trace = _dynamics_trace(topology, args.scenario, args.epochs, args.seed)
+    specs = _DEFAULT_POLICIES if args.policies is None else args.policies
     policies = tuple(
-        spec for spec in (p.strip() for p in args.policies.split(","))
-        if spec
+        spec for spec in (p.strip() for p in specs.split(",")) if spec
     )
     candidates = (
         None
@@ -353,7 +361,6 @@ def _cmd_dynamics(args) -> int:
                 trace,
                 thresholds=thresholds,
                 telemetry=telemetry,
-                mode=args.mode,
                 baseline_policies=("static",),
                 candidates=candidates,
                 runner=runner,
@@ -366,7 +373,6 @@ def _cmd_dynamics(args) -> int:
                 system,
                 trace,
                 policies=policies,
-                mode=args.mode,
                 candidates=candidates,
                 runner=runner,
                 telemetry=telemetry,
@@ -494,15 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "drift + flash crowd + partition)")
     dynamics.add_argument("--epochs", type=int, default=24, metavar="N",
                           help="timeline length in epochs")
-    dynamics.add_argument("--policies",
-                          default="static,periodic:4,threshold:0.05",
-                          metavar="SPECS",
+    dynamics.add_argument("--policies", default=None, metavar="SPECS",
                           help="comma-separated policy specs "
-                          "(static, periodic:<k>, threshold:<x>)")
-    dynamics.add_argument("--mode", default="incremental",
-                          choices=["incremental", "cold"],
-                          help="re-optimize warm in place, or rebuild "
-                          "per re-optimization (the benchmark baseline)")
+                          "(static, periodic:<k>, threshold:<x>; default "
+                          f"{_DEFAULT_POLICIES}); not with --tune-thresholds")
     dynamics.add_argument("--seed", type=int, default=7,
                           help="scenario generator seed")
     dynamics.add_argument("--candidates", type=int, default=0, metavar="N",

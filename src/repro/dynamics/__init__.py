@@ -36,7 +36,6 @@ from repro.dynamics.events import (
 from repro.dynamics.replay import (
     CLAIRVOYANT,
     DynamicsResult,
-    PolicySeries,
     ThresholdTuning,
     replay,
     tune_threshold,
@@ -83,7 +82,6 @@ __all__ = [
     "replay",
     "tune_threshold",
     "DynamicsResult",
-    "PolicySeries",
     "ThresholdTuning",
     "CLAIRVOYANT",
 ]

@@ -3,25 +3,26 @@
 Between two churn boundaries the placement is fixed, so everything an
 adaptation policy does is drive the access-strategy LP (4.3)-(4.6) of one
 :class:`~repro.core.placement.PlacedQuorumSystem` as the topology drifts
-under it. The :class:`AdaptiveController` exploits the batched LP backend
-end to end in its default ``incremental`` mode:
+under it. The :class:`AdaptiveController` keeps one persistent warm
+program per segment and maps events onto the batched LP backend's cheap
+paths:
 
 * **capacity events** are pure RHS — a re-optimization is one anchored
-  re-solve of the persistent warm program;
+  re-solve of the warm program;
 * **RTT-drift events** rewrite the objective in place
   (:meth:`~repro.strategies.lp_optimizer.StrategyProgram.update_delays`)
   against the same warm model — the constraint system is RTT-free;
 * only the segment's *first* epoch pays an assembly.
 
-``cold`` mode is the baseline the benchmark measures against: every
-re-optimization assembles a fresh program and solves it cold, exactly what
-an implementation without the build-once/solve-many machinery would do.
-Both modes answer the same LPs, so their objectives agree within solver
-tolerance at every epoch (pinned by ``tests/test_dynamics.py``); within a
-mode, canonical (anchored) solves make the whole replay a pure function of
-its inputs — which is what lets :func:`~repro.dynamics.replay.replay`
-schedule segments over a :class:`~repro.runtime.runner.GridRunner` with
-``jobs=N`` bit-identical to ``jobs=1``.
+The warm program answers the same LPs a rebuild-and-solve-cold controller
+would, so their objectives agree within solver tolerance at every
+re-optimization epoch; that baseline lives beside the pins that hold it
+(``tests/test_dynamics.py``) and the benchmark that measures against it
+(``benchmarks/bench_dynamics.py``). Canonical (anchored) solves make the
+whole replay a pure function of its inputs — which is what lets
+:func:`~repro.dynamics.replay.replay` schedule segments over a
+:class:`~repro.runtime.runner.GridRunner` with ``jobs=N`` bit-identical
+to ``jobs=1``.
 
 Policy contract
 ---------------
@@ -35,7 +36,8 @@ re-optimize every epoch — is the regret baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +64,6 @@ __all__ = [
     "parse_policy",
     "replay_segment",
 ]
-
-REPLAY_MODES = ("incremental", "cold")
 
 
 @dataclass(frozen=True)
@@ -170,26 +170,28 @@ def parse_policy(spec: str) -> AdaptationPolicy:
 
 @dataclass(frozen=True, eq=False)
 class SegmentSeries:
-    """Per-epoch outcome arrays of one (policy, segment) replay.
+    """Per-epoch outcome arrays of one policy over a segment or a timeline.
 
-    All arrays share the segment's epoch count. ``expected_delay`` is the
-    expected network delay of the strategy in force at the end of each
-    epoch, measured under that epoch's **true** drifted RTTs — also in
-    closed-loop runs, where decisions were made from estimates;
-    ``max_overload`` is the worst per-node capacity violation of that
-    strategy under the epoch's capacities (a *stale* strategy can
-    undercut a freshly optimized one on raw delay precisely by
-    overloading crunched nodes — this series is what keeps that
-    visible); ``lp_solves`` counts solver invocations charged to the
-    epoch (anchor calibrations included), ``assemblies`` full program
-    assemblies.
+    All arrays share one epoch count: a segment's when a controller
+    returns it, the whole trace's once :meth:`concatenate` has stitched
+    the segments together. ``expected_delay`` is the expected network
+    delay of the strategy in force at the end of each epoch, measured
+    under that epoch's **true** drifted RTTs — also in closed-loop runs,
+    where decisions were made from estimates; ``max_overload`` is the
+    worst per-node capacity violation of that strategy under the epoch's
+    capacities (a *stale* strategy can undercut a freshly optimized one on
+    raw delay precisely by overloading crunched nodes — this series is
+    what keeps that visible); ``lp_solves`` counts solver invocations
+    charged to the epoch (anchor calibrations included), ``assemblies``
+    full program assemblies.
 
     The last three series are the closed loop's: ``estimation_error`` is
     the mean relative error of the estimated delay matrix against the
     true one, ``staleness`` the mean age (epochs) of the per-pair RTT
     estimates, and ``probe_operations`` how many simulated probe replies
     fed the epoch's estimate. All three are identically zero in oracle
-    (open-loop) replays.
+    (open-loop) replays and for the clairvoyant baseline, which always
+    sees the truth.
     """
 
     expected_delay: np.ndarray
@@ -203,25 +205,44 @@ class SegmentSeries:
     probe_operations: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = [
-            self.expected_delay,
-            self.reoptimized,
-            self.infeasible,
-            self.max_overload,
-            self.lp_solves,
-            self.assemblies,
-            self.estimation_error,
-            self.staleness,
-            self.probe_operations,
-        ]
+        arrays = [getattr(self, f.name) for f in fields(self)]
         if any(a.ndim != 1 for a in arrays):
             raise DynamicsError("segment series must be 1-D arrays")
         lengths = {a.shape[0] for a in arrays}
         if len(lengths) != 1:
             raise DynamicsError(
-                "segment series must share the segment's epoch count; "
+                "segment series must share one epoch count; "
                 f"got lengths {sorted(lengths)}"
             )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[SegmentSeries]) -> SegmentSeries:
+        """Stitch consecutive segments' series into one timeline."""
+        return cls(
+            **{
+                f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                for f in fields(cls)
+            }
+        )
+
+    @property
+    def cumulative_solves(self) -> np.ndarray:
+        """Running re-optimization cost in LP solves."""
+        return np.cumsum(self.lp_solves)
+
+    @property
+    def cumulative_assemblies(self) -> np.ndarray:
+        """Running re-optimization cost in program assemblies."""
+        return np.cumsum(self.assemblies)
+
+    @property
+    def reopt_count(self) -> int:
+        return int(self.reoptimized.sum())
+
+    @property
+    def mean_estimation_error(self) -> float:
+        """Mean relative delay-matrix estimation error over the epochs."""
+        return float(self.estimation_error.mean())
 
 
 def _expected_delay(matrix: np.ndarray, delta: np.ndarray) -> float:
@@ -238,12 +259,6 @@ class AdaptiveController:
         The segment's placed quorum system (over the member node space).
     policy:
         A policy object (see :func:`parse_policy`).
-    mode:
-        ``"incremental"`` keeps one warm program for the whole segment;
-        ``"cold"`` assembles and solves from scratch at every
-        re-optimization.
-    backend:
-        LP backend override, passed through to the programs.
     telemetry:
         A :class:`~repro.dynamics.telemetry.TelemetryConfig` switches the
         controller to **closed-loop** operation: every epoch it probes
@@ -259,18 +274,10 @@ class AdaptiveController:
         self,
         placed: PlacedQuorumSystem,
         policy: AdaptationPolicy,
-        mode: str = "incremental",
-        backend: str | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
-        if mode not in REPLAY_MODES:
-            raise DynamicsError(
-                f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
-            )
         self.placed = placed
         self.policy = policy
-        self.mode = mode
-        self.backend = backend
         self.telemetry = telemetry
         self._program: StrategyProgram | None = None
         self._synced_delta: np.ndarray | None = None
@@ -282,21 +289,9 @@ class AdaptiveController:
         self, delta: np.ndarray, capacities: np.ndarray
     ) -> tuple[np.ndarray | None, int, int]:
         """One re-optimization; returns (matrix or None, solves, builds)."""
-        if self.mode == "cold":
-            program = StrategyProgram(
-                self.placed, backend=self.backend, delay_matrix=delta
-            )
-            # A single-variant batch is exactly one cold solve — no anchor
-            # calibration — which is what a from-scratch rebuild would pay.
-            strategy = program.solve_many([capacities])[0]
-            matrix = None if strategy is None else strategy.matrix
-            return matrix, program.lp_solves, 1
-
         builds = 0
         if self._program is None:
-            self._program = StrategyProgram(
-                self.placed, backend=self.backend, delay_matrix=delta
-            )
+            self._program = StrategyProgram(self.placed, delay_matrix=delta)
             self._synced_delta = delta
             builds = 1
         elif self._synced_delta is not delta:
@@ -446,8 +441,6 @@ def replay_segment(
     capacities: np.ndarray,
     rtt_changed: np.ndarray,
     policy: str,
-    mode: str = "incremental",
-    backend: str | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> SegmentSeries:
     """Module-level segment replay (picklable — the replay driver's grid
@@ -459,11 +452,7 @@ def replay_segment(
     """
     placed = PlacedQuorumSystem(system, Placement(assignment), topology)
     controller = AdaptiveController(
-        placed,
-        parse_policy(policy),
-        mode=mode,
-        backend=backend,
-        telemetry=telemetry,
+        placed, parse_policy(policy), telemetry=telemetry
     )
     with obs.span(
         "dynamics.segment",

@@ -16,11 +16,11 @@ same guarantees) the figure runners use:
    as the regret baseline.
 
 Every point carries a content cache key (topology/system fingerprints,
-the segment's event stacks, the policy spec, the replay mode, the LP
-backend), so repeated replays — or replays sharing segments — reuse
-results exactly like figure grid points do. Canonical LP solves make each
-point a pure function of its inputs, so ``jobs=N`` is bit-identical to
-``jobs=1`` (pinned by ``tests/test_dynamics.py``).
+the segment's event stacks, the policy spec, the LP backend), so repeated
+replays — or replays sharing segments — reuse results exactly like figure
+grid points do. Canonical LP solves make each point a pure function of
+its inputs, so ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
+``tests/test_dynamics.py``).
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.dynamics.controller import (
-    REPLAY_MODES,
     SegmentSeries,
     ThresholdPolicy,
     parse_policy,
     replay_segment,
 )
 from repro.dynamics.events import ScenarioTrace
-from repro.dynamics.telemetry import TelemetryConfig
+from repro.dynamics.telemetry import PROBE_BACKEND, TelemetryConfig
 from repro.errors import DynamicsError
 from repro.lp import lp_backend_name
 from repro.network.graph import Topology
@@ -57,7 +56,6 @@ from repro.runtime.runner import GridRunner, shared_runner
 __all__ = [
     "CLAIRVOYANT",
     "DynamicsResult",
-    "PolicySeries",
     "ThresholdTuning",
     "replay",
     "simulate_placements",
@@ -73,83 +71,21 @@ _SEGMENT_SEED_STRIDE = 100_003
 
 
 @dataclass(frozen=True, eq=False)
-class PolicySeries:
-    """Full-timeline outcome of one policy (segments stitched together).
-
-    ``estimation_error``/``staleness``/``probe_operations`` carry the
-    closed loop's measurement quality per epoch (identically zero for
-    oracle replays and for the clairvoyant baseline, which always sees
-    the truth).
-    """
-
-    policy: str
-    expected_delay: np.ndarray
-    reoptimized: np.ndarray
-    infeasible: np.ndarray
-    max_overload: np.ndarray
-    lp_solves: np.ndarray
-    assemblies: np.ndarray
-    estimation_error: np.ndarray
-    staleness: np.ndarray
-    probe_operations: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = [
-            self.expected_delay,
-            self.reoptimized,
-            self.infeasible,
-            self.max_overload,
-            self.lp_solves,
-            self.assemblies,
-            self.estimation_error,
-            self.staleness,
-            self.probe_operations,
-        ]
-        if any(a.ndim != 1 for a in arrays):
-            raise DynamicsError("policy series must be 1-D arrays")
-        lengths = {a.shape[0] for a in arrays}
-        if len(lengths) != 1:
-            raise DynamicsError(
-                "policy series must share the timeline's epoch count; "
-                f"got lengths {sorted(lengths)}"
-            )
-
-    @property
-    def cumulative_solves(self) -> np.ndarray:
-        """Running re-optimization cost in LP solves."""
-        return np.cumsum(self.lp_solves)
-
-    @property
-    def cumulative_assemblies(self) -> np.ndarray:
-        """Running re-optimization cost in program assemblies."""
-        return np.cumsum(self.assemblies)
-
-    @property
-    def reopt_count(self) -> int:
-        return int(self.reoptimized.sum())
-
-    @property
-    def mean_estimation_error(self) -> float:
-        """Mean relative delay-matrix estimation error over the timeline."""
-        return float(self.estimation_error.mean())
-
-
-@dataclass(frozen=True, eq=False)
 class DynamicsResult:
     """Outcome of one scenario replay.
 
-    ``series`` maps canonical policy specs to their
-    :class:`PolicySeries`; the ``clairvoyant`` entry (when present) is the
-    per-epoch optimum every other policy's regret is measured against.
+    ``series`` maps canonical policy specs to their full-timeline
+    :class:`~repro.dynamics.controller.SegmentSeries`; the ``clairvoyant``
+    entry (when present) is the per-epoch optimum every other policy's
+    regret is measured against.
     ``placements`` holds one global-node-space assignment per segment.
     """
 
     n_epochs: int
     policies: tuple[str, ...]
-    series: dict[str, PolicySeries]
+    series: dict[str, SegmentSeries]
     segments: tuple[tuple[int, int], ...]
     placements: tuple[np.ndarray, ...]
-    mode: str
     metadata: dict = field(default_factory=dict)
 
     def regret(self, policy: str) -> np.ndarray:
@@ -161,7 +97,8 @@ class DynamicsResult:
         below the clairvoyant on raw delay during a capacity crunch — by
         overloading crunched nodes, which the re-optimizer is not allowed
         to do; read negative regret together with
-        :attr:`PolicySeries.max_overload`.
+        :attr:`SegmentSeries.max_overload
+        <repro.dynamics.controller.SegmentSeries.max_overload>`.
         """
         if policy not in self.series:
             raise DynamicsError(
@@ -187,7 +124,7 @@ class DynamicsResult:
         specs = list(self.series)
         lines = [
             f"== dynamics replay: {self.n_epochs} epochs, "
-            f"{len(self.segments)} segment(s), mode={self.mode} =="
+            f"{len(self.segments)} segment(s) =="
         ]
         for key, value in sorted(self.metadata.items()):
             lines.append(f"   {key}: {value}")
@@ -257,15 +194,14 @@ def simulate_placements(
     duration_ms: float = 2_000.0,
     service_time_ms: float = 1.0,
     seed: int = 17,
-    backend: str = "fluid",
 ) -> tuple[dict, ...]:
     """Cross-check a replay's per-segment placements in the simulator.
 
     The replay's expected-delay series comes from the analytic response
     model; this runs each segment's placement through
     :class:`~repro.sim.generic.GenericQuorumSimulation` under an open-loop
-    Poisson workload — by default on the **fluid backend**, which makes
-    per-epoch policy evaluation cheap enough to run after every replay.
+    Poisson workload on the **fluid backend**, which makes the cross-check
+    cheap enough to run after every replay.
     Returns one dict per segment (``segment``, ``mean_response_ms``,
     ``p95_response_ms``, ``operations``, plus the request-conservation
     counters).
@@ -309,7 +245,7 @@ def simulate_placements(
             arrivals=PoissonArrivals(
                 rate_per_ms=rate_per_ms, seed=seed + 1000 + index
             ),
-            backend=backend,
+            backend="fluid",
         )
         out = sim.run(duration_ms=duration_ms, warmup_ms=0.1 * duration_ms)
         rows.append(
@@ -333,13 +269,11 @@ def replay(
     system: QuorumSystem,
     trace: ScenarioTrace,
     policies: Sequence[str] = ("static", "periodic:4", "threshold:0.05"),
-    mode: str = "incremental",
     include_clairvoyant: bool = True,
     candidates: object = None,
     runner: GridRunner | None = None,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> DynamicsResult:
     """Replay a scenario trace and measure how policies track the optimum.
@@ -356,9 +290,6 @@ def replay(
         Adaptation policy specs (see
         :func:`~repro.dynamics.controller.parse_policy`); duplicates
         collapse, order is preserved.
-    mode:
-        ``"incremental"`` (warm in-place re-optimization, the default) or
-        ``"cold"`` (rebuild per re-optimization — the benchmark baseline).
     include_clairvoyant:
         Add the per-epoch re-optimizer as the regret baseline (skipped if
         already among ``policies``).
@@ -385,10 +316,6 @@ def replay(
         start epoch, and the configuration is part of every segment
         point's cache key.
     """
-    if mode not in REPLAY_MODES:
-        raise DynamicsError(
-            f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
-        )
     specs: list[str] = []
     for policy in policies:
         spec = parse_policy(policy).spec
@@ -499,8 +426,6 @@ def replay(
                     "capacities": caps,
                     "rtt_changed": changed,
                     "policy": "periodic:1" if spec == CLAIRVOYANT else spec,
-                    "mode": mode,
-                    "backend": backend,
                     "telemetry": point_telemetry,
                 }
                 points.append(
@@ -518,45 +443,25 @@ def replay(
                             "capacities": caps,
                             "rtt_changed": changed,
                             "policy": kwargs["policy"],
-                            "mode": mode,
                             "telemetry": None
                             if point_telemetry is None
                             else point_telemetry.fingerprint_components(),
                             # Tied optima may break differently per solver
                             # path; never serve one backend's vertices to
                             # the other.
-                            "lp_backend": lp_backend_name()
-                            if backend is None
-                            else backend,
+                            "lp_backend": lp_backend_name(),
                         },
                     )
                 )
         with obs.span("dynamics.replays", points=len(points)):
             results = runner.run(points)
 
-    series: dict[str, PolicySeries] = {}
-    for spec in specs:
-        parts: list[SegmentSeries] = [
-            results[(spec, index)] for index in range(len(segments))
-        ]
-        series[spec] = PolicySeries(
-            policy=spec,
-            expected_delay=np.concatenate(
-                [p.expected_delay for p in parts]
-            ),
-            reoptimized=np.concatenate([p.reoptimized for p in parts]),
-            infeasible=np.concatenate([p.infeasible for p in parts]),
-            max_overload=np.concatenate([p.max_overload for p in parts]),
-            lp_solves=np.concatenate([p.lp_solves for p in parts]),
-            assemblies=np.concatenate([p.assemblies for p in parts]),
-            estimation_error=np.concatenate(
-                [p.estimation_error for p in parts]
-            ),
-            staleness=np.concatenate([p.staleness for p in parts]),
-            probe_operations=np.concatenate(
-                [p.probe_operations for p in parts]
-            ),
+    series = {
+        spec: SegmentSeries.concatenate(
+            [results[(spec, index)] for index in range(len(segments))]
         )
+        for spec in specs
+    }
 
     placements = tuple(
         states[start].up_nodes[sub_assignments[index]]
@@ -568,18 +473,17 @@ def replay(
         series=series,
         segments=tuple(segments),
         placements=placements,
-        mode=mode,
         metadata={
             "system": system.name,
             "events": len(trace.events),
-            "lp_backend": lp_backend_name() if backend is None else backend,
+            "lp_backend": lp_backend_name(),
             "closed_loop": telemetry is not None,
             **(
                 {}
                 if telemetry is None
                 else {
                     "telemetry_noise": telemetry.noise,
-                    "probe_backend": telemetry.sim_backend,
+                    "probe_backend": PROBE_BACKEND,
                 }
             ),
         },
@@ -645,13 +549,11 @@ def tune_threshold(
     trace: ScenarioTrace,
     thresholds: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2),
     telemetry: TelemetryConfig | None = None,
-    mode: str = "incremental",
     baseline_policies: Sequence[str] = (),
     candidates: object = None,
     runner: GridRunner | None = None,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
 ) -> ThresholdTuning:
     """Auto-tune the ``threshold:<x>`` policy over a replayed trace.
 
@@ -689,13 +591,11 @@ def tune_threshold(
         system,
         trace,
         policies=tuple(baseline_policies) + specs,
-        mode=mode,
         include_clairvoyant=True,
         candidates=candidates,
         runner=runner,
         jobs=jobs,
         cache=cache,
-        backend=backend,
         telemetry=telemetry,
     )
     mean_regret = {s: float(result.regret(s).mean()) for s in specs}

@@ -8,12 +8,12 @@ times, with noise, staleness, and whatever bias the load imposes. This
 module is that measurement plane:
 
 * :func:`probe_epoch` runs one epoch's placed system and strategy
-  through :class:`~repro.sim.generic.GenericQuorumSimulation` (fluid
-  backend by default — cheap enough to probe every epoch) with
-  ``collect_telemetry=True`` and returns the per-(client, server)
-  :class:`~repro.sim.metrics.PairTelemetry` aggregates. Servers run at
-  ``service_time_ms / capacity``, so per-node capacity is observable
-  from the service times their replies report.
+  through :class:`~repro.sim.generic.GenericQuorumSimulation` on the
+  fluid backend (cheap enough to probe every epoch; there is no other
+  probe path) with ``collect_telemetry=True`` and returns the
+  per-(client, server) :class:`~repro.sim.metrics.PairTelemetry`
+  aggregates. Servers run at ``service_time_ms / capacity``, so per-node
+  capacity is observable from the service times their replies report.
 * :class:`TelemetryEstimator` folds each epoch's sample into
   exponentially-weighted RTT and capacity estimates. Per-pair
   measurement noise is seeded and shrinks as ``1/sqrt(samples)``;
@@ -44,6 +44,7 @@ from repro.sim.metrics import PairTelemetry
 from repro.sim.workload import PoissonArrivals
 
 __all__ = [
+    "PROBE_BACKEND",
     "TelemetryConfig",
     "TelemetryEstimator",
     "probe_epoch",
@@ -56,6 +57,10 @@ _MIN_CAPACITY = 1e-9
 #: Offset separating the probe's arrival-stream seed from its quorum
 #: sampling seed (both derive from the per-epoch probe seed).
 _ARRIVAL_SEED_OFFSET = 987_631
+
+#: Simulator backend every probe runs on: the fluid engine takes the
+#: open-loop Poisson probe workload at array cost.
+PROBE_BACKEND = "fluid"
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class TelemetryConfig:
     probe_ms: float = 500.0
     service_time_ms: float = 1.0
     seed: int = 0
-    sim_backend: str = "fluid"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.noise) and self.noise >= 0):
@@ -111,11 +115,6 @@ class TelemetryConfig:
             raise DynamicsError(
                 f"telemetry seed must be a non-negative int, got {self.seed}"
             )
-        if self.sim_backend not in GenericQuorumSimulation.BACKENDS:
-            raise DynamicsError(
-                f"unknown probe backend {self.sim_backend!r}; choose from "
-                f"{GenericQuorumSimulation.BACKENDS}"
-            )
 
     def fingerprint_components(self) -> dict:
         """Content components for the replay driver's cache keys."""
@@ -126,7 +125,6 @@ class TelemetryConfig:
             "probe_ms": float(self.probe_ms),
             "service_time_ms": float(self.service_time_ms),
             "seed": int(self.seed),
-            "sim_backend": self.sim_backend,
         }
 
 
@@ -166,7 +164,7 @@ def probe_epoch(
             rate_per_ms=config.rate_per_ms,
             seed=seed + _ARRIVAL_SEED_OFFSET,
         ),
-        backend=config.sim_backend,
+        backend=PROBE_BACKEND,
         collect_telemetry=True,
     )
     try:

@@ -29,7 +29,7 @@ from repro.dynamics.scenarios import (
     diurnal_scenario,
     flash_crowd_scenario,
 )
-from repro.dynamics.telemetry import TelemetryConfig
+from repro.dynamics.telemetry import PROBE_BACKEND, TelemetryConfig
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
 from repro.network.graph import Topology
@@ -125,7 +125,7 @@ def run(
             "topology": topology_label,
             "k": k,
             "noise": noise,
-            "probe_backend": telemetry.sim_backend,
+            "probe_backend": PROBE_BACKEND,
             "tuned_threshold": tuning.best_threshold,
             "candidate_thresholds": tuning.specs,
             "mean_regret_ms": {

@@ -68,9 +68,6 @@ class StrategyProgram:
     coalesce:
         Count a node once per accessed quorum instead of once per hosted
         element (the future-work load model).
-    backend:
-        Passed to :class:`~repro.lp.batched.BatchedProgram` (``None``
-        auto-probes; ``"scipy"`` forces the per-variant fallback).
     delay_matrix:
         Objective delays ``delta[v, i]``; defaults to the placement's own
         :attr:`~repro.core.placement.PlacedQuorumSystem.delay_matrix`.
@@ -83,7 +80,6 @@ class StrategyProgram:
         self,
         placed: PlacedQuorumSystem,
         coalesce: bool = False,
-        backend: str | None = None,
         delay_matrix: np.ndarray | None = None,
     ) -> None:
         if not placed.system.is_enumerable:
@@ -141,13 +137,14 @@ class StrategyProgram:
         self.support_nodes = support
         # Only the batched program's built arrays survive construction;
         # the builder (and its COO chunks) is released here.
-        self._batched = BatchedProgram(lp, backend=backend)
+        self._batched = BatchedProgram(lp)
         obs.count("strategy.assemble")
 
     @property
     def backend(self) -> str:
         """Which solver path variants run through (``highspy``,
-        ``scipy-highspy``, or ``scipy``)."""
+        ``scipy-highspy``, or ``scipy``); ``REPRO_LP_BACKEND=scipy``
+        forces the last."""
         return self._batched.backend
 
     @property

@@ -3,7 +3,8 @@
 ``line_topology`` and ``plane_topology`` are small hand-made metrics with
 known structure (so tests can assert exact optima); ``planetlab`` and
 ``daxlist`` are the bundled datasets, session-scoped because generation and
-metric closure are not free.
+metric closure are not free. ``lp_backend`` runs a test once per LP solve
+path.
 """
 
 from __future__ import annotations
@@ -11,7 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.lp.batched import LP_BACKEND_ENV
 from repro.network.graph import Topology
+
+
+@pytest.fixture(params=["auto", "scipy"])
+def lp_backend(request, monkeypatch) -> str:
+    """Run the test under the auto-probed LP backend (HiGHS when
+    importable) and again with ``REPRO_LP_BACKEND=scipy`` forcing the
+    cold ``linprog`` fallback; pool workers inherit the environment via
+    fork."""
+    if request.param == "scipy":
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+    return request.param
 
 
 def _metric_from_points(points: np.ndarray) -> np.ndarray:

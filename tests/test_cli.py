@@ -135,6 +135,40 @@ class TestCommands:
         assert "threshold auto-tune: 2 candidate(s)" in out
         assert "best: threshold:" in out
 
+    def test_dynamics_tune_rejects_policies(self, capsys):
+        """The sweep's baseline is fixed, so a --policies list alongside
+        it is an error rather than silently ignored."""
+        code = main(
+            [
+                "dynamics", "--epochs", "4", "--closed-loop",
+                "--tune-thresholds", "0.05", "--policies", "periodic:2",
+            ]
+        )
+        assert code == 1
+        assert "--policies" in capsys.readouterr().err
+
+    def test_dynamics_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--epochs", "4", "--mode", "cold"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    def test_dynamics_simulate_rate_reports_every_segment(self, capsys):
+        code = main(
+            [
+                "dynamics", "--system", "grid:2", "--epochs", "6",
+                "--scenario", "partition-heal", "--candidates", "5",
+                "--policies", "static", "--simulate-rate", "0.5",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "3 segment(s)" in out
+        rows = [line for line in out.splitlines() if "epochs [" in line]
+        assert [row.split(":")[0].strip() for row in rows] == [
+            "epochs [0,2)", "epochs [2,4)", "epochs [4,6)",
+        ]
+
     def test_dynamics_noise_requires_closed_loop(self, capsys):
         code = main(["dynamics", "--epochs", "4", "--noise", "0.1"])
         assert code == 1

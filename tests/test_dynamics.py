@@ -4,7 +4,8 @@ The two acceptance pins sit in :class:`TestReplayDeterminism` and
 :class:`TestIncrementalVsCold`: replays are bit-identical for any worker
 count, and the incremental controller's strategy objectives match a
 cold-reassembly-per-epoch controller within 1e-9 at every re-optimization
-epoch — on both LP backends.
+epoch — on both LP backends. That cold controller exists only here, as
+the reference :func:`_cold_replay` swaps in.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.dynamics.controller import (
+    AdaptiveController,
     PeriodicPolicy,
+    SegmentSeries,
     StaticPolicy,
     ThresholdPolicy,
     parse_policy,
@@ -25,7 +28,7 @@ from repro.dynamics.events import (
     ScenarioTrace,
     effective_rtt,
 )
-from repro.dynamics.replay import CLAIRVOYANT, replay
+from repro.dynamics.replay import CLAIRVOYANT, replay, simulate_placements
 from repro.dynamics.scenarios import (
     combine,
     diurnal_scenario,
@@ -36,18 +39,9 @@ from repro.errors import DynamicsError
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import GridRunner
+from repro.strategies.lp_optimizer import StrategyProgram
 
 GRID = GridQuorumSystem(2)
-
-#: Forces the scipy fallback alongside the auto-probed (HiGHS when
-#: importable) backend; pool workers inherit the environment via fork.
-BACKENDS = ["auto", "scipy"]
-
-
-def _force_backend(monkeypatch, backend_env: str) -> None:
-    if backend_env == "scipy":
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-
 
 def _mixed_trace(topology, n_epochs=6):
     """Drift + capacity crunch + one partition/heal on a small topology."""
@@ -365,11 +359,6 @@ class TestPolicies:
 
 
 class TestReplayValidation:
-    def test_unknown_mode(self, clustered_topology):
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        with pytest.raises(DynamicsError):
-            replay(clustered_topology, GRID, trace, mode="lukewarm")
-
     def test_needs_a_policy(self, clustered_topology):
         trace = ScenarioTrace(clustered_topology.n_nodes, 2)
         with pytest.raises(DynamicsError):
@@ -454,8 +443,6 @@ class TestResultAccessors:
         assert cum[-1] == pytest.approx(float(result.regret("static").sum()))
 
     def test_segment_series_rejects_mismatched_lengths(self):
-        from repro.dynamics.controller import SegmentSeries
-
         kwargs = {
             name: np.zeros(4)
             for name in (
@@ -470,28 +457,17 @@ class TestResultAccessors:
         with pytest.raises(DynamicsError, match="1-D"):
             SegmentSeries(**{**kwargs, "lp_solves": np.zeros((4, 1))})
 
-    def test_policy_series_rejects_mismatched_lengths(self):
-        from repro.dynamics.replay import PolicySeries
-
-        kwargs = {
-            name: np.zeros(5)
-            for name in (
-                "expected_delay", "reoptimized", "infeasible",
-                "max_overload", "lp_solves", "assemblies",
-                "estimation_error", "staleness", "probe_operations",
-            )
-        }
-        PolicySeries(policy="static", **kwargs)
-        with pytest.raises(DynamicsError, match="epoch count"):
-            PolicySeries(
-                policy="static",
-                **{**kwargs, "probe_operations": np.zeros(2)},
-            )
-        with pytest.raises(DynamicsError, match="1-D"):
-            PolicySeries(
-                policy="static",
-                **{**kwargs, "expected_delay": np.zeros((5, 2))},
-            )
+    def test_timeline_series_is_the_stitched_segments(self, result):
+        """Each policy's timeline is its segments' series end to end."""
+        clair = result.series[CLAIRVOYANT]
+        assert isinstance(clair, SegmentSeries)
+        assert clair.expected_delay.shape == (result.n_epochs,)
+        # one assembly per fixed-membership segment, at its first epoch
+        starts = [start for start, _end in result.segments]
+        assert list(np.flatnonzero(clair.assemblies)) == starts
+        doubled = SegmentSeries.concatenate([clair, clair])
+        assert np.array_equal(doubled.lp_solves, np.tile(clair.lp_solves, 2))
+        assert doubled.reopt_count == 2 * clair.reopt_count
 
 
 def _assert_series_identical(a, b) -> None:
@@ -511,11 +487,9 @@ class TestReplayDeterminism:
 
     POLICIES = ("static", "threshold:0.05")
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_jobs_2_bit_identical_to_jobs_1(
-        self, clustered_topology, monkeypatch, backend_env
+        self, clustered_topology, lp_backend
     ):
-        _force_backend(monkeypatch, backend_env)
         trace = _mixed_trace(clustered_topology)
         serial = replay(
             clustered_topology, GRID, trace, policies=self.POLICIES
@@ -559,6 +533,26 @@ class TestReplayDeterminism:
             )
 
 
+def _cold_reoptimize(self, delta, capacities):
+    """Rebuild-and-solve-cold: a fresh program per re-optimization.
+
+    A single-variant batch is exactly one cold solve — no anchor
+    calibration — which is what a controller without the warm program
+    would pay.
+    """
+    program = StrategyProgram(self.placed, delay_matrix=delta)
+    strategy = program.solve_many([capacities])[0]
+    matrix = None if strategy is None else strategy.matrix
+    return matrix, program.lp_solves, 1
+
+
+def _cold_replay(monkeypatch, *args, **kwargs):
+    """:func:`replay` with the cold controller swapped in, in process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(AdaptiveController, "_reoptimize", _cold_reoptimize)
+        return replay(*args, jobs=1, **kwargs)
+
+
 class TestIncrementalVsCold:
     """ISSUE acceptance: incremental strategy objectives within 1e-9 of
     cold re-assembly at every epoch, on both LP backends.
@@ -567,22 +561,21 @@ class TestIncrementalVsCold:
     series is exactly the per-epoch sequence of strategy-LP objectives —
     the every-epoch comparison the acceptance bar names. Policies that
     carry a strategy across epochs are compared at their re-optimization
-    epochs: between solves the two modes legitimately hold different
-    (equal-objective) vertices of degenerate optima, whose *evaluations*
-    under later drifted delays may differ beyond solver tolerance.
+    epochs: between solves the two controllers legitimately hold
+    different (equal-objective) vertices of degenerate optima, whose
+    *evaluations* under later drifted delays may differ beyond solver
+    tolerance.
     """
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_clairvoyant_objectives_match_every_epoch(
-        self, clustered_topology, monkeypatch, backend_env
+        self, clustered_topology, lp_backend, monkeypatch
     ):
-        _force_backend(monkeypatch, backend_env)
         trace = _mixed_trace(clustered_topology)
         kwargs = dict(policies=(CLAIRVOYANT,), include_clairvoyant=False)
-        warm = replay(
-            clustered_topology, GRID, trace, mode="incremental", **kwargs
+        warm = replay(clustered_topology, GRID, trace, **kwargs)
+        cold = _cold_replay(
+            monkeypatch, clustered_topology, GRID, trace, **kwargs
         )
-        cold = replay(clustered_topology, GRID, trace, mode="cold", **kwargs)
         gap = np.abs(
             warm.series[CLAIRVOYANT].expected_delay
             - cold.series[CLAIRVOYANT].expected_delay
@@ -595,20 +588,18 @@ class TestIncrementalVsCold:
             == len(trace.segments())
         )
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_policy_objectives_match_at_reopt_epochs(
-        self, clustered_topology, monkeypatch, backend_env
+        self, clustered_topology, lp_backend, monkeypatch
     ):
-        _force_backend(monkeypatch, backend_env)
         trace = _mixed_trace(clustered_topology)
         kwargs = dict(
             policies=("static", "periodic:2", "threshold:0.05"),
             include_clairvoyant=False,
         )
-        warm = replay(
-            clustered_topology, GRID, trace, mode="incremental", **kwargs
+        warm = replay(clustered_topology, GRID, trace, **kwargs)
+        cold = _cold_replay(
+            monkeypatch, clustered_topology, GRID, trace, **kwargs
         )
-        cold = replay(clustered_topology, GRID, trace, mode="cold", **kwargs)
         for spec in warm.series:
             a, b = warm.series[spec], cold.series[spec]
             assert np.array_equal(a.reoptimized, b.reoptimized)
@@ -618,3 +609,29 @@ class TestIncrementalVsCold:
                 a.expected_delay[solved] - b.expected_delay[solved]
             )
             assert gap.max() <= 1e-9
+
+
+class TestSimulatePlacements:
+    """``dynamics --simulate-rate``: each segment's placement through the
+    fluid simulator."""
+
+    def test_one_conserving_row_per_segment(self, clustered_topology):
+        trace = _mixed_trace(clustered_topology)
+        result = replay(
+            clustered_topology, GRID, trace, policies=("static",),
+            include_clairvoyant=False,
+        )
+        rows = simulate_placements(
+            clustered_topology, GRID, trace, result, duration_ms=500.0
+        )
+        assert [row["segment"] for row in rows] == list(result.segments)
+        states = trace.states(clustered_topology)
+        for row in rows:
+            start, _end = row["segment"]
+            assert row["members"] == states[start].up_nodes.size
+            assert row["requests_issued"] == (
+                row["requests_processed"]
+                + row["requests_dropped"]
+                + row["requests_in_flight"]
+            )
+            assert row["operations"] > 0

@@ -2,6 +2,8 @@
 
 Each runner is checked for (a) structural validity of its output and
 (b) the paper's qualitative claim that the figure exists to demonstrate.
+Both read one shared fast run per figure (:func:`fast_figure`); only the
+runner, cache and jobs tests pay for fresh runs.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from repro.errors import ReproError
 from repro.experiments import FIGURES, run_figure
 from repro.experiments.series import FigureResult, Series
-from repro.experiments import fig_6_3, fig_6_4, fig_6_5, fig_7_8, fig_8_9
+from repro.experiments import fig_6_4
 
 
 class TestSeriesContainers:
@@ -69,6 +71,25 @@ class TestRegistry:
 _DAXLIST_FIGURES = {"fig_6_4", "fig_6_5"}
 
 
+@pytest.fixture(scope="session")
+def fast_figure(planetlab, daxlist):
+    """``fast_figure(figure_id)``: the figure's fast run on its default
+    topology, computed once per session and shared by every reader."""
+    results: dict[str, FigureResult] = {}
+
+    def get(figure_id: str) -> FigureResult:
+        if figure_id not in results:
+            topology = (
+                daxlist if figure_id in _DAXLIST_FIGURES else planetlab
+            )
+            results[figure_id] = run_figure(
+                figure_id, fast=True, topology=topology
+            )
+        return results[figure_id]
+
+    return get
+
+
 class TestRegistrySmoke:
     """Every registered figure must run end-to-end in fast mode.
 
@@ -78,9 +99,8 @@ class TestRegistrySmoke:
     """
 
     @pytest.mark.parametrize("figure_id", sorted(FIGURES))
-    def test_figure_runs_fast(self, figure_id, planetlab, daxlist):
-        topology = daxlist if figure_id in _DAXLIST_FIGURES else planetlab
-        result = run_figure(figure_id, fast=True, topology=topology)
+    def test_figure_runs_fast(self, figure_id, fast_figure):
+        result = fast_figure(figure_id)
         assert isinstance(result, FigureResult)
         assert result.figure_id == figure_id
         assert result.series, f"{figure_id} produced no series"
@@ -94,8 +114,8 @@ class TestRegistrySmoke:
 
 class TestFig63:
     @pytest.fixture(scope="class")
-    def result(self, planetlab):
-        return fig_6_3.run(planetlab, fast=True)
+    def result(self, fast_figure):
+        return fast_figure("fig_6_3")
 
     def test_structure(self, result):
         labels = {s.label for s in result.series}
@@ -130,23 +150,23 @@ class TestFig64And65:
         balanced = result.series_by_label("balanced demand=1000")
         assert any(c <= b for c, b in zip(closest.y, balanced.y))
 
-    def test_fig65_balanced_disperses_load(self, daxlist):
-        result = fig_6_5.run(daxlist, fast=True)
+    def test_fig65_balanced_disperses_load(self, fast_figure):
+        result = fast_figure("fig_6_5")
         resp_bal = result.series_by_label("response balanced")
         resp_clo = result.series_by_label("response closest")
         # At the largest universe, balanced should win under demand 16000.
         assert resp_bal.y[-1] < resp_clo.y[-1]
 
-    def test_fig65_balanced_delay_grows_with_universe(self, daxlist):
-        result = fig_6_5.run(daxlist, fast=True)
+    def test_fig65_balanced_delay_grows_with_universe(self, fast_figure):
+        result = fast_figure("fig_6_5")
         nd = result.series_by_label("netdelay balanced")
         assert nd.y[-1] > nd.y[0]
 
 
 class TestFig78:
     @pytest.fixture(scope="class")
-    def result(self, planetlab):
-        return fig_7_8.run(planetlab, fast=True)
+    def result(self, fast_figure):
+        return fast_figure("fig_7_8")
 
     def test_network_delay_nonincreasing(self, result):
         nd = result.series_by_label("network delay")
@@ -222,10 +242,8 @@ class TestRunFigureRunnerConflicts:
 
 class TestFigDyn:
     @pytest.fixture(scope="class")
-    def result(self, planetlab):
-        from repro.experiments import fig_dyn
-
-        return fig_dyn.run(planetlab, fast=True)
+    def result(self, fast_figure):
+        return fast_figure("fig_dyn")
 
     def test_clairvoyant_is_the_floor(self, result):
         clair = np.asarray(result.series_by_label("clairvoyant").y)
@@ -248,8 +266,8 @@ class TestFigDyn:
 
 class TestFig89:
     @pytest.fixture(scope="class")
-    def result(self, planetlab):
-        return fig_8_9.run(planetlab, fast=True)
+    def result(self, fast_figure):
+        return fast_figure("fig_8_9")
 
     def test_iterative_beats_one_to_one(self, result):
         iter1 = result.series_by_label("netdelay 1st iteration")

@@ -15,6 +15,7 @@ import pytest
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SolverError
 from repro.lp import BatchedProgram, LinearProgram, lp_backend_name
+from repro.lp.batched import LP_BACKEND_ENV
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -55,25 +56,28 @@ def _levels(placed, steps=6) -> np.ndarray:
 
 class TestSolveManyEquivalence:
     @pytest.mark.parametrize("fixture", ["grid3_placed", "majority_placed"])
-    def test_objectives_match_per_level_path(self, fixture, request):
+    def test_objectives_match_per_level_path(
+        self, fixture, request, monkeypatch
+    ):
         placed = request.getfixturevalue(fixture)
         levels = _levels(placed)
 
         batched = StrategyProgram(placed).solve_many(
             [float(c) for c in levels]
         )
+        # the per-level path: fresh assembly, cold scipy solve
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
         for capacity, strategy in zip(levels, batched):
             assert strategy is not None
-            # the per-level path: fresh assembly, cold scipy solve
-            per_level = StrategyProgram(placed, backend="scipy").solve(
-                float(capacity)
-            )
+            per_level = StrategyProgram(placed).solve(float(capacity))
             assert _objective(placed, strategy) == pytest.approx(
                 _objective(placed, per_level), abs=1e-9
             )
 
     @pytest.mark.parametrize("fixture", ["grid3_placed", "majority_placed"])
-    def test_sweep_picks_same_best_capacity(self, fixture, request):
+    def test_sweep_picks_same_best_capacity(
+        self, fixture, request, monkeypatch
+    ):
         placed = request.getfixturevalue(fixture)
         levels = _levels(placed)
         alpha = 60.0
@@ -82,11 +86,9 @@ class TestSolveManyEquivalence:
         batched = sweep_uniform_capacities(
             placed, alpha, levels=levels, program=batched_program
         )
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
         per_level = sweep_uniform_capacities(
-            placed,
-            alpha,
-            levels=levels,
-            program=StrategyProgram(placed, backend="scipy"),
+            placed, alpha, levels=levels, program=StrategyProgram(placed)
         )
         assert batched.best.capacity == per_level.best.capacity
         assert batched.best.result.avg_response_time == pytest.approx(

@@ -43,14 +43,6 @@ from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.runtime.grid import GridPoint
 from repro.runtime.runner import GridRunner
 
-BACKENDS = ["auto", "scipy"]
-
-
-def _force_backend(monkeypatch, backend_env: str) -> None:
-    if backend_env == "scipy":
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-
-
 @pytest.fixture(autouse=True)
 def _no_leaked_tracer():
     """Every test starts and ends with tracing disabled."""
@@ -321,22 +313,21 @@ class TestBitIdentity:
     """ISSUE acceptance: traced == untraced to the bit, both backends,
     serial and parallel."""
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_traced_equals_untraced(
-        self, monkeypatch, plane_topology, backend_env, jobs
-    ):
-        _force_backend(monkeypatch, backend_env)
+    @pytest.fixture(params=[1, 2])
+    def jobs(self, request) -> int:
+        # A fixture, not a mark, so the worker count leads the test id
+        # ahead of the LP backend, as in "[1-auto]".
+        return request.param
+
+    def test_traced_equals_untraced(self, plane_topology, jobs, lp_backend):
         untraced = _snapshot(_run_search(plane_topology, jobs))
         with tracing(Tracer()):
             traced = _snapshot(_run_search(plane_topology, jobs))
         assert traced == untraced
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_traced_jobs2_equals_untraced_jobs1(
-        self, monkeypatch, plane_topology, backend_env
+        self, plane_topology, lp_backend
     ):
-        _force_backend(monkeypatch, backend_env)
         serial = _snapshot(_run_search(plane_topology, 1))
         with tracing(Tracer()):
             parallel = _snapshot(_run_search(plane_topology, 2))

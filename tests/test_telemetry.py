@@ -38,16 +38,6 @@ from repro.sim.workload import PoissonArrivals
 
 GRID = GridQuorumSystem(2)
 
-#: Forces the scipy fallback alongside the auto-probed (HiGHS when
-#: importable) backend; pool workers inherit the environment via fork.
-BACKENDS = ["auto", "scipy"]
-
-
-def _force_backend(monkeypatch, backend_env: str) -> None:
-    if backend_env == "scipy":
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-
-
 @pytest.fixture()
 def grid2_placed(line_topology):
     return PlacedQuorumSystem(GRID, Placement([0, 1, 2, 3]), line_topology)
@@ -201,7 +191,7 @@ class TestTelemetryCollection:
 class TestTelemetryConfig:
     def test_defaults_valid(self):
         cfg = TelemetryConfig()
-        assert cfg.sim_backend == "fluid"
+        assert cfg.noise == 0.05 and cfg.gain == 0.5 and cfg.seed == 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -215,7 +205,6 @@ class TestTelemetryConfig:
             {"service_time_ms": 0.0},
             {"seed": -1},
             {"seed": 1.5},
-            {"sim_backend": "analytic"},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -488,11 +477,9 @@ class TestClosedLoopReplay:
         clair = closed_loop.series[CLAIRVOYANT]
         assert 0 < thr.reopt_count < clair.reopt_count
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_jobs_2_bit_identical_to_jobs_1(
-        self, two_cluster_topology, monkeypatch, backend_env
+        self, two_cluster_topology, lp_backend
     ):
-        _force_backend(monkeypatch, backend_env)
         trace = _drifted_trace(two_cluster_topology)
         telemetry = TelemetryConfig(noise=0.05, seed=9)
         serial = replay(

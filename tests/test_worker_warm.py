@@ -21,16 +21,6 @@ from repro.runtime.runner import GridRunner, worker_memo
 
 GRID = GridQuorumSystem(3)
 
-#: Forces the scipy fallback alongside the auto-probed (HiGHS when
-#: importable) backend; pool workers inherit the environment via fork.
-BACKENDS = ["auto", "scipy"]
-
-
-def _force_backend(monkeypatch, backend_env: str) -> None:
-    if backend_env == "scipy":
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-
-
 def _tied_program(backend: str | None = None) -> BatchedProgram:
     """``min x+y+z`` over ``[0,1]^3`` s.t. ``x+y+z >= b``: every point of
     the optimal face ties, so the chosen vertex is pure tie-break."""
@@ -114,11 +104,7 @@ class TestWorkerMemo:
 
 
 class TestCanonicalTieBreak:
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_solve_history_cannot_change_the_answer(
-        self, monkeypatch, backend_env
-    ):
-        _force_backend(monkeypatch, backend_env)
+    def test_solve_history_cannot_change_the_answer(self, lp_backend):
         request = [-0.9]
         direct = _tied_program().solve(request)
         warmed = _tied_program()
@@ -128,13 +114,9 @@ class TestCanonicalTieBreak:
         assert np.array_equal(direct.x, replayed.x)
         assert direct.objective == replayed.objective
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_update_history_cannot_change_the_answer(
-        self, monkeypatch, backend_env
-    ):
+    def test_update_history_cannot_change_the_answer(self, lp_backend):
         """Round-tripping the objective through other values and back must
         land on the same canonical vertex a never-updated program picks."""
-        _force_backend(monkeypatch, backend_env)
         request = [-1.5]
         direct = _tied_program().solve(request)
         detoured = _tied_program()
@@ -145,14 +127,10 @@ class TestCanonicalTieBreak:
         assert np.array_equal(direct.x, replayed.x)
         assert direct.objective == replayed.objective
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_batch_history_cannot_contaminate_the_anchor(
-        self, monkeypatch, backend_env
-    ):
+    def test_batch_history_cannot_contaminate_the_anchor(self, lp_backend):
         """Regression: calibration must run from a cold solver state — a
         preceding solve_many batch used to leak its final basis into the
         anchor, making later single solves depend on batch history."""
-        _force_backend(monkeypatch, backend_env)
         request = [-1.5]
         direct = _tied_program().solve(request)
         batched_first = _tied_program()
@@ -161,9 +139,7 @@ class TestCanonicalTieBreak:
         assert np.array_equal(direct.x, replayed.x)
         assert direct.objective == replayed.objective
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_repeated_request_is_reproducible(self, monkeypatch, backend_env):
-        _force_backend(monkeypatch, backend_env)
+    def test_repeated_request_is_reproducible(self, lp_backend):
         program = _tied_program()
         first = program.solve([-1.1])
         second = program.solve([-1.1])
@@ -176,15 +152,11 @@ class TestSortedVsGiven:
 
     VARIANTS = [[-1.8], [-0.3], [-2.7], [-1.2], [-0.9]]
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_orders_agree_on_objectives_and_feasibility(
-        self, monkeypatch, backend_env
-    ):
+    def test_orders_agree_on_objectives_and_feasibility(self, lp_backend):
         """A permuted variant list yields the same answers, permuted, bit
         for bit: the sweep order is a function of the variant set, so on
         the tied program even the warm HiGHS chain cannot tell the two
         input orders apart."""
-        _force_backend(monkeypatch, backend_env)
         permutation = [3, 0, 4, 2, 1]
         given = _tied_program().solve_many(self.VARIANTS)
         permuted = _tied_program().solve_many(
@@ -227,15 +199,13 @@ class TestWorkerWarmSearch:
 
     CANDIDATES = np.arange(6)
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_repeated_searches_bit_identical_to_serial(
-        self, planetlab, monkeypatch, backend_env
+        self, planetlab, lp_backend
     ):
         """Two searches under different strategies through ONE runner:
         the second parallel search re-solves programs the workers kept
         warm from the first — results must still match fresh serial runs
         bit for bit."""
-        _force_backend(monkeypatch, backend_env)
         caps = np.full(planetlab.n_nodes, 0.9)
         shifted = np.linspace(1.0, 2.0, GRID.num_quorums)
         shifted /= shifted.sum()
@@ -273,15 +243,11 @@ class TestWorkerWarmSearch:
             )
         _assert_search_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend_env", BACKENDS)
-    def test_iterative_parallel_bit_identical(
-        self, planetlab, monkeypatch, backend_env
-    ):
+    def test_iterative_parallel_bit_identical(self, planetlab, lp_backend):
         """The replayed acceptance scenario: iterative_optimize fans its
         candidate searches over worker-warm pools and must reproduce the
         serial run exactly — every iteration's placement, strategies, and
         metrics, to the bit."""
-        _force_backend(monkeypatch, backend_env)
         kwargs = dict(
             capacities=0.9,
             alpha=7.0,
