@@ -34,7 +34,7 @@ def run_ablation():
     return placed, counted, coalesced
 
 
-def test_coalescing_ablation(benchmark, record_figure):
+def test_coalescing_ablation(benchmark):
     placed, counted, coalesced = benchmark.pedantic(
         run_ablation, rounds=1, iterations=1
     )

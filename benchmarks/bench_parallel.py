@@ -12,22 +12,26 @@ Measures the two speedup levers GridRunner adds over serial execution:
 Both paths also re-verify the runtime's core contract: parallel and
 cached results are *equal* to serial results, not just close.
 
-Output is teed into ``benchmarks/results/bench_parallel.txt`` so a run
-leaves a self-contained record (the BENCH output the roadmap tracks).
+The run writes ``benchmarks/results/bench_parallel.json``; each
+measurement adds its fields to the one record.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
 
 from repro.experiments import fig_6_3
 from repro.network.datasets import planetlab_50
+from repro.obs.bench import BenchRecorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import GridRunner
 
 import pytest
+
+RECORD = "bench_parallel.json"
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +40,8 @@ def planetlab():
 
 
 @pytest.fixture(scope="module")
-def results_lines():
-    lines: list[str] = []
-    yield lines
-
-
-def _record(results_dir, lines: list[str]) -> None:
-    text = "\n".join(lines)
-    print()
-    print(text)
-    out = results_dir / "bench_parallel.txt"
-    out.write_text(text + "\n")
+def recorder():
+    return BenchRecorder("parallel")
 
 
 def _timed(fn, repeats: int = 1) -> tuple[float, object]:
@@ -60,7 +55,7 @@ def _timed(fn, repeats: int = 1) -> tuple[float, object]:
     return best, result
 
 
-def test_fig_6_3_parallel_speedup(planetlab, results_dir, results_lines):
+def test_fig_6_3_parallel_speedup(planetlab, results_dir, recorder):
     """Serial vs parallel wall clock on the fig_6_3 fast grid."""
     spec = fig_6_3.grid_spec(planetlab, fast=True)
     cores = os.cpu_count() or 1
@@ -81,17 +76,21 @@ def test_fig_6_3_parallel_speedup(planetlab, results_dir, results_lines):
     )
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    results_lines.extend(
-        [
-            "== bench_parallel: fig_6_3 fast grid ==",
-            f"   points: {len(spec.points)}",
-            f"   cores: {cores}, jobs: {jobs}",
-            f"   serial: {serial_s * 1000:9.1f} ms",
-            f"   parallel: {parallel_s * 1000:7.1f} ms",
-            f"   speedup: {speedup:8.2f}x",
-        ]
+    recorder.update(
+        points=len(spec.points),
+        cores=cores,
+        jobs=jobs,
+        serial_ms=serial_s * 1000,
+        parallel_ms=parallel_s * 1000,
+        speedup=speedup,
     )
-    _record(results_dir, results_lines)
+    recorder.write(results_dir, RECORD)
+    print()
+    print(f"== bench_parallel: fig_6_3 fast grid, {len(spec.points)} points ==")
+    print(f"   cores: {cores}, jobs: {jobs}")
+    print(f"   serial:   {serial_s * 1000:9.1f} ms")
+    print(f"   parallel: {parallel_s * 1000:9.1f} ms")
+    print(f"   speedup:  {speedup:9.2f}x")
     # The fast grid is only ~0.2s of work; under the 'spawn' start method
     # (macOS/Windows) each worker re-imports numpy/scipy, which swamps it.
     # Only arm the assertion where fork makes worker startup cheap.
@@ -101,7 +100,7 @@ def test_fig_6_3_parallel_speedup(planetlab, results_dir, results_lines):
         )
 
 
-def test_cache_hit_smoke(planetlab, results_dir, results_lines, tmp_path):
+def test_cache_hit_smoke(planetlab, results_dir, recorder, tmp_path):
     """Cold-populate then warm-serve the fig_6_3 fast grid from cache."""
     spec = fig_6_3.grid_spec(planetlab, fast=True)
     cache = ResultCache(tmp_path / "cache")
@@ -119,13 +118,43 @@ def test_cache_hit_smoke(planetlab, results_dir, results_lines, tmp_path):
     assert cache.hits == len(spec.points), "warm run missed the cache"
     assert cache.stores == len(spec.points), "warm run recomputed points"
 
-    results_lines.extend(
-        [
-            "== bench_parallel: fig_6_3 cache hit ==",
-            f"   cold (populate): {cold_s * 1000:7.1f} ms",
-            f"   warm (all hits): {warm_s * 1000:7.1f} ms",
-            f"   hit speedup: {cold_s / max(warm_s, 1e-9):9.1f}x",
-        ]
+    hit_speedup = cold_s / max(warm_s, 1e-9)
+    recorder.update(
+        cold_ms=cold_s * 1000,
+        warm_ms=warm_s * 1000,
+        hit_speedup=hit_speedup,
     )
-    _record(results_dir, results_lines)
+    recorder.write(results_dir, RECORD)
+    print()
+    print("== bench_parallel: fig_6_3 cache hit ==")
+    print(f"   cold (populate): {cold_s * 1000:9.1f} ms")
+    print(f"   warm (all hits): {warm_s * 1000:9.1f} ms")
+    print(f"   hit speedup:     {hit_speedup:9.1f}x")
     assert warm_s < cold_s, "serving from cache should beat recomputing"
+
+
+def test_bench_json_is_machine_readable(results_dir):
+    out = results_dir / RECORD
+    if not out.exists():
+        pytest.skip("parallel benchmark has not run in this session")
+    record = json.loads(out.read_text())
+    for field in (
+        "benchmark",
+        "points",
+        "cores",
+        "jobs",
+        "serial_ms",
+        "parallel_ms",
+        "speedup",
+        "cold_ms",
+        "warm_ms",
+        "hit_speedup",
+        "timestamp",
+    ):
+        assert field in record
+    assert record["speedup"] == pytest.approx(
+        record["serial_ms"] / record["parallel_ms"]
+    )
+    assert record["hit_speedup"] == pytest.approx(
+        record["cold_ms"] / record["warm_ms"]
+    )

@@ -14,7 +14,6 @@ time. Subcommands::
     python -m repro figure fig_6_3 --fast --jobs 4
     python -m repro figure fig_7_6 --no-cache
     python -m repro figure all --fast --jobs 4
-    python -m repro figure fig_throughput --fast --sim-backend fluid
     python -m repro dynamics --scenario mixed --epochs 24 --jobs 2
     python -m repro dynamics --scenario diurnal --policies static,threshold:0.1
     python -m repro dynamics --scenario mixed --simulate-rate 0.5
@@ -28,10 +27,9 @@ time. Subcommands::
 candidates for ``plan``, grid points for ``figure``) over worker
 processes; ``figure`` results are cached on disk by a content hash of
 their inputs unless ``--no-cache`` is given. A figure run uses exactly
-one process pool no matter how deep the work nests: the same ``--jobs``
-value is threaded into each grid point's inner placement searches, which
-detect that they are already inside a worker and run inline. Results are
-identical for every ``--jobs`` value.
+one process pool no matter how deep the work nests: a grid point's inner
+placement searches run inline in the worker that evaluates it. Results
+are identical for every ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -259,13 +257,6 @@ def _cmd_figure(args) -> int:
         raise ReproError(
             f"--cache-max-mb must be positive, got {args.cache_max_mb}"
         )
-    kwargs = {}
-    if args.sim_backend is not None:
-        if args.figure_id == "all":
-            raise ReproError(
-                "--sim-backend applies to one simulation figure, not 'all'"
-            )
-        kwargs["backend"] = args.sim_backend
     cache = (
         None
         if args.no_cache
@@ -273,18 +264,9 @@ def _cmd_figure(args) -> int:
     )
     targets = sorted(FIGURES) if args.figure_id == "all" else [args.figure_id]
     for index, figure_id in enumerate(targets):
-        try:
-            result = run_figure(
-                figure_id, fast=args.fast, jobs=args.jobs, cache=cache,
-                **kwargs,
-            )
-        except TypeError as exc:
-            if kwargs and "backend" in str(exc):
-                raise ReproError(
-                    f"figure {figure_id!r} does not accept --sim-backend "
-                    "(it runs no simulation)"
-                ) from None
-            raise
+        result = run_figure(
+            figure_id, fast=args.fast, jobs=args.jobs, cache=cache
+        )
         if index:
             print()
         print(result.render_text())
@@ -477,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--trace", default=None, metavar="PATH",
                         help="record a JSONL observability trace of the "
                         "run (inspect with 'trace summarize')")
-    figure.add_argument("--sim-backend", default=None,
-                        choices=["events", "fluid", "both"],
-                        help="simulation backend for figures that run "
-                        "the simulator (e.g. fig_throughput): the "
-                        "discrete-event reference, the vectorized "
-                        "fluid engine, or both overlaid")
 
     dynamics = sub.add_parser(
         "dynamics",

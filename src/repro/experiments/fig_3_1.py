@@ -20,11 +20,10 @@ from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
 from repro.network.graph import Topology
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import topology_fingerprint  # cache-key-input
 from repro.sim.experiment import QUExperimentConfig, run_qu_experiment
 
-__all__ = ["run", "grid_spec", "simulation_cell_point"]
+__all__ = ["grid_spec", "simulation_cell_point"]
 
 
 def _cell_base_config(
@@ -101,14 +100,21 @@ def simulation_cell_point(
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     t_values: tuple[int, ...] | None = None,
     clients_per_site_values: tuple[int, ...] | None = None,
     duration_ms: float | None = None,
     repetitions: int | None = None,
 ) -> GridSpec:
-    """Declare Figure 3.1's grid: one point per (t, c) simulation cell."""
+    """Declare Figure 3.1's grid: one point per (t, c) simulation cell.
+
+    Series are named ``response n=<n>`` and ``netdelay n=<n>`` with the
+    client count on the x axis, which reads the 3-D surface as one curve
+    per universe size.
+    """
+    if topology is None:
+        topology = planetlab_50()
     if fast:
         t_values = t_values or (1, 4)
         clients_per_site_values = clients_per_site_values or (1, 5, 10)
@@ -159,32 +165,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_3_1", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    t_values: tuple[int, ...] | None = None,
-    clients_per_site_values: tuple[int, ...] | None = None,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 3.1.
-
-    Series are named ``response t=<t>`` and ``netdelay t=<t>`` with the
-    client count on the x axis, which reads the 3-D surface as one curve
-    per universe size.
-    """
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec(
-        topology,
-        fast=fast,
-        t_values=t_values,
-        clients_per_site_values=clients_per_site_values,
-        duration_ms=duration_ms,
-        repetitions=repetitions,
-    )
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

@@ -17,19 +17,20 @@ from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
 from repro.network.graph import Topology
 from repro.runtime.grid import GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import topology_fingerprint  # cache-key-input
 
-__all__ = ["run_a", "run_b", "run", "grid_spec_a", "grid_spec_b"]
+__all__ = ["grid_spec_a", "grid_spec_b"]
 
 
 def grid_spec_a(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     duration_ms: float | None = None,
     repetitions: int | None = None,
 ) -> GridSpec:
     """Figure 3.2a's grid: 100 clients, one point per fault parameter."""
+    if topology is None:
+        topology = planetlab_50()
     t_values = (1, 3, 5) if fast else (1, 2, 3, 4, 5)
     duration_ms = duration_ms or (1500.0 if fast else 2500.0)
     repetitions = repetitions or (1 if fast else 2)
@@ -64,12 +65,14 @@ def grid_spec_a(
 
 
 def grid_spec_b(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     duration_ms: float | None = None,
     repetitions: int | None = None,
 ) -> GridSpec:
     """Figure 3.2b's grid: t = 4, one point per client count."""
+    if topology is None:
+        topology = planetlab_50()
     c_values = (1, 5, 10) if fast else tuple(range(1, 11))
     duration_ms = duration_ms or (1500.0 if fast else 2500.0)
     repetitions = repetitions or (1 if fast else 2)
@@ -100,50 +103,4 @@ def grid_spec_b(
 
     return GridSpec(
         figure_id="fig_3_2b", points=points, assemble=assemble
-    )
-
-
-def run_a(
-    topology: Topology | None = None,
-    fast: bool = False,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Figure 3.2a: 100 clients, sweep the fault parameter ``t``."""
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec_a(
-        topology, fast=fast, duration_ms=duration_ms, repetitions=repetitions
-    )
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))
-
-
-def run_b(
-    topology: Topology | None = None,
-    fast: bool = False,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Figure 3.2b: t = 4 (n = 21), sweep the client count."""
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec_b(
-        topology, fast=fast, duration_ms=duration_ms, repetitions=repetitions
-    )
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    runner: GridRunner | None = None,
-) -> tuple[FigureResult, FigureResult]:
-    """Both slices, as the paper presents them side by side."""
-    return (
-        run_a(topology, fast=fast, runner=runner),
-        run_b(topology, fast=fast, runner=runner),
     )

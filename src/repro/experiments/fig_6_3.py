@@ -27,11 +27,10 @@ from repro.quorums.threshold import (
     majority_universe_sizes,
 )
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.strategies.simple import closest_strategy
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 
 def _closest_delay(topology: Topology, system) -> float:
@@ -45,11 +44,16 @@ def _singleton_delay(topology: Topology) -> float:
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     max_universe: int | None = None,
 ) -> GridSpec:
-    """Declare Figure 6.3's grid: one point per evaluated quorum system."""
+    """Declare Figure 6.3's grid: one point per evaluated quorum system.
+
+    Response time equals network delay here (``alpha = 0``).
+    """
+    if topology is None:
+        topology = planetlab_50()
     if max_universe is None:
         max_universe = min(49, topology.n_nodes - 1)
     topo_fp = topology_fingerprint(topology)
@@ -138,17 +142,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_6_3", points=tuple(points), assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    max_universe: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 6.3 (response time == network delay, alpha = 0)."""
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec(topology, fast=fast, max_universe=max_universe)
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

@@ -19,11 +19,10 @@ from repro.network.graph import Topology
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.strategies.simple import balanced_strategy, closest_strategy
 
-__all__ = ["run", "grid_spec", "grid_sides_for"]
+__all__ = ["grid_spec", "grid_sides_for"]
 
 
 def grid_sides_for(topology: Topology, fast: bool = False) -> list[int]:
@@ -50,11 +49,13 @@ def _strategy_responses(
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     demands: tuple[int, ...] = (1000, 4000),
 ) -> GridSpec:
     """Declare Figure 6.4's grid: one point per Grid side ``k``."""
+    if topology is None:
+        topology = daxlist_161()
     ks = grid_sides_for(topology, fast=fast)
     topo_fp = topology_fingerprint(topology)
 
@@ -98,17 +99,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_6_4", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demands: tuple[int, ...] = (1000, 4000),
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 6.4."""
-    if topology is None:
-        topology = daxlist_161()
-    spec = grid_spec(topology, fast=fast, demands=demands)
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

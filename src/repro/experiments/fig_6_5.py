@@ -18,11 +18,10 @@ from repro.network.graph import Topology
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.strategies.simple import balanced_strategy, closest_strategy
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 
 def _strategy_profiles(topology: Topology, k: int, alpha: float) -> dict:
@@ -40,9 +39,13 @@ def _strategy_profiles(topology: Topology, k: int, alpha: float) -> dict:
 
 
 def grid_spec(
-    topology: Topology, fast: bool = False, demand: int = 16000
+    topology: Topology | None = None,
+    fast: bool = False,
+    demand: int = 16000,
 ) -> GridSpec:
     """Declare Figure 6.5's grid: one point per Grid side ``k``."""
+    if topology is None:
+        topology = daxlist_161()
     ks = grid_sides_for(topology, fast=fast)
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)
@@ -88,17 +91,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_6_5", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 6.5."""
-    if topology is None:
-        topology = daxlist_161()
-    spec = grid_spec(topology, fast=fast, demand=demand)
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

@@ -20,14 +20,13 @@ from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.strategies.capacity_sweep import (
     capacity_levels,
     sweep_uniform_capacities,
 )
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 
 def _uniform_sweep(
@@ -51,13 +50,18 @@ def _uniform_sweep(
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     demand: int = 16000,
     grid_sides: tuple[int, ...] | None = None,
     capacity_steps: int | None = None,
 ) -> GridSpec:
-    """Declare Figure 7.6's grid: one point per Grid side ``k``."""
+    """Declare Figure 7.6's grid: one point per Grid side ``k``.
+
+    The figure has one response and one delay curve per ``k``.
+    """
+    if topology is None:
+        topology = planetlab_50()
     if grid_sides is None:
         max_k = int(min(49, topology.n_nodes - 1) ** 0.5)
         grid_sides = (2, 4, 7) if fast else tuple(range(2, max_k + 1))
@@ -127,25 +131,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_7_6", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    grid_sides: tuple[int, ...] | None = None,
-    capacity_steps: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 7.6 (one response and one delay curve per k)."""
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec(
-        topology,
-        fast=fast,
-        demand=demand,
-        grid_sides=grid_sides,
-        capacity_steps=capacity_steps,
-    )
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

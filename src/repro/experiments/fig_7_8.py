@@ -21,20 +21,21 @@ from repro.network.datasets import planetlab_50
 from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     demand: int = 16000,
     k: int = 7,
     capacity_steps: int | None = None,
 ) -> GridSpec:
     """Declare Figure 7.8's grid: the two sweeps of universe ``k*k``."""
+    if topology is None:
+        topology = planetlab_50()
     capacity_steps = capacity_steps or (5 if fast else 10)
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)
@@ -108,21 +109,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_7_8", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    k: int = 7,
-    capacity_steps: int | None = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 7.8."""
-    if topology is None:
-        topology = planetlab_50()
-    spec = grid_spec(
-        topology, fast=fast, demand=demand, k=k, capacity_steps=capacity_steps
-    )
-    runner = runner or GridRunner()
-    return spec.assemble(runner.run(spec.points))

@@ -14,12 +14,11 @@ program per placement, and the placement phase threads one
 ``FractionalFamily`` through its whole iteration history, so each
 candidate's fractional LP is assembled once and re-solved warm.
 
-``--jobs N`` uses exactly one process pool for the whole figure: the
-outer :class:`~repro.runtime.runner.GridRunner` fans the capacity levels
-out over its workers, and the runner each point threads through its inner
-best-placement searches detects that it is already inside a worker and
-runs inline — runners nest, pools do not. Results are bit-identical to
-``jobs=1`` (pinned by ``tests/test_runtime.py``).
+A parallel run uses exactly one process pool for the whole figure: the
+registry's :class:`~repro.runtime.runner.GridRunner` fans the capacity
+levels out over its workers, and each point's inner placement searches
+run serially inside the worker that evaluates it. Results are
+bit-identical to a serial run (pinned by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -35,18 +34,14 @@ from repro.placement.search import best_placement, uniform_strategy_for
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.strategies.capacity_sweep import capacity_levels
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 
-def _one_to_one_delay(topology: Topology, k: int, jobs: int = 1) -> float:
-    with GridRunner(jobs=jobs) as runner:
-        placed = best_placement(
-            topology, GridQuorumSystem(k), runner=runner
-        ).placed
+def _one_to_one_delay(topology: Topology, k: int) -> float:
+    placed = best_placement(topology, GridQuorumSystem(k)).placed
     return evaluate(
         placed, uniform_strategy_for(placed)
     ).avg_network_delay
@@ -57,19 +52,16 @@ def _iterative_point(
     k: int,
     capacity: float,
     candidates: object,
-    jobs: int = 1,
 ) -> tuple[float, float]:
     """(iteration-1 delay, iteration-2 delay) for one capacity level."""
-    with GridRunner(jobs=jobs) as runner:
-        result = iterative_optimize(
-            topology,
-            GridQuorumSystem(k),
-            capacities=capacity,
-            alpha=0.0,
-            candidates=candidates,
-            max_iterations=3,
-            runner=runner,
-        )
+    result = iterative_optimize(
+        topology,
+        GridQuorumSystem(k),
+        capacities=capacity,
+        alpha=0.0,
+        candidates=candidates,
+        max_iterations=3,
+    )
     history = result.history
     first = history[0].phase2_network_delay
     second = (
@@ -79,19 +71,20 @@ def _iterative_point(
 
 
 def grid_spec(
-    topology: Topology,
+    topology: Topology | None = None,
     fast: bool = False,
     k: int = 5,
     capacity_steps: int | None = None,
     candidates: object = None,
-    jobs: int = 1,
 ) -> GridSpec:
     """Declare Figure 8.9's grid: one point per capacity level + baseline.
 
-    ``jobs`` is threaded into each point's inner placement searches; it
-    never reaches the cache keys because results are identical for any
-    worker count.
+    ``candidates`` restricts the best-``v0`` search of the placement phase
+    (fast mode uses the 10 nodes with the smallest average client distance,
+    which in practice always contains the optimum).
     """
+    if topology is None:
+        topology = planetlab_50()
     capacity_steps = capacity_steps or (4 if fast else 10)
     system = GridQuorumSystem(k)
 
@@ -113,7 +106,7 @@ def grid_spec(
         GridPoint(
             tag="one-to-one",
             fn=_one_to_one_delay,
-            kwargs={"topology": topology, "k": k, "jobs": jobs},
+            kwargs={"topology": topology, "k": k},
             cache_key={
                 "figure_point": "one_to_one_netdelay",
                 "topology": topo_fp,
@@ -131,7 +124,6 @@ def grid_spec(
                     "k": k,
                     "capacity": capacity,
                     "candidates": candidate_arr,
-                    "jobs": jobs,
                 },
                 cache_key={
                     "figure_point": "iterative_netdelay",
@@ -165,31 +157,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_8_9", points=tuple(points), assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    k: int = 5,
-    capacity_steps: int | None = None,
-    candidates: object = None,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Reproduce Figure 8.9.
-
-    ``candidates`` restricts the best-``v0`` search of the placement phase
-    (fast mode uses the 10 nodes with the smallest average client distance,
-    which in practice always contains the optimum).
-    """
-    if topology is None:
-        topology = planetlab_50()
-    runner = runner or GridRunner()
-    spec = grid_spec(
-        topology,
-        fast=fast,
-        k=k,
-        capacity_steps=capacity_steps,
-        candidates=candidates,
-        jobs=runner.jobs,
-    )
-    return spec.assemble(runner.run(spec.points))

@@ -44,6 +44,7 @@ FAST_THRESHOLDS = (0.02, 0.05, 0.2)
 
 
 def run(
+    runner: GridRunner,
     topology: Topology | None = None,
     fast: bool = False,
     k: int | None = None,
@@ -51,7 +52,6 @@ def run(
     seed: int = 11,
     noise: float = 0.05,
     thresholds: tuple[float, ...] | None = None,
-    runner: GridRunner | None = None,
 ) -> FigureResult:
     """Auto-tune the threshold trigger, then plot the closed loop.
 
@@ -86,8 +86,6 @@ def run(
     candidates = (
         np.argsort(topology.mean_distances())[:10] if fast else None
     )
-    runner = runner or GridRunner()
-
     tuning = tune_threshold(
         topology,
         system,

@@ -36,13 +36,13 @@ POLICIES = ("static", "periodic:4", "threshold:0.05")
 
 
 def run(
+    runner: GridRunner,
     topology: Topology | None = None,
     fast: bool = False,
     k: int | None = None,
     n_epochs: int | None = None,
     seed: int = 7,
     policies: tuple[str, ...] = POLICIES,
-    runner: GridRunner | None = None,
 ) -> FigureResult:
     """Replay the mixed dynamic scenario and package the time series.
 
@@ -64,8 +64,6 @@ def run(
     candidates = (
         np.argsort(topology.mean_distances())[:10] if fast else None
     )
-    runner = runner or GridRunner()
-
     result = replay(
         topology,
         system,

@@ -15,8 +15,8 @@ hierarchical cluster-medoid search, recording
 One grid point per topology size. Points for generated presets carry only
 ``n_sites`` — each worker regenerates its WAN locally rather than
 receiving an O(n^2) pickle. An explicit ``topology=`` (e.g. the registry
-smoke tests passing planetlab-50) collapses the sweep to that single
-topology, shipped through the runner's shared-memory broker.
+smoke tests passing planetlab-50) collapses the sweep to one point that
+carries that topology itself.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from repro.placement.search import best_placement
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
-from repro.runtime.shm import resolve_topology
 
-__all__ = ["run", "grid_spec"]
+__all__ = ["grid_spec"]
 
 #: Preset sizes swept when no explicit topology is given.
 FULL_SIZES = (300, 500, 1000, 2000)
@@ -40,17 +38,14 @@ FAST_SIZES = (300, 500)
 
 
 def _scale_point(
-    topology: object,
+    topology: Topology | None,
     n_sites: int,
     quorum_size: int,
     refine_top: int,
     exact_threshold: int,
 ) -> dict:
     """Hierarchical vs exhaustive search on one topology, as plain floats."""
-    if topology is None:
-        topo = synthetic_wan(n_sites)
-    else:
-        topo = resolve_topology(topology)
+    topo = synthetic_wan(n_sites) if topology is None else topology
     system = ThresholdQuorumSystem(quorum_size, quorum_size // 2 + 1)
     hier = hierarchical_best_placement(
         topo,
@@ -76,14 +71,8 @@ def grid_spec(
     quorum_size: int = 5,
     refine_top: int = 3,
     exact_threshold: int = 200,
-    ship: object = None,
 ) -> GridSpec:
-    """Declare the scale sweep: one point per topology size.
-
-    ``ship`` is the payload actually placed in the explicit-topology
-    point's kwargs (a broker handle when the caller has a parallel
-    runner); it defaults to ``topology`` itself.
-    """
+    """Declare the scale sweep: one point per topology size."""
     common = {
         "quorum_size": quorum_size,
         "refine_top": refine_top,
@@ -99,7 +88,7 @@ def grid_spec(
                 tag=topology.n_nodes,
                 fn=_scale_point,
                 kwargs={
-                    "topology": ship if ship is not None else topology,
+                    "topology": topology,
                     "n_sites": topology.n_nodes,
                     **common,
                 },
@@ -178,27 +167,3 @@ def grid_spec(
         )
 
     return GridSpec(figure_id="fig_scale", points=points, assemble=assemble)
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    sizes: tuple[int, ...] | None = None,
-    quorum_size: int = 5,
-    refine_top: int = 3,
-    exact_threshold: int = 200,
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Run the scale sweep (hierarchical vs exhaustive, per size)."""
-    runner = runner or GridRunner()
-    ship = runner.ship(topology) if topology is not None else None
-    spec = grid_spec(
-        topology,
-        fast=fast,
-        sizes=sizes,
-        quorum_size=quorum_size,
-        refine_top=refine_top,
-        exact_threshold=exact_threshold,
-        ship=ship,
-    )
-    return spec.assemble(runner.run(spec.points))

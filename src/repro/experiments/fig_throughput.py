@@ -28,19 +28,16 @@ import numpy as np
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
-from repro.errors import ReproError
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
 from repro.network.graph import Topology
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner
-from repro.runtime.shm import resolve_topology
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.workload import PoissonArrivals
 
-__all__ = ["run", "grid_spec", "BACKENDS"]
+__all__ = ["grid_spec", "BACKENDS"]
 
 #: Backends swept; also the series grouping in the figure.
 BACKENDS = ("events", "fluid")
@@ -53,7 +50,7 @@ FAST_RATES = (0.2, 0.6, 1.0)
 
 
 def _throughput_point(
-    topology: object,
+    topology: Topology,
     backend: str,
     rate_per_ms: float,
     quorum_n: int,
@@ -64,16 +61,15 @@ def _throughput_point(
     seed: int,
 ) -> dict:
     """One (backend, rate) cell: run the sim, return plain floats/ints."""
-    topo = resolve_topology(topology)
     system = ThresholdQuorumSystem(quorum_n, quorum_q)
-    sites = np.argsort(topo.mean_distances())[:quorum_n]
+    sites = np.argsort(topology.mean_distances())[:quorum_n]
     placed = PlacedQuorumSystem(
-        system, Placement([int(s) for s in sites]), topo
+        system, Placement([int(s) for s in sites]), topology
     )
     sim = GenericQuorumSimulation(
         placed,
         ThresholdBalancedStrategy(),
-        client_nodes=np.arange(topo.n_nodes),
+        client_nodes=np.arange(topology.n_nodes),
         service_time_ms=service_time_ms,
         seed=seed,
         arrivals=PoissonArrivals(rate_per_ms=rate_per_ms, seed=seed + 1),
@@ -104,24 +100,8 @@ def grid_spec(
     service_time_ms: float = 1.0,
     duration_ms: float | None = None,
     seed: int = 11,
-    backend: str = "both",
-    ship: object = None,
 ) -> GridSpec:
-    """Declare the saturation sweep: one point per (backend, rate).
-
-    ``backend`` restricts the sweep: ``"events"``, ``"fluid"``, or
-    ``"both"`` (the default, and the only mode that renders the
-    equivalence overlay).
-    """
-    if backend == "both":
-        backends = BACKENDS
-    elif backend in BACKENDS:
-        backends = (backend,)
-    else:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{BACKENDS + ('both',)}"
-        )
+    """Declare the saturation sweep: one point per (backend, rate)."""
     if topology is None:
         topology = planetlab_50()
     if rates is None:
@@ -138,14 +118,13 @@ def grid_spec(
     }
     topo_fp = topology_fingerprint(topology)
     system_fp = system_fingerprint(ThresholdQuorumSystem(quorum_n, quorum_q))
-    payload = ship if ship is not None else topology
 
     points = tuple(
         GridPoint(
             tag=(backend, rate),
             fn=_throughput_point,
             kwargs={
-                "topology": payload,
+                "topology": topology,
                 "backend": backend,
                 "rate_per_ms": rate,
                 **common,
@@ -159,7 +138,7 @@ def grid_spec(
                 **common,
             },
         )
-        for backend in backends
+        for backend in BACKENDS
         for rate in rates
     )
     n_clients = topology.n_nodes
@@ -167,7 +146,7 @@ def grid_spec(
     def assemble(values) -> FigureResult:
         series: list[Series] = []
         percentiles: dict[str, dict[float, dict[str, float]]] = {}
-        for backend in backends:
+        for backend in BACKENDS:
             cells = [values[(backend, r)] for r in rates]
             series.append(
                 Series.from_arrays(
@@ -192,7 +171,7 @@ def grid_spec(
                 for r, c in zip(rates, cells)
             }
         conserved = all(
-            values[(b, r)]["conserved"] for b in backends for r in rates
+            values[(b, r)]["conserved"] for b in BACKENDS for r in rates
         )
         return FigureResult(
             figure_id="fig_throughput",
@@ -215,34 +194,3 @@ def grid_spec(
     return GridSpec(
         figure_id="fig_throughput", points=points, assemble=assemble
     )
-
-
-def run(
-    topology: Topology | None = None,
-    fast: bool = False,
-    rates: tuple[float, ...] | None = None,
-    quorum_n: int = 5,
-    quorum_q: int = 3,
-    service_time_ms: float = 1.0,
-    duration_ms: float | None = None,
-    seed: int = 11,
-    backend: str = "both",
-    runner: GridRunner | None = None,
-) -> FigureResult:
-    """Run the saturation sweep (``backend``: events, fluid, or both)."""
-    if topology is None:
-        topology = planetlab_50()
-    runner = runner or GridRunner()
-    spec = grid_spec(
-        topology,
-        fast=fast,
-        rates=rates,
-        quorum_n=quorum_n,
-        quorum_q=quorum_q,
-        service_time_ms=service_time_ms,
-        duration_ms=duration_ms,
-        seed=seed,
-        backend=backend,
-        ship=runner.ship(topology),
-    )
-    return spec.assemble(runner.run(spec.points))

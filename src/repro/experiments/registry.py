@@ -1,9 +1,13 @@
 """Registry mapping figure ids to runners.
 
-Every runner declares its parameter grid as data
-(:class:`~repro.runtime.grid.GridSpec`), so :func:`run_figure` can
-schedule points through a shared :class:`~repro.runtime.runner.GridRunner`
-— serial, parallel (``jobs``), and/or content-cached (``cache``).
+Every figure but the two dynamics ones declares its parameter grid as
+data (:class:`~repro.runtime.grid.GridSpec`), and :func:`_grid` is the
+one place a declared grid is evaluated: it runs the points on the
+:class:`~repro.runtime.runner.GridRunner` that :func:`run_figure` hands
+it — serial, parallel (``jobs``), and/or content-cached (``cache``) —
+and assembles the figure. ``fig_dyn`` and ``fig_closed_loop`` register
+drivers instead, because a replay's segment points depend on the
+results of its placement points.
 """
 
 from __future__ import annotations
@@ -29,25 +33,38 @@ from repro.experiments import (
 from repro.experiments.series import FigureResult
 from repro.obs import tracer as obs
 from repro.runtime.cache import ResultCache
+from repro.runtime.grid import GridSpec
 from repro.runtime.runner import GridRunner, shared_runner
 
 __all__ = ["FIGURES", "run_figure"]
 
+
+def _grid(declare: Callable[..., GridSpec]) -> Callable[..., FigureResult]:
+    """The runner of a figure that is one declared grid."""
+
+    def run(runner: GridRunner, fast: bool = False, **params) -> FigureResult:
+        spec = declare(fast=fast, **params)
+        return spec.assemble(runner.run(spec.points))
+
+    return run
+
+
+#: Figure id -> ``fn(runner, fast=..., **params) -> FigureResult``.
 FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig_3_1": fig_3_1.run,
-    "fig_3_2a": fig_3_2.run_a,
-    "fig_3_2b": fig_3_2.run_b,
-    "fig_6_3": fig_6_3.run,
-    "fig_6_4": fig_6_4.run,
-    "fig_6_5": fig_6_5.run,
-    "fig_7_6": fig_7_6.run,
-    "fig_7_7": fig_7_7.run,
-    "fig_7_8": fig_7_8.run,
-    "fig_8_9": fig_8_9.run,
+    "fig_3_1": _grid(fig_3_1.grid_spec),
+    "fig_3_2a": _grid(fig_3_2.grid_spec_a),
+    "fig_3_2b": _grid(fig_3_2.grid_spec_b),
+    "fig_6_3": _grid(fig_6_3.grid_spec),
+    "fig_6_4": _grid(fig_6_4.grid_spec),
+    "fig_6_5": _grid(fig_6_5.grid_spec),
+    "fig_7_6": _grid(fig_7_6.grid_spec),
+    "fig_7_7": _grid(fig_7_7.grid_spec),
+    "fig_7_8": _grid(fig_7_8.grid_spec),
+    "fig_8_9": _grid(fig_8_9.grid_spec),
     "fig_closed_loop": fig_closed_loop.run,
     "fig_dyn": fig_dyn.run,
-    "fig_scale": fig_scale.run,
-    "fig_throughput": fig_throughput.run,
+    "fig_scale": _grid(fig_scale.grid_spec),
+    "fig_throughput": _grid(fig_throughput.grid_spec),
 }
 
 
@@ -64,8 +81,8 @@ def run_figure(
     (``None``/``0`` = all cores); ``cache`` reuses previously computed
     points keyed by content hash. Results are identical regardless of
     either setting. The runner created here is the figure's *only*
-    process pool — runners threaded through inner searches (e.g.
-    ``fig_8_9``'s candidate loops) run inline inside its workers — and is
+    process pool — the inner searches of a point (e.g. ``fig_8_9``'s
+    candidate loops) run inline inside its workers — and is
     shut down when the figure completes; pass ``runner=`` to share one
     across figures instead.
 
@@ -94,12 +111,12 @@ def run_figure(
                     if active_cache is not None
                     else None
                 )
-                result = runner_fn(fast=fast, runner=runner, **kwargs)
+                result = runner_fn(runner, fast=fast, **kwargs)
         else:
             before = cache.stats() if cache is not None else None
             active_cache = cache
             with GridRunner(jobs=jobs, cache=cache) as runner:
-                result = runner_fn(fast=fast, runner=runner, **kwargs)
+                result = runner_fn(runner, fast=fast, **kwargs)
     if active_cache is not None and before is not None:
         after = active_cache.stats()
         # This run's cache effectiveness — a delta, so shared caches and

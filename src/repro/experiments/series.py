@@ -2,8 +2,8 @@
 
 A figure is a set of labelled series over a common x-axis meaning (universe
 size, client count, capacity level...). ``render_text`` prints the rows the
-paper plots, aligned for terminal reading; benchmarks tee this output into
-their logs so a run leaves a self-contained record.
+paper plots, aligned for terminal reading; ``python -m repro figure``
+prints it for every figure it runs.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
@@ -423,7 +423,7 @@ class GridRunner:
                     ) from exc
                 record(point, value)
                 recorded += 1
-        except BaseException:
+        except BaseException as failure:
             # Cancel the still-queued remainder of the batch — points
             # already executing in workers run to completion (they cannot
             # be interrupted) — then salvage whatever finished beyond the
@@ -440,6 +440,10 @@ class GridRunner:
                         record(point, _accept(point, future.result()))
                 except Exception:  # repro-lint: disable=RL005 -- salvage of already-finished futures must never mask the original error, which is re-raised right below
                     pass
+            if isinstance(failure.__cause__, BrokenExecutor):
+                # A dead worker breaks the whole executor for good; drop
+                # it so the runner's next batch starts a fresh pool.
+                _shutdown_pools(self._pool_holder)
             raise
 
     def close(self) -> None:

@@ -220,14 +220,8 @@ class TestFigureAll:
         for figure_id in cli.FIGURES:
             assert f"<{figure_id}>" in out
 
-    def test_all_rejects_sim_backend(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        calls = []
-        monkeypatch.setattr(
-            cli, "run_figure", lambda figure_id, **kw: calls.append(figure_id)
-        )
-        code = main(["figure", "all", "--no-cache", "--sim-backend", "fluid"])
-        assert code == 1
+    def test_sim_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig_throughput", "--sim-backend", "fluid"])
+        assert exc.value.code == 2
         assert "--sim-backend" in capsys.readouterr().err
-        assert calls == []

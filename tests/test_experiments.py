@@ -2,17 +2,19 @@
 
 Each runner is checked for (a) structural validity of its output and
 (b) the paper's qualitative claim that the figure exists to demonstrate.
-Both read one shared fast run per figure (:func:`fast_figure`); only the
+The paper-shape claims are defined once, in ``bench_e2e/checks.py``, and
+run here as well as after every end-to-end benchmark run. All of these
+read one shared fast run per figure (:func:`fast_figure`); only the
 runner, cache and jobs tests pay for fresh runs.
 """
 
 import numpy as np
 import pytest
 
+from bench_e2e.checks import FIGURE_CHECKS
 from repro.errors import ReproError
 from repro.experiments import FIGURES, run_figure
 from repro.experiments.series import FigureResult, Series
-from repro.experiments import fig_6_4
 
 
 class TestSeriesContainers:
@@ -112,6 +114,12 @@ class TestRegistrySmoke:
         assert "==" in result.render_text()
 
 
+class TestPaperShape:
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_CHECKS))
+    def test_figure_has_the_paper_shape(self, figure_id, fast_figure):
+        FIGURE_CHECKS[figure_id](fast_figure(figure_id))
+
+
 class TestFig63:
     @pytest.fixture(scope="class")
     def result(self, fast_figure):
@@ -144,8 +152,8 @@ class TestFig63:
 
 
 class TestFig64And65:
-    def test_fig64_closest_wins_somewhere_at_low_demand(self, daxlist):
-        result = fig_6_4.run(daxlist, fast=True, demands=(1000,))
+    def test_fig64_closest_wins_somewhere_at_low_demand(self, fast_figure):
+        result = fast_figure("fig_6_4")
         closest = result.series_by_label("closest demand=1000")
         balanced = result.series_by_label("balanced demand=1000")
         assert any(c <= b for c, b in zip(closest.y, balanced.y))

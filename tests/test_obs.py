@@ -481,13 +481,13 @@ class TestCacheStatsExposure:
         from repro.experiments import run_figure
 
         cache = ResultCache(tmp_path)
-        first = run_figure("fig_3_1", fast=True, cache=cache)
+        first = run_figure("fig_6_3", fast=True, cache=cache)
         stats = first.metadata["cache"]
         assert set(stats) == {"hits", "misses", "stores", "evictions"}
         assert stats["hits"] == 0
         assert stats["misses"] == stats["stores"] > 0
 
-        second = run_figure("fig_3_1", fast=True, cache=cache)
+        second = run_figure("fig_6_3", fast=True, cache=cache)
         again = second.metadata["cache"]
         # Deltas, not lifetime totals: the second run reports only its
         # own hits even though the cache object accumulated both runs.
@@ -498,7 +498,7 @@ class TestCacheStatsExposure:
     def test_uncached_run_has_no_cache_metadata(self):
         from repro.experiments import run_figure
 
-        result = run_figure("fig_3_1", fast=True)
+        result = run_figure("fig_6_3", fast=True)
         assert "cache" not in result.metadata
 
 
@@ -597,14 +597,14 @@ class TestCli:
 
         out = tmp_path / "run.jsonl"
         code = main(
-            ["figure", "fig_3_1", "--fast", "--no-cache",
+            ["figure", "fig_6_3", "--fast", "--no-cache",
              "--trace", str(out)]
         )
         assert code == 0
         printed = capsys.readouterr().out
         assert "trace:" in printed and str(out) in printed
         manifest, spans, counters = load_trace(out)
-        assert manifest["config"]["figure_id"] == "fig_3_1"
+        assert manifest["config"]["figure_id"] == "fig_6_3"
         assert manifest["config"]["fast"] is True
         assert spans[0]["name"] == "figure"
         assert "grid.run" in {s["name"] for s in spans}
@@ -617,7 +617,7 @@ class TestCli:
     def test_untraced_figure_prints_no_trace_line(self, capsys):
         from repro.cli import main
 
-        assert main(["figure", "fig_3_1", "--fast", "--no-cache"]) == 0
+        assert main(["figure", "fig_6_3", "--fast", "--no-cache"]) == 0
         assert "trace:" not in capsys.readouterr().out
 
     def test_summarize_rejects_corrupt_trace(self, tmp_path, capsys):

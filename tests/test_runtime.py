@@ -8,11 +8,13 @@ storage, hit/miss accounting).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments import fig_6_3
+from repro.experiments import fig_6_3, run_figure
 from repro.network.datasets import PLANETLAB_CLUSTERS
 from repro.network.generators import generate_cluster_topology
 from repro.placement.search import best_placement
@@ -34,6 +36,11 @@ def _square(x):
 
 def _fail():
     raise RuntimeError("worker exploded")
+
+
+def _die():
+    """Kill the worker process outright, as a crash or the OOM killer would."""
+    os._exit(1)
 
 
 def _worker_state():
@@ -324,6 +331,17 @@ class TestGridRunner:
             # the pool stays usable for the next batch
             assert runner.map(_square, [{"x": 3}]) == [9]
 
+    def test_dead_worker_does_not_poison_the_next_batch(self):
+        """A worker that dies breaks its whole executor. The failed batch
+        raises ReproError; the runner's next batch must run on a fresh
+        pool and equal jobs=1, not raise BrokenProcessPool."""
+        kwargs_list = [{"x": 2}, {"x": 3}]
+        with GridRunner(jobs=2) as runner:
+            with pytest.raises(ReproError):
+                runner.map(_die, [{}])
+            after = runner.map(_square, kwargs_list)
+        assert after == GridRunner().map(_square, kwargs_list)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_finished_before_a_failure_reach_the_cache(
         self, tmp_path, jobs
@@ -445,18 +463,18 @@ class TestNestingGuard:
     def test_fig_8_9_single_pool_and_bit_identical(
         self, planetlab, counting_pool
     ):
-        """ISSUE acceptance: fig_8_9 --jobs N uses exactly one process
-        pool (the inner best-placement searches run inline in its
-        workers) and is bit-identical to jobs=1."""
-        from repro.experiments import fig_8_9
-
-        serial = fig_8_9.run(planetlab, fast=True, capacity_steps=2)
+        """fig_8_9 --jobs N uses exactly one process pool (the inner
+        best-placement searches run inline in its workers) and is
+        bit-identical to jobs=1."""
+        serial = run_figure(
+            "fig_8_9", fast=True, topology=planetlab, capacity_steps=2
+        )
         assert counting_pool == []  # jobs=1 end to end: poolless
 
-        with GridRunner(jobs=2) as runner:
-            parallel = fig_8_9.run(
-                planetlab, fast=True, capacity_steps=2, runner=runner
-            )
+        parallel = run_figure(
+            "fig_8_9", fast=True, topology=planetlab, capacity_steps=2,
+            jobs=2,
+        )
         assert len(counting_pool) == 1
         assert serial == parallel  # frozen dataclasses: full deep equality
 
@@ -464,25 +482,31 @@ class TestNestingGuard:
 class TestParallelEquivalence:
     """ISSUE satellite: jobs=2 must be bit-identical to serial."""
 
-    def test_fig_6_3_parallel_bit_identical(self, planetlab):
-        serial = fig_6_3.run(planetlab, fast=True)
-        parallel = fig_6_3.run(
-            planetlab, fast=True, runner=GridRunner(jobs=2)
+    @pytest.mark.parametrize(
+        "figure_id", ["fig_6_3", "fig_throughput", "fig_scale"]
+    )
+    def test_figure_parallel_bit_identical(self, planetlab, figure_id):
+        serial = run_figure(figure_id, fast=True, topology=planetlab)
+        parallel = run_figure(
+            figure_id, fast=True, topology=planetlab, jobs=2
         )
         assert serial == parallel  # frozen dataclasses: full deep equality
 
     def test_fig_6_3_cached_bit_identical(self, planetlab, tmp_path):
         cache = ResultCache(tmp_path)
-        first = fig_6_3.run(
-            planetlab, fast=True, runner=GridRunner(cache=cache)
+        first = run_figure(
+            "fig_6_3", fast=True, topology=planetlab, cache=cache
         )
         assert cache.stores == len(
             fig_6_3.grid_spec(planetlab, fast=True).points
         )
-        second = fig_6_3.run(
-            planetlab, fast=True, runner=GridRunner(cache=cache)
+        second = run_figure(
+            "fig_6_3", fast=True, topology=planetlab, cache=cache
         )
         assert cache.hits == cache.stores
+        # metadata["cache"] holds each run's own hit/miss counts.
+        first.metadata.pop("cache")
+        second.metadata.pop("cache")
         assert first == second
 
     def test_best_placement_duplicate_candidates_allowed(
