@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_OP_SRV_TIME_MS",
     "ResponseTimeResult",
     "alpha_from_demand",
+    "client_indices",
     "evaluate",
     "average_network_delay",
 ]
@@ -88,15 +89,14 @@ class ResponseTimeResult:
         return float(self.node_loads.max())
 
 
-def _resolve_clients(
-    placed: PlacedQuorumSystem, clients: object
-) -> np.ndarray:
+def client_indices(n_nodes: int, clients: object) -> np.ndarray:
+    """Validated client node ids; ``None`` means every node."""
     if clients is None:
-        return np.arange(placed.n_nodes)
+        return np.arange(n_nodes)
     idx = np.asarray(clients, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise StrategyError("client set must be a non-empty 1-D index array")
-    if idx.min() < 0 or idx.max() >= placed.n_nodes:
+    if idx.min() < 0 or idx.max() >= n_nodes:
         raise StrategyError("client set references nodes outside the topology")
     return idx
 
@@ -130,7 +130,7 @@ def evaluate(
     """
     if alpha < 0:
         raise StrategyError("alpha must be non-negative")
-    client_idx = _resolve_clients(placed, clients)
+    client_idx = client_indices(placed.n_nodes, clients)
     loads = strategy.node_loads(placed, coalesce=coalesce)
     network = strategy.expected_response_times(
         placed, np.zeros(placed.n_nodes), client_idx

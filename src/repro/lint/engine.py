@@ -103,6 +103,7 @@ class LintConfig:
         default_factory=lambda: dict(DEFAULT_ALLOW)
     )
     cache_key_upstream: tuple[str, ...] = (
+        "repro/lp/batched.py",
         "repro/network/graph.py",
         "repro/quorums/base.py",
         "repro/quorums/threshold.py",

@@ -69,18 +69,29 @@ scipy path is stateless per solve, hence trivially canonical.
 
 from __future__ import annotations
 
+# cache-key-input: content_key folds in lp_solver_identity(); a change to
+# how the backend is probed or named shifts every cache key.
+
+import functools
+import importlib.metadata
 import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+import scipy
 from scipy.optimize import linprog
 
 from repro.errors import InfeasibleError, SolverError
 from repro.lp.problem import LinearProgram
 from repro.obs import tracer as obs
 
-__all__ = ["BatchedProgram", "LPSolution", "lp_backend_name"]
+__all__ = [
+    "BatchedProgram",
+    "LPSolution",
+    "lp_backend_name",
+    "lp_solver_identity",
+]
 
 #: Environment variable forcing a backend ("scipy" disables the HiGHS probe).
 LP_BACKEND_ENV = "REPRO_LP_BACKEND"
@@ -112,7 +123,7 @@ def _probe_highs_bindings() -> tuple[Any, str]:
     ships internally. Returns ``(None, "scipy")`` when neither imports or
     when ``REPRO_LP_BACKEND=scipy`` forces the fallback.
     """
-    forced = os.environ.get(LP_BACKEND_ENV, "")  # repro-lint: disable=RL002 -- backend selector; cache keys record the backend, so entries never cross
+    forced = os.environ.get(LP_BACKEND_ENV, "")  # repro-lint: disable=RL002 -- backend selector; content_key folds in lp_solver_identity(), so entries never cross
     if forced.strip().lower() == "scipy":
         return None, "scipy"
     try:
@@ -135,6 +146,25 @@ def _probe_highs_bindings() -> tuple[Any, str]:
 def lp_backend_name() -> str:
     """Name of the backend a new :class:`BatchedProgram` would use."""
     return _probe_highs_bindings()[1]
+
+
+def lp_solver_identity() -> tuple[str, str]:
+    """``(backend, version)``: :func:`lp_backend_name` and the version of
+    the package that ships it (``highspy``'s, else scipy's).
+
+    Degenerate LPs can return a different optimal vertex on another
+    backend or solver release, so the result cache folds this pair into
+    every key.
+    """
+    name = lp_backend_name()
+    if name == "highspy":
+        return name, _highspy_version()
+    return name, scipy.__version__
+
+
+@functools.cache
+def _highspy_version() -> str:
+    return importlib.metadata.version("highspy")
 
 
 class _HighsBackend:

@@ -209,18 +209,17 @@ class Topology:
     def ball(self, v: int, k: int, capacity_at_least: float = 0.0) -> np.ndarray:
         """The ball ``B(v, k)``: ids of the ``k`` nodes closest to ``v``.
 
-        Includes ``v`` itself; ties are broken by node id so the result is
-        deterministic. When ``capacity_at_least`` is positive, only nodes
-        whose capacity meets the bound are eligible (the paper requires
-        ``cap(v) >= load_f(u)`` for hosting nodes).
+        Ordered by distance from ``v``, ties broken by node id, so the
+        result is deterministic. Only nodes whose capacity is at least
+        ``capacity_at_least`` are eligible (the paper requires
+        ``cap(v) >= load_f(u)`` for hosting nodes) — ``v`` itself included:
+        it is in the ball only when it is eligible.
         """
         if not 1 <= k <= self.n_nodes:
             raise TopologyError(
                 f"ball size must be in [1, {self.n_nodes}], got {k}"
             )
         eligible = np.flatnonzero(self._capacities >= capacity_at_least)
-        if v not in eligible:
-            eligible = np.union1d(eligible, [v])
         if len(eligible) < k:
             raise TopologyError(
                 f"only {len(eligible)} nodes have capacity >= "

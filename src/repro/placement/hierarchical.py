@@ -243,14 +243,11 @@ def hierarchical_best_placement(
             respect_capacities=respect_capacities,
             runner=runner,
         )
-        # Rank clusters by their medoid's delay; medoids whose placement
-        # was infeasible rank last. Ties break on cluster index.
+        # Rank clusters by their medoid's delay; ties break on cluster index.
         order = sorted(
             range(model.n_clusters),
             key=lambda i: (
-                coarse.delays_by_candidate.get(
-                    int(model.medoids[i]), np.inf
-                ),
+                coarse.delays_by_candidate[int(model.medoids[i])],
                 i,
             ),
         )

@@ -7,7 +7,8 @@ nodes closest to a designated client ``v0``:
   node set has the same average delay for a single uniform client, so an
   arbitrary bijection onto the ball is optimal. Hosting nodes must satisfy
   ``cap(v) >= load_f(u)``, and under the uniform strategy every element's
-  load is the constant ``q/n``.
+  load is the constant ``q/n``. The bound applies to ``v0`` as well: an
+  under-capacity ``v0`` designates the client but hosts nothing.
 
 * **Grid** (Gupta et al., the "onion" construction): with ball distances
   sorted in *decreasing* order ``d_1 >= d_2 >= ...``, the largest ``l^2``
@@ -30,10 +31,30 @@ from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 
 __all__ = [
+    "hosting_capacity",
     "majority_ball_placement",
     "grid_onion_placement",
     "one_to_one_placement",
 ]
+
+
+def hosting_capacity(
+    system: QuorumSystem, respect_capacities: bool = True
+) -> float:
+    """The least ``cap(v)`` a node needs to host an element of ``system``.
+
+    Under the uniform strategy every element of a Majority carries load
+    ``q/n`` and every element of a Grid its :attr:`uniform_load`. The
+    singleton and the generic fallback ignore capacities (bound 0), as do
+    all systems when ``respect_capacities`` is False.
+    """
+    if not respect_capacities:
+        return 0.0
+    if isinstance(system, RectangularGridQuorumSystem):
+        return system.uniform_load
+    if isinstance(system, ThresholdQuorumSystem):
+        return system.quorum_size / system.universe_size
+    return 0.0
 
 
 def majority_ball_placement(
@@ -58,10 +79,9 @@ def majority_ball_placement(
             f"universe of {n} elements exceeds topology of "
             f"{topology.n_nodes} nodes"
         )
-    min_capacity = (
-        system.quorum_size / system.universe_size if respect_capacities else 0.0
+    ball = topology.ball(
+        v0, n, capacity_at_least=hosting_capacity(system, respect_capacities)
     )
-    ball = topology.ball(v0, n, capacity_at_least=min_capacity)
     return Placement(ball)
 
 
@@ -88,8 +108,9 @@ def grid_onion_placement(
             f"grid universe of {n} elements exceeds topology of "
             f"{topology.n_nodes} nodes"
         )
-    min_capacity = system.uniform_load if respect_capacities else 0.0
-    ball = topology.ball(v0, n, capacity_at_least=min_capacity)
+    ball = topology.ball(
+        v0, n, capacity_at_least=hosting_capacity(system, respect_capacities)
+    )
     dists = topology.distances_from(v0)[ball]
     # Ball nodes from farthest to nearest (stable on node id).
     order = np.lexsort((ball, -dists))

@@ -7,6 +7,19 @@ the average network delay from all clients for each such placement, and pick
 the placement that has the smallest average delay" — which is within a small
 constant factor of optimal. The evaluation strategy is the uniform one, the
 assumption under which the single-client constructions are optimal.
+
+No placement is built per candidate. :func:`_block_delays` scores a block of
+candidates from a few array passes: it builds every candidate's ball
+``B(v0, n)`` at once, then scores threshold systems by sorted order
+statistics and enumerable systems by a running max over the element table
+plus the uniform-strategy ``einsum``. Its delays are bit-identical to
+building each placement and calling
+:func:`~repro.core.response_time.average_network_delay`, because it hands
+``einsum``/``@`` the same C-contiguous per-candidate operands that path
+does (their rounding depends on memory layout). The winner is rebuilt by
+:func:`~repro.placement.one_to_one.one_to_one_placement` and evaluated once
+through :func:`~repro.core.response_time.evaluate`; a kernel delay that
+differs from it raises :class:`~repro.errors.PlacementError`.
 """
 
 from __future__ import annotations
@@ -16,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.core.response_time import average_network_delay
+from repro.core.placement import PlacedQuorumSystem
+from repro.core.response_time import average_network_delay, client_indices
 from repro.core.strategy import (
     AccessStrategy,
     ExplicitStrategy,
@@ -26,8 +39,11 @@ from repro.core.strategy import (
 from repro.errors import PlacementError
 from repro.network.graph import Topology
 from repro.obs import tracer as obs
-from repro.placement.one_to_one import one_to_one_placement
+from repro.placement.one_to_one import hosting_capacity, one_to_one_placement
 from repro.quorums.base import QuorumSystem
+from repro.quorums.grid import RectangularGridQuorumSystem
+from repro.quorums.order_stats import max_order_statistic_pmf
+from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.runtime.grid import GridPoint
 from repro.runtime.runner import GridRunner
@@ -35,14 +51,22 @@ from repro.runtime.shm import resolve_topology
 
 __all__ = ["PlacementSearchResult", "best_placement", "uniform_strategy_for"]
 
+#: Contiguous candidate blocks per search, one grid point each: enough to
+#: keep a small pool busy, few enough that dispatch and topology transport
+#: cost per search rather than per candidate.
+_BLOCKS = 8
+
+#: Elements per working array of the block kernel (2 MB of float64).
+_CHUNK = 250_000
+
 
 def uniform_strategy_for(placed: PlacedQuorumSystem) -> AccessStrategy:
-    """The balanced strategy in whichever representation fits the system."""
-    if placed.is_threshold and not placed.system.is_enumerable:
-        return ThresholdBalancedStrategy()
+    """The balanced strategy in whichever representation fits the system.
+
+    Thresholds use the exact implicit evaluation even when enumerable: it
+    is dramatically cheaper than materializing ``C(n, q)`` quorums.
+    """
     if placed.is_threshold:
-        # Enumerable thresholds still use the exact implicit evaluation;
-        # it is dramatically cheaper than materializing C(n, q) quorums.
         return ThresholdBalancedStrategy()
     return ExplicitStrategy.uniform(placed)
 
@@ -62,31 +86,185 @@ class PlacementSearchResult:
     delays_by_candidate: dict[int, float]
 
 
-def _candidate_delay(
+def _candidate_ids(topology: Topology, candidates: object) -> np.ndarray:
+    """Validated candidate node ids (duplicates and views stay legal)."""
+    if candidates is None:
+        return np.arange(topology.n_nodes)
+    try:
+        ids = np.asarray(candidates)
+    except (TypeError, ValueError) as exc:
+        raise PlacementError(f"candidate ids are not an array: {exc}") from exc
+    if ids.ndim != 1:
+        raise PlacementError(
+            f"candidate ids must be 1-D, got shape {ids.shape}"
+        )
+    if ids.size == 0:
+        raise PlacementError("candidate set must be non-empty")
+    if ids.dtype.kind not in "iu":
+        raise PlacementError(
+            f"candidate ids must be integers, got dtype {ids.dtype}"
+        )
+    if ids.min() < 0 or ids.max() >= topology.n_nodes:
+        raise PlacementError(
+            f"candidate ids must lie in [0, {topology.n_nodes}), got "
+            f"[{ids.min()}, {ids.max()}]"
+        )
+    return ids.astype(np.intp, copy=False)
+
+
+def _hosting_nodes(
+    topology: Topology, system: QuorumSystem, respect_capacities: bool
+) -> np.ndarray:
+    """Ascending ids of the nodes allowed to host an element of ``system``."""
+    bound = hosting_capacity(system, respect_capacities)
+    return np.flatnonzero(topology.capacities >= bound)
+
+
+def _balls(
+    rtt: np.ndarray, eligible: np.ndarray, v0s: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``B(v0, k)`` over the ``eligible`` nodes, at once.
+
+    Returns ``(ids, dists)``, both ``(len(v0s), k)``: row ``r`` holds the
+    nodes of ``B(v0s[r], k)`` ascending by node id, and their distances
+    from ``v0s[r]``. The ball is every node below the k-th smallest
+    distance plus the lowest-id nodes at exactly that distance — the
+    (distance, node id) order of :meth:`~repro.network.graph.Topology.ball`.
+    """
+    if eligible.size == rtt.shape[0]:
+        d = rtt[v0s]
+    else:
+        d = rtt[np.ix_(v0s, eligible)]
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    below, ties = d < kth, d == kth
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    chosen = below | (ties & (np.cumsum(ties, axis=1) <= room))
+    rows, cols = np.nonzero(chosen)
+    shape = (v0s.size, k)
+    return eligible[cols].reshape(shape), d[rows, cols].reshape(shape)
+
+
+def _assignments(
+    rtt: np.ndarray,
+    system: QuorumSystem,
+    eligible: np.ndarray,
+    v0s: np.ndarray,
+) -> np.ndarray:
+    """Row ``r``: ``one_to_one_placement(..., v0s[r])`` of a non-threshold."""
+    if isinstance(system, SingletonQuorumSystem):
+        return v0s[:, None]
+    ids, dists = _balls(rtt, eligible, v0s, system.universe_size)
+    if isinstance(system, RectangularGridQuorumSystem):
+        # The onion rule: farthest ball node first, ties by node id.
+        far_first = np.argsort(-dists, axis=1, kind="stable")
+        out = np.empty_like(ids)
+        out[:, system.onion_order] = np.take_along_axis(ids, far_first, 1)
+        return out
+    nearest_first = np.argsort(dists, axis=1, kind="stable")
+    return np.take_along_axis(ids, nearest_first, 1)
+
+
+def _client_rows(
+    rtt: np.ndarray, nodes: np.ndarray, clients: np.ndarray | None
+) -> np.ndarray:
+    """``out[j, v] = d(clients[v], nodes[j])``, one contiguous row per node.
+
+    Gathers *rows* of the RTT matrix, which a :class:`Topology` keeps
+    exactly symmetric, so ``d(w, v)`` is ``d(v, w)`` to the bit.
+    """
+    rows = np.take(rtt, nodes, axis=0)
+    return rows if clients is None else rows[:, clients]
+
+
+def _threshold_delays(
+    rtt: np.ndarray,
+    system: ThresholdQuorumSystem,
+    eligible: np.ndarray,
+    v0s: np.ndarray,
+    clients: np.ndarray | None,
+) -> np.ndarray:
+    """Balanced-strategy delays: sorted ball distances times the pmf."""
+    n = system.universe_size
+    pmf = max_order_statistic_pmf(n, system.quorum_size)
+    out = np.empty(v0s.size)
+    step = max(1, _CHUNK // (n * rtt.shape[0]))
+    for start in range(0, v0s.size, step):
+        block = v0s[start : start + step]
+        ids, _ = _balls(rtt, eligible, block, n)
+        rows = _client_rows(rtt, ids.ravel(), clients)
+        # (candidates, clients, n), C-contiguous: each candidate's sorted
+        # (clients, n) slice is the operand ``@`` sees on the reference path.
+        values = np.ascontiguousarray(
+            rows.reshape(block.size, n, -1).transpose(0, 2, 1)
+        )
+        values.sort(axis=2)
+        for j in range(block.size):
+            out[start + j] = (values[j] @ pmf).mean()
+    return out
+
+
+def _enumerable_delays(
+    rtt: np.ndarray,
+    system: QuorumSystem,
+    eligible: np.ndarray,
+    v0s: np.ndarray,
+    clients: np.ndarray | None,
+) -> np.ndarray:
+    """Uniform-strategy delays of an enumerable system's placements."""
+    table, _ = system.element_table
+    slots = np.ascontiguousarray(table.T)  # slots[s, i]: element in slot s
+    m, n = table.shape[0], system.universe_size
+    width = rtt.shape[0] if clients is None else clients.size
+    weights = ExplicitStrategy(np.full((width, m), 1.0 / m)).matrix
+    out = np.empty(v0s.size)
+    step = max(1, _CHUNK // (max(m, n) * rtt.shape[0]))
+    for start in range(0, v0s.size, step):
+        block = v0s[start : start + step]
+        c = block.size
+        # Element rows of every candidate: row c*n + u is d(., f_c(u)).
+        rows = _client_rows(
+            rtt, _assignments(rtt, system, eligible, block).ravel(), clients
+        )
+        offsets = (np.arange(c) * n)[:, None]
+        # Running max in a (candidates x quorums, clients) row-major buffer.
+        rho = np.take(rows, (offsets + slots[0]).ravel(), axis=0)
+        gathered = np.empty_like(rho)
+        for slot in slots[1:]:
+            # mode="clip" lets take write into ``out`` unbuffered; every
+            # index is in range.
+            index = (offsets + slot).ravel()
+            np.take(rows, index, axis=0, out=gathered, mode="clip")
+            np.maximum(rho, gathered, out=rho)
+        # Each candidate's (clients, quorums) rho as a C-contiguous slice,
+        # the layout ``einsum`` sees on the reference path.
+        rho = np.ascontiguousarray(
+            rho.reshape(c, m, width).transpose(0, 2, 1)
+        )
+        for j in range(c):
+            out[start + j] = np.einsum("vi,vi->v", weights, rho[j]).mean()
+    return out
+
+
+def _block_delays(
     topology: object,
     system: QuorumSystem,
-    v0: int,
-    clients: object,
+    v0s: np.ndarray,
+    clients: np.ndarray | None,
     respect_capacities: bool,
-) -> float | None:
-    """Average network delay of ``v0``'s placement, or None if infeasible.
+) -> np.ndarray:
+    """Average network delay of each candidate's one-to-one placement.
 
-    Module-level so the best-``v0`` search can fan candidates out over a
-    process pool. ``topology`` may be a
-    :class:`~repro.runtime.shm.TopologyHandle`: parallel dispatch ships
-    the shared-memory handle instead of pickling the delay matrix per
-    candidate, and workers rehydrate a zero-copy view once per topology.
+    Module-level so the search can fan blocks out over a process pool.
+    ``topology`` may be a :class:`~repro.runtime.shm.TopologyHandle`:
+    parallel dispatch ships the shared-memory handle instead of pickling
+    the delay matrix per block, and workers rehydrate a zero-copy view
+    once per topology.
     """
     topology = resolve_topology(topology)
-    try:
-        placement = one_to_one_placement(
-            topology, system, v0, respect_capacities=respect_capacities
-        )
-    except PlacementError:
-        return None  # e.g. not enough capacity-eligible nodes near v0
-    placed = PlacedQuorumSystem(system, placement, topology)
-    strategy = uniform_strategy_for(placed)
-    return average_network_delay(placed, strategy, clients=clients)
+    eligible = _hosting_nodes(topology, system, respect_capacities)
+    if isinstance(system, ThresholdQuorumSystem):
+        return _threshold_delays(topology.rtt, system, eligible, v0s, clients)
+    return _enumerable_delays(topology.rtt, system, eligible, v0s, clients)
 
 
 def best_placement(
@@ -105,57 +283,66 @@ def best_placement(
     topology, system:
         The network and the quorum system to place.
     candidates:
-        Candidate ``v0`` nodes (default: every node, the paper's recipe).
+        Candidate ``v0`` nodes (default: every node, the paper's recipe):
+        a 1-D array of integer node ids. Duplicates are allowed.
     clients:
         Client set whose average network delay selects the winner
         (default: every node).
     respect_capacities:
-        Whether hosting nodes must have ``cap(v) >= load_f(u)``.
+        Whether hosting nodes must have ``cap(v) >= load_f(u)``. When
+        fewer nodes qualify than the universe has elements, no candidate
+        admits a placement and :class:`~repro.errors.PlacementError` is
+        raised before any scoring.
     jobs:
-        Worker processes for the candidate loop. Candidates are
+        Worker processes for the candidate blocks. Candidates are
         independent, so the result is identical for any ``jobs``: the
         reduction scans delays in candidate order, keeping the serial
         tie-break (first candidate with the minimal delay wins).
     runner:
         A shared :class:`~repro.runtime.runner.GridRunner` to schedule the
-        candidate loop through (its worker pool is reused; inside one of
-        its workers the loop runs inline). Overrides ``jobs``; without
-        one, a throwaway runner with ``jobs`` workers is used. A
-        candidate evaluation that raises (beyond the expected
-        infeasibility, which is handled in-loop) surfaces as a
-        :class:`~repro.errors.ReproError` naming the failed candidate;
-        the batch's still-queued work is cancelled (in-flight points
-        finish but are not returned).
+        candidate blocks through (its worker pool is reused; inside one of
+        its workers the blocks run inline). Overrides ``jobs``; without
+        one, a throwaway runner with ``jobs`` workers is used. A block
+        that raises surfaces as a :class:`~repro.errors.ReproError`
+        naming its candidate positions; the batch's still-queued work is
+        cancelled (in-flight points finish but are not returned).
     """
-    if candidates is None:
-        candidate_idx = np.arange(topology.n_nodes)
-    else:
-        candidate_idx = np.asarray(candidates, dtype=np.intp)
-    if candidate_idx.size == 0:
-        raise PlacementError("candidate set must be non-empty")
+    v0s = _candidate_ids(topology, candidates)
+    client_idx = (
+        None if clients is None else client_indices(topology.n_nodes, clients)
+    )
+    n = system.universe_size
+    eligible = _hosting_nodes(topology, system, respect_capacities)
+    if eligible.size < n:
+        raise PlacementError(
+            f"{system.name} needs {n} hosting nodes, but only "
+            f"{eligible.size} of {topology.n_nodes} nodes have capacity "
+            f">= {hosting_capacity(system, respect_capacities)}"
+        )
 
-    v0_list = [int(v0) for v0 in candidate_idx]
+    # Contiguous blocks keep the scan in candidate order; each tag is its
+    # block's (start, stop) positions in the candidate array.
+    k = min(_BLOCKS, v0s.size)
+    edges = [v0s.size * i // k for i in range(k + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
 
     def _points(ship: object) -> list[GridPoint]:
         # ``ship`` is what actually crosses the process boundary: the
         # topology itself on inline paths, a shared-memory handle when the
-        # runner dispatches to workers (so no point pickles the delay
-        # matrix). Tags carry (position, v0): the position keeps duplicate
-        # candidates legal under the unique-tag rule, the v0 makes a
-        # failed evaluation's ReproError name the actual candidate.
-        evaluate_one = partial(
-            _candidate_delay,
+        # runner dispatches to workers.
+        score = partial(
+            _block_delays,
             ship,
             system,
-            clients=clients,
+            clients=client_idx,
             respect_capacities=respect_capacities,
         )
         return [
-            GridPoint(tag=(i, v0), fn=evaluate_one, kwargs={"v0": v0})
-            for i, v0 in enumerate(v0_list)
+            GridPoint(tag=span, fn=score, kwargs={"v0s": v0s[slice(*span)]})
+            for span in spans
         ]
 
-    with obs.span("placement.search", candidates=len(v0_list)):
+    with obs.span("placement.search", candidates=v0s.size):
         if runner is not None:
             results = runner.run(_points(runner.ship(topology)))
         else:
@@ -163,23 +350,12 @@ def best_placement(
                 results = own_runner.run(
                     _points(own_runner.ship(topology))
                 )
-    candidate_delays = [
-        results[(i, v0)] for i, v0 in enumerate(v0_list)
-    ]
+    delays = np.concatenate([results[span] for span in spans])
 
-    best_v0 = -1
-    best_delay = np.inf
-    delays: dict[int, float] = {}
-    for v0, delay in zip(v0_list, candidate_delays):
-        if delay is None:
-            continue
-        delays[v0] = delay
-        if delay < best_delay:
-            best_v0, best_delay = v0, delay
-    if best_v0 < 0:
-        raise PlacementError(
-            "no candidate admitted a valid one-to-one placement"
-        )
+    best = int(np.argmin(delays))  # the first minimum, as a serial scan
+    best_v0, best_delay = int(v0s[best]), float(delays[best])
+    if not np.isfinite(best_delay):  # a disconnected topology
+        raise PlacementError("no candidate admits a placement of finite delay")
     best_placed = PlacedQuorumSystem(
         system,
         one_to_one_placement(
@@ -187,9 +363,18 @@ def best_placement(
         ),
         topology,
     )
+    check = average_network_delay(
+        best_placed, uniform_strategy_for(best_placed), clients=clients
+    )
+    # Exact comparison: the kernel is bit-identical by contract.
+    if check != best_delay:
+        raise PlacementError(
+            f"block kernel scored v0={best_v0} at {best_delay!r}, but its "
+            f"placement evaluates to {check!r}"
+        )
     return PlacementSearchResult(
         placed=best_placed,
         v0=best_v0,
         avg_network_delay=best_delay,
-        delays_by_candidate=delays,
+        delays_by_candidate=dict(zip(v0s.tolist(), delays.tolist())),
     )

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.lp.batched import lp_solver_identity
 from repro.network.graph import Topology
 from repro.obs import tracer as obs
 from repro.quorums.base import QuorumSystem
@@ -83,7 +84,15 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: the swept parameters; previously a changed default
 #: (``n_client_sites``, ``service_time_ms``, ``network_jitter_ms``)
 #: would have silently reused stale cached cells.
-CACHE_SCHEMA_VERSION = 7
+#:
+#: v8: every key folds in the LP backend and its solver package's version
+#: (:func:`~repro.lp.batched.lp_solver_identity`): degenerate LPs return
+#: backend-dependent vertices, and a cache filled under one backend used to
+#: serve them to the other. Also, one-to-one placements no longer host an
+#: element on an under-capacity ``v0`` (``Topology.ball`` adds ``v`` only
+#: when it is eligible), which moves placements under non-uniform
+#: capacities.
+CACHE_SCHEMA_VERSION = 8
 
 
 def default_cache_dir() -> Path:
@@ -142,8 +151,9 @@ def content_key(**components: Any) -> str:
     """SHA-256 digest of the canonical encoding of keyword components.
 
     :data:`CACHE_SCHEMA_VERSION` is folded in, so bumping it invalidates
-    every previously cached result at once. Keys depend on content and
-    types, not on spelling order:
+    every previously cached result at once, and so is the LP backend with
+    its solver version, so no backend is served another's optimal vertex.
+    Keys depend on content and types, not on spelling order:
 
     >>> content_key(alpha=7.0, seed=1) == content_key(seed=1, alpha=7.0)
     True
@@ -154,6 +164,7 @@ def content_key(**components: Any) -> str:
     """
     hasher = hashlib.sha256()
     _feed(hasher, CACHE_SCHEMA_VERSION)
+    _feed(hasher, lp_solver_identity())
     _feed(hasher, components)
     return hasher.hexdigest()
 

@@ -186,6 +186,24 @@ class TestBall:
         with pytest.raises(TopologyError):
             topo.ball(0, 3, capacity_at_least=0.5)
 
+    def test_ball_excludes_ineligible_center(self):
+        """``v`` obeys the capacity bound like every other node."""
+        topo = Topology(simple_matrix(), capacities=[0.1, 1.0, 1.0])
+        assert list(topo.ball(0, 2, capacity_at_least=0.5)) == [1, 2]
+        assert list(topo.ball(0, 1, capacity_at_least=0.5)) == [1]
+
+    def test_ball_shortage_counts_only_eligible_nodes(self):
+        topo = Topology(simple_matrix(), capacities=[0.1, 1.0, 0.1])
+        with pytest.raises(TopologyError, match="only 1 nodes"):
+            topo.ball(0, 2, capacity_at_least=0.5)
+
+    def test_ball_breaks_distance_ties_by_node_id(self):
+        rtt = np.full((5, 5), 7.0)
+        np.fill_diagonal(rtt, 0.0)
+        topo = Topology(rtt, metric_closure=False)
+        assert list(topo.ball(3, 3)) == [3, 0, 1]
+        assert list(topo.ball(3, 2, capacity_at_least=0.5)) == [3, 0]
+
     def test_ball_size_out_of_range(self, line_topology):
         with pytest.raises(TopologyError):
             line_topology.ball(0, 0)

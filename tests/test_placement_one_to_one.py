@@ -6,6 +6,7 @@ import pytest
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.response_time import average_network_delay
 from repro.errors import PlacementError
+from repro.network.graph import Topology
 from repro.placement.one_to_one import (
     grid_onion_placement,
     majority_ball_placement,
@@ -49,6 +50,17 @@ class TestMajorityBall:
             topo, maj, v0=0, respect_capacities=False
         )
         assert sorted(placement.assignment) == [0, 1, 2, 3, 4]
+
+    def test_under_capacity_v0_hosts_nothing(self, line_topology):
+        """Section 4.1.1's bound holds for ``v0`` too: an under-capacity
+        designated client is skipped, its nearest eligible nodes host."""
+        caps = np.ones(10)
+        caps[0] = 0.1
+        topo = line_topology.with_capacities(caps)
+        placement = majority_ball_placement(
+            topo, ThresholdQuorumSystem(5, 3), v0=0
+        )
+        assert sorted(placement.assignment) == [1, 2, 3, 4, 5]
 
     def test_universe_too_large(self, line_topology):
         maj = ThresholdQuorumSystem(11, 6)
@@ -109,6 +121,15 @@ class TestGridOnion:
         with pytest.raises(PlacementError):
             grid_onion_placement(line_topology, maj, v0=0)
 
+    def test_under_capacity_v0_hosts_nothing(self, line_topology):
+        caps = np.ones(10)
+        caps[0] = 0.5  # below the Grid 2x2 uniform load 3/4
+        topo = line_topology.with_capacities(caps)
+        placement = grid_onion_placement(topo, GridQuorumSystem(2), v0=0)
+        assert sorted(placement.assignment) == [1, 2, 3, 4]
+        # Farthest ball node in the top-left cell, as always.
+        assert placement.node_of(0) == 4
+
 
 class TestDispatch:
     def test_one_to_one_dispatch(self, line_topology):
@@ -167,6 +188,80 @@ class TestBestPlacementSearch:
             best_placement(
                 line_topology, GridQuorumSystem(2), candidates=[]
             )
+
+    @pytest.mark.parametrize(
+        "candidates, message",
+        [
+            ([-1, 3], "must lie in"),
+            ([3, 50], "must lie in"),
+            ([1.7, 3], "must be integers"),
+            ([True, False], "must be integers"),
+            ([[1, 2]], "must be 1-D"),
+            ([[1, 2], [3]], "not an array"),
+        ],
+    )
+    def test_invalid_candidate_ids_rejected(
+        self, planetlab, candidates, message
+    ):
+        """Negative, out-of-range, non-integer and nested ids are errors,
+        not silently dropped, truncated or wrapped candidates."""
+        with pytest.raises(PlacementError, match=message):
+            best_placement(
+                planetlab, ThresholdQuorumSystem(5, 3), candidates=candidates
+            )
+
+
+class TestCapacityConstraint:
+    """``cap(v) >= load_f(u)`` for every hosting node, ``v0`` included
+    (planetlab-50 with nodes 10-49 below the Grid 3x3 load 5/9)."""
+
+    @pytest.fixture(scope="class")
+    def starved(self, planetlab):
+        caps = np.ones(planetlab.n_nodes)
+        caps[10:] = 0.1
+        return planetlab.with_capacities(caps)
+
+    def test_search_hosts_only_on_eligible_nodes(self, starved):
+        grid = GridQuorumSystem(3)
+        result = best_placement(starved, grid)
+        assert set(result.placed.placement.assignment) <= set(range(10))
+        for v0 in range(10, starved.n_nodes):
+            placement = one_to_one_placement(starved, grid, v0)
+            assert v0 not in placement.assignment
+
+    def test_too_few_eligible_nodes_fail_up_front(self, starved):
+        caps = starved.capacities.copy()
+        caps[3:] = 0.1
+        with pytest.raises(PlacementError, match="only 3 of 50 nodes"):
+            best_placement(
+                starved.with_capacities(caps), GridQuorumSystem(3)
+            )
+
+    def test_universe_larger_than_topology(self, line_topology):
+        with pytest.raises(PlacementError, match="only 10 of 10 nodes"):
+            best_placement(line_topology, ThresholdQuorumSystem(11, 6))
+
+    def test_capacities_ignored_on_request(self, starved, planetlab):
+        grid = GridQuorumSystem(3)
+        ignored = best_placement(starved, grid, respect_capacities=False)
+        uniform = best_placement(planetlab, grid)
+        assert ignored.v0 == uniform.v0
+        assert ignored.delays_by_candidate == uniform.delays_by_candidate
+
+    def test_disconnected_topology_rejected(self):
+        """Under metric closure a zero RTT is a missing link; two components
+        leave every candidate an infinite average delay."""
+        rtt = np.array(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            dtype=np.float64,
+        )
+        with pytest.raises(PlacementError, match="finite delay"):
+            best_placement(Topology(rtt), SingletonQuorumSystem())
+
+    def test_singleton_keeps_hosting_on_v0(self, starved):
+        result = best_placement(starved, SingletonQuorumSystem())
+        assert result.placed.placement.node_of(0) == result.v0
+        assert set(result.delays_by_candidate) == set(range(50))
 
 
 class TestSingletonPlacement:

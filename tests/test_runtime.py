@@ -15,11 +15,13 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import fig_6_3, run_figure
+from repro.lp.batched import LP_BACKEND_ENV, lp_backend_name
 from repro.network.datasets import PLANETLAB_CLUSTERS
 from repro.network.generators import generate_cluster_topology
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import MajorityKind, majority
+from repro.runtime import cache as cache_mod
 from repro.runtime.cache import (
     ResultCache,
     content_key,
@@ -377,6 +379,35 @@ class TestGridRunner:
         second = GridRunner(cache=cache).run(points)
         assert second == first
         assert cache.hits == 4 and cache.stores == 4
+
+    def test_cache_filled_under_one_lp_backend_misses_under_the_other(
+        self, tmp_path, monkeypatch
+    ):
+        """Degenerate LPs return backend-dependent vertices, so no backend
+        may be served another's cached results."""
+        monkeypatch.delenv(LP_BACKEND_ENV, raising=False)
+        if lp_backend_name() == "scipy":
+            pytest.skip("no HiGHS bindings: only one LP backend here")
+        cache = ResultCache(tmp_path)
+        points = [
+            GridPoint(tag=0, fn=_square, kwargs={"x": 3}, cache_key={"x": 3})
+        ]
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+        GridRunner(cache=cache).run(points)
+        monkeypatch.delenv(LP_BACKEND_ENV)
+        GridRunner(cache=cache).run(points)
+        assert cache.hits == 0 and cache.stores == 2
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+        GridRunner(cache=cache).run(points)
+        assert cache.hits == 1
+
+    def test_cache_keys_track_the_solver_version(self, monkeypatch):
+        name, version = cache_mod.lp_solver_identity()
+        key = content_key(x=1)
+        monkeypatch.setattr(
+            cache_mod, "lp_solver_identity", lambda: (name, version + "+1")
+        )
+        assert content_key(x=1) != key
 
     def test_uncacheable_points_always_run(self, tmp_path):
         cache = ResultCache(tmp_path)
