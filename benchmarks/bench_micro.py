@@ -16,7 +16,7 @@ from repro.network.datasets import daxlist_161, planetlab_50
 from repro.placement.fractional import fractional_placement
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.order_stats import expected_max_of_random_subset
+from repro.quorums.order_stats import max_order_statistic_pmf
 from repro.quorums.threshold import MajorityKind, majority
 from repro.runtime.cache import ResultCache, content_key
 from repro.sim.engine import Simulator
@@ -114,9 +114,9 @@ def test_result_cache_roundtrip(benchmark, tmp_path):
 
 
 def test_order_stats_large(benchmark):
-    """Exact E[max of random 41-subset of 51] — the big-Majority path."""
-    values = np.random.default_rng(0).uniform(0, 300, size=51)
-    benchmark(lambda: expected_max_of_random_subset(values, 41))
+    """Exact pmf of the max of a random 41-subset of 51 — the big-Majority
+    path."""
+    benchmark(lambda: max_order_statistic_pmf(51, 41))
 
 
 def test_des_event_throughput(benchmark):

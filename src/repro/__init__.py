@@ -12,8 +12,8 @@ the paper's building blocks:
 >>> evaluate(placed, closest_strategy(placed)).avg_network_delay  # doctest: +SKIP
 71.3
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See README.md for the command-line interface and the figure registry, and
+docs/architecture.md for the layer-by-layer design.
 """
 
 from repro.core import (
@@ -48,7 +48,6 @@ from repro.quorums import (
     MajorityKind,
     SingletonQuorumSystem,
     ThresholdQuorumSystem,
-    WeightedMajorityQuorumSystem,
     majority,
     optimal_load,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "GridQuorumSystem",
     "ThresholdQuorumSystem",
     "SingletonQuorumSystem",
-    "WeightedMajorityQuorumSystem",
     "MajorityKind",
     "majority",
     "optimal_load",

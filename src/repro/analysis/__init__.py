@@ -4,25 +4,14 @@
   placed quorum systems, quantifying the paper's argument that one-to-one
   placements "preserve the fault-tolerance of the original quorum system"
   while many-to-one placements trade it away.
-* :mod:`repro.analysis.availability` — probabilistic availability under
-  independent node failures (the complementary measure of Amir & Wool,
-  cited as the earliest wide-area quorum study).
-* :mod:`repro.analysis.tails` — exact per-client delay distributions and
-  quantiles (the paper optimizes averages; operators also watch tails).
 """
 
-from repro.analysis.availability import availability, threshold_availability
 from repro.analysis.fault_tolerance import (
     crash_tolerance,
     min_nodes_to_disable,
 )
-from repro.analysis.tails import delay_distribution, delay_quantile
 
 __all__ = [
     "crash_tolerance",
     "min_nodes_to_disable",
-    "availability",
-    "threshold_availability",
-    "delay_distribution",
-    "delay_quantile",
 ]

@@ -301,6 +301,11 @@ def _cmd_dynamics(args) -> int:
         raise ReproError(
             f"--candidates must be >= 0, got {args.candidates}"
         )
+    if not (np.isfinite(args.simulate_rate) and args.simulate_rate >= 0):
+        raise ReproError(
+            f"--simulate-rate must be finite and >= 0, got "
+            f"{args.simulate_rate}"
+        )
     if args.noise is not None and not args.closed_loop:
         raise ReproError("--noise requires --closed-loop")
     if args.tune_thresholds is not None and not args.closed_loop:

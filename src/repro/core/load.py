@@ -19,49 +19,7 @@ import numpy as np
 from repro.core.placement import PlacedQuorumSystem
 from repro.errors import StrategyError
 
-__all__ = [
-    "element_loads",
-    "node_loads_for_client",
-    "node_loads",
-    "node_loads_from_average_strategy",
-]
-
-
-def _check_strategy_matrix(placed: PlacedQuorumSystem, p: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(p, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
-    if matrix.shape[1] != placed.num_quorums:
-        raise StrategyError(
-            f"strategy has {matrix.shape[1]} quorum columns, "
-            f"system has {placed.num_quorums}"
-        )
-    return matrix
-
-
-def element_loads(placed: PlacedQuorumSystem, p_v: np.ndarray) -> np.ndarray:
-    """``load_v(u)`` for every element ``u``, for one client's strategy."""
-    p = np.asarray(p_v, dtype=np.float64)
-    if p.shape != (placed.num_quorums,):
-        raise StrategyError(
-            f"expected a strategy over {placed.num_quorums} quorums"
-        )
-    loads = np.zeros(placed.system.universe_size)
-    for i, quorum in enumerate(placed.system.quorums):
-        if p[i] == 0.0:  # repro-lint: disable=RL006 -- exact-zero skip is a pure optimization; near-zero weights must still accumulate
-            continue
-        for u in quorum:
-            loads[u] += p[i]
-    return loads
-
-
-def node_loads_for_client(
-    placed: PlacedQuorumSystem, p_v: np.ndarray, coalesce: bool = False
-) -> np.ndarray:
-    """``load_{v,f}(w)`` for every node ``w``, for one client's strategy."""
-    matrix = _check_strategy_matrix(placed, p_v)
-    a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return (matrix @ a)[0]
+__all__ = ["node_loads"]
 
 
 def node_loads(
@@ -69,26 +27,15 @@ def node_loads(
     strategy_matrix: np.ndarray,
     coalesce: bool = False,
 ) -> np.ndarray:
-    """``load_f(w)``: node loads averaged over the client rows of ``P``."""
-    matrix = _check_strategy_matrix(placed, strategy_matrix)
-    a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return matrix.mean(axis=0) @ a
-
-
-def node_loads_from_average_strategy(
-    placed: PlacedQuorumSystem,
-    average_strategy: np.ndarray,
-    coalesce: bool = False,
-) -> np.ndarray:
-    """Node loads induced by a single *global* strategy (all clients alike).
-
-    Used by the iterative algorithm, which feeds the placement phase the
-    average strategy ``avg({p_v})``.
-    """
-    p = np.asarray(average_strategy, dtype=np.float64)
-    if p.shape != (placed.num_quorums,):
+    """``load_f(w)``: node loads averaged over the client rows of ``P``
+    (a 1-D ``P`` is a single client's strategy)."""
+    matrix = np.asarray(strategy_matrix, dtype=np.float64)
+    if matrix.ndim == 1:
+        matrix = matrix[None, :]
+    if matrix.shape[1] != placed.num_quorums:
         raise StrategyError(
-            f"expected a strategy over {placed.num_quorums} quorums"
+            f"strategy has {matrix.shape[1]} quorum columns, "
+            f"system has {placed.num_quorums}"
         )
     a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return p @ a
+    return matrix.mean(axis=0) @ a

@@ -212,8 +212,8 @@ class PlacedQuorumSystem:
         """``A[i, w] in {0, 1}``: whether any element of ``Q_i`` is on ``w``.
 
         The paper's future-work variation ("a server hosting multiple
-        universe elements would execute a request only once"); used by the
-        coalescing ablation.
+        universe elements would execute a request only once"), selected by
+        ``coalesce=True``.
         """
         return (self.incidence_counts > 0).astype(np.float64)
 

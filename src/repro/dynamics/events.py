@@ -17,9 +17,7 @@ typed, validated mutation events applied at epoch boundaries —
 
 Folding the events produces one :class:`EpochState` per epoch — the pure,
 deterministic input every downstream consumer (controllers, the clairvoyant
-baseline, cache keys) derives from. Churn events also export to a
-:class:`~repro.sim.failures.FailureSchedule` so the same trace can drive
-the discrete-event simulator's crash machinery.
+baseline, cache keys) derives from.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 
 from repro.errors import DynamicsError
 from repro.network.graph import Topology
-from repro.sim.failures import FailureSchedule
 
 __all__ = [
     "CapacityEvent",
@@ -171,8 +168,8 @@ class ScenarioTrace:
         two traces built from the same events in any order fold
         identically.
     epoch_ms:
-        Wall-clock length of one epoch — only used when exporting churn to
-        a :class:`~repro.sim.failures.FailureSchedule`.
+        Wall-clock length of one epoch, in milliseconds (must be
+        positive).
 
     Validation is strict: duplicate drift/capacity events in one epoch are
     rejected (their application order would be ambiguous), churn must
@@ -328,57 +325,6 @@ class ScenarioTrace:
             for start, end in zip(boundaries, boundaries[1:])
             if end > start
         ]
-
-    def to_failure_schedule(self) -> FailureSchedule:
-        """Churn exported as crash windows for the discrete-event simulator.
-
-        A node that leaves at epoch ``a`` and rejoins at epoch ``b`` is
-        down during ``[a * epoch_ms, b * epoch_ms)``; a node still down at
-        the end of the trace crashes through ``n_epochs * epoch_ms``. The
-        schedule composes with independently authored ones —
-        :class:`~repro.sim.failures.FailureSchedule` canonically merges
-        overlapping windows per node.
-        """
-        schedule = FailureSchedule()
-        down_since: dict[int, int] = {}
-        for event in self._events:
-            if not isinstance(event, ChurnEvent):
-                continue
-            if not event.up:
-                down_since[event.node] = event.epoch
-            else:
-                start = down_since.pop(event.node)
-                if event.epoch > start:
-                    schedule.add(
-                        event.node,
-                        start * self.epoch_ms,
-                        event.epoch * self.epoch_ms,
-                    )
-        for node, start in sorted(down_since.items()):
-            schedule.add(
-                node, start * self.epoch_ms, self.n_epochs * self.epoch_ms
-            )
-        return schedule
-
-    def fingerprint_components(self) -> dict:
-        """Content components for cache keys (see
-        :func:`repro.runtime.cache.content_key`)."""
-        encoded: list = []
-        for event in self._events:
-            if isinstance(event, RttDriftEvent):
-                encoded.append(("rtt", event.epoch, event.factors))
-            elif isinstance(event, CapacityEvent):
-                encoded.append(("cap", event.epoch, event.capacities))
-            else:
-                encoded.append(
-                    ("churn", event.epoch, event.node, event.up)
-                )
-        return {
-            "n_nodes": self.n_nodes,
-            "n_epochs": self.n_epochs,
-            "epoch_ms": self.epoch_ms,
-            "events": encoded,
-        }
 
     def __repr__(self) -> str:
         return (

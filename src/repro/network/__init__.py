@@ -2,10 +2,9 @@
 
 The algorithms in this library consume a :class:`~repro.network.graph.Topology`,
 which wraps a round-trip-time (RTT) matrix between wide-area sites. Topologies
-can be generated synthetically (:mod:`repro.network.generators`), loaded from
-disk (:mod:`repro.network.io`), or obtained from the bundled datasets that
-stand in for the paper's measured Planetlab-50 and daxlist-161 matrices
-(:mod:`repro.network.datasets`).
+can be generated synthetically (:mod:`repro.network.generators`) or obtained
+from the bundled datasets that stand in for the paper's measured Planetlab-50
+and daxlist-161 matrices (:mod:`repro.network.datasets`).
 """
 
 from repro.network.graph import Topology
@@ -16,8 +15,6 @@ from repro.network.datasets import (
     load_topology,
     planetlab_50,
 )
-from repro.network.king import king_estimate
-from repro.network.io import load_rtt_matrix, save_rtt_matrix
 
 __all__ = [
     "Topology",
@@ -27,7 +24,4 @@ __all__ = [
     "daxlist_161",
     "load_topology",
     "available_topologies",
-    "king_estimate",
-    "load_rtt_matrix",
-    "save_rtt_matrix",
 ]

@@ -13,7 +13,7 @@ The paper uses two RTT datasets:
 Neither raw dataset is distributed today, so :func:`planetlab_50` and
 :func:`daxlist_161` generate deterministic synthetic matrices from the
 cluster model in :mod:`repro.network.generators`, with cluster weights chosen
-to match those populations (see DESIGN.md, "Substitutions"). Both functions
+to match those populations. Both functions
 accept a ``seed`` so sensitivity to the draw can be studied; the default seed
 is the canonical dataset used across tests and benchmarks.
 """

@@ -8,14 +8,11 @@ than geodesics ("path inflation"), which the generator models explicitly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "FIBER_KM_PER_MS",
-    "great_circle_km",
     "pairwise_great_circle_km",
     "propagation_rtt_ms",
 ]
@@ -23,24 +20,6 @@ __all__ = [
 EARTH_RADIUS_KM = 6371.0
 #: one-way kilometres travelled per millisecond in optical fiber (~2/3 c)
 FIBER_KM_PER_MS = 200.0
-
-
-def great_circle_km(
-    lat1: float, lon1: float, lat2: float, lon2: float
-) -> float:
-    """Great-circle distance between two (lat, lon) points in kilometres.
-
-    Uses the haversine formula, which is numerically stable for the small
-    angles that dominate intra-cluster distances.
-    """
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlmb = math.radians(lon2 - lon1)
-    a = (
-        math.sin(dphi / 2.0) ** 2
-        + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
 def pairwise_great_circle_km(

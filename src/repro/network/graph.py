@@ -177,11 +177,6 @@ class Topology:
         """Per-node capacities ``cap(v)`` (read-only)."""
         return self._capacities
 
-    @property
-    def nodes(self) -> range:
-        """Node identifiers ``0 .. n_nodes-1``."""
-        return range(self.n_nodes)
-
     def __len__(self) -> int:
         return self.n_nodes
 
@@ -276,18 +271,3 @@ class Topology:
             capacities=self._capacities[idx],
             metric_closure=False,
         )
-
-    def validate_metric(self, tolerance: float = 1e-9) -> None:
-        """Raise :class:`TopologyError` if ``d`` violates the metric axioms."""
-        m = self._rtt
-        if np.any(np.diag(m) != 0):
-            raise TopologyError("metric has non-zero self distance")
-        if not np.allclose(m, m.T, atol=tolerance):
-            raise TopologyError("metric is not symmetric")
-        n = self.n_nodes
-        for k in range(n):
-            via_k = m[:, k][:, None] + m[k, :][None, :]
-            if np.any(m > via_k + tolerance):
-                raise TopologyError(
-                    f"triangle inequality violated through node {k}"
-                )

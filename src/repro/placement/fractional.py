@@ -99,10 +99,6 @@ class FractionalPlacement:
     objective: float
     element_loads: np.ndarray
 
-    def fractional_distance(self, dist_from_v0: np.ndarray) -> np.ndarray:
-        """``D_u = sum_w d(v0, w) x[u, w]`` per element."""
-        return self.x @ dist_from_v0
-
 
 def _validate_inputs(
     topology: Topology, system: QuorumSystem, v0: int | None = None

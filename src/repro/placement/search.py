@@ -292,7 +292,8 @@ def best_placement(
         Whether hosting nodes must have ``cap(v) >= load_f(u)``. When
         fewer nodes qualify than the universe has elements, no candidate
         admits a placement and :class:`~repro.errors.PlacementError` is
-        raised before any scoring.
+        raised before any scoring (as it is, naming the topology size,
+        when the universe outnumbers the topology's nodes).
     jobs:
         Worker processes for the candidate blocks. Candidates are
         independent, so the result is identical for any ``jobs``: the
@@ -312,6 +313,11 @@ def best_placement(
         None if clients is None else client_indices(topology.n_nodes, clients)
     )
     n = system.universe_size
+    if n > topology.n_nodes:
+        raise PlacementError(
+            f"{system.name} has {n} elements but the topology has only "
+            f"{topology.n_nodes} nodes"
+        )
     eligible = _hosting_nodes(topology, system, respect_capacities)
     if eligible.size < n:
         raise PlacementError(

@@ -9,14 +9,11 @@ natural performance floor in Figure 6.3.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.network.graph import Topology
-from repro.quorums.base import QuorumSystem
 from repro.quorums.singleton import SingletonQuorumSystem
 
-__all__ = ["singleton_placement", "collapse_to_median"]
+__all__ = ["singleton_placement"]
 
 
 def singleton_placement(
@@ -26,17 +23,3 @@ def singleton_placement(
     median = topology.median(clients)
     system = SingletonQuorumSystem()
     return PlacedQuorumSystem(system, Placement([median]), topology)
-
-
-def collapse_to_median(
-    topology: Topology, system: QuorumSystem, clients: object = None
-) -> PlacedQuorumSystem:
-    """Place *every* element of an arbitrary system on the median.
-
-    The degenerate many-to-one placement the paper calls "singleton": the
-    quorum structure survives but every access is a single round trip to
-    one node (note the node's capacity is ignored, as in the paper).
-    """
-    median = topology.median(clients)
-    assignment = np.full(system.universe_size, median, dtype=np.intp)
-    return PlacedQuorumSystem(system, Placement(assignment), topology)

@@ -127,7 +127,3 @@ class QUServer:
         if elapsed_ms <= 0:
             raise SimulationError("elapsed time must be positive")
         return min(1.0, self.busy_time_ms / elapsed_ms)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)

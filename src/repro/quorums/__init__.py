@@ -5,19 +5,15 @@ subsets of ``U`` (quorums) such that any two quorums intersect. This package
 implements the systems the paper evaluates — three Majority families
 (:func:`~repro.quorums.threshold.majority`), the Grid
 (:class:`~repro.quorums.grid.GridQuorumSystem`), and the singleton
-(:class:`~repro.quorums.singleton.SingletonQuorumSystem`) — plus a
-Gifford-style weighted-voting system as an extension, along with load theory
-(:mod:`repro.quorums.load_analysis`) and exact order statistics for threshold
-systems (:mod:`repro.quorums.order_stats`).
+(:class:`~repro.quorums.singleton.SingletonQuorumSystem`) — along with load
+theory (:mod:`repro.quorums.load_analysis`) and exact order statistics for
+threshold systems (:mod:`repro.quorums.order_stats`).
 """
 
 from repro.quorums.base import EnumeratedQuorumSystem, QuorumSystem
 from repro.quorums.grid import GridQuorumSystem, RectangularGridQuorumSystem
 from repro.quorums.load_analysis import LoadAnalysis, optimal_load
-from repro.quorums.order_stats import (
-    expected_max_of_random_subset,
-    max_order_statistic_pmf,
-)
+from repro.quorums.order_stats import max_order_statistic_pmf
 from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import (
     MajorityKind,
@@ -25,7 +21,6 @@ from repro.quorums.threshold import (
     majority,
     majority_universe_sizes,
 )
-from repro.quorums.weighted import WeightedMajorityQuorumSystem
 
 __all__ = [
     "QuorumSystem",
@@ -37,9 +32,7 @@ __all__ = [
     "GridQuorumSystem",
     "RectangularGridQuorumSystem",
     "SingletonQuorumSystem",
-    "WeightedMajorityQuorumSystem",
     "optimal_load",
     "LoadAnalysis",
-    "expected_max_of_random_subset",
     "max_order_statistic_pmf",
 ]

@@ -26,7 +26,7 @@ from repro.quorums.grid import RectangularGridQuorumSystem
 from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 
-__all__ = ["optimal_load", "LoadAnalysis", "load_of_strategy"]
+__all__ = ["optimal_load", "LoadAnalysis"]
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,6 @@ class LoadAnalysis:
 
     l_opt: float
     strategy: np.ndarray | None
-
-
-def load_of_strategy(system: QuorumSystem, strategy: np.ndarray) -> float:
-    """System load (max element load) induced by a global strategy."""
-    p = np.asarray(strategy, dtype=np.float64)
-    if p.shape != (system.num_quorums,):
-        raise QuorumSystemError(
-            f"strategy must have {system.num_quorums} entries, got {p.shape}"
-        )
-    if np.any(p < -1e-12) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise QuorumSystemError("strategy must be a probability distribution")
-    return float(system.element_loads(p).max())
 
 
 def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:

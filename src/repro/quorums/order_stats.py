@@ -11,9 +11,9 @@ with values sorted ascending ``x_(1) <= ... <= x_(n)``,
 ``P[max <= x_(j)] = C(j, q) / C(n, q)``  for ``j >= q``,
 
 so the maximum equals ``x_(j)`` with probability
-``(C(j, q) - C(j-1, q)) / C(n, q)``. These routines evaluate that pmf with
-exact integer arithmetic (``math.comb``), so balanced-Majority results carry
-no sampling error.
+``(C(j, q) - C(j-1, q)) / C(n, q)``. :func:`max_order_statistic_pmf`
+evaluates that pmf with exact integer arithmetic (``math.comb``), so
+balanced-Majority results carry no sampling error.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from math import comb
 
 import numpy as np
 
-__all__ = [
-    "max_order_statistic_pmf",
-    "expected_max_of_random_subset",
-    "cdf_max_of_random_subset",
-]
+__all__ = ["max_order_statistic_pmf"]
 
 
 def max_order_statistic_pmf(n: int, q: int) -> np.ndarray:
@@ -46,34 +42,3 @@ def max_order_statistic_pmf(n: int, q: int) -> np.ndarray:
         pmf[j - 1] = (current - prev) / total
         prev = current
     return pmf
-
-
-def expected_max_of_random_subset(values: np.ndarray, q: int) -> float:
-    """``E[max of a uniformly random q-subset of values]``, exactly.
-
-    ``values`` need not be sorted. Ties are handled correctly because the
-    pmf depends only on sorted positions.
-    """
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    pmf = max_order_statistic_pmf(len(x), q)
-    return float(np.dot(pmf, x))
-
-
-def cdf_max_of_random_subset(
-    values: np.ndarray, q: int, thresholds: np.ndarray
-) -> np.ndarray:
-    """``P[max of a random q-subset <= threshold]`` for each threshold.
-
-    Useful for tail/quantile analyses of balanced threshold strategies.
-    """
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(x)
-    if not 1 <= q <= n:
-        raise ValueError(f"require 1 <= q <= n, got q={q}, n={n}")
-    total = comb(n, q)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    # Number of values <= each threshold.
-    counts = np.searchsorted(x, thresholds, side="right")
-    return np.asarray(
-        [comb(int(j), q) / total if j >= q else 0.0 for j in counts]
-    )

@@ -2,8 +2,8 @@
 
 Replaces the paper's Modelnet testbed (Section 3): a deterministic
 event-driven simulator (:mod:`repro.sim.engine`), message delivery over a
-topology's RTT matrix (:mod:`repro.sim.network`), closed-loop workload
-bookkeeping (:mod:`repro.sim.workload`), response-time metrics
+topology's RTT matrix (:mod:`repro.sim.network`), open-loop Poisson
+arrivals (:mod:`repro.sim.workload`), response-time metrics
 (:mod:`repro.sim.metrics`), and the fluid (vectorized) open-loop backend
 (:mod:`repro.sim.fluid`) selected via
 ``GenericQuorumSimulation(backend="fluid")``.

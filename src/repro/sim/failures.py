@@ -110,18 +110,6 @@ class FailureSchedule:
         ]
         return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
 
-    def down_mask(self, node: int, times_ms: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_down` over an array of query times.
-
-        ``result[i]`` is True iff ``times_ms[i]`` falls inside one of the
-        node's ``[start, end)`` windows.
-        """
-        times = np.asarray(times_ms, dtype=np.float64)
-        bounds = self.node_windows(node).ravel()
-        if bounds.size == 0:
-            return np.zeros(times.shape, dtype=bool)
-        return np.searchsorted(bounds, times, side="right") % 2 == 1
-
     def downtime(self, node: int, until_ms: float) -> float:
         """Total scheduled downtime of ``node`` within ``[0, until_ms)``.
 

@@ -3,8 +3,7 @@
 The paper's workload is closed-loop (clients reissue immediately), which
 :class:`~repro.qu.client.QUClient` implements natively. This module adds an
 *open-loop* Poisson injector for sensitivity studies — open-loop arrivals
-expose queueing collapse beyond saturation, where closed loops self-throttle
-— plus deterministic helpers for spreading clients over sites.
+expose queueing collapse beyond saturation, where closed loops self-throttle.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["PoissonArrivals", "spread_clients"]
+__all__ = ["PoissonArrivals"]
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,3 @@ class PoissonArrivals:
             more = rng.exponential(1.0 / self.rate_per_ms, size=chunk)
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
         return times[times < horizon_ms]
-
-
-def spread_clients(
-    sites: np.ndarray, clients_per_site: int
-) -> list[int]:
-    """Site assignment for ``clients_per_site`` clients at each site.
-
-    Returns one entry per client, grouped by site, matching the paper's
-    "on each of these client locations we ran c clients".
-    """
-    if clients_per_site < 1:
-        raise SimulationError("clients_per_site must be >= 1")
-    sites_arr = np.asarray(sites, dtype=np.intp)
-    return np.repeat(sites_arr, clients_per_site).tolist()

@@ -12,7 +12,6 @@
   to a node's average distance to clients (Section 7).
 """
 
-from repro.strategies.candidates import candidate_subsystem
 from repro.strategies.capacity_sweep import (
     CapacitySweepPoint,
     CapacitySweepResult,
@@ -29,7 +28,6 @@ from repro.strategies.simple import balanced_strategy, closest_strategy
 __all__ = [
     "closest_strategy",
     "balanced_strategy",
-    "candidate_subsystem",
     "optimize_access_strategies",
     "capacity_levels",
     "sweep_uniform_capacities",

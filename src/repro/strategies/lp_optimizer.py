@@ -152,11 +152,6 @@ class StrategyProgram:
         """Solver invocations so far (anchor calibrations included)."""
         return self._batched.solve_count
 
-    @property
-    def lp_updates(self) -> int:
-        """In-place objective rewrites applied so far."""
-        return self._batched.update_count
-
     @staticmethod
     def _check_delay_matrix(
         placed: PlacedQuorumSystem, delay_matrix: np.ndarray

@@ -108,6 +108,14 @@ class TestCommands:
         assert code == 1
         assert "candidates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+    def test_dynamics_bad_simulate_rate_errors(self, capsys, rate):
+        code = main(["dynamics", "--epochs", "4", "--simulate-rate", rate])
+        assert code == 1
+        assert "--simulate-rate must be finite and >= 0" in (
+            capsys.readouterr().err
+        )
+
     def test_dynamics_closed_loop(self, capsys):
         code = main(
             [

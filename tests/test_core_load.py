@@ -1,14 +1,14 @@
-"""Tests for load computations (Section 4 definitions)."""
+"""Tests for load computations (Section 4 definitions).
+
+Element loads come from :meth:`QuorumSystem.element_loads`, node loads from
+:func:`repro.core.load.node_loads` (one client's strategy is a 1-row
+profile).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.load import (
-    element_loads,
-    node_loads,
-    node_loads_for_client,
-    node_loads_from_average_strategy,
-)
+from repro.core.load import node_loads
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import StrategyError
 from repro.quorums.grid import GridQuorumSystem
@@ -25,26 +25,26 @@ def grid2_placed(line_topology):
 class TestElementLoads:
     def test_uniform_grid_loads(self, grid2_placed):
         uniform = np.full(4, 0.25)
-        loads = element_loads(grid2_placed, uniform)
+        loads = grid2_placed.system.element_loads(uniform)
         # Each 2x2 grid element is in 3 of the 4 quorums.
         assert np.allclose(loads, 0.75)
 
     def test_point_mass_loads(self, grid2_placed):
         p = np.zeros(4)
         p[0] = 1.0  # quorum (0,0) = {0, 1, 2}
-        loads = element_loads(grid2_placed, p)
+        loads = grid2_placed.system.element_loads(p)
         assert np.allclose(loads, [1.0, 1.0, 1.0, 0.0])
 
     def test_wrong_shape_rejected(self, grid2_placed):
         with pytest.raises(StrategyError):
-            element_loads(grid2_placed, np.full(3, 1 / 3))
+            node_loads(grid2_placed, np.full(3, 1 / 3)[None])
 
 
 class TestNodeLoads:
     def test_one_to_one_equals_element_loads(self, grid2_placed):
         uniform = np.full(4, 0.25)
-        eloads = element_loads(grid2_placed, uniform)
-        nloads = node_loads_for_client(grid2_placed, uniform)
+        eloads = grid2_placed.system.element_loads(uniform)
+        nloads = node_loads(grid2_placed, uniform[None])
         assert np.allclose(nloads[:4], eloads)
         assert np.allclose(nloads[4:], 0.0)
 
@@ -53,7 +53,7 @@ class TestNodeLoads:
             GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
         )
         uniform = np.full(4, 0.25)
-        nloads = node_loads_for_client(placed, uniform)
+        nloads = node_loads(placed, uniform[None])
         # Node 0 hosts elements 0,1 (load .75 each) -> 1.5.
         assert nloads[0] == pytest.approx(1.5)
         assert nloads[1] == pytest.approx(1.5)
@@ -63,7 +63,7 @@ class TestNodeLoads:
             GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
         )
         uniform = np.full(4, 0.25)
-        nloads = node_loads_for_client(placed, uniform, coalesce=True)
+        nloads = node_loads(placed, uniform[None], coalesce=True)
         # Every quorum touches both nodes exactly once -> load 1 each.
         assert nloads[0] == pytest.approx(1.0)
         assert nloads[1] == pytest.approx(1.0)
@@ -76,15 +76,14 @@ class TestNodeLoads:
         assert np.allclose(loads[:4], [1.0, 1.0, 1.0, 0.0])
 
     def test_average_strategy_equivalence(self, grid2_placed):
-        """Global average strategy induces the same node loads as the
+        """Global average strategy induces the same loads as the
         per-client profile (linearity of the load definition)."""
         rng = np.random.default_rng(0)
         profile = rng.dirichlet(np.ones(4), size=grid2_placed.n_nodes)
         via_profile = node_loads(grid2_placed, profile)
-        via_average = node_loads_from_average_strategy(
-            grid2_placed, profile.mean(axis=0)
-        )
-        assert np.allclose(via_profile, via_average)
+        via_average = grid2_placed.system.element_loads(profile.mean(axis=0))
+        assert np.allclose(via_profile[:4], via_average)
+        assert np.allclose(via_profile[4:], 0.0)
 
     def test_load_conservation(self, grid2_placed):
         """Total node load equals the expected accessed quorum size."""

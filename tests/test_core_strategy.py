@@ -11,8 +11,9 @@ from repro.core.strategy import (
 )
 from repro.errors import StrategyError
 from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.order_stats import expected_max_of_random_subset
 from repro.quorums.threshold import ThresholdQuorumSystem
+
+from oracles import expected_max_of_random_subset
 
 
 @pytest.fixture()

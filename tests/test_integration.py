@@ -21,7 +21,7 @@ from repro import (
     singleton_placement,
     sweep_uniform_capacities,
 )
-from repro.analysis import availability, crash_tolerance
+from repro.analysis import crash_tolerance
 from repro.core.strategy import ExplicitStrategy
 from repro.sim.generic import GenericQuorumSimulation
 
@@ -117,19 +117,6 @@ class TestManyToOnePipeline:
         ).avg_network_delay
         assert m2o_delay < o2o_delay
         assert crash_tolerance(collapsed) < crash_tolerance(one_to_one)
-
-    def test_availability_mirrors_tolerance(self, planetlab):
-        system = majority(MajorityKind.SIMPLE, 3)  # n=7, q=4
-        spread = best_placement(planetlab, system).placed
-        from repro.core.placement import PlacedQuorumSystem, Placement
-
-        packed = PlacedQuorumSystem(
-            system,
-            Placement([0, 0, 0, 0, 1, 1, 2]),
-            planetlab,
-        )
-        p = 0.1
-        assert availability(packed, p) < availability(spread, p)
 
 
 class TestModelSimulationAgreement:

@@ -7,12 +7,11 @@ from repro.errors import QuorumSystemError
 from repro.placement.fractional import element_loads_of_strategy
 from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.load_analysis import (
-    load_of_strategy,
-    optimal_load,
-)
+from repro.quorums.load_analysis import optimal_load
 from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
+
+from oracles import load_of_strategy
 
 
 class TestClosedForms:
@@ -70,6 +69,8 @@ class TestLPCrossValidation:
 
 
 class TestLoadOfStrategy:
+    """The test-side load oracle the closed forms are checked with."""
+
     def test_uniform_grid(self):
         g = GridQuorumSystem(3)
         uniform = np.full(9, 1.0 / 9.0)
@@ -115,8 +116,8 @@ def _strategies(m, seed):
 
 class TestElementLoadsBitIdentity:
     """The shared quorum-major bincount sums every element's quorum
-    weights in the loop's order, so both public functions stay
-    bit-identical to the loop they replaced."""
+    weights in the loop's order, so element loads (and the load oracle
+    built on them) stay bit-identical to the loop they replaced."""
 
     SYSTEMS = [
         GridQuorumSystem(3),

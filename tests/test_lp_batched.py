@@ -4,7 +4,7 @@ Pins the build-once/solve-many path (`StrategyProgram.solve_many`, warm-
 started HiGHS when bindings are importable) against the existing
 one-LP-per-level path (fresh assembly + cold scipy solve per level):
 objectives must match within 1e-9 and a capacity sweep must pick the same
-best capacity, on both Grid and Majority(-candidate) systems.
+best capacity, on both a Grid and an enumerated Majority.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SolverError
 from repro.lp import BatchedProgram, LinearProgram, lp_backend_name
 from repro.lp.batched import LP_BACKEND_ENV
+from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.quorums.threshold import ThresholdQuorumSystem
-from repro.strategies.candidates import candidate_subsystem
 from repro.strategies.capacity_sweep import (
     capacity_levels,
     sweep_uniform_capacities,
@@ -36,12 +36,12 @@ def grid3_placed(line_topology):
 
 @pytest.fixture()
 def majority_placed(plane_topology):
-    placed = PlacedQuorumSystem(
-        ThresholdQuorumSystem(9, 6),
+    """Majority(6 of 9) as an explicit list of its 84 quorums."""
+    return PlacedQuorumSystem(
+        EnumeratedQuorumSystem(ThresholdQuorumSystem(9, 6).quorums),
         Placement(list(range(9))),
         plane_topology,
     )
-    return candidate_subsystem(placed, random_extra=8, seed=1)
 
 
 def _objective(placed, strategy) -> float:

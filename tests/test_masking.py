@@ -1,7 +1,6 @@
 """Tests for intersection/masking properties of threshold systems."""
 
-import itertools
-
+import numpy as np
 import pytest
 
 from repro.quorums.threshold import (
@@ -14,12 +13,15 @@ from repro.quorums.threshold import (
 class TestMinIntersection:
     @pytest.mark.parametrize("n,q", [(3, 2), (5, 3), (7, 5), (16, 11)])
     def test_formula_matches_enumeration(self, n, q):
+        """Brute force over every pair of distinct quorums: with ``B`` the
+        0/1 quorum-element matrix, ``(B @ B.T)[i, j] = |Q_i & Q_j|``."""
         qs = ThresholdQuorumSystem(n, q)
-        smallest = min(
-            len(a & b)
-            for a, b in itertools.combinations(qs.quorums, 2)
-        )
-        assert qs.min_intersection == smallest
+        members = np.zeros((qs.num_quorums, n), dtype=np.float32)
+        for i, quorum in enumerate(qs.quorums):
+            members[i, list(quorum)] = 1.0
+        sizes = members @ members.T
+        np.fill_diagonal(sizes, np.inf)  # a quorum paired with itself
+        assert qs.min_intersection == sizes.min()
 
     def test_large_system_closed_form(self):
         qs = ThresholdQuorumSystem(49, 37)

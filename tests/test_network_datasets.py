@@ -12,6 +12,8 @@ from repro.network.datasets import (
     topology_sites,
 )
 
+from oracles import validate_metric
+
 
 class TestPlanetlab50:
     def test_size(self, planetlab):
@@ -22,7 +24,7 @@ class TestPlanetlab50:
         assert np.array_equal(planetlab.rtt, again.rtt)
 
     def test_is_metric(self, planetlab):
-        planetlab.validate_metric()
+        validate_metric(planetlab)
 
     def test_median_scale_matches_paper(self, planetlab):
         """Average delay to the median ~60-70 ms (Figure 6.3's singleton)."""
@@ -43,7 +45,7 @@ class TestDaxlist161:
         assert daxlist.n_nodes == 161
 
     def test_is_metric(self, daxlist):
-        daxlist.validate_metric()
+        validate_metric(daxlist)
 
     def test_denser_than_planetlab(self, planetlab, daxlist):
         """Web servers cluster more tightly: smaller median average."""

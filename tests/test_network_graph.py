@@ -6,6 +6,8 @@ import pytest
 from repro.errors import TopologyError
 from repro.network.graph import Topology
 
+from oracles import validate_metric
+
 
 def simple_matrix():
     return np.array(
@@ -115,7 +117,7 @@ class TestMetricClosure:
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0.0)
         topo = Topology(m, metric_closure=True)
-        topo.validate_metric()
+        validate_metric(topo)
 
     def test_validate_metric_catches_violation(self):
         m = np.array(
@@ -127,7 +129,7 @@ class TestMetricClosure:
         )
         topo = Topology(m, metric_closure=False)
         with pytest.raises(TopologyError):
-            topo.validate_metric()
+            validate_metric(topo)
 
 
 class TestCapacities:

@@ -13,7 +13,7 @@ from repro.placement.one_to_one import (
     one_to_one_placement,
 )
 from repro.placement.search import best_placement, uniform_strategy_for
-from repro.placement.singleton import collapse_to_median, singleton_placement
+from repro.placement.singleton import singleton_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -238,8 +238,25 @@ class TestCapacityConstraint:
             )
 
     def test_universe_larger_than_topology(self, line_topology):
-        with pytest.raises(PlacementError, match="only 10 of 10 nodes"):
+        """Too few nodes is reported as such, not as a capacity shortage."""
+        with pytest.raises(
+            PlacementError,
+            match="11 elements but the topology has only 10 nodes",
+        ):
             best_placement(line_topology, ThresholdQuorumSystem(11, 6))
+
+    @pytest.mark.parametrize("respect_capacities", [True, False])
+    def test_grid_larger_than_topology(self, planetlab, respect_capacities):
+        with pytest.raises(
+            PlacementError,
+            match="^Grid 8x8 has 64 elements but the topology has only "
+            "50 nodes$",
+        ):
+            best_placement(
+                planetlab,
+                GridQuorumSystem(8),
+                respect_capacities=respect_capacities,
+            )
 
     def test_capacities_ignored_on_request(self, starved, planetlab):
         grid = GridQuorumSystem(3)
@@ -268,17 +285,6 @@ class TestSingletonPlacement:
     def test_singleton_on_median(self, line_topology):
         placed = singleton_placement(line_topology)
         assert placed.placement.node_of(0) == line_topology.median()
-
-    def test_collapse_to_median(self, line_topology):
-        grid = GridQuorumSystem(3)
-        placed = collapse_to_median(line_topology, grid)
-        med = line_topology.median()
-        assert np.all(placed.placement.assignment == med)
-        # Every quorum collapses to one node: delay = d(v, median).
-        assert np.allclose(
-            placed.delay_matrix,
-            line_topology.rtt[:, [med] * 9],
-        )
 
     def test_singleton_beats_spread_grid(self, planetlab):
         """Lin's bound sanity: the singleton's delay is within 2x of a

@@ -30,16 +30,14 @@ from repro.placement.fractional import FractionalProgram
 from repro.placement.gap import round_fractional_placement
 from repro.placement.many_to_one import many_to_one_placement
 from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.order_stats import (
-    expected_max_of_random_subset,
-    max_order_statistic_pmf,
-)
+from repro.quorums.order_stats import max_order_statistic_pmf
 from repro.quorums.threshold import (
     MajorityKind,
     ThresholdQuorumSystem,
     majority,
 )
-from repro.quorums.weighted import WeightedMajorityQuorumSystem
+
+from oracles import expected_max_of_random_subset, validate_metric
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +68,6 @@ def test_grid_quorums_pairwise_intersect(k):
     g = GridQuorumSystem(k)
     for a, b in itertools.combinations(g.quorums, 2):
         assert a & b
-
-
-@given(
-    st.lists(
-        st.integers(min_value=1, max_value=9), min_size=1, max_size=8
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_weighted_majority_intersection_and_minimality(weights):
-    w = WeightedMajorityQuorumSystem(weights)
-    quorums = w.quorums
-    for a, b in itertools.combinations(quorums, 2):
-        assert a & b
-    for a, b in itertools.permutations(quorums, 2):
-        assert not a < b
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +119,7 @@ def test_generated_topologies_are_metric(n_sites, seed):
         ],
         seed=seed,
     )
-    topo.validate_metric()
+    validate_metric(topo)
     assert topo.n_nodes == n_sites
 
 

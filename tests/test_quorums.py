@@ -1,4 +1,4 @@
-"""Tests for quorum-system definitions: thresholds, Grid, singleton, weighted."""
+"""Tests for quorum-system definitions: thresholds, Grid, singleton."""
 
 import itertools
 from math import comb
@@ -15,7 +15,6 @@ from repro.quorums.threshold import (
     majority,
     majority_universe_sizes,
 )
-from repro.quorums.weighted import WeightedMajorityQuorumSystem
 
 
 class TestEnumeratedBase:
@@ -179,37 +178,3 @@ class TestSingleton:
         assert s.min_quorum_size == 1
         s.validate()
 
-
-class TestWeightedMajority:
-    def test_equal_weights_is_majority(self):
-        w = WeightedMajorityQuorumSystem([1, 1, 1])
-        assert set(w.quorums) == {
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({1, 2}),
-        }
-
-    def test_dictator_weight(self):
-        w = WeightedMajorityQuorumSystem([5, 1, 1, 1])
-        # Element 0 holds 5 of 8 votes: {0} alone is a quorum and minimal.
-        assert frozenset({0}) in w.quorums
-        # Every quorum must include 0 (the rest sum to 3 < 4.x threshold).
-        assert all(0 in q for q in w.quorums)
-
-    def test_quorums_are_minimal(self):
-        w = WeightedMajorityQuorumSystem([3, 2, 2, 1])
-        for a, b in itertools.permutations(w.quorums, 2):
-            assert not a < b
-
-    def test_all_pairs_intersect(self):
-        w = WeightedMajorityQuorumSystem([3, 2, 2, 1, 1])
-        for a, b in itertools.combinations(w.quorums, 2):
-            assert a & b
-
-    def test_validation_errors(self):
-        with pytest.raises(QuorumSystemError):
-            WeightedMajorityQuorumSystem([])
-        with pytest.raises(QuorumSystemError):
-            WeightedMajorityQuorumSystem([0, 1])
-        with pytest.raises(QuorumSystemError):
-            WeightedMajorityQuorumSystem([1] * 30)

@@ -1,4 +1,4 @@
-"""Tests for simulated message delivery, metrics, and workload helpers."""
+"""Tests for simulated message delivery, metrics, and the Poisson workload."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.metrics import OperationRecord, summarize, summarize_arrays
 from repro.sim.network import SimNetwork
-from repro.sim.workload import PoissonArrivals, spread_clients
+from repro.sim.workload import PoissonArrivals
 
 
 class TestSimNetwork:
@@ -208,9 +208,3 @@ class TestWorkload:
             PoissonArrivals(rate_per_ms=0.0, seed=1).sample_until(10.0)
         with pytest.raises(SimulationError):
             PoissonArrivals(rate_per_ms=1.0, seed=1).sample_until(0.0)
-
-    def test_spread_clients(self):
-        sites = np.array([3, 7])
-        assert spread_clients(sites, 2) == [3, 3, 7, 7]
-        with pytest.raises(SimulationError):
-            spread_clients(sites, 0)

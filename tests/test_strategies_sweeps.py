@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.core.response_time import alpha_from_demand
 from repro.errors import StrategyError
+from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.strategies.capacity_sweep import (
@@ -100,6 +102,27 @@ class TestUniformSweep:
             grid3_placed, alpha=10.0, levels=np.array([0.8, 1.0])
         )
         assert sweep.infeasible_capacities == ()
+
+
+class TestPaperLevelCount:
+    """Section 7 sweeps 10 capacity levels between L_opt and 1. On
+    Planetlab-50 with the 5x5 Grid at demand 16000, the best response time
+    over 10 levels is within 3% of the best over 20, and 20 levels never do
+    worse than 2."""
+
+    def test_ten_levels_within_three_percent_of_twenty(self, planetlab):
+        system = GridQuorumSystem(5)
+        placed = best_placement(planetlab, system).placed
+        alpha = alpha_from_demand(16000)
+        l_opt = optimal_load(system).l_opt
+        best = {
+            steps: sweep_uniform_capacities(
+                placed, alpha, levels=capacity_levels(l_opt, steps)
+            ).best.result.avg_response_time
+            for steps in (2, 10, 20)
+        }
+        assert best[20] <= best[2] + 1e-9
+        assert best[10] <= best[20] * 1.03
 
 
 class TestNonuniformCapacities:

@@ -16,7 +16,7 @@ from repro.core.strategy import ThresholdBalancedStrategy
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.failures import CrashWindow, FailureSchedule
 from repro.sim.generic import GenericQuorumSimulation
-from repro.sim.workload import PoissonArrivals, spread_clients
+from repro.sim.workload import PoissonArrivals
 
 
 @pytest.fixture()
@@ -32,7 +32,7 @@ def _run(maj_placed, seed=11, schedule=None, rate=0.02, duration=4000.0):
     sim = GenericQuorumSimulation(
         maj_placed,
         ThresholdBalancedStrategy(),
-        client_nodes=np.array(spread_clients(np.array([0, 5, 9]), 2)),
+        client_nodes=np.repeat(np.array([0, 5, 9]), 2),
         service_time_ms=0.0,
         failures=schedule,
         timeout_ms=250.0 if schedule is not None else 0.0,
@@ -129,33 +129,19 @@ class TestOpenLoopBasics:
 
 
 class TestDynamicsTraceComposition:
-    """A dynamics churn trace exports to the same schedule machinery."""
+    """Epoch-aligned crash windows — a node leaving at epoch 1 of 1000 ms
+    epochs and rejoining at epoch 3, or never — drive the simulator and
+    merge with manually added outages."""
 
     def test_trace_schedule_drives_the_simulator(self, maj_placed):
-        from repro.dynamics.events import ChurnEvent, ScenarioTrace
-
-        trace = ScenarioTrace(
-            10,
-            4,
-            [
-                ChurnEvent(epoch=1, node=4, up=False),
-                ChurnEvent(epoch=3, node=4, up=True),
-            ],
-            epoch_ms=1000.0,
-        )
-        schedule = trace.to_failure_schedule()
+        schedule = FailureSchedule([CrashWindow(4, 1000.0, 3000.0)])
         assert schedule.windows == (CrashWindow(4, 1000.0, 3000.0),)
         _sim, result = _run(maj_placed, schedule=schedule)
         assert result.timeouts_total > 0
         assert result.operations_completed > 0
 
     def test_trace_schedule_merges_with_manual_windows(self, maj_placed):
-        from repro.dynamics.events import ChurnEvent, ScenarioTrace
-
-        trace = ScenarioTrace(
-            10, 4, [ChurnEvent(epoch=1, node=4, up=False)], epoch_ms=1000.0
-        )
-        schedule = trace.to_failure_schedule()
+        schedule = FailureSchedule([CrashWindow(4, 1000.0, 4000.0)])
         assert schedule.windows == (CrashWindow(4, 1000.0, 4000.0),)
         schedule.add(4, 2000.0, 5000.0)  # overlapping manual outage
         assert schedule.windows == (CrashWindow(4, 1000.0, 5000.0),)
@@ -281,16 +267,3 @@ class TestWorkloadHelpers:
         times = a.sample_until(100_000.0)
         assert np.all(times < 100_000.0)
         assert np.all(np.diff(times) >= 0)
-
-    def test_spread_clients_matches_naive_construction(self):
-        sites = np.array([3, 1, 7])
-        got = spread_clients(sites, 4)
-        naive = [int(s) for s in sites for _ in range(4)]
-        assert got == naive
-        assert all(isinstance(v, int) for v in got)
-
-    def test_spread_clients_rejects_nonpositive_counts(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            spread_clients(np.array([0, 1]), 0)
