@@ -20,7 +20,17 @@ exact request conservation are asserted on both.
 Fast mode (default, CI): 60 s simulated fluid / 5 s events; floors
 2.5e5 req/s fluid and 10x over events. Full mode
 (``REPRO_BENCH_FULL=1``): 600 s simulated fluid (~1.8M requests) / 30 s
-events; floors 1e6 req/s and 50x — the ISSUE acceptance bars.
+events; floors 1e6 req/s and 50x.
+
+The record also carries one row for the Q/U event path
+(:class:`~repro.qu.service.QUService`): the ``(t = 3, c = 10)`` cell of
+Figure 3.2a's fast grid, 16 servers with quorums of 13 on planetlab-50,
+simulated for 1500 ms. It records the operations the cell completes, the
+engine events it takes, events per completed operation and operations
+per wall-clock second. An attempt on ``q`` servers costs ``2q + 1``
+events (``q`` request deliveries, ``q`` service completions, one
+completion at the client), so events per operation must stay below
+``3q``, what one event per message cost. It has no timing floor.
 
 The run writes ``benchmarks/results/bench_sim_throughput.json``.
 """
@@ -36,10 +46,23 @@ import pytest
 from conftest import full_grids_enabled
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
+from repro.network.datasets import planetlab_50
 from repro.network.generators import synthetic_wan
 from repro.obs.bench import BenchRecorder
-from repro.quorums.threshold import ThresholdQuorumSystem
+from repro.placement.search import best_placement
+from repro.qu.service import QUService
+from repro.quorums.threshold import (
+    MajorityKind,
+    ThresholdQuorumSystem,
+    majority,
+)
+from repro.sim.experiment import (
+    QUExperimentConfig,
+    run_qu_experiment,
+    select_client_sites,
+)
 from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.metrics import summarize
 from repro.sim.workload import PoissonArrivals
 
 FAST = not full_grids_enabled()
@@ -53,6 +76,11 @@ WARMUP_FRACTION = 0.1
 # second through the fluid backend, >= 50x over the event engine.
 FLUID_FLOOR_REQ_S = 2.5e5 if FAST else 1.0e6
 SPEEDUP_FLOOR = 10.0 if FAST else 50.0
+# Figure 3.2a's fast-grid cell (t = 3, c = 10); its seed is the figure's
+# 1000 t + 10 c and its warmup the figure's fifth of the run.
+QU_CELL = QUExperimentConfig(
+    t=3, clients_per_site=10, duration_ms=1500.0, warmup_ms=300.0, seed=3100
+)
 
 
 def _scenario(topology):
@@ -83,7 +111,72 @@ def _timed_run(placed, topology, backend, duration_ms):
     return result, elapsed
 
 
-def test_fluid_backend_sustains_wan_scale_throughput(results_dir):
+def _qu_cell_service(topology, config):
+    """The service :func:`run_qu_experiment` builds for ``config``, not
+    yet run: the same placement, client sites and seeds."""
+    placed = best_placement(
+        topology, majority(MajorityKind.QU, config.t)
+    ).placed
+    service = QUService(
+        topology,
+        placed.placement.assignment,
+        quorum_size=config.quorum_size,
+        service_time_ms=config.service_time_ms,
+        network_jitter_ms=config.network_jitter_ms,
+        seed=config.seed,
+    )
+    sites = select_client_sites(
+        topology, placed, n_sites=config.n_client_sites
+    )
+    for site in sites:
+        for _ in range(config.clients_per_site):
+            service.add_client(int(site))
+    return service
+
+
+@pytest.fixture(scope="module")
+def qu_cell():
+    """One timed run of the Q/U cell, checked against the figure's own."""
+    topology = planetlab_50()
+    service = _qu_cell_service(topology, QU_CELL)
+    started = time.perf_counter()
+    service.run(duration_ms=QU_CELL.duration_ms)
+    seconds = time.perf_counter() - started
+    records = service.all_records()
+    figure_cell = run_qu_experiment(topology, QU_CELL)
+    assert summarize(records, warmup_ms=QU_CELL.warmup_ms) == (
+        figure_cell.stats
+    )
+    operations = len(records)
+    events = service.sim.events_processed
+    return {
+        "qu_cell": "fig_3_2a fast (t=3, c=10)",
+        "qu_quorum_size": QU_CELL.quorum_size,
+        "qu_duration_ms": QU_CELL.duration_ms,
+        "qu_seed": QU_CELL.seed,
+        "qu_operations": operations,
+        "qu_events": events,
+        "qu_events_per_operation": events / operations,
+        "qu_seconds": seconds,
+        "qu_operations_per_second": operations / seconds,
+    }
+
+
+def test_qu_event_path_costs_under_3q_events_per_operation(qu_cell):
+    q = qu_cell["qu_quorum_size"]
+    assert qu_cell["qu_operations"] > 0
+    assert qu_cell["qu_events_per_operation"] < 3 * q
+
+    print()
+    print(f"== Q/U event path: {qu_cell['qu_cell']}, q={q} ==")
+    print(f"   {qu_cell['qu_operations']:,} operations, "
+          f"{qu_cell['qu_events']:,} events "
+          f"({qu_cell['qu_events_per_operation']:.1f} per operation, "
+          f"below 3q = {3 * q})")
+    print(f"   {qu_cell['qu_operations_per_second']:,.0f} operations/s")
+
+
+def test_fluid_backend_sustains_wan_scale_throughput(results_dir, qu_cell):
     topology = synthetic_wan(N_SITES)
     placed = _scenario(topology)
 
@@ -140,6 +233,7 @@ def test_fluid_backend_sustains_wan_scale_throughput(results_dir):
         conservation_ok=True,
         fluid_floor_requests_per_second=FLUID_FLOOR_REQ_S,
         speedup_floor=SPEEDUP_FLOOR,
+        **qu_cell,
     )
     recorder.write(results_dir, "bench_sim_throughput.json")
 
@@ -171,6 +265,10 @@ def test_bench_json_is_machine_readable(results_dir):
         "events_requests_per_second",
         "speedup",
         "conservation_ok",
+        "qu_operations",
+        "qu_events",
+        "qu_events_per_operation",
+        "qu_operations_per_second",
     ):
         assert field in record
     assert record["conservation_ok"] is True
@@ -178,4 +276,8 @@ def test_bench_json_is_machine_readable(results_dir):
     assert (
         record["fluid_requests_per_second"]
         >= record["fluid_floor_requests_per_second"]
+    )
+    assert record["qu_events_per_operation"] < 3 * record["qu_quorum_size"]
+    assert record["qu_events_per_operation"] == pytest.approx(
+        record["qu_events"] / record["qu_operations"]
     )

@@ -167,9 +167,6 @@ class ScenarioTrace:
         applies rejoins before leaves, by node within each direction), so
         two traces built from the same events in any order fold
         identically.
-    epoch_ms:
-        Wall-clock length of one epoch, in milliseconds (must be
-        positive).
 
     Validation is strict: duplicate drift/capacity events in one epoch are
     rejected (their application order would be ambiguous), churn must
@@ -182,17 +179,13 @@ class ScenarioTrace:
         n_nodes: int,
         n_epochs: int,
         events: Iterable[object] = (),
-        epoch_ms: float = 1000.0,
     ) -> None:
         if n_nodes < 1:
             raise DynamicsError("trace needs at least one node")
         if n_epochs < 1:
             raise DynamicsError("trace needs at least one epoch")
-        if epoch_ms <= 0:
-            raise DynamicsError("epoch_ms must be positive")
         self.n_nodes = int(n_nodes)
         self.n_epochs = int(n_epochs)
-        self.epoch_ms = float(epoch_ms)
         self._events = tuple(sorted(events, key=_sort_key))
         self._validate()
 

@@ -49,7 +49,6 @@ def diurnal_scenario(
     seed: int = 0,
     amplitude: float = 0.3,
     period: int = 12,
-    epoch_ms: float = 1000.0,
 ) -> ScenarioTrace:
     """Sinusoidal RTT drift with a seeded per-node phase.
 
@@ -74,9 +73,7 @@ def diurnal_scenario(
             2.0 * np.pi * (t / period + phases)
         )
         events.append(RttDriftEvent(epoch=t, factors=factors))
-    return ScenarioTrace(
-        topology.n_nodes, n_epochs, events, epoch_ms=epoch_ms
-    )
+    return ScenarioTrace(topology.n_nodes, n_epochs, events)
 
 
 def flash_crowd_scenario(
@@ -88,7 +85,6 @@ def flash_crowd_scenario(
     start: int | None = None,
     length: int | None = None,
     waves: int = 1,
-    epoch_ms: float = 1000.0,
 ) -> ScenarioTrace:
     """Capacity crunch: a seeded node subset loses capacity, then recovers.
 
@@ -136,7 +132,7 @@ def flash_crowd_scenario(
         events.append(CapacityEvent(epoch=begin, capacities=crunched))
         if end < n_epochs:
             events.append(CapacityEvent(epoch=end, capacities=base.copy()))
-    return ScenarioTrace(n, n_epochs, events, epoch_ms=epoch_ms)
+    return ScenarioTrace(n, n_epochs, events)
 
 
 def partition_heal_scenario(
@@ -146,7 +142,6 @@ def partition_heal_scenario(
     region_size: int = 5,
     start: int | None = None,
     heal: int | None = None,
-    epoch_ms: float = 1000.0,
 ) -> ScenarioTrace:
     """A seeded regional cluster leaves mid-trace and rejoins later.
 
@@ -179,7 +174,7 @@ def partition_heal_scenario(
             ChurnEvent(epoch=heal, node=int(node), up=True)
             for node in region
         )
-    return ScenarioTrace(n, n_epochs, events, epoch_ms=epoch_ms)
+    return ScenarioTrace(n, n_epochs, events)
 
 
 def mixed_scenario(
@@ -188,7 +183,6 @@ def mixed_scenario(
     seed: int = 7,
     churn: bool = True,
     region_size: int | None = None,
-    epoch_ms: float = 1000.0,
 ) -> ScenarioTrace:
     """The canonical everything-at-once scenario: diurnal RTT drift plus
     a flash-crowd capacity crunch plus (optionally) a regional
@@ -201,11 +195,10 @@ def mixed_scenario(
     parts = [
         diurnal_scenario(
             topology, n_epochs, seed=seed, amplitude=0.35,
-            period=max(4, n_epochs // 2), epoch_ms=epoch_ms,
+            period=max(4, n_epochs // 2),
         ),
         flash_crowd_scenario(
             topology, n_epochs, seed=seed + 1, fraction=0.3, depth=0.6,
-            epoch_ms=epoch_ms,
         ),
     ]
     if churn:
@@ -214,7 +207,7 @@ def mixed_scenario(
         parts.append(
             partition_heal_scenario(
                 topology, n_epochs, seed=seed + 2,
-                region_size=region_size, epoch_ms=epoch_ms,
+                region_size=region_size,
             )
         )
     return combine(*parts)
@@ -223,25 +216,18 @@ def mixed_scenario(
 def combine(*traces: ScenarioTrace) -> ScenarioTrace:
     """Overlay several traces over one timeline into a single trace.
 
-    All traces must agree on the node space, epoch count, and epoch
-    length; the merged event list is re-validated, so compositions that
-    would double-toggle a node's membership or double-write a vector in
-    one epoch are rejected rather than silently reordered.
+    All traces must agree on the node space and epoch count; the merged
+    event list is re-validated, so compositions that would double-toggle a
+    node's membership or double-write a vector in one epoch are rejected
+    rather than silently reordered.
     """
     if not traces:
         raise DynamicsError("combine needs at least one trace")
     head = traces[0]
     for trace in traces[1:]:
-        if (
-            trace.n_nodes != head.n_nodes
-            or trace.n_epochs != head.n_epochs
-            or trace.epoch_ms != head.epoch_ms
-        ):
+        if trace.n_nodes != head.n_nodes or trace.n_epochs != head.n_epochs:
             raise DynamicsError(
-                "combined traces must share n_nodes, n_epochs, and "
-                "epoch_ms"
+                "combined traces must share n_nodes and n_epochs"
             )
     events = [event for trace in traces for event in trace.events]
-    return ScenarioTrace(
-        head.n_nodes, head.n_epochs, events, epoch_ms=head.epoch_ms
-    )
+    return ScenarioTrace(head.n_nodes, head.n_epochs, events)

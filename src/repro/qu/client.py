@@ -14,14 +14,15 @@ contention/retry path instead.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.qu.messages import QUReply, QURequest
-from repro.qu.objects import classify_replies
+from repro.qu.messages import QURequest
+from repro.qu.objects import Candidate, classify_replies
 from repro.qu.timestamps import QUTimestamp
 from repro.sim.engine import Simulator
 from repro.sim.metrics import OperationRecord
@@ -30,14 +31,18 @@ __all__ = ["QUClient"]
 
 
 class QUClient:
-    """One closed-loop Q/U client bound to a topology node."""
+    """One closed-loop Q/U client bound to a topology node.
+
+    ``send_request(request, quorum)`` sends one attempt's request to the
+    servers listed in ``quorum``.
+    """
 
     def __init__(
         self,
         client_id: int,
         node: int,
         sim: Simulator,
-        send_request: Callable[[QURequest, int], None],
+        send_request: Callable[[QURequest, list[int]], None],
         rtt_to_server: Callable[[int], float],
         n_servers: int,
         quorum_size: int,
@@ -70,8 +75,13 @@ class QUClient:
         self._op_seq = 0
         self._condition_on = QUTimestamp.zero()
         self._pending_quorum: list[int] = []
-        self._replies: dict[int, QUReply] = {}
-        self._issued_at_ms = 0.0
+        # The current attempt's replies: each server's latest candidate,
+        # whether any server rejected, and the (time, slot) key under
+        # which the last reply arrives.
+        self._latests: list[Candidate] = []
+        self._rejected = False
+        self._done_at_ms = -math.inf
+        self._done_slot = -1
         self._first_issued_at_ms = 0.0  # survives retries of the same op
         self._retries = 0
         self._running = False
@@ -89,7 +99,7 @@ class QUClient:
         self._sim.schedule(initial_delay_ms, self._issue)
 
     def stop(self) -> None:
-        """Stop issuing new operations (in-flight replies are ignored)."""
+        """Stop issuing new operations (in-flight attempts are ignored)."""
         self._running = False
 
     # ------------------------------------------------------------------
@@ -109,31 +119,52 @@ class QUClient:
             self._op_seq += 1
             self._retries = 0
             self._first_issued_at_ms = now
-        self._issued_at_ms = now
         self._pending_quorum = self._pick_quorum()
-        self._replies = {}
-        for server_id in self._pending_quorum:
-            request = QURequest(
-                client_id=self.client_id,
-                op_seq=self._op_seq,
-                object_id=self.object_id,
-                condition_on=self._condition_on,
-                is_write=True,
-                sent_at_ms=now,
-            )
-            self._send_request(request, server_id)
+        self._latests = []
+        self._rejected = False
+        self._done_at_ms = -math.inf
+        op_seq = self._op_seq
+        condition_on = self._condition_on
+        request = QURequest(
+            client=self,
+            op_seq=op_seq,
+            object_id=self.object_id,
+            condition_on=condition_on,
+            candidate=Candidate(
+                timestamp=condition_on.next_for(self.client_id, op_seq),
+                value=op_seq,
+            ),
+        )
+        self._send_request(request, self._pending_quorum)
 
-    def on_reply(self, reply: QUReply) -> None:
-        """Network delivery callback for one server's reply."""
-        if not self._running:
-            return
-        if reply.op_seq != self._op_seq:
-            return  # stale reply from an abandoned attempt
-        if reply.server_id not in self._pending_quorum:
-            return
-        self._replies[reply.server_id] = reply
-        if len(self._replies) == self._quorum_size:
-            self._complete()
+    def on_reply(
+        self,
+        accepted: bool,
+        latest: Candidate,
+        arrives_at_ms: float,
+        slot: int,
+    ) -> None:
+        """File one quorum server's reply at the moment the server sends it.
+
+        The reply reaches this client at ``arrives_at_ms`` under the event
+        sequence number ``slot``, reserved when it was sent. Once all
+        ``q`` replies are filed, the attempt completes in one event pushed
+        at the largest ``(arrives_at_ms, slot)`` key among them: the
+        arrival, and the tie order, of its last reply. Slots grow in call
+        order, so on a tied arrival time the later reply has the larger
+        key.
+        """
+        latests = self._latests
+        latests.append(latest)
+        if not accepted:
+            self._rejected = True
+        if arrives_at_ms >= self._done_at_ms:
+            self._done_at_ms = arrives_at_ms
+            self._done_slot = slot
+        if len(latests) == self._quorum_size:
+            self._sim.schedule_reserved(
+                self._done_at_ms, self._done_slot, self._complete
+            )
 
     def _network_component_ms(self) -> float:
         """The operation's pure network component.
@@ -147,11 +178,10 @@ class QUClient:
         return max([rtt[server_id] for server_id in self._pending_quorum])
 
     def _complete(self) -> None:
-        status, top = classify_replies(
-            [r.history for r in self._replies.values()]
-        )
-        all_accepted = all(r.accepted for r in self._replies.values())
-        if status == "complete" and all_accepted:
+        if not self._running:
+            return
+        status, top = classify_replies(self._latests)
+        if status == "complete" and not self._rejected:
             self._condition_on = top.timestamp
             self.records.append(
                 OperationRecord(

@@ -1,46 +1,43 @@
-"""Q/U wire messages.
+"""The Q/U request message.
 
-Only two message types cross the simulated network: a conditioned request
-and its reply. Both carry the timing fields the metrics layer needs to
-separate network transit from queueing at servers.
+One attempt of an operation is one :class:`QURequest`, which the client
+sends to every server of its quorum. Replies carry no message object: a
+server hands its client the pair ``(accepted, latest candidate)`` when it
+sends the reply (see :meth:`repro.qu.client.QUClient.on_reply`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.qu.objects import ReplicaHistory
+from repro.qu.objects import Candidate
 from repro.qu.timestamps import QUTimestamp
 
-__all__ = ["QURequest", "QUReply"]
+if TYPE_CHECKING:
+    from repro.qu.client import QUClient
+
+__all__ = ["QURequest"]
 
 
-@dataclass
+@dataclass(slots=True)
 class QURequest:
-    """A conditioned single-round-trip operation.
+    """One attempt of a conditioned single-round-trip operation.
 
     ``condition_on`` is the object version the client believes is latest;
     a write is accepted only if the server's latest matches it. ``is_write``
     False models inline reads (no new candidate is created).
+
+    The ``q`` servers of the quorum share the request and the candidates
+    it carries: ``candidate`` is the version every accepting server
+    appends, and ``catch_up`` the conditioned-on version a lagging server
+    adopts first, built by the first server that needs it.
     """
 
-    client_id: int
+    client: QUClient
     op_seq: int
     object_id: int
     condition_on: QUTimestamp
-    is_write: bool
-    sent_at_ms: float
-    arrived_at_ms: float = -1.0
-
-
-@dataclass
-class QUReply:
-    """A server's answer: accept/reject plus its (pruned) replica history."""
-
-    server_id: int
-    client_id: int
-    op_seq: int
-    accepted: bool
-    history: ReplicaHistory
-    request_arrived_at_ms: float
-    sent_at_ms: float
+    candidate: Candidate
+    is_write: bool = True
+    catch_up: Candidate | None = None

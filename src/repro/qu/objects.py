@@ -2,7 +2,7 @@
 
 Each server keeps, per object, a *replica history* — the set of versions
 (candidates) it has accepted, ordered by timestamp. Clients classify the
-state of an object from the replica histories returned by a quorum:
+state of an object from the latest candidates a quorum's replies carry:
 
 * **complete** — every server in the quorum has the same latest candidate;
   the conditioned operation applied cleanly everywhere (the common case).
@@ -95,20 +95,16 @@ class ReplicaHistory:
         )
         self.latest = max(self.candidates, key=_timestamp)
 
-    def copy_latest(self) -> "ReplicaHistory":
-        """A lightweight copy carrying only the latest candidate (what a
-        server returns in a reply)."""
-        return ReplicaHistory(candidates=[self.latest])
 
+def classify_replies(latests: list[Candidate]) -> tuple[str, Candidate]:
+    """Classify the object state from a quorum's latest candidates.
 
-def classify_replies(histories: list[ReplicaHistory]) -> tuple[str, Candidate]:
-    """Classify the object state from a quorum of replica histories.
-
-    Returns ``("complete", latest)`` when the quorum agrees on the latest
+    ``latests`` holds the latest candidate of each quorum server's replica
+    history, which is what a server returns in its reply. Returns
+    ``("complete", latest)`` when the quorum agrees on the latest
     candidate, else ``("contended", latest)`` with the highest candidate
     seen (the version to re-condition on).
     """
-    latests = [h.latest for h in histories]
     top = max(latests, key=_timestamp)
     if all(c.timestamp == top.timestamp for c in latests):
         return "complete", top

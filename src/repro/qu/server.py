@@ -7,9 +7,9 @@ what produces the queueing growth of Figures 3.1/3.2 as client demand
 rises.
 
 On the common path a request conditioned on the server's latest version is
-accepted: the server appends the new candidate and replies with its
-(pruned) history. A request conditioned on an older version is rejected and
-the reply carries the server's latest so the client can re-condition.
+accepted: the server appends the new candidate and replies with its latest
+candidate. A request conditioned on an older version is rejected and the
+reply carries the server's latest so the client can re-condition.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.qu.messages import QUReply, QURequest
+from repro.qu.messages import QURequest
 from repro.qu.objects import Candidate, ReplicaHistory
 from repro.sim.engine import Simulator
 
@@ -27,14 +27,18 @@ __all__ = ["QUServer"]
 
 
 class QUServer:
-    """One Q/U server bound to a topology node."""
+    """One Q/U server bound to a topology node.
+
+    ``send_reply(node, request, accepted, latest)`` sends the reply to
+    ``request`` from this server's ``node``.
+    """
 
     def __init__(
         self,
         server_id: int,
         node: int,
         sim: Simulator,
-        send_reply: Callable[[QUReply, int], None],
+        send_reply: Callable[[int, QURequest, bool, Candidate], None],
         service_time_ms: float = 1.0,
     ) -> None:
         if service_time_ms < 0:
@@ -55,7 +59,6 @@ class QUServer:
     # ------------------------------------------------------------------
     def on_request(self, request: QURequest) -> None:
         """Network delivery callback: enqueue and serve FIFO."""
-        request.arrived_at_ms = self._sim.now
         self._queue.append(request)
         if not self._busy:
             self._start_next()
@@ -86,37 +89,25 @@ class QUServer:
         latest = history.latest
         accepted = True
         if request.is_write:
-            if latest.timestamp <= request.condition_on:
+            condition_on = request.condition_on
+            if latest.timestamp <= condition_on:
                 # The request's object-history set certifies condition_on,
                 # so a server that missed intervening updates adopts the
                 # conditioned-on version inline (Q/U's single-round-trip
                 # catch-up) before accepting the new one.
-                if latest.timestamp < request.condition_on:
-                    history.accept(
-                        Candidate(
-                            timestamp=request.condition_on,
+                if latest.timestamp < condition_on:
+                    catch_up = request.catch_up
+                    if catch_up is None:
+                        catch_up = request.catch_up = Candidate(
+                            timestamp=condition_on,
                             value=request.op_seq - 1,
                         )
-                    )
-                new_ts = request.condition_on.next_for(
-                    request.client_id, request.op_seq
-                )
-                history.accept(
-                    Candidate(timestamp=new_ts, value=request.op_seq)
-                )
+                    history.accept(catch_up)
+                history.accept(request.candidate)
             else:
                 accepted = False  # server has newer state: stale condition
         self.requests_processed += 1
-        reply = QUReply(
-            server_id=self.server_id,
-            client_id=request.client_id,
-            op_seq=request.op_seq,
-            accepted=accepted,
-            history=history.copy_latest(),
-            request_arrived_at_ms=request.arrived_at_ms,
-            sent_at_ms=self._sim.now,
-        )
-        self._send_reply(reply, request.client_id)
+        self._send_reply(self.node, request, accepted, history.latest)
         self._start_next()
 
     # ------------------------------------------------------------------

@@ -15,17 +15,26 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.network.graph import Topology
 from repro.qu.client import QUClient
-from repro.qu.messages import QUReply, QURequest
+from repro.qu.messages import QURequest
+from repro.qu.objects import Candidate
 from repro.qu.server import QUServer
 from repro.sim.engine import Simulator
 from repro.sim.metrics import OperationRecord
-from repro.sim.network import SimNetwork
+from repro.sim.network import SimNetwork, check_nodes
 
 __all__ = ["QUService"]
 
 
 class QUService:
-    """A Q/U deployment: servers, clients, and the simulated WAN."""
+    """A Q/U deployment: servers, clients, and the simulated WAN.
+
+    Request legs are network messages, one event each. A reply is not an
+    event: when a server sends it, the network draws its delay and the
+    engine reserves its sequence number, and the client files it (see
+    :meth:`QUClient.on_reply`). An attempt on a quorum of ``q`` servers
+    therefore costs ``2q + 1`` events: ``q`` request deliveries, ``q``
+    service completions and one completion at the client.
+    """
 
     def __init__(
         self,
@@ -40,6 +49,7 @@ class QUService:
         server_nodes = np.asarray(server_nodes, dtype=np.intp)
         if server_nodes.size == 0:
             raise SimulationError("at least one server node is required")
+        check_nodes(topology, server_nodes.tolist(), "server")
         if len(np.unique(server_nodes)) != server_nodes.size:
             raise SimulationError("server nodes must be distinct")
         if not 1 <= quorum_size <= server_nodes.size:
@@ -70,17 +80,26 @@ class QUService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route_request(self, request: QURequest, server_id: int) -> None:
-        server = self.servers[server_id]
-        client = self.clients[request.client_id]
-        self.network.send(
-            client.node, server.node, request, server.on_request
-        )
+    def _route_request(self, request: QURequest, quorum: list[int]) -> None:
+        node = request.client.node
+        send = self.network.send
+        servers = self.servers
+        for server_id in quorum:
+            server = servers[server_id]
+            send(node, server.node, request, server.on_request)
 
-    def _route_reply(self, reply: QUReply, client_id: int) -> None:
-        client = self.clients[client_id]
-        server = self.servers[reply.server_id]
-        self.network.send(server.node, client.node, reply, client.on_reply)
+    def _route_reply(
+        self,
+        server_node: int,
+        request: QURequest,
+        accepted: bool,
+        latest: Candidate,
+    ) -> None:
+        client = request.client
+        delay = self.network.message_delay(server_node, client.node)
+        client.on_reply(
+            accepted, latest, self.sim.now + delay, self.sim.reserve()
+        )
 
     # ------------------------------------------------------------------
     # Population
@@ -92,14 +111,16 @@ class QUService:
         think_time_ms: float = 0.0,
     ) -> QUClient:
         """Create a client at a topology node (not started yet)."""
+        node = int(node)
+        check_nodes(self.topology, [node], "client")
         client_id = len(self.clients)
         server_nodes = [s.node for s in self.servers]
         client = QUClient(
             client_id=client_id,
-            node=int(node),
+            node=node,
             sim=self.sim,
             send_request=self._route_request,
-            rtt_to_server=lambda sid, _nodes=server_nodes, _n=int(node): (
+            rtt_to_server=lambda sid, _nodes=server_nodes, _n=node: (
                 self.topology.distance(_n, _nodes[sid])
             ),
             n_servers=len(self.servers),

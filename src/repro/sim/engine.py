@@ -2,8 +2,10 @@
 
 A classic calendar-queue simulator: events are ``(time, sequence, callback)``
 triples on a binary heap; the sequence number makes simultaneous events fire
-in scheduling order, so runs are fully deterministic for a fixed seed. Time
-is a float in **milliseconds** to match the paper's units.
+in scheduling order, so runs are fully deterministic for a fixed seed. A
+caller may reserve a sequence number and push its event later
+(:meth:`Simulator.reserve`); the event then ties as if scheduled at the
+reservation. Time is a float in **milliseconds** to match the paper's units.
 
 The kernel is intentionally callback-based rather than coroutine-based: the
 Q/U client and server are small state machines, and callbacks keep the
@@ -62,6 +64,7 @@ class Simulator:
         self._now = 0.0
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
+        self._last_reserved = -1
         self._events_processed = 0
         self._cancelled_in_heap = 0
 
@@ -148,6 +151,39 @@ class Simulator:
         event = ScheduledEvent(time, callback, sim=self)
         event._in_heap = True
         heappush(self._heap, (time, next(self._sequence), event))
+        return event
+
+    def reserve(self) -> int:
+        """Take the sequence number an event scheduled now would get.
+
+        :meth:`schedule_reserved` later pushes an event under it, which
+        then fires in the tie order it would have had if it had been
+        scheduled at this moment. A reserved number that is never used
+        costs nothing.
+        """
+        slot = next(self._sequence)
+        self._last_reserved = slot
+        return slot
+
+    def schedule_reserved(
+        self, time: float, slot: int, callback: Callable[[], None]
+    ) -> ScheduledEvent:
+        """Schedule ``callback`` at absolute ``time`` under a reserved
+        sequence number.
+
+        ``slot`` must be a number :meth:`reserve` returned, used once;
+        one it has not handed out yet is rejected.
+        """
+        if not self._now <= time < math.inf:
+            raise SimulationError(
+                f"event time must be finite and not before the current "
+                f"time {self._now}, got {time}"
+            )
+        if not 0 <= slot <= self._last_reserved:
+            raise SimulationError(f"sequence slot {slot} was not reserved")
+        event = ScheduledEvent(time, callback, self)
+        event._in_heap = True
+        heappush(self._heap, (time, slot, event))
         return event
 
     def run(

@@ -42,7 +42,7 @@ from repro.sim.metrics import (
     ResponseTimeStats,
     summarize,
 )
-from repro.sim.network import SimNetwork
+from repro.sim.network import SimNetwork, check_nodes
 from repro.sim.workload import PoissonArrivals
 
 __all__ = ["GenericQuorumSimulation", "GenericSimResult"]
@@ -404,6 +404,7 @@ class GenericQuorumSimulation:
         self.client_nodes = np.asarray(client_nodes, dtype=np.intp)
         if self.client_nodes.size == 0:
             raise SimulationError("at least one client is required")
+        check_nodes(placed.topology, self.client_nodes.tolist(), "client")
 
         self._coalesce = coalesce
         self._timeout_ms = timeout_ms

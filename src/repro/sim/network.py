@@ -11,7 +11,7 @@ exactly.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -19,7 +19,23 @@ from repro.errors import SimulationError
 from repro.network.graph import Topology
 from repro.sim.engine import Simulator
 
-__all__ = ["SimNetwork"]
+__all__ = ["SimNetwork", "check_nodes"]
+
+
+def check_nodes(topology: Topology, nodes: Iterable[int], role: str) -> None:
+    """Reject node ids outside ``[0, n_nodes)``.
+
+    Negative ids would otherwise index the delay matrix from its end and
+    ids past it fail with a raw ``IndexError``; ``role`` names the nodes
+    in the message.
+    """
+    n_nodes = topology.n_nodes
+    for node in nodes:
+        if not 0 <= node < n_nodes:
+            raise SimulationError(
+                f"{role} node {node} is outside the topology's "
+                f"{n_nodes} nodes [0, {n_nodes})"
+            )
 
 
 class SimNetwork:
@@ -52,14 +68,14 @@ class SimNetwork:
         """Deterministic one-way delay component, ``d(src, dst) / 2``."""
         return self._topology.distance(src, dst) / 2.0
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: object,
-        on_delivery: Callable[[object], None],
-    ) -> None:
-        """Deliver ``payload`` to ``on_delivery`` after the one-way delay."""
+    def message_delay(self, src: int, dst: int) -> float:
+        """The delay of one message from ``src`` to ``dst``.
+
+        The memoized one-way delay plus, with jitter, one draw from the
+        jitter stream; the message counts in ``messages_sent``. Callers
+        that deliver a message themselves call this at the moment they
+        send it, so draws stay in send order.
+        """
         try:
             delay = self._delays[src][dst]
         except KeyError:
@@ -69,4 +85,16 @@ class SimNetwork:
         if self._jitter_ms > 0:
             delay += float(self._rng.exponential(self._jitter_ms))
         self.messages_sent += 1
-        self._sim.schedule(delay, partial(on_delivery, payload))
+        return delay
+
+    def send(
+        self,
+        src: int,
+        dst: int,
+        payload: object,
+        on_delivery: Callable[[object], None],
+    ) -> None:
+        """Deliver ``payload`` to ``on_delivery`` after the one-way delay."""
+        self._sim.schedule(
+            self.message_delay(src, dst), partial(on_delivery, payload)
+        )

@@ -15,6 +15,7 @@ from repro.errors import SimulationError
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.workload import PoissonArrivals
 
 
 @pytest.fixture()
@@ -54,6 +55,34 @@ class TestConstruction:
                 grid2_placed,
                 ExplicitStrategy.uniform(grid2_placed),
                 service_time_ms=-1.0,
+            )
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            {},
+            {"arrivals": PoissonArrivals(rate_per_ms=0.2, seed=1)},
+            {
+                "arrivals": PoissonArrivals(rate_per_ms=0.2, seed=1),
+                "backend": "fluid",
+            },
+        ],
+        ids=["closed-loop", "open-loop-events", "open-loop-fluid"],
+    )
+    def test_negative_client_node_rejected(self, maj_placed, loop):
+        """-1 would index the delay matrix from its end: node 9."""
+        with pytest.raises(SimulationError, match="node -1 .* 10 nodes"):
+            GenericQuorumSimulation(
+                maj_placed,
+                ThresholdBalancedStrategy(),
+                client_nodes=[-1, 7],
+                **loop,
+            )
+
+    def test_client_node_past_topology_rejected(self, maj_placed):
+        with pytest.raises(SimulationError, match="node 77 .* 10 nodes"):
+            GenericQuorumSimulation(
+                maj_placed, ThresholdBalancedStrategy(), client_nodes=[77, 7]
             )
 
 

@@ -1,23 +1,38 @@
 """Bit-identity of the Q/U event path against the formulation it replaced.
 
-The Section-3 Q/U simulation pays a few cheap Python calls per event:
+The Section-3 Q/U simulation pays a few cheap Python calls per event, and
+as few events and objects per operation as the protocol allows. One
+attempt on a quorum of ``q`` servers is one
+:class:`~repro.qu.messages.QURequest` shared by the ``q`` servers, one
+accepted candidate they share, and ``2q + 1`` events: ``q`` request
+deliveries, ``q`` service completions and one completion at the client,
+pushed under the sequence number the reply that arrives last reserved
+when it was sent (:meth:`Simulator.reserve`). Below that,
 :class:`~repro.qu.timestamps.QUTimestamp` orders natively as a
-``dataclass(order=True)``, :class:`~repro.qu.objects.ReplicaHistory` keeps
-its latest candidate instead of scanning for it and prunes itself on
-``accept``, :meth:`Simulator.schedule` pushes onto the heap directly, and
-:meth:`SimNetwork.send` reads one-way delays from a per-source memo. The
-reference below is the straightforward formulation those replaced —
-``total_ordering`` timestamps compared through ``_key``, a history whose
-``latest`` is a ``max`` over every candidate and which the server prunes
-every 64th request, ``schedule`` re-validating through ``schedule_at``,
-``send`` through ``one_way_delay`` — and every run must match it byte for
-byte: the same events in the same order, the same random draws, the same
-records. Any difference is a bug, not rounding.
+``dataclass(order=True)``, :class:`~repro.qu.objects.ReplicaHistory`
+keeps its latest candidate and prunes itself on ``accept``,
+:meth:`Simulator.schedule` pushes onto the heap directly, and
+:meth:`SimNetwork.message_delay` reads one-way delays from a per-source
+memo.
+
+The reference below is the straightforward event-per-message formulation
+those replaced: a request object per server and a reply message with a
+one-candidate history copy per server, each reply its own delivery event
+that the client files in a dict; ``total_ordering`` timestamps compared
+through ``_key``; a history whose ``latest`` is a ``max`` over every
+candidate and which the server prunes every 64th request; ``schedule``
+re-validating through ``schedule_at`` and ``send`` through
+``one_way_delay``. Every run must match it byte for byte: the same
+records, utilizations, messages, retries and final clock, the same random
+draws in the same order, and the same FIFO and tie order. The event count
+differs by exactly the formula in :func:`_assert_same_run`. Any other
+difference is a bug, not rounding.
 """
 
 import dataclasses
 import heapq
 import math
+from collections import deque
 from functools import total_ordering
 
 import numpy as np
@@ -25,14 +40,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.qu.client as client_module
-import repro.qu.server as server_module
+import repro.sim.experiment as experiment_module
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
-from repro.qu.messages import QUReply
+from repro.network.graph import Topology
 from repro.qu.objects import KEEP_LAST, Candidate, ReplicaHistory
-from repro.qu.server import QUServer
 from repro.qu.service import QUService
 from repro.qu.timestamps import QUTimestamp
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -45,8 +58,7 @@ from repro.sim.network import SimNetwork
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation (total_ordering timestamps, max-scan histories,
-# server-paced pruning, schedule via schedule_at, send via one_way_delay)
+# Reference protocol state (total_ordering timestamps, max-scan histories)
 # ---------------------------------------------------------------------------
 def _key(ts):
     return (ts.time, int(ts.barrier), ts.client_id, ts.op_seq)
@@ -114,54 +126,17 @@ class RefHistory:
         return RefHistory(candidates=[self.latest])
 
 
-_REF_PRUNE_EVERY = 64
+def _ref_classify(histories):
+    latests = [h.latest for h in histories]
+    top = _max_scan(latests)
+    if all(_key(c.timestamp) == _key(top.timestamp) for c in latests):
+        return "complete", top
+    return "contended", top
 
 
-def _ref_start_next(self):
-    if not self._queue:
-        self._busy = False
-        return
-    self._busy = True
-    request = self._queue.popleft()
-    self.busy_time_ms += self._service_time_ms
-    self._sim.schedule(self._service_time_ms, lambda: self._finish(request))
-
-
-def _ref_finish(self, request):
-    history = self._history_for(request.object_id)
-    latest = history.latest
-    accepted = True
-    if request.is_write:
-        if latest.timestamp <= request.condition_on:
-            if latest.timestamp < request.condition_on:
-                history.accept(
-                    Candidate(
-                        timestamp=request.condition_on,
-                        value=request.op_seq - 1,
-                    )
-                )
-            new_ts = request.condition_on.next_for(
-                request.client_id, request.op_seq
-            )
-            history.accept(Candidate(timestamp=new_ts, value=request.op_seq))
-        else:
-            accepted = False
-    self.requests_processed += 1
-    if self.requests_processed % _REF_PRUNE_EVERY == 0:
-        history.prune()
-    reply = QUReply(
-        server_id=self.server_id,
-        client_id=request.client_id,
-        op_seq=request.op_seq,
-        accepted=accepted,
-        history=history.copy_latest(),
-        request_arrived_at_ms=request.arrived_at_ms,
-        sent_at_ms=self._sim.now,
-    )
-    self._send_reply(reply, request.client_id)
-    self._start_next()
-
-
+# ---------------------------------------------------------------------------
+# Reference engine (schedule via schedule_at, send via one_way_delay)
+# ---------------------------------------------------------------------------
 def _ref_schedule(self, delay, callback):
     if not math.isfinite(delay) or delay < 0:
         raise SimulationError(
@@ -220,12 +195,274 @@ def _reference_engine(monkeypatch):
     monkeypatch.setattr(SimNetwork, "send", _ref_send)
 
 
+# ---------------------------------------------------------------------------
+# Reference Q/U path: every request and every reply is a message and an
+# event of its own, with a request and a reply history copy per server
+# ---------------------------------------------------------------------------
+_REF_PRUNE_EVERY = 64
+
+
+@dataclasses.dataclass
+class RefRequest:
+    client_id: int
+    op_seq: int
+    object_id: int
+    condition_on: object
+    is_write: bool
+    sent_at_ms: float
+    arrived_at_ms: float = -1.0
+
+
+@dataclasses.dataclass
+class RefReply:
+    server_id: int
+    client_id: int
+    op_seq: int
+    accepted: bool
+    history: RefHistory
+    request_arrived_at_ms: float
+    sent_at_ms: float
+
+
+class RefServer:
+    def __init__(self, server_id, node, sim, send_reply, service_time_ms):
+        self.server_id = server_id
+        self.node = node
+        self._sim = sim
+        self._send_reply = send_reply
+        self._service_time_ms = service_time_ms
+        self._queue = deque()
+        self._busy = False
+        self._store = {}
+        self.requests_processed = 0
+        self.busy_time_ms = 0.0
+
+    def on_request(self, request):
+        request.arrived_at_ms = self._sim.now
+        self._queue.append(request)
+        if not self._busy:
+            self._start_next()
+
+    def _start_next(self):
+        if not self._queue:
+            self._busy = False
+            return
+        self._busy = True
+        request = self._queue.popleft()
+        self.busy_time_ms += self._service_time_ms
+        self._sim.schedule(
+            self._service_time_ms, lambda: self._finish(request)
+        )
+
+    def _finish(self, request):
+        history = self._store.get(request.object_id)
+        if history is None:
+            history = self._store[request.object_id] = RefHistory()
+        latest = history.latest
+        accepted = True
+        if request.is_write:
+            if latest.timestamp <= request.condition_on:
+                if latest.timestamp < request.condition_on:
+                    history.accept(
+                        Candidate(
+                            timestamp=request.condition_on,
+                            value=request.op_seq - 1,
+                        )
+                    )
+                new_ts = request.condition_on.next_for(
+                    request.client_id, request.op_seq
+                )
+                history.accept(
+                    Candidate(timestamp=new_ts, value=request.op_seq)
+                )
+            else:
+                accepted = False
+        self.requests_processed += 1
+        if self.requests_processed % _REF_PRUNE_EVERY == 0:
+            history.prune()
+        reply = RefReply(
+            server_id=self.server_id,
+            client_id=request.client_id,
+            op_seq=request.op_seq,
+            accepted=accepted,
+            history=history.copy_latest(),
+            request_arrived_at_ms=request.arrived_at_ms,
+            sent_at_ms=self._sim.now,
+        )
+        self._send_reply(reply, request.client_id)
+        self._start_next()
+
+    def utilization(self, elapsed_ms):
+        return min(1.0, self.busy_time_ms / elapsed_ms)
+
+
+class RefClient:
+    def __init__(
+        self, client_id, node, sim, send_request, rtt_to_server,
+        n_servers, quorum_size, seed, object_id=None, think_time_ms=0.0,
+        max_retries=64, backoff_base_ms=2.0,
+    ):
+        self.client_id = client_id
+        self.node = node
+        self._sim = sim
+        self._send_request = send_request
+        self._server_rtt = [rtt_to_server(s) for s in range(n_servers)]
+        self._n_servers = n_servers
+        self._quorum_size = quorum_size
+        self._rng = np.random.default_rng(seed)
+        self.object_id = client_id if object_id is None else object_id
+        self._think_time_ms = think_time_ms
+        self._max_retries = max_retries
+        self._backoff_base_ms = backoff_base_ms
+        self._op_seq = 0
+        self._condition_on = RefTimestamp.zero()
+        self._pending_quorum = []
+        self._replies = {}
+        self._first_issued_at_ms = 0.0
+        self._retries = 0
+        self._running = False
+        self.records = []
+        self.retries_total = 0
+        self.replies_delivered = 0
+
+    def start(self, initial_delay_ms=0.0):
+        self._running = True
+        self._sim.schedule(initial_delay_ms, self._issue)
+
+    def stop(self):
+        self._running = False
+
+    def _issue(self, is_retry=False):
+        if not self._running:
+            return
+        now = self._sim.now
+        if not is_retry:
+            self._op_seq += 1
+            self._retries = 0
+            self._first_issued_at_ms = now
+        self._pending_quorum = self._rng.choice(
+            self._n_servers, size=self._quorum_size, replace=False
+        ).tolist()
+        self._replies = {}
+        for server_id in self._pending_quorum:
+            request = RefRequest(
+                client_id=self.client_id,
+                op_seq=self._op_seq,
+                object_id=self.object_id,
+                condition_on=self._condition_on,
+                is_write=True,
+                sent_at_ms=now,
+            )
+            self._send_request(request, server_id)
+
+    def on_reply(self, reply):
+        self.replies_delivered += 1
+        if not self._running:
+            return
+        if reply.op_seq != self._op_seq:
+            return
+        if reply.server_id not in self._pending_quorum:
+            return
+        self._replies[reply.server_id] = reply
+        if len(self._replies) == self._quorum_size:
+            self._complete()
+
+    def _complete(self):
+        status, top = _ref_classify(
+            [r.history for r in self._replies.values()]
+        )
+        all_accepted = all(r.accepted for r in self._replies.values())
+        if status == "complete" and all_accepted:
+            self._condition_on = top.timestamp
+            self.records.append(
+                OperationRecord(
+                    client_id=self.client_id,
+                    client_node=self.node,
+                    issued_at_ms=self._first_issued_at_ms,
+                    completed_at_ms=self._sim.now,
+                    network_delay_ms=max(
+                        self._server_rtt[s] for s in self._pending_quorum
+                    ),
+                )
+            )
+            if self._think_time_ms > 0:
+                self._sim.schedule(self._think_time_ms, self._issue)
+            else:
+                self._issue()
+            return
+        self._condition_on = top.timestamp
+        self._retries += 1
+        self.retries_total += 1
+        if self._retries > self._max_retries:
+            raise SimulationError(
+                f"client {self.client_id} exceeded {self._max_retries} "
+                "retries; workload is livelocked"
+            )
+        scale = self._backoff_base_ms * (2.0 ** min(self._retries, 8))
+        backoff = float(self._rng.uniform(0.0, scale))
+        self._sim.schedule(backoff, lambda: self._issue(True))
+
+
+class RefService(QUService):
+    """:class:`QUService` on the reference server, client and routing.
+
+    ``run``, ``all_records`` and ``server_utilizations`` are inherited:
+    they read only what both paths keep.
+    """
+
+    def __init__(
+        self, topology, server_nodes, quorum_size, sim=None,
+        service_time_ms=1.0, network_jitter_ms=0.0, seed=0,
+    ):
+        super().__init__(
+            topology, server_nodes, quorum_size, sim=sim,
+            service_time_ms=service_time_ms,
+            network_jitter_ms=network_jitter_ms, seed=seed,
+        )
+        self.servers = [
+            RefServer(
+                s.server_id, s.node, self.sim, self._route_reply,
+                service_time_ms,
+            )
+            for s in self.servers
+        ]
+
+    def _route_request(self, request, server_id):
+        server = self.servers[server_id]
+        client = self.clients[request.client_id]
+        self.network.send(
+            client.node, server.node, request, server.on_request
+        )
+
+    def _route_reply(self, reply, client_id):
+        client = self.clients[client_id]
+        server = self.servers[reply.server_id]
+        self.network.send(server.node, client.node, reply, client.on_reply)
+
+    def add_client(self, node, object_id=None, think_time_ms=0.0):
+        client_id = len(self.clients)
+        server_nodes = [s.node for s in self.servers]
+        client = RefClient(
+            client_id=client_id,
+            node=int(node),
+            sim=self.sim,
+            send_request=self._route_request,
+            rtt_to_server=lambda sid: self.topology.distance(
+                int(node), server_nodes[sid]
+            ),
+            n_servers=len(self.servers),
+            quorum_size=self.quorum_size,
+            seed=self._seed * 100_003 + 7919 * client_id,
+            object_id=object_id,
+            think_time_ms=think_time_ms,
+        )
+        self.clients.append(client)
+        return client
+
+
 def _reference_qu(monkeypatch):
     _reference_engine(monkeypatch)
-    monkeypatch.setattr(client_module, "QUTimestamp", RefTimestamp)
-    monkeypatch.setattr(server_module, "ReplicaHistory", RefHistory)
-    monkeypatch.setattr(QUServer, "_start_next", _ref_start_next)
-    monkeypatch.setattr(QUServer, "_finish", _ref_finish)
+    monkeypatch.setattr(experiment_module, "QUService", RefService)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +512,29 @@ def _spy_services(monkeypatch):
 
 def _service_outcome(service):
     return (
-        service.sim.events_processed,
-        service.sim.now,
+        np.float64(service.sim.now).tobytes(),
         service.network.messages_sent,
         [c.retries_total for c in service.clients],
         _record_bytes(service.all_records()),
         service.server_utilizations().tobytes(),
+    )
+
+
+def _assert_same_run(new, ref):
+    """``new`` and the reference ``ref`` ran the same simulation.
+
+    Everything but the event count is byte-equal. The reference processed
+    one event per reply delivery; ``new`` processes none of those and one
+    completion event per finished attempt instead, which is a recorded
+    operation or a retry.
+    """
+    assert _service_outcome(new) == _service_outcome(ref)
+    replies = sum(c.replies_delivered for c in ref.clients)
+    attempts = sum(
+        c.operations_completed + c.retries_total for c in new.clients
+    )
+    assert new.sim.events_processed == (
+        ref.sim.events_processed - replies + attempts
     )
 
 
@@ -348,7 +602,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("accept"), _SMALL_TS),
         st.tuples(st.just("prune"), st.integers(1, 2 * KEEP_LAST + 2)),
-        st.tuples(st.just("copy"), st.none()),
     ),
     max_size=60,
 )
@@ -371,13 +624,9 @@ def _check_history_ops(history_cls, initial, ops):
             reference.accept(candidate)
             if len(reference.candidates) > 2 * KEEP_LAST:
                 reference.prune()
-        elif op == "prune":
+        else:
             history.prune(keep_last=arg)
             reference.prune(keep_last=arg)
-        else:
-            copy = history.copy_latest()
-            assert len(copy.candidates) == 1
-            assert copy.latest is history.latest
         assert len(history.candidates) <= 2 * KEEP_LAST
         assert len(history.candidates) == len(reference.candidates)
         assert all(
@@ -406,7 +655,7 @@ def test_fresh_history_starts_at_zero():
 
 
 _TIED = QUTimestamp(time=1, client_id=0, op_seq=0)
-_TIE_OPS = [("accept", _TIED), ("accept", _TIED), ("copy", None)]
+_TIE_OPS = [("accept", _TIED), ("accept", _TIED)]
 
 
 def test_equal_timestamps_keep_first_candidate():
@@ -457,13 +706,14 @@ def test_run_qu_experiment_bit_identical(
         _reference_qu(patch)
         expected = run_qu_experiment(planetlab, config)
     new, ref = services
-    assert _service_outcome(new) == _service_outcome(ref)
+    assert type(ref) is RefService
+    _assert_same_run(new, ref)
     assert new.sim.events_processed > 0
     _assert_identical(actual, expected)
 
 
-def _jittered_service(planetlab, object_id=None):
-    service = QUService(
+def _jittered_service(planetlab, service_cls, object_id=None):
+    service = service_cls(
         planetlab, np.arange(6), quorum_size=5, seed=42,
         network_jitter_ms=0.5,
     )
@@ -475,22 +725,127 @@ def _jittered_service(planetlab, object_id=None):
 
 
 def test_qu_service_with_jitter_bit_identical(planetlab, monkeypatch):
-    new = _jittered_service(planetlab)
+    new = _jittered_service(planetlab, QUService)
     with monkeypatch.context() as patch:
-        _reference_qu(patch)
-        ref = _jittered_service(planetlab)
-    assert _service_outcome(new) == _service_outcome(ref)
+        _reference_engine(patch)
+        ref = _jittered_service(planetlab, RefService)
+    _assert_same_run(new, ref)
 
 
 def test_shared_object_contention_bit_identical(planetlab, monkeypatch):
     """Every client writes object 0: rejections, re-conditioning and the
     randomized backoff draws must replay exactly."""
-    new = _jittered_service(planetlab, object_id=0)
+    new = _jittered_service(planetlab, QUService, object_id=0)
     assert sum(c.retries_total for c in new.clients) > 0
     with monkeypatch.context() as patch:
-        _reference_qu(patch)
-        ref = _jittered_service(planetlab, object_id=0)
-    assert _service_outcome(new) == _service_outcome(ref)
+        _reference_engine(patch)
+        ref = _jittered_service(planetlab, RefService, object_id=0)
+    _assert_same_run(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# Tie-heavy topologies: integer delays make events coincide exactly, so
+# the FIFO order and the tie order by sequence number are on the path
+# ---------------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _Scenario:
+    points: tuple  # grid position of each node
+    servers: tuple  # distinct server nodes
+    quorum_size: int
+    sites: tuple  # client sites, repeats and server nodes allowed
+    clients_per_site: int
+    shared_object: bool
+    jitter_ms: float
+    think_time_ms: float
+    seed: int
+    duration_ms: float = 150.0
+
+    def topology(self):
+        """RTT = 2 x Manhattan distance: integer one-way delays, and zero
+        between nodes on the same grid point."""
+        xy = np.asarray(self.points, dtype=np.float64)
+        manhattan = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+        return Topology(2.0 * manhattan, metric_closure=False)
+
+
+def _run_scenario(scenario, service_cls):
+    service = service_cls(
+        scenario.topology(), np.asarray(scenario.servers),
+        quorum_size=scenario.quorum_size,
+        network_jitter_ms=scenario.jitter_ms, seed=scenario.seed,
+    )
+    for site in scenario.sites:
+        for _ in range(scenario.clients_per_site):
+            service.add_client(
+                site,
+                object_id=0 if scenario.shared_object else None,
+                think_time_ms=scenario.think_time_ms,
+            )
+    service.run(duration_ms=scenario.duration_ms)
+    return service
+
+
+def _check_scenario(scenario):
+    new = _run_scenario(scenario, QUService)
+    with pytest.MonkeyPatch.context() as patch:
+        _reference_engine(patch)
+        ref = _run_scenario(scenario, RefService)
+    _assert_same_run(new, ref)
+
+
+@st.composite
+def _tie_heavy_scenarios(draw):
+    n_nodes = draw(st.integers(2, 7))
+    cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    points = draw(st.lists(cell, min_size=n_nodes, max_size=n_nodes))
+    servers = draw(
+        st.lists(
+            st.integers(0, n_nodes - 1),
+            min_size=1, max_size=min(n_nodes, 5), unique=True,
+        )
+    )
+    # Half the sites sit on a server node: zero-delay legs.
+    site = st.one_of(
+        st.sampled_from(servers), st.integers(0, n_nodes - 1)
+    )
+    return _Scenario(
+        points=tuple(points),
+        servers=tuple(servers),
+        quorum_size=draw(st.integers(1, len(servers))),
+        sites=tuple(draw(st.lists(site, min_size=1, max_size=3))),
+        clients_per_site=draw(st.integers(1, 5)),
+        shared_object=draw(st.booleans()),
+        jitter_ms=draw(st.sampled_from([0.0, 0.5])),
+        think_time_ms=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario=_tie_heavy_scenarios())
+def test_tie_heavy_topologies_bit_identical(scenario):
+    _check_scenario(scenario)
+
+
+#: Pushing the completion under a fresh sequence number at the last
+#: service completion, instead of the one its last reply reserved,
+#: diverges here: every server node is also a client site, and a
+#: completion ties with events scheduled between the two.
+_FRESH_SEQUENCE_DIVERGES = _Scenario(
+    points=((1, 1), (0, 1), (2, 1), (1, 1), (1, 1), (2, 0)),
+    servers=(1, 2, 4),
+    quorum_size=2,
+    sites=(1, 2, 4),
+    clients_per_site=3,
+    shared_object=False,
+    jitter_ms=0.0,
+    think_time_ms=0.0,
+    seed=0,
+)
+
+
+def test_completion_keeps_the_last_reply_tie_order():
+    _check_scenario(_FRESH_SEQUENCE_DIVERGES)
 
 
 def _generic_run(line_topology):

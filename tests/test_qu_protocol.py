@@ -71,32 +71,19 @@ class TestReplicaHistory:
         h.prune(keep_last=8)
         assert len(h.candidates) == 1
 
-    def test_copy_latest_is_minimal(self):
-        h = ReplicaHistory()
-        ts = QUTimestamp.zero().next_for(1, 1)
-        h.accept(Candidate(ts, value=1))
-        copy = h.copy_latest()
-        assert len(copy.candidates) == 1
-        assert copy.latest.timestamp == ts
-
 
 class TestClassification:
     def test_agreeing_quorum_is_complete(self):
         ts = QUTimestamp.zero().next_for(1, 1)
-        histories = [
-            ReplicaHistory(candidates=[Candidate(ts, 1)]) for _ in range(3)
-        ]
-        status, top = classify_replies(histories)
+        latests = [Candidate(ts, 1) for _ in range(3)]
+        status, top = classify_replies(latests)
         assert status == "complete"
         assert top.timestamp == ts
 
     def test_lagging_server_is_contended(self):
         ts1 = QUTimestamp.zero().next_for(1, 1)
         ts2 = ts1.next_for(1, 2)
-        histories = [
-            ReplicaHistory(candidates=[Candidate(ts2, 2)]),
-            ReplicaHistory(candidates=[Candidate(ts1, 1)]),
-        ]
-        status, top = classify_replies(histories)
+        latests = [Candidate(ts2, 2), Candidate(ts1, 1)]
+        status, top = classify_replies(latests)
         assert status == "contended"
         assert top.timestamp == ts2  # re-condition on the highest seen

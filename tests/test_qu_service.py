@@ -32,6 +32,29 @@ class TestServiceConstruction:
         with pytest.raises(SimulationError):
             service.run(duration_ms=100.0)
 
+    def test_negative_server_node_rejected(self, planetlab):
+        """-1 would index the delay matrix from its end: node 49."""
+        with pytest.raises(SimulationError, match="node -1 .* 50 nodes"):
+            build_service(planetlab, [0, 1, 2, 3, -1], 3)
+
+    def test_negative_alias_of_a_server_node_rejected(self, planetlab):
+        """-1 is node 49 again, though the ids differ."""
+        with pytest.raises(SimulationError, match="node -1 .* 50 nodes"):
+            build_service(planetlab, [0, 49, -1], 2)
+
+    def test_server_node_past_topology_rejected(self, planetlab):
+        with pytest.raises(SimulationError, match="node 77 .* 50 nodes"):
+            build_service(planetlab, [0, 1, 77], 2)
+
+    @pytest.mark.parametrize("node", [-2, 77])
+    def test_client_node_outside_topology_rejected(self, planetlab, node):
+        service = build_service(planetlab, [0, 1, 2, 3], 3)
+        with pytest.raises(
+            SimulationError, match=f"node {node} .* 50 nodes"
+        ):
+            service.add_client(node)
+        assert service.clients == []
+
 
 class TestSingleClient:
     def test_operations_complete(self, line_topology):

@@ -98,6 +98,65 @@ class TestScheduling:
             Simulator().run()
 
 
+class TestReservedSlots:
+    def test_reserved_event_fires_in_reservation_order(self):
+        """An event pushed under a reserved number ties as if it had been
+        scheduled when the number was reserved."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append("before"))
+        slot = sim.reserve()
+        sim.schedule(5.0, lambda: fired.append("after"))
+        sim.schedule_reserved(5.0, slot, lambda: fired.append("reserved"))
+        sim.run(until=10.0)
+        assert fired == ["before", "reserved", "after"]
+
+    def test_unused_reservations_shift_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        for _ in range(3):
+            sim.reserve()
+        sim.schedule(1.0, lambda: fired.append("b"))
+        sim.run(until=2.0)
+        assert fired == ["a", "b"]
+        assert sim.events_processed == 2
+
+    @pytest.mark.parametrize(
+        "bad", [2.999, float("inf"), float("-inf"), float("nan")]
+    )
+    def test_time_before_now_or_non_finite_rejected(self, bad):
+        sim = Simulator()
+        sim.run(until=3.0)
+        slot = sim.reserve()
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(bad, slot, lambda: None)
+        assert sim.pending_events == 0
+        sim.schedule_reserved(3.0, slot, lambda: None)
+        assert sim.pending_events == 1
+
+    def test_slot_not_reserved_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="not reserved"):
+            sim.schedule_reserved(1.0, 0, lambda: None)
+        slot = sim.reserve()
+        for bad in (slot + 1, -1):
+            with pytest.raises(SimulationError, match="not reserved"):
+                sim.schedule_reserved(1.0, bad, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_reserved_event_is_cancellable(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_reserved(
+            1.0, sim.reserve(), lambda: fired.append(1)
+        )
+        event.cancel()
+        sim.run(until=2.0)
+        assert fired == []
+        assert sim.events_processed == 0
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()

@@ -55,6 +55,22 @@ class TestSimNetwork:
 
         assert run_once() == run_once()
 
+    def test_message_delay_is_what_send_waits(self, line_topology):
+        """``message_delay`` draws jitter and counts the message exactly
+        as ``send`` does, in call order."""
+        sim = Simulator()
+        sender = SimNetwork(sim, line_topology, jitter_ms=5.0, seed=3)
+        arrivals = []
+        for i, dst in enumerate((9, 2, 9)):
+            sender.send(
+                0, dst, i, lambda i: arrivals.append((i, sim.now))
+            )
+        sim.run(until=1000.0)
+        direct = SimNetwork(Simulator(), line_topology, jitter_ms=5.0, seed=3)
+        delays = [direct.message_delay(0, dst) for dst in (9, 2, 9)]
+        assert [t for _, t in sorted(arrivals)] == delays
+        assert direct.messages_sent == sender.messages_sent == 3
+
     def test_negative_jitter_rejected(self, line_topology):
         with pytest.raises(SimulationError):
             SimNetwork(Simulator(), line_topology, jitter_ms=-1.0)
