@@ -5,8 +5,9 @@ ISSUE targets (a thousand client sites, ~10^6 requests) a single run is
 minutes of interpreter time. The fluid backend
 (:mod:`repro.sim.fluid`) evaluates the identical workload model with
 array programs — bulk Poisson arrivals, bulk-sampled quorum choices in
-one flat request table, a segmented Lindley recursion per server — so
-simulated-request throughput is bounded by numpy, not the event loop.
+one flat request table, one exact (server, arrival) sort and one padded
+Lindley pass over every server's queue — so simulated-request throughput
+is bounded by numpy, not the event loop.
 
 This benchmark runs the same open-loop scenario (wan-1000, majority 3/5
 placed on the lowest-mean-distance sites, balanced strategy, clients on

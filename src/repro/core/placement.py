@@ -235,23 +235,28 @@ class PlacedQuorumSystem:
         )
         return np.ascontiguousarray(support_col[table].T)
 
+    #: Elements of the gathered (slots, quorums, clients) temporary of one
+    #: :meth:`_max_over_quorums` chunk (16 MB of float64).
+    _GATHER_BUDGET = 2_000_000
+
     def _max_over_quorums(self, values: np.ndarray) -> np.ndarray:
         """``out[v, i] = max_j values[v, slots[j, i]]`` over support columns.
 
-        ``values`` is (clients, |f(U)|). One running ``np.maximum`` per slot,
-        chunked over quorums so each gathered (clients, chunk) temporary
-        stays within a few megabytes even for enumerated threshold systems.
+        ``values`` is (clients, |f(U)|). Per chunk of quorums, one gather
+        of every slot's column (a row of the transposed values, so each is
+        one contiguous copy) and one ``max`` over the slot axis. The chunk
+        shrinks with the slot count, so the gathered (slots, chunk,
+        clients) temporary stays within :attr:`_GATHER_BUDGET` elements
+        even for enumerated threshold systems.
         """
         slots = self._quorum_slots
-        n, m = values.shape[0], slots.shape[1]
+        n, k, m = values.shape[0], slots.shape[0], slots.shape[1]
         out = np.empty((n, m))
-        chunk = max(1, 2_000_000 // max(1, n))
+        columns = np.ascontiguousarray(values.T)
+        chunk = max(1, self._GATHER_BUDGET // max(1, n * k))
         for start in range(0, m, chunk):
-            cols = slots[:, start : start + chunk]
-            block = out[:, start : start + chunk]
-            np.take(values, cols[0], axis=1, out=block)
-            for slot in cols[1:]:
-                np.maximum(block, values[:, slot], out=block)
+            block = columns[slots[:, start : start + chunk]]
+            out[:, start : start + chunk] = block.max(axis=0).T
         return out
 
     def _support_costs(self, node_costs: object) -> np.ndarray:

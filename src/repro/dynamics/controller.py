@@ -339,6 +339,8 @@ class AdaptiveController:
         delta: np.ndarray | None = None
         effective: np.ndarray | None = None
         matrix: np.ndarray | None = None
+        probe_strategy: ExplicitStrategy | None = None
+        probe_source: np.ndarray | None = None  # the matrix it was built from
         value_at_reopt = np.inf
         retry_pending = False  # last attempt was infeasible: keep trying
 
@@ -370,13 +372,15 @@ class AdaptiveController:
             else:
                 # Probe the world with the strategy actually in force
                 # (the uniform fallback before anything is), estimate,
-                # and decide from the estimates only.
-                probe_matrix = matrix if matrix is not None else (
-                    self._uniform
-                )
+                # and decide from the estimates only. The probe's strategy
+                # is built once per matrix put in force.
+                in_force = matrix if matrix is not None else self._uniform
+                if probe_strategy is None or probe_source is not in_force:
+                    probe_strategy = ExplicitStrategy(in_force)
+                    probe_source = in_force
                 sample = probe_epoch(
                     self.placed,
-                    probe_matrix,
+                    probe_strategy,
                     effective,
                     caps[i],
                     telemetry,

@@ -130,7 +130,7 @@ class TelemetryConfig:
 
 def probe_epoch(
     placed: PlacedQuorumSystem,
-    matrix: np.ndarray,
+    strategy: ExplicitStrategy,
     rtt: np.ndarray,
     capacities: np.ndarray,
     config: TelemetryConfig,
@@ -138,13 +138,18 @@ def probe_epoch(
 ) -> PairTelemetry:
     """Measure one epoch: simulate the strategy in force, return telemetry.
 
-    The probe rebuilds the placed system on the epoch's *true* drifted
+    The probe moves the placed system onto the epoch's *true* drifted
     ``rtt`` and ``capacities`` (that is the world the probe traffic
     traverses — the controller only ever sees the returned sample), runs
-    an open-loop Poisson workload sampling quorums from ``matrix``, and
+    an open-loop Poisson workload sampling quorums from ``strategy``, and
     returns the per-(client node, server) reply aggregates. Nodes serve
     at ``config.service_time_ms / capacity`` per unit, so each reply's
     reported service time carries the capacity signal.
+
+    ``rtt`` is taken as is (:meth:`Topology.adopt`), so it must be a
+    float64 matrix that is exactly symmetric with a zero diagonal, as
+    :func:`~repro.dynamics.events.effective_rtt` of a topology's matrix
+    is; it is marked read-only.
     """
     caps = np.maximum(
         np.asarray(capacities, dtype=np.float64), _MIN_CAPACITY
@@ -153,11 +158,11 @@ def probe_epoch(
     # every epoch's drifted copy carries it instead of rebuilding it.
     placed.quorum_node_table
     probe_placed = placed.with_topology(
-        Topology(rtt, capacities=caps, metric_closure=False)
+        Topology.adopt(rtt, placed.topology.names, caps)
     )
     sim = GenericQuorumSimulation(
         probe_placed,
-        ExplicitStrategy(matrix),
+        strategy,
         service_time_ms=config.service_time_ms / caps,
         seed=seed,
         arrivals=PoissonArrivals(

@@ -219,20 +219,20 @@ class _HighsBackend:
             raise SolverError(f"HiGHS rejected the model: {status}")
         self._solver = solver
 
-    def _copy_basis(self, basis: Any) -> Any:
-        # getBasis() hands back a view of solver-internal state; snapshot
-        # the status vectors so the anchor survives later solves.
-        copy = self._hs.HighsBasis()
-        copy.col_status = list(basis.col_status)
-        copy.row_status = list(basis.row_status)
-        copy.valid = basis.valid
-        copy.alien = basis.alien
-        return copy
-
     def capture_anchor(self) -> None:
         """Snapshot the current basis as the canonical restart point."""
         basis = self._solver.getBasis()
-        self._anchor = self._copy_basis(basis) if basis.valid else None
+        if not basis.valid:
+            self._anchor = None
+            return
+        # getBasis() hands back a view of solver-internal state; snapshot
+        # the status vectors so the anchor survives later solves.
+        anchor = self._hs.HighsBasis()
+        anchor.col_status = list(basis.col_status)
+        anchor.row_status = list(basis.row_status)
+        anchor.valid = basis.valid
+        anchor.alien = basis.alien
+        self._anchor = anchor
 
     def restart(self) -> bool:
         """Reset the solver onto the anchor basis (cold if none captured).
@@ -243,7 +243,8 @@ class _HighsBackend:
         solve is a warm start (the ``lp.warm_start_hit`` counter).
         """
         if self._anchor is not None:
-            status = self._solver.setBasis(self._copy_basis(self._anchor))
+            # setBasis copies the statuses in: the anchor stays untouched.
+            status = self._solver.setBasis(self._anchor)
             if status != self._hs.HighsStatus.kError:
                 return True
         self._solver.clearSolver()

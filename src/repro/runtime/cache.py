@@ -11,9 +11,12 @@ Cache layout (under :func:`default_cache_dir`, overridable with the
 
     <root>/<key[:2]>/<key>.pkl
 
-where ``key`` is the 64-hex-character content digest. Values are pickled;
-writes go through a temporary file and :func:`os.replace` so concurrent
-workers never observe a torn entry.
+where ``key`` is the 64-hex-character content digest. An entry is a short
+header — :data:`_ENTRY_MAGIC` and the BLAKE2b digest of the pickle bytes —
+followed by the pickled value. Reads verify the digest, so a flipped bit
+or a truncated write is a miss, never a wrong answer. Writes go through a
+temporary file and :func:`os.replace` so concurrent workers never observe
+a torn entry.
 """
 
 from __future__ import annotations
@@ -92,7 +95,17 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: element on an under-capacity ``v0`` (``Topology.ball`` adds ``v`` only
 #: when it is eligible), which moves placements under non-uniform
 #: capacities.
-CACHE_SCHEMA_VERSION = 8
+#:
+#: v9: entries carry a header with the BLAKE2b digest of their pickle
+#: bytes, verified on read; v8 entries (bare pickles) have no header and
+#: would read as corrupt, so the bump retires them as plain misses.
+CACHE_SCHEMA_VERSION = 9
+
+#: First bytes of every entry; the pickle's digest follows.
+_ENTRY_MAGIC = b"repro-cache\x00"
+
+#: BLAKE2b digest size, in bytes, in the entry header.
+_DIGEST_SIZE = 16
 
 
 def default_cache_dir() -> Path:
@@ -145,6 +158,11 @@ def _feed(hasher: "hashlib._Hash", obj: Any) -> None:
         raise TypeError(
             f"cannot build a stable cache key from {type(obj).__name__!r}"
         )
+
+
+def _digest(payload: bytes | memoryview) -> bytes:
+    """The entry header's digest of an entry's pickle bytes."""
+    return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
 
 
 def content_key(**components: Any) -> str:
@@ -228,7 +246,7 @@ def system_fingerprint(system: QuorumSystem) -> str:
 
 
 class ResultCache:
-    """Pickle-backed result store keyed by :func:`content_key` digests.
+    """Digest-checked pickle store keyed by :func:`content_key` digests.
 
     With ``max_size_bytes`` set, the cache trims itself back under the
     budget after every store (and once at construction) by deleting the
@@ -266,16 +284,22 @@ class ResultCache:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss.
 
         A corrupt or unreadable entry counts as a miss (it will be
-        overwritten by the next :meth:`put`).
+        overwritten by the next :meth:`put`). An entry whose header or
+        digest does not match its bytes also counts ``cache.corrupt``.
         """
         path = self.path_for(key)
         try:
-            with path.open("rb") as fh:
-                value = pickle.load(fh)
+            data = path.read_bytes()
+            start = len(_ENTRY_MAGIC) + _DIGEST_SIZE
+            payload = memoryview(data)[start:]
+            if data[:start] != _ENTRY_MAGIC + _digest(payload):
+                obs.count("cache.corrupt")
+                raise ValueError(f"cache entry {path} fails its digest")
+            value = pickle.loads(payload)
         except Exception:  # repro-lint: disable=RL005 -- corrupt entry = cache miss by contract; recomputed and overwritten by the next put
-            # Unpickling corrupt bytes can raise nearly anything
-            # (UnpicklingError, ValueError, EOFError, AttributeError...);
-            # any unreadable entry is a miss and will be overwritten.
+            # Unpickling can raise nearly anything (UnpicklingError,
+            # ValueError, EOFError, AttributeError...); any unreadable
+            # entry is a miss and will be overwritten.
             self.misses += 1
             obs.count("cache.miss")
             return False, None
@@ -296,10 +320,12 @@ class ResultCache:
                 old_size = path.stat().st_size
             except OSError:
                 old_size = 0
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(_ENTRY_MAGIC + _digest(payload))
+                fh.write(payload)
             os.replace(tmp, path)
         except BaseException:
             try:

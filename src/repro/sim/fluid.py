@@ -23,14 +23,32 @@ The pipeline:
    through those columns, with no loop over clients or quorums.
 3. **Vectorized server queueing** — each server's FIFO delay is the
    Lindley recursion over its time-sorted arrivals
-   (``np.maximum.accumulate`` over cumulative service sums);
-   :class:`~repro.sim.failures.FailureSchedule` down-windows become
-   ``searchsorted`` drop masks that preserve the event engine's
-   "crash drops the queue" semantics and ``requests_dropped`` accounting.
+   (``np.maximum.accumulate`` over cumulative service sums).
+   The table is put in (server, arrival) order by one sort of unique
+   int64 keys ``(server rank * n + arrival dense rank) * n + row`` (``n``
+   rows; the dense rank comes from one ``argsort``), which is exactly the
+   permutation ``np.lexsort((arrival, server))`` returns, ties in table
+   order included. Without failures, every server's run becomes one row
+   of a zero-padded ``(servers, longest run)`` block and a single
+   row-wise pass serves them all: row-wise ``cumsum`` and
+   ``maximum.accumulate`` compute each row exactly as a 1-D pass would.
+   The block holds at most twice the table's rows; runs too long to pad
+   the rest to (one server holding most requests) take a 1-D pass each.
+   Departures never decrease along a run, so the processed count is a
+   segment sum, while busy time stays one pairwise ``sum`` per server
+   over its processed prefix: a segmented ``add.reduceat`` or padded row
+   sums add in another order and would change the bits.
+   :class:`~repro.sim.failures.FailureSchedule` down-windows keep the
+   per-server form: ``searchsorted`` drop masks that preserve the event
+   engine's "crash drops the queue" semantics and ``requests_dropped``
+   accounting.
 4. **Columnar metrics** — each operation's requests are contiguous in the
-   table, so completions reduce with one ``np.maximum.reduceat`` and
-   summarize through :func:`repro.sim.metrics.summarize_arrays`; a
-   million operations never materialize a million ``OperationRecord``s.
+   table, so completions reduce with one ``np.maximum.reduceat``. The
+   response-time summary (:func:`repro.sim.metrics.summarize_arrays`,
+   percentiles included) runs on the first read of ``stats``; a million
+   operations never materialize a million ``OperationRecord``s, and a
+   caller that reads only counters or telemetry never sorts for
+   percentiles.
 
 Semantics relative to the reference engine (exact unless noted):
 
@@ -50,6 +68,7 @@ Semantics relative to the reference engine (exact unless noted):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,18 +91,93 @@ _SUBSET_CHUNK = 1 << 17
 #: temporary (chunk, quorums) float gather to 4 MiB).
 _CDF_CHUNK = 1 << 19
 
-_NO_WINDOWS = np.empty((0, 2), dtype=np.float64)
-
 
 def _lindley(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Departure times of a FIFO single server starting empty.
 
     ``D_j = S_j + max_{k<=j}(a_k - S_{k-1})`` with ``S`` the cumulative
     service sums — the Lindley recursion as two cumulative array passes.
-    ``arrivals`` must be sorted ascending.
+    ``arrivals`` must be sorted ascending. A 2-D input holds one server
+    per row: both passes run along the rows, each row exactly as its own
+    1-D pass would, and padding after a row's run leaves the run alone.
     """
-    cum = np.cumsum(service)
-    return np.maximum.accumulate(arrivals - (cum - service)) + cum
+    cum = np.cumsum(service, axis=-1)
+    return np.maximum.accumulate(arrivals - (cum - service), axis=-1) + cum
+
+
+def _queue_order(
+    server_rank: np.ndarray, arrive: np.ndarray, n_servers: int
+) -> np.ndarray:
+    """The permutation ``np.lexsort((arrive, server_rank))`` returns.
+
+    One sort of unique int64 keys ``(rank * n + arrival dense rank) * n +
+    row``, where ``n`` is the table size: ties on (server, arrival) keep
+    table order, as lexsort's stable passes do, and unique keys make any
+    sort return the same permutation. The dense rank of the arrivals
+    comes from one default ``argsort`` (tied arrivals share a rank
+    whatever order it leaves them in). Falls back to ``lexsort`` when the
+    keys would overflow int64.
+    """
+    n = arrive.size
+    if n_servers * n * n > np.iinfo(np.int64).max:
+        return np.lexsort((arrive, server_rank))
+    by_time = np.argsort(arrive)
+    ordered = arrive[by_time]
+    new_value = np.empty(n, dtype=np.int64)
+    new_value[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=new_value[1:])
+    dense = np.empty(n, dtype=np.int64)
+    dense[by_time] = np.cumsum(new_value)
+    key = server_rank.astype(np.int64) * n + dense
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    return np.argsort(key)
+
+
+def _padded_departures(
+    arrivals: np.ndarray,
+    service: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Failure-free departures of every server's run of the sorted table.
+
+    Server ``s`` owns rows ``starts[s]:starts[s] + counts[s]``. The runs
+    become the rows of one zero-padded ``(servers, longest run)`` block and
+    one row-wise Lindley pass serves them all. The block stays within
+    twice the table: the longest runs, while padding every remaining run
+    to the longest of them would exceed that, take one 1-D pass each.
+    """
+    total = arrivals.size
+    departures = np.empty(total, dtype=np.float64)
+    servers = np.flatnonzero(counts)
+    by_length = servers[np.argsort(-counts[servers])]
+    lengths = counts[by_length]
+    rows_left = np.arange(lengths.size, 0, -1)
+    first = int(np.argmax(rows_left * lengths <= 2 * total))
+    for s in by_length[:first].tolist():
+        run = slice(starts[s], starts[s] + counts[s])
+        departures[run] = _lindley(arrivals[run], service[run])
+
+    padded = np.sort(by_length[first:])
+    run_length = counts[padded]
+    width = int(lengths[first])
+    offset = np.cumsum(run_length) - run_length
+    flat = np.arange(int(run_length.sum()))
+    cells = flat + np.repeat(
+        np.arange(padded.size) * width - offset, run_length
+    )
+    # Table rows of the padded runs: all of them, in order, unless some
+    # run took a 1-D pass.
+    table_rows: slice | np.ndarray = slice(None)
+    if first:
+        table_rows = flat + np.repeat(starts[padded] - offset, run_length)
+    block = np.zeros((2, padded.size * width))
+    block[0, cells] = arrivals[table_rows]
+    block[1, cells] = service[table_rows]
+    block = block.reshape(2, padded.size, width)
+    departures[table_rows] = _lindley(block[0], block[1]).ravel()[cells]
+    return departures
 
 
 def _fifo_departures(
@@ -285,32 +379,49 @@ def run_fluid(
 
     # ------------------------------------------------------------------
     # Per-server FIFO queueing: sort by (server, arrival) once, Lindley
-    # within each server run, scatter departures back.
+    # over each server's run, scatter departures back. Servers are ranked
+    # by position in the (sorted, distinct) support set.
     # ------------------------------------------------------------------
-    order = np.lexsort((req_arrive, req_server))
-    srv_sorted = req_server[order]
+    servers = sim.placed.placement.support_set
+    rank_of = np.zeros(sim.placed.n_nodes, dtype=np.intp)
+    rank_of[servers] = np.arange(servers.size)
+    req_rank = rank_of[req_server]
+    order = _queue_order(req_rank, req_arrive, servers.size)
     arr_sorted = req_arrive[order]
     svc_sorted = req_service[order]
-    dep_sorted = np.empty(total, dtype=np.float64)
+    counts = np.bincount(req_rank, minlength=servers.size)
+    starts = np.cumsum(counts) - counts
+    processed = np.zeros(servers.size, dtype=np.intp)
+    busy = np.zeros(servers.size, dtype=np.float64)
     dropped_sorted = np.zeros(total, dtype=bool)
-    uniq, starts = np.unique(srv_sorted, return_index=True)
-    ends = np.append(starts[1:], total)
-    processed = np.empty(uniq.size, dtype=np.intp)
-    busy = np.empty(uniq.size, dtype=np.float64)
-    for j, (node, i0, i1) in enumerate(zip(uniq, starts, ends)):
-        windows = (
-            _NO_WINDOWS
-            if failures is None
-            else failures.node_windows(int(node))
-        )
-        dep, dropped = _fifo_departures(
-            arr_sorted[i0:i1], svc_sorted[i0:i1], windows, horizon
-        )
-        dep_sorted[i0:i1] = dep
-        dropped_sorted[i0:i1] = dropped
-        kept = ~dropped & (dep <= horizon)
-        processed[j] = np.count_nonzero(kept)
-        busy[j] = svc_sorted[i0:i1][kept].sum()
+    if failures is None:
+        dep_sorted = _padded_departures(arr_sorted, svc_sorted, starts, counts)
+        # Departures never decrease along a run, so each server's kept
+        # requests (departed by the horizon) are a prefix of its run.
+        kept_to = np.concatenate(([0], np.cumsum(dep_sorted <= horizon)))
+        processed[:] = kept_to[starts + counts] - kept_to[starts]
+        # One pairwise sum per server, as its 1-D pass summed: segmented
+        # or padded sums add in another order and change the bits.
+        ends = starts + processed
+        busy[:] = [
+            np.add.reduce(svc_sorted[i0:i1])
+            for i0, i1 in zip(starts.tolist(), ends.tolist())
+        ]
+    else:
+        dep_sorted = np.empty(total, dtype=np.float64)
+        for s in np.flatnonzero(counts).tolist():
+            run = slice(starts[s], starts[s] + counts[s])
+            dep, dropped = _fifo_departures(
+                arr_sorted[run],
+                svc_sorted[run],
+                failures.node_windows(int(servers[s])),
+                horizon,
+            )
+            dep_sorted[run] = dep
+            dropped_sorted[run] = dropped
+            kept = ~dropped & (dep <= horizon)
+            processed[s] = np.count_nonzero(kept)
+            busy[s] = svc_sorted[run][kept].sum()
 
     departure = np.empty(total, dtype=np.float64)
     departure[order] = dep_sorted
@@ -333,8 +444,7 @@ def run_fluid(
         n_support = support.size
         n_nodes = sim.placed.n_nodes
         observed = ~req_dropped & (reply <= horizon)
-        col = np.searchsorted(support, req_server[observed])
-        key = req_client[observed] * n_support + col
+        key = req_client[observed] * n_support + req_rank[observed]
         samples = (req_arrive[observed] - req_issue[observed]) + (
             reply[observed] - departure[observed]
         )
@@ -356,13 +466,15 @@ def run_fluid(
     completion = np.empty(n_ops, dtype=np.float64)
     completion[ops] = np.maximum.reduceat(reply, op_starts)
     completed = completion <= horizon
-
-    if not np.any(completed):
+    n_completed = int(np.count_nonzero(completed & (times >= warmup_ms)))
+    if n_completed == 0:
         raise SimulationError(
             "no operations completed after warmup; run longer or reduce "
             "the warmup window"
         )
-    stats = summarize_arrays(
+    # Percentiles are paid only if someone reads ``stats``.
+    stats = partial(
+        summarize_arrays,
         issued_at_ms=times[completed],
         completed_at_ms=completion[completed],
         network_delay_ms=net_delay[completed],
@@ -371,11 +483,9 @@ def run_fluid(
     )
 
     elapsed = horizon
-    servers = sim.placed.placement.support_set
     rates = np.zeros(sim.placed.n_nodes)
-    rates[uniq] = processed / elapsed
-    utils = np.zeros(servers.size)
-    utils[np.searchsorted(servers, uniq)] = np.minimum(1.0, busy / elapsed)
+    rates[servers] = processed / elapsed
+    utils = np.minimum(1.0, busy / elapsed)
 
     timeouts = 0
     if failures is not None:
@@ -389,7 +499,7 @@ def run_fluid(
         stats=stats,
         per_node_request_rate=rates,
         server_utilizations=utils,
-        operations_completed=stats.n_operations,
+        operations_completed=n_completed,
         timeouts_total=timeouts,
         requests_dropped=requests_dropped,
         requests_issued=total,

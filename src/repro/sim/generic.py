@@ -252,6 +252,33 @@ class _Client:
         self._issue()
 
 
+class _SummaryField:
+    """The ``stats`` field: a summary computed on first read.
+
+    Both backends store a zero-argument callable that computes the
+    :class:`ResponseTimeStats`; the first read calls it and keeps the
+    result. A finished summary may be passed instead and is kept as is.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(
+        self, obj: object, owner: type | None = None
+    ) -> ResponseTimeStats:
+        if obj is None:
+            # No class-level default: the dataclass keeps the field required.
+            raise AttributeError(self._slot[1:])
+        value = obj.__dict__[self._slot]
+        if callable(value):
+            value = value()
+            obj.__dict__[self._slot] = value
+        return value
+
+    def __set__(self, obj: object, value: object) -> None:
+        obj.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class GenericSimResult:
     """Outcome of a generic quorum-protocol simulation.
@@ -261,9 +288,14 @@ class GenericSimResult:
     still in flight (in the network, queued, or in service) at the
     horizon — ``requests_issued == requests_processed + requests_dropped
     + requests_in_flight`` on both backends, to the unit.
+
+    ``stats`` is summarized on first read, so a caller that needs only the
+    counters or the telemetry never pays for the percentiles.
+    ``operations_completed`` is counted eagerly, and a run with no
+    operation completed after the warmup raises when it ends.
     """
 
-    stats: ResponseTimeStats
+    stats: ResponseTimeStats = _SummaryField()  # type: ignore[assignment]
     per_node_request_rate: np.ndarray
     server_utilizations: np.ndarray
     operations_completed: int
@@ -601,7 +633,12 @@ class GenericQuorumSimulation:
         records: list[OperationRecord] = []
         for client in self.clients:
             records.extend(client.records)
-        stats = summarize(records, warmup_ms=warmup_ms)
+        n_completed = sum(r.issued_at_ms >= warmup_ms for r in records)
+        if n_completed == 0:
+            raise SimulationError(
+                "no operations completed after warmup; run longer or reduce "
+                "the warmup window"
+            )
 
         rates = np.zeros(self.placed.n_nodes)
         utils = np.zeros(len(self.servers))
@@ -616,10 +653,10 @@ class GenericQuorumSimulation:
         )
         dropped = sum(s.requests_dropped for s in self.servers.values())
         return GenericSimResult(
-            stats=stats,
+            stats=partial(summarize, records, warmup_ms=warmup_ms),
             per_node_request_rate=rates,
             server_utilizations=utils,
-            operations_completed=stats.n_operations,
+            operations_completed=n_completed,
             timeouts_total=sum(c.timeouts_total for c in self.clients),
             requests_dropped=dropped,
             requests_issued=issued,

@@ -31,8 +31,14 @@ class PoissonArrivals:
         """All arrival times in ``[0, horizon_ms)``, sorted ascending."""
         if self.rate_per_ms <= 0:
             raise SimulationError("arrival rate must be positive")
+        if not np.isfinite(self.rate_per_ms):
+            raise SimulationError(
+                f"arrival rate must be finite, got {self.rate_per_ms}"
+            )
         if horizon_ms <= 0:
             raise SimulationError("horizon must be positive")
+        if not np.isfinite(horizon_ms):
+            raise SimulationError(f"horizon must be finite, got {horizon_ms}")
         rng = np.random.default_rng(self.seed)
         # Draw ~20% more exponential gaps than expected; if the horizon is
         # not yet covered, extend with geometrically growing chunks so a

@@ -20,6 +20,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.dynamics.controller as controller_module
 from repro.core.placement import PlacedQuorumSystem, Placement
@@ -422,6 +424,150 @@ def test_run_fluid_bit_identical_across_seeds(seed):
     )
 
 
+# ---------------------------------------------------------------------------
+# Queueing kernel: exact sort order and the padded Lindley block
+# ---------------------------------------------------------------------------
+@st.composite
+def _request_tables(draw):
+    n_servers = draw(st.integers(1, 5))
+    nodes = np.array(
+        sorted(draw(st.sets(st.integers(0, 60), min_size=n_servers,
+                            max_size=n_servers)))
+    )
+    n = draw(st.integers(1, 3_000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rank = rng.integers(0, n_servers, size=n)
+    # Integer and half-integer arrivals over a short span: ties galore.
+    span = draw(st.sampled_from([1, 4, 40, 4_000]))
+    arrive = rng.integers(0, 2 * span, size=n) / 2.0
+    return nodes, rank, arrive
+
+
+@given(_request_tables())
+@settings(max_examples=200, deadline=None)
+def test_queue_order_is_the_lexsort_permutation(table):
+    nodes, rank, arrive = table
+    expected = np.lexsort((arrive, nodes[rank]))
+    assert_bits_equal(fluid._queue_order(rank, arrive, nodes.size), expected)
+
+
+@given(
+    st.lists(st.integers(0, 300), min_size=1, max_size=12).filter(any),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_padded_departures_equal_per_run_passes(counts, seed):
+    """Runs of any lengths (empty, single-row, one dominant run) queue
+    exactly as their own 1-D passes, within a block of twice the table."""
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    rng = np.random.default_rng(seed)
+    service = rng.integers(0, 4, size=counts.sum()) / 2.0
+    arrivals = rng.integers(0, 50, size=counts.sum()) / 2.0
+    for s, n in zip(starts, counts):
+        arrivals[s : s + n].sort()
+    blocks, lindley = [], fluid._lindley
+
+    def lindley_spy(a, b):
+        if a.ndim == 2:
+            blocks.append(a.size)
+        return lindley(a, b)
+
+    expected = np.concatenate(
+        [lindley(arrivals[s : s + n], service[s : s + n])
+         for s, n in zip(starts, counts)]
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fluid, "_lindley", lindley_spy)
+        got = fluid._padded_departures(arrivals, service, starts, counts)
+    assert_bits_equal(got, expected)
+    assert len(blocks) == 1 and blocks[0] <= 2 * counts.sum()
+
+
+def test_queue_order_falls_back_to_lexsort_past_int64():
+    rng = np.random.default_rng(4)
+    rank = rng.integers(0, 3, size=500)
+    arrive = rng.integers(0, 9, size=500).astype(np.float64)
+    assert_bits_equal(
+        fluid._queue_order(rank, arrive, 2**62),
+        np.lexsort((arrive, rank)),
+    )
+
+
+def _hub_simulation(client_nodes, quorum_mass, seed=6):
+    """Five quorums sharing element 0; quorum 0 lives on node 2 alone, and
+    quorum ``i > 0`` adds node ``2 + 2i``. ``quorum_mass(node)`` is each
+    client node's strategy row."""
+    system = EnumeratedQuorumSystem(
+        [{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}], universe_size=6
+    )
+    topology = _topology(12, seed)
+    placed = PlacedQuorumSystem(
+        system, Placement([2, 2, 4, 6, 8, 10]), topology
+    )
+    matrix = np.array([quorum_mass(v) for v in range(topology.n_nodes)])
+    return GenericQuorumSimulation(
+        placed,
+        ExplicitStrategy(matrix),
+        client_nodes=client_nodes,
+        service_time_ms=0.2,
+        seed=seed,
+        arrivals=PoissonArrivals(rate_per_ms=2.0, seed=seed + 10),
+        backend="fluid",
+        collect_telemetry=True,
+    )
+
+
+def _run_bounded(monkeypatch, sim, duration_ms):
+    """Run ``sim`` against the reference and check that the padded block
+    stays within twice the request table; returns the requests per server
+    (in support order) and the number of runs queued in a 1-D pass."""
+    runs, blocks, single = [], [], []
+    padded, lindley = fluid._padded_departures, fluid._lindley
+
+    def padded_spy(arrivals, service, starts, counts):
+        runs.append(counts.copy())
+        return padded(arrivals, service, starts, counts)
+
+    def lindley_spy(arrivals, service):
+        (blocks if arrivals.ndim == 2 else single).append(arrivals.size)
+        return lindley(arrivals, service)
+
+    monkeypatch.setattr(fluid, "_padded_departures", padded_spy)
+    monkeypatch.setattr(fluid, "_lindley", lindley_spy)
+    result = sim.run(duration_ms=duration_ms)
+    assert_dataclass_bits_equal(result, reference_run_fluid(sim, duration_ms))
+    (counts,) = runs
+    assert counts.sum() == result.requests_issued > 1_000
+    assert len(blocks) == 1 and blocks[0] <= 2 * result.requests_issued
+    return counts, len(single)
+
+
+def test_one_server_holding_most_requests_bit_identical(monkeypatch):
+    mass = np.array([0.96, 0.01, 0.01, 0.01, 0.01])
+    sim = _hub_simulation(None, lambda v: mass)
+    counts, single = _run_bounded(monkeypatch, sim, 800.0)
+    assert counts[0] >= 0.95 * counts.sum()  # node 2, first in the support
+    assert single == 1  # padding the other four to its run would not fit
+
+
+def test_single_request_server_bit_identical(monkeypatch):
+    """Node 10 serves only quorum 4, which only the last client (node 11,
+    issuing the last operation alone) ever picks."""
+    n_ops = PoissonArrivals(rate_per_ms=2.0, seed=16).sample_until(800.0).size
+    clients = np.append(np.arange(n_ops - 1) % 11, 11)
+
+    def mass(v):
+        row = np.zeros(5)
+        row[4 if v == 11 else v % 4] = 1.0
+        return row
+
+    sim = _hub_simulation(clients, mass)
+    counts, _ = _run_bounded(monkeypatch, sim, 800.0)
+    assert counts[-1] == 1  # node 10, last in the support
+
+
 def test_fluid_simulation_builds_no_event_engine():
     sim, _ = _simulation("explicit_1to1")
     for attribute in ("sim", "network", "servers", "clients", "_samplers"):
@@ -506,7 +652,7 @@ def test_with_topology_rejects_another_node_count():
 # ---------------------------------------------------------------------------
 # The closed-loop probe across epochs
 # ---------------------------------------------------------------------------
-def reference_probe_epoch(placed, matrix, rtt, capacities, config, seed):
+def reference_probe_epoch(placed, strategy, rtt, capacities, config, seed):
     """The probe with a freshly built placed system and reference sim."""
     caps = np.maximum(np.asarray(capacities, dtype=np.float64), _MIN_CAPACITY)
     probe_placed = PlacedQuorumSystem(
@@ -516,7 +662,7 @@ def reference_probe_epoch(placed, matrix, rtt, capacities, config, seed):
     )
     sim = GenericQuorumSimulation(
         probe_placed,
-        ExplicitStrategy(matrix),
+        strategy,
         service_time_ms=config.service_time_ms / caps,
         seed=seed,
         arrivals=PoissonArrivals(
@@ -553,3 +699,36 @@ def test_closed_loop_segment_bit_identical(monkeypatch):
     reference = _segment(reference_probe_epoch, monkeypatch)
     assert fast.probe_operations.min() > 0
     assert_dataclass_bits_equal(fast, reference)
+
+
+def test_probe_strategy_is_built_once_per_strategy_in_force(monkeypatch):
+    """Every probe samples ``ExplicitStrategy(matrix in force)`` bit for bit,
+    and the controller builds it once per matrix, not once per epoch."""
+    probed, solved = [], []
+    probe, reoptimize = controller_module.probe_epoch, AdaptiveController._reoptimize
+
+    def probe_spy(placed, strategy, *args, **kwargs):
+        probed.append(strategy)
+        return probe(placed, strategy, *args, **kwargs)
+
+    def reoptimize_spy(self, delta, capacities):
+        out = reoptimize(self, delta, capacities)
+        solved.append(out[0])
+        return out
+
+    monkeypatch.setattr(AdaptiveController, "_reoptimize", reoptimize_spy)
+    series = _segment(probe_spy, monkeypatch)
+    assert len(probed) == series.reoptimized.size
+
+    uniform = np.full(probed[0].matrix.shape, 1.0 / probed[0].num_quorums)
+    in_force, fresh = uniform, iter(solved)
+    for epoch, strategy in enumerate(probed):
+        assert_bits_equal(strategy.matrix, ExplicitStrategy(in_force).matrix)
+        if epoch:
+            rebuilt = strategy is not probed[epoch - 1]
+            assert rebuilt == bool(series.reoptimized[epoch - 1])
+        if series.reoptimized[epoch] or series.infeasible[epoch]:
+            matrix = next(fresh)
+            if matrix is not None:
+                in_force = matrix
+    assert 1 < len({id(s) for s in probed}) < len(probed)

@@ -1,6 +1,8 @@
 """Tests for the generic quorum-protocol simulator, including
 cross-validation of the analytic response-time model (4.1)-(4.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.errors import SimulationError
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.metrics import ResponseTimeStats
 from repro.sim.workload import PoissonArrivals
 
 
@@ -224,3 +227,59 @@ class TestQueueingBehaviour:
             ).stats.mean_response_ms
 
         assert run_once() == run_once()
+
+
+def _open_loop(placed, backend, rate_per_ms=0.2):
+    return GenericQuorumSimulation(
+        placed,
+        ExplicitStrategy.uniform(placed),
+        arrivals=PoissonArrivals(rate_per_ms=rate_per_ms, seed=1),
+        backend=backend,
+        seed=2,
+    )
+
+
+@pytest.mark.parametrize("backend", GenericQuorumSimulation.BACKENDS)
+class TestOpenLoopRun:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["rate", "horizon"])
+    def test_non_finite_poisson_input_is_tagged(
+        self, grid2_placed, backend, which, bad
+    ):
+        """Before, NaN leaked a ValueError and inf an OverflowError from
+        the arrival-count estimate."""
+        rate, duration = (bad, 500.0) if which == "rate" else (0.2, bad)
+        sim = _open_loop(grid2_placed, backend, rate_per_ms=rate)
+        label = "arrival rate" if which == "rate" else "horizon"
+        with pytest.raises(
+            SimulationError, match=f"{label} must be finite, got {bad}"
+        ):
+            sim.run(duration_ms=duration)
+
+    @pytest.mark.parametrize("which", ["rate", "horizon"])
+    def test_non_positive_poisson_input_keeps_its_message(
+        self, grid2_placed, backend, which
+    ):
+        rate, duration = (0.0, 500.0) if which == "rate" else (0.2, -1.0)
+        sim = _open_loop(grid2_placed, backend, rate_per_ms=rate)
+        label = "arrival rate" if which == "rate" else "horizon"
+        with pytest.raises(SimulationError, match=f"^{label} must be positive$"):
+            sim.run(duration_ms=duration)
+
+    def test_stats_are_summarized_on_first_read(self, grid2_placed, backend):
+        result = _open_loop(grid2_placed, backend).run(
+            duration_ms=600.0, warmup_ms=100.0
+        )
+        assert callable(result.__dict__["_stats"])
+        copy = pickle.loads(pickle.dumps(result))
+        stats = result.stats
+        assert isinstance(stats, ResponseTimeStats)
+        assert result.stats is stats
+        assert result.__dict__["_stats"] is stats
+        assert stats.n_operations == result.operations_completed > 0
+        assert copy.stats == stats
+
+    def test_no_completed_operation_raises_at_run(self, grid2_placed, backend):
+        sim = _open_loop(grid2_placed, backend)
+        with pytest.raises(SimulationError, match="no operations completed"):
+            sim.run(duration_ms=300.0, warmup_ms=1_000.0)

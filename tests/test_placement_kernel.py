@@ -73,6 +73,22 @@ def reference_max_over_quorums(placed, values):
     return out
 
 
+def per_slot_max_over_quorums(placed, values, budget=2_000_000):
+    """The kernel before the one-gather form: one running ``np.maximum``
+    per quorum slot over (clients, chunk) blocks."""
+    slots = placed._quorum_slots
+    n, m = values.shape[0], slots.shape[1]
+    out = np.empty((n, m))
+    chunk = max(1, budget // max(1, n))
+    for start in range(0, m, chunk):
+        cols = slots[:, start : start + chunk]
+        block = out[:, start : start + chunk]
+        np.take(values, cols[0], axis=1, out=block)
+        for slot in cols[1:]:
+            np.maximum(block, values[:, slot], out=block)
+    return out
+
+
 def reference_augmented(placed, costs):
     return reference_max_over_quorums(
         placed, placed.topology.rtt + costs[None, :]
@@ -279,6 +295,37 @@ def test_chunked_enumerated_threshold_bit_identical():
         placed.augmented_delay_matrix(costs), reference_augmented(placed, costs)
     )
     assert_bits_equal(placed.incidence_counts, reference_incidence_counts(placed))
+
+
+@pytest.mark.parametrize("budget", [1, 700, 9_000, 2_000_000])
+def test_gathered_max_matches_the_per_slot_kernel(monkeypatch, budget):
+    """126 enumerated 5-of-9 quorums over 20 clients: budgets of one
+    quorum per chunk, 7, 90 and all of them."""
+    monkeypatch.setattr(PlacedQuorumSystem, "_GATHER_BUDGET", budget)
+    system = EnumeratedQuorumSystem(ThresholdQuorumSystem(9, 5).quorums)
+    rng = np.random.default_rng(11)
+    raw = np.round(rng.uniform(0.0, 100.0, size=(20, 20)) / 10.0) * 10.0
+    raw = raw + raw.T
+    np.fill_diagonal(raw, 0.0)
+    topology = Topology(raw, metric_closure=False)
+    placed = PlacedQuorumSystem(
+        system, Placement(rng.integers(0, 20, size=9)), topology
+    )
+    drifted = raw * rng.uniform(0.5, 1.5, size=raw.shape)
+    costs = rng.uniform(0.0, 50.0, size=20)
+    support = placed.placement.support_set
+    for values in (
+        topology.rtt[:, support],
+        drifted[:, support] + costs[support],
+    ):
+        assert_bits_equal(
+            placed._max_over_quorums(values),
+            per_slot_max_over_quorums(placed, values),
+        )
+    assert_bits_equal(
+        placed.delay_matrix_for(drifted, costs),
+        per_slot_max_over_quorums(placed, drifted[:, support] + costs[support]),
+    )
 
 
 def test_delay_matrix_is_read_only(line_topology):

@@ -18,6 +18,7 @@ from repro.experiments import fig_6_3, run_figure
 from repro.lp.batched import LP_BACKEND_ENV, lp_backend_name
 from repro.network.datasets import PLANETLAB_CLUSTERS
 from repro.network.generators import generate_cluster_topology
+from repro.obs.tracer import Tracer, tracing
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import MajorityKind, majority
@@ -133,6 +134,39 @@ class TestResultCache:
         cache.path_for(key).write_bytes(garbage)
         hit, _ = cache.lookup(key)
         assert not hit
+
+    def test_flipped_payload_bit_is_a_counted_miss(self, tmp_path):
+        """A flipped bit that still unpickles used to be served: this one
+        turned 67.88 into 67.87999976."""
+        cache = ResultCache(tmp_path)
+        key = content_key(x=1)
+        value = {"delay": np.array([67.88, 68.04])}
+        cache.put(key, value)
+        path = cache.path_for(key)
+        entry = bytearray(path.read_bytes())
+        at = entry.rindex(np.float64(67.88).tobytes()) + 2
+        entry[at] ^= 0x01
+        path.write_bytes(bytes(entry))
+        with tracing(Tracer()) as tracer:
+            hit, got = cache.lookup(key)
+        assert not hit and got is None
+        assert tracer.counters["cache.corrupt"] == 1
+        assert tracer.counters["cache.miss"] == 1
+        cache.put(key, value)  # the next put overwrites the corrupt entry
+        hit, got = cache.lookup(key)
+        assert hit and np.array_equal(got["delay"], value["delay"])
+
+    @pytest.mark.parametrize("keep", [0, 5, 20, -1])
+    def test_truncated_entry_is_a_miss(self, tmp_path, keep):
+        cache = ResultCache(tmp_path)
+        key = content_key(x=1)
+        cache.put(key, {"delay": np.arange(64.0)})
+        path = cache.path_for(key)
+        path.write_bytes(path.read_bytes()[:keep])
+        with tracing(Tracer()) as tracer:
+            hit, _ = cache.lookup(key)
+        assert not hit
+        assert tracer.counters["cache.corrupt"] == 1
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -227,7 +227,7 @@ class TestProbeEpoch:
         cfg = TelemetryConfig(seed=1)
         tel = probe_epoch(
             grid2_placed,
-            ExplicitStrategy.uniform(grid2_placed).matrix,
+            ExplicitStrategy.uniform(grid2_placed),
             line_topology.rtt,
             np.ones(10),
             cfg,
@@ -238,11 +238,11 @@ class TestProbeEpoch:
 
     def test_deterministic_per_seed(self, grid2_placed, line_topology):
         cfg = TelemetryConfig(seed=1)
-        matrix = ExplicitStrategy.uniform(grid2_placed).matrix
+        strategy = ExplicitStrategy.uniform(grid2_placed)
 
         def run(seed):
             return probe_epoch(
-                grid2_placed, matrix, line_topology.rtt, np.ones(10),
+                grid2_placed, strategy, line_topology.rtt, np.ones(10),
                 cfg, seed=seed,
             )
 
@@ -258,7 +258,7 @@ class TestProbeEpoch:
         caps[9] = 0.0  # not in the support; must not divide by zero
         tel = probe_epoch(
             grid2_placed,
-            ExplicitStrategy.uniform(grid2_placed).matrix,
+            ExplicitStrategy.uniform(grid2_placed),
             line_topology.rtt,
             caps,
             TelemetryConfig(seed=1),
@@ -271,7 +271,7 @@ class TestProbeEpoch:
         with pytest.raises(DynamicsError, match="probe"):
             probe_epoch(
                 grid2_placed,
-                ExplicitStrategy.uniform(grid2_placed).matrix,
+                ExplicitStrategy.uniform(grid2_placed),
                 line_topology.rtt,
                 np.ones(10),
                 cfg,
@@ -288,7 +288,7 @@ class TestEstimator:
         truth = effective_rtt(topology.rtt, factors)
         sample = probe_epoch(
             placed,
-            ExplicitStrategy.uniform(placed).matrix,
+            ExplicitStrategy.uniform(placed),
             truth,
             np.ones(topology.n_nodes),
             cfg,
@@ -345,13 +345,13 @@ class TestEstimator:
         cfg = TelemetryConfig(noise=0.05, gain=0.5, seed=2)
         factors = np.full(10, 1.25)
         truth = effective_rtt(line_topology.rtt, factors)
-        matrix = ExplicitStrategy.uniform(grid2_placed).matrix
+        strategy = ExplicitStrategy.uniform(grid2_placed)
         est = TelemetryEstimator(grid2_placed, cfg)
         rng = np.random.default_rng([cfg.seed, 0x7E1E])
         observed = None
         for epoch in range(6):
             sample = probe_epoch(
-                grid2_placed, matrix, truth, np.ones(10), cfg,
+                grid2_placed, strategy, truth, np.ones(10), cfg,
                 seed=cfg.seed + epoch,
             )
             est.observe(sample, rng)
@@ -390,8 +390,8 @@ class TestEstimator:
         rng = np.random.default_rng(0)
         for epoch in range(3):
             sample = probe_epoch(
-                grid2_placed, matrix, line_topology.rtt, np.ones(10),
-                cfg, seed=epoch,
+                grid2_placed, ExplicitStrategy(matrix), line_topology.rtt,
+                np.ones(10), cfg, seed=epoch,
             )
             est.observe(sample, rng)
         assert est.epochs_observed == 3
@@ -411,7 +411,7 @@ class TestEstimator:
         )
         sample = probe_epoch(
             other,
-            ExplicitStrategy.uniform(other).matrix,
+            ExplicitStrategy.uniform(other),
             line_topology.rtt,
             np.ones(10),
             cfg,
