@@ -257,7 +257,6 @@ def simulate_placements(
                 "operations": int(out.operations_completed),
                 "requests_issued": int(out.requests_issued),
                 "requests_processed": int(out.requests_processed),
-                "requests_dropped": int(out.requests_dropped),
                 "requests_in_flight": int(out.requests_in_flight),
             }
         )

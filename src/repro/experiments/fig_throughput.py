@@ -77,9 +77,7 @@ def _throughput_point(
     )
     result = sim.run(duration_ms=duration_ms, warmup_ms=warmup_ms)
     conserved = result.requests_issued == (
-        result.requests_processed
-        + result.requests_dropped
-        + result.requests_in_flight
+        result.requests_processed + result.requests_in_flight
     )
     return {
         "mean_response_ms": float(result.stats.mean_response_ms),

@@ -6,7 +6,8 @@ topology's RTT matrix (:mod:`repro.sim.network`), open-loop Poisson
 arrivals (:mod:`repro.sim.workload`), response-time metrics
 (:mod:`repro.sim.metrics`), and the fluid (vectorized) open-loop backend
 (:mod:`repro.sim.fluid`) selected via
-``GenericQuorumSimulation(backend="fluid")``.
+``GenericQuorumSimulation(backend="fluid")``. Like the paper's evaluation,
+every simulation runs under normal conditions: no node or link fails.
 
 The Q/U experiment harness lives in :mod:`repro.sim.experiment`; import it
 directly (``from repro.sim.experiment import run_qu_experiment``) — it sits
@@ -14,7 +15,6 @@ above both this package and :mod:`repro.qu`, so it is not re-exported here.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.failures import CrashWindow, FailureSchedule
 from repro.sim.metrics import (
     OperationRecord,
     ResponseTimeStats,
@@ -30,6 +30,4 @@ __all__ = [
     "ResponseTimeStats",
     "summarize",
     "summarize_arrays",
-    "CrashWindow",
-    "FailureSchedule",
 ]

@@ -10,7 +10,8 @@ reservation. Time is a float in **milliseconds** to match the paper's units.
 The kernel is intentionally callback-based rather than coroutine-based: the
 Q/U client and server are small state machines, and callbacks keep the
 per-event overhead low enough for the hundreds of simulation runs behind
-Figures 3.1-3.2.
+Figures 3.1-3.2. A scheduled event cannot be cancelled: every event fires
+once its time comes.
 """
 
 from __future__ import annotations
@@ -18,43 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
 
-__all__ = ["Simulator", "ScheduledEvent"]
-
-
-class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
-
-    __slots__ = ("time", "callback", "cancelled", "_sim", "_in_heap")
-
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        sim: "Simulator | None" = None,
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-        self._sim = sim
-        self._in_heap = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.
-
-        Amortized O(1): the entry stays on the heap until it is either
-        popped or swept out by the simulator's compaction pass. Cancelling
-        an event that already fired (or was already cancelled) is a no-op.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._in_heap and self._sim is not None:
-            self._sim._note_cancelled()
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -62,11 +32,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self._last_reserved = -1
         self._events_processed = 0
-        self._cancelled_in_heap = 0
 
     @property
     def now(self) -> float:
@@ -80,48 +49,10 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued.
-
-        Cancelled entries linger until popped or compacted, but compaction
-        keeps them below half the queue, so this never grows unboundedly
-        in cancel-heavy workloads.
-        """
+        """Number of events still queued."""
         return len(self._heap)
 
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled entries currently occupying heap slots."""
-        return self._cancelled_in_heap
-
-    def _note_cancelled(self) -> None:
-        """Record a cancellation; sweep the heap once lazy entries dominate."""
-        self._cancelled_in_heap += 1
-        if self._cancelled_in_heap * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
-
-        Heap order is determined solely by the ``(time, sequence)`` tuple
-        prefix, so rebuilding preserves the deterministic firing order of
-        the surviving events. The list object itself is kept, so a
-        ``run()`` loop holding it (compaction can fire from inside a
-        callback) keeps seeing the live heap.
-        """
-        heap = self._heap
-        live = []
-        for entry in heap:
-            if entry[2].cancelled:
-                entry[2]._in_heap = False
-            else:
-                live.append(entry)
-        heap[:] = live
-        heapify(heap)
-        self._cancelled_in_heap = 0
-
-    def schedule(
-        self, delay: float, callback: Callable[[], None]
-    ) -> ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` ms from now."""
         # One chained comparison rejects negative, infinite and NaN delays
         # alike: every comparison with NaN is False, and a NaN time would
@@ -130,28 +61,9 @@ class Simulator:
             raise SimulationError(
                 f"event delay must be finite and non-negative, got {delay}"
             )
-        time = self._now + delay
-        event = ScheduledEvent(time, callback, self)
-        event._in_heap = True
-        heappush(self._heap, (time, next(self._sequence), event))
-        return event
-
-    def schedule_at(
-        self, time: float, callback: Callable[[], None]
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` at an absolute simulation time."""
-        if not math.isfinite(time):
-            raise SimulationError(
-                f"event time must be finite, got {time}"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        event = ScheduledEvent(time, callback, sim=self)
-        event._in_heap = True
-        heappush(self._heap, (time, next(self._sequence), event))
-        return event
+        heappush(
+            self._heap, (self._now + delay, next(self._sequence), callback)
+        )
 
     def reserve(self) -> int:
         """Take the sequence number an event scheduled now would get.
@@ -167,7 +79,7 @@ class Simulator:
 
     def schedule_reserved(
         self, time: float, slot: int, callback: Callable[[], None]
-    ) -> ScheduledEvent:
+    ) -> None:
         """Schedule ``callback`` at absolute ``time`` under a reserved
         sequence number.
 
@@ -181,10 +93,7 @@ class Simulator:
             )
         if not 0 <= slot <= self._last_reserved:
             raise SimulationError(f"sequence slot {slot} was not reserved")
-        event = ScheduledEvent(time, callback, self)
-        event._in_heap = True
-        heappush(self._heap, (time, slot, event))
-        return event
+        heappush(self._heap, (time, slot, callback))
 
     def run(
         self,
@@ -197,7 +106,8 @@ class Simulator:
         ----------
         until:
             Stop once simulation time would pass this bound (the clock is
-            left at ``until``).
+            left at ``until``). Must be finite: pass ``None`` with
+            ``max_events`` to run without a time bound.
         max_events:
             Stop after this many callbacks (guards against runaway loops).
         """
@@ -205,21 +115,22 @@ class Simulator:
             raise SimulationError(
                 "run() needs a time bound or an event budget"
             )
+        # ``time > nan`` is False for every time, so a NaN bound would
+        # bound nothing, and an infinite one never stops a closed loop.
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(
+                f"run() time bound must be finite, got {until}"
+            )
         heap = self._heap
         bound = math.inf if until is None else until
         budget = sys.maxsize if max_events is None else max_events
         processed = 0
         while heap:
-            time, _, event = heap[0]
-            if time > bound:
+            if heap[0][0] > bound:
                 break
-            heappop(heap)
-            event._in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
+            time, _, callback = heappop(heap)
             self._now = time
-            event.callback()
+            callback()
             self._events_processed += 1
             processed += 1
             if processed >= budget:

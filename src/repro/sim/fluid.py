@@ -5,9 +5,9 @@ one heap operation per client message — perfect for validating protocol
 logic, hopeless for the client populations the wan-scale presets are
 planned for. This module is the throughput backend: the same open-loop
 scenario (Poisson arrivals, access-strategy quorum sampling, FIFO
-single-processor servers, crash windows) computed as a handful of numpy
-array passes, with **distribution-level equivalence** to the event engine
-pinned by ``tests/test_fluid_equivalence.py``.
+single-processor servers) computed as a handful of numpy array passes,
+with **distribution-level equivalence** to the event engine pinned by
+``tests/test_fluid_equivalence.py``.
 
 The pipeline:
 
@@ -28,9 +28,9 @@ The pipeline:
    int64 keys ``(server rank * n + arrival dense rank) * n + row`` (``n``
    rows; the dense rank comes from one ``argsort``), which is exactly the
    permutation ``np.lexsort((arrival, server))`` returns, ties in table
-   order included. Without failures, every server's run becomes one row
-   of a zero-padded ``(servers, longest run)`` block and a single
-   row-wise pass serves them all: row-wise ``cumsum`` and
+   order included. Every server's run becomes one row of a zero-padded
+   ``(servers, longest run)`` block and a single row-wise pass serves
+   them all: row-wise ``cumsum`` and
    ``maximum.accumulate`` compute each row exactly as a 1-D pass would.
    The block holds at most twice the table's rows; runs too long to pad
    the rest to (one server holding most requests) take a 1-D pass each.
@@ -38,10 +38,6 @@ The pipeline:
    segment sum, while busy time stays one pairwise ``sum`` per server
    over its processed prefix: a segmented ``add.reduceat`` or padded row
    sums add in another order and would change the bits.
-   :class:`~repro.sim.failures.FailureSchedule` down-windows keep the
-   per-server form: ``searchsorted`` drop masks that preserve the event
-   engine's "crash drops the queue" semantics and ``requests_dropped``
-   accounting.
 4. **Columnar metrics** — each operation's requests are contiguous in the
    table, so completions reduce with one ``np.maximum.reduceat``. The
    response-time summary (:func:`repro.sim.metrics.summarize_arrays`,
@@ -50,20 +46,9 @@ The pipeline:
    caller that reads only counters or telemetry never sorts for
    percentiles.
 
-Semantics relative to the reference engine (exact unless noted):
-
-* Request conservation is exact: every issued request is processed,
-  dropped, or in flight at the horizon — ``issued == processed + dropped
-  + in_flight`` holds to the unit.
-* A request arriving at a crashed server is dropped at its arrival time;
-  work still queued or in service when a crash window opens is dropped at
-  the window start. (The event engine drops the queue at the first event
-  that *fires* inside the window — later by at most one service time when
-  the server is busy, which is when queues exist at all.)
-* Timeout *retries* are not replayed: an operation that loses a request
-  to a crash is abandoned, and ``timeouts_total`` counts such operations
-  (each would have timed out at least once in the event engine). Failure
-  runs are therefore compared on conservation and throughput, not means.
+Request conservation is exact, as in the reference engine: every issued
+request is processed or in flight at the horizon — ``issued == processed
++ in_flight`` holds to the unit.
 """
 
 from __future__ import annotations
@@ -140,7 +125,7 @@ def _padded_departures(
     starts: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Failure-free departures of every server's run of the sorted table.
+    """Departures of every server's run of the sorted table.
 
     Server ``s`` owns rows ``starts[s]:starts[s] + counts[s]``. The runs
     become the rows of one zero-padded ``(servers, longest run)`` block and
@@ -178,52 +163,6 @@ def _padded_departures(
     block = block.reshape(2, padded.size, width)
     departures[table_rows] = _lindley(block[0], block[1]).ravel()[cells]
     return departures
-
-
-def _fifo_departures(
-    arrivals: np.ndarray,
-    service: np.ndarray,
-    windows: np.ndarray,
-    horizon_ms: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Departures and drop mask for one server's time-sorted arrivals.
-
-    ``windows`` is the server's ``(k, 2)`` crash-window array. Dropped
-    requests get departure ``+inf``; a request whose drop event would fire
-    after ``horizon_ms`` is *not* dropped (it is in flight at the cutoff,
-    exactly as an unfired event engine callback would leave it).
-    """
-    n = arrivals.size
-    if windows.size == 0:
-        return _lindley(arrivals, service), np.zeros(n, dtype=bool)
-
-    bounds = windows.ravel()
-    pos = np.searchsorted(bounds, arrivals, side="right")
-    in_down = pos % 2 == 1
-    departures = np.full(n, np.inf)
-    dropped = np.zeros(n, dtype=bool)
-    # Arrival at a crashed server: dropped on the spot (if the arrival
-    # event fires before the horizon).
-    dropped[in_down & (arrivals <= horizon_ms)] = True
-
-    # Between windows the queue starts empty (the crash cleared it); any
-    # request still in the system when the next window opens is dropped.
-    up = ~in_down
-    segment = pos // 2
-    n_windows = windows.shape[0]
-    for sid in range(n_windows + 1):
-        mask = up & (segment == sid)
-        if not mask.any():
-            continue
-        dep = _lindley(arrivals[mask], service[mask])
-        if sid < n_windows:
-            crash_at = windows[sid, 0]
-            crashed = dep >= crash_at
-            if crash_at <= horizon_ms:
-                dropped[np.flatnonzero(mask)[crashed]] = True
-            dep = np.where(crashed, np.inf, dep)
-        departures[mask] = dep
-    return departures, dropped
 
 
 def _sample_quorums(
@@ -340,7 +279,6 @@ def run_fluid(
             "(closed-loop feedback needs the event engine)"
         )
     rtt = sim.placed.topology.rtt
-    failures = sim.failures
     jitter_ms = sim.network_jitter_ms
     service_times = sim.service_times
     telemetry_on = sim.collect_telemetry
@@ -391,42 +329,24 @@ def run_fluid(
     svc_sorted = req_service[order]
     counts = np.bincount(req_rank, minlength=servers.size)
     starts = np.cumsum(counts) - counts
-    processed = np.zeros(servers.size, dtype=np.intp)
-    busy = np.zeros(servers.size, dtype=np.float64)
-    dropped_sorted = np.zeros(total, dtype=bool)
-    if failures is None:
-        dep_sorted = _padded_departures(arr_sorted, svc_sorted, starts, counts)
-        # Departures never decrease along a run, so each server's kept
-        # requests (departed by the horizon) are a prefix of its run.
-        kept_to = np.concatenate(([0], np.cumsum(dep_sorted <= horizon)))
-        processed[:] = kept_to[starts + counts] - kept_to[starts]
-        # One pairwise sum per server, as its 1-D pass summed: segmented
-        # or padded sums add in another order and change the bits.
-        ends = starts + processed
-        busy[:] = [
+    dep_sorted = _padded_departures(arr_sorted, svc_sorted, starts, counts)
+    # Departures never decrease along a run, so each server's processed
+    # requests (departed by the horizon) are a prefix of its run.
+    kept_to = np.concatenate(([0], np.cumsum(dep_sorted <= horizon)))
+    processed = kept_to[starts + counts] - kept_to[starts]
+    # One pairwise sum per server, as its 1-D pass summed: segmented or
+    # padded sums add in another order and change the bits.
+    ends = starts + processed
+    busy = np.array(
+        [
             np.add.reduce(svc_sorted[i0:i1])
             for i0, i1 in zip(starts.tolist(), ends.tolist())
-        ]
-    else:
-        dep_sorted = np.empty(total, dtype=np.float64)
-        for s in np.flatnonzero(counts).tolist():
-            run = slice(starts[s], starts[s] + counts[s])
-            dep, dropped = _fifo_departures(
-                arr_sorted[run],
-                svc_sorted[run],
-                failures.node_windows(int(servers[s])),
-                horizon,
-            )
-            dep_sorted[run] = dep
-            dropped_sorted[run] = dropped
-            kept = ~dropped & (dep <= horizon)
-            processed[s] = np.count_nonzero(kept)
-            busy[s] = svc_sorted[run][kept].sum()
+        ],
+        dtype=np.float64,
+    )
 
     departure = np.empty(total, dtype=np.float64)
     departure[order] = dep_sorted
-    req_dropped = np.empty(total, dtype=bool)
-    req_dropped[order] = dropped_sorted
 
     # ------------------------------------------------------------------
     # Replies and per-operation completion (one reduceat per column).
@@ -443,7 +363,7 @@ def run_fluid(
         support = sim._telemetry_support
         n_support = support.size
         n_nodes = sim.placed.n_nodes
-        observed = ~req_dropped & (reply <= horizon)
+        observed = reply <= horizon
         key = req_client[observed] * n_support + req_rank[observed]
         samples = (req_arrive[observed] - req_issue[observed]) + (
             reply[observed] - departure[observed]
@@ -487,23 +407,15 @@ def run_fluid(
     rates[servers] = processed / elapsed
     utils = np.minimum(1.0, busy / elapsed)
 
-    timeouts = 0
-    if failures is not None:
-        timeouts = int(
-            np.count_nonzero(np.logical_or.reduceat(req_dropped, op_starts))
-        )
     requests_processed = int(processed.sum())
-    requests_dropped = int(np.count_nonzero(req_dropped))
     obs.count("sim.requests", int(total))
     return GenericSimResult(
         stats=stats,
         per_node_request_rate=rates,
         server_utilizations=utils,
         operations_completed=n_completed,
-        timeouts_total=timeouts,
-        requests_dropped=requests_dropped,
         requests_issued=total,
         requests_processed=requests_processed,
-        requests_in_flight=total - requests_processed - requests_dropped,
+        requests_in_flight=total - requests_processed,
         telemetry=telemetry,
     )

@@ -33,7 +33,6 @@ from repro.core.placement import PlacedQuorumSystem
 from repro.core.strategy import AccessStrategy, ExplicitStrategy
 from repro.errors import SimulationError
 from repro.obs import tracer as obs
-from repro.sim.failures import FailureSchedule
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
@@ -42,7 +41,7 @@ from repro.sim.metrics import (
     ResponseTimeStats,
     summarize,
 )
-from repro.sim.network import SimNetwork, check_nodes
+from repro.sim.network import SimNetwork, check_jitter, check_nodes
 from repro.sim.workload import PoissonArrivals
 
 __all__ = ["GenericQuorumSimulation", "GenericSimResult"]
@@ -52,34 +51,19 @@ class _Server:
     """FIFO single-processor node; serves every element it hosts."""
 
     __slots__ = ("node", "service_time_ms", "queue", "busy", "sim",
-                 "network", "requests_processed", "busy_time_ms",
-                 "failures", "requests_dropped")
+                 "network", "requests_processed", "busy_time_ms")
 
-    def __init__(self, node, service_time_ms, sim, network, failures=None):
+    def __init__(self, node, service_time_ms, sim, network):
         self.node = node
         self.service_time_ms = service_time_ms
         self.queue: deque = deque()
         self.busy = False
         self.sim = sim
         self.network = network
-        self.failures = failures
         self.requests_processed = 0
-        self.requests_dropped = 0
         self.busy_time_ms = 0.0
 
-    def _down(self) -> bool:
-        return self.failures is not None and self.failures.is_down(
-            self.node, self.sim.now
-        )
-
     def on_request(self, message) -> None:
-        if self._down():
-            # A crashed process silently drops the request and whatever
-            # was queued behind it.
-            self.requests_dropped += 1 + len(self.queue)
-            self.queue.clear()
-            self.busy = False
-            return
         message.arrived_ms = self.sim.now
         self.queue.append(message)
         if not self.busy:
@@ -98,12 +82,6 @@ class _Server:
         self.sim.schedule(service, partial(self._reply, message))
 
     def _reply(self, message) -> None:
-        if self._down():
-            # The crash took the in-flight request with it.
-            self.requests_dropped += 1 + len(self.queue)
-            self.queue.clear()
-            self.busy = False
-            return
         self.requests_processed += 1
         # Server-side report piggybacked on the reply: which server
         # answered and how long the request resided here (wait + service).
@@ -125,7 +103,6 @@ class _Access:
 
     client_node: int
     units: int
-    attempt: int = 0
     on_reply: object = None
     arrived_ms: float = 0.0
     server_node: int = -1
@@ -145,7 +122,6 @@ class _Client:
         servers: dict[int, _Server],
         rng: np.random.Generator,
         coalesce: bool,
-        timeout_ms: float = 0.0,
         max_operations: int | None = None,
         telemetry=None,
     ):
@@ -158,18 +134,13 @@ class _Client:
         self.servers = servers
         self.rng = rng
         self.coalesce = coalesce
-        self.timeout_ms = timeout_ms
         self.max_operations = max_operations
         self.records: list[OperationRecord] = []
         self.running = False
-        self.timeouts_total = 0
         self.requests_sent = 0
         self._pending = 0
         self._issued_at = 0.0
-        self._first_issued_at = 0.0
         self._network_delay = 0.0
-        self._attempt = 0
-        self._timeout_event = None
 
     def start(self, delay_ms: float) -> None:
         self.running = True
@@ -178,14 +149,11 @@ class _Client:
     def stop(self) -> None:
         self.running = False
 
-    def _issue(self, is_retry: bool = False) -> None:
+    def _issue(self) -> None:
         if not self.running:
             return
         nodes, multiplicities = self.sample_quorum(self.rng)
-        self._attempt += 1
         self._issued_at = self.sim.now
-        if not is_retry:
-            self._first_issued_at = self.sim.now
         self._network_delay = max(
             self.network.topology.distance(self.node, int(w))
             for w in nodes
@@ -194,30 +162,15 @@ class _Client:
         self.requests_sent += len(nodes)
         for w, count in zip(nodes, multiplicities):
             units = 1 if self.coalesce else int(count)
-            message = _Access(
-                client_node=self.node, units=units, attempt=self._attempt
-            )
+            message = _Access(client_node=self.node, units=units)
             message.on_reply = self._on_reply
             self.network.send(
                 self.node, int(w), message, self.servers[int(w)].on_request
             )
-        if self.timeout_ms > 0:
-            self._timeout_event = self.sim.schedule(
-                self.timeout_ms, self._on_timeout
-            )
-
-    def _on_timeout(self) -> None:
-        if not self.running or self._pending == 0:
-            return
-        # Abandon the attempt and resample a (hopefully live) quorum.
-        self.timeouts_total += 1
-        self._issue(is_retry=True)
 
     def _on_reply(self, message) -> None:
         if not self.running:
             return
-        if message.attempt != self._attempt:
-            return  # reply from an abandoned attempt
         if self.telemetry is not None:
             # Decomposed network RTT: the reply's observed round-trip
             # minus the residence time the server reported on it.
@@ -229,14 +182,11 @@ class _Client:
         self._pending -= 1
         if self._pending > 0:
             return
-        if self._timeout_event is not None:
-            self._timeout_event.cancel()
-            self._timeout_event = None
         self.records.append(
             OperationRecord(
                 client_id=self.client_id,
                 client_node=self.node,
-                issued_at_ms=self._first_issued_at,
+                issued_at_ms=self._issued_at,
                 completed_at_ms=self.sim.now,
                 network_delay_ms=self._network_delay,
             )
@@ -284,10 +234,10 @@ class GenericSimResult:
     """Outcome of a generic quorum-protocol simulation.
 
     The request counters obey **exact conservation**: every request a
-    client issued was processed by a server, dropped by a crash, or is
-    still in flight (in the network, queued, or in service) at the
-    horizon — ``requests_issued == requests_processed + requests_dropped
-    + requests_in_flight`` on both backends, to the unit.
+    client issued was processed by a server or is still in flight (in the
+    network, queued, or in service) at the horizon —
+    ``requests_issued == requests_processed + requests_in_flight`` on
+    both backends, to the unit.
 
     ``stats`` is summarized on first read, so a caller that needs only the
     counters or the telemetry never pays for the percentiles.
@@ -299,8 +249,6 @@ class GenericSimResult:
     per_node_request_rate: np.ndarray
     server_utilizations: np.ndarray
     operations_completed: int
-    timeouts_total: int = 0
-    requests_dropped: int = 0
     requests_issued: int = 0
     requests_processed: int = 0
     requests_in_flight: int = 0
@@ -343,9 +291,8 @@ class GenericQuorumSimulation:
         launches one independent operation (round-robin over
         ``client_nodes``) instead of the closed loop reissuing on
         completion. Open-loop arrivals keep coming while servers are
-        crashed or saturated — the regime where queueing collapse and
-        failure brittleness are visible, which closed loops self-throttle
-        away.
+        saturated — the regime where queueing collapse is visible, which
+        closed loops self-throttle away.
     backend:
         ``"events"`` (default) runs the reference discrete-event engine;
         ``"fluid"`` runs the vectorized backend in
@@ -372,8 +319,6 @@ class GenericQuorumSimulation:
         network_jitter_ms: float = 0.0,
         coalesce: bool = False,
         seed: int = 0,
-        failures: FailureSchedule | None = None,
-        timeout_ms: float = 0.0,
         arrivals: PoissonArrivals | None = None,
         backend: str = "events",
         collect_telemetry: bool = False,
@@ -391,11 +336,6 @@ class GenericQuorumSimulation:
             )
         if not np.all(np.isfinite(service_arr)) or np.any(service_arr < 0):
             raise SimulationError("service time must be non-negative")
-        if failures is not None and timeout_ms <= 0:
-            raise SimulationError(
-                "failure injection requires a positive client timeout "
-                "(otherwise accesses through crashed nodes hang forever)"
-            )
         if backend not in self.BACKENDS:
             raise SimulationError(
                 f"unknown simulation backend {backend!r}; choose from "
@@ -406,8 +346,7 @@ class GenericQuorumSimulation:
                 "the fluid backend is open-loop only; pass arrivals= "
                 "(closed-loop feedback needs the event engine)"
             )
-        if network_jitter_ms < 0:
-            raise SimulationError("jitter must be non-negative")
+        check_jitter(network_jitter_ms)
         if not isinstance(strategy, ExplicitStrategy):
             if not isinstance(placed.system, ThresholdQuorumSystem):
                 raise SimulationError(
@@ -423,7 +362,6 @@ class GenericQuorumSimulation:
         self.strategy = strategy
         self.arrivals = arrivals
         self.backend = backend
-        self.failures = failures
         self.service_times = service_arr
         self.uniform_service = uniform_service
         self.service_time_ms = (
@@ -439,7 +377,6 @@ class GenericQuorumSimulation:
         check_nodes(placed.topology, self.client_nodes.tolist(), "client")
 
         self._coalesce = coalesce
-        self._timeout_ms = timeout_ms
         self.collect_telemetry = collect_telemetry
         # Already sorted and distinct: the telemetry columns.
         self._telemetry_support = placed.placement.support_set
@@ -462,7 +399,6 @@ class GenericQuorumSimulation:
                 float(self.service_times[int(w)]),
                 self.sim,
                 self.network,
-                failures=self.failures,
             )
             for w in placed.placement.support_set
         }
@@ -487,7 +423,6 @@ class GenericQuorumSimulation:
                 servers=self.servers,
                 rng=np.random.default_rng(self.seed * 69_941 + i),
                 coalesce=self._coalesce,
-                timeout_ms=self._timeout_ms,
                 telemetry=(
                     self._record_pair if self.collect_telemetry else None
                 ),
@@ -576,7 +511,6 @@ class GenericQuorumSimulation:
         function of (placement, strategy, arrivals, seed).
         """
         times = self.arrivals.sample_until(duration_ms)
-        timeout = self._timeout_ms
         return [
             _Client(
                 client_id=i,
@@ -589,7 +523,6 @@ class GenericQuorumSimulation:
                 servers=self.servers,
                 rng=np.random.default_rng(self.seed * 69_941 + i),
                 coalesce=self._coalesce,
-                timeout_ms=timeout,
                 max_operations=1,
                 telemetry=(
                     self._record_pair if self.collect_telemetry else None
@@ -651,16 +584,13 @@ class GenericQuorumSimulation:
         processed = sum(
             s.requests_processed for s in self.servers.values()
         )
-        dropped = sum(s.requests_dropped for s in self.servers.values())
         return GenericSimResult(
             stats=partial(summarize, records, warmup_ms=warmup_ms),
             per_node_request_rate=rates,
             server_utilizations=utils,
             operations_completed=n_completed,
-            timeouts_total=sum(c.timeouts_total for c in self.clients),
-            requests_dropped=dropped,
             requests_issued=issued,
             requests_processed=processed,
-            requests_in_flight=issued - processed - dropped,
+            requests_in_flight=issued - processed,
             telemetry=self._telemetry_result(),
         )

@@ -10,6 +10,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Iterable
 
@@ -19,7 +20,7 @@ from repro.errors import SimulationError
 from repro.network.graph import Topology
 from repro.sim.engine import Simulator
 
-__all__ = ["SimNetwork", "check_nodes"]
+__all__ = ["SimNetwork", "check_jitter", "check_nodes"]
 
 
 def check_nodes(topology: Topology, nodes: Iterable[int], role: str) -> None:
@@ -38,6 +39,19 @@ def check_nodes(topology: Topology, nodes: Iterable[int], role: str) -> None:
             )
 
 
+def check_jitter(jitter_ms: float) -> None:
+    """Reject a negative or non-finite mean network jitter.
+
+    Every backend draws jitter only when ``jitter_ms > 0``, which is
+    False for NaN, so a NaN would silently mean no jitter; an infinite
+    mean would fail later with an unrelated message.
+    """
+    if not 0.0 <= jitter_ms < math.inf:
+        raise SimulationError(
+            f"jitter must be finite and non-negative, got {jitter_ms}"
+        )
+
+
 class SimNetwork:
     """Delivers payloads between topology nodes with RTT/2 one-way delay."""
 
@@ -48,8 +62,7 @@ class SimNetwork:
         jitter_ms: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if jitter_ms < 0:
-            raise SimulationError("jitter must be non-negative")
+        check_jitter(jitter_ms)
         self._sim = sim
         self._topology = topology
         self._jitter_ms = jitter_ms

@@ -630,8 +630,6 @@ class TestSimulatePlacements:
             start, _end = row["segment"]
             assert row["members"] == states[start].up_nodes.size
             assert row["requests_issued"] == (
-                row["requests_processed"]
-                + row["requests_dropped"]
-                + row["requests_in_flight"]
+                row["requests_processed"] + row["requests_in_flight"]
             )
             assert row["operations"] > 0

@@ -4,19 +4,14 @@ The fluid backend (:mod:`repro.sim.fluid`) promises the *same workload
 model* as the discrete-event reference, evaluated in bulk. That promise
 has two parts, and this suite pins both:
 
-* **exact** request conservation — ``issued == processed + dropped +
-  in_flight`` holds to the integer on every run, failures included;
+* **exact** request conservation — ``issued == processed + in_flight``
+  holds to the integer on every run;
 * **distributional** agreement — means and p50/p95/p99 percentiles of the
   response-time distribution match the event engine within a few percent
   on the bundled Planetlab topology and a synthetic WAN preset. (The
   backends use different random streams, so per-operation equality is
   neither expected nor meaningful — tolerances cover sampling noise at
   the test's operation counts.)
-
-Failure runs are compared on conservation and accounting only: the fluid
-backend abandons operations that lose a request to a crash instead of
-replaying the event engine's timeout-and-resample loop, so completion
-counts legitimately differ (documented in :mod:`repro.sim.fluid`).
 """
 
 import numpy as np
@@ -32,7 +27,6 @@ from repro.errors import SimulationError
 from repro.network.generators import synthetic_wan
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
-from repro.sim.failures import CrashWindow, FailureSchedule
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.workload import PoissonArrivals
 
@@ -61,9 +55,7 @@ def _run_both(placed, strategy, duration_ms=4_000.0, warmup_ms=400.0,
 
 def _assert_conserved(result):
     assert result.requests_issued == (
-        result.requests_processed
-        + result.requests_dropped
-        + result.requests_in_flight
+        result.requests_processed + result.requests_in_flight
     )
 
 
@@ -195,39 +187,6 @@ class TestWanPreset:
         )
         for r in (ev, fl):
             _assert_conserved(r)
-
-
-class TestConservationUnderFailures:
-    """Crash windows must not leak a single request on either backend —
-    completion counts may differ (no retries in fluid), accounting not."""
-
-    def test_exact_conservation_with_drops(self, line_topology):
-        placed = PlacedQuorumSystem(
-            ThresholdQuorumSystem(5, 3),
-            Placement([0, 2, 4, 6, 8]),
-            line_topology,
-        )
-        schedule = FailureSchedule(
-            [CrashWindow(4, 1_000.0, 4_000.0),
-             CrashWindow(0, 2_000.0, 3_000.0)]
-        )
-        ev, fl = _run_both(
-            placed,
-            ThresholdBalancedStrategy(),
-            duration_ms=8_000.0,
-            warmup_ms=0.0,
-            service_time_ms=1.0,
-            seed=7,
-            failures=schedule,
-            timeout_ms=250.0,
-            arrivals=PoissonArrivals(rate_per_ms=0.3, seed=8),
-        )
-        for r in (ev, fl):
-            assert r.requests_dropped > 0
-            assert r.requests_in_flight >= 0
-            _assert_conserved(r)
-        # The fluid backend reports abandoned operations as timeouts.
-        assert fl.timeouts_total > 0
 
 
 class TestFluidDeterminism:

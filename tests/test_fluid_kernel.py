@@ -42,7 +42,6 @@ from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim import fluid
-from repro.sim.failures import CrashWindow, FailureSchedule
 from repro.sim.generic import GenericQuorumSimulation, GenericSimResult
 from repro.sim.metrics import PairTelemetry, summarize_arrays
 from repro.sim.workload import PoissonArrivals
@@ -63,31 +62,6 @@ def _group_by(values):
 def _lindley(arrivals, service):
     cum = np.cumsum(service)
     return np.maximum.accumulate(arrivals - (cum - service)) + cum
-
-
-def _fifo_departures(arrivals, service, windows, horizon_ms):
-    n = arrivals.size
-    if windows.size == 0:
-        return _lindley(arrivals, service), np.zeros(n, dtype=bool)
-    pos = np.searchsorted(windows.ravel(), arrivals, side="right")
-    in_down = pos % 2 == 1
-    departures = np.full(n, np.inf)
-    dropped = np.zeros(n, dtype=bool)
-    dropped[in_down & (arrivals <= horizon_ms)] = True
-    segment = pos // 2
-    for sid in range(windows.shape[0] + 1):
-        mask = ~in_down & (segment == sid)
-        if not mask.any():
-            continue
-        dep = _lindley(arrivals[mask], service[mask])
-        if sid < windows.shape[0]:
-            crash_at = windows[sid, 0]
-            crashed = dep >= crash_at
-            if crash_at <= horizon_ms:
-                dropped[np.flatnonzero(mask)[crashed]] = True
-            dep = np.where(crashed, np.inf, dep)
-        departures[mask] = dep
-    return departures, dropped
 
 
 def reference_blocks(sim, op_node, rng):
@@ -131,7 +105,7 @@ def reference_blocks(sim, op_node, rng):
 
 def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
     rtt = sim.placed.topology.rtt
-    failures, jitter_ms = sim.failures, sim.network_jitter_ms
+    jitter_ms = sim.network_jitter_ms
     service_times = sim.service_times
     horizon = float(duration_ms)
     times = sim.arrivals.sample_until(duration_ms)
@@ -175,24 +149,16 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
     order = np.lexsort((req_arrive, req_server))
     srv, arr, svc = req_server[order], req_arrive[order], req_service[order]
     dep_sorted = np.empty(total)
-    dropped_sorted = np.zeros(total, dtype=bool)
     processed, busy = {}, {}
     uniq, starts = np.unique(srv, return_index=True)
     for node, i0, i1 in zip(uniq, starts, np.append(starts[1:], total)):
-        windows = (
-            np.empty((0, 2))
-            if failures is None
-            else failures.node_windows(int(node))
-        )
-        dep, dropped = _fifo_departures(arr[i0:i1], svc[i0:i1], windows, horizon)
-        dep_sorted[i0:i1], dropped_sorted[i0:i1] = dep, dropped
-        kept = ~dropped & (dep <= horizon)
+        dep = _lindley(arr[i0:i1], svc[i0:i1])
+        dep_sorted[i0:i1] = dep
+        kept = dep <= horizon
         processed[int(node)] = int(kept.sum())
         busy[int(node)] = float(svc[i0:i1][kept].sum())
     departure = np.empty(total)
     departure[order] = dep_sorted
-    req_dropped = np.empty(total, dtype=bool)
-    req_dropped[order] = dropped_sorted
 
     reply = departure + req_one_way
     if jitter_ms > 0:
@@ -202,7 +168,7 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
     if sim.collect_telemetry:
         support = np.unique(sim.placed.placement.support_set)
         n_nodes, s = sim.placed.n_nodes, support.size
-        observed = ~req_dropped & (reply <= horizon)
+        observed = reply <= horizon
         key = req_client[observed] * s + np.searchsorted(
             support, req_server[observed]
         )
@@ -219,12 +185,8 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
         )
 
     completion = np.empty(n_ops)
-    op_failed = np.zeros(n_ops, dtype=bool)
     for ops, start, stop, width in slices:
         completion[ops] = reply[start:stop].reshape(ops.size, width).max(axis=1)
-        op_failed[ops] = (
-            req_dropped[start:stop].reshape(ops.size, width).any(axis=1)
-        )
     completed = completion <= horizon
     stats = summarize_arrays(
         issued_at_ms=times[completed],
@@ -240,17 +202,14 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
         rates[node] = processed.get(node, 0) / horizon
         utils[idx] = min(1.0, busy.get(node, 0.0) / horizon)
     requests_processed = sum(processed.values())
-    requests_dropped = int(req_dropped.sum())
     return GenericSimResult(
         stats=stats,
         per_node_request_rate=rates,
         server_utilizations=utils,
         operations_completed=stats.n_operations,
-        timeouts_total=int(op_failed.sum()) if failures is not None else 0,
-        requests_dropped=requests_dropped,
         requests_issued=total,
         requests_processed=requests_processed,
-        requests_in_flight=total - requests_processed - requests_dropped,
+        requests_in_flight=total - requests_processed,
         telemetry=telemetry,
     )
 
@@ -343,10 +302,8 @@ CASES = {
         "explicit",
         {"client_nodes": [4, 4, 2, 9, 4, 2, 0], "warmup_ms": 150.0},
     ),
-    "explicit_crashes": ("grid_1to1", "explicit", {"failures": True}),
     "uniform_1to1": ("grid_1to1", "uniform", {"collect_telemetry": True}),
     "balanced": ("threshold", "balanced", {"network_jitter_ms": 2.0}),
-    "balanced_crashes": ("threshold", "balanced", {"failures": True}),
     "closest_per_node_service": (
         "threshold",
         "closest",
@@ -377,16 +334,6 @@ def _simulation(name, seed=3):
         kwargs["service_time_ms"] = rng.uniform(0.5, 4.0, size=topology.n_nodes)
     else:
         kwargs.setdefault("service_time_ms", 2.0)
-    if kwargs.pop("failures", False):
-        support = placed.placement.support_set
-        kwargs["failures"] = FailureSchedule(
-            [
-                CrashWindow(int(support[0]), 150.0, 400.0),
-                CrashWindow(int(support[-1]), 300.0, 350.0),
-                CrashWindow(int(support[-1]), 700.0, 2_000.0),
-            ]
-        )
-        kwargs["timeout_ms"] = 100.0
     sim = GenericQuorumSimulation(
         placed,
         strategy,

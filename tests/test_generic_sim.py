@@ -283,3 +283,92 @@ class TestOpenLoopRun:
         sim = _open_loop(grid2_placed, backend)
         with pytest.raises(SimulationError, match="no operations completed"):
             sim.run(duration_ms=300.0, warmup_ms=1_000.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_closed_loop_non_finite_horizon_rejected(maj_placed, bad):
+    """``time > nan`` is False, so a NaN or infinite horizon never stopped
+    the closed loop: the run hung."""
+    sim = GenericQuorumSimulation(maj_placed, ThresholdBalancedStrategy())
+    with pytest.raises(SimulationError, match=f"finite, got {bad}"):
+        sim.run(duration_ms=bad)
+
+
+def _open_loop_run(maj_placed, seed=11, rate=0.02, duration=4000.0):
+    sim = GenericQuorumSimulation(
+        maj_placed,
+        ThresholdBalancedStrategy(),
+        client_nodes=np.repeat(np.array([0, 5, 9]), 2),
+        service_time_ms=0.0,
+        seed=seed,
+        arrivals=PoissonArrivals(rate_per_ms=rate, seed=seed + 1),
+    )
+    return sim, sim.run(duration_ms=duration)
+
+
+class TestOpenLoopBasics:
+    def test_each_arrival_is_one_operation_at_most(self, maj_placed):
+        sim, result = _open_loop_run(maj_placed, rate=0.01)
+        assert all(len(c.records) <= 1 for c in sim.clients)
+        assert result.operations_completed <= len(sim.clients)
+
+    def test_round_robin_spreads_over_client_nodes(self, maj_placed):
+        sim, _result = _open_loop_run(maj_placed, rate=0.05)
+        nodes = {c.node for c in sim.clients}
+        assert nodes == {0, 5, 9}
+
+
+class TestRequestConservation:
+    """Every request the clients issue must be accounted for exactly:
+    ``issued == processed + in_flight``."""
+
+    @staticmethod
+    def _conserved(result):
+        return result.requests_issued == (
+            result.requests_processed + result.requests_in_flight
+        )
+
+    def test_identity_holds_without_failures(self, maj_placed):
+        _sim, result = _open_loop_run(maj_placed, rate=0.05)
+        assert result.requests_issued > 0
+        assert self._conserved(result)
+        assert result.requests_in_flight >= 0
+
+    def test_in_flight_drains_to_zero_with_a_long_horizon(self, maj_placed):
+        """Arrivals stop at the horizon but events keep firing until the
+        clock runs out; once every request has reached its server and
+        been served, nothing can still be in flight."""
+        sim = GenericQuorumSimulation(
+            maj_placed,
+            ThresholdBalancedStrategy(),
+            client_nodes=np.array([0, 5, 9]),
+            service_time_ms=1.0,
+            seed=3,
+            arrivals=PoissonArrivals(rate_per_ms=0.05, seed=4),
+        )
+        # The last of these arrivals lands 52 ms before the horizon: more
+        # than the line's longest one-way leg (45 ms) plus its service.
+        result = sim.run(duration_ms=10_000.0)
+        assert self._conserved(result)
+        assert result.requests_in_flight == 0
+
+
+class TestWorkloadHelpers:
+    """Pins for the vectorized workload helpers."""
+
+    def test_sample_until_deterministic_and_sorted(self):
+        a = PoissonArrivals(rate_per_ms=0.7, seed=42)
+        t1 = a.sample_until(5_000.0)
+        t2 = PoissonArrivals(rate_per_ms=0.7, seed=42).sample_until(5_000.0)
+        np.testing.assert_array_equal(t1, t2)
+        assert t1.size > 0
+        assert np.all(t1 < 5_000.0)
+        assert np.all(np.diff(t1) >= 0)
+
+    def test_sample_until_covers_an_underestimated_horizon(self):
+        """The geometric-growth extension path: a tiny rate forces the
+        initial chunk to undershoot the horizon repeatedly."""
+        a = PoissonArrivals(rate_per_ms=0.0005, seed=9)
+        times = a.sample_until(100_000.0)
+        assert np.all(times < 100_000.0)
+        assert np.all(np.diff(times) >= 0)

@@ -188,9 +188,10 @@ def test_anchored_solves_leave_the_anchor_basis_untouched(majority_placed):
     copies it in: no later solve may write into the captured statuses."""
     program = StrategyProgram(majority_placed)
     program.solve(1.0)  # calibrates and captures the anchor
-    anchor = program._batched._impl._anchor
-    if anchor is None:
+    impl = program._batched._impl
+    if not impl.stateful:
         pytest.skip("stateless LP backend keeps no anchor basis")
+    anchor = impl._anchor
     columns, rows = list(anchor.col_status), list(anchor.row_status)
     rng = np.random.default_rng(5)
     delta = majority_placed.delay_matrix
@@ -199,6 +200,6 @@ def test_anchored_solves_leave_the_anchor_basis_untouched(majority_placed):
         program.update_delays(delta * rng.uniform(0.7, 1.4, size=delta.shape))
         caps = np.full(majority_placed.n_nodes, levels[step % levels.size])
         program.solve(caps * rng.uniform(1.0, 1.3, size=caps.size))
-    assert program._batched._impl._anchor is anchor
+    assert impl._anchor is anchor
     assert list(anchor.col_status) == columns
     assert list(anchor.row_status) == rows

@@ -21,7 +21,7 @@ one-candidate history copy per server, each reply its own delivery event
 that the client files in a dict; ``total_ordering`` timestamps compared
 through ``_key``; a history whose ``latest`` is a ``max`` over every
 candidate and which the server prunes every 64th request; ``schedule``
-re-validating through ``schedule_at`` and ``send`` through
+re-validating through ``schedule_reserved`` and ``send`` through
 ``one_way_delay``. Every run must match it byte for byte: the same
 records, utilizations, messages, retries and final clock, the same random
 draws in the same order, and the same FIFO and tie order. The event count
@@ -49,9 +49,8 @@ from repro.qu.objects import KEEP_LAST, Candidate, ReplicaHistory
 from repro.qu.service import QUService
 from repro.qu.timestamps import QUTimestamp
 from repro.quorums.threshold import ThresholdQuorumSystem
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.experiment import QUExperimentConfig, run_qu_experiment
-from repro.sim.failures import CrashWindow, FailureSchedule
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.metrics import OperationRecord
 from repro.sim.network import SimNetwork
@@ -135,26 +134,15 @@ def _ref_classify(histories):
 
 
 # ---------------------------------------------------------------------------
-# Reference engine (schedule via schedule_at, send via one_way_delay)
+# Reference engine (schedule via schedule_reserved, send via one_way_delay)
 # ---------------------------------------------------------------------------
 def _ref_schedule(self, delay, callback):
     if not math.isfinite(delay) or delay < 0:
         raise SimulationError(
             f"event delay must be finite and non-negative, got {delay}"
         )
-    return self.schedule_at(self._now + delay, callback)
-
-
-def _ref_compact(self):
-    live = []
-    for entry in self._heap:
-        if entry[2].cancelled:
-            entry[2]._in_heap = False
-        else:
-            live.append(entry)
-    self._heap = live
-    heapq.heapify(self._heap)
-    self._cancelled_in_heap = 0
+    # The heap key ``schedule`` gives: now + delay, the next sequence number.
+    self.schedule_reserved(self._now + delay, self.reserve(), callback)
 
 
 def _ref_run(self, until=None, max_events=None):
@@ -162,16 +150,12 @@ def _ref_run(self, until=None, max_events=None):
         raise SimulationError("run() needs a time bound or an event budget")
     processed = 0
     while self._heap:
-        time, _, event = self._heap[0]
+        time, _, callback = self._heap[0]
         if until is not None and time > until:
             break
         heapq.heappop(self._heap)
-        event._in_heap = False
-        if event.cancelled:
-            self._cancelled_in_heap -= 1
-            continue
         self._now = time
-        event.callback()
+        callback()
         self._events_processed += 1
         processed += 1
         if max_events is not None and processed >= max_events:
@@ -191,7 +175,6 @@ def _ref_send(self, src, dst, payload, on_delivery):
 def _reference_engine(monkeypatch):
     monkeypatch.setattr(Simulator, "schedule", _ref_schedule)
     monkeypatch.setattr(Simulator, "run", _ref_run)
-    monkeypatch.setattr(Simulator, "_compact", _ref_compact)
     monkeypatch.setattr(SimNetwork, "send", _ref_send)
 
 
@@ -858,10 +841,6 @@ def _generic_run(line_topology):
         client_nodes=np.array([0, 3, 5, 9]),
         service_time_ms=1.0,
         network_jitter_ms=0.3,
-        failures=FailureSchedule(
-            [CrashWindow(4, 300.0, 1500.0), CrashWindow(0, 800.0, 1200.0)]
-        ),
-        timeout_ms=250.0,
         seed=7,
         collect_telemetry=True,
     )
@@ -871,21 +850,11 @@ def _generic_run(line_topology):
 
 
 def test_generic_events_backend_bit_identical(line_topology, monkeypatch):
-    """Crash windows and timeouts: every completed operation cancels its
-    timeout event, so cancellation and heap compaction are on the path."""
-    compactions = []
-    compact = Simulator._compact
-
-    def counting_compact(self):
-        compactions.append(len(self._heap))
-        compact(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Simulator, "_compact", counting_compact)
-        new, new_result, new_records = _generic_run(line_topology)
-    assert compactions
-    assert new_result.timeouts_total > 0
-    assert new_result.requests_dropped > 0
+    """The generic backend pays one event per message: its event count,
+    draws and records must equal the reference engine's exactly."""
+    new, new_result, new_records = _generic_run(line_topology)
+    assert new_result.operations_completed > 0
+    assert new_result.telemetry.counts.sum() > 0
     with monkeypatch.context() as patch:
         _reference_engine(patch)
         ref, ref_result, ref_records = _generic_run(line_topology)
@@ -895,15 +864,15 @@ def test_generic_events_backend_bit_identical(line_topology, monkeypatch):
     _assert_identical(new_result, ref_result)
 
 
-def test_schedule_matches_schedule_at_validation():
+def test_schedule_matches_schedule_reserved_validation():
     """The inline push in ``schedule`` accepts and rejects exactly what
-    ``schedule`` → ``schedule_at`` did."""
+    ``schedule_reserved(now + delay, reserve())`` does, at the same heap
+    key."""
     for delay in (0.0, 1e-300, 2.5, 1e300, -0.0):
         new, ref = Simulator(), Simulator()
-        a = new.schedule(delay, lambda: None)
-        b = _ref_schedule(ref, delay, lambda: None)
-        assert isinstance(a, ScheduledEvent)
-        assert (a.time, new._heap[0][:2]) == (b.time, ref._heap[0][:2])
+        new.schedule(delay, lambda: None)
+        _ref_schedule(ref, delay, lambda: None)
+        assert new._heap[0][:2] == ref._heap[0][:2]
     for delay in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
         for schedule in (Simulator.schedule, _ref_schedule):
             sim = Simulator()

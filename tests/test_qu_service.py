@@ -32,6 +32,15 @@ class TestServiceConstruction:
         with pytest.raises(SimulationError):
             service.run(duration_ms=100.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, line_topology, bad):
+        """``time > nan`` is False, so a NaN or infinite horizon never
+        stopped the closed loop: the run hung."""
+        service = build_service(line_topology, [0, 1, 2], 2)
+        service.add_client(5)
+        with pytest.raises(SimulationError, match=f"finite, got {bad}"):
+            service.run(duration_ms=bad)
+
     def test_negative_server_node_rejected(self, planetlab):
         """-1 would index the delay matrix from its end: node 49."""
         with pytest.raises(SimulationError, match="node -1 .* 50 nodes"):

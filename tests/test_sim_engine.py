@@ -71,8 +71,6 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(bad, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(bad, lambda: None)
         assert sim.pending_events == 0
 
     def test_nan_event_cannot_corrupt_heap_order(self):
@@ -91,11 +89,30 @@ class TestScheduling:
         sim.schedule(5.0, lambda: None)
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda: None)
+            sim.schedule_reserved(1.0, sim.reserve(), lambda: None)
 
     def test_run_needs_bound(self):
         with pytest.raises(SimulationError):
             Simulator().run()
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_time_bound_rejected(self, bad):
+        """Regression: ``time > nan`` is False, so a NaN bound bounded
+        nothing and a budgeted run spent its whole budget."""
+        sim = Simulator()
+        fired = []
+
+        def loop():
+            fired.append(sim.now)
+            sim.schedule(1.0, loop)
+
+        sim.schedule(0.0, loop)
+        with pytest.raises(SimulationError, match=str(bad)):
+            sim.run(until=bad, max_events=5_000)
+        assert fired == []
+        assert sim.now == 0.0
 
 
 class TestReservedSlots:
@@ -145,151 +162,6 @@ class TestReservedSlots:
                 sim.schedule_reserved(1.0, bad, lambda: None)
         assert sim.pending_events == 0
 
-    def test_reserved_event_is_cancellable(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule_reserved(
-            1.0, sim.reserve(), lambda: fired.append(1)
-        )
-        event.cancel()
-        sim.run(until=2.0)
-        assert fired == []
-        assert sim.events_processed == 0
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        sim.run(until=5.0)
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        sim.run(until=5.0)
-
-
-class TestHeapCompaction:
-    """Cancelled entries must not accumulate in the heap unboundedly."""
-
-    def test_cancel_heavy_load_compacts_heap(self):
-        sim = Simulator()
-        handles = [
-            sim.schedule(float(i + 1), lambda: None) for i in range(100)
-        ]
-        for handle in handles[:60]:
-            handle.cancel()
-        # Compaction triggers once cancelled entries exceed half the
-        # queue, so at no point do all 60 cancelled entries linger.
-        assert sim.pending_events < 100
-        assert sim.cancelled_pending * 2 <= sim.pending_events
-        sim.run(until=1000.0)
-        assert sim.events_processed == 40
-        assert sim.pending_events == 0
-
-    def test_compaction_preserves_firing_order(self):
-        sim = Simulator()
-        fired = []
-        keep = []
-        for i in range(50):
-            handle = sim.schedule(
-                5.0, lambda i=i: fired.append(i)
-            )
-            if i % 3 == 0:
-                keep.append(i)
-            else:
-                handle.cancel()
-        sim.run(until=10.0)
-        # Survivors fire in original scheduling order despite the rebuild.
-        assert fired == keep
-
-    def test_long_cancel_reschedule_cycle_bounded(self):
-        """The original leak: cancel+reschedule kept every tombstone."""
-        sim = Simulator()
-        peak = 0
-        handle = sim.schedule(1e6, lambda: None)
-        for _ in range(1000):
-            handle.cancel()
-            handle = sim.schedule(1e6, lambda: None)
-            peak = max(peak, sim.pending_events)
-        assert peak <= 4
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append("x"))
-        sim.run(until=5.0)
-        assert fired == ["x"]
-        handle.cancel()  # the run() boundary has passed; nothing happens
-        assert sim.cancelled_pending == 0
-        assert sim.pending_events == 0
-        sim.run(until=10.0)
-        assert fired == ["x"]
-
-    def test_compaction_inside_run_keeps_loop_alive(self):
-        """A callback that cancels most pending events compacts the heap
-        while ``run()`` is popping from it. Survivors and events scheduled
-        after the sweep must still fire in ``(time, seq)`` order, and the
-        counters must stay exact throughout."""
-        sim = Simulator()
-        fired = []
-        seen_processed = []
-        handles = []
-
-        def record(tag):
-            fired.append((tag, sim.now))
-            seen_processed.append(sim.events_processed)
-
-        def canceller():
-            record("cancel")
-            # 15 of the 20 pending go: the 11th cancellation (i == 14)
-            # tips the heap past half cancelled and compacts it to 9
-            # entries; the last 4 cancellations linger after the sweep.
-            for i, handle in enumerate(handles):
-                if i % 4 != 0:
-                    handle.cancel()
-                if i == 14:
-                    assert sim.cancelled_pending == 0
-                    assert sim.pending_events == 9
-            assert sim.cancelled_pending == 4
-            assert sim.pending_events == 9
-            sim.schedule(0.5, lambda: record("late"))
-
-        sim.schedule(1.0, canceller)
-        for i in range(20):
-            handles.append(
-                sim.schedule(2.0 + (i % 5) * 0.25, lambda i=i: record(i))
-            )
-        sim.run(until=10.0)
-        survivors = sorted(
-            (i for i in range(20) if i % 4 == 0),
-            key=lambda i: (2.0 + (i % 5) * 0.25, i),
-        )
-        assert fired == (
-            [("cancel", 1.0), ("late", 1.5)]
-            + [(i, 2.0 + (i % 5) * 0.25) for i in survivors]
-        )
-        assert seen_processed == list(range(len(fired)))
-        assert sim.events_processed == len(fired) == 7
-        assert sim.cancelled_pending == 0
-        assert sim.pending_events == 0
-
-    def test_cancelled_counter_tracks_pops(self):
-        sim = Simulator()
-        a = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
-        a.cancel()
-        assert sim.cancelled_pending == 1
-        sim.run(until=10.0)
-        assert sim.cancelled_pending == 0
-        assert sim.events_processed == 2
-
 
 class TestDeterminism:
     """ISSUE satellite: the kernel must be deterministic for a fixed seed."""
@@ -302,7 +174,9 @@ class TestDeterminism:
         for i in range(3):
             sim.schedule(7.0, lambda i=i: fired.append(("a", i)))
         for i in range(3):
-            sim.schedule_at(7.0, lambda i=i: fired.append(("b", i)))
+            sim.schedule_reserved(
+                7.0, sim.reserve(), lambda i=i: fired.append(("b", i))
+            )
         sim.run(until=10.0)
         assert fired == [
             ("a", 0), ("a", 1), ("a", 2),

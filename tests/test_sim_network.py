@@ -6,6 +6,7 @@ import pytest
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
+from repro.qu.service import QUService
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.engine import Simulator
 from repro.sim.generic import GenericQuorumSimulation
@@ -81,19 +82,43 @@ class TestSimNetwork:
     ):
         # The fluid backend builds no SimNetwork, so the simulation itself
         # must reject the jitter.
-        placed = PlacedQuorumSystem(
-            ThresholdQuorumSystem(5, 3),
-            Placement([0, 2, 4, 6, 8]),
-            line_topology,
-        )
         with pytest.raises(SimulationError, match="jitter"):
-            GenericQuorumSimulation(
-                placed,
-                ThresholdBalancedStrategy(),
-                network_jitter_ms=-1.0,
-                arrivals=PoissonArrivals(rate_per_ms=1.0, seed=1),
-                backend=backend,
-            )
+            _jittered(line_topology, backend, -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("engine", ["events", "fluid", "qu"])
+    def test_non_finite_jitter_rejected(self, line_topology, engine, bad):
+        """``jitter < 0`` is False for both: NaN jitter silently meant no
+        jitter, and infinite jitter failed later with an unrelated
+        message."""
+        with pytest.raises(
+            SimulationError,
+            match=f"jitter must be finite and non-negative, got {bad}",
+        ):
+            _jittered(line_topology, engine, bad)
+
+
+def _jittered(topology, engine, jitter_ms):
+    """A Q/U service or an open-loop generic simulation on ``engine``."""
+    if engine == "qu":
+        return QUService(
+            topology,
+            np.array([0, 2, 4]),
+            quorum_size=2,
+            network_jitter_ms=jitter_ms,
+        )
+    placed = PlacedQuorumSystem(
+        ThresholdQuorumSystem(5, 3),
+        Placement([0, 2, 4, 6, 8]),
+        topology,
+    )
+    return GenericQuorumSimulation(
+        placed,
+        ThresholdBalancedStrategy(),
+        network_jitter_ms=jitter_ms,
+        arrivals=PoissonArrivals(rate_per_ms=1.0, seed=1),
+        backend=engine,
+    )
 
 
 class TestMetrics:

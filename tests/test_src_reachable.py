@@ -4,16 +4,19 @@ A module is live when a non-``__init__`` file in ``src/``, ``bench_e2e/``
 or ``benchmarks/`` imports it — a name imported through a package
 ``__init__`` counts for the module that defines it — or when it is an
 entry point. Tests do not count: code that only tests reach belongs in
-``tests/``.
+``tests/``. A benchmark counts only because CI runs it, so every
+``benchmarks/bench_*.py`` must be named by a step of the CI workflow.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 #: ``python -m repro``, ``python -m repro.lint``, and the rule module that
 #: ``repro.lint`` imports for its registration side effect.
 ENTRY_POINTS = {"repro.__main__", "repro.lint.__main__", "repro.lint.rules"}
@@ -68,3 +71,14 @@ def test_every_module_is_imported_by_running_code():
         if path.name != "__init__.py" and name not in live
     )
     assert dead == []
+
+
+def test_every_benchmark_script_is_run_by_ci():
+    steps = "\n".join(
+        line
+        for line in CI_WORKFLOW.read_text().splitlines()
+        if not line.lstrip().startswith("#")
+    )
+    named = set(re.findall(r"benchmarks/(bench_\w+\.py)", steps))
+    scripts = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
+    assert sorted(scripts - named) == []
