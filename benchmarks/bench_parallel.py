@@ -24,7 +24,6 @@ import os
 import time
 
 from repro.experiments import fig_6_3
-from repro.network.datasets import planetlab_50
 from repro.obs.bench import BenchRecorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import GridRunner
@@ -32,11 +31,6 @@ from repro.runtime.runner import GridRunner
 import pytest
 
 RECORD = "bench_parallel.json"
-
-
-@pytest.fixture(scope="module")
-def planetlab():
-    return planetlab_50()
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +49,9 @@ def _timed(fn, repeats: int = 1) -> tuple[float, object]:
     return best, result
 
 
-def test_fig_6_3_parallel_speedup(planetlab, results_dir, recorder):
+def test_fig_6_3_parallel_speedup(results_dir, recorder):
     """Serial vs parallel wall clock on the fig_6_3 fast grid."""
-    spec = fig_6_3.grid_spec(planetlab, fast=True)
+    spec = fig_6_3.grid_spec(fast=True)
     cores = os.cpu_count() or 1
     jobs = min(4, cores)
 
@@ -100,9 +94,9 @@ def test_fig_6_3_parallel_speedup(planetlab, results_dir, recorder):
         )
 
 
-def test_cache_hit_smoke(planetlab, results_dir, recorder, tmp_path):
+def test_cache_hit_smoke(results_dir, recorder, tmp_path):
     """Cold-populate then warm-serve the fig_6_3 fast grid from cache."""
-    spec = fig_6_3.grid_spec(planetlab, fast=True)
+    spec = fig_6_3.grid_spec(fast=True)
     cache = ResultCache(tmp_path / "cache")
 
     cold_s, cold_values = _timed(

@@ -281,9 +281,7 @@ class PlacedQuorumSystem:
         delta.setflags(write=False)
         return delta
 
-    def delay_matrix_for(
-        self, rtt: np.ndarray, node_costs: np.ndarray | None = None
-    ) -> np.ndarray:
+    def delay_matrix_for(self, rtt: np.ndarray) -> np.ndarray:
         """``delta[v, i]`` under an *alternative* RTT matrix.
 
         The dynamics subsystem uses this to re-evaluate a fixed placement
@@ -291,8 +289,7 @@ class PlacedQuorumSystem:
         the gather indices) is unchanged, only the distance values move.
         ``rtt`` must be square over this placement's node space; it is
         *not* re-closed metrically — drifted matrices are taken as
-        measured. ``node_costs`` adds a per-node cost before the max, the
-        equation-(4.1) augmentation.
+        measured.
         """
         values = np.asarray(rtt, dtype=np.float64)
         if values.shape != (self.n_nodes, self.n_nodes):
@@ -301,8 +298,6 @@ class PlacedQuorumSystem:
                 f"got {values.shape}"
             )
         values = values[:, self.placement.support_set]
-        if node_costs is not None:
-            values += self._support_costs(node_costs)[None, :]
         return self._max_over_quorums(values)
 
     def quorum_delay(self, client: int, quorum_index: int) -> float:

@@ -302,8 +302,8 @@ def replay(
         for this call. With one, its worker count is authoritative —
         passing a non-default ``jobs`` alongside it raises — and
         ``cache`` is attached to it for the duration of the call (a
-        runner already carrying a *different* cache raises), the same
-        conflict contract as ``run_figure``.
+        runner already carrying a *different* cache raises): the
+        contract of :func:`~repro.runtime.runner.shared_runner`.
     telemetry:
         A :class:`~repro.dynamics.telemetry.TelemetryConfig` runs every
         policy **closed-loop**: decisions are made from simulated-probe

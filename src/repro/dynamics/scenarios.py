@@ -181,18 +181,16 @@ def mixed_scenario(
     topology: Topology,
     n_epochs: int,
     seed: int = 7,
-    churn: bool = True,
-    region_size: int | None = None,
 ) -> ScenarioTrace:
     """The canonical everything-at-once scenario: diurnal RTT drift plus
-    a flash-crowd capacity crunch plus (optionally) a regional
-    partition-and-heal.
+    a flash-crowd capacity crunch plus a partition-and-heal of the
+    ``n // 8`` nodes around a seeded center.
 
     This is the single definition behind both ``python -m repro dynamics
     --scenario mixed`` and the ``fig_dyn`` figure, so the two entry points
     replay identical timelines for identical (epochs, seed).
     """
-    parts = [
+    return combine(
         diurnal_scenario(
             topology, n_epochs, seed=seed, amplitude=0.35,
             period=max(4, n_epochs // 2),
@@ -200,17 +198,11 @@ def mixed_scenario(
         flash_crowd_scenario(
             topology, n_epochs, seed=seed + 1, fraction=0.3, depth=0.6,
         ),
-    ]
-    if churn:
-        if region_size is None:
-            region_size = max(1, topology.n_nodes // 8)
-        parts.append(
-            partition_heal_scenario(
-                topology, n_epochs, seed=seed + 2,
-                region_size=region_size,
-            )
-        )
-    return combine(*parts)
+        partition_heal_scenario(
+            topology, n_epochs, seed=seed + 2,
+            region_size=max(1, topology.n_nodes // 8),
+        ),
+    )
 
 
 def combine(*traces: ScenarioTrace) -> ScenarioTrace:

@@ -99,35 +99,18 @@ def simulation_cell_point(
     )
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    t_values: tuple[int, ...] | None = None,
-    clients_per_site_values: tuple[int, ...] | None = None,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 3.1's grid: one point per (t, c) simulation cell.
 
     Series are named ``response n=<n>`` and ``netdelay n=<n>`` with the
     client count on the x axis, which reads the 3-D surface as one curve
     per universe size.
     """
-    if topology is None:
-        topology = planetlab_50()
-    if fast:
-        t_values = t_values or (1, 4)
-        clients_per_site_values = clients_per_site_values or (1, 5, 10)
-        duration_ms = duration_ms or 1500.0
-        repetitions = repetitions or 1
-    else:
-        t_values = t_values or (1, 2, 3, 4, 5)
-        clients_per_site_values = clients_per_site_values or tuple(
-            range(1, 11)
-        )
-        duration_ms = duration_ms or 2500.0
-        repetitions = repetitions or 2
-
+    topology = planetlab_50()
+    t_values = (1, 4) if fast else (1, 2, 3, 4, 5)
+    clients_per_site_values = (1, 5, 10) if fast else tuple(range(1, 11))
+    duration_ms = 1500.0 if fast else 2500.0
+    repetitions = 1 if fast else 2
     topo_fp = topology_fingerprint(topology)
     points = tuple(
         simulation_cell_point(

@@ -15,25 +15,18 @@ from __future__ import annotations
 from repro.experiments.fig_3_1 import simulation_cell_point
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
-from repro.network.graph import Topology
 from repro.runtime.grid import GridSpec
 from repro.runtime.cache import topology_fingerprint  # cache-key-input
 
 __all__ = ["grid_spec_a", "grid_spec_b"]
 
 
-def grid_spec_a(
-    topology: Topology | None = None,
-    fast: bool = False,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-) -> GridSpec:
+def grid_spec_a(fast: bool) -> GridSpec:
     """Figure 3.2a's grid: 100 clients, one point per fault parameter."""
-    if topology is None:
-        topology = planetlab_50()
+    topology = planetlab_50()
     t_values = (1, 3, 5) if fast else (1, 2, 3, 4, 5)
-    duration_ms = duration_ms or (1500.0 if fast else 2500.0)
-    repetitions = repetitions or (1 if fast else 2)
+    duration_ms = 1500.0 if fast else 2500.0
+    repetitions = 1 if fast else 2
     topo_fp = topology_fingerprint(topology)
 
     points = tuple(
@@ -64,18 +57,12 @@ def grid_spec_a(
     )
 
 
-def grid_spec_b(
-    topology: Topology | None = None,
-    fast: bool = False,
-    duration_ms: float | None = None,
-    repetitions: int | None = None,
-) -> GridSpec:
+def grid_spec_b(fast: bool) -> GridSpec:
     """Figure 3.2b's grid: t = 4, one point per client count."""
-    if topology is None:
-        topology = planetlab_50()
+    topology = planetlab_50()
     c_values = (1, 5, 10) if fast else tuple(range(1, 11))
-    duration_ms = duration_ms or (1500.0 if fast else 2500.0)
-    repetitions = repetitions or (1 if fast else 2)
+    duration_ms = 1500.0 if fast else 2500.0
+    repetitions = 1 if fast else 2
     topo_fp = topology_fingerprint(topology)
 
     points = tuple(

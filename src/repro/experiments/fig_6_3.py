@@ -43,19 +43,13 @@ def _singleton_delay(topology: Topology) -> float:
     return evaluate(sing, ExplicitStrategy.uniform(sing)).avg_network_delay
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    max_universe: int | None = None,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 6.3's grid: one point per evaluated quorum system.
 
     Response time equals network delay here (``alpha = 0``).
     """
-    if topology is None:
-        topology = planetlab_50()
-    if max_universe is None:
-        max_universe = min(49, topology.n_nodes - 1)
+    topology = planetlab_50()
+    max_universe = 49
     topo_fp = topology_fingerprint(topology)
 
     points: list[GridPoint] = []

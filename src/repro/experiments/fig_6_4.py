@@ -48,14 +48,10 @@ def _strategy_responses(
     return out
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demands: tuple[int, ...] = (1000, 4000),
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 6.4's grid: one point per Grid side ``k``."""
-    if topology is None:
-        topology = daxlist_161()
+    topology = daxlist_161()
+    demands = (1000, 4000)
     ks = grid_sides_for(topology, fast=fast)
     topo_fp = topology_fingerprint(topology)
 
@@ -63,7 +59,7 @@ def grid_spec(
         GridPoint(
             tag=k,
             fn=_strategy_responses,
-            kwargs={"topology": topology, "k": k, "demands": tuple(demands)},
+            kwargs={"topology": topology, "k": k, "demands": demands},
             cache_key={
                 "figure_point": "grid_closest_balanced_responses",
                 "topology": topo_fp,

@@ -38,14 +38,10 @@ def _strategy_profiles(topology: Topology, k: int, alpha: float) -> dict:
     return out
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 6.5's grid: one point per Grid side ``k``."""
-    if topology is None:
-        topology = daxlist_161()
+    topology = daxlist_161()
+    demand = 16000
     ks = grid_sides_for(topology, fast=fast)
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)

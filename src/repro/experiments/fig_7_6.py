@@ -49,23 +49,15 @@ def _uniform_sweep(
     }
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    grid_sides: tuple[int, ...] | None = None,
-    capacity_steps: int | None = None,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 7.6's grid: one point per Grid side ``k``.
 
     The figure has one response and one delay curve per ``k``.
     """
-    if topology is None:
-        topology = planetlab_50()
-    if grid_sides is None:
-        max_k = int(min(49, topology.n_nodes - 1) ** 0.5)
-        grid_sides = (2, 4, 7) if fast else tuple(range(2, max_k + 1))
-    capacity_steps = capacity_steps or (5 if fast else 10)
+    topology = planetlab_50()
+    demand = 16000
+    grid_sides = (2, 4, 7) if fast else tuple(range(2, 8))
+    capacity_steps = 5 if fast else 10
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)
 

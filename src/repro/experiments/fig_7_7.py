@@ -47,20 +47,12 @@ def _nonuniform_sweep(
     }
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    grid_sides: tuple[int, ...] | None = None,
-    capacity_steps: int | None = None,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 7.7's grid: (k, uniform) and (k, nonuniform) points."""
-    if topology is None:
-        topology = planetlab_50()
-    if grid_sides is None:
-        max_k = int(min(49, topology.n_nodes - 1) ** 0.5)
-        grid_sides = (2, 7) if fast else tuple(range(2, max_k + 1))
-    capacity_steps = capacity_steps or (5 if fast else 10)
+    topology = planetlab_50()
+    demand = 16000
+    grid_sides = (2, 7) if fast else tuple(range(2, 8))
+    capacity_steps = 5 if fast else 10
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)
 

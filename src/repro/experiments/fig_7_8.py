@@ -18,7 +18,6 @@ from repro.experiments.fig_7_6 import _uniform_sweep
 from repro.experiments.fig_7_7 import _nonuniform_sweep
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
-from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.grid import GridPoint, GridSpec
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
@@ -26,17 +25,12 @@ from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cach
 __all__ = ["grid_spec"]
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    demand: int = 16000,
-    k: int = 7,
-    capacity_steps: int | None = None,
-) -> GridSpec:
-    """Declare Figure 7.8's grid: the two sweeps of universe ``k*k``."""
-    if topology is None:
-        topology = planetlab_50()
-    capacity_steps = capacity_steps or (5 if fast else 10)
+def grid_spec(fast: bool) -> GridSpec:
+    """Declare Figure 7.8's grid: the two sweeps of the 7x7 Grid."""
+    topology = planetlab_50()
+    demand = 16000
+    k = 7
+    capacity_steps = 5 if fast else 10
     alpha = alpha_from_demand(demand)
     topo_fp = topology_fingerprint(topology)
     base = {

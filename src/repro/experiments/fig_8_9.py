@@ -70,29 +70,20 @@ def _iterative_point(
     return float(first), float(second)
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    k: int = 5,
-    capacity_steps: int | None = None,
-    candidates: object = None,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare Figure 8.9's grid: one point per capacity level + baseline.
 
-    ``candidates`` restricts the best-``v0`` search of the placement phase
-    (fast mode uses the 10 nodes with the smallest average client distance,
-    which in practice always contains the optimum).
+    Fast mode restricts the best-``v0`` search of the placement phase to
+    the 10 nodes with the smallest average client distance, which in
+    practice always contains the optimum; the full grid searches every
+    node.
     """
-    if topology is None:
-        topology = planetlab_50()
-    capacity_steps = capacity_steps or (4 if fast else 10)
+    topology = planetlab_50()
+    k = 5
+    capacity_steps = 4 if fast else 10
     system = GridQuorumSystem(k)
-
-    if candidates is None and fast:
-        mean_dist = topology.mean_distances()
-        candidates = np.argsort(mean_dist)[:10]
     candidate_arr = (
-        None if candidates is None else np.asarray(candidates, dtype=np.intp)
+        np.argsort(topology.mean_distances())[:10] if fast else None
     )
 
     topo_fp = topology_fingerprint(topology)

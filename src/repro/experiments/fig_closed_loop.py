@@ -32,7 +32,6 @@ from repro.dynamics.scenarios import (
 from repro.dynamics.telemetry import PROBE_BACKEND, TelemetryConfig
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
-from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.runner import GridRunner
 
@@ -43,33 +42,18 @@ THRESHOLDS = (0.01, 0.02, 0.05, 0.1, 0.2)
 FAST_THRESHOLDS = (0.02, 0.05, 0.2)
 
 
-def run(
-    runner: GridRunner,
-    topology: Topology | None = None,
-    fast: bool = False,
-    k: int | None = None,
-    n_epochs: int | None = None,
-    seed: int = 11,
-    noise: float = 0.05,
-    thresholds: tuple[float, ...] | None = None,
-) -> FigureResult:
+def run(runner: GridRunner, fast: bool) -> FigureResult:
     """Auto-tune the threshold trigger, then plot the closed loop.
 
     Fast mode shrinks the Grid (k=3), the timeline (8 epochs), the
     candidate thresholds, and the placement candidate set (the 10 nodes
     with the smallest average client distance, fig_8_9's recipe).
     """
-    topology_label = (
-        "planetlab-50"
-        if topology is None
-        else f"custom ({topology.n_nodes} sites)"
-    )
-    if topology is None:
-        topology = planetlab_50()
-    k = k or (3 if fast else 5)
-    n_epochs = n_epochs or (8 if fast else 24)
-    if thresholds is None:
-        thresholds = FAST_THRESHOLDS if fast else THRESHOLDS
+    topology = planetlab_50()
+    k = 3 if fast else 5
+    n_epochs = 8 if fast else 24
+    seed = 11
+    noise = 0.05
     system = GridQuorumSystem(k)
     # Churn-free on purpose: one segment, so the whole timeline exercises
     # the estimator's memory (churn would reset it at every boundary).
@@ -90,7 +74,7 @@ def run(
         topology,
         system,
         trace,
-        thresholds=thresholds,
+        thresholds=FAST_THRESHOLDS if fast else THRESHOLDS,
         telemetry=telemetry,
         baseline_policies=("static",),
         candidates=candidates,
@@ -120,7 +104,7 @@ def run(
         y_label="ms",
         series=tuple(series),
         metadata={
-            "topology": topology_label,
+            "topology": "planetlab-50",
             "k": k,
             "noise": noise,
             "probe_backend": PROBE_BACKEND,

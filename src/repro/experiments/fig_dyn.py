@@ -25,7 +25,6 @@ from repro.dynamics.replay import CLAIRVOYANT, replay
 from repro.dynamics.scenarios import mixed_scenario
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
-from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.runner import GridRunner
 
@@ -35,32 +34,18 @@ __all__ = ["run"]
 POLICIES = ("static", "periodic:4", "threshold:0.05")
 
 
-def run(
-    runner: GridRunner,
-    topology: Topology | None = None,
-    fast: bool = False,
-    k: int | None = None,
-    n_epochs: int | None = None,
-    seed: int = 7,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def run(runner: GridRunner, fast: bool) -> FigureResult:
     """Replay the mixed dynamic scenario and package the time series.
 
     Fast mode shrinks the Grid (k=3), the timeline (8 epochs), and the
     placement candidate set (the 10 nodes with the smallest average
     client distance, fig_8_9's recipe).
     """
-    topology_label = (
-        "planetlab-50"
-        if topology is None
-        else f"custom ({topology.n_nodes} sites)"
-    )
-    if topology is None:
-        topology = planetlab_50()
-    k = k or (3 if fast else 5)
-    n_epochs = n_epochs or (8 if fast else 24)
+    topology = planetlab_50()
+    k = 3 if fast else 5
+    n_epochs = 8 if fast else 24
     system = GridQuorumSystem(k)
-    trace = mixed_scenario(topology, n_epochs, seed=seed)
+    trace = mixed_scenario(topology, n_epochs, seed=7)
     candidates = (
         np.argsort(topology.mean_distances())[:10] if fast else None
     )
@@ -68,7 +53,7 @@ def run(
         topology,
         system,
         trace,
-        policies=policies,
+        policies=POLICIES,
         candidates=candidates,
         runner=runner,
     )
@@ -97,7 +82,7 @@ def run(
         y_label="ms",
         series=tuple(series),
         metadata={
-            "topology": topology_label,
+            "topology": "planetlab-50",
             "k": k,
             "segments": len(result.segments),
             "events": len(trace.events),

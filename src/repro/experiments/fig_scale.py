@@ -6,46 +6,42 @@ figure sweeps the :func:`~repro.network.generators.synthetic_wan` presets
 and, at every size, runs both the exhaustive best-``v0`` search and the
 hierarchical cluster-medoid search, recording
 
-* the best average network delay each finds (hierarchical is exact below
-  ``exact_threshold`` and a heuristic above it — the gap, if any, is the
-  cost of the speedup),
+* the best average network delay each finds (hierarchical is exact up
+  to ``exact_threshold`` sites and a heuristic above it — the gap, if
+  any, is the cost of the speedup),
 * how many candidates each evaluated (the hierarchical win grows with
   ``n``: exhaustive is ``n``, hierarchical is ``O(sqrt(n) * refine_top)``).
 
-One grid point per topology size. Points for generated presets carry only
-``n_sites`` — each worker regenerates its WAN locally rather than
-receiving an O(n^2) pickle. An explicit ``topology=`` (e.g. the registry
-smoke tests passing planetlab-50) collapses the sweep to one point that
-carries that topology itself.
+One grid point per topology size. A point carries only ``n_sites``: each
+worker regenerates its WAN locally rather than receiving an O(n^2)
+pickle.
 """
 
 from __future__ import annotations
 
 from repro.experiments.series import FigureResult, Series
 from repro.network.generators import synthetic_wan
-from repro.network.graph import Topology
 from repro.placement.hierarchical import hierarchical_best_placement
 from repro.placement.search import best_placement
 from repro.quorums.threshold import ThresholdQuorumSystem
-from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
+from repro.runtime.cache import system_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint, GridSpec
 
 __all__ = ["grid_spec"]
 
-#: Preset sizes swept when no explicit topology is given.
+#: Preset sizes swept.
 FULL_SIZES = (300, 500, 1000, 2000)
 FAST_SIZES = (300, 500)
 
 
 def _scale_point(
-    topology: Topology | None,
     n_sites: int,
     quorum_size: int,
     refine_top: int,
     exact_threshold: int,
 ) -> dict:
-    """Hierarchical vs exhaustive search on one topology, as plain floats."""
-    topo = synthetic_wan(n_sites) if topology is None else topology
+    """Hierarchical vs exhaustive search on one preset, as plain floats."""
+    topo = synthetic_wan(n_sites)
     system = ThresholdQuorumSystem(quorum_size, quorum_size // 2 + 1)
     hier = hierarchical_best_placement(
         topo,
@@ -64,64 +60,35 @@ def _scale_point(
     }
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    sizes: tuple[int, ...] | None = None,
-    quorum_size: int = 5,
-    refine_top: int = 3,
-    exact_threshold: int = 200,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare the scale sweep: one point per topology size."""
+    sizes = FAST_SIZES if fast else FULL_SIZES
+    quorum_size = 5
     common = {
         "quorum_size": quorum_size,
-        "refine_top": refine_top,
-        "exact_threshold": exact_threshold,
+        "refine_top": 3,
+        "exact_threshold": 200,
     }
     system_fp = system_fingerprint(
         ThresholdQuorumSystem(quorum_size, quorum_size // 2 + 1)
     )
-    if topology is not None:
-        sizes = (topology.n_nodes,)
-        points = (
-            GridPoint(
-                tag=topology.n_nodes,
-                fn=_scale_point,
-                kwargs={
-                    "topology": topology,
-                    "n_sites": topology.n_nodes,
-                    **common,
-                },
-                cache_key={
-                    "figure_point": "scale_search",
-                    "topology": topology_fingerprint(topology),
-                    "system": system_fp,
-                    **common,
-                },
-            ),
+    points = tuple(
+        GridPoint(
+            tag=n,
+            fn=_scale_point,
+            kwargs={"n_sites": n, **common},
+            cache_key={
+                "figure_point": "scale_search",
+                # The preset is one canonical matrix per size (seed is
+                # derived from n), so (generator, n) identifies it
+                # without materializing the O(n^2) matrix here.
+                "topology": ("synthetic_wan", n),
+                "system": system_fp,
+                **common,
+            },
         )
-        topology_name = f"custom-{topology.n_nodes}"
-    else:
-        if sizes is None:
-            sizes = FAST_SIZES if fast else FULL_SIZES
-        points = tuple(
-            GridPoint(
-                tag=n,
-                fn=_scale_point,
-                kwargs={"topology": None, "n_sites": n, **common},
-                cache_key={
-                    "figure_point": "scale_search",
-                    # The preset is one canonical matrix per size (seed is
-                    # derived from n), so (generator, n) identifies it
-                    # without materializing the O(n^2) matrix here.
-                    "topology": ("synthetic_wan", n),
-                    "system": system_fp,
-                    **common,
-                },
-            )
-            for n in sizes
-        )
-        topology_name = "synthetic-wan"
+        for n in sizes
+    )
 
     def assemble(values) -> FigureResult:
         xs = [values[n]["n_sites"] for n in sizes]
@@ -158,10 +125,8 @@ def grid_spec(
             y_label="ms / candidates",
             series=series,
             metadata={
-                "topology": topology_name,
-                "quorum_size": quorum_size,
-                "refine_top": refine_top,
-                "exact_threshold": exact_threshold,
+                "topology": "synthetic-wan",
+                **common,
                 "worst_quality_ratio": worst_ratio,
             },
         )

@@ -89,30 +89,19 @@ def _throughput_point(
     }
 
 
-def grid_spec(
-    topology: Topology | None = None,
-    fast: bool = False,
-    rates: tuple[float, ...] | None = None,
-    quorum_n: int = 5,
-    quorum_q: int = 3,
-    service_time_ms: float = 1.0,
-    duration_ms: float | None = None,
-    seed: int = 11,
-) -> GridSpec:
+def grid_spec(fast: bool) -> GridSpec:
     """Declare the saturation sweep: one point per (backend, rate)."""
-    if topology is None:
-        topology = planetlab_50()
-    if rates is None:
-        rates = FAST_RATES if fast else FULL_RATES
-    duration_ms = duration_ms or (2_000.0 if fast else 10_000.0)
-    warmup_ms = 0.1 * duration_ms
+    topology = planetlab_50()
+    rates = FAST_RATES if fast else FULL_RATES
+    quorum_n, quorum_q, service_time_ms = 5, 3, 1.0
+    duration_ms = 2_000.0 if fast else 10_000.0
     common = {
         "quorum_n": quorum_n,
         "quorum_q": quorum_q,
         "service_time_ms": service_time_ms,
         "duration_ms": duration_ms,
-        "warmup_ms": warmup_ms,
-        "seed": seed,
+        "warmup_ms": 0.1 * duration_ms,
+        "seed": 11,
     }
     topo_fp = topology_fingerprint(topology)
     system_fp = system_fingerprint(ThresholdQuorumSystem(quorum_n, quorum_q))

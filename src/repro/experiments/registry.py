@@ -7,7 +7,9 @@ one place a declared grid is evaluated: it runs the points on the
 it — serial, parallel (``jobs``), and/or content-cached (``cache``) —
 and assembles the figure. ``fig_dyn`` and ``fig_closed_loop`` register
 drivers instead, because a replay's segment points depend on the
-results of its placement points.
+results of its placement points. Every figure is a function of ``fast``
+alone: its topology, demands and sweep ranges are constants of its
+module.
 """
 
 from __future__ import annotations
@@ -34,23 +36,25 @@ from repro.experiments.series import FigureResult
 from repro.obs import tracer as obs
 from repro.runtime.cache import ResultCache
 from repro.runtime.grid import GridSpec
-from repro.runtime.runner import GridRunner, shared_runner
+from repro.runtime.runner import GridRunner
 
 __all__ = ["FIGURES", "run_figure"]
 
 
-def _grid(declare: Callable[..., GridSpec]) -> Callable[..., FigureResult]:
+def _grid(
+    declare: Callable[[bool], GridSpec]
+) -> Callable[[GridRunner, bool], FigureResult]:
     """The runner of a figure that is one declared grid."""
 
-    def run(runner: GridRunner, fast: bool = False, **params) -> FigureResult:
-        spec = declare(fast=fast, **params)
+    def run(runner: GridRunner, fast: bool) -> FigureResult:
+        spec = declare(fast)
         return spec.assemble(runner.run(spec.points))
 
     return run
 
 
-#: Figure id -> ``fn(runner, fast=..., **params) -> FigureResult``.
-FIGURES: dict[str, Callable[..., FigureResult]] = {
+#: Figure id -> ``fn(runner, fast) -> FigureResult``.
+FIGURES: dict[str, Callable[[GridRunner, bool], FigureResult]] = {
     "fig_3_1": _grid(fig_3_1.grid_spec),
     "fig_3_2a": _grid(fig_3_2.grid_spec_a),
     "fig_3_2b": _grid(fig_3_2.grid_spec_b),
@@ -73,7 +77,6 @@ def run_figure(
     fast: bool = False,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    **kwargs,
 ) -> FigureResult:
     """Run one figure's experiment by id (e.g. ``"fig_6_3"``).
 
@@ -82,16 +85,8 @@ def run_figure(
     points keyed by content hash. Results are identical regardless of
     either setting. The runner created here is the figure's *only*
     process pool — the inner searches of a point (e.g. ``fig_8_9``'s
-    candidate loops) run inline inside its workers — and is
-    shut down when the figure completes; pass ``runner=`` to share one
-    across figures instead.
-
-    With a shared ``runner``, its worker count is authoritative: passing
-    a non-default ``jobs`` alongside it raises (the value would be
-    silently ignored otherwise). ``cache`` *is* honored — it is attached
-    to the runner for the duration of the call and detached afterwards —
-    unless the runner already carries a different cache, which is an
-    equally silent conflict and also raises.
+    candidate loops) run inline inside its workers — and is shut down
+    when the figure completes.
     """
     try:
         runner_fn = FIGURES[figure_id]
@@ -99,28 +94,14 @@ def run_figure(
         raise ReproError(
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
         ) from None
-    # An explicit runner=None means "no shared runner", not a conflict:
-    # fall through and build one honoring jobs/cache.
-    runner = kwargs.pop("runner", None)
+    before = cache.stats() if cache is not None else {}
     with obs.span("figure", figure_id=figure_id, fast=fast):
-        if runner is not None:
-            with shared_runner(runner, jobs=jobs, cache=cache):
-                active_cache = runner.cache
-                before = (
-                    active_cache.stats()
-                    if active_cache is not None
-                    else None
-                )
-                result = runner_fn(runner, fast=fast, **kwargs)
-        else:
-            before = cache.stats() if cache is not None else None
-            active_cache = cache
-            with GridRunner(jobs=jobs, cache=cache) as runner:
-                result = runner_fn(runner, fast=fast, **kwargs)
-    if active_cache is not None and before is not None:
-        after = active_cache.stats()
-        # This run's cache effectiveness — a delta, so shared caches and
-        # shared runners report only what this figure contributed.
+        with GridRunner(jobs=jobs, cache=cache) as runner:
+            result = runner_fn(runner, fast)
+    if cache is not None:
+        after = cache.stats()
+        # This run's cache effectiveness — a delta, so a cache shared
+        # across figures reports only what this figure contributed.
         result.metadata["cache"] = {
             name: after[name] - before[name] for name in after
         }

@@ -182,7 +182,6 @@ def hierarchical_best_placement(
     system: QuorumSystem,
     clients: object = None,
     respect_capacities: bool = True,
-    n_clusters: int | None = None,
     refine_top: int = 3,
     exact_threshold: int = 200,
     jobs: int = 1,
@@ -194,10 +193,6 @@ def hierarchical_best_placement(
     ----------
     topology, system, clients, respect_capacities:
         As for :func:`~repro.placement.search.best_placement`.
-    n_clusters:
-        Cluster count for the coarse stage; default ``round(sqrt(n))``,
-        which balances the coarse pass (k evaluations) against the refine
-        pass (~``refine_top * n / k``).
     refine_top:
         How many of the best-ranked clusters are searched exhaustively.
     exact_threshold:
@@ -231,9 +226,9 @@ def hierarchical_best_placement(
             )
             return _wrap(result, n, True, (), ())
 
-        if n_clusters is None:
-            n_clusters = max(2, round(n**0.5))
-        model = cluster_sites(topology, n_clusters)
+        # round(sqrt(n)) clusters balance the coarse pass (one evaluation
+        # per cluster) against the refine pass (~refine_top * n / k).
+        model = cluster_sites(topology, max(2, round(n**0.5)))
 
         coarse = best_placement(
             topology,

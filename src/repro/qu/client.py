@@ -29,6 +29,12 @@ from repro.sim.metrics import OperationRecord
 
 __all__ = ["QUClient"]
 
+#: Contention retries one operation may take before the workload counts
+#: as livelocked.
+MAX_RETRIES = 64
+#: Scale of the first randomized backoff; it doubles per retry up to 2^8.
+BACKOFF_BASE_MS = 2.0
+
 
 class QUClient:
     """One closed-loop Q/U client bound to a topology node.
@@ -49,8 +55,6 @@ class QUClient:
         seed: int,
         object_id: int | None = None,
         think_time_ms: float = 0.0,
-        max_retries: int = 64,
-        backoff_base_ms: float = 2.0,
     ) -> None:
         if not 1 <= quorum_size <= n_servers:
             raise SimulationError(
@@ -69,8 +73,6 @@ class QUClient:
         self._rng = np.random.default_rng(seed)
         self.object_id = client_id if object_id is None else object_id
         self._think_time_ms = think_time_ms
-        self._max_retries = max_retries
-        self._backoff_base_ms = backoff_base_ms
 
         self._op_seq = 0
         self._condition_on = QUTimestamp.zero()
@@ -203,12 +205,12 @@ class QUClient:
         self._condition_on = top.timestamp
         self._retries += 1
         self.retries_total += 1
-        if self._retries > self._max_retries:
+        if self._retries > MAX_RETRIES:
             raise SimulationError(
-                f"client {self.client_id} exceeded {self._max_retries} "
+                f"client {self.client_id} exceeded {MAX_RETRIES} "
                 "retries; workload is livelocked"
             )
-        scale = self._backoff_base_ms * (2.0 ** min(self._retries, 8))
+        scale = BACKOFF_BASE_MS * (2.0 ** min(self._retries, 8))
         backoff = float(self._rng.uniform(0.0, scale))
         self._sim.schedule(backoff, partial(self._issue, True))
 

@@ -24,6 +24,9 @@ from repro.sim.network import SimNetwork, check_nodes
 
 __all__ = ["QUService"]
 
+#: Clients start at uniform random offsets within this window.
+START_STAGGER_MS = 1.0
+
 
 class QUService:
     """A Q/U deployment: servers, clients, and the simulated WAN.
@@ -135,14 +138,14 @@ class QUService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, duration_ms: float, stagger_ms: float = 1.0) -> None:
+    def run(self, duration_ms: float) -> None:
         """Start every client (staggered) and run for ``duration_ms``."""
         if not self.clients:
             raise SimulationError("no clients to run")
         rng = np.random.default_rng(self._seed)
         for client in self.clients:
             client.start(
-                initial_delay_ms=float(rng.uniform(0.0, stagger_ms))
+                initial_delay_ms=float(rng.uniform(0.0, START_STAGGER_MS))
             )
         self.sim.run(until=duration_ms)
         for client in self.clients:

@@ -168,15 +168,16 @@ def shared_runner(
 ) -> Iterator["GridRunner"]:
     """The caller-provided-runner contract, in one place.
 
-    Drivers that accept ``runner=`` alongside their own ``jobs=``/
-    ``cache=`` parameters (``run_figure``, ``dynamics.replay``) enter
-    this instead of silently dropping the extras: a non-default ``jobs``
-    next to a runner raises (the runner's worker count is authoritative),
-    and ``cache`` is attached to the runner for the duration of the block
-    — unless the runner already carries a *different* cache, an equally
-    silent conflict that also raises. The runner's previous cache is
-    restored on exit; the runner itself is never closed here (the caller
-    owns it).
+    A driver that accepts ``runner=`` alongside its own ``jobs=``/
+    ``cache=`` parameters (``dynamics.replay``, which
+    ``dynamics.tune_threshold`` calls) enters this instead of silently
+    dropping the extras: a non-default ``jobs`` next to a runner raises
+    (the runner's worker count is authoritative), and ``cache`` is
+    attached to the runner for the duration of the block — unless the
+    runner already carries a *different* cache, an equally silent
+    conflict that also raises. The runner's previous cache is restored
+    on exit; the runner itself is never closed here (the caller owns
+    it).
     """
     if jobs != 1:
         raise ReproError(

@@ -20,7 +20,7 @@ import itertools
 import math
 import sys
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import SimulationError
 
@@ -51,6 +51,14 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued."""
         return len(self._heap)
+
+    def pending_callbacks(self) -> Iterator[Callable[[], None]]:
+        """The callbacks still queued, in no particular order.
+
+        A read-only view for accounting at the end of a run: it neither
+        pops nor reorders an event.
+        """
+        return (callback for _, _, callback in self._heap)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` ms from now."""

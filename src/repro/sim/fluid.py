@@ -34,10 +34,11 @@ The pipeline:
    ``maximum.accumulate`` compute each row exactly as a 1-D pass would.
    The block holds at most twice the table's rows; runs too long to pad
    the rest to (one server holding most requests) take a 1-D pass each.
-   Departures never decrease along a run, so the processed count is a
-   segment sum, while busy time stays one pairwise ``sum`` per server
-   over its processed prefix: a segmented ``add.reduceat`` or padded row
-   sums add in another order and would change the bits.
+   Departures never decrease along a run, so each server's processed
+   requests are the prefix of its run before its first departure past
+   the horizon, and busy time is one pairwise ``sum`` per server over
+   that prefix: a segmented ``add.reduceat`` or padded row sums add in
+   another order and would change the bits.
 4. **Columnar metrics** — each operation's requests are contiguous in the
    table, so completions reduce with one ``np.maximum.reduceat``. The
    response-time summary (:func:`repro.sim.metrics.summarize_arrays`,
@@ -48,7 +49,9 @@ The pipeline:
 
 Request conservation is exact, as in the reference engine: every issued
 request is processed or in flight at the horizon — ``issued == processed
-+ in_flight`` holds to the unit.
++ in_flight`` holds to the unit. The two terms are counted apart: the
+processed prefixes of step 3, and every request that departs after the
+horizon. A run whose departures decrease breaks the identity.
 """
 
 from __future__ import annotations
@@ -331,12 +334,14 @@ def run_fluid(
     starts = np.cumsum(counts) - counts
     dep_sorted = _padded_departures(arr_sorted, svc_sorted, starts, counts)
     # Departures never decrease along a run, so each server's processed
-    # requests (departed by the horizon) are a prefix of its run.
-    kept_to = np.concatenate(([0], np.cumsum(dep_sorted <= horizon)))
-    processed = kept_to[starts + counts] - kept_to[starts]
+    # requests (departed by the horizon) are a prefix of its run: the
+    # rows before its first later departure.
+    late = np.flatnonzero(dep_sorted > horizon)
+    first_late = np.append(late, total)[np.searchsorted(late, starts)]
+    ends = np.minimum(first_late, starts + counts)
+    processed = ends - starts
     # One pairwise sum per server, as its 1-D pass summed: segmented or
     # padded sums add in another order and change the bits.
-    ends = starts + processed
     busy = np.array(
         [
             np.add.reduce(svc_sorted[i0:i1])
@@ -407,7 +412,6 @@ def run_fluid(
     rates[servers] = processed / elapsed
     utils = np.minimum(1.0, busy / elapsed)
 
-    requests_processed = int(processed.sum())
     obs.count("sim.requests", int(total))
     return GenericSimResult(
         stats=stats,
@@ -415,7 +419,9 @@ def run_fluid(
         server_utilizations=utils,
         operations_completed=n_completed,
         requests_issued=total,
-        requests_processed=requests_processed,
-        requests_in_flight=total - requests_processed,
+        requests_processed=int(processed.sum()),
+        # Counted over every request, not as issued - processed: the
+        # identity then checks that each run's processed rows are a prefix.
+        requests_in_flight=int(np.count_nonzero(departure > horizon)),
         telemetry=telemetry,
     )

@@ -46,6 +46,9 @@ from repro.sim.workload import PoissonArrivals
 
 __all__ = ["GenericQuorumSimulation", "GenericSimResult"]
 
+#: Closed-loop clients start at uniform random offsets within this window.
+START_STAGGER_MS = 1.0
+
 
 class _Server:
     """FIFO single-processor node; serves every element it hosts."""
@@ -237,7 +240,9 @@ class GenericSimResult:
     client issued was processed by a server or is still in flight (in the
     network, queued, or in service) at the horizon —
     ``requests_issued == requests_processed + requests_in_flight`` on
-    both backends, to the unit.
+    both backends, to the unit. Neither backend derives
+    ``requests_in_flight`` from the other two counters, so the identity
+    checks the simulation rather than restating a definition.
 
     ``stats`` is summarized on first read, so a caller that needs only the
     counters or the telemetry never pays for the percentiles.
@@ -535,15 +540,15 @@ class GenericQuorumSimulation:
         self,
         duration_ms: float,
         warmup_ms: float = 0.0,
-        stagger_ms: float = 1.0,
     ) -> GenericSimResult:
         """Run the workload (closed loop, or open loop with ``arrivals``)
         and summarize.
 
         Dispatches on the ``backend`` knob: the event engine executes the
         scenario message by message; the fluid backend computes the same
-        open-loop scenario as array passes (``stagger_ms`` only applies
-        to closed loops and is ignored there).
+        open-loop scenario as array passes. A closed loop starts its
+        clients at uniform random offsets within ``START_STAGGER_MS``; an
+        open loop starts each operation at its arrival time.
         """
         if self.backend == "fluid":
             from repro.sim.fluid import run_fluid
@@ -557,7 +562,7 @@ class GenericQuorumSimulation:
         else:
             rng = np.random.default_rng(self.seed)
             for client in self.clients:
-                client.start(float(rng.uniform(0.0, stagger_ms)))
+                client.start(float(rng.uniform(0.0, START_STAGGER_MS)))
         with obs.span("sim.events", duration_ms=float(duration_ms)):
             self.sim.run(until=duration_ms)
         for client in self.clients:
@@ -584,6 +589,17 @@ class GenericQuorumSimulation:
         processed = sum(
             s.requests_processed for s in self.servers.values()
         )
+        # Counted where the requests are, not as issued - processed: on
+        # the wire to a server, queued there, or in service.
+        on_wire = sum(
+            1
+            for callback in self.sim.pending_callbacks()
+            if isinstance(callback, partial)
+            and getattr(callback.func, "__func__", None) is _Server.on_request
+        )
+        in_flight = on_wire + sum(
+            len(s.queue) + s.busy for s in self.servers.values()
+        )
         return GenericSimResult(
             stats=partial(summarize, records, warmup_ms=warmup_ms),
             per_node_request_rate=rates,
@@ -591,6 +607,6 @@ class GenericQuorumSimulation:
             operations_completed=n_completed,
             requests_issued=issued,
             requests_processed=processed,
-            requests_in_flight=issued - processed,
+            requests_in_flight=in_flight,
             telemetry=self._telemetry_result(),
         )

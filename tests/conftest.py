@@ -4,14 +4,21 @@
 known structure (so tests can assert exact optima); ``planetlab`` and
 ``daxlist`` are the bundled datasets, session-scoped because generation and
 metric closure are not free. ``lp_backend`` runs a test once per LP solve
-path.
+path. ``fast_figure`` is each registry figure's serial fast run, computed
+once per session; ``counting_pool`` records the process pools a test's
+runners open.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 
+from repro.experiments import run_figure
+from repro.experiments.series import FigureResult
 from repro.lp.batched import LP_BACKEND_ENV
 from repro.network.graph import Topology
 
@@ -71,3 +78,60 @@ def daxlist() -> Topology:
     from repro.network.datasets import daxlist_161
 
     return daxlist_161()
+
+
+@contextmanager
+def _counting_pools() -> Iterator[list]:
+    """Patch the runner's executor class; yield the pools opened meanwhile."""
+    import repro.runtime.runner as runner_module
+
+    opened: list = []
+    real_pool = runner_module.ProcessPoolExecutor
+
+    class CountingPool(real_pool):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "ProcessPoolExecutor", CountingPool)
+        yield opened
+
+
+@pytest.fixture()
+def counting_pool():
+    """Patches the runner's executor class; returns the instances list."""
+    with _counting_pools() as opened:
+        yield opened
+
+
+class FastFigures:
+    """Each registry figure's fast run at ``jobs=1``, made on first use.
+
+    Calling it with a figure id returns the :class:`FigureResult`;
+    :meth:`pools` is the number of process pools that run opened. Readers
+    share the result, so none may mutate it.
+    """
+
+    def __init__(self) -> None:
+        self._runs: dict[str, tuple[FigureResult, int]] = {}
+
+    def _run(self, figure_id: str) -> tuple[FigureResult, int]:
+        if figure_id not in self._runs:
+            with _counting_pools() as opened:
+                result = run_figure(figure_id, fast=True, jobs=1)
+            self._runs[figure_id] = (result, len(opened))
+        return self._runs[figure_id]
+
+    def __call__(self, figure_id: str) -> FigureResult:
+        return self._run(figure_id)[0]
+
+    def pools(self, figure_id: str) -> int:
+        return self._run(figure_id)[1]
+
+
+@pytest.fixture(scope="session")
+def fast_figure() -> FastFigures:
+    """``fast_figure(figure_id)``: the figure's serial fast run, computed
+    once per session and shared by every reader."""
+    return FastFigures()

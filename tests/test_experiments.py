@@ -4,14 +4,19 @@ Each runner is checked for (a) structural validity of its output and
 (b) the paper's qualitative claim that the figure exists to demonstrate.
 The paper-shape claims are defined once, in ``bench_e2e/checks.py``, and
 run here as well as after every end-to-end benchmark run. All of these
-read one shared fast run per figure (:func:`fast_figure`); only the
-runner, cache and jobs tests pay for fresh runs.
+read one shared fast run per figure (the session's ``fast_figure``
+fixture in ``conftest.py``).
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
 from bench_e2e.checks import FIGURE_CHECKS
+from repro import experiments
 from repro.errors import ReproError
 from repro.experiments import FIGURES, run_figure
 from repro.experiments.series import FigureResult, Series
@@ -68,28 +73,30 @@ class TestRegistry:
         with pytest.raises(ReproError):
             run_figure("fig_9_9")
 
+    def test_every_figure_is_a_function_of_fast_alone(self):
+        """A figure's topology, demands and sweep ranges are constants of
+        its module: runners take ``(runner, fast)``, grid declarations
+        take ``fast`` and ``run_figure`` nothing else that reaches them."""
 
-#: Figures whose default topology is daxlist-161 rather than planetlab-50.
-_DAXLIST_FIGURES = {"fig_6_4", "fig_6_5"}
+        def parameters(fn):
+            return list(inspect.signature(fn).parameters)
 
-
-@pytest.fixture(scope="session")
-def fast_figure(planetlab, daxlist):
-    """``fast_figure(figure_id)``: the figure's fast run on its default
-    topology, computed once per session and shared by every reader."""
-    results: dict[str, FigureResult] = {}
-
-    def get(figure_id: str) -> FigureResult:
-        if figure_id not in results:
-            topology = (
-                daxlist if figure_id in _DAXLIST_FIGURES else planetlab
-            )
-            results[figure_id] = run_figure(
-                figure_id, fast=True, topology=topology
-            )
-        return results[figure_id]
-
-    return get
+        for figure_id, runner_fn in FIGURES.items():
+            assert parameters(runner_fn) == ["runner", "fast"], figure_id
+        declarations = [
+            getattr(module, name)
+            for info in pkgutil.iter_modules(experiments.__path__)
+            if info.name.startswith("fig_")
+            for module in [
+                importlib.import_module(f"repro.experiments.{info.name}")
+            ]
+            for name in vars(module)
+            if name.startswith("grid_spec")
+        ]
+        assert len(declarations) == 12  # every figure but the two replays
+        for declare in declarations:
+            assert parameters(declare) == ["fast"], declare.__module__
+        assert parameters(run_figure) == ["figure_id", "fast", "jobs", "cache"]
 
 
 class TestRegistrySmoke:
@@ -190,62 +197,6 @@ class TestFig78:
         for u, n in zip(uniform.y, nonuni.y):
             assert n <= u * 1.01 + 0.5
         assert sum(nonuni.y) <= sum(uniform.y) + 1e-6
-
-
-class TestRunFigureRunnerConflicts:
-    """run_figure(runner=) used to silently ignore jobs=/cache= (the
-    ROADMAP open item); now jobs conflicts raise and cache attaches."""
-
-    def test_jobs_with_runner_raises(self, planetlab):
-        from repro.runtime.runner import GridRunner
-
-        with GridRunner() as runner:
-            with pytest.raises(ReproError, match="jobs"):
-                run_figure(
-                    "fig_dyn", fast=True, topology=planetlab,
-                    jobs=4, runner=runner,
-                )
-
-    def test_explicit_runner_none_is_not_a_conflict(self, planetlab):
-        """Callers that conditionally thread a runner pass runner=None;
-        that must behave exactly like omitting it (jobs/cache honored)."""
-        result = run_figure(
-            "fig_dyn", fast=True, topology=planetlab, runner=None, jobs=1
-        )
-        assert result.figure_id == "fig_dyn"
-
-    def test_conflicting_caches_raise(self, planetlab, tmp_path):
-        from repro.runtime.cache import ResultCache
-        from repro.runtime.runner import GridRunner
-
-        runner_cache = ResultCache(tmp_path / "a")
-        call_cache = ResultCache(tmp_path / "b")
-        with GridRunner(cache=runner_cache) as runner:
-            with pytest.raises(ReproError, match="cache"):
-                run_figure(
-                    "fig_dyn", fast=True, topology=planetlab,
-                    cache=call_cache, runner=runner,
-                )
-
-    def test_cache_attached_to_provided_runner(self, planetlab, tmp_path):
-        from repro.runtime.cache import ResultCache
-        from repro.runtime.runner import GridRunner
-
-        cache = ResultCache(tmp_path / "figures")
-        with GridRunner() as runner:
-            first = run_figure(
-                "fig_dyn", fast=True, topology=planetlab,
-                cache=cache, runner=runner,
-            )
-            assert runner.cache is None  # detached after the call
-            assert cache.stores > 0  # the cache was actually consulted
-            second = run_figure(
-                "fig_dyn", fast=True, topology=planetlab,
-                cache=cache, runner=runner,
-            )
-        assert cache.hits > 0
-        for a, b in zip(first.series, second.series):
-            assert a == b
 
 
 class TestFigDyn:

@@ -16,6 +16,7 @@ from repro.core.strategy import (
 from repro.errors import SimulationError
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
+from repro.sim import fluid, generic
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.metrics import ResponseTimeStats
 from repro.sim.workload import PoissonArrivals
@@ -320,12 +321,26 @@ class TestOpenLoopBasics:
 
 class TestRequestConservation:
     """Every request the clients issue must be accounted for exactly:
-    ``issued == processed + in_flight``."""
+    ``issued == processed + in_flight``, with the in-flight requests
+    counted where they are rather than as the difference."""
 
     @staticmethod
     def _conserved(result):
         return result.requests_issued == (
             result.requests_processed + result.requests_in_flight
+        )
+
+    @staticmethod
+    def _loaded(maj_placed, backend):
+        """Per-server utilization 0.6: queues form."""
+        return GenericQuorumSimulation(
+            maj_placed,
+            ThresholdBalancedStrategy(),
+            client_nodes=np.array([0, 5, 9]),
+            service_time_ms=1.0,
+            seed=5,
+            arrivals=PoissonArrivals(rate_per_ms=1.0, seed=6),
+            backend=backend,
         )
 
     def test_identity_holds_without_failures(self, maj_placed):
@@ -334,21 +349,74 @@ class TestRequestConservation:
         assert self._conserved(result)
         assert result.requests_in_flight >= 0
 
+    def test_dropped_request_breaks_the_events_identity(
+        self, maj_placed, monkeypatch
+    ):
+        """A server that drops a queued request without serving it leaves
+        that request neither processed nor in flight."""
+        serve_next = generic._Server._next
+        dropped = []
+
+        def drop_one(server):
+            if not dropped and len(server.queue) > 1:
+                dropped.append(server.queue.pop())
+            serve_next(server)
+
+        monkeypatch.setattr(generic._Server, "_next", drop_one)
+        result = self._loaded(maj_placed, "events").run(duration_ms=1_000.0)
+        assert dropped
+        assert not self._conserved(result)
+
+    def test_decreasing_run_breaks_the_fluid_identity(
+        self, maj_placed, monkeypatch
+    ):
+        """The processed requests of a server are counted as a prefix of
+        its run, which holds only while departures never decrease: a run
+        whose departures do must break the identity."""
+        horizon = 1_000.0
+        padded_departures = fluid._padded_departures
+        straddles = []
+
+        def reverse_busiest_run(arrivals, service, starts, counts):
+            departures = padded_departures(arrivals, service, starts, counts)
+            busiest = int(np.argmax(counts))
+            run = slice(starts[busiest], starts[busiest] + counts[busiest])
+            straddles.append(
+                departures[run].min() <= horizon < departures[run].max()
+            )
+            departures[run] = departures[run][::-1].copy()
+            return departures
+
+        monkeypatch.setattr(fluid, "_padded_departures", reverse_busiest_run)
+        result = self._loaded(maj_placed, "fluid").run(duration_ms=horizon)
+        assert straddles == [True]
+        assert not self._conserved(result)
+
     def test_in_flight_drains_to_zero_with_a_long_horizon(self, maj_placed):
-        """Arrivals stop at the horizon but events keep firing until the
-        clock runs out; once every request has reached its server and
-        been served, nothing can still be in flight."""
+        """Open-loop arrivals run up to the horizon, so nothing can be in
+        flight only if the last request reaches its server and is served
+        before the clock runs out. That holds for some seeds only, so the
+        premise is checked first, from the sampled arrivals."""
+        clients = np.array([0, 5, 9])
+        horizon, service_ms = 10_000.0, 1.0
+        arrivals = PoissonArrivals(rate_per_ms=0.05, seed=4)
         sim = GenericQuorumSimulation(
             maj_placed,
             ThresholdBalancedStrategy(),
-            client_nodes=np.array([0, 5, 9]),
-            service_time_ms=1.0,
+            client_nodes=clients,
+            service_time_ms=service_ms,
             seed=3,
-            arrivals=PoissonArrivals(rate_per_ms=0.05, seed=4),
+            arrivals=arrivals,
         )
-        # The last of these arrivals lands 52 ms before the horizon: more
-        # than the line's longest one-way leg (45 ms) plus its service.
-        result = sim.run(duration_ms=10_000.0)
+        last_arrival = arrivals.sample_until(horizon)[-1]
+        longest_leg = maj_placed.support_distances[clients].max() / 2.0
+        assert last_arrival + longest_leg + service_ms < horizon, (
+            f"the last arrival ({last_arrival:.1f} ms) plus the longest "
+            f"client-to-server leg ({longest_leg:.1f} ms) and the service "
+            f"time ends past the {horizon:.0f} ms horizon: this seed "
+            "cannot drain"
+        )
+        result = sim.run(duration_ms=horizon)
         assert self._conserved(result)
         assert result.requests_in_flight == 0
 

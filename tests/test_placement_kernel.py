@@ -95,11 +95,8 @@ def reference_augmented(placed, costs):
     )
 
 
-def reference_delay_matrix_for(placed, rtt, costs=None):
-    values = np.asarray(rtt, dtype=np.float64)
-    if costs is not None:
-        values = values + costs[None, :]
-    return reference_max_over_quorums(placed, values)
+def reference_delay_matrix_for(placed, rtt):
+    return reference_max_over_quorums(placed, np.asarray(rtt, dtype=np.float64))
 
 
 def reference_evaluate(placed, strategy, alpha, clients, coalesce):
@@ -247,10 +244,6 @@ def test_delay_matrices_bit_identical(case, data):
         placed.delay_matrix_for(drifted),
         reference_delay_matrix_for(placed, drifted),
     )
-    assert_bits_equal(
-        placed.delay_matrix_for(drifted, costs),
-        reference_delay_matrix_for(placed, drifted, costs),
-    )
 
 
 @given(placed_systems())
@@ -323,8 +316,8 @@ def test_gathered_max_matches_the_per_slot_kernel(monkeypatch, budget):
             per_slot_max_over_quorums(placed, values),
         )
     assert_bits_equal(
-        placed.delay_matrix_for(drifted, costs),
-        per_slot_max_over_quorums(placed, drifted[:, support] + costs[support]),
+        placed.delay_matrix_for(drifted),
+        per_slot_max_over_quorums(placed, drifted[:, support]),
     )
 
 

@@ -33,7 +33,7 @@ import dataclasses
 import heapq
 import math
 from collections import deque
-from functools import total_ordering
+from functools import partial, total_ordering
 
 import numpy as np
 import pytest
@@ -169,7 +169,9 @@ def _ref_send(self, src, dst, payload, on_delivery):
     if self._jitter_ms > 0:
         delay += float(self._rng.exponential(self._jitter_ms))
     self.messages_sent += 1
-    self._sim.schedule(delay, lambda: on_delivery(payload))
+    # A partial, as SimNetwork.send schedules: the generic simulator finds
+    # the deliveries still on the wire at the horizon by their callback.
+    self._sim.schedule(delay, partial(on_delivery, payload))
 
 
 def _reference_engine(monkeypatch):

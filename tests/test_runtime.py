@@ -458,23 +458,6 @@ class TestGridRunner:
             resolve_jobs(-2)
 
 
-@pytest.fixture()
-def counting_pool(monkeypatch):
-    """Patches the runner's executor class; returns the instances list."""
-    import repro.runtime.runner as runner_module
-
-    created = []
-    real_pool = runner_module.ProcessPoolExecutor
-
-    class CountingPool(real_pool):
-        def __init__(self, *args, **kwargs):
-            created.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", CountingPool)
-    return created
-
-
 class TestNestingGuard:
     """Runners nest; process pools must not.
 
@@ -526,20 +509,15 @@ class TestNestingGuard:
         assert counting_pool == []
 
     def test_fig_8_9_single_pool_and_bit_identical(
-        self, planetlab, counting_pool
+        self, fast_figure, counting_pool
     ):
         """fig_8_9 --jobs N uses exactly one process pool (the inner
         best-placement searches run inline in its workers) and is
         bit-identical to jobs=1."""
-        serial = run_figure(
-            "fig_8_9", fast=True, topology=planetlab, capacity_steps=2
-        )
-        assert counting_pool == []  # jobs=1 end to end: poolless
+        serial = fast_figure("fig_8_9")
+        assert fast_figure.pools("fig_8_9") == 0  # jobs=1: poolless
 
-        parallel = run_figure(
-            "fig_8_9", fast=True, topology=planetlab, capacity_steps=2,
-            jobs=2,
-        )
+        parallel = run_figure("fig_8_9", fast=True, jobs=2)
         assert len(counting_pool) == 1
         assert serial == parallel  # frozen dataclasses: full deep equality
 
@@ -550,24 +528,16 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize(
         "figure_id", ["fig_6_3", "fig_throughput", "fig_scale"]
     )
-    def test_figure_parallel_bit_identical(self, planetlab, figure_id):
-        serial = run_figure(figure_id, fast=True, topology=planetlab)
-        parallel = run_figure(
-            figure_id, fast=True, topology=planetlab, jobs=2
-        )
+    def test_figure_parallel_bit_identical(self, fast_figure, figure_id):
+        serial = fast_figure(figure_id)
+        parallel = run_figure(figure_id, fast=True, jobs=2)
         assert serial == parallel  # frozen dataclasses: full deep equality
 
-    def test_fig_6_3_cached_bit_identical(self, planetlab, tmp_path):
+    def test_fig_6_3_cached_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_figure(
-            "fig_6_3", fast=True, topology=planetlab, cache=cache
-        )
-        assert cache.stores == len(
-            fig_6_3.grid_spec(planetlab, fast=True).points
-        )
-        second = run_figure(
-            "fig_6_3", fast=True, topology=planetlab, cache=cache
-        )
+        first = run_figure("fig_6_3", fast=True, cache=cache)
+        assert cache.stores == len(fig_6_3.grid_spec(fast=True).points)
+        second = run_figure("fig_6_3", fast=True, cache=cache)
         assert cache.hits == cache.stores
         # metadata["cache"] holds each run's own hit/miss counts.
         first.metadata.pop("cache")
