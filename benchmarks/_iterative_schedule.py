@@ -1,6 +1,6 @@
 """Shared helpers for benchmarks replaying ``iterative_optimize`` LP work.
 
-``bench_fractional_lp`` and ``bench_parallel_warm`` both reconstruct the
+``bench_fractional_lp`` and ``bench_obs_overhead`` both reconstruct the
 (capacities, strategy) solve schedule of real iterative runs and replay it
 through a warm :class:`~repro.placement.fractional.FractionalFamily`. The
 reconstruction lives here once so the two benchmark records are guaranteed

@@ -16,13 +16,15 @@ the levels), then replayed through both paths:
   warm-started when HiGHS bindings import.
 
 Every replayed solve is asserted objective-equivalent within 1e-9.
-Batched solves are canonical (anchored — each re-solve restarts from the
-program's calibration basis, a pure function of the request), so they may
-land on a different vertex of a *tied* optimum than a fresh program solved
-for that request alone — deterministically so; the bench records the
-vertex agreement rate rather than asserting it. (The row-by-row reference
-assembly lives in ``tests/test_fractional_batched.py``, which pins it
-matrix-identical to the vectorized one.)
+Batched solves are anchored (each re-solve restarts from the program's
+calibration basis, and its answer depends on the requests the program
+received before), so they may land on a different vertex of a *tied*
+optimum than a fresh program solved for that request alone —
+deterministically so, since the replayed sequence is fixed; the bench
+records the vertex agreement rate rather than asserting it. (The
+row-by-row reference assembly lives in
+``tests/test_fractional_batched.py``, which pins it matrix-identical to
+the vectorized one.)
 
 The run writes a machine-readable record to
 ``benchmarks/results/bench_fractional_lp.json``, extending the JSON perf

@@ -3,9 +3,9 @@
 The observability contract has two halves. Disabled tracing must be free
 — ``repro.obs`` helpers reduce to one module-global load — and *enabled*
 tracing must stay cheap enough to leave on for real runs. This benchmark
-pins the second half on the ``bench_parallel_warm`` warm workload: the
-``iterative_optimize`` LP schedule (planetlab-50, Grid k=5) replayed
-through one warm :class:`~repro.placement.fractional.FractionalFamily`,
+pins the second half on a warm LP workload: the ``iterative_optimize``
+LP schedule (planetlab-50, Grid k=5) replayed through one warm
+:class:`~repro.placement.fractional.FractionalFamily`,
 once untraced and once under an active :class:`~repro.obs.Tracer`. That
 path increments the busiest counters in the tree (``lp.solve``,
 ``lp.update``, ``lp.warm_start_hit``) once per solve, so it bounds the

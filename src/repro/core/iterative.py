@@ -15,19 +15,15 @@ failed to decrease, the algorithm halts and returns the *previous*
 iteration's placement and strategies. The per-phase network delays are
 recorded because Figure 8.9 plots them.
 
-Both LP families the loop solves are batched. The strategy LP's assembled
-program is memoized per placement (its capacities are pure RHS), and the
-placement phase threads one
-:class:`~repro.placement.fractional.FractionalFamily` through every
-iteration: each candidate client's fractional LP is assembled exactly once
-and later iterations only rewrite its element-load rows and re-solve —
-warm-started when HiGHS bindings import. A shared
-:class:`~repro.runtime.runner.GridRunner` can be passed to fan the
-candidate searches out instead; its workers keep their own families in
-the worker-local program cache (same warm behavior, bit-identical results
-thanks to canonical anchored solves), and inside one of its own workers
-(e.g. a ``fig_8_9`` grid point) it degrades to the serial in-process
-loop, so process pools never nest.
+Both LP families the loop solves are batched. Each call builds one
+:class:`~repro.placement.fractional.FractionalFamily` and threads it
+through every iteration's placement phase: each candidate client's
+fractional LP is assembled once and later iterations only rewrite its
+element-load rows and re-solve — warm-started when HiGHS bindings
+import. Each iteration's strategy LP is one fresh
+:class:`~repro.strategies.lp_optimizer.StrategyProgram` solved once.
+No program outlives the call, so the result is a function of the
+arguments alone, in whichever process the call runs.
 """
 
 from __future__ import annotations
@@ -44,11 +40,7 @@ from repro.network.graph import Topology
 from repro.placement.fractional import FractionalFamily
 from repro.placement.many_to_one import best_many_to_one_placement
 from repro.quorums.base import QuorumSystem
-from repro.runtime.runner import in_worker
-from repro.strategies.lp_optimizer import (
-    StrategyProgram,
-    shared_strategy_program,
-)
+from repro.strategies.lp_optimizer import StrategyProgram
 
 __all__ = ["IterationRecord", "IterativeResult", "iterative_optimize"]
 
@@ -95,8 +87,6 @@ def iterative_optimize(
     max_iterations: int = 10,
     candidates: object = None,
     coalesce: bool = False,
-    runner: object = None,
-    family: FractionalFamily | None = None,
 ) -> IterativeResult:
     """Run the iterative algorithm until response time stops improving.
 
@@ -112,60 +102,11 @@ def iterative_optimize(
         Lin–Vitter filtering parameter of the placement phase.
     max_iterations:
         Safety bound; the paper observes most runs stop after one iteration.
-    runner:
-        A shared :class:`~repro.runtime.runner.GridRunner`; when it would
-        dispatch to worker processes, each iteration's candidate searches
-        fan out over its pool, and every worker keeps its own assembled
-        fractional family in the worker-local program cache — later
-        iterations re-solve warm instead of rebuilding cold per task.
-        Canonical (anchored) LP solves keep the outcome bit-identical to
-        the serial family path for any worker count. Inside one of its
-        workers, or serial, the runner is a no-op and the family below is
-        used instead.
-    family:
-        A :class:`~repro.placement.fractional.FractionalFamily` to reuse
-        across *calls* (e.g. a capacity sweep over one
-        ``(topology, system)``); by default a fresh family is created per
-        call. Each candidate's fractional LP is assembled once per family
-        and re-solved warm across iterations.
     """
-    if family is None and not in_worker():
-        # Build the cross-iteration family only where it will actually be
-        # consulted: the serial path. Inside a pool worker the search
-        # pulls the worker-local cached family instead, and when the
-        # runner would really fan candidates out (parallel, and more than
-        # one candidate) the workers keep their own — assembling one here
-        # would be dead work in the parent process.
-        n_candidates = (
-            topology.n_nodes
-            if candidates is None
-            else np.atleast_1d(np.asarray(candidates)).size
-        )
-        if (
-            runner is None
-            or not getattr(runner, "parallel", False)
-            or n_candidates <= 1
-        ):
-            family = FractionalFamily(topology, system)
+    family = FractionalFamily(topology, system)
     cap0 = np.asarray(capacities, dtype=np.float64)
     if cap0.ndim == 0:
         cap0 = np.full(topology.n_nodes, float(cap0))
-
-    # The strategy LP's constraint system depends only on the placement
-    # (capacities are RHS), and successive iterations frequently land on
-    # the same placement — reuse the assembled (and warm-started) program
-    # instead of rebuilding it every iteration. Inside a pool worker the
-    # program additionally comes from the worker-local cache, shared with
-    # every other grid point in this worker that lands on the placement.
-    programs: dict[bytes, StrategyProgram] = {}
-
-    def _program_for(placed_j: PlacedQuorumSystem) -> StrategyProgram:
-        key = placed_j.placement.assignment.tobytes()
-        program = programs.get(key)
-        if program is None:
-            program = shared_strategy_program(placed_j, coalesce=coalesce)
-            programs[key] = program
-        return program
 
     previous: IterationRecord | None = None
     prev_strategy_matrix = np.full(
@@ -184,7 +125,6 @@ def iterative_optimize(
             candidates=candidates,
             clients=clients,
             family=family,
-            runner=runner,
         )
         placed_j = search.placed
 
@@ -195,7 +135,9 @@ def iterative_optimize(
         loads_j = carried.node_loads(placed_j, coalesce=coalesce)
 
         try:
-            strategy_j = _program_for(placed_j).solve(loads_j)
+            strategy_j = StrategyProgram(placed_j, coalesce=coalesce).solve(
+                loads_j
+            )
         except InfeasibleError:
             # The carried strategies themselves satisfy cap = their loads,
             # so infeasibility can only be numerical; keep the carried ones.

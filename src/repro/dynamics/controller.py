@@ -18,11 +18,12 @@ The warm program answers the same LPs a rebuild-and-solve-cold controller
 would, so their objectives agree within solver tolerance at every
 re-optimization epoch; that baseline lives beside the pins that hold it
 (``tests/test_dynamics.py``) and the benchmark that measures against it
-(``benchmarks/bench_dynamics.py``). Canonical (anchored) solves make the
-whole replay a pure function of its inputs — which is what lets
-:func:`~repro.dynamics.replay.replay` schedule segments over a
-:class:`~repro.runtime.runner.GridRunner` with ``jobs=N`` bit-identical
-to ``jobs=1``.
+(``benchmarks/bench_dynamics.py``). Each segment owns its program, and
+the requests it sends are a function of the segment's inputs, so the
+anchored solves make the whole replay a function of its inputs — which
+is what lets :func:`~repro.dynamics.replay.replay` schedule segments
+over a :class:`~repro.runtime.runner.GridRunner` with ``jobs=N``
+bit-identical to ``jobs=1``.
 
 Policy contract
 ---------------

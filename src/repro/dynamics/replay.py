@@ -18,8 +18,9 @@ same guarantees) the figure runners use:
 Every point carries a content cache key (topology/system fingerprints,
 the segment's event stacks, the policy spec, the LP backend), so repeated
 replays — or replays sharing segments — reuse results exactly like figure
-grid points do. Canonical LP solves make each point a pure function of
-its inputs, so ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
+grid points do. Each point builds its own LP program and sends it a
+request sequence fixed by the point's inputs, so the point is a function
+of its inputs and ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
 ``tests/test_dynamics.py``).
 """
 

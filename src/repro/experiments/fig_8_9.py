@@ -9,16 +9,19 @@ adds little; the one-to-one baseline sits well above both.
 
 Declared as one grid point per capacity level plus the one-to-one
 baseline point; capacity levels are independent iterative runs. Within a
-run both LP families are batched: the strategy LP shares one assembled
-program per placement, and the placement phase threads one
-``FractionalFamily`` through its whole iteration history, so each
-candidate's fractional LP is assembled once and re-solved warm.
+run the placement phase threads one ``FractionalFamily`` through its
+whole iteration history, so each candidate's fractional LP is assembled
+once and re-solved warm; each iteration's strategy LP is assembled and
+solved once.
 
 A parallel run uses exactly one process pool for the whole figure: the
 registry's :class:`~repro.runtime.runner.GridRunner` fans the capacity
 levels out over its workers, and each point's inner placement searches
-run serially inside the worker that evaluates it. Results are
-bit-identical to a serial run (pinned by ``tests/test_runtime.py``).
+run serially inside the worker that evaluates it. A point builds every
+LP program it solves and shares none with the points its worker ran
+before, so results are bit-identical to a serial run whichever worker
+draws which level (pinned by ``tests/test_runtime.py`` and
+``tests/test_worker_warm.py``).
 """
 
 from __future__ import annotations

@@ -29,26 +29,34 @@ LP uses this: its element-load rows change as the iterative algorithm's
 strategy evolves, while everything else in the constraint system stays
 put.
 
-Canonical (trajectory-independent) solves
------------------------------------------
+Anchored solves
+---------------
 A chained warm start — re-optimizing from wherever the previous solve
 left the basis — makes the *answer* on degenerate LPs depend on the whole
 solve history: two programs asked the same question after different
-request sequences can return different (equally optimal) vertices. That
-is fatal for result caching and for ``jobs=N``/``jobs=1`` bit-identity
-once worker processes keep programs warm across the candidates they
-happen to be handed. The backend therefore pins every solve to a
-deterministic **anchor basis**: before the first single solve or in-place
-update, one calibration solve of the program exactly as built is run and
-its final basis captured; every later single solve restarts the solver
-from that anchor. Each solve's result is then a pure function of (built
-program, request) — tied optima always break the same way, no matter
-which process solved what before. A :meth:`BatchedProgram.solve_many`
-batch instead starts cold and chains warm starts *within* itself: the
-variant list is one request, so batches are equally deterministic without
-paying for a calibration. The anchor costs one extra solve per program
-and keeps most of the warm win: re-solves start from an optimal basis of
-a sibling LP instead of from scratch.
+request sequences can return different (equally optimal) vertices. The
+backend therefore restarts every single solve from an **anchor basis**:
+before the first single solve or in-place update, one calibration solve
+of the program exactly as built is run and its final basis captured;
+every later single solve restarts the solver from that anchor. A
+:meth:`BatchedProgram.solve_many` batch instead starts cold and chains
+warm starts *within* itself, in an order that is a function of the
+variant list. The anchor costs one extra solve per program and keeps
+most of the warm win: re-solves start from an optimal basis of a sibling
+LP instead of from scratch.
+
+Anchoring does not make a solve a pure function of (built program,
+request): HiGHS carries state beyond the basis across the restart. On
+planetlab-50 with a 5x5 Grid, one ``StrategyProgram`` for the placement
+``[16, 3, 3, 16, 3, 8, 3, 0, 10, 10, 8, 5, 0, 8, 10, 0, 10, 0, 3, 3, 10,
+8, 10, 16, 3]`` solved twice with the same capacity vector returns the
+objective 66.23696152871388 both times, but strategies whose entries
+differ by up to 1.0; the first answer equals a fresh program's. What
+holds is weaker: a program's answers are a deterministic function of the
+requests it has received, in order. Results are reproducible, and
+``jobs=N`` equals ``jobs=1``, because no program outlives the grid point
+(or the single search) that built it, so every process sends each
+program the same request sequence.
 
 :meth:`BatchedProgram.solve_many` always sweeps the RHS variants in
 lexicographically ascending order (monotone for capacity sweeps, so each
@@ -64,7 +72,8 @@ well as one-off programs such as the optimal-load LP — is solved through
 The probe is transparent: callers never see which path ran unless they ask
 (:attr:`BatchedProgram.backend`). Set ``REPRO_LP_BACKEND=scipy`` to force
 the fallback (the equivalence tests use this to compare both paths); the
-scipy path is stateless per solve, hence trivially canonical.
+scipy path is stateless per solve, so each of its answers is a function
+of the program and that request alone.
 """
 
 from __future__ import annotations
@@ -237,10 +246,11 @@ class _HighsBackend:
     def restart(self) -> bool:
         """Reset the solver onto the anchor basis (cold if none captured).
 
-        Either way the solver state right before the next solve is a pure
-        function of the built model, never of earlier requests. Returns
-        whether the anchor basis was applied — i.e. whether the next
-        solve is a warm start (the ``lp.warm_start_hit`` counter).
+        Either way the basis right before the next solve is a function of
+        the built model alone; HiGHS may still carry other state from
+        earlier requests (see the module docstring). Returns whether the
+        anchor basis was applied — i.e. whether the next solve is a warm
+        start (the ``lp.warm_start_hit`` counter).
         """
         if self._anchor is not None:
             # setBasis copies the statuses in: the anchor stays untouched.
@@ -372,14 +382,15 @@ class BatchedProgram:
     :class:`~repro.errors.SolverError` — those are programming errors, not
     data.
 
-    Solves are *canonical*: the first solve (or in-place update) runs one
+    Solves are *anchored*: the first solve (or in-place update) runs one
     calibration solve of the program exactly as built and captures its
     final basis as the anchor; every request then restarts the solver from
-    that anchor. The solution returned for a given (updates, RHS) request
-    is therefore a pure function of the built program and the request —
-    degenerate ties always break the same way regardless of what was
-    solved before, which is what keeps worker-warm parallel searches
-    bit-identical to serial ones.
+    that anchor. The solutions a program returns are a deterministic
+    function of the requests (updates and RHS) it has received, in order.
+    They are not a function of the last request alone: on HiGHS, solving
+    one request twice can return two tied vertices (see the module
+    docstring), so a program must not be shared between computations
+    whose results have to agree.
 
     Parameters
     ----------
@@ -463,7 +474,7 @@ class BatchedProgram:
             return  # stateless backend: nothing to calibrate
         # An earlier solve_many batch may have left its final basis in the
         # solver; calibrate from a cold state or the anchor would inherit
-        # that history and the canonical guarantee would be a lie.
+        # that history.
         self._impl.cold_restart()
         obs.count("lp.calibration")
         try:

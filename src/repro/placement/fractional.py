@@ -36,12 +36,12 @@ right-hand side move. The batched entry points exploit exactly that split:
   a :class:`~repro.lp.batched.BatchedProgram`. Re-solving with a new
   strategy rewrites the element-load rows and objective in place
   (:meth:`~repro.lp.batched.BatchedProgram.update_le_rows`), so HiGHS
-  re-optimizes from the program's anchor basis instead of solving cold —
-  canonical solves whose answers are pure functions of the request, never
-  of the solve history (the determinism the worker-warm parallel search
-  relies on); :meth:`FractionalProgram.solve_many` sweeps capacity
-  vectors as pure RHS variants in ascending order (un-permuted),
-  returning ``None`` for infeasible ones.
+  re-optimizes from the program's anchor basis instead of solving cold;
+  a program's answers are a deterministic function of the requests it
+  has received, in order (see :mod:`repro.lp.batched`).
+  :meth:`FractionalProgram.solve_many` sweeps capacity vectors as pure
+  RHS variants in ascending order (un-permuted), returning ``None`` for
+  infeasible ones.
 * :func:`fractional_placement` — the one-shot wrapper (builds a program,
   solves once).
 
@@ -387,10 +387,10 @@ class FractionalFamily:
 
     The COO index arrays of the LP depend only on ``(topology, system)``;
     this family computes them once and hands out lazily-built
-    :class:`FractionalProgram` instances that share them. The iterative
-    algorithm (Section 4.2) threads one family through all its iterations,
-    so each candidate client's LP is assembled once and every later
-    iteration only rewrites load rows and re-solves warm.
+    :class:`FractionalProgram` instances that share them. Each call of
+    the iterative algorithm (Section 4.2) threads one family through all
+    its iterations, so each candidate client's LP is assembled once and
+    every later iteration only rewrites load rows and re-solves warm.
     """
 
     def __init__(self, topology: Topology, system: QuorumSystem) -> None:
@@ -435,10 +435,14 @@ def fractional_placement(
 ) -> FractionalPlacement:
     """Solve the fractional placement LP for client ``v0`` (one-shot).
 
-    Builds a :class:`FractionalProgram` and solves it once. When solving
-    the same ``(topology, system)`` for several clients, capacities, or
-    strategies, hold a :class:`FractionalFamily` instead so assembly and
-    solver state are reused.
+    Builds a :class:`FractionalProgram` with the request built in and
+    solves it once. It calibrates on that request, so on a degenerate LP
+    it may return another optimal vertex than a program built with the
+    defaults and then solved with the request, which is what the
+    many-to-one search does. When solving the same ``(topology, system)``
+    for several clients, capacities, or strategies, hold a
+    :class:`FractionalFamily` instead so assembly and solver state are
+    reused.
 
     Parameters
     ----------

@@ -7,20 +7,17 @@ single-client algorithm from every node and keeping the placement with the
 smallest average network delay over all clients
 (:func:`best_many_to_one_placement`).
 
-The search solves one fractional LP per candidate, so it is where the
-batched LP machinery pays off: the serial path threads a
+The search solves one fractional LP per distinct candidate, so it is
+where the batched LP machinery pays off. The serial path threads a
 :class:`~repro.placement.fractional.FractionalFamily` through every
 candidate (pass one in to reuse it across repeated searches — the
-Section 4.2 iterative algorithm does exactly that), and a parallel
-:class:`~repro.runtime.runner.GridRunner` fans the candidate evaluations
-out over worker processes that keep their *own* families in the
-worker-local program cache (:func:`repro.runtime.runner.worker_memo`).
-Solver state cannot cross process boundaries, but each worker assembles a
-candidate's program once and re-solves it warm for every later iteration
-that hands it the same candidate. Both paths stay bit-identical to each
-other for any worker count because batched-LP solves are canonical
-(anchored): the answer is a pure function of the request, not of the
-solve history — see :mod:`repro.lp.batched`.
+Section 4.2 iterative algorithm does exactly that within one call). A
+parallel :class:`~repro.runtime.runner.GridRunner` fans the candidates
+out over worker processes instead, and each task builds its candidate's
+:class:`~repro.placement.fractional.FractionalProgram` and solves it
+once. A search given no family therefore runs, on either path, one
+solve per candidate on a freshly built program, so the two paths agree
+bit for bit for any worker count.
 """
 
 from __future__ import annotations
@@ -33,17 +30,10 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import InfeasibleError, PlacementError
 from repro.network.graph import Topology
 from repro.placement.filtering import lin_vitter_filter
-from repro.placement.fractional import (
-    FractionalFamily,
-    FractionalProgram,
-    fractional_placement,
-)
+from repro.placement.fractional import FractionalFamily, FractionalProgram
 from repro.placement.gap import round_fractional_placement
 from repro.quorums.base import QuorumSystem
-from repro.lp import lp_backend_name
-from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint
-from repro.runtime.runner import in_worker, worker_memo
 from repro.runtime.shm import resolve_topology
 
 __all__ = [
@@ -67,22 +57,21 @@ def many_to_one_placement(
     With ``program`` (an assembled
     :class:`~repro.placement.fractional.FractionalProgram` for this
     ``v0``), the LP stage re-solves the existing program — warm-started
-    when HiGHS bindings import — instead of assembling from scratch;
-    otherwise a fresh program is built and solved once.
+    when HiGHS bindings import — instead of assembling from scratch.
+    Otherwise a fresh program is built as the search builds it and solved
+    once with the request, so the result is the one
+    :func:`best_many_to_one_placement` scores for ``v0``.
 
     Raises :class:`~repro.errors.InfeasibleError` when the capacities admit
     no fractional placement at all.
     """
-    if program is not None:
-        if program.v0 != v0:
-            raise PlacementError(
-                f"program was assembled for v0={program.v0}, not v0={v0}"
-            )
-        frac = program.solve(capacities=capacities, strategy=strategy)
-    else:
-        frac = fractional_placement(
-            topology, system, v0, capacities=capacities, strategy=strategy
+    if program is None:
+        program = FractionalProgram(topology, system, v0)
+    elif program.v0 != v0:
+        raise PlacementError(
+            f"program was assembled for v0={program.v0}, not v0={v0}"
         )
+    frac = program.solve(capacities=capacities, strategy=strategy)
     dist = topology.distances_from(v0)
     filtered = lin_vitter_filter(frac.x, dist, eps=eps)
     return round_fractional_placement(filtered, dist, frac.element_loads)
@@ -106,26 +95,6 @@ def _average_delay_under_global_strategy(
     return float((delta @ strategy).mean())
 
 
-def _worker_family(
-    topology: Topology, system: QuorumSystem
-) -> FractionalFamily:
-    """The pool worker's cached family for this ``(topology, system)``.
-
-    Keyed by content fingerprints (workers unpickle fresh argument objects
-    per task) plus the LP backend, so a forced-backend run never reuses a
-    family assembled under another solver path.
-    """
-    return worker_memo(
-        (
-            "fractional-family",
-            topology_fingerprint(topology),
-            system_fingerprint(system),
-            lp_backend_name(),
-        ),
-        lambda: FractionalFamily(topology, system),
-    )
-
-
 def _many_to_one_candidate(
     topology: object,
     system: QuorumSystem,
@@ -142,16 +111,11 @@ def _many_to_one_candidate(
     candidates out over a process pool; ``topology`` may be a
     :class:`~repro.runtime.shm.TopologyHandle`, which resolves to a
     zero-copy shared-memory view once per worker instead of a per-task
-    unpickled matrix. Inside a pool worker the search pulls the
-    candidate's program from the worker-local family cache, so repeated
-    searches (the iterative algorithm's per-iteration fan-out) re-solve
-    assembled programs warm instead of rebuilding them cold per task;
-    canonical (anchored) solves keep the result a pure function of the
-    arguments either way.
+    unpickled matrix. Without ``program`` the task builds the candidate's
+    program itself, so a pool task holds no solver state from earlier
+    tasks.
     """
     topology = resolve_topology(topology)
-    if program is None and in_worker():
-        program = _worker_family(topology, system).program(v0)
     try:
         placement = many_to_one_placement(
             topology, system, v0, capacities=capacities, strategy=strategy,
@@ -177,7 +141,9 @@ def best_many_to_one_placement(
 ) -> ManyToOneSearchResult:
     """Run :func:`many_to_one_placement` from candidate clients, keep the best.
 
-    Candidates infeasible under the given capacities are skipped; if every
+    Each distinct candidate is evaluated once, in order of first
+    occurrence, so listing a candidate twice changes nothing. Candidates
+    infeasible under the given capacities are skipped; if every
     candidate is infeasible, :class:`~repro.errors.InfeasibleError` is
     raised (e.g. capacities summed below the total system load). The
     reduction scans candidates in input order (first minimum wins), so the
@@ -189,17 +155,15 @@ def best_many_to_one_placement(
         A :class:`~repro.placement.fractional.FractionalFamily` whose
         per-candidate programs are reused (and warm-started) across
         searches. Consulted on the serial path, where one is created
-        internally when omitted, so serial searches are always
-        family-warm. The parallel path uses each worker's own cached
-        family instead (``family`` itself cannot cross process
-        boundaries); canonical solves keep both paths bit-identical.
+        internally when omitted. The parallel path ignores it (a family
+        cannot cross process boundaries).
     runner:
         A :class:`~repro.runtime.runner.GridRunner`. When it would
         actually dispatch to worker processes (``jobs>1`` outside a pool
-        worker), candidates are evaluated in parallel by workers that keep
-        their own assembled families in the worker-local program cache.
-        Inside a worker — or with ``jobs=1`` — the runner degrades to the
-        serial path and the (given or internal) family is used.
+        worker), each candidate is one grid point that builds and solves
+        its own program. Inside a worker — or with ``jobs=1`` — the
+        runner degrades to the serial path and the (given or internal)
+        family is used.
     """
     if candidates is None:
         candidate_idx = np.arange(topology.n_nodes)
@@ -214,23 +178,21 @@ def best_many_to_one_placement(
     else:
         p = np.asarray(strategy, dtype=np.float64)
 
-    v0_list = [int(v0) for v0 in candidate_idx]
+    v0_list = list(dict.fromkeys(int(v0) for v0 in candidate_idx))
     parallel = (
         runner is not None
         and getattr(runner, "parallel", False)
         and len(v0_list) > 1
     )
     if parallel:
-        # Tags carry (position, v0): the position keeps duplicate
-        # candidates legal under the unique-tag rule, the v0 makes a
-        # failed evaluation's ReproError name the actual candidate. The
-        # topology ships as a shared-memory handle (when available), so
-        # each point's payload is O(n), not O(n^2).
+        # Tagged by v0, so a failed evaluation's ReproError names the
+        # candidate. The topology ships as a shared-memory handle (when
+        # available), so each point's payload is O(n), not O(n^2).
         ship = runner.ship(topology)
         results = runner.run(
             [
                 GridPoint(
-                    tag=(i, v0),
+                    tag=v0,
                     fn=_many_to_one_candidate,
                     kwargs={
                         "topology": ship,
@@ -242,27 +204,13 @@ def best_many_to_one_placement(
                         "clients": client_idx,
                     },
                 )
-                for i, v0 in enumerate(v0_list)
+                for v0 in v0_list
             ]
         )
-        outcomes = [
-            results[(i, v0)] for i, v0 in enumerate(v0_list)
-        ]
+        outcomes = [results[v0] for v0 in v0_list]
     else:
         if family is None:
-            # The serial path is then family-warm by construction — the
-            # same per-candidate program shape the pool workers keep in
-            # their worker-local caches, so jobs=1 and jobs=N run the
-            # exact same canonical solves. (Built here, not earlier: the
-            # parallel branch never consults it.) Inside a pool worker —
-            # a nested search, e.g. a fig_8_9 grid point — the family
-            # comes from the worker-local cache so sibling grid points
-            # share it instead of re-assembling per call.
-            family = (
-                _worker_family(topology, system)
-                if in_worker()
-                else FractionalFamily(topology, system)
-            )
+            family = FractionalFamily(topology, system)
         outcomes = [
             _many_to_one_candidate(
                 topology, system, v0, capacities, p, eps, client_idx,
@@ -287,7 +235,7 @@ def best_many_to_one_placement(
     if best_assignment is None:
         raise InfeasibleError(
             f"no feasible many-to-one placement from any of "
-            f"{len(candidate_idx)} candidates ({infeasible} infeasible)"
+            f"{len(v0_list)} candidates ({infeasible} infeasible)"
         )
     return ManyToOneSearchResult(
         placed=PlacedQuorumSystem(

@@ -13,23 +13,17 @@ the bit.
 
 Runners nest without nesting pools: every worker process is marked by a
 pool initializer, and a ``GridRunner`` used *inside* a worker always runs
-its points inline (:func:`in_worker` exposes the flag). That lets outer
-code fan grid points out over processes while inner code — e.g. the
+its points inline (:attr:`GridRunner.parallel` is False there). That lets
+outer code fan grid points out over processes while inner code — e.g. the
 best-placement candidate searches inside ``fig_8_9``'s iterative points —
 threads its own runner through unconditionally: at the top level it
 parallelizes, inside a worker it degrades to the serial loop, and in
 neither case is a second process pool ever spawned.
 
-Workers also carry a **worker-local program cache**: the pool initializer
-seeds a per-process registry that library code reaches through
-:func:`worker_memo` to keep expensive assembled state — batched LP
-families, strategy programs — alive across the tasks a worker is handed.
-Solver state cannot cross process boundaries, but it does not have to:
-each worker assembles a program once and re-solves it warm for every
-later candidate with the same fingerprint. Results stay bit-identical to
-serial execution because batched-LP solves are canonical (anchored —
-see :mod:`repro.lp.batched`): a pure function of the request, never of
-which worker solved what before.
+Workers keep no solver state between points: every LP program a point
+needs is built inside that point and dropped with it, so the point
+computes the same bits whichever worker draws it and whatever that
+worker ran before.
 
 When a :class:`~repro.runtime.cache.ResultCache` is attached, points that
 declare a ``cache_key`` are looked up before any work is dispatched and
@@ -66,83 +60,23 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GridRunner",
-    "in_worker",
     "resolve_jobs",
     "shared_runner",
-    "worker_memo",
 ]
 
 #: True in processes spawned by a GridRunner pool (set by the initializer).
 _IN_WORKER = False
 
-#: Per-process registry behind :func:`worker_memo`. Only ever populated
-#: inside pool workers; the initializer reseeds it so forked workers never
-#: inherit stale parent entries.
-_WORKER_MEMO: dict[Hashable, Any] = {}
-
-#: Entry cap for the worker registry. Cached values are assembled LP
-#: programs holding persistent solver state, so an unbounded registry
-#: would grow with every distinct placement a long-lived worker ever
-#: sees; past the cap the oldest entry is dropped (rebuilt on next use —
-#: a perf event, never a correctness one).
-_WORKER_MEMO_MAX = 64
-
 
 def _mark_worker() -> None:
-    """Pool initializer: brands the process and seeds its program cache."""
+    """Pool initializer: brands the process as a worker."""
     global _IN_WORKER
     _IN_WORKER = True
-    _WORKER_MEMO.clear()
     # Forked workers inherit the parent's active tracer object; events
     # recorded into that copy would be silently lost (and re-activation
     # for a traced task would refuse). Each traced task activates its own
     # worker-local tracer in _invoke_traced instead.
     obs.deactivate()
-
-
-def in_worker() -> bool:
-    """Whether this process is a :class:`GridRunner` pool worker.
-
-    Inside a worker every runner executes inline, so nested runners can be
-    threaded through library code unconditionally without ever spawning a
-    second process pool.
-    """
-    return _IN_WORKER
-
-
-def worker_memo(key: Hashable, factory: Callable[[], Any]) -> Any:
-    """Get-or-create an entry in the worker-local program cache.
-
-    Inside a pool worker, the value built by ``factory()`` is kept for the
-    life of the process and returned for every later call with the same
-    ``key`` — the hook that lets workers keep assembled (and warm-started)
-    LP programs across the candidate evaluations they are handed. Outside
-    a worker it simply calls ``factory()``: the serial paths carry reuse
-    explicitly (``family=`` / ``program=`` arguments), and an implicit
-    process-lifetime cache in the main process would leak state between
-    unrelated calls.
-
-    Keys must be content fingerprints (see
-    :func:`repro.runtime.cache.topology_fingerprint` /
-    :func:`~repro.runtime.cache.system_fingerprint`), not object ids —
-    workers unpickle fresh argument objects for every task.
-
-    The registry is bounded (least-recently-used entry evicted past
-    ``_WORKER_MEMO_MAX``), so a long-lived worker that sees many distinct
-    placements cannot accumulate solver state without limit; an evicted
-    program is simply rebuilt on its next use. Hits refresh recency, so
-    an entry every task touches is never the one evicted.
-    """
-    if not _IN_WORKER:
-        return factory()
-    try:
-        value = _WORKER_MEMO.pop(key)
-    except KeyError:
-        value = factory()
-    _WORKER_MEMO[key] = value  # (re)insert at the recent end
-    while len(_WORKER_MEMO) > _WORKER_MEMO_MAX:
-        _WORKER_MEMO.pop(next(iter(_WORKER_MEMO)))
-    return value
 
 
 def resolve_jobs(jobs: int | None) -> int:

@@ -12,10 +12,8 @@ the sweep assembles the constraint system once per placement
 (:class:`~repro.strategies.lp_optimizer.StrategyProgram`) and batch-solves
 all levels against the shared structure — in ascending capacity order,
 so each warm re-solve is a small monotone perturbation of the previous
-basis, with results un-permuted back to the caller's level order. Inside a pool worker the assembled program comes
-from the worker-local cache
-(:func:`~repro.strategies.lp_optimizer.shared_strategy_program`), so grid
-points sharing a placement share one warm program. Levels whose LP is
+basis, with results un-permuted back to the caller's level order. A sweep
+builds its own program unless the caller hands it one. Levels whose LP is
 infeasible (capacity below the placed system's optimal load) are no
 longer silently skipped: they are recorded in
 :attr:`CapacitySweepResult.infeasible_capacities` so figures and logs can
@@ -33,10 +31,7 @@ from repro.core.response_time import ResponseTimeResult, evaluate
 from repro.core.strategy import ExplicitStrategy
 from repro.errors import InfeasibleError, StrategyError
 from repro.quorums.load_analysis import optimal_load
-from repro.strategies.lp_optimizer import (
-    StrategyProgram,
-    shared_strategy_program,
-)
+from repro.strategies.lp_optimizer import StrategyProgram
 
 __all__ = [
     "capacity_levels",
@@ -128,7 +123,7 @@ def sweep_uniform_capacities(
         levels = capacity_levels(l_opt)
     levels = np.asarray(levels, dtype=np.float64)
     if program is None:
-        program = shared_strategy_program(placed, coalesce=coalesce)
+        program = StrategyProgram(placed, coalesce=coalesce)
     strategies = program.solve_many([float(c) for c in levels])
 
     points: list[CapacitySweepPoint] = []

@@ -36,15 +36,12 @@ import numpy as np
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.strategy import ExplicitStrategy
 from repro.errors import StrategyError
-from repro.lp import BatchedProgram, LinearProgram, lp_backend_name
+from repro.lp import BatchedProgram, LinearProgram
 from repro.obs import tracer as obs
-from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
-from repro.runtime.runner import in_worker, worker_memo
 
 __all__ = [
     "StrategyProgram",
     "optimize_access_strategies",
-    "shared_strategy_program",
 ]
 
 
@@ -243,36 +240,6 @@ class StrategyProgram:
             None if sol is None else self._strategy_from(sol)
             for sol in solutions
         ]
-
-
-def shared_strategy_program(
-    placed: PlacedQuorumSystem, coalesce: bool = False
-) -> StrategyProgram:
-    """A :class:`StrategyProgram` for ``placed``, worker-cached in workers.
-
-    Inside a :class:`~repro.runtime.runner.GridRunner` pool worker the
-    assembled program is kept in the worker-local cache keyed by the
-    placement's content (topology and system fingerprints, assignment
-    bytes, load model, LP backend), so grid points that re-derive the same
-    placement — e.g. fig_8_9's capacity levels converging on one layout —
-    re-solve one warm program instead of assembling per point. Outside a
-    worker it builds a fresh program: serial callers memoize explicitly
-    (``program=`` arguments, per-call dicts). Canonical solves make the
-    two indistinguishable result-wise.
-    """
-    if not in_worker():
-        return StrategyProgram(placed, coalesce=coalesce)
-    return worker_memo(
-        (
-            "strategy-program",
-            topology_fingerprint(placed.topology),
-            system_fingerprint(placed.system),
-            placed.placement.assignment.tobytes(),
-            bool(coalesce),
-            lp_backend_name(),
-        ),
-        lambda: StrategyProgram(placed, coalesce=coalesce),
-    )
 
 
 def optimize_access_strategies(

@@ -25,7 +25,7 @@ from repro.core.strategy import ExplicitStrategy
 from repro.errors import InfeasibleError, StrategyError
 from repro.quorums.load_analysis import optimal_load
 from repro.strategies.capacity_sweep import capacity_levels
-from repro.strategies.lp_optimizer import shared_strategy_program
+from repro.strategies.lp_optimizer import StrategyProgram
 
 __all__ = [
     "nonuniform_capacities",
@@ -120,10 +120,9 @@ def sweep_nonuniform_capacities(
     For each ``c_i`` from :func:`capacity_levels`, capacities are spread
     inverse-proportionally over ``[L_opt, c_i]`` and LP (4.3)-(4.6) is
     solved; the response-time-minimizing point wins. The LP structure is
-    assembled once (worker-cached inside pool workers) and every interval
-    solves as an RHS variant against it, swept in ascending capacity
-    order with results un-permuted; infeasible intervals are recorded,
-    not silently dropped.
+    assembled once per call and every interval solves as an RHS variant
+    against it, swept in ascending capacity order with results
+    un-permuted; infeasible intervals are recorded, not silently dropped.
     """
     l_opt = optimal_load(placed.system).l_opt
     if levels is None:
@@ -135,8 +134,9 @@ def sweep_nonuniform_capacities(
         )
         for gamma in levels
     ]
-    program = shared_strategy_program(placed, coalesce=coalesce)
-    strategies = program.solve_many(capacity_vectors)
+    strategies = StrategyProgram(placed, coalesce=coalesce).solve_many(
+        capacity_vectors
+    )
 
     points: list[NonuniformSweepPoint] = []
     infeasible: list[float] = []

@@ -270,7 +270,7 @@ class TestFamily:
 class TestIterativeIntegration:
     CANDIDATES = np.arange(6)
 
-    def test_batched_iterative_matches_loop_path(self, planetlab):
+    def test_batched_iterative_matches_loop_path(self, planetlab, monkeypatch):
         """Warm batched solves drive the loop through the same first
         iteration as the cold reference: metrics within 1e-9 and the
         placement identical (the uniform-strategy LPs are tie-free here).
@@ -292,10 +292,12 @@ class TestIterativeIntegration:
         batched = iterative_optimize(
             planetlab, GridQuorumSystem(2), **kwargs
         )
-        loop = iterative_optimize(
-            planetlab, GridQuorumSystem(2),
-            family=_LoopFamily(planetlab, GridQuorumSystem(2)), **kwargs
+        # iterative_optimize builds its family per call: run the same call
+        # with the family class swapped for the cold reference.
+        monkeypatch.setattr(
+            "repro.core.iterative.FractionalFamily", _LoopFamily
         )
+        loop = iterative_optimize(planetlab, GridQuorumSystem(2), **kwargs)
         first_b, first_l = batched.history[0], loop.history[0]
         assert np.array_equal(
             first_b.placed.placement.assignment,
@@ -315,36 +317,13 @@ class TestIterativeIntegration:
             assert all(b < a for a, b in zip(times[:-1], times[1:-1]))
             assert result.response_time == min(times)
 
-    def test_family_shared_across_calls(self, line_topology):
-        """One family threaded through a capacity sweep: later calls
-        reuse the assembled programs and still match fresh runs."""
-        g = GridQuorumSystem(2)
-        family = FractionalFamily(line_topology, g)
-        shared = [
-            iterative_optimize(
-                line_topology, g, capacities=c, alpha=7.0,
-                candidates=self.CANDIDATES, family=family,
-            ).response_time
-            for c in (0.9, 1.0, 1.2)
-        ]
-        fresh = [
-            iterative_optimize(
-                line_topology, g, capacities=c, alpha=7.0,
-                candidates=self.CANDIDATES,
-            ).response_time
-            for c in (0.9, 1.0, 1.2)
-        ]
-        assert len(family) == len(self.CANDIDATES)
-        assert shared == pytest.approx(fresh, abs=1e-9)
-
 
 class TestParallelSearch:
     def test_parallel_candidates_bit_identical_to_serial(self, planetlab):
-        """best_many_to_one_placement over a parallel runner hands its
-        workers worker-local warm families — still bit-identical to the
-        serial (family-warm) search for any worker count, because
-        canonical anchored solves make every candidate's result a pure
-        function of the request."""
+        """best_many_to_one_placement over a parallel runner builds each
+        candidate's program in its pool task and solves it once, as the
+        serial search does on its fresh family, so the two agree bit for
+        bit for any worker count."""
         caps = np.full(planetlab.n_nodes, 0.9)
         serial = best_many_to_one_placement(
             planetlab, GRID, capacities=caps, candidates=np.arange(6)

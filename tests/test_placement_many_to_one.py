@@ -275,3 +275,51 @@ class TestManyToOnePipeline:
             candidates=np.arange(10),
         )
         assert m2o.avg_network_delay < o2o.avg_network_delay
+
+    SEARCH_CANDIDATES = [0, 8, 3, 16, 12]
+
+    def test_duplicated_candidates_change_nothing(self, planetlab, lp_backend):
+        """Each distinct candidate is evaluated once, in order of first
+        occurrence, so a doubled candidate list returns the undoubled
+        list's result in every field."""
+        g = GridQuorumSystem(3)
+        caps = np.full(planetlab.n_nodes, 0.6)
+        once = best_many_to_one_placement(
+            planetlab, g, capacities=caps, candidates=self.SEARCH_CANDIDATES
+        )
+        twice = best_many_to_one_placement(
+            planetlab, g, capacities=caps,
+            candidates=self.SEARCH_CANDIDATES * 2,
+        )
+        assert twice.v0 == once.v0
+        assert twice.avg_network_delay == once.avg_network_delay
+        assert list(twice.delays_by_candidate.items()) == list(
+            once.delays_by_candidate.items()
+        )
+        assert (
+            twice.placed.placement.assignment.tobytes()
+            == once.placed.placement.assignment.tobytes()
+        )
+        assert twice.delays_by_candidate[twice.v0] == twice.avg_network_delay
+
+    def test_standalone_placement_scores_what_the_search_scored(
+        self, planetlab, lp_backend
+    ):
+        """``many_to_one_placement(v0)`` builds and solves the program the
+        search solved for ``v0``, so its placement has exactly the delay
+        the search reported for that candidate."""
+        g = GridQuorumSystem(3)
+        caps = np.full(planetlab.n_nodes, 0.6)
+        search = best_many_to_one_placement(
+            planetlab, g, capacities=caps, candidates=self.SEARCH_CANDIDATES
+        )
+        uniform = np.full(g.num_quorums, 1.0 / g.num_quorums)
+        assert sorted(search.delays_by_candidate) == sorted(
+            self.SEARCH_CANDIDATES
+        )
+        for v0, delay in search.delays_by_candidate.items():
+            placement = many_to_one_placement(
+                planetlab, g, v0, capacities=caps
+            )
+            placed = PlacedQuorumSystem(g, placement, planetlab)
+            assert float((placed.delay_matrix @ uniform).mean()) == delay

@@ -30,7 +30,7 @@ from repro.runtime.cache import (
     topology_fingerprint,
 )
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.runtime.runner import GridRunner, in_worker, resolve_jobs
+from repro.runtime.runner import GridRunner, resolve_jobs
 
 
 def _square(x):
@@ -47,8 +47,8 @@ def _die():
 
 
 def _worker_state():
-    """(am I in a pool worker?, would a nested jobs=4 runner go parallel?)"""
-    return in_worker(), GridRunner(jobs=4).parallel
+    """Would a nested jobs=4 runner go parallel in this process?"""
+    return GridRunner(jobs=4).parallel
 
 
 def _nested_map(x):
@@ -468,14 +468,13 @@ class TestNestingGuard:
     """
 
     def test_main_process_is_not_a_worker(self):
-        assert not in_worker()
         assert GridRunner(jobs=2).parallel
         assert not GridRunner(jobs=1).parallel
 
     def test_workers_are_marked_and_degrade_to_inline(self):
         with GridRunner(jobs=2) as runner:
             states = runner.map(_worker_state, [{} for _ in range(3)])
-        assert states == [(True, False)] * 3
+        assert states == [False] * 3
 
     def test_nested_runner_inside_worker_produces_results(self):
         with GridRunner(jobs=2) as runner:
@@ -489,7 +488,7 @@ class TestNestingGuard:
         under a cache key that deliberately ignores scheduling."""
         with GridRunner(jobs=2) as runner:
             states = runner.map(_worker_state, [{}])
-        assert states == [(True, False)]
+        assert states == [False]
 
     def test_pool_reused_across_batches(self, counting_pool):
         with GridRunner(jobs=2) as runner:
