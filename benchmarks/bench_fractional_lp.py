@@ -7,9 +7,12 @@ candidate client, every iteration, across a sweep of capacity levels
 from *real* ``iterative_optimize`` runs (>= 5 iterations in total across
 the levels), then replayed through both paths:
 
-* **cold** — a fresh ``fractional_placement`` per solve: the vectorized
-  assembly plus the program's first (calibrated) solve, i.e. what every
-  solve would cost if nothing were kept between solves;
+* **cold** — a fresh ``FractionalProgram(topology, system, v0)`` per
+  solve, then ``solve(capacities=, strategy=)``: the vectorized assembly,
+  the calibration solve of the program as built (uniform strategy, the
+  topology's capacities), the in-place rewrite of the objective and
+  element-load rows and one anchored solve of the request, i.e. what
+  every solve would cost if nothing were kept between solves;
 * **batched** — one ``FractionalFamily``: per-candidate programs are
   assembled once through the vectorized COO path, later solves only
   rewrite the element-load rows / objective in place and re-solve —
@@ -43,7 +46,7 @@ from _iterative_schedule import replay_family, solve_schedule
 from repro.obs.bench import BenchRecorder
 from repro.lp import lp_backend_name
 from repro.network.datasets import planetlab_50
-from repro.placement.fractional import fractional_placement
+from repro.placement.fractional import FractionalProgram
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.strategies.capacity_sweep import capacity_levels
@@ -59,9 +62,8 @@ def _replay_cold(topology, system, candidates, schedule):
     for caps, strategy in schedule:
         for v0 in candidates:
             solutions.append(
-                fractional_placement(
-                    topology, system, int(v0),
-                    capacities=caps, strategy=strategy,
+                FractionalProgram(topology, system, int(v0)).solve(
+                    capacities=caps, strategy=strategy
                 )
             )
     return solutions

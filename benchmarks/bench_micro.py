@@ -13,7 +13,7 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.response_time import evaluate
 from repro.core.strategy import ExplicitStrategy, ThresholdClosestStrategy
 from repro.network.datasets import daxlist_161, planetlab_50
-from repro.placement.fractional import fractional_placement
+from repro.placement.fractional import FractionalProgram
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.order_stats import max_order_statistic_pmf
@@ -56,11 +56,12 @@ def test_strategy_lp_grid10_daxlist(benchmark, daxlist):
 
 
 def test_fractional_placement_lp(benchmark, planetlab):
-    """Single-client fractional placement LP for a 5x5 Grid."""
+    """Single-client fractional placement LP for a 5x5 Grid: assembly,
+    calibration and one solve of the request."""
     system = GridQuorumSystem(5)
     benchmark(
-        lambda: fractional_placement(
-            planetlab, system, v0=0, capacities=np.full(50, 0.8)
+        lambda: FractionalProgram(planetlab, system, 0).solve(
+            capacities=np.full(50, 0.8)
         )
     )
 

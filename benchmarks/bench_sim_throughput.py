@@ -58,6 +58,8 @@ from repro.quorums.threshold import (
     majority,
 )
 from repro.sim.experiment import (
+    N_CLIENT_SITES,
+    SERVICE_TIME_MS,
     QUExperimentConfig,
     run_qu_experiment,
     select_client_sites,
@@ -122,13 +124,10 @@ def _qu_cell_service(topology, config):
         topology,
         placed.placement.assignment,
         quorum_size=config.quorum_size,
-        service_time_ms=config.service_time_ms,
-        network_jitter_ms=config.network_jitter_ms,
+        service_time_ms=SERVICE_TIME_MS,
         seed=config.seed,
     )
-    sites = select_client_sites(
-        topology, placed, n_sites=config.n_client_sites
-    )
+    sites = select_client_sites(topology, placed, n_sites=N_CLIENT_SITES)
     for site in sites:
         for _ in range(config.clients_per_site):
             service.add_client(int(site))

@@ -82,11 +82,8 @@ def iterative_optimize(
     system: QuorumSystem,
     capacities: np.ndarray | float,
     alpha: float,
-    clients: object = None,
-    eps: float = 1.0 / 3.0,
     max_iterations: int = 10,
     candidates: object = None,
-    coalesce: bool = False,
 ) -> IterativeResult:
     """Run the iterative algorithm until response time stops improving.
 
@@ -98,8 +95,6 @@ def iterative_optimize(
         The original capacities ``cap0`` (scalar for uniform).
     alpha:
         Queueing coefficient for the response-time objective.
-    eps:
-        Lin–Vitter filtering parameter of the placement phase.
     max_iterations:
         Safety bound; the paper observes most runs stop after one iteration.
     """
@@ -121,30 +116,22 @@ def iterative_optimize(
             system,
             capacities=cap0,
             strategy=global_strategy,
-            eps=eps,
             candidates=candidates,
-            clients=clients,
             family=family,
         )
         placed_j = search.placed
 
         carried = ExplicitStrategy(prev_strategy_matrix)
-        phase1 = evaluate(
-            placed_j, carried, alpha=0.0, clients=clients, coalesce=coalesce
-        )
-        loads_j = carried.node_loads(placed_j, coalesce=coalesce)
+        phase1 = evaluate(placed_j, carried, alpha=0.0)
+        loads_j = carried.node_loads(placed_j)
 
         try:
-            strategy_j = StrategyProgram(placed_j, coalesce=coalesce).solve(
-                loads_j
-            )
+            strategy_j = StrategyProgram(placed_j).solve(loads_j)
         except InfeasibleError:
             # The carried strategies themselves satisfy cap = their loads,
             # so infeasibility can only be numerical; keep the carried ones.
             strategy_j = carried
-        outcome = evaluate(
-            placed_j, strategy_j, alpha=alpha, clients=clients, coalesce=coalesce
-        )
+        outcome = evaluate(placed_j, strategy_j, alpha=alpha)
 
         record = IterationRecord(
             iteration=j,

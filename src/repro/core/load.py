@@ -9,7 +9,9 @@ For a client ``v`` with access strategy ``p_v``:
 
 With the strategy profile as a matrix ``P`` (clients x quorums) and the
 incidence matrix ``A[i, w]`` (elements of ``Q_i`` on node ``w``), node loads
-are ``load_f = mean_v(P) @ A`` — a single matrix product.
+are ``load_f = mean_v(P) @ A`` — a single matrix product. A node hosting
+several elements of the accessed quorum is charged once per element
+(Naor & Wool's load), the model every analysis and simulation here uses.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = ["node_loads"]
 def node_loads(
     placed: PlacedQuorumSystem,
     strategy_matrix: np.ndarray,
-    coalesce: bool = False,
 ) -> np.ndarray:
     """``load_f(w)``: node loads averaged over the client rows of ``P``
     (a 1-D ``P`` is a single client's strategy)."""
@@ -37,5 +38,4 @@ def node_loads(
             f"strategy has {matrix.shape[1]} quorum columns, "
             f"system has {placed.num_quorums}"
         )
-    a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return matrix.mean(axis=0) @ a
+    return matrix.mean(axis=0) @ placed.incidence_counts

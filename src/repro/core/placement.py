@@ -161,7 +161,6 @@ class PlacedQuorumSystem:
     #: only — never on distances or capacities.
     _TOPOLOGY_FREE = (
         "incidence_counts",
-        "incidence_indicator",
         "quorum_node_table",
         "placed_quorums",
         "_quorum_slots",
@@ -206,16 +205,6 @@ class PlacedQuorumSystem:
             cells, weights=np.ones(cells.size), minlength=m * n
         )
         return counts.reshape(m, n)
-
-    @cached_property
-    def incidence_indicator(self) -> np.ndarray:
-        """``A[i, w] in {0, 1}``: whether any element of ``Q_i`` is on ``w``.
-
-        The paper's future-work variation ("a server hosting multiple
-        universe elements would execute a request only once"), selected by
-        ``coalesce=True``.
-        """
-        return (self.incidence_counts > 0).astype(np.float64)
 
     # ------------------------------------------------------------------
     # Delays

@@ -37,15 +37,12 @@ __all__ = [
 DEFAULT_OP_SRV_TIME_MS = 0.007
 
 
-def alpha_from_demand(
-    client_demand: float, op_srv_time_ms: float = DEFAULT_OP_SRV_TIME_MS
-) -> float:
-    """The paper's recipe ``alpha = op_srv_time * client_demand``."""
+def alpha_from_demand(client_demand: float) -> float:
+    """The paper's recipe ``alpha = op_srv_time * client_demand``, with
+    ``op_srv_time`` = :data:`DEFAULT_OP_SRV_TIME_MS`."""
     if client_demand < 0:
         raise StrategyError("client demand must be non-negative")
-    if op_srv_time_ms < 0:
-        raise StrategyError("per-op service time must be non-negative")
-    return op_srv_time_ms * client_demand
+    return DEFAULT_OP_SRV_TIME_MS * client_demand
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ def evaluate(
     strategy: AccessStrategy,
     alpha: float = 0.0,
     clients: object = None,
-    coalesce: bool = False,
 ) -> ResponseTimeResult:
     """Evaluate equations (4.1)-(4.2) for a strategy profile.
 
@@ -124,14 +120,11 @@ def evaluate(
         ``V``, the paper's client model. **Loads are always computed over
         all clients** (every node issues requests), matching
         ``load_f(w) = avg_{v in V} load_{v,f}(w)``.
-    coalesce:
-        When True, a node hosting several elements of the accessed quorum
-        counts once toward load (the paper's future-work variation).
     """
     if alpha < 0:
         raise StrategyError("alpha must be non-negative")
     client_idx = client_indices(placed.n_nodes, clients)
-    loads = strategy.node_loads(placed, coalesce=coalesce)
+    loads = strategy.node_loads(placed)
     network = strategy.expected_response_times(
         placed, np.zeros(placed.n_nodes), client_idx
     )
@@ -155,9 +148,7 @@ def evaluate(
 
 
 def average_network_delay(
-    placed: PlacedQuorumSystem,
-    strategy: AccessStrategy,
-    clients: object = None,
+    placed: PlacedQuorumSystem, strategy: AccessStrategy
 ) -> float:
-    """Convenience wrapper: the ``alpha = 0`` objective."""
-    return evaluate(placed, strategy, alpha=0.0, clients=clients).avg_network_delay
+    """Convenience wrapper: the ``alpha = 0`` objective over every client."""
+    return evaluate(placed, strategy, alpha=0.0).avg_network_delay

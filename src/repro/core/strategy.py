@@ -40,9 +40,7 @@ class AccessStrategy(ABC):
     """A strategy profile ``{p_v}`` for all clients of a placed system."""
 
     @abstractmethod
-    def node_loads(
-        self, placed: PlacedQuorumSystem, coalesce: bool = False
-    ) -> np.ndarray:
+    def node_loads(self, placed: PlacedQuorumSystem) -> np.ndarray:
         """``load_f(w)`` induced by this profile (averaged over clients)."""
 
     @abstractmethod
@@ -113,11 +111,9 @@ class ExplicitStrategy(AccessStrategy):
                 f"topology has {placed.n_nodes} nodes"
             )
 
-    def node_loads(
-        self, placed: PlacedQuorumSystem, coalesce: bool = False
-    ) -> np.ndarray:
+    def node_loads(self, placed: PlacedQuorumSystem) -> np.ndarray:
         self._check_compatible(placed)
-        return load_mod.node_loads(placed, self._matrix, coalesce=coalesce)
+        return load_mod.node_loads(placed, self._matrix)
 
     def expected_response_times(
         self,
@@ -177,9 +173,7 @@ class ThresholdClosestStrategy(AccessStrategy):
     distance). This needs no enumeration of the ``C(n, q)`` quorums.
     """
 
-    def node_loads(
-        self, placed: PlacedQuorumSystem, coalesce: bool = False
-    ) -> np.ndarray:
+    def node_loads(self, placed: PlacedQuorumSystem) -> np.ndarray:
         _require_one_to_one_threshold(placed)
         q = placed.system.quorum_size
         support = placed.placement.support_set
@@ -219,9 +213,7 @@ class ThresholdBalancedStrategy(AccessStrategy):
     ``q``-subset, computed exactly via order statistics.
     """
 
-    def node_loads(
-        self, placed: PlacedQuorumSystem, coalesce: bool = False
-    ) -> np.ndarray:
+    def node_loads(self, placed: PlacedQuorumSystem) -> np.ndarray:
         _require_one_to_one_threshold(placed)
         system = placed.system
         loads = np.zeros(placed.n_nodes)

@@ -384,7 +384,6 @@ class AdaptiveController:
                     probe_strategy,
                     effective,
                     caps[i],
-                    telemetry,
                     seed=telemetry.seed + i,
                 )
                 estimator.observe(sample, noise_rng)

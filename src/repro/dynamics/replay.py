@@ -12,16 +12,16 @@ same guarantees) the figure runners use:
 2. **Segment-replay points** — one point per (policy, segment), each a
    pure function replaying the segment's epochs through an
    :class:`~repro.dynamics.controller.AdaptiveController`. The
-   ``clairvoyant`` policy (re-optimize every epoch) is added automatically
-   as the regret baseline.
+   ``clairvoyant`` policy (re-optimize every epoch) always runs as the
+   regret baseline.
 
 Every point carries a content cache key (topology/system fingerprints,
-the segment's event stacks, the policy spec, the LP backend), so repeated
-replays — or replays sharing segments — reuse results exactly like figure
-grid points do. Each point builds its own LP program and sends it a
-request sequence fixed by the point's inputs, so the point is a function
-of its inputs and ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
-``tests/test_dynamics.py``).
+the segment's event stacks, the policy spec; the cache folds in the LP
+solver identity), so repeated replays — or replays sharing segments —
+reuse results exactly like figure grid points do. Each point builds its
+own LP program and sends it a request sequence fixed by the point's
+inputs, so the point is a function of its inputs and ``jobs=N`` is
+bit-identical to ``jobs=1`` (pinned by ``tests/test_dynamics.py``).
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ __all__ = [
 #: Spec of the regret baseline: re-optimize at every epoch.
 CLAIRVOYANT = "clairvoyant"
 
+#: Open-loop run of :func:`simulate_placements` per segment: simulated
+#: milliseconds and per-request service time.
+_SIM_DURATION_MS = 2_000.0
+_SIM_SERVICE_TIME_MS = 1.0
+
 #: Per-segment telemetry seed stride: segment starts are < 100_003 epochs
 #: apart in any sane trace, so (segment, epoch) probe seeds never collide.
 _SEGMENT_SEED_STRIDE = 100_003
@@ -77,8 +82,8 @@ class DynamicsResult:
 
     ``series`` maps canonical policy specs to their full-timeline
     :class:`~repro.dynamics.controller.SegmentSeries`; the ``clairvoyant``
-    entry (when present) is the per-epoch optimum every other policy's
-    regret is measured against.
+    entry is the per-epoch optimum every other policy's regret is
+    measured against.
     ``placements`` holds one global-node-space assignment per segment.
     """
 
@@ -105,11 +110,6 @@ class DynamicsResult:
             raise DynamicsError(
                 f"unknown policy {policy!r}; this replay ran "
                 f"{sorted(self.series)}"
-            )
-        if CLAIRVOYANT not in self.series:
-            raise DynamicsError(
-                "replay ran without the clairvoyant baseline; "
-                "pass include_clairvoyant=True to measure regret"
             )
         return (
             self.series[policy].expected_delay
@@ -152,7 +152,7 @@ class DynamicsResult:
                 f"{int(series.lp_solves.sum())} LP solves, "
                 f"{int(series.assemblies.sum())} assemblies"
             )
-            if spec != CLAIRVOYANT and CLAIRVOYANT in self.series:
+            if spec != CLAIRVOYANT:
                 summary += f", mean regret {self.regret(spec).mean():.3f} ms"
             if series.estimation_error.max() > 0:
                 summary += (
@@ -192,8 +192,6 @@ def simulate_placements(
     trace: ScenarioTrace,
     result: DynamicsResult,
     rate_per_ms: float = 0.5,
-    duration_ms: float = 2_000.0,
-    service_time_ms: float = 1.0,
     seed: int = 17,
 ) -> tuple[dict, ...]:
     """Cross-check a replay's per-segment placements in the simulator.
@@ -201,8 +199,9 @@ def simulate_placements(
     The replay's expected-delay series comes from the analytic response
     model; this runs each segment's placement through
     :class:`~repro.sim.generic.GenericQuorumSimulation` under an open-loop
-    Poisson workload on the **fluid backend**, which makes the cross-check
-    cheap enough to run after every replay.
+    Poisson workload on the **fluid backend** (2 simulated seconds per
+    segment, 1 ms per request), which makes the cross-check cheap enough
+    to run after every replay.
     Returns one dict per segment (``segment``, ``mean_response_ms``,
     ``p95_response_ms``, ``operations``, plus the request-conservation
     counters).
@@ -241,14 +240,16 @@ def simulate_placements(
             placed,
             strategy,
             client_nodes=np.arange(sub.n_nodes),
-            service_time_ms=service_time_ms,
+            service_time_ms=_SIM_SERVICE_TIME_MS,
             seed=seed + index,
             arrivals=PoissonArrivals(
                 rate_per_ms=rate_per_ms, seed=seed + 1000 + index
             ),
             backend="fluid",
         )
-        out = sim.run(duration_ms=duration_ms, warmup_ms=0.1 * duration_ms)
+        out = sim.run(
+            duration_ms=_SIM_DURATION_MS, warmup_ms=0.1 * _SIM_DURATION_MS
+        )
         rows.append(
             {
                 "segment": (start, end),
@@ -269,7 +270,6 @@ def replay(
     system: QuorumSystem,
     trace: ScenarioTrace,
     policies: Sequence[str] = ("static", "periodic:4", "threshold:0.05"),
-    include_clairvoyant: bool = True,
     candidates: object = None,
     runner: GridRunner | None = None,
     jobs: int | None = 1,
@@ -289,10 +289,8 @@ def replay(
     policies:
         Adaptation policy specs (see
         :func:`~repro.dynamics.controller.parse_policy`); duplicates
-        collapse, order is preserved.
-    include_clairvoyant:
-        Add the per-epoch re-optimizer as the regret baseline (skipped if
-        already among ``policies``).
+        collapse, order is preserved. The per-epoch re-optimizer always
+        runs as the regret baseline (once, even if among ``policies``).
     candidates:
         Optional global node ids restricting each segment's placement
         search (intersected with the members; the paper's recipe searches
@@ -328,7 +326,7 @@ def replay(
             specs.append(spec)
     if not specs:
         raise DynamicsError("replay needs at least one policy")
-    if include_clairvoyant and CLAIRVOYANT not in specs:
+    if CLAIRVOYANT not in specs:
         specs.append(CLAIRVOYANT)
 
     states = trace.states(topology)
@@ -446,10 +444,6 @@ def replay(
                             "telemetry": None
                             if point_telemetry is None
                             else point_telemetry.fingerprint_components(),
-                            # Tied optima may break differently per solver
-                            # path; never serve one backend's vertices to
-                            # the other.
-                            "lp_backend": lp_backend_name(),
                         },
                     )
                 )
@@ -591,7 +585,6 @@ def tune_threshold(
         system,
         trace,
         policies=tuple(baseline_policies) + specs,
-        include_clairvoyant=True,
         candidates=candidates,
         runner=runner,
         jobs=jobs,

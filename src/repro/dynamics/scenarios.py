@@ -10,11 +10,11 @@ through a seeded :class:`numpy.random.Generator`), returning a
   seeded per-node phase, modelling day/night load waves sweeping across
   regions.
 * :func:`flash_crowd_scenario` — capacity crunch: a seeded subset of nodes
-  has its capacity cut to ``depth`` for a window of epochs, then restored
-  (optionally in several waves).
+  has its capacity cut to ``depth`` for half of each wave's share of the
+  timeline, then restored (optionally in several waves).
 * :func:`partition_heal_scenario` — regional churn: the nodes closest to a
-  seeded center leave together mid-trace and rejoin later, the
-  partition-and-heal pattern that forces re-placement.
+  seeded center leave together a third of the way in and rejoin two
+  thirds in, the partition-and-heal pattern that forces re-placement.
 
 ``combine`` overlays traces (e.g. diurnal drift + a flash crowd) into one
 event list; overlaps that would be ambiguous are rejected by trace
@@ -82,16 +82,15 @@ def flash_crowd_scenario(
     seed: int = 0,
     fraction: float = 0.3,
     depth: float = 0.5,
-    start: int | None = None,
-    length: int | None = None,
     waves: int = 1,
 ) -> ScenarioTrace:
     """Capacity crunch: a seeded node subset loses capacity, then recovers.
 
-    Each wave picks ``fraction`` of the nodes (seeded, without
-    replacement), multiplies their capacity by ``depth`` for ``length``
-    epochs, and restores the base vector afterwards. Defaults spread
-    ``waves`` evenly over the timeline.
+    The ``waves`` are spread evenly over the timeline from epoch 1, one
+    every ``stride = max(2, n_epochs // waves)`` epochs. Each picks
+    ``fraction`` of the nodes (seeded, without replacement), multiplies
+    their capacity by ``depth`` for ``max(1, stride // 2)`` epochs, and
+    restores the base vector afterwards, before the next wave begins.
     """
     if not 0.0 < fraction <= 1.0:
         raise DynamicsError(f"fraction must lie in (0, 1], got {fraction}")
@@ -105,24 +104,12 @@ def flash_crowd_scenario(
     n_hit = max(1, int(round(fraction * n)))
     base = topology.capacities
     stride = max(2, n_epochs // waves)
-    length = max(1, stride // 2) if length is None else int(length)
-    if length < 1:
-        raise DynamicsError(f"wave length must be >= 1, got {length}")
-    if waves > 1 and length >= stride:
-        # A restore landing on (or past) the next crunch epoch would
-        # either collide with it (rejected as ambiguous by the trace)
-        # or silently cut the earlier wave short — refuse up front.
-        raise DynamicsError(
-            f"wave length {length} overlaps the next wave "
-            f"(stride {stride} for {waves} waves over {n_epochs} "
-            "epochs); shorten the waves or reduce their count"
-        )
-    first = 1 if start is None else int(start)
+    length = max(1, stride // 2)
     rng = np.random.default_rng(seed)
 
     events = []
     for wave in range(waves):
-        begin = first + wave * stride
+        begin = 1 + wave * stride
         end = min(begin + length, n_epochs)
         if begin >= n_epochs or end <= begin:
             break
@@ -140,24 +127,23 @@ def partition_heal_scenario(
     n_epochs: int,
     seed: int = 0,
     region_size: int = 5,
-    start: int | None = None,
-    heal: int | None = None,
 ) -> ScenarioTrace:
     """A seeded regional cluster leaves mid-trace and rejoins later.
 
     The region is the ``region_size`` nodes closest (by RTT) to a seeded
     center node — a geographic partition, not a random sample. Leaves land
-    at ``start`` (default: one third in), rejoins at ``heal`` (default:
-    two thirds in); both rounds of churn force re-placement.
+    one third in (``start = max(1, n_epochs // 3)``), rejoins two thirds
+    in (``heal = max(start + 1, 2 * n_epochs // 3)``); both rounds of
+    churn force re-placement.
     """
     n = topology.n_nodes
     if not 1 <= region_size < n:
         raise DynamicsError(
             f"region_size must lie in [1, {n}), got {region_size}"
         )
-    start = max(1, n_epochs // 3) if start is None else int(start)
-    heal = max(start + 1, (2 * n_epochs) // 3) if heal is None else int(heal)
-    if not 0 < start < heal <= n_epochs:
+    start = max(1, n_epochs // 3)
+    heal = max(start + 1, (2 * n_epochs) // 3)
+    if heal > n_epochs:
         raise DynamicsError(
             f"need 0 < start < heal <= n_epochs, got start={start}, "
             f"heal={heal}, n_epochs={n_epochs}"

@@ -12,14 +12,17 @@ module is that measurement plane:
   fluid backend (cheap enough to probe every epoch; there is no other
   probe path) with ``collect_telemetry=True`` and returns the
   per-(client, server) :class:`~repro.sim.metrics.PairTelemetry`
-  aggregates. Servers run at ``service_time_ms / capacity``, so per-node
-  capacity is observable from the service times their replies report.
+  aggregates. Servers run at ``PROBE_SERVICE_TIME_MS / capacity``, so
+  per-node capacity is observable from the service times their replies
+  report.
 * :class:`TelemetryEstimator` folds each epoch's sample into
-  exponentially-weighted RTT and capacity estimates. Per-pair
-  measurement noise is seeded and shrinks as ``1/sqrt(samples)``;
-  unobserved pairs age (staleness), keeping their last estimate.
-* :class:`TelemetryConfig` freezes the knobs and fingerprints them for
-  the replay driver's content cache keys.
+  exponentially-weighted RTT and capacity estimates (weight :data:`GAIN`).
+  Per-pair measurement noise is seeded and shrinks as
+  ``1/sqrt(samples)``; unobserved pairs age (staleness), keeping their
+  last estimate.
+* :class:`TelemetryConfig` freezes the noise level and the seed and
+  fingerprints them, with the probe constants, for the replay driver's
+  content cache keys.
 
 The closed loop then feeds *estimates* — never scenario events — into
 the policy's ``should_reoptimize`` and the warm LP's
@@ -44,7 +47,11 @@ from repro.sim.metrics import PairTelemetry
 from repro.sim.workload import PoissonArrivals
 
 __all__ = [
+    "GAIN",
     "PROBE_BACKEND",
+    "PROBE_MS",
+    "PROBE_RATE_PER_MS",
+    "PROBE_SERVICE_TIME_MS",
     "TelemetryConfig",
     "TelemetryEstimator",
     "probe_epoch",
@@ -62,29 +69,33 @@ _ARRIVAL_SEED_OFFSET = 987_631
 #: open-loop Poisson probe workload at array cost.
 PROBE_BACKEND = "fluid"
 
+#: EWMA weight of each new measurement (1.0 would trust only the latest
+#: epoch).
+GAIN = 0.5
+#: Open-loop Poisson arrival rate of the probe (operations per ms).
+PROBE_RATE_PER_MS = 0.5
+#: Simulated milliseconds each epoch's probe runs.
+PROBE_MS = 500.0
+#: Per-unit service time of a unit-capacity server during a probe (node
+#: service = base / capacity, which is what makes capacity observable).
+PROBE_SERVICE_TIME_MS = 1.0
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Knobs of the closed-loop measurement plane.
+    """Settings of the closed-loop measurement plane.
 
     ``noise`` is the relative standard deviation of the per-pair
     measurement error applied to each epoch's mean RTT sample, scaled by
     ``1/sqrt(samples)`` — many replies average the error down, exactly
-    like real ping aggregation. ``gain`` is the EWMA weight of the new
-    measurement (1.0 trusts only the latest epoch). The probe injects
-    open-loop Poisson arrivals at ``rate_per_ms`` for ``probe_ms``
-    simulated milliseconds per epoch; ``service_time_ms`` is the per-unit
-    service time of a unit-capacity server (node service = base /
-    capacity, which is what makes capacity observable). All randomness —
-    the probe simulation and the measurement noise — derives from
-    ``seed``.
+    like real ping aggregation. All randomness — the probe simulation and
+    the measurement noise — derives from ``seed``. The probe itself runs
+    at the module constants :data:`PROBE_RATE_PER_MS`, :data:`PROBE_MS`
+    and :data:`PROBE_SERVICE_TIME_MS`, and estimates blend in with weight
+    :data:`GAIN`.
     """
 
     noise: float = 0.05
-    gain: float = 0.5
-    rate_per_ms: float = 0.5
-    probe_ms: float = 500.0
-    service_time_ms: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,38 +103,20 @@ class TelemetryConfig:
             raise DynamicsError(
                 f"telemetry noise must be >= 0 and finite, got {self.noise}"
             )
-        if not (np.isfinite(self.gain) and 0 < self.gain <= 1):
-            raise DynamicsError(
-                f"telemetry gain must be in (0, 1], got {self.gain}"
-            )
-        if not (np.isfinite(self.rate_per_ms) and self.rate_per_ms > 0):
-            raise DynamicsError(
-                f"probe rate must be positive, got {self.rate_per_ms}"
-            )
-        if not (np.isfinite(self.probe_ms) and self.probe_ms > 0):
-            raise DynamicsError(
-                f"probe window must be positive, got {self.probe_ms}"
-            )
-        if not (
-            np.isfinite(self.service_time_ms) and self.service_time_ms > 0
-        ):
-            raise DynamicsError(
-                "probe service time must be positive, got "
-                f"{self.service_time_ms}"
-            )
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise DynamicsError(
                 f"telemetry seed must be a non-negative int, got {self.seed}"
             )
 
     def fingerprint_components(self) -> dict:
-        """Content components for the replay driver's cache keys."""
+        """Content components for the replay driver's cache keys: the
+        fields and the probe constants."""
         return {
             "noise": float(self.noise),
-            "gain": float(self.gain),
-            "rate_per_ms": float(self.rate_per_ms),
-            "probe_ms": float(self.probe_ms),
-            "service_time_ms": float(self.service_time_ms),
+            "gain": GAIN,
+            "rate_per_ms": PROBE_RATE_PER_MS,
+            "probe_ms": PROBE_MS,
+            "service_time_ms": PROBE_SERVICE_TIME_MS,
             "seed": int(self.seed),
         }
 
@@ -133,7 +126,6 @@ def probe_epoch(
     strategy: ExplicitStrategy,
     rtt: np.ndarray,
     capacities: np.ndarray,
-    config: TelemetryConfig,
     seed: int,
 ) -> PairTelemetry:
     """Measure one epoch: simulate the strategy in force, return telemetry.
@@ -143,7 +135,7 @@ def probe_epoch(
     traverses — the controller only ever sees the returned sample), runs
     an open-loop Poisson workload sampling quorums from ``strategy``, and
     returns the per-(client node, server) reply aggregates. Nodes serve
-    at ``config.service_time_ms / capacity`` per unit, so each reply's
+    at ``PROBE_SERVICE_TIME_MS / capacity`` per unit, so each reply's
     reported service time carries the capacity signal.
 
     ``rtt`` is taken as is (:meth:`Topology.adopt`), so it must be a
@@ -163,23 +155,22 @@ def probe_epoch(
     sim = GenericQuorumSimulation(
         probe_placed,
         strategy,
-        service_time_ms=config.service_time_ms / caps,
+        service_time_ms=PROBE_SERVICE_TIME_MS / caps,
         seed=seed,
         arrivals=PoissonArrivals(
-            rate_per_ms=config.rate_per_ms,
+            rate_per_ms=PROBE_RATE_PER_MS,
             seed=seed + _ARRIVAL_SEED_OFFSET,
         ),
         backend=PROBE_BACKEND,
         collect_telemetry=True,
     )
     try:
-        out = sim.run(duration_ms=config.probe_ms)
+        out = sim.run(duration_ms=PROBE_MS)
     except SimulationError as exc:
         raise DynamicsError(
             "telemetry probe produced no completed operations "
-            f"(probe_ms={config.probe_ms}, rate_per_ms="
-            f"{config.rate_per_ms}); lengthen the probe window or raise "
-            "the probe rate so it covers the quorum round-trips"
+            f"(probe_ms={PROBE_MS}, rate_per_ms={PROBE_RATE_PER_MS}): "
+            "the quorum round-trips outlast the probe window"
         ) from exc
     return out.telemetry
 
@@ -190,7 +181,7 @@ class TelemetryEstimator:
     Priors are the base topology (undrifted RTTs, nominal capacities) —
     what a controller knows at deployment. Each observed epoch blends
     the sample's per-pair mean RTT and per-server implied capacity
-    toward the measurement with weight ``config.gain``; pairs without
+    toward the measurement with weight :data:`GAIN`; pairs without
     replies keep their last estimate and age by one epoch. Estimates are
     directional (client ``v`` measuring server ``w`` updates ``[v, w]``
     only), matching what each client can actually observe.
@@ -264,14 +255,14 @@ class TelemetryEstimator:
             rows, cols = np.nonzero(observed)
             nodes = self.support[cols]
             self._rtt[rows, nodes] = (
-                (1.0 - cfg.gain) * self._rtt[rows, nodes] + cfg.gain * mean
+                (1.0 - GAIN) * self._rtt[rows, nodes] + GAIN * mean
             )
             self._pair_age[observed] = 0.0
 
         replies = sample.replies
         has = replies > 0
         if has.any():
-            implied = cfg.service_time_ms / np.maximum(
+            implied = PROBE_SERVICE_TIME_MS / np.maximum(
                 sample.service_ms[has], 1e-12
             )
             if cfg.noise > 0:
@@ -284,6 +275,6 @@ class TelemetryEstimator:
             np.maximum(implied, _MIN_CAPACITY, out=implied)
             nodes = self.support[has]
             self._caps[nodes] = (
-                (1.0 - cfg.gain) * self._caps[nodes] + cfg.gain * implied
+                (1.0 - GAIN) * self._caps[nodes] + GAIN * implied
             )
             self._cap_age[has] = 0.0

@@ -73,10 +73,10 @@ def simulation_cell_point(
     regardless of which figure requested them.
 
     The cache key carries the *full* config fingerprint — not just the
-    swept parameters — so changing a ``QUExperimentConfig`` default
-    (``n_client_sites``, ``service_time_ms``, ``network_jitter_ms``)
-    invalidates cached cells instead of silently serving stale results
-    (schema v7).
+    swept parameters — so changing a ``QUExperimentConfig`` default or
+    one of the experiment's constants (``N_CLIENT_SITES``,
+    ``SERVICE_TIME_MS``) invalidates cached cells instead of silently
+    serving stale results (rule RL003 keeps every config field in it).
     """
     return GridPoint(
         tag=tag,

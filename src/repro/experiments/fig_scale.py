@@ -7,10 +7,10 @@ and, at every size, runs both the exhaustive best-``v0`` search and the
 hierarchical cluster-medoid search, recording
 
 * the best average network delay each finds (hierarchical is exact up
-  to ``exact_threshold`` sites and a heuristic above it — the gap, if
+  to ``EXACT_THRESHOLD`` sites and a heuristic above it — the gap, if
   any, is the cost of the speedup),
 * how many candidates each evaluated (the hierarchical win grows with
-  ``n``: exhaustive is ``n``, hierarchical is ``O(sqrt(n) * refine_top)``).
+  ``n``: exhaustive is ``n``, hierarchical is ``O(sqrt(n) * REFINE_TOP)``).
 
 One grid point per topology size. A point carries only ``n_sites``: each
 worker regenerates its WAN locally rather than receiving an O(n^2)
@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from repro.experiments.series import FigureResult, Series
 from repro.network.generators import synthetic_wan
-from repro.placement.hierarchical import hierarchical_best_placement
+from repro.placement.hierarchical import (
+    EXACT_THRESHOLD,
+    REFINE_TOP,
+    hierarchical_best_placement,
+)
 from repro.placement.search import best_placement
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.runtime.cache import system_fingerprint  # cache-key-input
@@ -34,21 +38,11 @@ FULL_SIZES = (300, 500, 1000, 2000)
 FAST_SIZES = (300, 500)
 
 
-def _scale_point(
-    n_sites: int,
-    quorum_size: int,
-    refine_top: int,
-    exact_threshold: int,
-) -> dict:
+def _scale_point(n_sites: int, quorum_size: int) -> dict:
     """Hierarchical vs exhaustive search on one preset, as plain floats."""
     topo = synthetic_wan(n_sites)
     system = ThresholdQuorumSystem(quorum_size, quorum_size // 2 + 1)
-    hier = hierarchical_best_placement(
-        topo,
-        system,
-        refine_top=refine_top,
-        exact_threshold=exact_threshold,
-    )
+    hier = hierarchical_best_placement(topo, system)
     exhaustive = best_placement(topo, system)
     return {
         "n_sites": topo.n_nodes,
@@ -66,8 +60,8 @@ def grid_spec(fast: bool) -> GridSpec:
     quorum_size = 5
     common = {
         "quorum_size": quorum_size,
-        "refine_top": 3,
-        "exact_threshold": 200,
+        "refine_top": REFINE_TOP,
+        "exact_threshold": EXACT_THRESHOLD,
     }
     system_fp = system_fingerprint(
         ThresholdQuorumSystem(quorum_size, quorum_size // 2 + 1)
@@ -76,7 +70,7 @@ def grid_spec(fast: bool) -> GridSpec:
         GridPoint(
             tag=n,
             fn=_scale_point,
-            kwargs={"n_sites": n, **common},
+            kwargs={"n_sites": n, "quorum_size": quorum_size},
             cache_key={
                 "figure_point": "scale_search",
                 # The preset is one canonical matrix per size (seed is

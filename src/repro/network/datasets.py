@@ -13,9 +13,9 @@ The paper uses two RTT datasets:
 Neither raw dataset is distributed today, so :func:`planetlab_50` and
 :func:`daxlist_161` generate deterministic synthetic matrices from the
 cluster model in :mod:`repro.network.generators`, with cluster weights chosen
-to match those populations. Both functions
-accept a ``seed`` so sensitivity to the draw can be studied; the default seed
-is the canonical dataset used across tests and benchmarks.
+to match those populations. Each is one fixed matrix (a fixed seed), the
+canonical dataset used across figures, tests and benchmarks; so is each
+multi-thousand-site scale preset.
 """
 
 from __future__ import annotations
@@ -74,54 +74,54 @@ DAXLIST_CLUSTERS: list[ClusterSpec] = [
 ]
 
 
-def planetlab_50(seed: int = 2006) -> Topology:
+def planetlab_50() -> Topology:
     """Synthetic stand-in for the paper's "Planetlab-50" topology.
 
-    50 sites drawn from :data:`PLANETLAB_CLUSTERS`. With the default seed
-    the average RTT from all sites to the graph median is in the ~55-75 ms
-    range, matching the scale of the paper's singleton results (Figure 6.3).
+    50 sites drawn from :data:`PLANETLAB_CLUSTERS` (seed 2006). The average
+    RTT from all sites to the graph median is in the ~55-75 ms range,
+    matching the scale of the paper's singleton results (Figure 6.3).
     """
     return generate_cluster_topology(
         n_sites=50,
         clusters=PLANETLAB_CLUSTERS,
-        seed=seed,
+        seed=2006,
         inflation_range=(1.25, 1.9),
         access_delay_ms_range=(0.3, 2.0),
         jitter_ms=0.8,
     )
 
 
-def daxlist_161(seed: int = 161) -> Topology:
+def daxlist_161() -> Topology:
     """Synthetic stand-in for the paper's "daxlist-161" topology.
 
-    161 sites drawn from :data:`DAXLIST_CLUSTERS`, denser in US hosting
-    regions, so close quorums exist even for large universes (the paper
-    reports Grid response times around 20-30 ms for small universes on this
-    topology).
+    161 sites drawn from :data:`DAXLIST_CLUSTERS` (seed 161), denser in US
+    hosting regions, so close quorums exist even for large universes (the
+    paper reports Grid response times around 20-30 ms for small universes
+    on this topology).
     """
     return generate_cluster_topology(
         n_sites=161,
         clusters=DAXLIST_CLUSTERS,
-        seed=seed,
+        seed=161,
         inflation_range=(1.15, 1.6),
         access_delay_ms_range=(0.2, 1.5),
         jitter_ms=0.6,
     )
 
 
-def wan_1000(seed: int | None = None) -> Topology:
+def wan_1000() -> Topology:
     """1000-site scale preset (see :func:`repro.network.generators.synthetic_wan`)."""
-    return synthetic_wan(1000, seed=seed)
+    return synthetic_wan(1000)
 
 
-def wan_2000(seed: int | None = None) -> Topology:
+def wan_2000() -> Topology:
     """2000-site scale preset — the ROADMAP's fig_7-class sweep target."""
-    return synthetic_wan(2000, seed=seed)
+    return synthetic_wan(2000)
 
 
-def wan_5000(seed: int | None = None) -> Topology:
+def wan_5000() -> Topology:
     """5000-site scale preset (200 MB delay matrix; generate on demand)."""
-    return synthetic_wan(5000, seed=seed)
+    return synthetic_wan(5000)
 
 
 #: name -> (site count, factory). The count is exposed without generating

@@ -27,10 +27,14 @@ from repro.network.graph import Topology
 
 __all__ = [
     "ClusterSpec",
+    "MIN_RTT_MS",
     "WAN_CLUSTERS",
     "generate_cluster_topology",
     "synthetic_wan",
 ]
+
+#: Lower clamp for generated off-diagonal RTTs (ms).
+MIN_RTT_MS = 0.5
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,6 @@ def generate_cluster_topology(
     inflation_range: tuple[float, float] = (1.3, 2.2),
     access_delay_ms_range: tuple[float, float] = (0.3, 3.0),
     jitter_ms: float = 1.0,
-    min_rtt_ms: float = 0.5,
     metric_closure: bool = True,
 ) -> Topology:
     """Generate a deterministic synthetic wide-area topology.
@@ -129,14 +132,14 @@ def generate_cluster_topology(
         Uniform range of per-site access delay added to both ends.
     jitter_ms:
         Scale of per-pair exponential measurement noise.
-    min_rtt_ms:
-        Lower clamp for off-diagonal RTTs.
     metric_closure:
         Whether to apply the all-pairs shortest-path closure. The closure
         is O(n^3) — fine for the paper-scale datasets, prohibitive for
         multi-thousand-site topologies, where the scale presets disable
         it (the raw cluster-model RTTs are near-metric already; only the
         approximation-factor proofs need an exact metric).
+
+    Off-diagonal RTTs are clamped below at :data:`MIN_RTT_MS`.
 
     Returns
     -------
@@ -186,7 +189,7 @@ def generate_cluster_topology(
     jitter = jitter + jitter.T
 
     rtt = base_rtt * inflation + access[:, None] + access[None, :] + jitter
-    rtt = np.maximum(rtt, min_rtt_ms)
+    rtt = np.maximum(rtt, MIN_RTT_MS)
     np.fill_diagonal(rtt, 0.0)
 
     return Topology(rtt, names=names, metric_closure=metric_closure)
@@ -213,23 +216,21 @@ WAN_CLUSTERS: list[ClusterSpec] = [
 ]
 
 
-def synthetic_wan(n_sites: int, seed: int | None = None) -> Topology:
+def synthetic_wan(n_sites: int) -> Topology:
     """A large synthetic WAN drawn from :data:`WAN_CLUSTERS`.
 
     The scale counterpart of the bundled paper datasets: same cluster
     model, more metros, and **no metric closure** — the O(n^3) closure is
     what makes paper-scale generation cheap and 5000-site generation
     impossible, and the placement algorithms only read distances. The
-    default seed is derived from ``n_sites`` so each preset size is one
-    canonical topology (``synthetic_wan(2000)`` is always the same
-    matrix).
+    seed, ``10_000 + n_sites``, is derived from the size, so each preset
+    size is one canonical topology (``synthetic_wan(2000)`` is always the
+    same matrix).
     """
-    if seed is None:
-        seed = 10_000 + n_sites
     return generate_cluster_topology(
         n_sites=n_sites,
         clusters=WAN_CLUSTERS,
-        seed=seed,
+        seed=10_000 + n_sites,
         inflation_range=(1.25, 1.9),
         access_delay_ms_range=(0.3, 2.0),
         jitter_ms=0.8,

@@ -224,26 +224,21 @@ class Topology:
         order = np.lexsort((eligible, dists))
         return eligible[order[:k]]
 
-    def mean_distances(self, clients: Sequence[int] | None = None) -> np.ndarray:
-        """Average distance from the client set to each node.
+    def mean_distances(self) -> np.ndarray:
+        """Average distance from every client to each node.
 
-        ``result[w] = avg_{v in clients} d(v, w)``. The paper's default client
-        set is all of ``V``.
+        ``result[w] = avg_{v in V} d(v, w)``: the paper's client set is all
+        of ``V``.
         """
-        if clients is None:
-            return self._rtt.mean(axis=0)
-        idx = np.asarray(list(clients), dtype=np.intp)
-        if idx.size == 0:
-            raise TopologyError("client set must be non-empty")
-        return self._rtt[idx].mean(axis=0)
+        return self._rtt.mean(axis=0)
 
-    def median(self, clients: Sequence[int] | None = None) -> int:
+    def median(self) -> int:
         """The node minimizing the sum of distances from all clients.
 
         This is the optimal location for the singleton placement (Section
         4.1.2); ties are broken by node id.
         """
-        return int(np.argmin(self.mean_distances(clients)))
+        return int(np.argmin(self.mean_distances()))
 
     # ------------------------------------------------------------------
     # Derivation

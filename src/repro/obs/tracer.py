@@ -163,7 +163,6 @@ class Tracer:
         name: str,
         start_ns: int,
         end_ns: int,
-        parent: int | None = None,
         **attrs: Any,
     ) -> int:
         """Record an already-finished span from explicit timestamps.
@@ -172,17 +171,13 @@ class Tracer:
         dispatch-to-result window itself (it cannot wrap the worker's
         execution in a ``with`` block) and then grafts the worker's local
         spans underneath via :meth:`merge`. Returns the span id to pass
-        as ``merge(..., parent=...)``. With ``parent=None`` the span
-        attaches under the currently open span, if any.
+        as ``merge(..., parent=...)``. The span attaches under the
+        currently open span, if any.
         """
         event = {
             "type": "span",
             "id": self._next_id,
-            "parent": (
-                parent
-                if parent is not None
-                else (self._stack[-1] if self._stack else None)
-            ),
+            "parent": self._stack[-1] if self._stack else None,
             "name": name,
             "proc": self.label,
             "t0_us": (start_ns - self._t0) / 1000.0,

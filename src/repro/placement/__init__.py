@@ -26,7 +26,6 @@ from repro.placement.fractional import (
     FractionalFamily,
     FractionalPlacement,
     FractionalProgram,
-    fractional_placement,
 )
 from repro.placement.gap import round_fractional_placement
 from repro.placement.hierarchical import (
@@ -52,7 +51,6 @@ __all__ = [
     "grid_onion_placement",
     "one_to_one_placement",
     "singleton_placement",
-    "fractional_placement",
     "FractionalFamily",
     "FractionalPlacement",
     "FractionalProgram",

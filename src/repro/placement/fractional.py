@@ -42,8 +42,13 @@ right-hand side move. The batched entry points exploit exactly that split:
   :meth:`FractionalProgram.solve_many` sweeps capacity vectors as pure
   RHS variants in ascending order (un-permuted), returning ``None`` for
   infeasible ones.
-* :func:`fractional_placement` — the one-shot wrapper (builds a program,
-  solves once).
+
+A program is built from ``(topology, system, v0)`` alone, with the
+topology's capacities and the uniform strategy, and calibrates on that
+built program; every request (capacities, strategy) goes through
+:meth:`FractionalProgram.solve` or :meth:`FractionalProgram.solve_many`.
+So a request answers the same whether it is the program's first or the
+search's, which builds its programs the same way.
 
 This is the only implementation in the library. The row-by-row assembly
 and cold solve it replaced live on as a test-side reference in
@@ -68,7 +73,6 @@ __all__ = [
     "FractionalPlacement",
     "FractionalProgram",
     "element_loads_of_strategy",
-    "fractional_placement",
 ]
 
 
@@ -113,30 +117,15 @@ def _validate_inputs(
 
 
 def _normalize_capacities(
-    topology: Topology, capacities: np.ndarray | None
+    topology: Topology, capacities: object
 ) -> np.ndarray:
-    caps = (
-        topology.capacities
-        if capacities is None
-        else np.asarray(capacities, dtype=np.float64)
-    )
+    caps = np.asarray(capacities, dtype=np.float64)
     if caps.shape != (topology.n_nodes,):
         raise PlacementError(
             f"capacities must have shape ({topology.n_nodes},), "
             f"got {caps.shape}"
         )
     return caps
-
-
-def _normalize_strategy(
-    system: QuorumSystem, strategy: np.ndarray | None
-) -> np.ndarray:
-    m = system.num_quorums
-    if strategy is None:
-        return np.full(m, 1.0 / m)
-    # Copied, not aliased: programs keep their strategy across solves and
-    # compare against it to decide whether the LP needs updating.
-    return np.array(strategy, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -227,7 +216,7 @@ class FractionalProgram:
         frac = program.solve()                        # uniform strategy
         frac = program.solve(strategy=p1)             # iteration 2 —
                                                       # load rows updated
-        fracs = program.solve_many([c0, c1], strategy=p1)  # RHS sweep
+        fracs = program.solve_many([c0, c1])          # RHS sweep
 
     Parameters
     ----------
@@ -235,10 +224,9 @@ class FractionalProgram:
         The network and (enumerable) quorum system.
     v0:
         The designated client whose expected delay is minimized.
-    capacities, strategy:
-        Initial per-node capacities / access strategy (defaults: the
-        topology's capacities, uniform over quorums). Both can be
-        overridden per solve.
+
+    The program is built with the topology's capacities and the uniform
+    strategy; both can be overridden per solve.
 
     The solver backend is auto-probed (``REPRO_LP_BACKEND=scipy`` forces
     the cold per-variant fallback; see :mod:`repro.lp.batched`).
@@ -249,8 +237,6 @@ class FractionalProgram:
         topology: Topology,
         system: QuorumSystem,
         v0: int,
-        capacities: np.ndarray | None = None,
-        strategy: np.ndarray | None = None,
         _structure: _Structure | None = None,
     ) -> None:
         _validate_inputs(topology, system, v0)
@@ -259,8 +245,8 @@ class FractionalProgram:
         self.v0 = int(v0)
         s = _structure or _build_structure(topology, system)
         self._s = s
-        self._caps0 = _normalize_capacities(topology, capacities)
-        self._p = _normalize_strategy(system, strategy)
+        self._caps0 = topology.capacities
+        self._p = np.full(s.m, 1.0 / s.m)
         self._loads = element_loads_of_strategy(system, self._p)
         dist = topology.distances_from(self.v0)
 
@@ -358,9 +344,7 @@ class FractionalProgram:
         return self._placement_from(self._batched.solve(self._rhs(capacities)))
 
     def solve_many(
-        self,
-        capacity_variants,
-        strategy: np.ndarray | None = None,
+        self, capacity_variants
     ) -> list[FractionalPlacement | None]:
         """Solve a family of capacity vectors against the shared structure.
 
@@ -370,9 +354,8 @@ class FractionalProgram:
         :meth:`~repro.lp.batched.BatchedProgram.solve_many`, which sweeps
         the capacity vectors in ascending RHS order — monotone for uniform
         sweeps, so each warm step is a small basis perturbation — and
-        un-permutes the results.
+        un-permutes the results. The strategy is the last one set.
         """
-        self._set_strategy(strategy)
         solutions = self._batched.solve_many(
             [self._rhs(caps) for caps in capacity_variants]
         )
@@ -425,38 +408,3 @@ class FractionalFamily:
     def __len__(self) -> int:
         return len(self._programs)
 
-
-def fractional_placement(
-    topology: Topology,
-    system: QuorumSystem,
-    v0: int,
-    capacities: np.ndarray | None = None,
-    strategy: np.ndarray | None = None,
-) -> FractionalPlacement:
-    """Solve the fractional placement LP for client ``v0`` (one-shot).
-
-    Builds a :class:`FractionalProgram` with the request built in and
-    solves it once. It calibrates on that request, so on a degenerate LP
-    it may return another optimal vertex than a program built with the
-    defaults and then solved with the request, which is what the
-    many-to-one search does. When solving the same ``(topology, system)``
-    for several clients, capacities, or strategies, hold a
-    :class:`FractionalFamily` instead so assembly and solver state are
-    reused.
-
-    Parameters
-    ----------
-    topology:
-        The network; all its nodes are candidate hosts.
-    system:
-        An enumerable quorum system.
-    v0:
-        The designated client whose expected delay is minimized.
-    capacities:
-        Per-node capacities; defaults to the topology's.
-    strategy:
-        Global access strategy ``p``; defaults to uniform over quorums.
-    """
-    return FractionalProgram(
-        topology, system, v0, capacities=capacities, strategy=strategy
-    ).solve()

@@ -15,16 +15,16 @@ This module exploits that structure in three stages:
    matrices as well as generated ones);
 2. **Coarse search**: evaluate only the cluster medoids as candidates and
    rank clusters by their medoid's average delay;
-3. **Refine**: evaluate every member of the top-``refine_top`` clusters
-   (the medoids stay in the pool, so the result can never be worse than
-   the coarse stage) and keep the overall winner.
+3. **Refine**: evaluate every member of the top :data:`REFINE_TOP`
+   clusters (the medoids stay in the pool, so the result can never be
+   worse than the coarse stage) and keep the overall winner.
 
 The same filtering intuition as Lin–Vitter (:mod:`repro.placement.filtering`)
 applies: nodes far from the demand-weighted centre cannot host a winning
 placement, so candidates outside the best few clusters are never tried.
 The search degrades to the exact exhaustive :func:`~repro.placement.search.
-best_placement` when the topology is small (``exact_threshold``, default
-200 sites — the scale of the paper's datasets), which pins hierarchical =
+best_placement` when the topology is small (:data:`EXACT_THRESHOLD`, 200
+sites — the scale of the paper's datasets), which pins hierarchical =
 exhaustive there; on larger topologies it is a heuristic whose quality is
 regression-bounded in ``tests/test_hierarchical.py``.
 
@@ -46,11 +46,26 @@ from repro.quorums.base import QuorumSystem
 from repro.runtime.runner import GridRunner
 
 __all__ = [
+    "EXACT_THRESHOLD",
+    "REFINE_TOP",
     "ClusterModel",
     "HierarchicalSearchResult",
     "cluster_sites",
     "hierarchical_best_placement",
 ]
+
+#: Up to this many sites the search *is* the exhaustive ``best_placement``
+#: (marked ``exhaustive=True`` in the result): the exactness pin for
+#: paper-scale topologies.
+EXACT_THRESHOLD = 200
+
+#: How many of the best-ranked clusters the refine stage searches
+#: exhaustively.
+REFINE_TOP = 3
+
+#: Medoid refinement rounds of :func:`cluster_sites` before it stops
+#: waiting for the assignment to stabilize.
+_MEDOID_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -78,17 +93,13 @@ class ClusterModel:
         raise PlacementError(f"node {node} is in no cluster")
 
 
-def cluster_sites(
-    topology: Topology,
-    n_clusters: int,
-    max_iterations: int = 8,
-) -> ClusterModel:
+def cluster_sites(topology: Topology, n_clusters: int) -> ClusterModel:
     """Deterministic medoid clustering on the RTT metric.
 
     Seeds are chosen farthest-point-first starting from the graph median
     (ties broken by node id), every node joins its nearest seed, and
     medoids are recomputed until the assignment stabilizes (at most
-    ``max_iterations`` rounds). Requested clusters that end up empty —
+    eight rounds). Requested clusters that end up empty —
     possible only when distinct nodes sit at distance zero — are dropped,
     so the returned model may have fewer than ``n_clusters`` clusters.
     """
@@ -110,7 +121,7 @@ def cluster_sites(
 
     centres = np.asarray(seeds, dtype=np.intp)
     assignment = np.argmin(d[:, centres], axis=1)  # ties -> first centre
-    for _ in range(max_iterations):
+    for _ in range(_MEDOID_ROUNDS):
         medoids = []
         for i in range(len(centres)):
             members = np.flatnonzero(assignment == i)
@@ -180,63 +191,32 @@ def _wrap(
 def hierarchical_best_placement(
     topology: Topology,
     system: QuorumSystem,
-    clients: object = None,
-    respect_capacities: bool = True,
-    refine_top: int = 3,
-    exact_threshold: int = 200,
     jobs: int = 1,
-    runner: GridRunner | None = None,
 ) -> HierarchicalSearchResult:
     """Best one-to-one placement via cluster -> coarse -> refine.
 
     Parameters
     ----------
-    topology, system, clients, respect_capacities:
+    topology, system:
         As for :func:`~repro.placement.search.best_placement`.
-    refine_top:
-        How many of the best-ranked clusters are searched exhaustively.
-    exact_threshold:
-        Below this many sites the search *is* the exhaustive
-        ``best_placement`` (marked ``exhaustive=True`` in the result) —
-        the exactness pin for paper-scale topologies.
-    jobs, runner:
+    jobs:
         Candidate-evaluation parallelism, exactly as in
         ``best_placement``; both stages reuse one runner (and publish the
         topology to shared memory once).
     """
     n = topology.n_nodes
-    if refine_top < 1:
-        raise PlacementError(f"refine_top must be >= 1, got {refine_top}")
-    if exact_threshold < 0:
-        raise PlacementError(
-            f"exact_threshold must be >= 0, got {exact_threshold}"
-        )
-
-    own_runner: GridRunner | None = None
-    if runner is None and jobs != 1:
-        runner = own_runner = GridRunner(jobs=jobs)
+    runner = GridRunner(jobs=jobs) if jobs != 1 else None
     try:
-        if n <= exact_threshold:
-            result = best_placement(
-                topology,
-                system,
-                clients=clients,
-                respect_capacities=respect_capacities,
-                runner=runner,
-            )
+        if n <= EXACT_THRESHOLD:
+            result = best_placement(topology, system, runner=runner)
             return _wrap(result, n, True, (), ())
 
         # round(sqrt(n)) clusters balance the coarse pass (one evaluation
-        # per cluster) against the refine pass (~refine_top * n / k).
+        # per cluster) against the refine pass (~REFINE_TOP * n / k).
         model = cluster_sites(topology, max(2, round(n**0.5)))
 
         coarse = best_placement(
-            topology,
-            system,
-            candidates=model.medoids,
-            clients=clients,
-            respect_capacities=respect_capacities,
-            runner=runner,
+            topology, system, candidates=model.medoids, runner=runner
         )
         # Rank clusters by their medoid's delay; ties break on cluster index.
         order = sorted(
@@ -246,7 +226,7 @@ def hierarchical_best_placement(
                 i,
             ),
         )
-        top = order[: refine_top]
+        top = order[:REFINE_TOP]
 
         # Refined pool: every medoid (so the coarse winner survives),
         # then the members of the best clusters in rank order. Dedup
@@ -265,8 +245,6 @@ def hierarchical_best_placement(
             topology,
             system,
             candidates=np.asarray(pool, dtype=np.intp),
-            clients=clients,
-            respect_capacities=respect_capacities,
             runner=runner,
         )
         return _wrap(
@@ -277,5 +255,5 @@ def hierarchical_best_placement(
             tuple(int(i) for i in top),
         )
     finally:
-        if own_runner is not None:
-            own_runner.close()
+        if runner is not None:
+            runner.close()

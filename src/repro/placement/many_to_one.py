@@ -88,11 +88,10 @@ class ManyToOneSearchResult:
 
 
 def _average_delay_under_global_strategy(
-    placed: PlacedQuorumSystem, strategy: np.ndarray, clients: np.ndarray
+    placed: PlacedQuorumSystem, strategy: np.ndarray
 ) -> float:
-    """avg over clients of sum_i p_i * delta_f(v, Q_i)."""
-    delta = placed.delay_matrix[clients]
-    return float((delta @ strategy).mean())
+    """avg over every client of sum_i p_i * delta_f(v, Q_i)."""
+    return float((placed.delay_matrix @ strategy).mean())
 
 
 def _many_to_one_candidate(
@@ -101,8 +100,6 @@ def _many_to_one_candidate(
     v0: int,
     capacities: np.ndarray | None,
     strategy: np.ndarray,
-    eps: float,
-    clients: np.ndarray,
     program: FractionalProgram | None = None,
 ) -> tuple[np.ndarray, float] | None:
     """``(assignment, delay)`` for one candidate, or None if infeasible.
@@ -119,12 +116,12 @@ def _many_to_one_candidate(
     try:
         placement = many_to_one_placement(
             topology, system, v0, capacities=capacities, strategy=strategy,
-            eps=eps, program=program,
+            program=program,
         )
     except InfeasibleError:
         return None
     placed = PlacedQuorumSystem(system, placement, topology)
-    delay = _average_delay_under_global_strategy(placed, strategy, clients)
+    delay = _average_delay_under_global_strategy(placed, strategy)
     return placement.assignment, delay
 
 
@@ -133,9 +130,7 @@ def best_many_to_one_placement(
     system: QuorumSystem,
     capacities: np.ndarray | None = None,
     strategy: np.ndarray | None = None,
-    eps: float = 1.0 / 3.0,
     candidates: object = None,
-    clients: object = None,
     family: FractionalFamily | None = None,
     runner: object = None,
 ) -> ManyToOneSearchResult:
@@ -169,10 +164,6 @@ def best_many_to_one_placement(
         candidate_idx = np.arange(topology.n_nodes)
     else:
         candidate_idx = np.asarray(candidates, dtype=np.intp)
-    if clients is None:
-        client_idx = np.arange(topology.n_nodes)
-    else:
-        client_idx = np.asarray(clients, dtype=np.intp)
     if strategy is None:
         p = np.full(system.num_quorums, 1.0 / system.num_quorums)
     else:
@@ -200,8 +191,6 @@ def best_many_to_one_placement(
                         "v0": v0,
                         "capacities": capacities,
                         "strategy": p,
-                        "eps": eps,
-                        "clients": client_idx,
                     },
                 )
                 for v0 in v0_list
@@ -213,7 +202,7 @@ def best_many_to_one_placement(
             family = FractionalFamily(topology, system)
         outcomes = [
             _many_to_one_candidate(
-                topology, system, v0, capacities, p, eps, client_idx,
+                topology, system, v0, capacities, p,
                 program=family.program(v0),
             )
             for v0 in v0_list

@@ -38,18 +38,13 @@ __all__ = [
 ]
 
 
-def hosting_capacity(
-    system: QuorumSystem, respect_capacities: bool = True
-) -> float:
+def hosting_capacity(system: QuorumSystem) -> float:
     """The least ``cap(v)`` a node needs to host an element of ``system``.
 
     Under the uniform strategy every element of a Majority carries load
     ``q/n`` and every element of a Grid its :attr:`uniform_load`. The
-    singleton and the generic fallback ignore capacities (bound 0), as do
-    all systems when ``respect_capacities`` is False.
+    singleton and the generic fallback ignore capacities (bound 0).
     """
-    if not respect_capacities:
-        return 0.0
     if isinstance(system, RectangularGridQuorumSystem):
         return system.uniform_load
     if isinstance(system, ThresholdQuorumSystem):
@@ -61,7 +56,6 @@ def majority_ball_placement(
     topology: Topology,
     system: ThresholdQuorumSystem,
     v0: int,
-    respect_capacities: bool = True,
 ) -> Placement:
     """Place a Majority one-to-one onto ``B(v0, n)``.
 
@@ -79,9 +73,7 @@ def majority_ball_placement(
             f"universe of {n} elements exceeds topology of "
             f"{topology.n_nodes} nodes"
         )
-    ball = topology.ball(
-        v0, n, capacity_at_least=hosting_capacity(system, respect_capacities)
-    )
+    ball = topology.ball(v0, n, capacity_at_least=hosting_capacity(system))
     return Placement(ball)
 
 
@@ -89,7 +81,6 @@ def grid_onion_placement(
     topology: Topology,
     system: RectangularGridQuorumSystem,
     v0: int,
-    respect_capacities: bool = True,
 ) -> Placement:
     """Place a Grid one-to-one onto ``B(v0, n)`` by the onion rule.
 
@@ -108,9 +99,7 @@ def grid_onion_placement(
             f"grid universe of {n} elements exceeds topology of "
             f"{topology.n_nodes} nodes"
         )
-    ball = topology.ball(
-        v0, n, capacity_at_least=hosting_capacity(system, respect_capacities)
-    )
+    ball = topology.ball(v0, n, capacity_at_least=hosting_capacity(system))
     dists = topology.distances_from(v0)[ball]
     # Ball nodes from farthest to nearest (stable on node id).
     order = np.lexsort((ball, -dists))
@@ -121,20 +110,13 @@ def grid_onion_placement(
 
 
 def one_to_one_placement(
-    topology: Topology,
-    system: QuorumSystem,
-    v0: int,
-    respect_capacities: bool = True,
+    topology: Topology, system: QuorumSystem, v0: int
 ) -> Placement:
     """Dispatch to the right single-client one-to-one construction."""
     if isinstance(system, RectangularGridQuorumSystem):
-        return grid_onion_placement(
-            topology, system, v0, respect_capacities=respect_capacities
-        )
+        return grid_onion_placement(topology, system, v0)
     if isinstance(system, ThresholdQuorumSystem):
-        return majority_ball_placement(
-            topology, system, v0, respect_capacities=respect_capacities
-        )
+        return majority_ball_placement(topology, system, v0)
     if isinstance(system, SingletonQuorumSystem):
         return Placement(np.array([v0]))
     # Generic fallback: ball assignment in distance order (not necessarily

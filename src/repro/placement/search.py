@@ -6,7 +6,8 @@ designated client. The paper's recipe for the general case (Section 4.1.1):
 the average network delay from all clients for each such placement, and pick
 the placement that has the smallest average delay" — which is within a small
 constant factor of optimal. The evaluation strategy is the uniform one, the
-assumption under which the single-client constructions are optimal.
+assumption under which the single-client constructions are optimal; the
+average is over every client, and only capacity-eligible nodes host.
 
 No placement is built per candidate. :func:`_block_delays` scores a block of
 candidates from a few array passes: it builds every candidate's ball
@@ -30,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.placement import PlacedQuorumSystem
-from repro.core.response_time import average_network_delay, client_indices
+from repro.core.response_time import average_network_delay
 from repro.core.strategy import (
     AccessStrategy,
     ExplicitStrategy,
@@ -112,11 +113,9 @@ def _candidate_ids(topology: Topology, candidates: object) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
-def _hosting_nodes(
-    topology: Topology, system: QuorumSystem, respect_capacities: bool
-) -> np.ndarray:
+def _hosting_nodes(topology: Topology, system: QuorumSystem) -> np.ndarray:
     """Ascending ids of the nodes allowed to host an element of ``system``."""
-    bound = hosting_capacity(system, respect_capacities)
+    bound = hosting_capacity(system)
     return np.flatnonzero(topology.capacities >= bound)
 
 
@@ -164,26 +163,18 @@ def _assignments(
     return np.take_along_axis(ids, nearest_first, 1)
 
 
-def _client_rows(
-    rtt: np.ndarray, nodes: np.ndarray, clients: np.ndarray | None
-) -> np.ndarray:
-    """``out[j, v] = d(clients[v], nodes[j])``, one contiguous row per node.
-
-    Gathers *rows* of the RTT matrix, which a :class:`Topology` keeps
-    exactly symmetric, so ``d(w, v)`` is ``d(v, w)`` to the bit.
-    """
-    rows = np.take(rtt, nodes, axis=0)
-    return rows if clients is None else rows[:, clients]
-
-
 def _threshold_delays(
     rtt: np.ndarray,
     system: ThresholdQuorumSystem,
     eligible: np.ndarray,
     v0s: np.ndarray,
-    clients: np.ndarray | None,
 ) -> np.ndarray:
-    """Balanced-strategy delays: sorted ball distances times the pmf."""
+    """Balanced-strategy delays: sorted ball distances times the pmf.
+
+    Distances are gathered as *rows* of the RTT matrix (``rows[j, v] =
+    d(v, node j)``), which a :class:`Topology` keeps exactly symmetric, so
+    ``d(w, v)`` is ``d(v, w)`` to the bit.
+    """
     n = system.universe_size
     pmf = max_order_statistic_pmf(n, system.quorum_size)
     out = np.empty(v0s.size)
@@ -191,7 +182,7 @@ def _threshold_delays(
     for start in range(0, v0s.size, step):
         block = v0s[start : start + step]
         ids, _ = _balls(rtt, eligible, block, n)
-        rows = _client_rows(rtt, ids.ravel(), clients)
+        rows = np.take(rtt, ids.ravel(), axis=0)
         # (candidates, clients, n), C-contiguous: each candidate's sorted
         # (clients, n) slice is the operand ``@`` sees on the reference path.
         values = np.ascontiguousarray(
@@ -208,13 +199,12 @@ def _enumerable_delays(
     system: QuorumSystem,
     eligible: np.ndarray,
     v0s: np.ndarray,
-    clients: np.ndarray | None,
 ) -> np.ndarray:
     """Uniform-strategy delays of an enumerable system's placements."""
     table, _ = system.element_table
     slots = np.ascontiguousarray(table.T)  # slots[s, i]: element in slot s
     m, n = table.shape[0], system.universe_size
-    width = rtt.shape[0] if clients is None else clients.size
+    width = rtt.shape[0]
     weights = ExplicitStrategy(np.full((width, m), 1.0 / m)).matrix
     out = np.empty(v0s.size)
     step = max(1, _CHUNK // (max(m, n) * rtt.shape[0]))
@@ -222,8 +212,8 @@ def _enumerable_delays(
         block = v0s[start : start + step]
         c = block.size
         # Element rows of every candidate: row c*n + u is d(., f_c(u)).
-        rows = _client_rows(
-            rtt, _assignments(rtt, system, eligible, block).ravel(), clients
+        rows = np.take(
+            rtt, _assignments(rtt, system, eligible, block).ravel(), axis=0
         )
         offsets = (np.arange(c) * n)[:, None]
         # Running max in a (candidates x quorums, clients) row-major buffer.
@@ -249,8 +239,6 @@ def _block_delays(
     topology: object,
     system: QuorumSystem,
     v0s: np.ndarray,
-    clients: np.ndarray | None,
-    respect_capacities: bool,
 ) -> np.ndarray:
     """Average network delay of each candidate's one-to-one placement.
 
@@ -261,18 +249,16 @@ def _block_delays(
     once per topology.
     """
     topology = resolve_topology(topology)
-    eligible = _hosting_nodes(topology, system, respect_capacities)
+    eligible = _hosting_nodes(topology, system)
     if isinstance(system, ThresholdQuorumSystem):
-        return _threshold_delays(topology.rtt, system, eligible, v0s, clients)
-    return _enumerable_delays(topology.rtt, system, eligible, v0s, clients)
+        return _threshold_delays(topology.rtt, system, eligible, v0s)
+    return _enumerable_delays(topology.rtt, system, eligible, v0s)
 
 
 def best_placement(
     topology: Topology,
     system: QuorumSystem,
     candidates: object = None,
-    clients: object = None,
-    respect_capacities: bool = True,
     jobs: int = 1,
     runner: GridRunner | None = None,
 ) -> PlacementSearchResult:
@@ -284,16 +270,9 @@ def best_placement(
         The network and the quorum system to place.
     candidates:
         Candidate ``v0`` nodes (default: every node, the paper's recipe):
-        a 1-D array of integer node ids. Duplicates are allowed.
-    clients:
-        Client set whose average network delay selects the winner
-        (default: every node).
-    respect_capacities:
-        Whether hosting nodes must have ``cap(v) >= load_f(u)``. When
-        fewer nodes qualify than the universe has elements, no candidate
-        admits a placement and :class:`~repro.errors.PlacementError` is
-        raised before any scoring (as it is, naming the topology size,
-        when the universe outnumbers the topology's nodes).
+        a 1-D array of integer node ids. Duplicates are allowed. The
+        winner is the placement with the smallest average network delay
+        over every client.
     jobs:
         Worker processes for the candidate blocks. Candidates are
         independent, so the result is identical for any ``jobs``: the
@@ -307,23 +286,26 @@ def best_placement(
         that raises surfaces as a :class:`~repro.errors.ReproError`
         naming its candidate positions; the batch's still-queued work is
         cancelled (in-flight points finish but are not returned).
+
+    Hosting nodes must have ``cap(v) >= load_f(u)``. When fewer nodes
+    qualify than the universe has elements, no candidate admits a
+    placement and :class:`~repro.errors.PlacementError` is raised before
+    any scoring (as it is, naming the topology size, when the universe
+    outnumbers the topology's nodes).
     """
     v0s = _candidate_ids(topology, candidates)
-    client_idx = (
-        None if clients is None else client_indices(topology.n_nodes, clients)
-    )
     n = system.universe_size
     if n > topology.n_nodes:
         raise PlacementError(
             f"{system.name} has {n} elements but the topology has only "
             f"{topology.n_nodes} nodes"
         )
-    eligible = _hosting_nodes(topology, system, respect_capacities)
+    eligible = _hosting_nodes(topology, system)
     if eligible.size < n:
         raise PlacementError(
             f"{system.name} needs {n} hosting nodes, but only "
             f"{eligible.size} of {topology.n_nodes} nodes have capacity "
-            f">= {hosting_capacity(system, respect_capacities)}"
+            f">= {hosting_capacity(system)}"
         )
 
     # Contiguous blocks keep the scan in candidate order; each tag is its
@@ -336,13 +318,7 @@ def best_placement(
         # ``ship`` is what actually crosses the process boundary: the
         # topology itself on inline paths, a shared-memory handle when the
         # runner dispatches to workers.
-        score = partial(
-            _block_delays,
-            ship,
-            system,
-            clients=client_idx,
-            respect_capacities=respect_capacities,
-        )
+        score = partial(_block_delays, ship, system)
         return [
             GridPoint(tag=span, fn=score, kwargs={"v0s": v0s[slice(*span)]})
             for span in spans
@@ -364,13 +340,11 @@ def best_placement(
         raise PlacementError("no candidate admits a placement of finite delay")
     best_placed = PlacedQuorumSystem(
         system,
-        one_to_one_placement(
-            topology, system, best_v0, respect_capacities=respect_capacities
-        ),
+        one_to_one_placement(topology, system, best_v0),
         topology,
     )
     check = average_network_delay(
-        best_placed, uniform_strategy_for(best_placed), clients=clients
+        best_placed, uniform_strategy_for(best_placed)
     )
     # Exact comparison: the kernel is bit-identical by contract.
     if check != best_delay:

@@ -7,11 +7,15 @@ sends a conditioned operation to a quorum, each server applies it against
 its local replica history and replies.
 
 This package implements that common-case path with real protocol state
-(logical timestamps, per-object replica histories, conditional writes,
-client-side classification and retry on contention) on top of the
-simulator in :mod:`repro.sim`. The Byzantine repair machinery is out of
-scope: the measured experiments are failure-free ("normal conditions",
-Section 1) and exercise only the single-round-trip path.
+(logical timestamps, each server's latest version per object, conditional
+writes with inline catch-up) on top of the simulator in :mod:`repro.sim`.
+As in the paper's measurements, each client writes its own object, so no
+write contends: a client raises :class:`~repro.errors.SimulationError` if
+a server rejects its condition or its quorum disagrees on the latest
+version. The Byzantine repair machinery (barriers, contention resolution,
+history pruning) is out of scope: the measured experiments are
+failure-free ("normal conditions", Section 1) and exercise only the
+single-round-trip path.
 """
 
 from repro.qu.client import QUClient

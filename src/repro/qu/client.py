@@ -4,36 +4,32 @@ Matching the paper's workload: each client runs a closed loop (next
 operation issues the moment the previous one completes), chooses its quorum
 **uniformly at random** among all ``q``-subsets of the ``n`` servers
 ("thereby balancing client demand across servers"), and issues conditioned
-writes that complete in a single round trip in the common case.
+writes that complete in a single round trip.
 
-Clients default to operating on a private object, which keeps every
-operation on the single-round-trip path, exactly like the paper's
-measurements; pointing several clients at a shared object exercises the
-contention/retry path instead.
+Each client writes its own object (its object id is its client id),
+exactly like the paper's measurements, so every operation stays on the
+single-round-trip path: the next operation is conditioned on the version
+the last one created, which no other client touches. A rejected condition
+or a quorum that disagrees on the latest version would need Q/U's
+contention resolution, which is out of scope; the client raises
+:class:`~repro.errors.SimulationError` instead.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.qu.messages import QURequest
-from repro.qu.objects import Candidate, classify_replies
+from repro.qu.objects import Candidate
 from repro.qu.timestamps import QUTimestamp
 from repro.sim.engine import Simulator
 from repro.sim.metrics import OperationRecord
 
 __all__ = ["QUClient"]
-
-#: Contention retries one operation may take before the workload counts
-#: as livelocked.
-MAX_RETRIES = 64
-#: Scale of the first randomized backoff; it doubles per retry up to 2^8.
-BACKOFF_BASE_MS = 2.0
 
 
 class QUClient:
@@ -53,15 +49,11 @@ class QUClient:
         n_servers: int,
         quorum_size: int,
         seed: int,
-        object_id: int | None = None,
-        think_time_ms: float = 0.0,
     ) -> None:
         if not 1 <= quorum_size <= n_servers:
             raise SimulationError(
                 f"quorum size {quorum_size} invalid for {n_servers} servers"
             )
-        if think_time_ms < 0:
-            raise SimulationError("think time must be non-negative")
         self.client_id = client_id
         self.node = node
         self._sim = sim
@@ -71,8 +63,7 @@ class QUClient:
         self._n_servers = n_servers
         self._quorum_size = quorum_size
         self._rng = np.random.default_rng(seed)
-        self.object_id = client_id if object_id is None else object_id
-        self._think_time_ms = think_time_ms
+        self.object_id = client_id
 
         self._op_seq = 0
         self._condition_on = QUTimestamp.zero()
@@ -84,11 +75,9 @@ class QUClient:
         self._rejected = False
         self._done_at_ms = -math.inf
         self._done_slot = -1
-        self._first_issued_at_ms = 0.0  # survives retries of the same op
-        self._retries = 0
+        self._issued_at_ms = 0.0
         self._running = False
         self.records: list[OperationRecord] = []
-        self.retries_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -113,14 +102,11 @@ class QUClient:
         )
         return chosen.tolist()
 
-    def _issue(self, is_retry: bool = False) -> None:
+    def _issue(self) -> None:
         if not self._running:
             return
-        now = self._sim.now
-        if not is_retry:
-            self._op_seq += 1
-            self._retries = 0
-            self._first_issued_at_ms = now
+        self._op_seq += 1
+        self._issued_at_ms = self._sim.now
         self._pending_quorum = self._pick_quorum()
         self._latests = []
         self._rejected = False
@@ -182,37 +168,27 @@ class QUClient:
     def _complete(self) -> None:
         if not self._running:
             return
-        status, top = classify_replies(self._latests)
-        if status == "complete" and not self._rejected:
-            self._condition_on = top.timestamp
-            self.records.append(
-                OperationRecord(
-                    client_id=self.client_id,
-                    client_node=self.node,
-                    issued_at_ms=self._first_issued_at_ms,
-                    completed_at_ms=self._sim.now,
-                    network_delay_ms=self._network_component_ms(),
-                )
-            )
-            if self._think_time_ms > 0:
-                self._sim.schedule(self._think_time_ms, self._issue)
-            else:
-                self._issue()
-            return
-        # Contention: re-condition on the highest version seen and retry
-        # after a randomized exponential backoff (Q/U's contention
-        # resolution; without it co-located writers livelock).
-        self._condition_on = top.timestamp
-        self._retries += 1
-        self.retries_total += 1
-        if self._retries > MAX_RETRIES:
+        latest = self._latests[0].timestamp
+        if self._rejected or any(
+            c.timestamp != latest for c in self._latests
+        ):
             raise SimulationError(
-                f"client {self.client_id} exceeded {MAX_RETRIES} "
-                "retries; workload is livelocked"
+                f"client {self.client_id}: a quorum server rejected the "
+                "operation's condition or the quorum disagreed on the "
+                f"latest version of object {self.object_id}; each client "
+                "writes its own object, so no write may contend"
             )
-        scale = BACKOFF_BASE_MS * (2.0 ** min(self._retries, 8))
-        backoff = float(self._rng.uniform(0.0, scale))
-        self._sim.schedule(backoff, partial(self._issue, True))
+        self._condition_on = latest
+        self.records.append(
+            OperationRecord(
+                client_id=self.client_id,
+                client_node=self.node,
+                issued_at_ms=self._issued_at_ms,
+                completed_at_ms=self._sim.now,
+                network_delay_ms=self._network_component_ms(),
+            )
+        )
+        self._issue()
 
     @property
     def operations_completed(self) -> int:

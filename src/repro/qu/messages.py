@@ -25,8 +25,7 @@ class QURequest:
     """One attempt of a conditioned single-round-trip operation.
 
     ``condition_on`` is the object version the client believes is latest;
-    a write is accepted only if the server's latest matches it. ``is_write``
-    False models inline reads (no new candidate is created).
+    the write is accepted only if the server holds nothing newer.
 
     The ``q`` servers of the quorum share the request and the candidates
     it carries: ``candidate`` is the version every accepting server
@@ -39,5 +38,4 @@ class QURequest:
     object_id: int
     condition_on: QUTimestamp
     candidate: Candidate
-    is_write: bool = True
     catch_up: Candidate | None = None

@@ -7,9 +7,10 @@ what produces the queueing growth of Figures 3.1/3.2 as client demand
 rises.
 
 On the common path a request conditioned on the server's latest version is
-accepted: the server appends the new candidate and replies with its latest
-candidate. A request conditioned on an older version is rejected and the
-reply carries the server's latest so the client can re-condition.
+accepted: the server accepts the new candidate and replies with its latest
+candidate. A request conditioned on an older version is rejected, and the
+reply carries the server's latest; with every client writing its own
+object that never happens, and the client raises if it does.
 """
 
 from __future__ import annotations
@@ -88,24 +89,23 @@ class QUServer:
         history = self._history_for(request.object_id)
         latest = history.latest
         accepted = True
-        if request.is_write:
-            condition_on = request.condition_on
-            if latest.timestamp <= condition_on:
-                # The request's object-history set certifies condition_on,
-                # so a server that missed intervening updates adopts the
-                # conditioned-on version inline (Q/U's single-round-trip
-                # catch-up) before accepting the new one.
-                if latest.timestamp < condition_on:
-                    catch_up = request.catch_up
-                    if catch_up is None:
-                        catch_up = request.catch_up = Candidate(
-                            timestamp=condition_on,
-                            value=request.op_seq - 1,
-                        )
-                    history.accept(catch_up)
-                history.accept(request.candidate)
-            else:
-                accepted = False  # server has newer state: stale condition
+        condition_on = request.condition_on
+        if latest.timestamp <= condition_on:
+            # The request's object-history set certifies condition_on, so
+            # a server that missed intervening updates adopts the
+            # conditioned-on version inline (Q/U's single-round-trip
+            # catch-up) before accepting the new one.
+            if latest.timestamp < condition_on:
+                catch_up = request.catch_up
+                if catch_up is None:
+                    catch_up = request.catch_up = Candidate(
+                        timestamp=condition_on,
+                        value=request.op_seq - 1,
+                    )
+                history.accept(catch_up)
+            history.accept(request.candidate)
+        else:
+            accepted = False  # server has newer state: stale condition
         self.requests_processed += 1
         self._send_reply(self.node, request, accepted, history.latest)
         self._start_next()

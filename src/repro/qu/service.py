@@ -32,7 +32,7 @@ class QUService:
     """A Q/U deployment: servers, clients, and the simulated WAN.
 
     Request legs are network messages, one event each. A reply is not an
-    event: when a server sends it, the network draws its delay and the
+    event: when a server sends it, the network gives its delay and the
     engine reserves its sequence number, and the client files it (see
     :meth:`QUClient.on_reply`). An attempt on a quorum of ``q`` servers
     therefore costs ``2q + 1`` events: ``q`` request deliveries, ``q``
@@ -44,9 +44,7 @@ class QUService:
         topology: Topology,
         server_nodes: np.ndarray,
         quorum_size: int,
-        sim: Simulator | None = None,
         service_time_ms: float = 1.0,
-        network_jitter_ms: float = 0.0,
         seed: int = 0,
     ) -> None:
         server_nodes = np.asarray(server_nodes, dtype=np.intp)
@@ -60,11 +58,9 @@ class QUService:
                 f"quorum size {quorum_size} invalid for "
                 f"{server_nodes.size} servers"
             )
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.topology = topology
-        self.network = SimNetwork(
-            self.sim, topology, jitter_ms=network_jitter_ms, seed=seed
-        )
+        self.network = SimNetwork(self.sim, topology)
         self.quorum_size = quorum_size
         self._seed = seed
 
@@ -107,13 +103,9 @@ class QUService:
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
-    def add_client(
-        self,
-        node: int,
-        object_id: int | None = None,
-        think_time_ms: float = 0.0,
-    ) -> QUClient:
-        """Create a client at a topology node (not started yet)."""
+    def add_client(self, node: int) -> QUClient:
+        """Create a client at a topology node (not started yet); it writes
+        its own object."""
         node = int(node)
         check_nodes(self.topology, [node], "client")
         client_id = len(self.clients)
@@ -129,8 +121,6 @@ class QUService:
             n_servers=len(self.servers),
             quorum_size=self.quorum_size,
             seed=self._seed * 100_003 + 7919 * client_id,
-            object_id=object_id,
-            think_time_ms=think_time_ms,
         )
         self.clients.append(client)
         return client

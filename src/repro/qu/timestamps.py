@@ -2,10 +2,10 @@
 
 Q/U orders object versions by logical timestamps constructed so that
 distinct operations produce distinct, totally ordered timestamps. We keep
-the fields that matter for ordering and tie-breaking — logical time,
-barrier flag, and the (client id, operation sequence) pair that makes
-timestamps unique — and drop the operation/history hashes, which only serve
-Byzantine verification.
+the fields that matter for ordering and tie-breaking — logical time and
+the (client id, operation sequence) pair that makes timestamps unique —
+and drop the barrier flag, which only the repair protocol sets, and the
+operation/history hashes, which only serve Byzantine verification.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ __all__ = ["QUTimestamp"]
 class QUTimestamp:
     """A totally ordered logical timestamp.
 
-    ``time`` is the logical clock; ``barrier`` marks barrier candidates
-    (used by the repair protocol; always False on the common path);
-    ``client_id`` and ``op_seq`` break ties between concurrent updates.
+    ``time`` is the logical clock; ``client_id`` and ``op_seq`` break ties
+    between concurrent updates.
     Timestamps compare lexicographically in field order, so the field
     order *is* the total order.
     """
 
     time: int = 0
-    barrier: bool = False
     client_id: int = -1
     op_seq: int = -1
 
@@ -35,7 +33,6 @@ class QUTimestamp:
         """The timestamp a successful update conditioned on ``self`` creates."""
         return QUTimestamp(
             time=self.time + 1,
-            barrier=False,
             client_id=client_id,
             op_seq=op_seq,
         )

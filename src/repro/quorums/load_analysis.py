@@ -43,6 +43,10 @@ class LoadAnalysis:
 
 
 def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
+    if not system.is_enumerable:
+        raise QuorumSystemError(
+            f"{system.name}: no closed-form load and not enumerable"
+        )
     lp = LinearProgram()
     p = lp.add_block("p", system.num_quorums, lower=0.0, upper=1.0)
     z = lp.add_block("z", 1, lower=0.0)
@@ -66,29 +70,24 @@ def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
     )
 
 
-def optimal_load(system: QuorumSystem, use_lp: bool = False) -> LoadAnalysis:
+def optimal_load(system: QuorumSystem) -> LoadAnalysis:
     """Optimal load ``L_opt`` of a quorum system.
 
-    With ``use_lp=False`` (default) closed forms are preferred; pass
-    ``use_lp=True`` to force the LP (used by tests to cross-validate the
-    closed forms).
+    Closed forms where they exist (singleton, thresholds, grids), else the
+    LP :func:`_lp_optimal_load`, which tests also call directly to
+    cross-validate the closed forms.
     """
-    if not use_lp:
-        if isinstance(system, SingletonQuorumSystem):
-            return LoadAnalysis(l_opt=1.0, strategy=np.array([1.0]))
-        if isinstance(system, ThresholdQuorumSystem):
-            # Uniform strategy loads every element q/n; no strategy does
-            # better since the expected quorum size is at least q.
-            return LoadAnalysis(
-                l_opt=system.quorum_size / system.universe_size,
-                strategy=None,
-            )
-        if isinstance(system, RectangularGridQuorumSystem):
-            m = system.num_quorums
-            uniform = np.full(m, 1.0 / m)
-            return LoadAnalysis(l_opt=system.uniform_load, strategy=uniform)
-    if not system.is_enumerable:
-        raise QuorumSystemError(
-            f"{system.name}: no closed-form load and not enumerable"
+    if isinstance(system, SingletonQuorumSystem):
+        return LoadAnalysis(l_opt=1.0, strategy=np.array([1.0]))
+    if isinstance(system, ThresholdQuorumSystem):
+        # Uniform strategy loads every element q/n; no strategy does
+        # better since the expected quorum size is at least q.
+        return LoadAnalysis(
+            l_opt=system.quorum_size / system.universe_size,
+            strategy=None,
         )
+    if isinstance(system, RectangularGridQuorumSystem):
+        m = system.num_quorums
+        uniform = np.full(m, 1.0 / m)
+        return LoadAnalysis(l_opt=system.uniform_load, strategy=uniform)
     return _lp_optimal_load(system)

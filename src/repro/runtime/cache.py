@@ -353,16 +353,12 @@ class ResultCache:
                 pass
         return total
 
-    def trim(self, max_size_bytes: int | None = None) -> int:
-        """Evict oldest-mtime entries until the cache fits the budget.
-
-        Uses ``max_size_bytes`` (argument, else the instance setting);
-        returns the number of entries removed. A no-op without a budget.
+    def trim(self) -> int:
+        """Evict oldest-mtime entries until the cache fits its
+        ``max_size_bytes`` budget; returns the number of entries removed.
+        A no-op without a budget.
         """
-        budget = (
-            max_size_bytes if max_size_bytes is not None
-            else self.max_size_bytes
-        )
+        budget = self.max_size_bytes
         if budget is None:
             return 0
         entries = []

@@ -12,8 +12,14 @@ Reproduces the paper's Modelnet methodology:
   the graph" — chosen as the sites whose balanced expected delay is closest
   to the graph-wide average;
 * ``c`` closed-loop clients per site, uniform random quorums, 1 ms service
-  time per request;
+  time per request, each client writing its own object over an exact
+  emulated WAN;
 * measures: average response time and average network delay over clients.
+
+The client-site count (:data:`N_CLIENT_SITES`) and the service time
+(:data:`SERVICE_TIME_MS`) are the paper's, fixed for every run; they stay
+in :meth:`QUExperimentConfig.fingerprint_components` so a cached cell
+names them.
 """
 
 from __future__ import annotations
@@ -36,17 +42,25 @@ from repro.sim.metrics import ResponseTimeStats, summarize
 from repro.qu.service import QUService
 
 __all__ = [
+    "N_CLIENT_SITES",
+    "SERVICE_TIME_MS",
     "QUExperimentConfig",
     "QUExperimentResult",
     "select_client_sites",
     "run_qu_experiment",
 ]
 
+#: Client sites of every run: the paper's 10 sites whose average network
+#: delay to the server placement approximates the graph-wide average.
+N_CLIENT_SITES = 10
+#: Per-request server processing time (ms): the paper's 1 ms.
+SERVICE_TIME_MS = 1.0
+
 
 def select_client_sites(
     topology: Topology,
     placed,
-    n_sites: int = 10,
+    n_sites: int = N_CLIENT_SITES,
 ) -> np.ndarray:
     """Client sites whose balanced network delay best matches the global mean.
 
@@ -68,18 +82,15 @@ class QUExperimentConfig:
     """Parameters of one Q/U simulation run.
 
     Defaults mirror the paper: ``t`` faults => 5t+1 servers and 4t+1
-    quorums, 10 client sites, 1 ms service time. ``clients_per_site`` is
-    the paper's ``c`` in 1..10.
+    quorums. ``clients_per_site`` is the paper's ``c`` in 1..10, at each
+    of :data:`N_CLIENT_SITES` sites.
     """
 
     t: int = 1
     clients_per_site: int = 1
-    n_client_sites: int = 10
-    service_time_ms: float = 1.0
     duration_ms: float = 4000.0
     warmup_ms: float = 500.0
     seed: int = 1
-    network_jitter_ms: float = 0.0
 
     @property
     def n_servers(self) -> int:
@@ -91,28 +102,25 @@ class QUExperimentConfig:
 
     @property
     def n_clients(self) -> int:
-        return self.n_client_sites * self.clients_per_site
+        return N_CLIENT_SITES * self.clients_per_site
 
     def fingerprint_components(self) -> dict:
         """Content components for cache keys (see
         :func:`repro.runtime.cache.content_key`).
 
-        Every field is hashed — rule RL003 enforces it stays that way.
-        Before this existed, figure grids keyed only the fields they
-        swept (``t``, client count, duration), so editing a *default*
-        here (``n_client_sites``, ``service_time_ms``,
-        ``network_jitter_ms``) would have silently served stale cached
-        cells.
+        Every field is hashed — rule RL003 enforces it stays that way —
+        and so are the module constants :data:`N_CLIENT_SITES` and
+        :data:`SERVICE_TIME_MS`, so editing either invalidates cached
+        cells instead of silently serving stale ones.
         """
         return {
             "t": int(self.t),
             "clients_per_site": int(self.clients_per_site),
-            "n_client_sites": int(self.n_client_sites),
-            "service_time_ms": float(self.service_time_ms),
+            "n_client_sites": N_CLIENT_SITES,
+            "service_time_ms": SERVICE_TIME_MS,
             "duration_ms": float(self.duration_ms),
             "warmup_ms": float(self.warmup_ms),
             "seed": int(self.seed),
-            "network_jitter_ms": float(self.network_jitter_ms),
         }
 
 
@@ -151,9 +159,7 @@ def run_qu_experiment(
     placed = search.placed
     server_nodes = placed.placement.assignment
 
-    client_sites = select_client_sites(
-        topology, placed, n_sites=config.n_client_sites
-    )
+    client_sites = select_client_sites(topology, placed)
     analytic = evaluate(
         placed, ThresholdBalancedStrategy(), alpha=0.0, clients=client_sites
     ).avg_network_delay
@@ -162,8 +168,7 @@ def run_qu_experiment(
         topology,
         server_nodes,
         quorum_size=config.quorum_size,
-        service_time_ms=config.service_time_ms,
-        network_jitter_ms=config.network_jitter_ms,
+        service_time_ms=SERVICE_TIME_MS,
         seed=config.seed,
     )
     for site in client_sites:

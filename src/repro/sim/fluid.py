@@ -16,7 +16,9 @@ The pipeline:
    are sampled up front from one seeded ``default_rng`` stream: explicit
    strategies by one uniform draw and an inverse-CDF lookup against the
    strategy rows, with each quorum's servers read from the placed
-   system's cached flat quorum-node table.
+   system's cached flat quorum-node table; the balanced strategy over a
+   threshold system by uniform random ``q``-subsets. The network is
+   exact, so a leg takes ``d(v, w) / 2``.
 2. **One request table** — operations are never client objects: every
    client->server message is one row of flat ``(operation, server,
    units)`` columns, and arrival, service and reply times are gathers
@@ -227,42 +229,23 @@ def _sample_requests(
         # first[k] + (r - op_starts[k]).
         rows = np.arange(int(width.sum()))
         rows += np.repeat(first - op_starts, width)
-        if sim._coalesce:
-            units = np.ones(rows.size, dtype=np.intp)
-        else:
-            units = counts[rows]
-        return np.repeat(ops, width), nodes[rows], units, op_starts
+        return np.repeat(ops, width), nodes[rows], counts[rows], op_starts
 
-    # A threshold system with a balanced or closest strategy (checked when
-    # the simulation was built).
+    # A threshold system with the balanced strategy (checked when the
+    # simulation was built): uniform random q-subsets for every operation
+    # at once. The q smallest of n iid uniform keys index a uniformly
+    # random subset (same distribution as rng.choice(n, q, replace=False)).
     support = placed.placement.support_set
     n = placed.system.universe_size
     q = placed.system.quorum_size
-    if type(strategy).__name__ == "ThresholdBalancedStrategy":
-        # Uniform random q-subsets for every operation at once: the q
-        # smallest of n iid uniform keys index a uniformly random subset
-        # (same distribution as rng.choice(n, q, replace=False)).
-        subsets = np.empty((n_ops, q), dtype=np.intp)
-        for start in range(0, n_ops, _SUBSET_CHUNK):
-            stop = min(start + _SUBSET_CHUNK, n_ops)
-            keys = rng.random((stop - start, n))
-            subsets[start:stop] = np.argpartition(
-                keys, q - 1, axis=1
-            )[:, :q]
-        ops = np.arange(n_ops, dtype=np.intp)
-        servers = support[subsets]
-    else:
-        # Every client node's fixed closest quorum; operations grouped by
-        # node (ascending), in arrival order within a node.
-        client, client_of_op = np.unique(op_node, return_inverse=True)
-        closest = np.argsort(
-            placed.support_distances[client], axis=1, kind="stable"
-        )[:, :q]
-        ops = np.argsort(op_node, kind="stable")
-        servers = support[closest][client_of_op[ops]]
+    subsets = np.empty((n_ops, q), dtype=np.intp)
+    for start in range(0, n_ops, _SUBSET_CHUNK):
+        stop = min(start + _SUBSET_CHUNK, n_ops)
+        keys = rng.random((stop - start, n))
+        subsets[start:stop] = np.argpartition(keys, q - 1, axis=1)[:, :q]
     return (
-        np.repeat(ops, q),
-        servers.ravel(),
+        np.repeat(np.arange(n_ops, dtype=np.intp), q),
+        support[subsets].ravel(),
         np.ones(n_ops * q, dtype=np.intp),
         np.arange(0, n_ops * q, q, dtype=np.intp),
     )
@@ -282,7 +265,6 @@ def run_fluid(
             "(closed-loop feedback needs the event engine)"
         )
     rtt = sim.placed.topology.rtt
-    jitter_ms = sim.network_jitter_ms
     service_times = sim.service_times
     telemetry_on = sim.collect_telemetry
     horizon = float(duration_ms)
@@ -311,8 +293,6 @@ def run_fluid(
     req_issue = times[req_op]
     req_one_way = rtt[req_client, req_server] / 2.0
     req_arrive = req_issue + req_one_way
-    if jitter_ms > 0:
-        req_arrive = req_arrive + rng.exponential(jitter_ms, size=total)
     if sim.uniform_service:
         req_service = float(service_times[0]) * req_units
     else:
@@ -357,8 +337,6 @@ def run_fluid(
     # Replies and per-operation completion (one reduceat per column).
     # ------------------------------------------------------------------
     reply = departure + req_one_way
-    if jitter_ms > 0:
-        reply = reply + rng.exponential(jitter_ms, size=total)
 
     telemetry = None
     if telemetry_on:

@@ -5,8 +5,10 @@ implementation [Q/U] ... and simulation of a generic quorum system protocol
 over models of several actual wide-area network topologies" (Section 1).
 This module is that generic simulator: closed-loop clients issue one
 round-trip accesses to quorums of an arbitrary *placed* quorum system,
-sampling quorums from an arbitrary access-strategy profile; servers process
-requests through FIFO queues.
+sampling quorums from an explicit strategy profile (or uniformly, for the
+balanced strategy over a threshold system); servers process requests
+through FIFO queues, one service unit per hosted element of the accessed
+quorum. The network is exact: a message takes ``d(v, w) / 2``.
 
 Its main use is validating the analytic response-time model (4.1)-(4.2):
 at low demand the simulated mean response time converges to the model's
@@ -30,7 +32,11 @@ from functools import partial
 import numpy as np
 
 from repro.core.placement import PlacedQuorumSystem
-from repro.core.strategy import AccessStrategy, ExplicitStrategy
+from repro.core.strategy import (
+    AccessStrategy,
+    ExplicitStrategy,
+    ThresholdBalancedStrategy,
+)
 from repro.errors import SimulationError
 from repro.obs import tracer as obs
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -41,7 +47,7 @@ from repro.sim.metrics import (
     ResponseTimeStats,
     summarize,
 )
-from repro.sim.network import SimNetwork, check_jitter, check_nodes
+from repro.sim.network import SimNetwork, check_nodes
 from repro.sim.workload import PoissonArrivals
 
 __all__ = ["GenericQuorumSimulation", "GenericSimResult"]
@@ -124,7 +130,6 @@ class _Client:
         network: SimNetwork,
         servers: dict[int, _Server],
         rng: np.random.Generator,
-        coalesce: bool,
         max_operations: int | None = None,
         telemetry=None,
     ):
@@ -136,7 +141,6 @@ class _Client:
         self.network = network
         self.servers = servers
         self.rng = rng
-        self.coalesce = coalesce
         self.max_operations = max_operations
         self.records: list[OperationRecord] = []
         self.running = False
@@ -164,8 +168,7 @@ class _Client:
         self._pending = len(nodes)
         self.requests_sent += len(nodes)
         for w, count in zip(nodes, multiplicities):
-            units = 1 if self.coalesce else int(count)
-            message = _Access(client_node=self.node, units=units)
+            message = _Access(client_node=self.node, units=int(count))
             message.on_reply = self._on_reply
             self.network.send(
                 self.node, int(w), message, self.servers[int(w)].on_request
@@ -269,10 +272,12 @@ class GenericQuorumSimulation:
         The placed quorum system (enumerable, or an implicit threshold
         system with a one-to-one placement).
     strategy:
-        The strategy profile clients sample quorums from. Explicit
-        strategies sample quorum indices per client row; implicit
-        threshold strategies sample either uniform random ``q``-subsets
-        (balanced) or the client's fixed closest quorum.
+        The strategy profile clients sample quorums from: an
+        :class:`~repro.core.strategy.ExplicitStrategy` samples quorum
+        indices per client row; a
+        :class:`~repro.core.strategy.ThresholdBalancedStrategy` over a
+        threshold system samples uniform random ``q``-subsets. The network
+        is exact: a message takes ``d(v, w) / 2``.
     client_nodes:
         Topology nodes hosting one closed-loop client each (a node may
         appear multiple times). Defaults to one client on every node, the
@@ -287,9 +292,6 @@ class GenericQuorumSimulation:
         decomposed network-RTT sums — and attach them to the result as a
         :class:`~repro.sim.metrics.PairTelemetry`. Supported on both
         backends; this is what the telemetry-driven controller consumes.
-    coalesce:
-        Serve co-located elements of one access in a single unit (the
-        future-work load model).
     arrivals:
         A :class:`~repro.sim.workload.PoissonArrivals` generator switching
         the run to **open-loop** injection: each sampled arrival time
@@ -309,11 +311,6 @@ class GenericQuorumSimulation:
     """
 
     BACKENDS = ("events", "fluid")
-    #: Implicit (non-matrix) strategies both backends can sample.
-    IMPLICIT_STRATEGIES = (
-        "ThresholdBalancedStrategy",
-        "ThresholdClosestStrategy",
-    )
 
     def __init__(
         self,
@@ -321,8 +318,6 @@ class GenericQuorumSimulation:
         strategy: AccessStrategy,
         client_nodes: object = None,
         service_time_ms: float = 1.0,
-        network_jitter_ms: float = 0.0,
-        coalesce: bool = False,
         seed: int = 0,
         arrivals: PoissonArrivals | None = None,
         backend: str = "events",
@@ -351,17 +346,15 @@ class GenericQuorumSimulation:
                 "the fluid backend is open-loop only; pass arrivals= "
                 "(closed-loop feedback needs the event engine)"
             )
-        check_jitter(network_jitter_ms)
         if not isinstance(strategy, ExplicitStrategy):
             if not isinstance(placed.system, ThresholdQuorumSystem):
                 raise SimulationError(
                     "implicit strategies require a threshold system"
                 )
-            kind = type(strategy).__name__
-            if kind not in self.IMPLICIT_STRATEGIES:
+            if not isinstance(strategy, ThresholdBalancedStrategy):
                 raise SimulationError(
-                    f"unsupported strategy type {kind!r} for the generic "
-                    "simulator"
+                    f"unsupported strategy type {type(strategy).__name__!r} "
+                    "for the generic simulator"
                 )
         self.placed = placed
         self.strategy = strategy
@@ -372,7 +365,6 @@ class GenericQuorumSimulation:
         self.service_time_ms = (
             float(service_arr[0]) if uniform_service else service_arr
         )
-        self.network_jitter_ms = network_jitter_ms
         self.seed = seed
         if client_nodes is None:
             client_nodes = np.arange(placed.n_nodes)
@@ -381,7 +373,6 @@ class GenericQuorumSimulation:
             raise SimulationError("at least one client is required")
         check_nodes(placed.topology, self.client_nodes.tolist(), "client")
 
-        self._coalesce = coalesce
         self.collect_telemetry = collect_telemetry
         # Already sorted and distinct: the telemetry columns.
         self._telemetry_support = placed.placement.support_set
@@ -392,12 +383,7 @@ class GenericQuorumSimulation:
         """Simulator, network, servers, samplers and closed-loop clients."""
         placed = self.placed
         self.sim = Simulator()
-        self.network = SimNetwork(
-            self.sim,
-            placed.topology,
-            jitter_ms=self.network_jitter_ms,
-            seed=self.seed,
-        )
+        self.network = SimNetwork(self.sim, placed.topology)
         self.servers = {
             int(w): _Server(
                 int(w),
@@ -427,7 +413,6 @@ class GenericQuorumSimulation:
                 network=self.network,
                 servers=self.servers,
                 rng=np.random.default_rng(self.seed * 69_941 + i),
-                coalesce=self._coalesce,
                 telemetry=(
                     self._record_pair if self.collect_telemetry else None
                 ),
@@ -476,28 +461,17 @@ class GenericQuorumSimulation:
                 samplers[v] = sampler
             return samplers
 
-        # A threshold system with an IMPLICIT_STRATEGIES strategy
-        # (checked at construction).
+        # A threshold system with the balanced strategy (checked at
+        # construction).
         support = placed.placement.support_set
         n = placed.system.universe_size
         q = placed.system.quorum_size
         ones = np.ones(q, dtype=np.intp)
-        if type(strategy).__name__ == "ThresholdBalancedStrategy":
-            for v in set(self.client_nodes.tolist()):
-
-                def sampler(rng, support=support, n=n, q=q, ones=ones):
-                    picks = rng.choice(n, size=q, replace=False)
-                    return support[picks], ones
-
-                samplers[v] = sampler
-            return samplers
-        dist = placed.support_distances
         for v in set(self.client_nodes.tolist()):
-            chosen = np.argsort(dist[v], kind="stable")[:q]
-            fixed = support[chosen]
 
-            def sampler(rng, fixed=fixed, ones=ones):
-                return fixed, ones
+            def sampler(rng, support=support, n=n, q=q, ones=ones):
+                picks = rng.choice(n, size=q, replace=False)
+                return support[picks], ones
 
             samplers[v] = sampler
         return samplers
@@ -527,7 +501,6 @@ class GenericQuorumSimulation:
                 network=self.network,
                 servers=self.servers,
                 rng=np.random.default_rng(self.seed * 69_941 + i),
-                coalesce=self._coalesce,
                 max_operations=1,
                 telemetry=(
                     self._record_pair if self.collect_telemetry else None

@@ -131,7 +131,6 @@ def summarize_arrays(
     network_delay_ms: np.ndarray,
     client_ids: np.ndarray | None = None,
     warmup_ms: float = 0.0,
-    per_client: bool = True,
 ) -> ResponseTimeStats:
     """Columnar :func:`summarize`: arrays of per-operation columns in,
     :class:`ResponseTimeStats` out.
@@ -154,7 +153,7 @@ def summarize_arrays(
     response = completed[keep] - issued[keep]
     network = network[keep]
 
-    if per_client and client_ids is not None:
+    if client_ids is not None:
         ids = np.asarray(client_ids)[keep]
         _, inverse = np.unique(ids, return_inverse=True)
         counts = np.bincount(inverse)
@@ -183,15 +182,14 @@ def summarize_arrays(
 def summarize(
     records: list[OperationRecord],
     warmup_ms: float = 0.0,
-    per_client: bool = True,
 ) -> ResponseTimeStats:
     """Summarize records completed after the warmup cutoff.
 
-    With ``per_client`` (default) the means are **averages of per-client
-    means**, matching the paper's objective ``avg_{v} Delta_f(v)``: in a
-    closed loop, clients near the quorums complete more operations, so a
-    raw per-operation mean would over-weight them. Median/p95/p99/std are
-    always per-operation (dispersion of individual requests).
+    The means are **averages of per-client means**, matching the paper's
+    objective ``avg_{v} Delta_f(v)``: in a closed loop, clients near the
+    quorums complete more operations, so a raw per-operation mean would
+    over-weight them. Median/p95/p99/std are per-operation (dispersion of
+    individual requests).
     """
     if not records:
         raise SimulationError(
@@ -202,9 +200,6 @@ def summarize(
         issued_at_ms=np.array([r.issued_at_ms for r in records]),
         completed_at_ms=np.array([r.completed_at_ms for r in records]),
         network_delay_ms=np.array([r.network_delay_ms for r in records]),
-        client_ids=np.array([r.client_id for r in records])
-        if per_client
-        else None,
+        client_ids=np.array([r.client_id for r in records]),
         warmup_ms=warmup_ms,
-        per_client=per_client,
     )

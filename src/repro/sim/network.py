@@ -3,24 +3,20 @@
 The topology's matrix holds round-trip times; a one-way message from ``v``
 to ``w`` is delivered ``d(v, w) / 2`` ms after it is sent (the paper's
 client-to-quorum interactions are symmetric request/reply round trips).
-Optional per-message jitter models transient queueing in the WAN, disabled
-by default so analytic and simulated network delays can be compared
-exactly.
+The network is exact (no jitter), so analytic and simulated network delays
+compare exactly.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Callable, Iterable
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.network.graph import Topology
 from repro.sim.engine import Simulator
 
-__all__ = ["SimNetwork", "check_jitter", "check_nodes"]
+__all__ = ["SimNetwork", "check_nodes"]
 
 
 def check_nodes(topology: Topology, nodes: Iterable[int], role: str) -> None:
@@ -39,34 +35,12 @@ def check_nodes(topology: Topology, nodes: Iterable[int], role: str) -> None:
             )
 
 
-def check_jitter(jitter_ms: float) -> None:
-    """Reject a negative or non-finite mean network jitter.
-
-    Every backend draws jitter only when ``jitter_ms > 0``, which is
-    False for NaN, so a NaN would silently mean no jitter; an infinite
-    mean would fail later with an unrelated message.
-    """
-    if not 0.0 <= jitter_ms < math.inf:
-        raise SimulationError(
-            f"jitter must be finite and non-negative, got {jitter_ms}"
-        )
-
-
 class SimNetwork:
     """Delivers payloads between topology nodes with RTT/2 one-way delay."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        jitter_ms: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        check_jitter(jitter_ms)
+    def __init__(self, sim: Simulator, topology: Topology) -> None:
         self._sim = sim
         self._topology = topology
-        self._jitter_ms = jitter_ms
-        self._rng = np.random.default_rng(seed)
         self.messages_sent = 0
         # One-way delays by source, filled one pair on first use: only the
         # pairs that exchange messages are ever stored, so memory stays
@@ -78,16 +52,13 @@ class SimNetwork:
         return self._topology
 
     def one_way_delay(self, src: int, dst: int) -> float:
-        """Deterministic one-way delay component, ``d(src, dst) / 2``."""
+        """The one-way delay ``d(src, dst) / 2``."""
         return self._topology.distance(src, dst) / 2.0
 
     def message_delay(self, src: int, dst: int) -> float:
-        """The delay of one message from ``src`` to ``dst``.
-
-        The memoized one-way delay plus, with jitter, one draw from the
-        jitter stream; the message counts in ``messages_sent``. Callers
-        that deliver a message themselves call this at the moment they
-        send it, so draws stay in send order.
+        """The delay of one message from ``src`` to ``dst``: the memoized
+        one-way delay. The message counts in ``messages_sent``, so callers
+        that deliver a message themselves call this when they send it.
         """
         try:
             delay = self._delays[src][dst]
@@ -95,8 +66,6 @@ class SimNetwork:
             delay = self._delays.setdefault(src, {})[dst] = (
                 self.one_way_delay(src, dst)
             )
-        if self._jitter_ms > 0:
-            delay += float(self._rng.exponential(self._jitter_ms))
         self.messages_sent += 1
         return delay
 

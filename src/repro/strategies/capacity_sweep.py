@@ -94,8 +94,6 @@ def sweep_uniform_capacities(
     placed: PlacedQuorumSystem,
     alpha: float,
     levels: np.ndarray | None = None,
-    clients: object = None,
-    coalesce: bool = False,
     program: StrategyProgram | None = None,
 ) -> CapacitySweepResult:
     """Sweep uniform node capacities and pick the best response time.
@@ -112,18 +110,16 @@ def sweep_uniform_capacities(
     levels:
         Capacity levels to try; defaults to :func:`capacity_levels` at the
         system's optimal load.
-    clients:
-        Client set for response-time averaging (loads always use all nodes).
     program:
-        A pre-assembled :class:`StrategyProgram` for ``placed`` to reuse
-        (must match ``coalesce``); assembled here when omitted.
+        A pre-assembled :class:`StrategyProgram` for ``placed`` to reuse;
+        assembled here when omitted.
     """
     if levels is None:
         l_opt = optimal_load(placed.system).l_opt
         levels = capacity_levels(l_opt)
     levels = np.asarray(levels, dtype=np.float64)
     if program is None:
-        program = StrategyProgram(placed, coalesce=coalesce)
+        program = StrategyProgram(placed)
     strategies = program.solve_many([float(c) for c in levels])
 
     points: list[CapacitySweepPoint] = []
@@ -133,9 +129,7 @@ def sweep_uniform_capacities(
             # capacity below what any strategy profile can meet
             infeasible.append(float(capacity))
             continue
-        result = evaluate(
-            placed, strategy, alpha=alpha, clients=clients, coalesce=coalesce
-        )
+        result = evaluate(placed, strategy, alpha=alpha)
         points.append(
             CapacitySweepPoint(
                 capacity=float(capacity), strategy=strategy, result=result

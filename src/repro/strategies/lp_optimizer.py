@@ -62,9 +62,6 @@ class StrategyProgram:
     ----------
     placed:
         A placed, enumerable quorum system.
-    coalesce:
-        Count a node once per accessed quorum instead of once per hosted
-        element (the future-work load model).
     delay_matrix:
         Objective delays ``delta[v, i]``; defaults to the placement's own
         :attr:`~repro.core.placement.PlacedQuorumSystem.delay_matrix`.
@@ -76,7 +73,6 @@ class StrategyProgram:
     def __init__(
         self,
         placed: PlacedQuorumSystem,
-        coalesce: bool = False,
         delay_matrix: np.ndarray | None = None,
     ) -> None:
         if not placed.system.is_enumerable:
@@ -85,7 +81,6 @@ class StrategyProgram:
                 "needs explicit quorums"
             )
         self.placed = placed
-        self.coalesce = coalesce
         n_clients = placed.n_nodes
         m = placed.num_quorums
 
@@ -93,7 +88,7 @@ class StrategyProgram:
             delta = placed.delay_matrix  # (clients, quorums)
         else:
             delta = self._check_delay_matrix(placed, delay_matrix)
-        a = placed.incidence_indicator if coalesce else placed.incidence_counts
+        a = placed.incidence_counts
 
         lp = LinearProgram()
         p = lp.add_block("p", (n_clients, m), lower=0.0, upper=1.0)
@@ -245,7 +240,6 @@ class StrategyProgram:
 def optimize_access_strategies(
     placed: PlacedQuorumSystem,
     capacities: np.ndarray | float,
-    coalesce: bool = False,
 ) -> ExplicitStrategy:
     """Solve LP (4.3)-(4.6) once and return the optimal strategy profile.
 
@@ -260,9 +254,6 @@ def optimize_access_strategies(
     capacities:
         Either a scalar (uniform capacity ``c_i`` for every node) or a
         per-node vector ``cap(w)``.
-    coalesce:
-        Count a node once per accessed quorum instead of once per hosted
-        element (the future-work load model).
 
     Raises
     ------
@@ -270,4 +261,4 @@ def optimize_access_strategies(
         If no strategy profile satisfies the capacity constraints (e.g.
         capacities below the optimal load of the placed system).
     """
-    return StrategyProgram(placed, coalesce=coalesce).solve(capacities)
+    return StrategyProgram(placed).solve(capacities)

@@ -39,7 +39,6 @@ def nonuniform_capacities(
     placed: PlacedQuorumSystem,
     beta: float,
     gamma: float,
-    clients: object = None,
 ) -> np.ndarray:
     """Per-node capacities inversely proportional to average client distance.
 
@@ -56,7 +55,7 @@ def nonuniform_capacities(
             "non-uniform capacity heuristic assumes a one-to-one placement"
         )
     support = placed.placement.support_set
-    mean_dist = placed.topology.mean_distances(clients)[support]
+    mean_dist = placed.topology.mean_distances()[support]
     if np.any(mean_dist <= 0):
         raise StrategyError(
             "average client distance must be positive for every support node"
@@ -112,8 +111,6 @@ def sweep_nonuniform_capacities(
     placed: PlacedQuorumSystem,
     alpha: float,
     levels: np.ndarray | None = None,
-    clients: object = None,
-    coalesce: bool = False,
 ) -> NonuniformSweepResult:
     """Sweep intervals ``[beta, gamma] = [L_opt, c_i]`` (paper's comparison).
 
@@ -129,14 +126,10 @@ def sweep_nonuniform_capacities(
         levels = capacity_levels(l_opt)
     levels = np.asarray(levels, dtype=np.float64)
     capacity_vectors = [
-        nonuniform_capacities(
-            placed, beta=l_opt, gamma=float(gamma), clients=clients
-        )
+        nonuniform_capacities(placed, beta=l_opt, gamma=float(gamma))
         for gamma in levels
     ]
-    strategies = StrategyProgram(placed, coalesce=coalesce).solve_many(
-        capacity_vectors
-    )
+    strategies = StrategyProgram(placed).solve_many(capacity_vectors)
 
     points: list[NonuniformSweepPoint] = []
     infeasible: list[float] = []
@@ -144,9 +137,7 @@ def sweep_nonuniform_capacities(
         if strategy is None:
             infeasible.append(float(gamma))
             continue
-        result = evaluate(
-            placed, strategy, alpha=alpha, clients=clients, coalesce=coalesce
-        )
+        result = evaluate(placed, strategy, alpha=alpha)
         points.append(
             NonuniformSweepPoint(
                 gamma=float(gamma),

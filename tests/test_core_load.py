@@ -58,16 +58,6 @@ class TestNodeLoads:
         assert nloads[0] == pytest.approx(1.5)
         assert nloads[1] == pytest.approx(1.5)
 
-    def test_coalesced_counts_nodes_once(self, line_topology):
-        placed = PlacedQuorumSystem(
-            GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
-        )
-        uniform = np.full(4, 0.25)
-        nloads = node_loads(placed, uniform[None], coalesce=True)
-        # Every quorum touches both nodes exactly once -> load 1 each.
-        assert nloads[0] == pytest.approx(1.0)
-        assert nloads[1] == pytest.approx(1.0)
-
     def test_profile_average(self, grid2_placed):
         n_clients = grid2_placed.n_nodes
         profile = np.zeros((n_clients, 4))

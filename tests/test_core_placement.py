@@ -96,7 +96,6 @@ class TestPlacedQuorumSystem:
         )
         # Quorum (0,0) = {e0,e1,e2}, all on node 5 -> count 3.
         assert placed.incidence_counts[0, 5] == 3.0
-        assert placed.incidence_indicator[0, 5] == 1.0
 
     def test_augmented_delay_adds_node_costs(self, line_topology):
         grid = GridQuorumSystem(2)

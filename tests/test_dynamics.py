@@ -177,17 +177,18 @@ class TestScenarioGenerators:
         assert factor_stack.std() > 0.05  # actually oscillates
 
     def test_flash_crowd_restores_base_capacities(self, line_topology):
-        trace = flash_crowd_scenario(
-            line_topology, 10, seed=2, depth=0.5, start=2, length=3
-        )
+        """One wave over 10 epochs crunches at epoch 1 for half its
+        10-epoch stride and restores the base vector at epoch 6."""
+        trace = flash_crowd_scenario(line_topology, 10, seed=2, depth=0.5)
         states = trace.states(line_topology)
-        assert np.all(states[1].capacities == line_topology.capacities)
-        assert states[2].capacities.min() == pytest.approx(0.5)
-        assert np.all(states[5].capacities == line_topology.capacities)
+        assert np.all(states[0].capacities == line_topology.capacities)
+        assert states[1].capacities.min() == pytest.approx(0.5)
+        assert np.all(states[5].capacities == states[1].capacities)
+        assert np.all(states[6].capacities == line_topology.capacities)
 
     def test_partition_heal_round_trips_membership(self, line_topology):
         trace = partition_heal_scenario(
-            line_topology, 9, seed=4, region_size=3, start=3, heal=6
+            line_topology, 9, seed=4, region_size=3
         )
         states = trace.states(line_topology)
         assert states[2].up.all()
@@ -195,16 +196,22 @@ class TestScenarioGenerators:
         assert states[6].up.all()
         assert trace.segments() == [(0, 3), (3, 6), (6, 9)]
 
-    def test_flash_crowd_rejects_overlapping_waves(self, line_topology):
-        """A user-supplied wave length reaching into the next wave would
-        either collide with its crunch event or silently truncate a wave;
-        both are refused up front with an actionable message."""
-        with pytest.raises(DynamicsError, match="overlaps"):
-            flash_crowd_scenario(line_topology, 20, waves=2, length=10)
-        with pytest.raises(DynamicsError, match="overlaps"):
-            flash_crowd_scenario(line_topology, 20, waves=2, length=12)
-        # a single wave may run as long as it likes
-        flash_crowd_scenario(line_topology, 20, waves=1, length=18)
+    @pytest.mark.parametrize("waves", [1, 2, 3, 7])
+    def test_flash_crowd_waves_never_overlap(self, line_topology, waves):
+        """Each wave lasts half its stride, so it restores the base vector
+        before the next one crunches: the trace validates at every
+        length, and every wave starts from the base capacities."""
+        base = line_topology.capacities
+        for n_epochs in range(1, 25):
+            trace = flash_crowd_scenario(line_topology, n_epochs, waves=waves)
+            states = trace.states(line_topology)
+            crunches = [
+                e.epoch
+                for e in trace.events
+                if not np.array_equal(e.capacities, base)
+            ]
+            for epoch in crunches:
+                assert np.all(states[epoch - 1].capacities == base)
 
     def test_mixed_scenario_is_shared_and_deterministic(self, line_topology):
         """The CLI's --scenario mixed and fig_dyn replay one definition."""
@@ -348,8 +355,7 @@ class TestPolicies:
             ],
         )
         result = replay(
-            clustered_topology, GRID, trace, policies=(CLAIRVOYANT,),
-            include_clairvoyant=False,
+            clustered_topology, GRID, trace, policies=(CLAIRVOYANT,)
         )
         series = result.series[CLAIRVOYANT]
         assert list(series.infeasible) == [False, True, True, False]
@@ -362,10 +368,7 @@ class TestReplayValidation:
     def test_needs_a_policy(self, clustered_topology):
         trace = ScenarioTrace(clustered_topology.n_nodes, 2)
         with pytest.raises(DynamicsError):
-            replay(
-                clustered_topology, GRID, trace, policies=(),
-                include_clairvoyant=False,
-            )
+            replay(clustered_topology, GRID, trace, policies=())
 
     def test_periodic_one_folds_into_clairvoyant(self, clustered_topology):
         """periodic:1 *is* the per-epoch re-optimizer: listing it must not
@@ -571,7 +574,7 @@ class TestIncrementalVsCold:
         self, clustered_topology, lp_backend, monkeypatch
     ):
         trace = _mixed_trace(clustered_topology)
-        kwargs = dict(policies=(CLAIRVOYANT,), include_clairvoyant=False)
+        kwargs = dict(policies=(CLAIRVOYANT,))
         warm = replay(clustered_topology, GRID, trace, **kwargs)
         cold = _cold_replay(
             monkeypatch, clustered_topology, GRID, trace, **kwargs
@@ -592,10 +595,7 @@ class TestIncrementalVsCold:
         self, clustered_topology, lp_backend, monkeypatch
     ):
         trace = _mixed_trace(clustered_topology)
-        kwargs = dict(
-            policies=("static", "periodic:2", "threshold:0.05"),
-            include_clairvoyant=False,
-        )
+        kwargs = dict(policies=("static", "periodic:2", "threshold:0.05"))
         warm = replay(clustered_topology, GRID, trace, **kwargs)
         cold = _cold_replay(
             monkeypatch, clustered_topology, GRID, trace, **kwargs
@@ -618,12 +618,9 @@ class TestSimulatePlacements:
     def test_one_conserving_row_per_segment(self, clustered_topology):
         trace = _mixed_trace(clustered_topology)
         result = replay(
-            clustered_topology, GRID, trace, policies=("static",),
-            include_clairvoyant=False,
+            clustered_topology, GRID, trace, policies=("static",)
         )
-        rows = simulate_placements(
-            clustered_topology, GRID, trace, result, duration_ms=500.0
-        )
+        rows = simulate_placements(clustered_topology, GRID, trace, result)
         assert [row["segment"] for row in rows] == list(result.segments)
         states = trace.states(clustered_topology)
         for row in rows:

@@ -21,7 +21,6 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import (
     ExplicitStrategy,
     ThresholdBalancedStrategy,
-    ThresholdClosestStrategy,
 )
 from repro.errors import SimulationError
 from repro.network.generators import synthetic_wan
@@ -107,11 +106,13 @@ class TestLowLoadEquivalence:
         self, planetlab
     ):
         """Closest is deterministic per client node, so the only noise is
-        which node each arrival lands on — tighter tolerance applies."""
+        which node each arrival lands on — tighter tolerance applies. The
+        simulators take it in its explicit form, a point mass per client
+        over the enumerated quorums."""
         placed = _threshold_placed(planetlab)
         ev, fl = _run_both(
             placed,
-            ThresholdClosestStrategy(),
+            ExplicitStrategy.closest(placed),
             service_time_ms=0.0,
             seed=2,
             arrivals=PoissonArrivals(rate_per_ms=0.5, seed=3),
@@ -213,9 +214,10 @@ class TestFluidDeterminism:
         a, b = self._run(placed, 13), self._run(placed, 14)
         assert a.stats.mean_response_ms != b.stats.mean_response_ms
 
-    def test_coalesce_matches_events(self, planetlab):
-        """Many-to-one placements coalesce per-node requests; both
-        backends must agree on the coalesced load accounting."""
+    def test_many_to_one_matches_events(self, planetlab):
+        """Many-to-one placements charge a node one service unit per
+        element it hosts; both backends must agree on that load
+        accounting."""
         system = GridQuorumSystem(2)
         sites = np.argsort(planetlab.mean_distances())[:2]
         placed = PlacedQuorumSystem(
@@ -230,7 +232,6 @@ class TestFluidDeterminism:
             service_time_ms=1.0,
             seed=31,
             arrivals=PoissonArrivals(rate_per_ms=0.4, seed=32),
-            coalesce=True,
         )
         assert fl.stats.mean_response_ms == pytest.approx(
             ev.stats.mean_response_ms, rel=0.10

@@ -34,6 +34,9 @@ from repro.dynamics.controller import AdaptiveController, parse_policy
 from repro.dynamics.telemetry import (
     _ARRIVAL_SEED_OFFSET,
     _MIN_CAPACITY,
+    PROBE_MS,
+    PROBE_RATE_PER_MS,
+    PROBE_SERVICE_TIME_MS,
     TelemetryConfig,
 )
 from repro.errors import PlacementError, SimulationError
@@ -84,28 +87,20 @@ def reference_blocks(sim, op_node, rng):
         blocks = []
         for i, ops in _group_by(quorum_of_op):
             nodes, mult = counts[i]
-            units = np.ones_like(mult) if sim._coalesce else mult
             blocks.append(
-                (ops, np.broadcast_to(nodes, (ops.size, nodes.size)), units)
+                (ops, np.broadcast_to(nodes, (ops.size, nodes.size)), mult)
             )
         return blocks
+    assert isinstance(strategy, ThresholdBalancedStrategy)
     support = placed.placement.support_set
     n, q = placed.system.universe_size, placed.system.quorum_size
-    if isinstance(strategy, ThresholdBalancedStrategy):
-        keys = rng.random((op_node.size, n))
-        subsets = np.argpartition(keys, q - 1, axis=1)[:, :q]
-        return [(np.arange(op_node.size), support[subsets], one)]
-    blocks = []
-    for v, ops in _group_by(op_node):
-        chosen = np.argsort(placed.support_distances[v], kind="stable")[:q]
-        fixed = support[chosen]
-        blocks.append((ops, np.broadcast_to(fixed, (ops.size, q)), one))
-    return blocks
+    keys = rng.random((op_node.size, n))
+    subsets = np.argpartition(keys, q - 1, axis=1)[:, :q]
+    return [(np.arange(op_node.size), support[subsets], one)]
 
 
 def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
     rtt = sim.placed.topology.rtt
-    jitter_ms = sim.network_jitter_ms
     service_times = sim.service_times
     horizon = float(duration_ms)
     times = sim.arrivals.sample_until(duration_ms)
@@ -130,8 +125,6 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
         one_way = rtt[op_node[ops][:, None], servers] / 2.0
         net_delay[ops] = one_way.max(axis=1) * 2.0
         arrive = times[ops][:, None] + one_way
-        if jitter_ms > 0:
-            arrive = arrive + rng.exponential(jitter_ms, size=(k, width))
         req_server[offset:stop] = servers.ravel()
         req_one_way[offset:stop] = one_way.ravel()
         req_arrive[offset:stop] = arrive.ravel()
@@ -161,8 +154,6 @@ def reference_run_fluid(sim, duration_ms, warmup_ms=0.0):
     departure[order] = dep_sorted
 
     reply = departure + req_one_way
-    if jitter_ms > 0:
-        reply = reply + rng.exponential(jitter_ms, size=total)
 
     telemetry = None
     if sim.collect_telemetry:
@@ -286,16 +277,15 @@ def _explicit(placed, seed):
 CASES = {
     "explicit_1to1": ("grid_1to1", "explicit", {}),
     "explicit_many": ("grid_many", "explicit", {}),
-    "explicit_many_coalesce": ("grid_many", "explicit", {"coalesce": True}),
     "explicit_variable_per_node_service": (
         "variable_many",
         "explicit",
         {"service_time_ms": "per_node"},
     ),
-    "explicit_jitter_telemetry": (
+    "explicit_telemetry": (
         "grid_1to1",
         "explicit",
-        {"network_jitter_ms": 3.0, "collect_telemetry": True},
+        {"collect_telemetry": True},
     ),
     "explicit_repeated_clients": (
         "grid_many",
@@ -303,7 +293,7 @@ CASES = {
         {"client_nodes": [4, 4, 2, 9, 4, 2, 0], "warmup_ms": 150.0},
     ),
     "uniform_1to1": ("grid_1to1", "uniform", {"collect_telemetry": True}),
-    "balanced": ("threshold", "balanced", {"network_jitter_ms": 2.0}),
+    "balanced": ("threshold", "balanced", {}),
     "closest_per_node_service": (
         "threshold",
         "closest",
@@ -325,7 +315,8 @@ def _simulation(name, seed=3):
         "explicit": lambda: _explicit(placed, seed),
         "uniform": lambda: ExplicitStrategy.uniform(placed),
         "balanced": ThresholdBalancedStrategy,
-        "closest": ThresholdClosestStrategy,
+        # The closest strategy in the explicit form the simulators take.
+        "closest": lambda: ExplicitStrategy.closest(placed),
     }[strategy_kind]()
     kwargs = dict(overrides)
     warmup_ms = kwargs.pop("warmup_ms", 0.0)
@@ -365,7 +356,7 @@ def test_chunked_quorum_lookup_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_run_fluid_bit_identical_across_seeds(seed):
-    sim, _ = _simulation("explicit_jitter_telemetry", seed=seed)
+    sim, _ = _simulation("explicit_telemetry", seed=seed)
     assert_dataclass_bits_equal(
         sim.run(duration_ms=600.0), reference_run_fluid(sim, 600.0)
     )
@@ -536,11 +527,13 @@ def test_unsupported_strategy_rejected_at_construction(backend):
     class UnknownStrategy:
         pass
 
+    # The closest strategy is evaluated analytically, never simulated.
     threshold = _placed("threshold", _topology(12, 0), 0)
-    with pytest.raises(SimulationError, match="unsupported strategy"):
-        GenericQuorumSimulation(
-            threshold, UnknownStrategy(), arrivals=arrivals, backend=backend
-        )
+    for strategy in (UnknownStrategy(), ThresholdClosestStrategy()):
+        with pytest.raises(SimulationError, match="unsupported strategy"):
+            GenericQuorumSimulation(
+                threshold, strategy, arrivals=arrivals, backend=backend
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +592,7 @@ def test_with_topology_rejects_another_node_count():
 # ---------------------------------------------------------------------------
 # The closed-loop probe across epochs
 # ---------------------------------------------------------------------------
-def reference_probe_epoch(placed, strategy, rtt, capacities, config, seed):
+def reference_probe_epoch(placed, strategy, rtt, capacities, seed):
     """The probe with a freshly built placed system and reference sim."""
     caps = np.maximum(np.asarray(capacities, dtype=np.float64), _MIN_CAPACITY)
     probe_placed = PlacedQuorumSystem(
@@ -610,15 +603,15 @@ def reference_probe_epoch(placed, strategy, rtt, capacities, config, seed):
     sim = GenericQuorumSimulation(
         probe_placed,
         strategy,
-        service_time_ms=config.service_time_ms / caps,
+        service_time_ms=PROBE_SERVICE_TIME_MS / caps,
         seed=seed,
         arrivals=PoissonArrivals(
-            rate_per_ms=config.rate_per_ms, seed=seed + _ARRIVAL_SEED_OFFSET
+            rate_per_ms=PROBE_RATE_PER_MS, seed=seed + _ARRIVAL_SEED_OFFSET
         ),
         backend="fluid",
         collect_telemetry=True,
     )
-    return reference_run_fluid(sim, config.probe_ms).telemetry
+    return reference_run_fluid(sim, PROBE_MS).telemetry
 
 
 def _segment(probe, monkeypatch):
@@ -633,7 +626,7 @@ def _segment(probe, monkeypatch):
     controller = AdaptiveController(
         placed,
         parse_policy("threshold:0.02"),
-        telemetry=TelemetryConfig(noise=0.05, rate_per_ms=0.4, seed=5),
+        telemetry=TelemetryConfig(noise=0.05, seed=5),
     )
     epochs = 8
     factors = rng.uniform(0.7, 1.4, size=(epochs, 14))

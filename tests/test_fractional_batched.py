@@ -25,7 +25,6 @@ from repro.placement.fractional import (
     FractionalPlacement,
     FractionalProgram,
     element_loads_of_strategy,
-    fractional_placement,
 )
 from repro.placement.many_to_one import (
     best_many_to_one_placement,
@@ -140,14 +139,15 @@ class TestAssemblyIdentity:
         )
 
     def test_zero_load_elements_keep_matrix_identical(self, planetlab):
-        """A point-mass strategy zeroes most element loads; the zero
-        entries must stay explicitly stored, exactly as the loop path
-        stores them."""
+        """A point-mass strategy zeroes most element loads; after the
+        in-place update the zero entries must stay explicitly stored,
+        exactly as the loop path stores them."""
         p = np.zeros(GRID.num_quorums)
         p[2] = 1.0
         loads = element_loads_of_strategy(GRID, p)
         assert np.count_nonzero(loads == 0.0) > 0  # the edge case is real
-        program = FractionalProgram(planetlab, GRID, v0=3, strategy=p)
+        program = FractionalProgram(planetlab, GRID, v0=3)
+        program.solve(strategy=p)
         ref = _loop_arrays(planetlab, GRID, 3, strategy=p)
         _assert_arrays_identical(ref, program._batched.arrays)
 
@@ -211,10 +211,12 @@ class TestObjectiveEquivalence:
         assert np.array_equal(mutated.element_loads, loop.element_loads)
         assert mutated.objective == pytest.approx(loop.objective, abs=1e-9)
 
-    def test_one_shot_wrapper_honors_strategy(self, planetlab):
+    def test_fresh_program_honors_request_strategy(self, planetlab):
+        """A program built from (topology, system, v0) alone answers a
+        strategy request as the cold reference built with it does."""
         p = np.zeros(GRID.num_quorums)
         p[1] = 1.0
-        batched = fractional_placement(planetlab, GRID, 5, strategy=p)
+        batched = FractionalProgram(planetlab, GRID, 5).solve(strategy=p)
         loop = fractional_placement_loop(planetlab, GRID, 5, strategy=p)
         assert batched.objective == pytest.approx(loop.objective, abs=1e-9)
         assert np.array_equal(batched.element_loads, loop.element_loads)

@@ -11,7 +11,6 @@ from repro.core.response_time import evaluate
 from repro.core.strategy import (
     ExplicitStrategy,
     ThresholdBalancedStrategy,
-    ThresholdClosestStrategy,
 )
 from repro.errors import SimulationError
 from repro.quorums.grid import GridQuorumSystem
@@ -147,7 +146,9 @@ class TestModelCrossValidation:
         assert np.allclose(observed, expected, atol=0.02)
 
     def test_threshold_closest_deterministic_quorum(self, maj_placed):
-        strategy = ThresholdClosestStrategy()
+        """The closest strategy reaches the simulator in its explicit form
+        (a point mass per client over the enumerated quorums)."""
+        strategy = ExplicitStrategy.closest(maj_placed)
         sim = GenericQuorumSimulation(
             maj_placed,
             strategy,
@@ -195,26 +196,6 @@ class TestQueueingBehaviour:
         assert spread(ExplicitStrategy.uniform(grid2_placed)) <= spread(
             ExplicitStrategy.closest(grid2_placed)
         )
-
-    def test_coalescing_reduces_work(self, line_topology):
-        placed = PlacedQuorumSystem(
-            GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
-        )
-        strategy = ExplicitStrategy.uniform(placed)
-
-        def utilization(coalesce):
-            sim = GenericQuorumSimulation(
-                placed,
-                strategy,
-                client_nodes=np.arange(10),
-                service_time_ms=1.0,
-                coalesce=coalesce,
-                seed=4,
-            )
-            result = sim.run(duration_ms=3000.0, warmup_ms=300.0)
-            return result.server_utilizations.mean()
-
-        assert utilization(True) < utilization(False)
 
     def test_deterministic_given_seed(self, grid2_placed):
         def run_once():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import PlacementError
 from repro.network.generators import synthetic_wan
+from repro.placement import hierarchical
 from repro.placement.hierarchical import (
     cluster_sites,
     hierarchical_best_placement,
@@ -79,14 +80,14 @@ class TestExactFallThrough:
         assert hier.delays_by_candidate == exhaustive.delays_by_candidate
         assert hier.medoids == ()
 
-    def test_threshold_is_inclusive(self, planetlab, system):
-        at = hierarchical_best_placement(
-            planetlab, system, exact_threshold=planetlab.n_nodes
-        )
+    def test_threshold_is_inclusive(self, planetlab, system, monkeypatch):
+        monkeypatch.setattr(hierarchical, "EXACT_THRESHOLD", planetlab.n_nodes)
+        at = hierarchical_best_placement(planetlab, system)
         assert at.exhaustive
-        below = hierarchical_best_placement(
-            planetlab, system, exact_threshold=planetlab.n_nodes - 1
+        monkeypatch.setattr(
+            hierarchical, "EXACT_THRESHOLD", planetlab.n_nodes - 1
         )
+        below = hierarchical_best_placement(planetlab, system)
         assert not below.exhaustive
 
 
@@ -122,25 +123,22 @@ class TestHierarchicalSearch:
         assert serial.avg_network_delay == parallel.avg_network_delay
         assert serial.delays_by_candidate == parallel.delays_by_candidate
 
-    def test_never_worse_than_coarse_medoids(self, wan300, system):
+    def test_never_worse_than_coarse_medoids(
+        self, wan300, system, monkeypatch
+    ):
         """Medoids stay in the refined pool, so the result can't be
         worse than the best medoid-only placement."""
-        hier = hierarchical_best_placement(wan300, system, refine_top=1)
+        monkeypatch.setattr(hierarchical, "REFINE_TOP", 1)
+        hier = hierarchical_best_placement(wan300, system)
         coarse = best_placement(
             wan300, system, candidates=np.asarray(hier.medoids)
         )
         assert hier.avg_network_delay <= coarse.avg_network_delay
 
-    def test_refine_top_widens_the_pool(self, wan300, system):
-        narrow = hierarchical_best_placement(wan300, system, refine_top=1)
-        wide = hierarchical_best_placement(wan300, system, refine_top=4)
+    def test_refine_top_widens_the_pool(self, wan300, system, monkeypatch):
+        monkeypatch.setattr(hierarchical, "REFINE_TOP", 1)
+        narrow = hierarchical_best_placement(wan300, system)
+        monkeypatch.setattr(hierarchical, "REFINE_TOP", 4)
+        wide = hierarchical_best_placement(wan300, system)
         assert wide.n_candidates > narrow.n_candidates
         assert wide.avg_network_delay <= narrow.avg_network_delay
-
-    def test_bad_parameters(self, wan300, system):
-        with pytest.raises(PlacementError):
-            hierarchical_best_placement(wan300, system, refine_top=0)
-        with pytest.raises(PlacementError):
-            hierarchical_best_placement(
-                wan300, system, exact_threshold=-1
-            )

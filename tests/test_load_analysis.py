@@ -7,7 +7,7 @@ from repro.errors import QuorumSystemError
 from repro.placement.fractional import element_loads_of_strategy
 from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.load_analysis import optimal_load
+from repro.quorums.load_analysis import _lp_optimal_load, optimal_load
 from repro.quorums.singleton import SingletonQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 
@@ -38,19 +38,19 @@ class TestLPCrossValidation:
     @pytest.mark.parametrize("n,q", [(3, 2), (5, 3), (7, 4)])
     def test_threshold_lp_matches_closed_form(self, n, q):
         qs = ThresholdQuorumSystem(n, q)
-        assert optimal_load(qs, use_lp=True).l_opt == pytest.approx(
+        assert _lp_optimal_load(qs).l_opt == pytest.approx(
             q / n, abs=1e-9
         )
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_grid_lp_matches_closed_form(self, k):
         g = GridQuorumSystem(k)
-        assert optimal_load(g, use_lp=True).l_opt == pytest.approx(
+        assert _lp_optimal_load(g).l_opt == pytest.approx(
             (2 * k - 1) / k**2, abs=1e-9
         )
 
     def test_lp_strategy_is_distribution(self):
-        analysis = optimal_load(GridQuorumSystem(3), use_lp=True)
+        analysis = _lp_optimal_load(GridQuorumSystem(3))
         assert analysis.strategy is not None
         assert analysis.strategy.sum() == pytest.approx(1.0)
         assert np.all(analysis.strategy >= -1e-9)
@@ -60,12 +60,12 @@ class TestLPCrossValidation:
         qs = EnumeratedQuorumSystem(
             [frozenset({0, 1}), frozenset({0, 2})], name="star"
         )
-        assert optimal_load(qs, use_lp=True).l_opt == pytest.approx(1.0)
+        assert _lp_optimal_load(qs).l_opt == pytest.approx(1.0)
 
     def test_non_enumerable_lp_rejected(self):
         qs = ThresholdQuorumSystem(49, 25)
         with pytest.raises(QuorumSystemError):
-            optimal_load(qs, use_lp=True)
+            _lp_optimal_load(qs)
 
 
 class TestLoadOfStrategy:

@@ -35,10 +35,6 @@ class TestPlanetlab50:
     def test_has_intercontinental_distances(self, planetlab):
         assert planetlab.rtt.max() > 150.0
 
-    def test_alternate_seed_differs(self, planetlab):
-        other = planetlab_50(seed=7)
-        assert not np.array_equal(planetlab.rtt, other.rtt)
-
 
 class TestDaxlist161:
     def test_size(self, daxlist):

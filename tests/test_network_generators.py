@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.network.generators import (
+    MIN_RTT_MS,
     WAN_CLUSTERS,
     ClusterSpec,
     _allocate_sites,
@@ -128,16 +129,17 @@ class TestGenerator:
         assert any(n.startswith("tiny-") for n in topo.names)
 
     def test_min_rtt_clamp(self):
+        """Co-located sites with no access delay or jitter sit at the
+        clamp, never at zero."""
         topo = generate_cluster_topology(
             15,
             [ClusterSpec("one", 0.0, 0.0, 0.0, 1.0)],
             seed=9,
             jitter_ms=0.0,
             access_delay_ms_range=(0.0, 0.0),
-            min_rtt_ms=2.5,
         )
         off_diag = topo.rtt[~np.eye(15, dtype=bool)]
-        assert off_diag.min() >= 2.5 - 1e-9
+        assert np.all(off_diag == MIN_RTT_MS)
 
     def test_bad_inflation_rejected(self):
         with pytest.raises(TopologyError):

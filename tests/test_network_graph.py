@@ -218,21 +218,10 @@ class TestMedianAndMeans:
         med = line_topology.median()
         assert med in (4, 5)  # both central nodes minimize the sum
 
-    def test_median_with_client_subset(self, line_topology):
-        assert line_topology.median(clients=[0, 1, 2]) == 1
-
     def test_mean_distances_row_means(self, line_topology):
         means = line_topology.mean_distances()
         manual = line_topology.rtt.mean(axis=0)
         assert np.allclose(means, manual)
-
-    def test_mean_distances_empty_clients_raises(self, line_topology):
-        with pytest.raises(TopologyError):
-            line_topology.mean_distances(clients=[])
-
-    def test_clustered_median_in_client_cluster(self, clustered_topology):
-        med = clustered_topology.median(clients=[0, 1, 2, 3, 4, 5])
-        assert med in range(6)
 
 
 class TestSubtopology:

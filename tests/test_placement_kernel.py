@@ -49,10 +49,6 @@ def reference_incidence_counts(placed):
     return a
 
 
-def reference_incidence_indicator(placed):
-    return (reference_incidence_counts(placed) > 0).astype(np.float64)
-
-
 def reference_max_over_quorums(placed, values):
     nodes = reference_placed_quorums(placed)
     k_max = max(q.size for q in nodes)
@@ -99,7 +95,7 @@ def reference_delay_matrix_for(placed, rtt):
     return reference_max_over_quorums(placed, np.asarray(rtt, dtype=np.float64))
 
 
-def reference_evaluate(placed, strategy, alpha, clients, coalesce):
+def reference_evaluate(placed, strategy, alpha, clients):
     """Equations (4.1)-(4.2), both components evaluated from scratch."""
     idx = (
         np.arange(placed.n_nodes)
@@ -108,19 +104,14 @@ def reference_evaluate(placed, strategy, alpha, clients, coalesce):
     )
     if isinstance(strategy, ExplicitStrategy):
         p = strategy.matrix
-        a = (
-            reference_incidence_indicator(placed)
-            if coalesce
-            else reference_incidence_counts(placed)
-        )
-        loads = p.mean(axis=0) @ a
+        loads = p.mean(axis=0) @ reference_incidence_counts(placed)
 
         def respond(costs):
             rho = reference_augmented(placed, costs)
             return np.einsum("vi,vi->v", p[idx], rho[idx])
 
     else:
-        loads = strategy.node_loads(placed, coalesce=coalesce)
+        loads = strategy.node_loads(placed)
 
         def respond(costs):
             return strategy.expected_response_times(placed, costs, idx)
@@ -251,9 +242,6 @@ def test_delay_matrices_bit_identical(case, data):
 def test_incidence_bit_identical(case):
     placed, _ = case
     assert_bits_equal(placed.incidence_counts, reference_incidence_counts(placed))
-    assert_bits_equal(
-        placed.incidence_indicator, reference_incidence_indicator(placed)
-    )
 
 
 @given(placed_systems(), st.data())
@@ -262,12 +250,9 @@ def test_evaluate_bit_identical(case, data):
     placed, rng = case
     alpha = data.draw(st.sampled_from([0.0, 0.7, 112.0]), label="alpha")
     clients = client_set(data.draw, placed, rng)
-    coalesce = data.draw(st.booleans(), label="coalesce")
     for strategy in strategies_for(placed, rng):
-        result = evaluate(
-            placed, strategy, alpha=alpha, clients=clients, coalesce=coalesce
-        )
-        expected = reference_evaluate(placed, strategy, alpha, clients, coalesce)
+        result = evaluate(placed, strategy, alpha=alpha, clients=clients)
+        expected = reference_evaluate(placed, strategy, alpha, clients)
         for field, value in expected.items():
             assert_bits_equal(getattr(result, field), value)
 

@@ -7,8 +7,8 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import InfeasibleError, PlacementError
 from repro.placement.filtering import lin_vitter_filter
 from repro.placement.fractional import (
+    FractionalProgram,
     element_loads_of_strategy,
-    fractional_placement,
 )
 from repro.placement.gap import round_fractional_placement
 from repro.placement.many_to_one import (
@@ -38,7 +38,7 @@ class TestFractionalPlacement:
         """With capacity >= total load on v0's node, everything sits on v0."""
         g = GridQuorumSystem(2)
         caps = np.full(10, 10.0)
-        frac = fractional_placement(line_topology, g, v0=4, capacities=caps)
+        frac = FractionalProgram(line_topology, g, 4).solve(capacities=caps)
         assert np.allclose(frac.x[:, 4], 1.0, atol=1e-6)
         assert frac.objective == pytest.approx(0.0, abs=1e-6)
 
@@ -47,20 +47,20 @@ class TestFractionalPlacement:
         # Element load under uniform = 0.75 each, total 3.0; capacity 1.0
         # per node forces at least 3 nodes.
         caps = np.ones(10)
-        frac = fractional_placement(line_topology, g, v0=4, capacities=caps)
+        frac = FractionalProgram(line_topology, g, 4).solve(capacities=caps)
         node_mass = (frac.x * 0.75).sum(axis=0)
         assert np.all(node_mass <= 1.0 + 1e-6)
 
     def test_rows_sum_to_one(self, line_topology):
         g = GridQuorumSystem(3)
-        frac = fractional_placement(line_topology, g, v0=0)
+        frac = FractionalProgram(line_topology, g, 0).solve()
         assert np.allclose(frac.x.sum(axis=1), 1.0, atol=1e-6)
 
     def test_infeasible_capacities(self, line_topology):
         g = GridQuorumSystem(2)
         caps = np.full(10, 0.1)  # total 1.0 < total load 3.0
         with pytest.raises(InfeasibleError):
-            fractional_placement(line_topology, g, v0=0, capacities=caps)
+            FractionalProgram(line_topology, g, 0).solve(capacities=caps)
 
     def test_objective_bounds_capacity_respecting_solutions(
         self, line_topology
@@ -69,7 +69,7 @@ class TestFractionalPlacement:
         placement (the rounded output may beat it by exceeding capacity)."""
         g = GridQuorumSystem(2)
         caps = np.ones(10)
-        frac = fractional_placement(line_topology, g, v0=4, capacities=caps)
+        frac = FractionalProgram(line_topology, g, 4).solve(capacities=caps)
         # One element per node is capacity-respecting (load 0.75 <= 1).
         for assignment in ([3, 4, 5, 6], [0, 1, 2, 3], [4, 5, 6, 7]):
             placed = PlacedQuorumSystem(
@@ -81,11 +81,11 @@ class TestFractionalPlacement:
     def test_non_enumerable_rejected(self, line_topology):
         qs = ThresholdQuorumSystem(49, 25)
         with pytest.raises(PlacementError):
-            fractional_placement(line_topology, qs, v0=0)
+            FractionalProgram(line_topology, qs, 0)
 
     def test_bad_v0_rejected(self, line_topology):
         with pytest.raises(PlacementError):
-            fractional_placement(line_topology, GridQuorumSystem(2), v0=99)
+            FractionalProgram(line_topology, GridQuorumSystem(2), 99)
 
 
 class TestLinVitterFilter:

@@ -42,15 +42,6 @@ class TestMajorityBall:
         assert 1 not in placement.assignment
         assert 2 not in placement.assignment
 
-    def test_capacity_filter_disabled(self, line_topology):
-        caps = np.full(10, 0.01)
-        topo = line_topology.with_capacities(caps)
-        maj = ThresholdQuorumSystem(5, 3)
-        placement = majority_ball_placement(
-            topo, maj, v0=0, respect_capacities=False
-        )
-        assert sorted(placement.assignment) == [0, 1, 2, 3, 4]
-
     def test_under_capacity_v0_hosts_nothing(self, line_topology):
         """Section 4.1.1's bound holds for ``v0`` too: an under-capacity
         designated client is skipped, its nearest eligible nodes host."""
@@ -245,25 +236,13 @@ class TestCapacityConstraint:
         ):
             best_placement(line_topology, ThresholdQuorumSystem(11, 6))
 
-    @pytest.mark.parametrize("respect_capacities", [True, False])
-    def test_grid_larger_than_topology(self, planetlab, respect_capacities):
+    def test_grid_larger_than_topology(self, planetlab):
         with pytest.raises(
             PlacementError,
             match="^Grid 8x8 has 64 elements but the topology has only "
             "50 nodes$",
         ):
-            best_placement(
-                planetlab,
-                GridQuorumSystem(8),
-                respect_capacities=respect_capacities,
-            )
-
-    def test_capacities_ignored_on_request(self, starved, planetlab):
-        grid = GridQuorumSystem(3)
-        ignored = best_placement(starved, grid, respect_capacities=False)
-        uniform = best_placement(planetlab, grid)
-        assert ignored.v0 == uniform.v0
-        assert ignored.delays_by_candidate == uniform.delays_by_candidate
+            best_placement(planetlab, GridQuorumSystem(8))
 
     def test_disconnected_topology_rejected(self):
         """Under metric closure a zero RTT is a missing link; two components

@@ -263,8 +263,8 @@ def test_many_to_one_delay_within_lin_vitter_radius(case, eps):
     rounded single-client delay ``sum_i p_i max_{u in Q_i} d(v0, f(u))``
     is at most ``(1 + eps)`` times the fractional objective."""
     topo, system, v0, p, caps = case
-    program = FractionalProgram(topo, system, v0, capacities=caps, strategy=p)
-    objective = program.solve().objective
+    program = FractionalProgram(topo, system, v0)
+    objective = program.solve(capacities=caps, strategy=p).objective
     placement = many_to_one_placement(
         topo, system, v0, capacities=caps, strategy=p, eps=eps,
         program=program,

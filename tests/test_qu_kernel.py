@@ -10,7 +10,7 @@ pushed under the sequence number the reply that arrives last reserved
 when it was sent (:meth:`Simulator.reserve`). Below that,
 :class:`~repro.qu.timestamps.QUTimestamp` orders natively as a
 ``dataclass(order=True)``, :class:`~repro.qu.objects.ReplicaHistory`
-keeps its latest candidate and prunes itself on ``accept``,
+keeps only its latest candidate, updated on ``accept``,
 :meth:`Simulator.schedule` pushes onto the heap directly, and
 :meth:`SimNetwork.message_delay` reads one-way delays from a per-source
 memo.
@@ -20,13 +20,14 @@ those replaced: a request object per server and a reply message with a
 one-candidate history copy per server, each reply its own delivery event
 that the client files in a dict; ``total_ordering`` timestamps compared
 through ``_key``; a history whose ``latest`` is a ``max`` over every
-candidate and which the server prunes every 64th request; ``schedule``
-re-validating through ``schedule_reserved`` and ``send`` through
-``one_way_delay``. Every run must match it byte for byte: the same
-records, utilizations, messages, retries and final clock, the same random
-draws in the same order, and the same FIFO and tie order. The event count
-differs by exactly the formula in :func:`_assert_same_run`. Any other
-difference is a bug, not rounding.
+candidate it keeps; ``schedule`` re-validating through
+``schedule_reserved`` and ``send`` through ``one_way_delay``. Every run
+must match it byte for byte: the same records, utilizations, messages and
+final clock, the same random draws in the same order, and the same FIFO
+and tie order. The event count differs by exactly the formula in
+:func:`_assert_same_run`. Any other difference is a bug, not rounding.
+Each client writes its own object, so no quorum ever disagrees; both
+paths raise if one does.
 """
 
 import dataclasses
@@ -45,7 +46,7 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
 from repro.network.graph import Topology
-from repro.qu.objects import KEEP_LAST, Candidate, ReplicaHistory
+from repro.qu.objects import Candidate, ReplicaHistory
 from repro.qu.service import QUService
 from repro.qu.timestamps import QUTimestamp
 from repro.quorums.threshold import ThresholdQuorumSystem
@@ -60,14 +61,13 @@ from repro.sim.network import SimNetwork
 # Reference protocol state (total_ordering timestamps, max-scan histories)
 # ---------------------------------------------------------------------------
 def _key(ts):
-    return (ts.time, int(ts.barrier), ts.client_id, ts.op_seq)
+    return (ts.time, ts.client_id, ts.op_seq)
 
 
 @total_ordering
 @dataclasses.dataclass(frozen=True)
 class RefTimestamp:
     time: int = 0
-    barrier: bool = False
     client_id: int = -1
     op_seq: int = -1
 
@@ -78,8 +78,7 @@ class RefTimestamp:
 
     def next_for(self, client_id, op_seq):
         return RefTimestamp(
-            time=self.time + 1, barrier=False,
-            client_id=client_id, op_seq=op_seq,
+            time=self.time + 1, client_id=client_id, op_seq=op_seq
         )
 
     @classmethod
@@ -93,8 +92,9 @@ def _max_scan(candidates):
 
 @dataclasses.dataclass
 class RefHistory:
+    """Every accepted candidate; ``latest`` scans them all (first of ties)."""
+
     candidates: list = dataclasses.field(default_factory=list)
-    pruned_below: object = dataclasses.field(default_factory=RefTimestamp.zero)
 
     def __post_init__(self):
         if not self.candidates:
@@ -108,18 +108,6 @@ class RefHistory:
 
     def accept(self, candidate):
         self.candidates.append(candidate)
-
-    def prune(self, keep_last=KEEP_LAST):
-        if len(self.candidates) <= keep_last:
-            return
-        self.candidates.sort(key=lambda c: _key(c.timestamp))
-        dropped = self.candidates[:-keep_last]
-        self.candidates = self.candidates[-keep_last:]
-        self.pruned_below = max(
-            self.pruned_below,
-            max((c.timestamp for c in dropped), key=_key),
-            key=_key,
-        )
 
     def copy_latest(self):
         return RefHistory(candidates=[self.latest])
@@ -166,8 +154,6 @@ def _ref_run(self, until=None, max_events=None):
 
 def _ref_send(self, src, dst, payload, on_delivery):
     delay = self.one_way_delay(src, dst)
-    if self._jitter_ms > 0:
-        delay += float(self._rng.exponential(self._jitter_ms))
     self.messages_sent += 1
     # A partial, as SimNetwork.send schedules: the generic simulator finds
     # the deliveries still on the wire at the horizon by their callback.
@@ -184,16 +170,12 @@ def _reference_engine(monkeypatch):
 # Reference Q/U path: every request and every reply is a message and an
 # event of its own, with a request and a reply history copy per server
 # ---------------------------------------------------------------------------
-_REF_PRUNE_EVERY = 64
-
-
 @dataclasses.dataclass
 class RefRequest:
     client_id: int
     op_seq: int
     object_id: int
     condition_on: object
-    is_write: bool
     sent_at_ms: float
     arrived_at_ms: float = -1.0
 
@@ -245,26 +227,21 @@ class RefServer:
             history = self._store[request.object_id] = RefHistory()
         latest = history.latest
         accepted = True
-        if request.is_write:
-            if latest.timestamp <= request.condition_on:
-                if latest.timestamp < request.condition_on:
-                    history.accept(
-                        Candidate(
-                            timestamp=request.condition_on,
-                            value=request.op_seq - 1,
-                        )
-                    )
-                new_ts = request.condition_on.next_for(
-                    request.client_id, request.op_seq
-                )
+        if latest.timestamp <= request.condition_on:
+            if latest.timestamp < request.condition_on:
                 history.accept(
-                    Candidate(timestamp=new_ts, value=request.op_seq)
+                    Candidate(
+                        timestamp=request.condition_on,
+                        value=request.op_seq - 1,
+                    )
                 )
-            else:
-                accepted = False
+            new_ts = request.condition_on.next_for(
+                request.client_id, request.op_seq
+            )
+            history.accept(Candidate(timestamp=new_ts, value=request.op_seq))
+        else:
+            accepted = False
         self.requests_processed += 1
-        if self.requests_processed % _REF_PRUNE_EVERY == 0:
-            history.prune()
         reply = RefReply(
             server_id=self.server_id,
             client_id=request.client_id,
@@ -284,8 +261,7 @@ class RefServer:
 class RefClient:
     def __init__(
         self, client_id, node, sim, send_request, rtt_to_server,
-        n_servers, quorum_size, seed, object_id=None, think_time_ms=0.0,
-        max_retries=64, backoff_base_ms=2.0,
+        n_servers, quorum_size, seed,
     ):
         self.client_id = client_id
         self.node = node
@@ -295,19 +271,14 @@ class RefClient:
         self._n_servers = n_servers
         self._quorum_size = quorum_size
         self._rng = np.random.default_rng(seed)
-        self.object_id = client_id if object_id is None else object_id
-        self._think_time_ms = think_time_ms
-        self._max_retries = max_retries
-        self._backoff_base_ms = backoff_base_ms
+        self.object_id = client_id
         self._op_seq = 0
         self._condition_on = RefTimestamp.zero()
         self._pending_quorum = []
         self._replies = {}
-        self._first_issued_at_ms = 0.0
-        self._retries = 0
+        self._issued_at_ms = 0.0
         self._running = False
         self.records = []
-        self.retries_total = 0
         self.replies_delivered = 0
 
     def start(self, initial_delay_ms=0.0):
@@ -317,14 +288,12 @@ class RefClient:
     def stop(self):
         self._running = False
 
-    def _issue(self, is_retry=False):
+    def _issue(self):
         if not self._running:
             return
         now = self._sim.now
-        if not is_retry:
-            self._op_seq += 1
-            self._retries = 0
-            self._first_issued_at_ms = now
+        self._op_seq += 1
+        self._issued_at_ms = now
         self._pending_quorum = self._rng.choice(
             self._n_servers, size=self._quorum_size, replace=False
         ).tolist()
@@ -335,7 +304,6 @@ class RefClient:
                 op_seq=self._op_seq,
                 object_id=self.object_id,
                 condition_on=self._condition_on,
-                is_write=True,
                 sent_at_ms=now,
             )
             self._send_request(request, server_id)
@@ -357,35 +325,21 @@ class RefClient:
             [r.history for r in self._replies.values()]
         )
         all_accepted = all(r.accepted for r in self._replies.values())
-        if status == "complete" and all_accepted:
-            self._condition_on = top.timestamp
-            self.records.append(
-                OperationRecord(
-                    client_id=self.client_id,
-                    client_node=self.node,
-                    issued_at_ms=self._first_issued_at_ms,
-                    completed_at_ms=self._sim.now,
-                    network_delay_ms=max(
-                        self._server_rtt[s] for s in self._pending_quorum
-                    ),
-                )
-            )
-            if self._think_time_ms > 0:
-                self._sim.schedule(self._think_time_ms, self._issue)
-            else:
-                self._issue()
-            return
+        if status != "complete" or not all_accepted:
+            raise SimulationError(f"client {self.client_id} contended")
         self._condition_on = top.timestamp
-        self._retries += 1
-        self.retries_total += 1
-        if self._retries > self._max_retries:
-            raise SimulationError(
-                f"client {self.client_id} exceeded {self._max_retries} "
-                "retries; workload is livelocked"
+        self.records.append(
+            OperationRecord(
+                client_id=self.client_id,
+                client_node=self.node,
+                issued_at_ms=self._issued_at_ms,
+                completed_at_ms=self._sim.now,
+                network_delay_ms=max(
+                    self._server_rtt[s] for s in self._pending_quorum
+                ),
             )
-        scale = self._backoff_base_ms * (2.0 ** min(self._retries, 8))
-        backoff = float(self._rng.uniform(0.0, scale))
-        self._sim.schedule(backoff, lambda: self._issue(True))
+        )
+        self._issue()
 
 
 class RefService(QUService):
@@ -396,13 +350,12 @@ class RefService(QUService):
     """
 
     def __init__(
-        self, topology, server_nodes, quorum_size, sim=None,
-        service_time_ms=1.0, network_jitter_ms=0.0, seed=0,
+        self, topology, server_nodes, quorum_size, service_time_ms=1.0,
+        seed=0,
     ):
         super().__init__(
-            topology, server_nodes, quorum_size, sim=sim,
-            service_time_ms=service_time_ms,
-            network_jitter_ms=network_jitter_ms, seed=seed,
+            topology, server_nodes, quorum_size,
+            service_time_ms=service_time_ms, seed=seed,
         )
         self.servers = [
             RefServer(
@@ -424,7 +377,7 @@ class RefService(QUService):
         server = self.servers[reply.server_id]
         self.network.send(server.node, client.node, reply, client.on_reply)
 
-    def add_client(self, node, object_id=None, think_time_ms=0.0):
+    def add_client(self, node):
         client_id = len(self.clients)
         server_nodes = [s.node for s in self.servers]
         client = RefClient(
@@ -438,8 +391,6 @@ class RefService(QUService):
             n_servers=len(self.servers),
             quorum_size=self.quorum_size,
             seed=self._seed * 100_003 + 7919 * client_id,
-            object_id=object_id,
-            think_time_ms=think_time_ms,
         )
         self.clients.append(client)
         return client
@@ -499,7 +450,6 @@ def _service_outcome(service):
     return (
         np.float64(service.sim.now).tobytes(),
         service.network.messages_sent,
-        [c.retries_total for c in service.clients],
         _record_bytes(service.all_records()),
         service.server_utilizations().tobytes(),
     )
@@ -511,13 +461,11 @@ def _assert_same_run(new, ref):
     Everything but the event count is byte-equal. The reference processed
     one event per reply delivery; ``new`` processes none of those and one
     completion event per finished attempt instead, which is a recorded
-    operation or a retry.
+    operation.
     """
     assert _service_outcome(new) == _service_outcome(ref)
     replies = sum(c.replies_delivered for c in ref.clients)
-    attempts = sum(
-        c.operations_completed + c.retries_total for c in new.clients
-    )
+    attempts = sum(c.operations_completed for c in new.clients)
     assert new.sim.events_processed == (
         ref.sim.events_processed - replies + attempts
     )
@@ -527,9 +475,8 @@ def _assert_same_run(new, ref):
 # Timestamp ordering
 # ---------------------------------------------------------------------------
 _GRID = [
-    QUTimestamp(time=t, barrier=b, client_id=c, op_seq=s)
+    QUTimestamp(time=t, client_id=c, op_seq=s)
     for t in (0, 1, 2)
-    for b in (False, True)
     for c in (-1, 0, 3)
     for s in (-1, 2)
 ]
@@ -555,7 +502,7 @@ def test_timestamp_order_matches_key(op):
 
 
 def _as_ref(ts):
-    return RefTimestamp(ts.time, ts.barrier, ts.client_id, ts.op_seq)
+    return RefTimestamp(ts.time, ts.client_id, ts.op_seq)
 
 
 def test_timestamp_max_and_sort_match_key():
@@ -565,82 +512,49 @@ def test_timestamp_max_and_sort_match_key():
 
 
 def test_timestamp_hash_and_next_for_unchanged():
-    ts = QUTimestamp(time=4, barrier=True, client_id=2, op_seq=9)
-    assert hash(ts) == hash(QUTimestamp(4, True, 2, 9))
-    assert ts.next_for(5, 11) == QUTimestamp(5, False, 5, 11)
-    assert QUTimestamp.zero() == QUTimestamp(0, False, -1, -1)
+    ts = QUTimestamp(time=4, client_id=2, op_seq=9)
+    assert hash(ts) == hash(QUTimestamp(4, 2, 9))
+    assert ts.next_for(5, 11) == QUTimestamp(5, 5, 11)
+    assert QUTimestamp.zero() == QUTimestamp(0, -1, -1)
     with pytest.raises(TypeError):
-        _ = ts < (4, True, 2, 9)
+        _ = ts < (4, 2, 9)
 
 
 # ---------------------------------------------------------------------------
-# ReplicaHistory: cached latest == max-scan, bounded on accept
+# ReplicaHistory: the kept latest == the max-scan over every candidate
 # ---------------------------------------------------------------------------
 _SMALL_TS = st.builds(
     QUTimestamp,
     time=st.integers(0, 3),
-    barrier=st.booleans(),
     client_id=st.integers(0, 2),
     op_seq=st.integers(0, 1),
 )
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("accept"), _SMALL_TS),
-        st.tuples(st.just("prune"), st.integers(1, 2 * KEEP_LAST + 2)),
-    ),
-    max_size=60,
-)
 
 
-def _check_history_ops(history_cls, initial, ops):
-    """Drive ``history_cls`` and the max-scan reference through ``ops``.
-
-    The reference applies the same bound (prune once more than
-    ``2 * KEEP_LAST`` candidates) explicitly, so both hold the same
-    candidate objects in the same order after every step and ``latest``
-    must be the very object the max-scan returns.
-    """
-    history = history_cls(candidates=list(initial))
-    reference = RefHistory(candidates=list(initial))
-    for step, (op, arg) in enumerate(ops):
-        if op == "accept":
-            candidate = Candidate(timestamp=arg, value=step)
-            history.accept(candidate)
-            reference.accept(candidate)
-            if len(reference.candidates) > 2 * KEEP_LAST:
-                reference.prune()
-        else:
-            history.prune(keep_last=arg)
-            reference.prune(keep_last=arg)
-        assert len(history.candidates) <= 2 * KEEP_LAST
-        assert len(history.candidates) == len(reference.candidates)
-        assert all(
-            a is b for a, b in zip(history.candidates, reference.candidates)
-        )
+def _check_history_ops(history_cls, stamps):
+    """Accept one candidate per timestamp in ``history_cls`` and in the
+    reference that keeps every candidate: after every step ``latest``
+    must be the very object the reference's max-scan returns."""
+    history = history_cls()
+    reference = RefHistory(candidates=[history.latest])
+    for step, stamp in enumerate(stamps):
+        candidate = Candidate(timestamp=stamp, value=step)
+        history.accept(candidate)
+        reference.accept(candidate)
         assert history.latest is reference.latest
-        assert history.latest is _max_scan(history.candidates)
-        assert _key(history.pruned_below) == _key(reference.pruned_below)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    initial=st.lists(_SMALL_TS, min_size=1, max_size=5).map(
-        lambda stamps: [Candidate(ts, -i - 1) for i, ts in enumerate(stamps)]
-    ),
-    ops=_OPS,
-)
-def test_history_latest_is_max_scan_object(initial, ops):
-    _check_history_ops(ReplicaHistory, initial, ops)
+@given(stamps=st.lists(_SMALL_TS, max_size=60))
+def test_history_latest_is_max_scan_object(stamps):
+    _check_history_ops(ReplicaHistory, stamps)
 
 
 def test_fresh_history_starts_at_zero():
-    history = ReplicaHistory()
-    assert history.candidates == [Candidate(QUTimestamp.zero(), 0)]
-    assert history.latest is history.candidates[0]
+    assert ReplicaHistory().latest == Candidate(QUTimestamp.zero(), 0)
 
 
 _TIED = QUTimestamp(time=1, client_id=0, op_seq=0)
-_TIE_OPS = [("accept", _TIED), ("accept", _TIED)]
 
 
 def test_equal_timestamps_keep_first_candidate():
@@ -649,27 +563,20 @@ def test_equal_timestamps_keep_first_candidate():
     history.accept(first)
     history.accept(second)
     assert history.latest is first
-    _check_history_ops(
-        ReplicaHistory, [Candidate(QUTimestamp.zero(), 0)], _TIE_OPS
-    )
+    _check_history_ops(ReplicaHistory, [_TIED, _TIED])
 
 
 class _GreaterEqualMutant(ReplicaHistory):
     """``accept`` with ``>=``: the last of tied candidates wins."""
 
     def accept(self, candidate):
-        self.candidates.append(candidate)
         if candidate.timestamp >= self.latest.timestamp:
             self.latest = candidate
-        if len(self.candidates) > 2 * KEEP_LAST:
-            self.prune()
 
 
 def test_greater_equal_mutant_is_caught():
     with pytest.raises(AssertionError):
-        _check_history_ops(
-            _GreaterEqualMutant, [Candidate(QUTimestamp.zero(), 0)], _TIE_OPS
-        )
+        _check_history_ops(_GreaterEqualMutant, [_TIED, _TIED])
 
 
 # ---------------------------------------------------------------------------
@@ -697,37 +604,6 @@ def test_run_qu_experiment_bit_identical(
     _assert_identical(actual, expected)
 
 
-def _jittered_service(planetlab, service_cls, object_id=None):
-    service = service_cls(
-        planetlab, np.arange(6), quorum_size=5, seed=42,
-        network_jitter_ms=0.5,
-    )
-    for site in (10, 20, 30, 40):
-        for _ in range(3):
-            service.add_client(site, object_id=object_id)
-    service.run(duration_ms=800.0)
-    return service
-
-
-def test_qu_service_with_jitter_bit_identical(planetlab, monkeypatch):
-    new = _jittered_service(planetlab, QUService)
-    with monkeypatch.context() as patch:
-        _reference_engine(patch)
-        ref = _jittered_service(planetlab, RefService)
-    _assert_same_run(new, ref)
-
-
-def test_shared_object_contention_bit_identical(planetlab, monkeypatch):
-    """Every client writes object 0: rejections, re-conditioning and the
-    randomized backoff draws must replay exactly."""
-    new = _jittered_service(planetlab, QUService, object_id=0)
-    assert sum(c.retries_total for c in new.clients) > 0
-    with monkeypatch.context() as patch:
-        _reference_engine(patch)
-        ref = _jittered_service(planetlab, RefService, object_id=0)
-    _assert_same_run(new, ref)
-
-
 # ---------------------------------------------------------------------------
 # Tie-heavy topologies: integer delays make events coincide exactly, so
 # the FIFO order and the tie order by sequence number are on the path
@@ -739,9 +615,6 @@ class _Scenario:
     quorum_size: int
     sites: tuple  # client sites, repeats and server nodes allowed
     clients_per_site: int
-    shared_object: bool
-    jitter_ms: float
-    think_time_ms: float
     seed: int
     duration_ms: float = 150.0
 
@@ -756,16 +629,11 @@ class _Scenario:
 def _run_scenario(scenario, service_cls):
     service = service_cls(
         scenario.topology(), np.asarray(scenario.servers),
-        quorum_size=scenario.quorum_size,
-        network_jitter_ms=scenario.jitter_ms, seed=scenario.seed,
+        quorum_size=scenario.quorum_size, seed=scenario.seed,
     )
     for site in scenario.sites:
         for _ in range(scenario.clients_per_site):
-            service.add_client(
-                site,
-                object_id=0 if scenario.shared_object else None,
-                think_time_ms=scenario.think_time_ms,
-            )
+            service.add_client(site)
     service.run(duration_ms=scenario.duration_ms)
     return service
 
@@ -799,9 +667,6 @@ def _tie_heavy_scenarios(draw):
         quorum_size=draw(st.integers(1, len(servers))),
         sites=tuple(draw(st.lists(site, min_size=1, max_size=3))),
         clients_per_site=draw(st.integers(1, 5)),
-        shared_object=draw(st.booleans()),
-        jitter_ms=draw(st.sampled_from([0.0, 0.5])),
-        think_time_ms=draw(st.sampled_from([0.0, 1.0, 2.5])),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -822,9 +687,6 @@ _FRESH_SEQUENCE_DIVERGES = _Scenario(
     quorum_size=2,
     sites=(1, 2, 4),
     clients_per_site=3,
-    shared_object=False,
-    jitter_ms=0.0,
-    think_time_ms=0.0,
     seed=0,
 )
 
@@ -842,7 +704,6 @@ def _generic_run(line_topology):
         ThresholdBalancedStrategy(),
         client_nodes=np.array([0, 3, 5, 9]),
         service_time_ms=1.0,
-        network_jitter_ms=0.3,
         seed=7,
         collect_telemetry=True,
     )

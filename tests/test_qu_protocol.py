@@ -1,9 +1,13 @@
-"""Tests for Q/U protocol state: timestamps, histories, classification."""
+"""Tests for Q/U protocol state: timestamps, histories, and the client's
+check that its quorum agrees."""
 
 import pytest
 
-from repro.qu.objects import Candidate, ReplicaHistory, classify_replies
+from repro.errors import SimulationError
+from repro.qu.client import QUClient
+from repro.qu.objects import Candidate, ReplicaHistory
 from repro.qu.timestamps import QUTimestamp
+from repro.sim.engine import Simulator
 
 
 class TestTimestamps:
@@ -22,11 +26,6 @@ class TestTimestamps:
         a = QUTimestamp(time=1, client_id=1, op_seq=5)
         b = QUTimestamp(time=1, client_id=2, op_seq=5)
         assert a < b
-
-    def test_barrier_beats_non_barrier_at_same_time(self):
-        plain = QUTimestamp(time=3, barrier=False, client_id=0, op_seq=0)
-        barrier = QUTimestamp(time=3, barrier=True, client_id=0, op_seq=0)
-        assert plain < barrier
 
     def test_next_for_increments_time(self):
         ts = QUTimestamp(time=7, client_id=1, op_seq=3)
@@ -55,35 +54,47 @@ class TestReplicaHistory:
         h.accept(Candidate(t1, value=1))
         assert h.latest.timestamp == t2
 
-    def test_prune_keeps_latest(self):
-        h = ReplicaHistory()
-        ts = QUTimestamp.zero()
-        for i in range(20):
-            ts = ts.next_for(1, i)
-            h.accept(Candidate(ts, value=i))
-        h.prune(keep_last=4)
-        assert len(h.candidates) == 4
-        assert h.latest.timestamp == ts
-        assert h.pruned_below < ts
 
-    def test_prune_noop_when_short(self):
-        h = ReplicaHistory()
-        h.prune(keep_last=8)
-        assert len(h.candidates) == 1
+def _attempt(latests, accepted=True):
+    """Run one client attempt on a 3-server quorum whose servers reply
+    with ``latests``; returns the client after its completion event."""
+    sim = Simulator()
+    client = QUClient(
+        client_id=4,
+        node=0,
+        sim=sim,
+        send_request=lambda request, quorum: None,
+        rtt_to_server=lambda server_id: 10.0,
+        n_servers=3,
+        quorum_size=3,
+        seed=0,
+    )
+    client.start()
+    sim.run(max_events=1)  # issue the first attempt
+    for latest in latests:
+        client.on_reply(accepted, latest, sim.now + 5.0, sim.reserve())
+    sim.run(max_events=1)  # the completion, then the next attempt's issue
+    return client
 
 
 class TestClassification:
     def test_agreeing_quorum_is_complete(self):
-        ts = QUTimestamp.zero().next_for(1, 1)
-        latests = [Candidate(ts, 1) for _ in range(3)]
-        status, top = classify_replies(latests)
-        assert status == "complete"
-        assert top.timestamp == ts
+        ts = QUTimestamp.zero().next_for(4, 1)
+        client = _attempt([Candidate(ts, 1) for _ in range(3)])
+        assert client.operations_completed == 1
+        assert client.records[0].completed_at_ms == 5.0
 
     def test_lagging_server_is_contended(self):
-        ts1 = QUTimestamp.zero().next_for(1, 1)
-        ts2 = ts1.next_for(1, 2)
-        latests = [Candidate(ts2, 2), Candidate(ts1, 1)]
-        status, top = classify_replies(latests)
-        assert status == "contended"
-        assert top.timestamp == ts2  # re-condition on the highest seen
+        """A quorum that disagrees on the latest version would need Q/U's
+        contention resolution; with private objects it cannot happen, so
+        the client raises instead of retrying."""
+        ts1 = QUTimestamp.zero().next_for(4, 1)
+        ts2 = ts1.next_for(4, 2)
+        latests = [Candidate(ts2, 2), Candidate(ts1, 1), Candidate(ts2, 2)]
+        with pytest.raises(SimulationError, match="client 4"):
+            _attempt(latests)
+
+    def test_rejected_condition_is_contended(self):
+        ts = QUTimestamp.zero().next_for(4, 1)
+        with pytest.raises(SimulationError, match="client 4"):
+            _attempt([Candidate(ts, 1) for _ in range(3)], accepted=False)

@@ -17,7 +17,7 @@ from repro.quorums.grid import (
     GridQuorumSystem,
     RectangularGridQuorumSystem,
 )
-from repro.quorums.load_analysis import optimal_load
+from repro.quorums.load_analysis import _lp_optimal_load, optimal_load
 
 
 class TestStructure:
@@ -66,7 +66,7 @@ class TestStructure:
     def test_optimal_load_closed_form_matches_lp(self):
         g = RectangularGridQuorumSystem(2, 4)
         closed = optimal_load(g).l_opt
-        via_lp = optimal_load(g, use_lp=True).l_opt
+        via_lp = _lp_optimal_load(g).l_opt
         # Uniform is optimal for grids; LP can only match it.
         assert via_lp == pytest.approx(closed, abs=1e-9)
 

@@ -13,6 +13,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.dynamics.events import ScenarioTrace
+from repro.dynamics.replay import replay
 from repro.errors import ReproError
 from repro.experiments import fig_6_3, run_figure
 from repro.lp.batched import LP_BACKEND_ENV, lp_backend_name
@@ -286,8 +288,8 @@ class TestCacheEviction:
         for key in keys:
             os.utime(cache.path_for(key), (stamp, stamp))
 
-        total = cache.size_bytes()
-        removed = cache.trim(max_size_bytes=total - 1)
+        cache.max_size_bytes = cache.size_bytes() - 1
+        removed = cache.trim()
         assert removed == 1
         hit, _ = cache.lookup(first_key)
         assert not hit, "mtime tie must evict the earlier path"
@@ -434,6 +436,34 @@ class TestGridRunner:
         monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
         GridRunner(cache=cache).run(points)
         assert cache.hits == 1
+
+    def test_replay_filled_under_one_lp_backend_misses_under_the_other(
+        self, tmp_path, monkeypatch, clustered_topology
+    ):
+        """A dynamics segment key names no LP backend itself: the cache
+        folds the solver identity into every key, replay points included."""
+        monkeypatch.delenv(LP_BACKEND_ENV, raising=False)
+        if lp_backend_name() == "scipy":
+            pytest.skip("no HiGHS bindings: only one LP backend here")
+        cache = ResultCache(tmp_path)
+        trace = ScenarioTrace(clustered_topology.n_nodes, 3)
+
+        def run():
+            replay(
+                clustered_topology, GridQuorumSystem(2), trace,
+                policies=("static",), cache=cache,
+            )
+
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+        run()
+        stored = cache.stores
+        assert stored == 3  # one placement, static and clairvoyant
+        monkeypatch.delenv(LP_BACKEND_ENV)
+        run()
+        assert cache.hits == 0 and cache.stores == 2 * stored
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+        run()
+        assert cache.hits == stored
 
     def test_cache_keys_track_the_solver_version(self, monkeypatch):
         name, version = cache_mod.lp_solver_identity()

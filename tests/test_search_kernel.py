@@ -49,21 +49,13 @@ from repro.runtime.shm import SHM_DISABLE_ENV
 # ---------------------------------------------------------------------------
 # Reference implementation (one placement, one evaluate per candidate)
 # ---------------------------------------------------------------------------
-def reference_candidate_delay(
-    topology, system, v0, clients=None, respect_capacities=True
-):
-    placement = one_to_one_placement(
-        topology, system, v0, respect_capacities=respect_capacities
-    )
+def reference_candidate_delay(topology, system, v0):
+    placement = one_to_one_placement(topology, system, v0)
     placed = PlacedQuorumSystem(system, placement, topology)
-    return average_network_delay(
-        placed, uniform_strategy_for(placed), clients=clients
-    )
+    return average_network_delay(placed, uniform_strategy_for(placed))
 
 
-def reference_best_placement(
-    topology, system, candidates=None, clients=None, respect_capacities=True
-):
+def reference_best_placement(topology, system, candidates=None):
     v0s = (
         range(topology.n_nodes)
         if candidates is None
@@ -72,17 +64,13 @@ def reference_best_placement(
     best_v0, best_delay = -1, np.inf
     delays: dict[int, float] = {}
     for v0 in v0s:
-        delay = reference_candidate_delay(
-            topology, system, v0, clients, respect_capacities
-        )
+        delay = reference_candidate_delay(topology, system, v0)
         delays[v0] = delay
         if delay < best_delay:
             best_v0, best_delay = v0, delay
     if best_v0 < 0:
         raise PlacementError("no candidate has a finite delay")
-    placement = one_to_one_placement(
-        topology, system, best_v0, respect_capacities=respect_capacities
-    )
+    placement = one_to_one_placement(topology, system, best_v0)
     return PlacementSearchResult(
         placed=PlacedQuorumSystem(system, placement, topology),
         v0=best_v0,
@@ -176,36 +164,18 @@ class TestBitIdentity:
         assert_identical(result, ref)
 
     @pytest.mark.parametrize(
-        "system_name", ["5-of-9", "qu-t2", "grid-3", "grid-2x4", "singleton"]
-    )
-    @pytest.mark.parametrize("step", [2, 7])
-    def test_client_subsets(self, topologies, system_name, step):
-        system = SYSTEMS[system_name]
-        for name in ("daxlist-161", "ties-40"):
-            topology = topologies[name]
-            clients = np.arange(1, topology.n_nodes, step)
-            result = best_placement(topology, system, clients=clients)
-            ref = reference_best_placement(topology, system, clients=clients)
-            assert_identical(result, ref)
-
-    @pytest.mark.parametrize(
         "system_name", ["3-of-5", "5-of-9", "grid-3", "grid-4x3", "enumerated"]
     )
-    @pytest.mark.parametrize("respect", [True, False])
-    def test_non_uniform_capacities(self, topologies, system_name, respect):
+    def test_non_uniform_capacities(self, topologies, system_name):
         system = SYSTEMS[system_name]
         for name in ("planetlab-50", "ties-40"):
             topology = topologies[name]
             caps = np.random.default_rng(3).uniform(0.3, 1.0, topology.n_nodes)
             capped = topology.with_capacities(caps)
-            result = best_placement(
-                capped, system, respect_capacities=respect
-            )
-            ref = reference_best_placement(
-                capped, system, respect_capacities=respect
-            )
+            result = best_placement(capped, system)
+            ref = reference_best_placement(capped, system)
             assert_identical(result, ref)
-            bound = hosting_capacity(system, respect)
+            bound = hosting_capacity(system)
             hosts = result.placed.placement.assignment
             assert np.all(capped.capacities[hosts] >= bound)
 
@@ -244,12 +214,9 @@ class TestExecution:
         if not shm:
             monkeypatch.setenv(SHM_DISABLE_ENV, "1")
         system = SYSTEMS[system_name]
-        clients = np.arange(0, daxlist.n_nodes, 3)
-        ref = reference_best_placement(daxlist, system, clients=clients)
+        ref = reference_best_placement(daxlist, system)
         for jobs in (1, 2):
-            result = best_placement(
-                daxlist, system, clients=clients, jobs=jobs
-            )
+            result = best_placement(daxlist, system, jobs=jobs)
             assert_identical(result, ref)
 
 
@@ -325,12 +292,7 @@ def _instances(draw):
         st.none()
         | st.lists(st.integers(0, n_nodes - 1), min_size=1, max_size=15)
     )
-    clients = draw(
-        st.none()
-        | st.lists(st.integers(0, n_nodes - 1), min_size=1, max_size=8)
-    )
-    respect = draw(st.booleans())
-    return topology, system, candidates, clients, respect
+    return topology, system, candidates
 
 
 @settings(
@@ -340,12 +302,8 @@ def _instances(draw):
 )
 @given(_instances())
 def test_kernel_matches_reference_on_random_integer_topologies(instance):
-    topology, system, candidates, clients, respect = instance
-    kwargs = {
-        "candidates": candidates,
-        "clients": clients,
-        "respect_capacities": respect,
-    }
+    topology, system, candidates = instance
+    kwargs = {"candidates": candidates}
     try:
         ref = reference_best_placement(topology, system, **kwargs)
     except ReproError:  # too few (eligible) nodes: ball() fails per candidate

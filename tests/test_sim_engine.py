@@ -209,7 +209,6 @@ class TestDeterminism:
                 server_nodes=list(range(6)),
                 quorum_size=5,
                 seed=42,
-                network_jitter_ms=0.5,
             )
             for site in (10, 20, 30):
                 service.add_client(site)

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
-from repro.qu.service import QUService
-from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.engine import Simulator
-from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.metrics import OperationRecord, summarize, summarize_arrays
 from repro.sim.network import SimNetwork
 from repro.sim.workload import PoissonArrivals
@@ -36,89 +31,21 @@ class TestSimNetwork:
             net.send(0, 1, None, lambda p: None)
         assert net.messages_sent == 3
 
-    def test_jitter_adds_delay(self, line_topology):
-        sim = Simulator()
-        net = SimNetwork(sim, line_topology, jitter_ms=5.0, seed=1)
-        times = []
-        net.send(0, 5, None, lambda p: times.append(sim.now))
-        sim.run(until=1000.0)
-        assert times[0] > 25.0
-
-    def test_jitter_deterministic_per_seed(self, line_topology):
-        def run_once():
-            sim = Simulator()
-            net = SimNetwork(sim, line_topology, jitter_ms=5.0, seed=42)
-            times = []
-            for _ in range(5):
-                net.send(0, 9, None, lambda p: times.append(sim.now))
-            sim.run(until=1000.0)
-            return times
-
-        assert run_once() == run_once()
-
     def test_message_delay_is_what_send_waits(self, line_topology):
-        """``message_delay`` draws jitter and counts the message exactly
-        as ``send`` does, in call order."""
+        """``message_delay`` returns the delay ``send`` waits and counts
+        the message exactly as ``send`` does."""
         sim = Simulator()
-        sender = SimNetwork(sim, line_topology, jitter_ms=5.0, seed=3)
+        sender = SimNetwork(sim, line_topology)
         arrivals = []
         for i, dst in enumerate((9, 2, 9)):
             sender.send(
                 0, dst, i, lambda i: arrivals.append((i, sim.now))
             )
         sim.run(until=1000.0)
-        direct = SimNetwork(Simulator(), line_topology, jitter_ms=5.0, seed=3)
+        direct = SimNetwork(Simulator(), line_topology)
         delays = [direct.message_delay(0, dst) for dst in (9, 2, 9)]
         assert [t for _, t in sorted(arrivals)] == delays
         assert direct.messages_sent == sender.messages_sent == 3
-
-    def test_negative_jitter_rejected(self, line_topology):
-        with pytest.raises(SimulationError):
-            SimNetwork(Simulator(), line_topology, jitter_ms=-1.0)
-
-    @pytest.mark.parametrize("backend", GenericQuorumSimulation.BACKENDS)
-    def test_negative_jitter_rejected_by_every_backend(
-        self, line_topology, backend
-    ):
-        # The fluid backend builds no SimNetwork, so the simulation itself
-        # must reject the jitter.
-        with pytest.raises(SimulationError, match="jitter"):
-            _jittered(line_topology, backend, -1.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("engine", ["events", "fluid", "qu"])
-    def test_non_finite_jitter_rejected(self, line_topology, engine, bad):
-        """``jitter < 0`` is False for both: NaN jitter silently meant no
-        jitter, and infinite jitter failed later with an unrelated
-        message."""
-        with pytest.raises(
-            SimulationError,
-            match=f"jitter must be finite and non-negative, got {bad}",
-        ):
-            _jittered(line_topology, engine, bad)
-
-
-def _jittered(topology, engine, jitter_ms):
-    """A Q/U service or an open-loop generic simulation on ``engine``."""
-    if engine == "qu":
-        return QUService(
-            topology,
-            np.array([0, 2, 4]),
-            quorum_size=2,
-            network_jitter_ms=jitter_ms,
-        )
-    placed = PlacedQuorumSystem(
-        ThresholdQuorumSystem(5, 3),
-        Placement([0, 2, 4, 6, 8]),
-        topology,
-    )
-    return GenericQuorumSimulation(
-        placed,
-        ThresholdBalancedStrategy(),
-        network_jitter_ms=jitter_ms,
-        arrivals=PoissonArrivals(rate_per_ms=1.0, seed=1),
-        backend=engine,
-    )
 
 
 class TestMetrics:
@@ -212,8 +139,9 @@ class TestSummarizeArrays:
         per_client = summarize_arrays(issued, completed, network,
                                       client_ids=ids)
         assert per_client.mean_response_ms == pytest.approx(30.0)
-        per_op = summarize_arrays(issued, completed, network,
-                                  client_ids=ids, per_client=False)
+        # Without client ids every operation is its own client (the open
+        # loop's convention): plain per-operation means.
+        per_op = summarize_arrays(issued, completed, network)
         assert per_op.mean_response_ms == pytest.approx(20.0)
         # percentiles stay per-operation either way
         assert per_client.p50_response_ms == per_op.p50_response_ms

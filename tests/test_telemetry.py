@@ -11,6 +11,8 @@ loop is bit-identical for jobs=1 vs jobs=2 — on both LP backends.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.dynamics.scenarios import (
     diurnal_scenario,
     flash_crowd_scenario,
 )
+from repro.dynamics import telemetry as telemetry_module
 from repro.dynamics.telemetry import (
     TelemetryConfig,
     TelemetryEstimator,
@@ -191,18 +194,14 @@ class TestTelemetryCollection:
 class TestTelemetryConfig:
     def test_defaults_valid(self):
         cfg = TelemetryConfig()
-        assert cfg.noise == 0.05 and cfg.gain == 0.5 and cfg.seed == 0
+        assert cfg.noise == 0.05 and cfg.seed == 0
+        assert [f.name for f in dataclasses.fields(cfg)] == ["noise", "seed"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"noise": -0.1},
             {"noise": float("nan")},
-            {"gain": 0.0},
-            {"gain": 1.5},
-            {"rate_per_ms": 0.0},
-            {"probe_ms": 0.0},
-            {"service_time_ms": 0.0},
             {"seed": -1},
             {"seed": 1.5},
         ],
@@ -212,38 +211,41 @@ class TestTelemetryConfig:
             TelemetryConfig(**kwargs)
 
     def test_fingerprint_covers_every_knob(self):
-        cfg = TelemetryConfig(noise=0.1, gain=0.25, seed=3)
+        cfg = TelemetryConfig(noise=0.1, seed=3)
         fp = cfg.fingerprint_components()
-        assert fp["noise"] == 0.1 and fp["gain"] == 0.25 and fp["seed"] == 3
-        # any knob change must change the fingerprint (cache correctness)
-        assert fp != TelemetryConfig(noise=0.2, gain=0.25,
-                                     seed=3).fingerprint_components()
-        assert fp != TelemetryConfig(noise=0.1, gain=0.25,
-                                     seed=4).fingerprint_components()
+        assert fp == {
+            "noise": 0.1,
+            "gain": telemetry_module.GAIN,
+            "rate_per_ms": telemetry_module.PROBE_RATE_PER_MS,
+            "probe_ms": telemetry_module.PROBE_MS,
+            "service_time_ms": telemetry_module.PROBE_SERVICE_TIME_MS,
+            "seed": 3,
+        }
+        # any field change must change the fingerprint (cache correctness)
+        for other in (TelemetryConfig(noise=0.2, seed=3),
+                      TelemetryConfig(noise=0.1, seed=4)):
+            assert fp != other.fingerprint_components()
 
 
 class TestProbeEpoch:
     def test_returns_support_telemetry(self, grid2_placed, line_topology):
-        cfg = TelemetryConfig(seed=1)
         tel = probe_epoch(
             grid2_placed,
             ExplicitStrategy.uniform(grid2_placed),
             line_topology.rtt,
             np.ones(10),
-            cfg,
             seed=7,
         )
         assert np.array_equal(tel.support_nodes, [0, 1, 2, 3])
         assert int(tel.replies.sum()) > 0
 
     def test_deterministic_per_seed(self, grid2_placed, line_topology):
-        cfg = TelemetryConfig(seed=1)
         strategy = ExplicitStrategy.uniform(grid2_placed)
 
         def run(seed):
             return probe_epoch(
                 grid2_placed, strategy, line_topology.rtt, np.ones(10),
-                cfg, seed=seed,
+                seed=seed,
             )
 
         a, b, c = run(7), run(7), run(8)
@@ -261,20 +263,20 @@ class TestProbeEpoch:
             ExplicitStrategy.uniform(grid2_placed),
             line_topology.rtt,
             caps,
-            TelemetryConfig(seed=1),
             seed=7,
         )
         assert int(tel.replies.sum()) > 0
 
-    def test_too_short_probe_is_tagged(self, grid2_placed, line_topology):
-        cfg = TelemetryConfig(seed=1, probe_ms=1e-6)
+    def test_too_short_probe_is_tagged(
+        self, grid2_placed, line_topology, monkeypatch
+    ):
+        monkeypatch.setattr(telemetry_module, "PROBE_MS", 1e-6)
         with pytest.raises(DynamicsError, match="probe"):
             probe_epoch(
                 grid2_placed,
                 ExplicitStrategy.uniform(grid2_placed),
                 line_topology.rtt,
                 np.ones(10),
-                cfg,
                 seed=7,
             )
 
@@ -282,8 +284,13 @@ class TestProbeEpoch:
 class TestEstimator:
     """Seeded property tests for the EWMA estimation path."""
 
-    def _observe_once(self, placed, topology, noise, gain=1.0, seed=0):
-        cfg = TelemetryConfig(noise=noise, gain=gain, seed=seed)
+    @pytest.fixture()
+    def full_gain(self, monkeypatch):
+        """Estimates trust only the latest epoch (EWMA weight 1)."""
+        monkeypatch.setattr(telemetry_module, "GAIN", 1.0)
+
+    def _observe_once(self, placed, topology, noise, seed=0):
+        cfg = TelemetryConfig(noise=noise, seed=seed)
         factors = np.linspace(0.8, 1.3, topology.n_nodes)
         truth = effective_rtt(topology.rtt, factors)
         sample = probe_epoch(
@@ -291,7 +298,6 @@ class TestEstimator:
             ExplicitStrategy.uniform(placed),
             truth,
             np.ones(topology.n_nodes),
-            cfg,
             seed=11,
         )
         est = TelemetryEstimator(placed, cfg)
@@ -299,7 +305,7 @@ class TestEstimator:
         return est, truth, sample
 
     def test_noiseless_estimate_recovers_true_rtt(
-        self, grid2_placed, line_topology
+        self, grid2_placed, line_topology, full_gain
     ):
         """noise=0, gain=1: one epoch's estimate *is* the true drifted
         RTT on every observed pair — the decomposition (round-trip minus
@@ -319,7 +325,9 @@ class TestEstimator:
             pytest.approx(1.0, abs=1e-9)
         )
 
-    def test_error_shrinks_with_noise(self, grid2_placed, line_topology):
+    def test_error_shrinks_with_noise(
+        self, grid2_placed, line_topology, full_gain
+    ):
         """Same seed, smaller noise knob -> smaller estimation error
         (the seeded draws scale linearly with the knob)."""
         def error(noise):
@@ -342,7 +350,7 @@ class TestEstimator:
         """Repeated noisy epochs against a fixed drifted truth: the EWMA
         converges to within a few percent of that truth (noise averages
         down as 1/sqrt(samples); the prior washes out geometrically)."""
-        cfg = TelemetryConfig(noise=0.05, gain=0.5, seed=2)
+        cfg = TelemetryConfig(noise=0.05, seed=2)  # at the EWMA weight 0.5
         factors = np.full(10, 1.25)
         truth = effective_rtt(line_topology.rtt, factors)
         strategy = ExplicitStrategy.uniform(grid2_placed)
@@ -351,7 +359,7 @@ class TestEstimator:
         observed = None
         for epoch in range(6):
             sample = probe_epoch(
-                grid2_placed, strategy, truth, np.ones(10), cfg,
+                grid2_placed, strategy, truth, np.ones(10),
                 seed=cfg.seed + epoch,
             )
             est.observe(sample, rng)
@@ -376,7 +384,7 @@ class TestEstimator:
     ):
         """A strategy that never touches one quorum leaves the other
         servers' estimates at their prior, aging every epoch."""
-        cfg = TelemetryConfig(noise=0.0, gain=1.0, seed=0)
+        cfg = TelemetryConfig(noise=0.0, seed=0)
         n_quorums = GRID.num_quorums
         matrix = np.zeros((10, n_quorums))
         matrix[:, 0] = 1.0  # only ever access quorum 0
@@ -391,7 +399,7 @@ class TestEstimator:
         for epoch in range(3):
             sample = probe_epoch(
                 grid2_placed, ExplicitStrategy(matrix), line_topology.rtt,
-                np.ones(10), cfg, seed=epoch,
+                np.ones(10), seed=epoch,
             )
             est.observe(sample, rng)
         assert est.epochs_observed == 3
@@ -414,7 +422,6 @@ class TestEstimator:
             ExplicitStrategy.uniform(other),
             line_topology.rtt,
             np.ones(10),
-            cfg,
             seed=1,
         )
         est = TelemetryEstimator(grid2_placed, cfg)
