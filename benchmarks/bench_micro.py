@@ -9,7 +9,6 @@ cache, exact order statistics, and the DES event loop.
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.response_time import evaluate
 from repro.core.strategy import ExplicitStrategy, ThresholdClosestStrategy
 from repro.network.datasets import daxlist_161, planetlab_50

@@ -56,14 +56,18 @@ def _iterative_point(
     capacity: float,
     candidates: object,
 ) -> tuple[float, float]:
-    """(iteration-1 delay, iteration-2 delay) for one capacity level."""
+    """(iteration-1 delay, iteration-2 delay) for one capacity level.
+
+    The run stops after the two iterations the figure plots: an iteration
+    depends only on the ones before it, so a third would change neither.
+    """
     result = iterative_optimize(
         topology,
         GridQuorumSystem(k),
         capacities=capacity,
         alpha=0.0,
         candidates=candidates,
-        max_iterations=3,
+        max_iterations=2,
     )
     history = result.history
     first = history[0].phase2_network_delay

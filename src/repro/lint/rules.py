@@ -1,4 +1,4 @@
-"""The repo-specific repro-lint rules (RL001–RL007).
+"""The repo-specific repro-lint rules (RL001–RL008).
 
 Each rule encodes one invariant the repository's reproducibility story
 depends on. They are deliberately syntactic: a rule that needs whole-
@@ -571,3 +571,103 @@ def _rl007(
                             "re-enabling writes corrupts every attached "
                             "worker",
                         )
+
+
+def _all_names(tree: ast.AST) -> set[str]:
+    """String entries of the module's ``__all__`` assignments."""
+    names: set[str] = set()
+    for stmt in tree.body:  # type: ignore[attr-defined]
+        value: ast.expr | None = None
+        targets: list[ast.expr] = []
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            targets, value = [stmt.target], stmt.value
+        if not any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+        ):
+            continue
+        if isinstance(value, (ast.List, ast.Tuple)):
+            names.update(
+                e.value
+                for e in value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+    return names
+
+
+def _annotation_nodes(tree: ast.AST) -> Iterator[ast.expr]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (
+                *args.posonlyargs,
+                *args.args,
+                *args.kwonlyargs,
+                args.vararg,
+                args.kwarg,
+            ):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    names = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for annotation in _annotation_nodes(tree):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    quoted = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= _loaded_names(quoted)
+    return names
+
+
+@register(
+    "RL008",
+    "unused-import",
+    "module-level imports nothing references",
+)
+def _rl008(
+    tree: ast.AST, src: SourceFile, config: LintConfig
+) -> Iterator[Finding]:
+    if src.path.endswith("__init__.py"):
+        return  # package facades import to re-export
+    used = _loaded_names(tree) | _all_names(tree)
+    for stmt in tree.body:  # type: ignore[attr-defined]
+        for node in _walk_same_scope(stmt):
+            if isinstance(node, ast.Import):
+                bound = [
+                    (alias, alias.asname or alias.name.split(".", 1)[0])
+                    for alias in node.names
+                ]
+            elif (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"
+            ):
+                bound = [
+                    (alias, alias.asname or alias.name)
+                    for alias in node.names
+                    if alias.name != "*"
+                ]
+            else:
+                continue
+            for alias, name in bound:
+                if name not in used:
+                    yield _finding(
+                        "RL008",
+                        src,
+                        alias,
+                        f"{name!r} is imported but never used: delete it, "
+                        "or name it in __all__ if it is re-exported",
+                    )

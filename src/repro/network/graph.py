@@ -118,8 +118,10 @@ class Topology:
         worker rehydrating a topology from a shared-memory block must not
         do. ``adopt`` trusts the caller: the matrix must have been produced
         by a :class:`Topology` (symmetrized, zero diagonal, closure already
-        applied or deliberately skipped) and is stored as-is, marked
-        read-only. Only O(n) shape checks are performed.
+        applied or deliberately skipped), or built the same way, as
+        :func:`~repro.network.generators.generate_cluster_topology` builds
+        its closure-free matrices, and is stored as-is, marked read-only.
+        Only O(n) shape checks are performed.
         """
         matrix = np.asarray(rtt)
         if matrix.dtype != np.float64:

@@ -1,7 +1,6 @@
 """Tests for placement-aware fault-tolerance analysis."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.fault_tolerance import (
     crash_tolerance,

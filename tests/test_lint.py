@@ -1,6 +1,6 @@
 """Tests for the repro-lint static-analysis framework.
 
-Every rule RL001–RL007 gets a true-positive fixture, a true-negative
+Every rule RL001–RL008 gets a true-positive fixture, a true-negative
 fixture, and a same-line suppression fixture. The reporters, baseline
 round-trip, CLI exit-code contract, and the repo-wide self-check (the
 committed tree must lint clean against the committed baseline) are
@@ -39,7 +39,7 @@ def codes(findings) -> list[str]:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def test_all_seven_rules_registered():
+def test_all_eight_rules_registered():
     assert sorted(all_rules()) == [
         "RL001",
         "RL002",
@@ -48,6 +48,7 @@ def test_all_seven_rules_registered():
         "RL005",
         "RL006",
         "RL007",
+        "RL008",
     ]
 
 
@@ -124,7 +125,9 @@ def test_rl002_flags_clock_and_env_reads():
 
 
 def test_rl002_flags_from_time_import():
-    findings = lint_source("from time import perf_counter\n")
+    findings = lint_source(
+        "from time import perf_counter\nstart = perf_counter()\n"
+    )
     assert codes(findings) == ["RL002"]
 
 
@@ -244,19 +247,22 @@ def test_rl003_suppression():
 # RL004 — cache-key-input marker
 # ----------------------------------------------------------------------
 def test_rl004_flags_unmarked_cache_key_import():
-    src = "from repro.runtime.cache import content_key\n"
+    src = "from repro.runtime.cache import content_key\nkey = content_key(x)\n"
     findings = lint_source(src, path="repro/experiments/fig_x.py")
     assert codes(findings) == ["RL004"]
     assert "cache-key-input" in findings[0].message
 
 
 def test_rl004_clean_with_marker():
-    src = "from repro.runtime.cache import content_key  # cache-key-input\n"
+    src = (
+        "from repro.runtime.cache import content_key  # cache-key-input\n"
+        "key = content_key(x)\n"
+    )
     assert lint_source(src, path="repro/experiments/fig_x.py") == []
 
 
 def test_rl004_result_cache_alone_is_not_a_key_input():
-    src = "from repro.runtime.cache import ResultCache\n"
+    src = "from repro.runtime.cache import ResultCache\ncache = ResultCache()\n"
     assert lint_source(src, path="repro/experiments/fig_x.py") == []
 
 
@@ -269,7 +275,7 @@ def test_rl004_upstream_modules_require_marker():
 
 
 def test_rl004_allowlisted_under_tests():
-    src = "from repro.runtime.cache import content_key\n"
+    src = "from repro.runtime.cache import content_key\nkey = content_key(x)\n"
     assert lint_source(src, path="tests/test_x.py") == []
 
 
@@ -392,6 +398,76 @@ def test_rl007_suppression():
         "topo = resolve_topology(handle)\n"
         "topo.rtt[0, 0] = 1.0  # repro-lint: disable=RL007 -- fixture\n"
     )
+    assert lint_source(src) == []
+
+
+# ----------------------------------------------------------------------
+# RL008 — unused imports
+# ----------------------------------------------------------------------
+def test_rl008_flags_each_unused_name_at_its_alias():
+    src = (
+        "import os\n"
+        "from typing import (\n"
+        "    Iterable,\n"
+        "    Sequence,\n"
+        ")\n"
+        "def f(xs: Iterable) -> None:\n"
+        "    pass\n"
+    )
+    findings = lint_source(src)
+    assert codes(findings) == ["RL008", "RL008"]
+    assert [(f.line, f.snippet) for f in findings] == [
+        (1, "import os"),
+        (4, "Sequence,"),
+    ]
+    assert "'os'" in findings[0].message
+
+
+def test_rl008_dotted_import_binds_its_root():
+    assert lint_source("import os.path\nsep = os.sep\n") == []
+    assert codes(lint_source("import os.path as osp\nsep = os.sep\n")) == [
+        "RL008"
+    ]
+
+
+def test_rl008_clean_when_used_anywhere_in_the_module():
+    src = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from repro.network.graph import Topology\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.quorums.base import QuorumSystem\n"
+        "def f(t: 'Topology') -> 'list[QuorumSystem]':\n"
+        "    return [np.zeros(1)]\n"
+    )
+    assert lint_source(src) == []
+
+
+def test_rl008_skips_all_facades_future_and_star():
+    src = (
+        "from __future__ import annotations\n"
+        "from repro.network.graph import Topology\n"
+        "from repro.quorums import *\n"
+        "__all__ = ['Topology']\n"
+    )
+    assert lint_source(src) == []
+    facade = "from repro.network.graph import Topology\n"
+    assert lint_source(facade, path="repro/network/__init__.py") == []
+    assert codes(lint_source(facade, path="repro/network/x.py")) == ["RL008"]
+
+
+def test_rl008_ignores_function_level_imports():
+    src = "def f():\n    import json\n    return 1\n"
+    assert lint_source(src) == []
+
+
+def test_rl008_a_rebinding_is_not_a_use():
+    assert codes(lint_source("import json\njson = None\n")) == ["RL008"]
+
+
+def test_rl008_suppression():
+    src = "import json  # repro-lint: disable=RL008 -- re-export\n"
     assert lint_source(src) == []
 
 

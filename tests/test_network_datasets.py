@@ -6,7 +6,6 @@ import pytest
 from repro.errors import TopologyError
 from repro.network.datasets import (
     available_topologies,
-    daxlist_161,
     load_topology,
     planetlab_50,
     topology_sites,

@@ -12,7 +12,6 @@ These target the load-bearing mathematical properties:
 """
 
 import itertools
-from math import comb
 
 import numpy as np
 import pytest

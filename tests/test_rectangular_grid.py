@@ -3,7 +3,6 @@ structures the paper cites as [16]."""
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.analysis.fault_tolerance import min_nodes_to_disable

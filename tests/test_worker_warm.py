@@ -15,7 +15,6 @@ worker-run iterative points to fresh serial runs.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.iterative import iterative_optimize
 from repro.lp import BatchedProgram, LinearProgram
