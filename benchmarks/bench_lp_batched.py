@@ -102,10 +102,9 @@ def test_batched_lp_sweep_speedup(results_dir):
         placed, alpha, levels=levels
     ).best.capacity
     with scipy_backend():
-        per_level_program = StrategyProgram(placed)
-    per_level_best = sweep_uniform_capacities(
-        placed, alpha, levels=levels, program=per_level_program
-    ).best.capacity
+        per_level_best = sweep_uniform_capacities(
+            placed, alpha, levels=levels
+        ).best.capacity
     assert batched_best == per_level_best
 
     recorder = BenchRecorder("lp_batched_sweep")

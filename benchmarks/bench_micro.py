@@ -126,12 +126,12 @@ def test_des_event_throughput(benchmark):
         sim = Simulator()
         count = [0]
 
-        def tick():
+        def tick(_):
             count[0] += 1
-            sim.schedule(0.01, tick)
+            sim.schedule(0.01, tick, None)
 
         for _ in range(16):
-            sim.schedule(0.0, tick)
+            sim.schedule(0.0, tick, None)
         sim.run(until=1e12, max_events=100_000)
         return count[0]
 

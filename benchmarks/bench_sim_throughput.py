@@ -24,13 +24,14 @@ Fast mode (default, CI): 60 s simulated fluid / 5 s events; floors
 events; floors 1e6 req/s and 50x.
 
 The record also carries one row for the Q/U event path
-(:class:`~repro.qu.service.QUService`): the ``(t = 3, c = 10)`` cell of
-Figure 3.2a's fast grid, 16 servers with quorums of 13 on planetlab-50,
-simulated for 1500 ms. It records the operations the cell completes, the
-engine events it takes, events per completed operation and operations
-per wall-clock second. An attempt on ``q`` servers costs ``2q + 1``
-events (``q`` request deliveries, ``q`` service completions, one
-completion at the client), so events per operation must stay below
+(:class:`~repro.qu.service.QUService`, built by
+:func:`~repro.sim.experiment.build_qu_service`): the ``(t = 3, c = 10)``
+cell of Figure 3.2a's fast grid, 16 servers with quorums of 13 on
+planetlab-50, simulated for 1500 ms. It records the operations the cell
+completes, the engine events it takes, events per completed operation
+and operations per wall-clock second. An attempt on ``q`` servers costs
+``2q + 1`` events (``q`` request deliveries, ``q`` service completions,
+one completion at the client), so events per operation must stay below
 ``3q``, what one event per message cost. It has no timing floor.
 
 The run writes ``benchmarks/results/bench_sim_throughput.json``.
@@ -50,19 +51,11 @@ from repro.core.strategy import ThresholdBalancedStrategy
 from repro.network.datasets import planetlab_50
 from repro.network.generators import synthetic_wan
 from repro.obs.bench import BenchRecorder
-from repro.placement.search import best_placement
-from repro.qu.service import QUService
-from repro.quorums.threshold import (
-    MajorityKind,
-    ThresholdQuorumSystem,
-    majority,
-)
+from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.experiment import (
-    N_CLIENT_SITES,
-    SERVICE_TIME_MS,
     QUExperimentConfig,
+    build_qu_service,
     run_qu_experiment,
-    select_client_sites,
 )
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.metrics import summarize
@@ -114,31 +107,11 @@ def _timed_run(placed, topology, backend, duration_ms):
     return result, elapsed
 
 
-def _qu_cell_service(topology, config):
-    """The service :func:`run_qu_experiment` builds for ``config``, not
-    yet run: the same placement, client sites and seeds."""
-    placed = best_placement(
-        topology, majority(MajorityKind.QU, config.t)
-    ).placed
-    service = QUService(
-        topology,
-        placed.placement.assignment,
-        quorum_size=config.quorum_size,
-        service_time_ms=SERVICE_TIME_MS,
-        seed=config.seed,
-    )
-    sites = select_client_sites(topology, placed, n_sites=N_CLIENT_SITES)
-    for site in sites:
-        for _ in range(config.clients_per_site):
-            service.add_client(int(site))
-    return service
-
-
 @pytest.fixture(scope="module")
 def qu_cell():
     """One timed run of the Q/U cell, checked against the figure's own."""
     topology = planetlab_50()
-    service = _qu_cell_service(topology, QU_CELL)
+    service, _, _ = build_qu_service(topology, QU_CELL)
     started = time.perf_counter()
     service.run(duration_ms=QU_CELL.duration_ms)
     seconds = time.perf_counter() - started

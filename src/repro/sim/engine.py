@@ -1,17 +1,19 @@
 """Deterministic discrete-event simulation kernel.
 
-A classic calendar-queue simulator: events are ``(time, sequence, callback)``
-triples on a binary heap; the sequence number makes simultaneous events fire
-in scheduling order, so runs are fully deterministic for a fixed seed. A
-caller may reserve a sequence number and push its event later
-(:meth:`Simulator.reserve`); the event then ties as if scheduled at the
-reservation. Time is a float in **milliseconds** to match the paper's units.
+A classic calendar-queue simulator: events are ``(time, sequence, handler,
+arg)`` entries on a binary heap, and firing one calls ``handler(arg)``.
+The sequence number makes simultaneous events fire in scheduling order,
+so runs are fully deterministic for a fixed seed. A caller may reserve a
+sequence number and push its event later (:meth:`Simulator.reserve`); the
+event then ties as if scheduled at the reservation. Time is a float in
+**milliseconds** to match the paper's units.
 
-The kernel is intentionally callback-based rather than coroutine-based: the
-Q/U client and server are small state machines, and callbacks keep the
-per-event overhead low enough for the hundreds of simulation runs behind
-Figures 3.1-3.2. A scheduled event cannot be cancelled: every event fires
-once its time comes.
+The kernel is intentionally callback-based rather than coroutine-based:
+an event names a handler and the one argument it needs (a client id, a
+message), so scheduling builds no closure or ``functools.partial``, and
+the per-event overhead stays low enough for the hundreds of simulation
+runs behind Figures 3.1-3.2. A scheduled event cannot be cancelled: every
+event fires once its time comes.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import itertools
 import math
 import sys
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import SimulationError
 
 __all__ = ["Simulator"]
+
+#: What an event calls: ``handler(arg)``.
+Handler = Callable[[Any], object]
 
 
 class Simulator:
@@ -32,7 +37,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Handler, Any]] = []
         self._sequence = itertools.count()
         self._last_reserved = -1
         self._events_processed = 0
@@ -44,7 +49,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of callbacks executed so far."""
+        """Number of handler calls completed so far."""
         return self._events_processed
 
     @property
@@ -52,16 +57,16 @@ class Simulator:
         """Number of events still queued."""
         return len(self._heap)
 
-    def pending_callbacks(self) -> Iterator[Callable[[], None]]:
-        """The callbacks still queued, in no particular order.
+    def pending_handlers(self) -> Iterator[tuple[Handler, Any]]:
+        """The ``(handler, arg)`` pairs still queued, in no particular order.
 
         A read-only view for accounting at the end of a run: it neither
         pops nor reorders an event.
         """
-        return (callback for _, _, callback in self._heap)
+        return ((handler, arg) for _, _, handler, arg in self._heap)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run ``delay`` ms from now."""
+    def schedule(self, delay: float, handler: Handler, arg: Any) -> None:
+        """Schedule ``handler(arg)`` to run ``delay`` ms from now."""
         # One chained comparison rejects negative, infinite and NaN delays
         # alike: every comparison with NaN is False, and a NaN time would
         # silently corrupt the heap's ordering invariant.
@@ -70,7 +75,8 @@ class Simulator:
                 f"event delay must be finite and non-negative, got {delay}"
             )
         heappush(
-            self._heap, (self._now + delay, next(self._sequence), callback)
+            self._heap,
+            (self._now + delay, next(self._sequence), handler, arg),
         )
 
     def reserve(self) -> int:
@@ -86,9 +92,9 @@ class Simulator:
         return slot
 
     def schedule_reserved(
-        self, time: float, slot: int, callback: Callable[[], None]
+        self, time: float, slot: int, handler: Handler, arg: Any
     ) -> None:
-        """Schedule ``callback`` at absolute ``time`` under a reserved
+        """Schedule ``handler(arg)`` at absolute ``time`` under a reserved
         sequence number.
 
         ``slot`` must be a number :meth:`reserve` returned, used once;
@@ -101,7 +107,7 @@ class Simulator:
             )
         if not 0 <= slot <= self._last_reserved:
             raise SimulationError(f"sequence slot {slot} was not reserved")
-        heappush(self._heap, (time, slot, callback))
+        heappush(self._heap, (time, slot, handler, arg))
 
     def run(
         self,
@@ -117,7 +123,8 @@ class Simulator:
             left at ``until``). Must be finite: pass ``None`` with
             ``max_events`` to run without a time bound.
         max_events:
-            Stop after this many callbacks (guards against runaway loops).
+            Stop after this many handler calls (guards against runaway
+            loops).
         """
         if until is None and max_events is None:
             raise SimulationError(
@@ -133,15 +140,19 @@ class Simulator:
         bound = math.inf if until is None else until
         budget = sys.maxsize if max_events is None else max_events
         processed = 0
-        while heap:
-            if heap[0][0] > bound:
-                break
-            time, _, callback = heappop(heap)
-            self._now = time
-            callback()
-            self._events_processed += 1
-            processed += 1
-            if processed >= budget:
-                return
+        # The count is kept in a local and added once: a handler that
+        # raises leaves ``events_processed`` at the calls that completed.
+        try:
+            while heap:
+                if heap[0][0] > bound:
+                    break
+                time, _, handler, arg = heappop(heap)
+                self._now = time
+                handler(arg)
+                processed += 1
+                if processed >= budget:
+                    return
+        finally:
+            self._events_processed += processed
         if until is not None:
             self._now = max(self._now, until)

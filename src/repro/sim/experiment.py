@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.placement import PlacedQuorumSystem
 from repro.core.response_time import evaluate
 from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
@@ -47,6 +48,7 @@ __all__ = [
     "QUExperimentConfig",
     "QUExperimentResult",
     "select_client_sites",
+    "build_qu_service",
     "run_qu_experiment",
 ]
 
@@ -57,24 +59,20 @@ N_CLIENT_SITES = 10
 SERVICE_TIME_MS = 1.0
 
 
-def select_client_sites(
-    topology: Topology,
-    placed,
-    n_sites: int = N_CLIENT_SITES,
-) -> np.ndarray:
+def select_client_sites(topology: Topology, placed) -> np.ndarray:
     """Client sites whose balanced network delay best matches the global mean.
 
     ``placed`` is a placed threshold system; per-node expected delays under
-    the balanced strategy are computed exactly, and the ``n_sites`` nodes
-    whose delay is closest to the all-nodes average are returned (ties to
-    lower node id).
+    the balanced strategy are computed exactly, and the
+    :data:`N_CLIENT_SITES` nodes whose delay is closest to the all-nodes
+    average are returned (ties to lower node id).
     """
     result = evaluate(placed, ThresholdBalancedStrategy(), alpha=0.0)
     per_node = result.per_client_network_delay
     target = per_node.mean()
     gap = np.abs(per_node - target)
     order = np.lexsort((np.arange(topology.n_nodes), gap))
-    return np.sort(order[:n_sites])
+    return np.sort(order[:N_CLIENT_SITES])
 
 
 @dataclass(frozen=True)
@@ -145,28 +143,26 @@ class QUExperimentResult:
         return self.stats.mean_network_delay_ms
 
 
-def run_qu_experiment(
+def build_qu_service(
     topology: Topology, config: QUExperimentConfig
-) -> QUExperimentResult:
-    """Place servers, select client sites, simulate, and summarize."""
+) -> tuple[QUService, PlacedQuorumSystem, np.ndarray]:
+    """The service one run simulates, built but not started.
+
+    Places ``5t + 1`` servers, selects the client sites and adds
+    ``clients_per_site`` clients at each. Returns the service, the placed
+    system and the client sites.
+    """
     system = majority(MajorityKind.QU, config.t)
     if system.universe_size > topology.n_nodes:
         raise SimulationError(
             f"t={config.t} needs {system.universe_size} nodes; topology "
             f"has {topology.n_nodes}"
         )
-    search = best_placement(topology, system)
-    placed = search.placed
-    server_nodes = placed.placement.assignment
-
+    placed = best_placement(topology, system).placed
     client_sites = select_client_sites(topology, placed)
-    analytic = evaluate(
-        placed, ThresholdBalancedStrategy(), alpha=0.0, clients=client_sites
-    ).avg_network_delay
-
     service = QUService(
         topology,
-        server_nodes,
+        placed.placement.assignment,
         quorum_size=config.quorum_size,
         service_time_ms=SERVICE_TIME_MS,
         seed=config.seed,
@@ -174,6 +170,17 @@ def run_qu_experiment(
     for site in client_sites:
         for _ in range(config.clients_per_site):
             service.add_client(int(site))
+    return service, placed, client_sites
+
+
+def run_qu_experiment(
+    topology: Topology, config: QUExperimentConfig
+) -> QUExperimentResult:
+    """Place servers, select client sites, simulate, and summarize."""
+    service, placed, client_sites = build_qu_service(topology, config)
+    analytic = evaluate(
+        placed, ThresholdBalancedStrategy(), alpha=0.0, clients=client_sites
+    ).avg_network_delay
     service.run(duration_ms=config.duration_ms)
 
     stats = summarize(service.all_records(), warmup_ms=config.warmup_ms)
@@ -181,7 +188,7 @@ def run_qu_experiment(
         config=config,
         stats=stats,
         analytic_network_delay_ms=analytic,
-        server_nodes=server_nodes,
+        server_nodes=placed.placement.assignment,
         client_sites=client_sites,
         mean_server_utilization=float(service.server_utilizations().mean()),
         operations_completed=stats.n_operations,

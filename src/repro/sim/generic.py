@@ -88,7 +88,7 @@ class _Server:
         # paper's per-element load model. `message.units` carries the count.
         service = self.service_time_ms * message.units
         self.busy_time_ms += service
-        self.sim.schedule(service, partial(self._reply, message))
+        self.sim.schedule(service, self._reply, message)
 
     def _reply(self, message) -> None:
         self.requests_processed += 1
@@ -98,10 +98,7 @@ class _Server:
         message.server_node = self.node
         message.residence_ms = self.sim.now - message.arrived_ms
         self.network.send(
-            self.node,
-            message.client_node,
-            message,
-            message.on_reply,
+            self.node, message.client_node, message.on_reply, message
         )
         self._next()
 
@@ -151,7 +148,7 @@ class _Client:
 
     def start(self, delay_ms: float) -> None:
         self.running = True
-        self.sim.schedule(delay_ms, self._issue)
+        self.sim.schedule(delay_ms, _Client._issue, self)
 
     def stop(self) -> None:
         self.running = False
@@ -171,7 +168,7 @@ class _Client:
             message = _Access(client_node=self.node, units=int(count))
             message.on_reply = self._on_reply
             self.network.send(
-                self.node, int(w), message, self.servers[int(w)].on_request
+                self.node, int(w), self.servers[int(w)].on_request, message
             )
 
     def _on_reply(self, message) -> None:
@@ -566,9 +563,8 @@ class GenericQuorumSimulation:
         # the wire to a server, queued there, or in service.
         on_wire = sum(
             1
-            for callback in self.sim.pending_callbacks()
-            if isinstance(callback, partial)
-            and getattr(callback.func, "__func__", None) is _Server.on_request
+            for handler, _ in self.sim.pending_handlers()
+            if getattr(handler, "__func__", None) is _Server.on_request
         )
         in_flight = on_wire + sum(
             len(s.queue) + s.busy for s in self.servers.values()

@@ -9,12 +9,11 @@ compare exactly.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterable
+from typing import Any, Iterable
 
 from repro.errors import SimulationError
 from repro.network.graph import Topology
-from repro.sim.engine import Simulator
+from repro.sim.engine import Handler, Simulator
 
 __all__ = ["SimNetwork", "check_nodes"]
 
@@ -57,9 +56,7 @@ class SimNetwork:
 
     def message_delay(self, src: int, dst: int) -> float:
         """The delay of one message from ``src`` to ``dst``: the memoized
-        one-way delay. The message counts in ``messages_sent``, so callers
-        that deliver a message themselves call this when they send it.
-        """
+        one-way delay. The message counts in ``messages_sent``."""
         try:
             delay = self._delays[src][dst]
         except KeyError:
@@ -69,14 +66,6 @@ class SimNetwork:
         self.messages_sent += 1
         return delay
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: object,
-        on_delivery: Callable[[object], None],
-    ) -> None:
-        """Deliver ``payload`` to ``on_delivery`` after the one-way delay."""
-        self._sim.schedule(
-            self.message_delay(src, dst), partial(on_delivery, payload)
-        )
+    def send(self, src: int, dst: int, handler: Handler, arg: Any) -> None:
+        """Call ``handler(arg)`` at ``dst`` after the one-way delay."""
+        self._sim.schedule(self.message_delay(src, dst), handler, arg)

@@ -1,9 +1,10 @@
 """Workload generators for the simulator.
 
 The paper's workload is closed-loop (clients reissue immediately), which
-:class:`~repro.qu.client.QUClient` implements natively. This module adds an
-*open-loop* Poisson injector for sensitivity studies — open-loop arrivals
-expose queueing collapse beyond saturation, where closed loops self-throttle.
+the clients of :class:`~repro.qu.service.QUService` and of the generic
+simulator run natively. This module adds an *open-loop* Poisson injector
+for sensitivity studies — open-loop arrivals expose queueing collapse
+beyond saturation, where closed loops self-throttle.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ the sweep assembles the constraint system once per placement
 (:class:`~repro.strategies.lp_optimizer.StrategyProgram`) and batch-solves
 all levels against the shared structure — in ascending capacity order,
 so each warm re-solve is a small monotone perturbation of the previous
-basis, with results un-permuted back to the caller's level order. A sweep
-builds its own program unless the caller hands it one. Levels whose LP is
-infeasible (capacity below the placed system's optimal load) are no
-longer silently skipped: they are recorded in
+basis, with results un-permuted back to the caller's level order. Levels
+whose LP is infeasible (capacity below the placed system's optimal load)
+are no longer silently skipped: they are recorded in
 :attr:`CapacitySweepResult.infeasible_capacities` so figures and logs can
 show what was dropped.
 """
@@ -94,7 +93,6 @@ def sweep_uniform_capacities(
     placed: PlacedQuorumSystem,
     alpha: float,
     levels: np.ndarray | None = None,
-    program: StrategyProgram | None = None,
 ) -> CapacitySweepResult:
     """Sweep uniform node capacities and pick the best response time.
 
@@ -110,17 +108,14 @@ def sweep_uniform_capacities(
     levels:
         Capacity levels to try; defaults to :func:`capacity_levels` at the
         system's optimal load.
-    program:
-        A pre-assembled :class:`StrategyProgram` for ``placed`` to reuse;
-        assembled here when omitted.
     """
     if levels is None:
         l_opt = optimal_load(placed.system).l_opt
         levels = capacity_levels(l_opt)
     levels = np.asarray(levels, dtype=np.float64)
-    if program is None:
-        program = StrategyProgram(placed)
-    strategies = program.solve_many([float(c) for c in levels])
+    strategies = StrategyProgram(placed).solve_many(
+        [float(c) for c in levels]
+    )
 
     points: list[CapacitySweepPoint] = []
     infeasible: list[float] = []

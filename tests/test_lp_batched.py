@@ -82,14 +82,10 @@ class TestSolveManyEquivalence:
         levels = _levels(placed)
         alpha = 60.0
 
-        batched_program = StrategyProgram(placed)
-        batched = sweep_uniform_capacities(
-            placed, alpha, levels=levels, program=batched_program
-        )
+        batched = sweep_uniform_capacities(placed, alpha, levels=levels)
+        # the per-level path: the sweep builds its program on cold scipy
         monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
-        per_level = sweep_uniform_capacities(
-            placed, alpha, levels=levels, program=StrategyProgram(placed)
-        )
+        per_level = sweep_uniform_capacities(placed, alpha, levels=levels)
         assert batched.best.capacity == per_level.best.capacity
         assert batched.best.result.avg_response_time == pytest.approx(
             per_level.best.result.avg_response_time, abs=1e-6

@@ -7,6 +7,7 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SimulationError
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.experiment import (
+    N_CLIENT_SITES,
     QUExperimentConfig,
     run_qu_experiment,
     select_client_sites,
@@ -27,8 +28,8 @@ class TestClientSiteSelection:
         placed = PlacedQuorumSystem(
             qs, Placement(np.arange(6)), planetlab
         )
-        sites = select_client_sites(planetlab, placed, n_sites=10)
-        assert len(sites) == 10
+        sites = select_client_sites(planetlab, placed)
+        assert len(sites) == N_CLIENT_SITES == 10
         assert len(set(sites.tolist())) == 10
 
     def test_sites_approximate_global_average(self, planetlab):
@@ -41,7 +42,7 @@ class TestClientSiteSelection:
         placed = PlacedQuorumSystem(
             qs, Placement(np.arange(6)), planetlab
         )
-        sites = select_client_sites(planetlab, placed, n_sites=10)
+        sites = select_client_sites(planetlab, placed)
         per_node = evaluate(
             placed, ThresholdBalancedStrategy(), alpha=0.0
         ).per_client_network_delay

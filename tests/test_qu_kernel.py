@@ -1,19 +1,19 @@
 """Bit-identity of the Q/U event path against the formulation it replaced.
 
-The Section-3 Q/U simulation pays a few cheap Python calls per event, and
-as few events and objects per operation as the protocol allows. One
-attempt on a quorum of ``q`` servers is one
-:class:`~repro.qu.messages.QURequest` shared by the ``q`` servers, one
-accepted candidate they share, and ``2q + 1`` events: ``q`` request
+The Section-3 Q/U simulation pays a few cheap Python operations per
+event, and as few events and objects per operation as the protocol
+allows. :class:`~repro.qu.service.QUService` keeps the protocol state in
+flat per-server and per-client lists; an event is ``(time, sequence,
+handler, arg)`` with a client id as its argument. One attempt on a quorum
+of ``q`` servers builds one candidate version, a ``(timestamp, value)``
+tuple the ``q`` servers share, and costs ``2q + 1`` events: ``q`` request
 deliveries, ``q`` service completions and one completion at the client,
 pushed under the sequence number the reply that arrives last reserved
-when it was sent (:meth:`Simulator.reserve`). Below that,
-:class:`~repro.qu.timestamps.QUTimestamp` orders natively as a
-``dataclass(order=True)``, :class:`~repro.qu.objects.ReplicaHistory`
-keeps only its latest candidate, updated on ``accept``,
-:meth:`Simulator.schedule` pushes onto the heap directly, and
-:meth:`SimNetwork.message_delay` reads one-way delays from a per-source
-memo.
+when it was sent (:meth:`Simulator.reserve`). Timestamps are
+``(time, client_id, op_seq)`` tuples ordered natively; each server keeps
+only each object's latest version; :meth:`Simulator.schedule` pushes onto
+the heap directly, and the one-way delays between each client and each
+server are read from rows computed when the client is added.
 
 The reference below is the straightforward event-per-message formulation
 those replaced: a request object per server and a reply message with a
@@ -34,7 +34,7 @@ import dataclasses
 import heapq
 import math
 from collections import deque
-from functools import partial, total_ordering
+from functools import total_ordering
 
 import numpy as np
 import pytest
@@ -46,9 +46,7 @@ from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ThresholdBalancedStrategy
 from repro.errors import SimulationError
 from repro.network.graph import Topology
-from repro.qu.objects import Candidate, ReplicaHistory
-from repro.qu.service import QUService
-from repro.qu.timestamps import QUTimestamp
+from repro.qu.service import START_STAGGER_MS, ZERO_VERSION, QUService
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.engine import Simulator
 from repro.sim.experiment import QUExperimentConfig, run_qu_experiment
@@ -84,6 +82,14 @@ class RefTimestamp:
     @classmethod
     def zero(cls):
         return cls()
+
+
+@dataclasses.dataclass(frozen=True)
+class Candidate:
+    """One object version: a timestamp and an opaque value token."""
+
+    timestamp: RefTimestamp
+    value: int
 
 
 def _max_scan(candidates):
@@ -124,13 +130,13 @@ def _ref_classify(histories):
 # ---------------------------------------------------------------------------
 # Reference engine (schedule via schedule_reserved, send via one_way_delay)
 # ---------------------------------------------------------------------------
-def _ref_schedule(self, delay, callback):
+def _ref_schedule(self, delay, handler, arg):
     if not math.isfinite(delay) or delay < 0:
         raise SimulationError(
             f"event delay must be finite and non-negative, got {delay}"
         )
     # The heap key ``schedule`` gives: now + delay, the next sequence number.
-    self.schedule_reserved(self._now + delay, self.reserve(), callback)
+    self.schedule_reserved(self._now + delay, self.reserve(), handler, arg)
 
 
 def _ref_run(self, until=None, max_events=None):
@@ -138,12 +144,12 @@ def _ref_run(self, until=None, max_events=None):
         raise SimulationError("run() needs a time bound or an event budget")
     processed = 0
     while self._heap:
-        time, _, callback = self._heap[0]
+        time, _, handler, arg = self._heap[0]
         if until is not None and time > until:
             break
         heapq.heappop(self._heap)
         self._now = time
-        callback()
+        handler(arg)
         self._events_processed += 1
         processed += 1
         if max_events is not None and processed >= max_events:
@@ -152,12 +158,13 @@ def _ref_run(self, until=None, max_events=None):
         self._now = max(self._now, until)
 
 
-def _ref_send(self, src, dst, payload, on_delivery):
+def _ref_send(self, src, dst, handler, arg):
     delay = self.one_way_delay(src, dst)
     self.messages_sent += 1
-    # A partial, as SimNetwork.send schedules: the generic simulator finds
-    # the deliveries still on the wire at the horizon by their callback.
-    self._sim.schedule(delay, partial(on_delivery, payload))
+    # The handler as given, as SimNetwork.send schedules it: the generic
+    # simulator finds the deliveries still on the wire at the horizon by
+    # their handler.
+    self._sim.schedule(delay, handler, arg)
 
 
 def _reference_engine(monkeypatch):
@@ -217,9 +224,7 @@ class RefServer:
         self._busy = True
         request = self._queue.popleft()
         self.busy_time_ms += self._service_time_ms
-        self._sim.schedule(
-            self._service_time_ms, lambda: self._finish(request)
-        )
+        self._sim.schedule(self._service_time_ms, self._finish, request)
 
     def _finish(self, request):
         history = self._store.get(request.object_id)
@@ -283,12 +288,12 @@ class RefClient:
 
     def start(self, initial_delay_ms=0.0):
         self._running = True
-        self._sim.schedule(initial_delay_ms, self._issue)
+        self._sim.schedule(initial_delay_ms, self._issue, None)
 
     def stop(self):
         self._running = False
 
-    def _issue(self):
+    def _issue(self, _arg=None):
         if not self._running:
             return
         now = self._sim.now
@@ -342,40 +347,40 @@ class RefClient:
         self._issue()
 
 
-class RefService(QUService):
-    """:class:`QUService` on the reference server, client and routing.
-
-    ``run``, ``all_records`` and ``server_utilizations`` are inherited:
-    they read only what both paths keep.
-    """
+class RefService:
+    """The event-per-message Q/U service: the reference servers and
+    clients routed over a :class:`SimNetwork`, with the constructor,
+    ``add_client``, ``run``, ``messages_sent``, ``all_records`` and
+    ``server_utilizations`` of :class:`QUService`."""
 
     def __init__(
         self, topology, server_nodes, quorum_size, service_time_ms=1.0,
         seed=0,
     ):
-        super().__init__(
-            topology, server_nodes, quorum_size,
-            service_time_ms=service_time_ms, seed=seed,
-        )
+        self.sim = Simulator()
+        self.topology = topology
+        self.network = SimNetwork(self.sim, topology)
+        self.quorum_size = quorum_size
+        self._seed = seed
         self.servers = [
             RefServer(
-                s.server_id, s.node, self.sim, self._route_reply,
-                service_time_ms,
+                i, int(node), self.sim, self._route_reply, service_time_ms
             )
-            for s in self.servers
+            for i, node in enumerate(np.asarray(server_nodes))
         ]
+        self.clients = []
 
     def _route_request(self, request, server_id):
         server = self.servers[server_id]
         client = self.clients[request.client_id]
         self.network.send(
-            client.node, server.node, request, server.on_request
+            client.node, server.node, server.on_request, request
         )
 
     def _route_reply(self, reply, client_id):
         client = self.clients[client_id]
         server = self.servers[reply.server_id]
-        self.network.send(server.node, client.node, reply, client.on_reply)
+        self.network.send(server.node, client.node, client.on_reply, reply)
 
     def add_client(self, node):
         client_id = len(self.clients)
@@ -394,6 +399,30 @@ class RefService(QUService):
         )
         self.clients.append(client)
         return client
+
+    def run(self, duration_ms):
+        rng = np.random.default_rng(self._seed)
+        for client in self.clients:
+            client.start(
+                initial_delay_ms=float(rng.uniform(0.0, START_STAGGER_MS))
+            )
+        self.sim.run(until=duration_ms)
+        for client in self.clients:
+            client.stop()
+
+    @property
+    def messages_sent(self):
+        return self.network.messages_sent
+
+    def all_records(self):
+        records = []
+        for client in self.clients:
+            records.extend(client.records)
+        return records
+
+    def server_utilizations(self):
+        elapsed = self.sim.now
+        return np.asarray([s.utilization(elapsed) for s in self.servers])
 
 
 def _reference_qu(monkeypatch):
@@ -435,21 +464,22 @@ def _assert_identical(actual, expected, path="result"):
 
 
 def _spy_services(monkeypatch):
+    """Record every service that runs, new or reference, in run order."""
     services = []
-    original = QUService.run
+    for service_cls in (QUService, RefService):
 
-    def run(self, *args, **kwargs):
-        services.append(self)
-        return original(self, *args, **kwargs)
+        def run(self, *args, _original=service_cls.run, **kwargs):
+            services.append(self)
+            return _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(QUService, "run", run)
+        monkeypatch.setattr(service_cls, "run", run)
     return services
 
 
 def _service_outcome(service):
     return (
         np.float64(service.sim.now).tobytes(),
-        service.network.messages_sent,
+        service.messages_sent,
         _record_bytes(service.all_records()),
         service.server_utilizations().tobytes(),
     )
@@ -465,21 +495,21 @@ def _assert_same_run(new, ref):
     """
     assert _service_outcome(new) == _service_outcome(ref)
     replies = sum(c.replies_delivered for c in ref.clients)
-    attempts = sum(c.operations_completed for c in new.clients)
+    attempts = len(new.all_records())
     assert new.sim.events_processed == (
         ref.sim.events_processed - replies + attempts
     )
 
 
 # ---------------------------------------------------------------------------
-# Timestamp ordering
+# Timestamp ordering: the service's tuples order as the reference's
+# timestamps do
 # ---------------------------------------------------------------------------
-_GRID = [
-    QUTimestamp(time=t, client_id=c, op_seq=s)
-    for t in (0, 1, 2)
-    for c in (-1, 0, 3)
-    for s in (-1, 2)
-]
+_GRID = [(t, c, s) for t in (0, 1, 2) for c in (-1, 0, 3) for s in (-1, 2)]
+
+
+def _as_ref(ts):
+    return RefTimestamp(*ts)
 
 
 @pytest.mark.parametrize(
@@ -497,86 +527,34 @@ _GRID = [
 def test_timestamp_order_matches_key(op):
     for a in _GRID:
         for b in _GRID:
-            assert op(a, b) == op(_key(a), _key(b)), (a, b)
             assert op(a, b) == op(_as_ref(a), _as_ref(b)), (a, b)
-
-
-def _as_ref(ts):
-    return RefTimestamp(ts.time, ts.client_id, ts.op_seq)
 
 
 def test_timestamp_max_and_sort_match_key():
     shuffled = list(reversed(_GRID))
-    assert sorted(shuffled) == sorted(shuffled, key=_key)
-    assert max(shuffled) is max(shuffled, key=_key)
+    refs = [_as_ref(ts) for ts in shuffled]
+    assert sorted(shuffled) == [dataclasses.astuple(r) for r in sorted(refs)]
+    assert max(shuffled) == dataclasses.astuple(max(refs, key=_key))
 
 
-def test_timestamp_hash_and_next_for_unchanged():
-    ts = QUTimestamp(time=4, client_id=2, op_seq=9)
-    assert hash(ts) == hash(QUTimestamp(4, 2, 9))
-    assert ts.next_for(5, 11) == QUTimestamp(5, 5, 11)
-    assert QUTimestamp.zero() == QUTimestamp(0, -1, -1)
-    with pytest.raises(TypeError):
-        _ = ts < (4, 2, 9)
-
-
-# ---------------------------------------------------------------------------
-# ReplicaHistory: the kept latest == the max-scan over every candidate
-# ---------------------------------------------------------------------------
-_SMALL_TS = st.builds(
-    QUTimestamp,
-    time=st.integers(0, 3),
-    client_id=st.integers(0, 2),
-    op_seq=st.integers(0, 1),
-)
-
-
-def _check_history_ops(history_cls, stamps):
-    """Accept one candidate per timestamp in ``history_cls`` and in the
-    reference that keeps every candidate: after every step ``latest``
-    must be the very object the reference's max-scan returns."""
-    history = history_cls()
-    reference = RefHistory(candidates=[history.latest])
-    for step, stamp in enumerate(stamps):
-        candidate = Candidate(timestamp=stamp, value=step)
-        history.accept(candidate)
-        reference.accept(candidate)
-        assert history.latest is reference.latest
-
-
-@settings(max_examples=200, deadline=None)
-@given(stamps=st.lists(_SMALL_TS, max_size=60))
-def test_history_latest_is_max_scan_object(stamps):
-    _check_history_ops(ReplicaHistory, stamps)
-
-
-def test_fresh_history_starts_at_zero():
-    assert ReplicaHistory().latest == Candidate(QUTimestamp.zero(), 0)
-
-
-_TIED = QUTimestamp(time=1, client_id=0, op_seq=0)
-
-
-def test_equal_timestamps_keep_first_candidate():
-    history = ReplicaHistory()
-    first, second = Candidate(_TIED, 1), Candidate(_TIED, 2)
-    history.accept(first)
-    history.accept(second)
-    assert history.latest is first
-    _check_history_ops(ReplicaHistory, [_TIED, _TIED])
-
-
-class _GreaterEqualMutant(ReplicaHistory):
-    """``accept`` with ``>=``: the last of tied candidates wins."""
-
-    def accept(self, candidate):
-        if candidate.timestamp >= self.latest.timestamp:
-            self.latest = candidate
-
-
-def test_greater_equal_mutant_is_caught():
-    with pytest.raises(AssertionError):
-        _check_history_ops(_GreaterEqualMutant, [_TIED, _TIED])
+def test_successor_timestamps_match_next_for(planetlab):
+    """Every write carries ``condition.next_for(client, op_seq)`` of the
+    reference and value ``op_seq``, conditioned on the version the last
+    write created: after a run, the version a server holds for client
+    ``c``'s object is ``RefTimestamp.zero().next_for`` applied ``k``
+    times, with value ``k``."""
+    assert ZERO_VERSION == (dataclasses.astuple(RefTimestamp.zero()), 0)
+    service = QUService(planetlab, np.arange(6), quorum_size=5, seed=3)
+    for node in (7, 9, 11):
+        service.add_client(node)
+    service.run(duration_ms=300.0)
+    for versions in service._versions:
+        for client, (timestamp, value) in enumerate(versions):
+            expected = RefTimestamp.zero()
+            for op_seq in range(1, value + 1):
+                expected = expected.next_for(client, op_seq)
+            assert timestamp == dataclasses.astuple(expected)
+    assert min(v for versions in service._versions for _, v in versions) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +622,7 @@ def _check_scenario(scenario):
         _reference_engine(patch)
         ref = _run_scenario(scenario, RefService)
     _assert_same_run(new, ref)
+    return new, ref
 
 
 @st.composite
@@ -695,6 +674,90 @@ def test_completion_keeps_the_last_reply_tie_order():
     _check_scenario(_FRESH_SEQUENCE_DIVERGES)
 
 
+# ---------------------------------------------------------------------------
+# Replica histories: the version each server keeps per object == the
+# reference's max-scan over every candidate it accepted
+# ---------------------------------------------------------------------------
+def _as_version(candidate):
+    """A reference candidate as the ``(timestamp, value)`` tuple the
+    service keeps."""
+    return (dataclasses.astuple(candidate.timestamp), candidate.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_tie_heavy_scenarios())
+def test_history_latest_is_max_scan_object(scenario):
+    new, ref = _check_scenario(scenario)
+    for server, ref_server in enumerate(ref.servers):
+        for client in range(len(ref.clients)):
+            history = ref_server._store.get(client, RefHistory())
+            assert new._versions[server][client] == _as_version(
+                history.latest
+            ), (server, client)
+
+
+def test_fresh_history_starts_at_zero(line_topology):
+    service = QUService(line_topology, np.array([0, 4, 9]), quorum_size=2)
+    for node in (1, 5):
+        service.add_client(node)
+    zero = _as_version(RefHistory().latest)
+    assert service._versions == [[zero, zero]] * 3
+
+
+#: The timestamp client 0's first write creates.
+_TIED = RefTimestamp(time=1, client_id=0, op_seq=1)
+
+
+def _tied_server_run(line_topology):
+    """Client 0's first write, to three servers that hold the zero version
+    except server 0: it already holds another candidate with the
+    timestamp that write creates, so it rejects the write and the run
+    raises. Returns the service as the error left it."""
+    service = QUService(line_topology, np.array([0, 4, 9]), quorum_size=3)
+    service.add_client(2)
+    service._versions[0][0] = _as_version(Candidate(_TIED, -7))
+    with pytest.raises(SimulationError, match="client 0"):
+        service.run(duration_ms=100.0)
+    return service
+
+
+def test_equal_timestamps_keep_first_candidate(line_topology):
+    """A server's version is replaced only by a newer one: server 0 keeps
+    the first of two candidates with equal timestamps, the one the
+    reference's max-scan over both picks, while servers 1 and 2 took the
+    write."""
+    service = _tied_server_run(line_topology)
+    first, second = Candidate(_TIED, -7), Candidate(_TIED, 1)
+    reference = RefHistory(candidates=[first, second])
+    assert reference.latest is first
+    assert [versions[0] for versions in service._versions] == [
+        _as_version(first),
+        _as_version(second),
+        _as_version(second),
+    ]
+
+
+class _LastOfTiesHistory(RefHistory):
+    """A history whose latest is the last of tied candidates: what an
+    ``accept`` on ``>=`` would keep."""
+
+    @property
+    def latest(self):
+        top = _key(_max_scan(self.candidates).timestamp)
+        return [c for c in self.candidates if _key(c.timestamp) == top][-1]
+
+
+def test_greater_equal_mutant_is_caught(line_topology):
+    """The check above tells first-of-ties from last-of-ties: a server
+    that let the tied write replace its candidate would hold the
+    mutant's latest instead."""
+    service = _tied_server_run(line_topology)
+    first, second = Candidate(_TIED, -7), Candidate(_TIED, 1)
+    mutant = _LastOfTiesHistory(candidates=[first, second])
+    assert mutant.latest is second
+    assert service._versions[0][0] != _as_version(mutant.latest)
+
+
 def _generic_run(line_topology):
     placed = PlacedQuorumSystem(
         ThresholdQuorumSystem(5, 3), Placement([0, 2, 4, 6, 8]), line_topology
@@ -733,12 +796,12 @@ def test_schedule_matches_schedule_reserved_validation():
     key."""
     for delay in (0.0, 1e-300, 2.5, 1e300, -0.0):
         new, ref = Simulator(), Simulator()
-        new.schedule(delay, lambda: None)
-        _ref_schedule(ref, delay, lambda: None)
+        new.schedule(delay, print, None)
+        _ref_schedule(ref, delay, print, None)
         assert new._heap[0][:2] == ref._heap[0][:2]
     for delay in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
         for schedule in (Simulator.schedule, _ref_schedule):
             sim = Simulator()
             with pytest.raises(SimulationError):
-                schedule(sim, delay, lambda: None)
+                schedule(sim, delay, print, None)
             assert sim.pending_events == 0

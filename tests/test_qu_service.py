@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.qu.server import QUServer
 from repro.qu.service import QUService
 from repro.sim.metrics import summarize
 
@@ -62,7 +61,7 @@ class TestServiceConstruction:
             SimulationError, match=f"node {node} .* 50 nodes"
         ):
             service.add_client(node)
-        assert service.clients == []
+        assert service.client_nodes == []
 
 
 class TestSingleClient:
@@ -158,8 +157,7 @@ class TestQueueing:
         for _ in range(5):
             service.add_client(node=9)
         service.run(duration_ms=400.0)
-        server = service.servers[0]
-        assert server.requests_processed > 0
+        assert service.requests_processed[0] > 0
         # With 5 closed-loop clients and a single 1ms server 90ms away,
         # utilization stays modest but queueing is visible at bursts.
         records = service.all_records()
@@ -178,23 +176,56 @@ class TestContention:
         for _ in range(3):
             service.add_client(node=0)
         service.run(duration_ms=1000.0)
-        assert len({c.object_id for c in service.clients}) == 3
-        assert all(c.operations_completed > 0 for c in service.clients)
+        assert all(len(records) > 0 for records in service.records)
+        # Object c is client c's: only its writes, or the zero version.
+        for versions in service._versions:
+            assert len(versions) == 3
+            for client, ((_, writer, _), _) in enumerate(versions):
+                assert writer in (client, -1)
 
-    def test_rejected_condition_raises(self, line_topology, monkeypatch):
+    def test_rejected_condition_raises(self, line_topology):
         """A server that rejects the condition would need Q/U's contention
         resolution, which is out of scope: the run stops with an error
-        naming the client instead of retrying."""
-
-        def reject(self, request):
-            self.requests_processed += 1
-            self._send_reply(
-                self.node, request, False, self._history_for(0).latest
-            )
-            self._start_next()
-
-        monkeypatch.setattr(QUServer, "_finish", reject)
+        naming the client instead of retrying. Server 2 holds a version
+        of client 1's object newer than any the client wrote."""
         service = build_service(line_topology, [0, 1, 2], 2, seed=5)
         service.add_client(node=3)
-        with pytest.raises(SimulationError, match="client 0"):
+        service.add_client(node=4)
+        service._versions[2][1] = ((9, 1, 9), 9)
+        with pytest.raises(SimulationError, match="client 1: "):
             service.run(duration_ms=1000.0)
+
+
+class TestRunsOnce:
+    """A service's clients cannot resume their closed loops: a second
+    ``run`` raises instead of silently doing nothing or restarting
+    clients over their own in-flight attempts."""
+
+    def test_shorter_second_run_raises(self, line_topology):
+        service = build_service(line_topology, [0, 1, 2], 2, seed=1)
+        service.add_client(node=5)
+        service.run(duration_ms=100.0)
+        completed = len(service.all_records())
+        with pytest.raises(SimulationError, match="already run"):
+            service.run(duration_ms=50.0)
+        assert service.sim.now == 100.0
+        assert len(service.all_records()) == completed
+
+    def test_longer_second_run_raises(self, planetlab):
+        """Restarting these clients would overlap their in-flight
+        attempts, which then looked like a rejected condition."""
+        service = build_service(planetlab, list(range(6)), 5, seed=1)
+        service.add_client(7)
+        service.add_client(9)
+        service.run(duration_ms=100.0)
+        with pytest.raises(SimulationError, match="already run"):
+            service.run(duration_ms=300.0)
+        assert service.sim.now == 100.0
+
+    def test_failed_run_cannot_run_again(self, line_topology):
+        service = build_service(line_topology, [0, 1, 2], 2)
+        service.add_client(5)
+        with pytest.raises(SimulationError, match="finite"):
+            service.run(duration_ms=float("nan"))
+        with pytest.raises(SimulationError, match="already run"):
+            service.run(duration_ms=100.0)

@@ -1,4 +1,9 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event simulation kernel.
+
+An event is ``(time, sequence, handler, arg)`` and fires as
+``handler(arg)``; most tests schedule ``fired.append`` with the tag to
+record as its argument.
+"""
 
 import pytest
 
@@ -6,28 +11,45 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 
 
+def _ignore(arg):
+    """A handler that does nothing with its argument."""
+
+
 class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, lambda: fired.append("b"))
-        sim.schedule(1.0, lambda: fired.append("a"))
-        sim.schedule(9.0, lambda: fired.append("c"))
+        sim.schedule(5.0, fired.append, "b")
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(9.0, fired.append, "c")
         sim.run(until=10.0)
         assert fired == ["a", "b", "c"]
+
+    def test_handler_receives_its_arg(self):
+        """The argument is passed through untouched: the very object, not
+        a copy, and ``None`` like any other value."""
+        sim = Simulator()
+        payload = {"client": 3}
+        seen = []
+        sim.schedule(1.0, seen.append, payload)
+        sim.schedule(2.0, seen.append, None)
+        sim.schedule_reserved(3.0, sim.reserve(), seen.append, 7)
+        sim.run(until=10.0)
+        assert seen == [payload, None, 7]
+        assert seen[0] is payload
 
     def test_simultaneous_events_fifo(self):
         sim = Simulator()
         fired = []
         for tag in range(5):
-            sim.schedule(3.0, lambda t=tag: fired.append(t))
+            sim.schedule(3.0, fired.append, tag)
         sim.run(until=10.0)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_now_advances_to_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(2.5, lambda: seen.append(sim.now))
+        sim.schedule(2.5, lambda _: seen.append(sim.now), None)
         sim.run(until=10.0)
         assert seen == [2.5]
         assert sim.now == 10.0
@@ -36,22 +58,22 @@ class TestScheduling:
         sim = Simulator()
         fired = []
 
-        def first():
-            fired.append(("first", sim.now))
-            sim.schedule(1.0, second)
+        def first(tag):
+            fired.append((tag, sim.now))
+            sim.schedule(1.0, second, "second")
 
-        def second():
-            fired.append(("second", sim.now))
+        def second(tag):
+            fired.append((tag, sim.now))
 
-        sim.schedule(1.0, first)
+        sim.schedule(1.0, first, "first")
         sim.run(until=10.0)
         assert fired == [("first", 1.0), ("second", 2.0)]
 
     def test_run_until_excludes_later_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, lambda: fired.append("early"))
-        sim.schedule(15.0, lambda: fired.append("late"))
+        sim.schedule(5.0, fired.append, "early")
+        sim.schedule(15.0, fired.append, "late")
         sim.run(until=10.0)
         assert fired == ["early"]
         sim.run(until=20.0)
@@ -60,7 +82,10 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-1.0, lambda: None)
+            sim.schedule(-1.0, _ignore, None)
+        with pytest.raises(SimulationError):
+            sim.schedule(-0.5e-300, _ignore, None)
+        assert sim.pending_events == 0
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), float("-inf")]
@@ -70,26 +95,26 @@ class TestScheduling:
         to slip through and silently corrupt heap ordering."""
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(bad, lambda: None)
+            sim.schedule(bad, _ignore, None)
         assert sim.pending_events == 0
 
     def test_nan_event_cannot_corrupt_heap_order(self):
         """With NaN rejected, surrounding events still fire in order."""
         sim = Simulator()
         fired = []
-        sim.schedule(2.0, lambda: fired.append("b"))
+        sim.schedule(2.0, fired.append, "b")
         with pytest.raises(SimulationError):
-            sim.schedule(float("nan"), lambda: fired.append("nan"))
-        sim.schedule(1.0, lambda: fired.append("a"))
+            sim.schedule(float("nan"), fired.append, "nan")
+        sim.schedule(1.0, fired.append, "a")
         sim.run(until=10.0)
         assert fired == ["a", "b"]
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(5.0, lambda: None)
+        sim.schedule(5.0, _ignore, None)
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
-            sim.schedule_reserved(1.0, sim.reserve(), lambda: None)
+            sim.schedule_reserved(1.0, sim.reserve(), _ignore, None)
 
     def test_run_needs_bound(self):
         with pytest.raises(SimulationError):
@@ -104,15 +129,46 @@ class TestScheduling:
         sim = Simulator()
         fired = []
 
-        def loop():
+        def loop(_):
             fired.append(sim.now)
-            sim.schedule(1.0, loop)
+            sim.schedule(1.0, loop, None)
 
-        sim.schedule(0.0, loop)
+        sim.schedule(0.0, loop, None)
         with pytest.raises(SimulationError, match=str(bad)):
             sim.run(until=bad, max_events=5_000)
         assert fired == []
         assert sim.now == 0.0
+
+    def test_raising_handler_counts_only_completed_calls(self):
+        """A handler that raises stops the run with the clock at its
+        event; ``events_processed`` counts the calls that returned."""
+        sim = Simulator()
+        fired = []
+
+        def fail(tag):
+            raise SimulationError(f"handler {tag} failed")
+
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fail, "b")
+        sim.schedule(3.0, fired.append, "c")
+        with pytest.raises(SimulationError, match="handler b failed"):
+            sim.run(until=10.0)
+        assert fired == ["a"]
+        assert sim.events_processed == 1
+        assert sim.now == 2.0
+        assert sim.pending_events == 1
+
+    def test_pending_handlers_lists_queued_pairs(self):
+        sim = Simulator()
+        sim.schedule(1.0, _ignore, "a")
+        sim.schedule(5.0, len, "b")
+        sim.schedule_reserved(7.0, sim.reserve(), _ignore, "c")
+        sim.run(until=2.0)
+        assert sorted(sim.pending_handlers(), key=lambda pair: pair[1]) == [
+            (len, "b"),
+            (_ignore, "c"),
+        ]
+        assert sim.pending_events == 2
 
 
 class TestReservedSlots:
@@ -121,20 +177,20 @@ class TestReservedSlots:
         scheduled when the number was reserved."""
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, lambda: fired.append("before"))
+        sim.schedule(5.0, fired.append, "before")
         slot = sim.reserve()
-        sim.schedule(5.0, lambda: fired.append("after"))
-        sim.schedule_reserved(5.0, slot, lambda: fired.append("reserved"))
+        sim.schedule(5.0, fired.append, "after")
+        sim.schedule_reserved(5.0, slot, fired.append, "reserved")
         sim.run(until=10.0)
         assert fired == ["before", "reserved", "after"]
 
     def test_unused_reservations_shift_nothing(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule(1.0, fired.append, "a")
         for _ in range(3):
             sim.reserve()
-        sim.schedule(1.0, lambda: fired.append("b"))
+        sim.schedule(1.0, fired.append, "b")
         sim.run(until=2.0)
         assert fired == ["a", "b"]
         assert sim.events_processed == 2
@@ -147,20 +203,23 @@ class TestReservedSlots:
         sim.run(until=3.0)
         slot = sim.reserve()
         with pytest.raises(SimulationError):
-            sim.schedule_reserved(bad, slot, lambda: None)
+            sim.schedule_reserved(bad, slot, _ignore, None)
         assert sim.pending_events == 0
-        sim.schedule_reserved(3.0, slot, lambda: None)
+        sim.schedule_reserved(3.0, slot, _ignore, None)
         assert sim.pending_events == 1
 
     def test_slot_not_reserved_rejected(self):
+        """Only numbers :meth:`reserve` handed out are accepted; one that
+        :meth:`schedule` took is not reserved either."""
         sim = Simulator()
         with pytest.raises(SimulationError, match="not reserved"):
-            sim.schedule_reserved(1.0, 0, lambda: None)
+            sim.schedule_reserved(1.0, 0, _ignore, None)
         slot = sim.reserve()
-        for bad in (slot + 1, -1):
+        sim.schedule(1.0, _ignore, None)  # takes slot + 1
+        for bad in (slot + 1, slot + 2, -1):
             with pytest.raises(SimulationError, match="not reserved"):
-                sim.schedule_reserved(1.0, bad, lambda: None)
-        assert sim.pending_events == 0
+                sim.schedule_reserved(1.0, bad, _ignore, None)
+        assert sim.pending_events == 1
 
 
 class TestDeterminism:
@@ -172,11 +231,9 @@ class TestDeterminism:
         # Interleave two batches at the same timestamp; sequence numbers,
         # not insertion batch, dictate the firing order.
         for i in range(3):
-            sim.schedule(7.0, lambda i=i: fired.append(("a", i)))
+            sim.schedule(7.0, fired.append, ("a", i))
         for i in range(3):
-            sim.schedule_reserved(
-                7.0, sim.reserve(), lambda i=i: fired.append(("b", i))
-            )
+            sim.schedule_reserved(7.0, sim.reserve(), fired.append, ("b", i))
         sim.run(until=10.0)
         assert fired == [
             ("a", 0), ("a", 1), ("a", 2),
@@ -188,13 +245,13 @@ class TestDeterminism:
             sim = Simulator()
             count = [0]
 
-            def tick():
+            def tick(_):
                 count[0] += 1
                 if count[0] % 7:
-                    sim.schedule(0.5, tick)
+                    sim.schedule(0.5, tick, None)
 
             for i in range(5):
-                sim.schedule(0.1 * i, tick)
+                sim.schedule(0.1 * i, tick, None)
             sim.run(until=50.0)
             return sim.events_processed, sim.now
 
@@ -251,23 +308,23 @@ class TestBudgets:
         sim = Simulator()
         fired = []
         for i in range(10):
-            sim.schedule(float(i), lambda i=i: fired.append(i))
+            sim.schedule(float(i), fired.append, i)
         sim.run(until=100.0, max_events=3)
         assert fired == [0, 1, 2]
 
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):
-            sim.schedule(float(i), lambda: None)
+            sim.schedule(float(i), _ignore, None)
         sim.run(until=100.0)
         assert sim.events_processed == 4
 
     def test_runaway_self_scheduling_bounded(self):
         sim = Simulator()
 
-        def loop():
-            sim.schedule(0.001, loop)
+        def loop(_):
+            sim.schedule(0.001, loop, None)
 
-        sim.schedule(0.0, loop)
+        sim.schedule(0.0, loop, None)
         sim.run(until=1e9, max_events=100)
         assert sim.events_processed == 100

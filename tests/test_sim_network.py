@@ -20,15 +20,16 @@ class TestSimNetwork:
         sim = Simulator()
         net = SimNetwork(sim, line_topology)
         deliveries = []
-        net.send(0, 5, "hello", lambda p: deliveries.append((p, sim.now)))
+        net.send(0, 5, lambda p: deliveries.append((p, sim.now)), "hello")
         sim.run(until=100.0)
         assert deliveries == [("hello", 25.0)]
 
     def test_message_counter(self, line_topology):
         sim = Simulator()
         net = SimNetwork(sim, line_topology)
+        deliveries = []
         for _ in range(3):
-            net.send(0, 1, None, lambda p: None)
+            net.send(0, 1, deliveries.append, None)
         assert net.messages_sent == 3
 
     def test_message_delay_is_what_send_waits(self, line_topology):
@@ -39,7 +40,7 @@ class TestSimNetwork:
         arrivals = []
         for i, dst in enumerate((9, 2, 9)):
             sender.send(
-                0, dst, i, lambda i: arrivals.append((i, sim.now))
+                0, dst, lambda i: arrivals.append((i, sim.now)), i
             )
         sim.run(until=1000.0)
         direct = SimNetwork(Simulator(), line_topology)
