@@ -12,10 +12,13 @@ Two solver paths sit behind one interface:
 * **HiGHS warm-start** — when HiGHS python bindings are importable (the
   standalone ``highspy`` package, or the copy scipy vendors as
   ``scipy.optimize._highspy``), the model is passed to a persistent
-  ``Highs`` instance once; each variant only changes the affected row
-  bounds and re-runs the solver, which re-optimizes from a warm basis
-  (dual simplex) instead of solving cold. This is where the batched
-  sweep's order-of-magnitude win comes from.
+  ``Highs`` instance once, as arrays (``num_col, num_row, num_nz,
+  format, sense, offset``, then the cost, bound, CSC matrix and
+  integrality arrays) through the array overload of ``passModel``; each
+  variant only changes the affected row bounds and re-runs the solver,
+  which re-optimizes from a warm basis (dual simplex) instead of solving
+  cold. This is where the batched sweep's order-of-magnitude win comes
+  from.
 * **scipy fallback** — otherwise each variant is one
   ``scipy.optimize.linprog`` call reusing the prebuilt CSR matrices, so
   only assembly (not the cold solve) is amortized.
@@ -63,6 +66,28 @@ lexicographically ascending order (monotone for capacity sweeps, so each
 warm step is a small dual-simplex perturbation) and un-permutes the
 results, making the returned list independent of the caller's level
 order.
+
+Reusing a held optimum
+----------------------
+On HiGHS a sweep runs the solver once per *distinct* optimum. A variant
+takes the previous run's solution, without a run, when
+
+1. that run was feasible,
+2. the variant's RHS is componentwise ``>=`` the RHS the solver holds, and
+3. every row whose RHS differs is ``kBasic`` in the solver's basis.
+
+A basic row's bound does not enter the basic solution and the objective
+has not changed, so the basis stays primal and dual feasible, hence
+optimal: HiGHS would stop after 0 iterations with the same ``x``. A run
+still changes solver state beyond the basis, so a variant that does need
+a run first runs the variants answered since the last run: every run
+then follows the calls it follows when each variant runs, and only a
+sweep's tail of reused variants is never run. In a uniform capacity
+sweep every level above the first one at which no capacity row binds
+reuses that level's optimum; at 2000 WAN sites that is the lowest of ten
+levels. ``tests/test_lp_batched.py`` pins the
+answers bit for bit against running every variant. The scipy path keeps
+one ``linprog`` per variant: a cold solve may pick another tied vertex.
 
 This module is the only place the library calls a solver: every LP in
 :mod:`repro` — the access-strategy and fractional-placement families as
@@ -197,12 +222,6 @@ class _HighsBackend:
         else:
             a = sparse.csc_matrix((0, n_vars))
 
-        lp = bindings.HighsLp()
-        lp.num_col_ = n_vars
-        lp.num_row_ = n_le + n_eq
-        lp.col_cost_ = np.ascontiguousarray(arrays["c"])
-        lp.col_lower_ = np.ascontiguousarray(arrays["bounds"][:, 0])
-        lp.col_upper_ = np.ascontiguousarray(arrays["bounds"][:, 1])
         row_lower = np.full(n_le + n_eq, -self._inf)
         row_upper = np.full(n_le + n_eq, self._inf)
         if n_le:
@@ -210,20 +229,29 @@ class _HighsBackend:
         if n_eq:
             row_lower[n_le:] = arrays["b_eq"]
             row_upper[n_le:] = arrays["b_eq"]
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        matrix = lp.a_matrix_
-        matrix.format_ = bindings.MatrixFormat.kColwise
-        matrix.num_col_ = n_vars
-        matrix.num_row_ = n_le + n_eq
-        matrix.start_ = a.indptr
-        matrix.index_ = a.indices
-        matrix.value_ = a.data
 
         highs_cls = getattr(bindings, "Highs", None) or bindings._Highs
         solver = highs_cls()
         solver.setOptionValue("output_flag", False)
-        status = solver.passModel(lp)
+        # The array overload: HiGHS copies each array once, where filling
+        # a HighsLp field by field converts every array in Python first.
+        status = solver.passModel(
+            n_vars,
+            n_le + n_eq,
+            a.nnz,
+            int(bindings.MatrixFormat.kColwise),
+            int(bindings.ObjSense.kMinimize),
+            0.0,
+            np.ascontiguousarray(arrays["c"]),
+            np.ascontiguousarray(arrays["bounds"][:, 0]),
+            np.ascontiguousarray(arrays["bounds"][:, 1]),
+            row_lower,
+            row_upper,
+            a.indptr,
+            a.indices,
+            a.data,
+            np.zeros(n_vars, dtype=np.int32),  # every column continuous
+        )
         if status == bindings.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected the model: {status}")
         self._solver = solver
@@ -282,17 +310,43 @@ class _HighsBackend:
     def update_coefficients(
         self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     ) -> None:
-        for row, col, value in zip(rows, cols, values):
-            self._solver.changeCoeff(int(row), int(col), float(value))
+        change = self._solver.changeCoeff
+        for row, col, value in zip(
+            rows.tolist(), cols.tolist(), values.tolist()
+        ):
+            change(row, col, value)
+
+    def still_optimal(
+        self, held: np.ndarray | None, b_ub: np.ndarray | None
+    ) -> bool:
+        """Whether the optimum the solver holds for the RHS ``held`` is
+        also optimal at ``b_ub``, so that a run would stop at once.
+
+        True when ``b_ub >= held`` componentwise and every row whose RHS
+        differs is basic: a basic row's bound does not enter the basic
+        solution, so the basis stays primal and dual feasible.
+        """
+        if b_ub is None:
+            return True  # no inequality rows: the model is unchanged
+        assert held is not None
+        if np.any(b_ub < held):
+            return False
+        changed = np.flatnonzero(b_ub != held).tolist()
+        basis = self._solver.getBasis()
+        if not basis.valid:
+            return False
+        statuses = basis.row_status
+        basic = self._hs.HighsBasisStatus.kBasic
+        return all(statuses[row] == basic for row in changed)
 
     def solve(self, b_ub: np.ndarray | None) -> LPSolution | None:
         hs = self._hs
         if self._n_le:
             assert b_ub is not None
-            solver = self._solver
+            change = self._solver.changeRowBounds
             inf = self._inf
-            for row in range(self._n_le):
-                solver.changeRowBounds(row, -inf, float(b_ub[row]))
+            for row, bound in enumerate(b_ub.tolist()):
+                change(row, -inf, bound)
         self._solver.run()
         status = self._solver.getModelStatus()
         if status == hs.HighsModelStatus.kOptimal:
@@ -334,6 +388,11 @@ class _ScipyBackend:
         self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     ) -> None:
         pass  # ditto: linprog reads the CSR matrix freshly every call
+
+    def still_optimal(
+        self, held: np.ndarray | None, b_ub: np.ndarray | None
+    ) -> bool:
+        return False  # a cold solve may pick another tied vertex
 
     def solve(self, b_ub: np.ndarray | None) -> LPSolution | None:
         arrays = self._arrays
@@ -599,19 +658,46 @@ class BatchedProgram:
         step a small dual-simplex perturbation — and un-permuted, so the
         returned list lines up with the input *and* does not depend on the
         caller's level order.
+
+        On HiGHS the variants of a batch's tail that the held optimum
+        still solves (see the module docstring) get that solution without
+        a run: they count in ``lp.solve`` and :attr:`solve_count` like any
+        answered variant, and in ``lp.reuse``. The solver then holds the
+        last *run* variant's RHS and state, not the last variant's, so a
+        later single solve of the same program may start from other state
+        than it would after running every variant; nothing in
+        :mod:`repro` solves a program again after a batch.
         """
         variants = [self._check_rhs(v) for v in b_ub_variants]
         self.solve_count += len(variants)
         if variants:
             obs.count("lp.solve", len(variants))
         self._impl.cold_restart()
-        if not self._n_le or len(variants) < 2:
-            return [self._impl.solve(variant) for variant in variants]
-        # lexsort's last key is primary: reverse so coordinate 0 leads
-        permutation = np.lexsort(np.stack(variants).T[::-1])
+        order: Iterable[int] = range(len(variants))
+        if self._n_le and len(variants) > 1:
+            # lexsort's last key is primary: reverse so coordinate 0 leads
+            order = np.lexsort(np.stack(variants).T[::-1]).tolist()
         results: list[LPSolution | None] = [None] * len(variants)
-        for index in permutation:
-            results[index] = self._impl.solve(variants[index])
+        held: np.ndarray | None = None
+        solved: LPSolution | None = None  # the last run's, if feasible
+        deferred: list[int] = []  # answered from ``solved``, not run yet
+        for index in order:
+            variant = variants[index]
+            if solved is not None and self._impl.still_optimal(held, variant):
+                # A copy, so no two answers share an array.
+                results[index] = LPSolution(solved.x.copy(), solved.objective)
+                deferred.append(index)
+                continue
+            # A run changes solver state beyond the basis, so run what was
+            # deferred first: every run then follows the calls it follows
+            # when each variant runs, and answers alike.
+            for skipped in deferred:
+                results[skipped] = self._impl.solve(variants[skipped])
+            deferred = []
+            held, solved = variant, self._impl.solve(variant)
+            results[index] = solved
+        if deferred:
+            obs.count("lp.reuse", len(deferred))
         return results
 
     def solve(

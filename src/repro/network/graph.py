@@ -74,7 +74,9 @@ class Topology:
         if np.any(np.diag(matrix) != 0):
             raise TopologyError("RTT matrix must have a zero diagonal")
         # Symmetrize: ping measurements of v->w and w->v may differ slightly.
-        matrix = (matrix + matrix.T) / 2.0
+        # One new matrix, halved in place: the bits of (m + m.T) / 2.0.
+        matrix = np.add(matrix, matrix.T)
+        matrix /= 2.0
         if metric_closure and n > 1:
             matrix = shortest_path(matrix, method="FW", directed=False)
         self._rtt = matrix

@@ -281,7 +281,14 @@ class QUService:
     # ------------------------------------------------------------------
     def add_client(self, node: int) -> int:
         """Add a client at a topology node and return its id; it writes
-        its own object, whose id is the client id."""
+        its own object, whose id is the client id.
+
+        Clients join before :meth:`run`: one added later could never issue.
+        """
+        if self._ran:
+            raise SimulationError(
+                "this QUService has already run; add clients before run()"
+            )
         node = int(node)
         check_nodes(self.topology, [node], "client")
         client = len(self.client_nodes)

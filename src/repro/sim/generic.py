@@ -379,6 +379,7 @@ class GenericQuorumSimulation:
     def _build_event_engine(self) -> None:
         """Simulator, network, servers, samplers and closed-loop clients."""
         placed = self.placed
+        self._ran = False
         self.sim = Simulator()
         self.network = SimNetwork(self.sim, placed.topology)
         self.servers = {
@@ -519,12 +520,21 @@ class GenericQuorumSimulation:
         open-loop scenario as array passes. A closed loop starts its
         clients at uniform random offsets within ``START_STAGGER_MS``; an
         open loop starts each operation at its arrival time.
+
+        The event engine runs once: its clients cannot resume where they
+        stopped, so a second call raises.
         """
         if self.backend == "fluid":
             from repro.sim.fluid import run_fluid
 
             with obs.span("sim.fluid", duration_ms=float(duration_ms)):
                 return run_fluid(self, duration_ms, warmup_ms=warmup_ms)
+        if self._ran:
+            raise SimulationError(
+                "this simulation has already run; build a new one to run "
+                "again"
+            )
+        self._ran = True
         if self.arrivals is not None:
             self.clients, times = self._build_open_loop_clients(duration_ms)
             for client, start_at in zip(self.clients, times):

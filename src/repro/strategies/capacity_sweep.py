@@ -12,11 +12,15 @@ the sweep assembles the constraint system once per placement
 (:class:`~repro.strategies.lp_optimizer.StrategyProgram`) and batch-solves
 all levels against the shared structure — in ascending capacity order,
 so each warm re-solve is a small monotone perturbation of the previous
-basis, with results un-permuted back to the caller's level order. Levels
-whose LP is infeasible (capacity below the placed system's optimal load)
-are no longer silently skipped: they are recorded in
-:attr:`CapacitySweepResult.infeasible_capacities` so figures and logs can
-show what was dropped.
+basis, with results un-permuted back to the caller's level order. Once
+no capacity row binds, a higher level has the same optimum: on HiGHS the
+batch answers it without another solver run (see
+:mod:`repro.lp.batched`), and the sweep evaluates each distinct strategy
+once, a level whose matrix equals the previous level's taking that
+level's result. Levels whose LP is infeasible (capacity below the placed
+system's optimal load) are no longer silently skipped: they are recorded
+in :attr:`CapacitySweepResult.infeasible_capacities` so figures and logs
+can show what was dropped.
 """
 
 from __future__ import annotations
@@ -124,7 +128,12 @@ def sweep_uniform_capacities(
             # capacity below what any strategy profile can meet
             infeasible.append(float(capacity))
             continue
-        result = evaluate(placed, strategy, alpha=alpha)
+        if points and np.array_equal(
+            strategy.matrix, points[-1].strategy.matrix
+        ):
+            result = points[-1].result  # the same strategy evaluates alike
+        else:
+            result = evaluate(placed, strategy, alpha=alpha)
         points.append(
             CapacitySweepPoint(
                 capacity=float(capacity), strategy=strategy, result=result

@@ -276,6 +276,38 @@ def test_closed_loop_non_finite_horizon_rejected(maj_placed, bad):
         sim.run(duration_ms=bad)
 
 
+class TestRunsOnce:
+    """The event engine's closed-loop clients cannot resume where they
+    stopped: a second ``run`` restarted every client over its own
+    in-flight attempt, whose stale replies then completed the new attempt
+    early."""
+
+    @pytest.mark.parametrize("horizon", [37.0, 101.3, 155.5, 203.7])
+    def test_second_run_raises(self, planetlab, horizon):
+        placed = PlacedQuorumSystem(
+            ThresholdQuorumSystem(5, 3), Placement([0, 2, 4, 6, 8]), planetlab
+        )
+        sim = GenericQuorumSimulation(
+            placed,
+            ThresholdBalancedStrategy(),
+            client_nodes=[1, 3, 7, 9],
+            seed=1,
+        )
+        sim.run(duration_ms=horizon)
+        records = [list(client.records) for client in sim.clients]
+        with pytest.raises(SimulationError, match="already run"):
+            sim.run(duration_ms=2 * horizon + 100.0)
+        assert sim.sim.now == horizon
+        assert [client.records for client in sim.clients] == records
+
+    def test_failed_run_cannot_run_again(self, maj_placed):
+        sim = GenericQuorumSimulation(maj_placed, ThresholdBalancedStrategy())
+        with pytest.raises(SimulationError, match="finite"):
+            sim.run(duration_ms=float("nan"))
+        with pytest.raises(SimulationError, match="already run"):
+            sim.run(duration_ms=100.0)
+
+
 def _open_loop_run(maj_placed, seed=11, rate=0.02, duration=4000.0):
     sim = GenericQuorumSimulation(
         maj_placed,

@@ -5,17 +5,29 @@ started HiGHS when bindings are importable) against the existing
 one-LP-per-level path (fresh assembly + cold scipy solve per level):
 objectives must match within 1e-9 and a capacity sweep must pick the same
 best capacity, on both a Grid and an enumerated Majority.
+
+Two test-side references pin the HiGHS backend's shortcuts bit for bit:
+``run_every_variant`` runs every variant of a sweep through the solver, as
+``solve_many`` did before it reused a held optimum, and
+``highs_lp_reference`` builds the model field by field into a ``HighsLp``,
+as the backend did before it passed arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SolverError
 from repro.lp import BatchedProgram, LinearProgram, lp_backend_name
-from repro.lp.batched import LP_BACKEND_ENV
+from repro.lp.batched import LP_BACKEND_ENV, _probe_highs_bindings
+from repro.network.generators import synthetic_wan
+from repro.network.graph import Topology
+from repro.obs.tracer import Tracer, tracing
+from repro.placement.search import best_placement
 from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
@@ -25,6 +37,7 @@ from repro.strategies.capacity_sweep import (
     sweep_uniform_capacities,
 )
 from repro.strategies.lp_optimizer import StrategyProgram
+from repro.strategies.nonuniform import nonuniform_capacities
 
 
 @pytest.fixture()
@@ -199,3 +212,243 @@ def test_anchored_solves_leave_the_anchor_basis_untouched(majority_placed):
     assert impl._anchor is anchor
     assert list(anchor.col_status) == columns
     assert list(anchor.row_status) == rows
+
+
+# ---------------------------------------------------------------------------
+# Reference: every variant of a sweep runs through the solver
+# ---------------------------------------------------------------------------
+def run_every_variant(program: BatchedProgram, variants) -> list:
+    """``solve_many`` without reuse: a cold start, then one solver run per
+    variant in ascending RHS order."""
+    impl = program._impl
+    rhs = [np.asarray(v, dtype=np.float64) for v in variants]
+    impl.cold_restart()
+    results = [None] * len(rhs)
+    for index in np.lexsort(np.stack(rhs).T[::-1]):
+        results[index] = impl.solve(rhs[index])
+    return results
+
+
+def assert_reuse_is_exact(placed, capacity_vectors) -> int:
+    """``solve_many`` answers every variant with the bits of running it;
+    returns how many variants reused a held optimum."""
+    program = StrategyProgram(placed)
+    rhs = [
+        program.normalize_capacities(caps)[program.support_nodes]
+        for caps in capacity_vectors
+    ]
+    tracer = Tracer()
+    with tracing(tracer):
+        answers = program._batched.solve_many(rhs)
+    reference = run_every_variant(StrategyProgram(placed)._batched, rhs)
+    for got, want in zip(answers, reference):
+        if want is None:
+            assert got is None
+            continue
+        assert np.array_equal(got.x, want.x)
+        assert got.objective == want.objective
+    assert tracer.counters["lp.solve"] == len(rhs)
+    return tracer.counters.get("lp.reuse", 0)
+
+
+def _grid_sweeps(topology, k, steps, nonuniform):
+    system = GridQuorumSystem(k)
+    placed = best_placement(topology, system).placed
+    l_opt = optimal_load(system).l_opt
+    levels = capacity_levels(l_opt, steps)
+    if nonuniform:
+        return placed, [
+            nonuniform_capacities(placed, beta=l_opt, gamma=float(gamma))
+            for gamma in levels
+        ]
+    return placed, [float(c) for c in levels]
+
+
+class TestReuseOfAHeldOptimum:
+    @pytest.mark.parametrize(
+        "k, nonuniform",
+        # fig_7_6's fast sweeps, then fig_7_7's
+        [(2, False), (4, False), (7, False), (2, True), (7, True)],
+    )
+    def test_figure_sweeps(self, planetlab, k, nonuniform):
+        assert_reuse_is_exact(*_grid_sweeps(planetlab, k, 5, nonuniform))
+
+    def test_wan_grid_sweep(self):
+        """No capacity row binds at 500 sites: one run serves the sweep
+        on HiGHS."""
+        placed, levels = _grid_sweeps(synthetic_wan(500), 5, 10, False)
+        reused = assert_reuse_is_exact(placed, levels)
+        if lp_backend_name() != "scipy":
+            assert reused == len(levels) - 1
+
+    def test_scipy_backend_never_reuses(self, monkeypatch, grid3_placed):
+        monkeypatch.setenv(LP_BACKEND_ENV, "scipy")
+        tracer = Tracer()
+        with tracing(tracer):
+            sweep_uniform_capacities(grid3_placed, 60.0)
+        assert tracer.counters["lp.solve"] == 10
+        assert "lp.reuse" not in tracer.counters
+
+    def test_equal_strategies_share_one_evaluation(self, planetlab):
+        placed, _levels = _grid_sweeps(planetlab, 2, 10, False)
+        sweep = sweep_uniform_capacities(placed, 60.0)
+        for before, after in zip(sweep.points, sweep.points[1:]):
+            same = np.array_equal(
+                before.strategy.matrix, after.strategy.matrix
+            )
+            assert (after.result is before.result) == same
+
+
+@st.composite
+def _small_sweeps(draw):
+    """A random placed Grid or Majority on integer points (so distances
+    tie), swept over capacity levels from below the optimal load, where
+    rows bind or the LP is infeasible, up to 1, in a random order and with
+    per-node noise that makes some variants incomparable."""
+    n_nodes = draw(st.integers(9, 12))
+    points = np.array(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=n_nodes,
+                max_size=n_nodes,
+            )
+        ),
+        dtype=float,
+    )
+    rtt = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    topology = Topology(rtt, metric_closure=False)
+    system = draw(
+        st.sampled_from(
+            [
+                GridQuorumSystem(2),
+                GridQuorumSystem(3),
+                EnumeratedQuorumSystem(ThresholdQuorumSystem(5, 3).quorums),
+            ]
+        )
+    )
+    nodes = draw(st.permutations(range(n_nodes)))
+    placed = PlacedQuorumSystem(
+        system, Placement(list(nodes[: system.universe_size])), topology
+    )
+    l_opt = optimal_load(system).l_opt
+    levels = draw(
+        st.lists(
+            st.sampled_from(
+                [0.8 * l_opt, *capacity_levels(l_opt, 6).tolist()]
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    noise = draw(st.sampled_from([0.0, 0.05]))
+    factors = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([1.0, 1.0 + noise]),
+                min_size=n_nodes,
+                max_size=n_nodes,
+            )
+        )
+    )
+    return placed, [level * factors for level in levels]
+
+
+@given(_small_sweeps())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_reuse_matches_running_every_variant(sweep):
+    assert_reuse_is_exact(*sweep)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the model built field by field into a HighsLp
+# ---------------------------------------------------------------------------
+def highs_lp_reference(bindings, arrays: dict, n_le: int, n_eq: int):
+    """A solver holding the model passed as one ``HighsLp``."""
+    from scipy import sparse
+
+    inf = float(bindings.kHighsInf)
+    blocks = [m for m in (arrays["A_ub"], arrays["A_eq"]) if m is not None]
+    n_vars = arrays["c"].size
+    a = sparse.vstack(blocks).tocsc()
+    lp = bindings.HighsLp()
+    lp.num_col_ = n_vars
+    lp.num_row_ = n_le + n_eq
+    lp.col_cost_ = np.ascontiguousarray(arrays["c"])
+    lp.col_lower_ = np.ascontiguousarray(arrays["bounds"][:, 0])
+    lp.col_upper_ = np.ascontiguousarray(arrays["bounds"][:, 1])
+    row_lower = np.full(n_le + n_eq, -inf)
+    row_upper = np.full(n_le + n_eq, inf)
+    if n_le:
+        row_upper[:n_le] = arrays["b_ub"]
+    if n_eq:
+        row_lower[n_le:] = arrays["b_eq"]
+        row_upper[n_le:] = arrays["b_eq"]
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    matrix = lp.a_matrix_
+    matrix.format_ = bindings.MatrixFormat.kColwise
+    matrix.num_col_ = n_vars
+    matrix.num_row_ = n_le + n_eq
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
+    solver = (getattr(bindings, "Highs", None) or bindings._Highs)()
+    solver.setOptionValue("output_flag", False)
+    assert solver.passModel(lp) != bindings.HighsStatus.kError
+    return solver
+
+
+def _lp_fields(solver) -> dict:
+    lp = solver.getLp()
+    matrix = lp.a_matrix_
+    return {
+        "shape": (lp.num_col_, lp.num_row_),
+        "sense": (lp.sense_, lp.offset_),
+        "col_cost": np.asarray(lp.col_cost_).tobytes(),
+        "col_lower": np.asarray(lp.col_lower_).tobytes(),
+        "col_upper": np.asarray(lp.col_upper_).tobytes(),
+        "row_lower": np.asarray(lp.row_lower_).tobytes(),
+        "row_upper": np.asarray(lp.row_upper_).tobytes(),
+        "format": matrix.format_,
+        "start": list(matrix.start_),
+        "index": list(matrix.index_),
+        "value": np.asarray(matrix.value_).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("fixture", ["grid3_placed", "majority_placed"])
+def test_array_model_equals_the_highs_lp_build(fixture, request):
+    bindings, _name = _probe_highs_bindings()
+    if bindings is None:
+        pytest.skip("no HiGHS bindings: the scipy backend builds no model")
+    placed = request.getfixturevalue(fixture)
+    program = StrategyProgram(placed)._batched
+    solver = program._impl._solver
+    reference = highs_lp_reference(
+        bindings,
+        program.arrays,
+        program.n_le_constraints,
+        program.arrays["b_eq"].size,
+    )
+    assert _lp_fields(solver) == _lp_fields(reference)
+    continuous = bindings.HighsVarType.kContinuous
+    assert all(t == continuous for t in solver.getLp().integrality_)
+    for capacity in _levels(placed):
+        rhs = np.full(program.n_le_constraints, capacity)
+        for highs in (solver, reference):
+            for row, bound in enumerate(rhs.tolist()):
+                highs.changeRowBounds(row, -float(bindings.kHighsInf), bound)
+            highs.run()
+        assert np.array_equal(
+            np.asarray(solver.getSolution().col_value),
+            np.asarray(reference.getSolution().col_value),
+        )
+        assert (
+            solver.getInfo().objective_function_value
+            == reference.getInfo().objective_function_value
+        )

@@ -1,5 +1,7 @@
 """Tests for the topology model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,23 @@ def simple_matrix():
 
 
 class TestConstruction:
+    def test_symmetrizing_allocates_one_matrix(self):
+        """One new n x n matrix, halved in place, with the bits of
+        ``(rtt + rtt.T) / 2.0``; the caller's array is read-only here, so
+        writing into it would raise."""
+        n = 2000
+        rtt = np.random.default_rng(0).uniform(1.0, 100.0, size=(n, n))
+        np.fill_diagonal(rtt, 0.0)
+        rtt.setflags(write=False)
+        tracemalloc.start()
+        try:
+            topo = Topology(rtt, metric_closure=False)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
+        assert np.array_equal(topo.rtt, (rtt + rtt.T) / 2.0)
+
     def test_basic(self):
         topo = Topology(simple_matrix())
         assert topo.n_nodes == 3

@@ -229,3 +229,14 @@ class TestRunsOnce:
             service.run(duration_ms=float("nan"))
         with pytest.raises(SimulationError, match="already run"):
             service.run(duration_ms=100.0)
+
+    def test_client_added_after_run_raises(self, line_topology):
+        """A late client could never issue, yet it got a record list and a
+        version at every server."""
+        service = build_service(line_topology, [0, 1, 2], 2, seed=1)
+        service.add_client(5)
+        service.run(duration_ms=100.0)
+        with pytest.raises(SimulationError, match="already run"):
+            service.add_client(6)
+        assert service.client_nodes == [5]
+        assert len(service.records) == 1

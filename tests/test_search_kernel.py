@@ -314,3 +314,47 @@ def test_kernel_matches_reference_on_random_integer_topologies(instance):
             best_placement(topology, system, **kwargs)
         return
     assert_identical(best_placement(topology, system, **kwargs), ref)
+
+
+# ---------------------------------------------------------------------------
+# Property: the comparator network orders like np.sort
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("n", range(1, search._NETWORK_MAX_N + 1))
+def test_sorting_network_sorts_every_zero_one_input(n):
+    """The 0-1 principle: a comparator network that sorts every 0/1
+    sequence sorts every sequence."""
+    inputs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    wires = list(inputs.T)
+    for i, j in search._sorting_network(n):
+        assert i < j
+        wires[i], wires[j] = (
+            np.minimum(wires[i], wires[j]),
+            np.maximum(wires[i], wires[j]),
+        )
+    assert np.array_equal(np.stack(wires, axis=1), np.sort(inputs, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, search._NETWORK_MAX_N + 3),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_sorted_distances_match_np_sort(c, n, clients, data):
+    """Both branches, on values with ties and zeros: same bits and the
+    C-contiguous ``(c, clients, n)`` layout of the transposed sort."""
+    values = data.draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
+            | st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False),
+            min_size=c * n * clients,
+            max_size=c * n * clients,
+        )
+    )
+    rows = np.asarray(values, dtype=np.float64).reshape(c * n, clients)
+    expected = np.sort(rows.reshape(c, n, clients).transpose(0, 2, 1), axis=2)
+    got = search._sorted_distances(rows.copy(), n)
+    assert got.shape == (c, clients, n)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
