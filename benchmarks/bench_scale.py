@@ -1,15 +1,18 @@
-"""Benchmark of the shared-memory topology transport at WAN scale.
+"""Benchmark of the topology transport at WAN scale.
 
-Before this PR every parallel candidate evaluation shipped its own pickled
+Without it every parallel candidate evaluation ships its own pickled
 :class:`~repro.network.graph.Topology` — an O(n^2) matrix per grid point.
-The :class:`~repro.runtime.shm.TopologyBroker` publishes the matrix once
-into a ``multiprocessing.shared_memory`` block and ships a ~200-byte
-handle instead; workers attach the block once and wrap zero-copy views.
+The :class:`~repro.runtime.shm.TopologyBroker` ships a ~200-byte handle
+instead. Its fast path, the one measured here, is the inherited handle:
+the search ships before its runner forks the pool, so the workers
+inherit the topology and resolve the handle from the registry, with no
+hash and no shared-memory copy. (Workers already running would attach a
+``multiprocessing.shared_memory`` block and wrap zero-copy views.)
 
-This benchmark measures exactly that replacement on a ``synthetic_wan``
-preset: the same candidate search, same pool size, run once through the
-broker and once with ``REPRO_NO_SHM=1`` (which restores the
-pickle-per-point payloads), plus a hierarchical end-to-end sweep showing
+This benchmark measures that replacement on a ``synthetic_wan`` preset:
+the same candidate search, same pool size, run once through the broker
+and once with ``REPRO_NO_SHM=1`` (which restores the pickle-per-point
+payloads), plus a hierarchical end-to-end sweep showing
 the whole pipeline — clustering, coarse/refined placement, LP capacity
 sweep — completes at scale. All three search paths (serial, shm-parallel,
 pickle-parallel) must return bit-identical results.

@@ -29,7 +29,7 @@ exhaustive there; on larger topologies it is a heuristic whose quality is
 regression-bounded in ``tests/test_hierarchical.py``.
 
 Candidate evaluations fan out through the same :class:`~repro.runtime.
-runner.GridRunner` + shared-memory machinery as the exhaustive search, so
+runner.GridRunner` + topology transport as the exhaustive search, so
 ``jobs=N`` stays bit-identical to ``jobs=1``.
 """
 
@@ -201,8 +201,8 @@ def hierarchical_best_placement(
         As for :func:`~repro.placement.search.best_placement`.
     jobs:
         Candidate-evaluation parallelism, exactly as in
-        ``best_placement``; both stages reuse one runner (and publish the
-        topology to shared memory once).
+        ``best_placement``; both stages reuse one runner and one
+        topology handle.
     """
     n = topology.n_nodes
     runner = GridRunner(jobs=jobs) if jobs != 1 else None

@@ -106,11 +106,11 @@ def _many_to_one_candidate(
 
     Module-level and self-contained so the best-``v0`` search can fan
     candidates out over a process pool; ``topology`` may be a
-    :class:`~repro.runtime.shm.TopologyHandle`, which resolves to a
-    zero-copy shared-memory view once per worker instead of a per-task
-    unpickled matrix. Without ``program`` the task builds the candidate's
-    program itself, so a pool task holds no solver state from earlier
-    tasks.
+    :class:`~repro.runtime.shm.TopologyHandle`, which resolves to the
+    topology a forked worker inherited or to a zero-copy shared-memory
+    view, instead of a per-task unpickled matrix. Without ``program`` the
+    task builds the candidate's program itself, so a pool task holds no
+    solver state from earlier tasks.
     """
     topology = resolve_topology(topology)
     try:
@@ -177,8 +177,8 @@ def best_many_to_one_placement(
     )
     if parallel:
         # Tagged by v0, so a failed evaluation's ReproError names the
-        # candidate. The topology ships as a shared-memory handle (when
-        # available), so each point's payload is O(n), not O(n^2).
+        # candidate. The topology ships as a handle (when shared memory
+        # is available), so each point's payload is O(n), not O(n^2).
         ship = runner.ship(topology)
         results = runner.run(
             [

@@ -12,13 +12,15 @@ average is over every client, and only capacity-eligible nodes host.
 No placement is built per candidate. :func:`_block_delays` scores a block of
 candidates from a few array passes: it builds every candidate's ball
 ``B(v0, n)`` at once, then scores threshold systems by sorted order
-statistics and enumerable systems by a running max over the element table
-plus the uniform-strategy ``einsum``. A threshold's ``n`` ball distances
-per client are ordered by a comparator network of elementwise
-``np.minimum``/``np.maximum`` passes up to ``n = 10``, where that beats
-``np.sort``, and by ``np.sort`` above; min and max are exact, so both
-give the same bits. Its delays are bit-identical to
-building each placement and calling
+statistics and enumerable systems by each quorum's maximum plus the
+uniform-strategy ``einsum``. A Grid's quorum maximum is the larger of its
+row's and its column's maximum, one row-wise and one column-wise max for
+every quorum at once; other systems take a running max over the element
+table's slots. A threshold's ``n`` ball distances per client are ordered
+by a comparator network of elementwise ``np.minimum``/``np.maximum``
+passes up to ``n = 10``, where that beats ``np.sort``, and by ``np.sort``
+above. Min and max are exact, so every path gives the same bits, and the
+delays are bit-identical to building each placement and calling
 :func:`~repro.core.response_time.average_network_delay`, because it hands
 ``einsum``/``@`` the same C-contiguous per-candidate operands that path
 does (their rounding depends on memory layout). The winner is rebuilt by
@@ -247,6 +249,49 @@ def _sorted_distances(rows: np.ndarray, n: int) -> np.ndarray:
     return np.stack(slabs, axis=2)
 
 
+def _slot_maxima(
+    rows: np.ndarray, table: np.ndarray, n: int
+) -> np.ndarray:
+    """Each quorum's delay to every client, by a running max over slots.
+
+    ``rows`` is ``(c * n, clients)``, row ``r * n + u`` the distances from
+    the host of element ``u`` of candidate ``r``; ``table`` is the
+    system's padded element table. Returns ``(c, quorums, clients)``.
+    """
+    c = rows.shape[0] // n
+    slots = np.ascontiguousarray(table.T)  # slots[s, i]: element in slot s
+    offsets = (np.arange(c) * n)[:, None]
+    # Running max in a (candidates x quorums, clients) row-major buffer.
+    rho = np.take(rows, (offsets + slots[0]).ravel(), axis=0)
+    gathered = np.empty_like(rho)
+    for slot in slots[1:]:
+        # mode="clip" lets take write into ``out`` unbuffered; every
+        # index is in range.
+        index = (offsets + slot).ravel()
+        np.take(rows, index, axis=0, out=gathered, mode="clip")
+        np.maximum(rho, gathered, out=rho)
+    return rho.reshape(c, table.shape[0], -1)
+
+
+def _grid_maxima(
+    rows: np.ndarray, system: RectangularGridQuorumSystem
+) -> np.ndarray:
+    """:func:`_slot_maxima` of a Grid, from row and column maxima.
+
+    Quorum ``(r, k)``, index ``r * cols + k``, is row ``r`` plus column
+    ``k``, so its delay is the larger of the two lines' maxima: one
+    row-wise max, one column-wise max and one broadcast ``np.maximum``
+    instead of ``rows + cols - 1`` gathers. Max is exact, so the values
+    are the slot loop's to the bit.
+    """
+    r, k = system.rows, system.cols
+    cells = rows.reshape(-1, r, k, rows.shape[1])
+    line_max = np.maximum(
+        cells.max(axis=2)[:, :, None, :], cells.max(axis=1)[:, None, :, :]
+    )
+    return line_max.reshape(-1, r * k, rows.shape[1])
+
+
 def _enumerable_delays(
     rtt: np.ndarray,
     system: QuorumSystem,
@@ -255,7 +300,6 @@ def _enumerable_delays(
 ) -> np.ndarray:
     """Uniform-strategy delays of an enumerable system's placements."""
     table, _ = system.element_table
-    slots = np.ascontiguousarray(table.T)  # slots[s, i]: element in slot s
     m, n = table.shape[0], system.universe_size
     width = rtt.shape[0]
     weights = ExplicitStrategy(np.full((width, m), 1.0 / m)).matrix
@@ -263,27 +307,18 @@ def _enumerable_delays(
     step = max(1, _CHUNK // (max(m, n) * rtt.shape[0]))
     for start in range(0, v0s.size, step):
         block = v0s[start : start + step]
-        c = block.size
         # Element rows of every candidate: row c*n + u is d(., f_c(u)).
         rows = np.take(
             rtt, _assignments(rtt, system, eligible, block).ravel(), axis=0
         )
-        offsets = (np.arange(c) * n)[:, None]
-        # Running max in a (candidates x quorums, clients) row-major buffer.
-        rho = np.take(rows, (offsets + slots[0]).ravel(), axis=0)
-        gathered = np.empty_like(rho)
-        for slot in slots[1:]:
-            # mode="clip" lets take write into ``out`` unbuffered; every
-            # index is in range.
-            index = (offsets + slot).ravel()
-            np.take(rows, index, axis=0, out=gathered, mode="clip")
-            np.maximum(rho, gathered, out=rho)
+        if isinstance(system, RectangularGridQuorumSystem):
+            rho = _grid_maxima(rows, system)
+        else:
+            rho = _slot_maxima(rows, table, n)
         # Each candidate's (clients, quorums) rho as a C-contiguous slice,
         # the layout ``einsum`` sees on the reference path.
-        rho = np.ascontiguousarray(
-            rho.reshape(c, m, width).transpose(0, 2, 1)
-        )
-        for j in range(c):
+        rho = np.ascontiguousarray(rho.transpose(0, 2, 1))
+        for j in range(block.size):
             out[start + j] = np.einsum("vi,vi->v", weights, rho[j]).mean()
     return out
 
@@ -297,9 +332,9 @@ def _block_delays(
 
     Module-level so the search can fan blocks out over a process pool.
     ``topology`` may be a :class:`~repro.runtime.shm.TopologyHandle`:
-    parallel dispatch ships the shared-memory handle instead of pickling
-    the delay matrix per block, and workers rehydrate a zero-copy view
-    once per topology.
+    parallel dispatch ships the handle instead of pickling the delay
+    matrix per block, and workers resolve it from the registry they
+    inherited or attach its shared-memory block once.
     """
     topology = resolve_topology(topology)
     eligible = _hosting_nodes(topology, system)
@@ -369,7 +404,7 @@ def best_placement(
 
     def _points(ship: object) -> list[GridPoint]:
         # ``ship`` is what actually crosses the process boundary: the
-        # topology itself on inline paths, a shared-memory handle when the
+        # topology itself on inline paths, a topology handle when the
         # runner dispatches to workers.
         score = partial(_block_delays, ship, system)
         return [

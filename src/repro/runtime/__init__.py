@@ -17,10 +17,11 @@ winner. This package provides the machinery every such workload shares:
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk cache keyed
   by a content hash of each point's inputs, so repeated sweeps (benchmarks,
   figure regeneration, CI) skip work that has already been done;
-* :mod:`repro.runtime.shm` — :class:`TopologyBroker`, which publishes a
-  topology's O(n^2) delay matrix into one shared-memory block per content
-  fingerprint so parallel candidate searches ship a tiny handle per grid
-  point instead of pickling the matrix per task.
+* :mod:`repro.runtime.shm` — :class:`TopologyBroker`, which lets parallel
+  candidate searches ship a tiny handle per grid point instead of
+  pickling a topology's O(n^2) delay matrix per task: workers forked
+  after the ship inherit the topology, and workers already running
+  attach one shared-memory block per content fingerprint.
 
 ``python -m repro figure <id|all>`` surfaces the runtime through
 ``--jobs`` and ``--no-cache`` flags.

@@ -32,10 +32,12 @@ stored after they complete, so only cache misses ever reach the pool.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
+from multiprocessing import resource_tracker
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -163,10 +165,15 @@ def _invoke_traced(
     return value, events, counters
 
 
-def _shutdown_pools(holder: list) -> None:
-    """Finalizer target: shuts down any executor left in ``holder``."""
+def _shutdown_pools(holder: list, wait: bool = False) -> None:
+    """Finalizer target: shuts down any executor left in ``holder``.
+
+    :meth:`GridRunner.close` waits for the executor's management thread,
+    which could otherwise still run when the interpreter's exit hook
+    closes its pipes; the garbage-collection finalizer does not wait.
+    """
     while holder:
-        holder.pop().shutdown(wait=False, cancel_futures=True)
+        holder.pop().shutdown(wait=wait, cancel_futures=True)
 
 
 class GridRunner:
@@ -198,13 +205,13 @@ class GridRunner:
 
     @property
     def broker(self) -> TopologyBroker:
-        """The runner's shared-memory topology broker (created lazily).
+        """The runner's topology broker (created lazily).
 
-        Searches that fan candidates out through this runner publish the
-        topology here once and ship the returned handle in every grid
+        Searches that fan candidates out through this runner ship the
+        topology here once and put the returned handle in every grid
         point, instead of pickling the O(n^2) delay matrix per task. The
-        broker's blocks live as long as the runner: :meth:`close` unlinks
-        them together with the pool.
+        broker's registrations and blocks live as long as the runner:
+        :meth:`close` drops them together with the pool.
         """
         if self._broker is None:
             self._broker = TopologyBroker()
@@ -213,15 +220,23 @@ class GridRunner:
     def ship(self, topology: "Topology") -> object:
         """The payload to put in grid-point kwargs for ``topology``.
 
-        A shared-memory handle when this runner would actually dispatch
-        to worker processes (and shared memory is usable); the topology
-        itself otherwise — inline runs need no transport, and
+        A handle when this runner would actually dispatch to worker
+        processes (and shared memory is usable); the topology itself
+        otherwise — inline runs need no transport, and
         :func:`repro.runtime.shm.resolve_topology` passes real topologies
-        through untouched.
+        through untouched. Before the pool starts, on the ``fork`` start
+        method, the handle names an inherited registration: the workers
+        fork after this call and already hold the topology. Only workers
+        already running, or started another way, need a shared-memory
+        block.
         """
         if not self.parallel:
             return topology
-        return self.broker.publish(topology)
+        inherited = (
+            not self._pool_holder
+            and multiprocessing.get_start_method() == "fork"
+        )
+        return self.broker.publish(topology, inherited=inherited)
 
     def run(self, points: Sequence[GridPoint]) -> dict[Hashable, Any]:
         """Evaluate every point; returns results keyed by point tag."""
@@ -288,6 +303,11 @@ class GridRunner:
 
     def _pool(self) -> ProcessPoolExecutor:
         if not self._pool_holder:
+            # Workers must inherit this process's resource tracker. One
+            # forked before the tracker runs starts its own on its first
+            # block attach, and that tracker unlinks the runner's block,
+            # with a leak warning, when the worker exits.
+            resource_tracker.ensure_running()
             self._pool_holder.append(
                 ProcessPoolExecutor(
                     max_workers=self.jobs, initializer=_mark_worker
@@ -382,8 +402,9 @@ class GridRunner:
             raise
 
     def close(self) -> None:
-        """Shut down the worker pool and unlink published shared memory."""
-        _shutdown_pools(self._pool_holder)
+        """Shut down the worker pool, waiting for it, and release the
+        broker's registrations and shared memory."""
+        _shutdown_pools(self._pool_holder, wait=True)
         if self._broker is not None:
             self._broker.close()
             self._broker = None

@@ -1,4 +1,4 @@
-"""Shared-memory topology transport for parallel candidate searches.
+"""Topology transport for parallel candidate searches.
 
 The parallel searches fan independent candidates out over a process pool,
 and every task used to carry its own pickled :class:`Topology` — an
@@ -6,37 +6,55 @@ O(n^2) delay matrix serialized in the parent and deserialized in a worker,
 per candidate. On planetlab-50 that is noise; on a 2000-node WAN it is
 32 MB per task and the candidate loop collapses into memory traffic.
 
-:class:`TopologyBroker` removes the matrix from the task payload. The
-publishing process copies the RTT matrix, capacities, and names into one
-``multiprocessing.shared_memory`` block per topology — keyed by
-:func:`~repro.runtime.cache.topology_fingerprint`, so re-publishing the
-same topology is free — and hands back a tiny picklable
-:class:`TopologyHandle`. Grid points ship the handle; a worker resolving
-it attaches the block and wraps a **read-only, zero-copy** numpy view in a
-:class:`~repro.network.graph.Topology` via :meth:`Topology.adopt
-<repro.network.graph.Topology.adopt>`. Each worker attaches a given block
-once and caches the rehydrated topology for the life of the process.
+:class:`TopologyBroker` removes the matrix from the task payload and hands
+back a tiny picklable :class:`TopologyHandle` instead, by one of two
+routes:
 
-Results are unchanged by the transport: the worker's view contains the
+* **Inheritance.** Workers forked after a topology is shipped already
+  hold it: the broker registers the object in this process's registry
+  under a unique key, and a forked worker resolves the handle from the
+  copy of that registry it inherited — no hash, no copy, no block.
+  :meth:`GridRunner.ship <repro.runtime.runner.GridRunner.ship>` takes
+  this route whenever its pool has not started yet and starts with
+  ``fork``, which covers every search that ships before it dispatches.
+* **A shared-memory block**, for workers already running (or started
+  without ``fork``). The publishing process copies the RTT matrix,
+  capacities, and names into one ``multiprocessing.shared_memory`` block
+  per topology — keyed by :func:`~repro.runtime.cache.topology_fingerprint`,
+  so re-publishing the same content is free. A worker resolving the
+  handle attaches the block and wraps a **read-only, zero-copy** numpy
+  view in a :class:`~repro.network.graph.Topology` via
+  :meth:`Topology.adopt <repro.network.graph.Topology.adopt>`, once per
+  block for the life of the process.
+
+A broker ships each topology object once: shipping it again (the coarse,
+then the refine stage of a hierarchical search) returns the same handle.
+
+Results are unchanged by the transport: the worker's topology holds the
 publisher's exact float64 bytes, so every computation is bit-identical to
 the serial path operating on the original object (pinned by
 ``tests/test_shm_topology.py``).
 
 Lifecycle: the publisher owns the blocks — :meth:`TopologyBroker.close`
-(called by ``GridRunner.close``) unlinks them; workers only borrow
-attachments, which the OS releases with the process. When shared memory is
-unavailable (no ``/dev/shm``, exotic platforms) or disabled via
-``REPRO_NO_SHM=1``, :meth:`TopologyBroker.publish` falls back to returning
-the topology itself, restoring the pickle-per-task behavior with no
-caller-visible difference beyond speed.
+(called by ``GridRunner.close``) unlinks them and drops its registrations;
+workers only borrow attachments, which the OS releases with the process.
+Workers must share the publisher's resource tracker (``GridRunner``
+starts it before it forks a pool), or a worker's own tracker unlinks the
+block when the worker exits. When shared memory is unavailable (no
+``/dev/shm``, exotic platforms) or disabled via ``REPRO_NO_SHM=1``,
+:meth:`TopologyBroker.publish` falls back to returning the topology
+itself, restoring the pickle-per-task behavior with no caller-visible
+difference beyond speed.
 """
 
 from __future__ import annotations
 
-# cache-key-input: handles are keyed by topology_fingerprint; a handle
-# resolving to different bytes than its fingerprint promises would serve
-# stale cached results.
+# cache-key-input: a block's handle is keyed by topology_fingerprint; a
+# handle resolving to different bytes than its key promises would serve
+# stale cached results. Inherited handles use keys no other registration
+# reuses, each naming one immutable topology object.
 
+import itertools
 import logging
 import os
 import pickle
@@ -46,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.network.graph import Topology
 from repro.obs import tracer as obs
 from repro.runtime.cache import topology_fingerprint
@@ -69,12 +88,16 @@ __all__ = [
 #: the scale benchmark to measure the baseline it replaced).
 SHM_DISABLE_ENV = "REPRO_NO_SHM"
 
-#: Topologies published by *this* process, so resolving a handle in the
-#: publisher (serial paths, nested in-worker runs) returns the original
-#: object without touching the block.
+#: Topologies shipped by *this* process, by handle key. Resolving a handle
+#: in the publisher (serial paths, nested in-worker runs) returns the
+#: original object without touching a block, and a worker forked after
+#: the entry was made resolves it from its inherited copy.
 _PUBLISHED: dict[str, Topology] = {}
 
-#: Worker-side cache of attached blocks: fingerprint -> (block, topology).
+#: Serial numbers of inherited registrations, unique within this process.
+_INHERITED_KEYS = itertools.count()
+
+#: Worker-side cache of attached blocks: key -> (block, topology).
 #: The block object must stay referenced while any numpy view aliases its
 #: buffer. Bounded: searches touch one or two topologies at a time, and a
 #: dropped entry simply re-attaches on next use.
@@ -92,18 +115,20 @@ def shm_available() -> bool:
 
 @dataclass(frozen=True)
 class TopologyHandle:
-    """Picklable reference to a topology published in shared memory.
+    """Picklable reference to a shipped topology.
 
     The handle is what grid points carry instead of the topology itself:
-    a fingerprint, the block name, and the layout sizes needed to
+    a registry key, the block name, and the layout sizes needed to
     reconstruct the views — a few hundred bytes regardless of ``n_nodes``.
+    An inherited handle has no block (``shm_name`` is None): it resolves
+    only in the process that shipped it and in workers forked after.
 
     Block layout: ``rtt`` (n*n float64) | ``capacities`` (n float64) |
     pickled names tuple (``names_size`` bytes).
     """
 
-    fingerprint: str
-    shm_name: str
+    key: str
+    shm_name: str | None
     n_nodes: int
     names_size: int
 
@@ -122,11 +147,12 @@ class TopologyHandle:
 
 def _attach(handle: TopologyHandle) -> tuple[object, Topology]:
     """Attach the block and rehydrate a read-only, zero-copy topology."""
-    # Pool workers share the parent's resource-tracker process, so this
-    # attach's register is idempotent (the tracker's cache is a set) and
-    # the publisher's unlink unregisters the name exactly once. No
-    # per-attach untracking is needed — or safe: an extra unregister here
-    # would make the publisher's unlink a double-unregister.
+    # Pool workers share the parent's resource-tracker process (the
+    # runner starts it before forking), so this attach's register is
+    # idempotent (the tracker's cache is a set) and the publisher's unlink
+    # unregisters the name exactly once. No per-attach untracking is
+    # needed — or safe: an extra unregister here would make the
+    # publisher's unlink a double-unregister.
     block = shared_memory.SharedMemory(name=handle.shm_name)
     n = handle.n_nodes
     rtt = np.ndarray((n, n), dtype=np.float64, buffer=block.buf)
@@ -156,9 +182,10 @@ def resolve_topology(obj: "Topology | TopologyHandle") -> Topology:
 
     Candidate-evaluation functions call this on their ``topology``
     argument unconditionally: serial paths pass real topologies through
-    untouched, parallel paths pass handles that resolve against the
-    publishing process (free) or the worker's attachment cache (one
-    attach per topology per worker).
+    untouched, parallel paths pass handles that resolve against this
+    process's registry (the publisher's own, or the copy a forked worker
+    inherited: free) or the worker's attachment cache (one attach per
+    block per worker).
     """
     if isinstance(obj, Topology):
         return obj
@@ -166,12 +193,18 @@ def resolve_topology(obj: "Topology | TopologyHandle") -> Topology:
         raise TypeError(
             f"expected a Topology or TopologyHandle, got {type(obj).__name__}"
         )
-    published = _PUBLISHED.get(obj.fingerprint)
+    published = _PUBLISHED.get(obj.key)
     if published is not None:
         return published
-    cached = _ATTACHED.get(obj.fingerprint)
+    cached = _ATTACHED.get(obj.key)
     if cached is not None:
         return cached[1]
+    if obj.shm_name is None:
+        raise ReproError(
+            f"topology handle {obj.key!r} has no shared-memory block and is "
+            "not registered in this process: an inherited handle resolves "
+            "only where it was shipped and in workers forked after"
+        )
     if shared_memory is None:  # pragma: no cover - import-guard path
         raise RuntimeError(
             "received a shared-memory topology handle but this platform "
@@ -181,15 +214,17 @@ def resolve_topology(obj: "Topology | TopologyHandle") -> Topology:
     obs.count("shm.attach")
     while len(_ATTACHED) >= _ATTACHED_MAX:
         _ATTACHED.pop(next(iter(_ATTACHED)))
-    _ATTACHED[obj.fingerprint] = (block, topology)
+    _ATTACHED[obj.key] = (block, topology)
     return topology
 
 
-def _release_blocks(blocks: dict, published: dict) -> None:
-    """Finalizer target: unlink every block this broker still owns."""
-    for fingerprint, block in list(blocks.items()):
+def _release(blocks: dict, shipped: dict) -> None:
+    """Finalizer target: drop every registration, unlink every block."""
+    for _topology, handle in shipped.values():
+        _PUBLISHED.pop(handle.key, None)
+    shipped.clear()
+    for fingerprint, (block, _handle) in list(blocks.items()):
         blocks.pop(fingerprint, None)
-        published.pop(fingerprint, None)
         try:
             block.close()
             block.unlink()
@@ -198,24 +233,36 @@ def _release_blocks(blocks: dict, published: dict) -> None:
 
 
 class TopologyBroker:
-    """Publishes topologies into shared memory, once per fingerprint.
+    """Ships topologies to pool workers: by inheritance or in a block.
 
     One broker per :class:`~repro.runtime.runner.GridRunner` (created
-    lazily, closed with the runner). :meth:`publish` is idempotent per
-    topology content and degrades transparently: if shared memory cannot
-    be created — or ``REPRO_NO_SHM`` is set — it returns the topology
-    itself and the search ships pickles exactly as before.
+    lazily, closed with the runner). :meth:`publish` ships each topology
+    object once, makes at most one block per topology content, and
+    degrades transparently: if shared memory cannot be created — or
+    ``REPRO_NO_SHM`` is set — it returns the topology itself and the
+    search ships pickles exactly as before.
     """
 
     def __init__(self) -> None:
-        self._blocks: dict[str, object] = {}
-        self._handles: dict[str, TopologyHandle] = {}
+        # fingerprint -> (block, handle)
+        self._blocks: dict[str, tuple[object, TopologyHandle]] = {}
+        # id(topology) -> (topology, handle); holding the topology keeps
+        # its id from being reused while the entry lives.
+        self._shipped: dict[int, tuple[Topology, TopologyHandle]] = {}
         self._finalizer = weakref.finalize(
-            self, _release_blocks, self._blocks, _PUBLISHED
+            self, _release, self._blocks, self._shipped
         )
 
-    def publish(self, topology: Topology) -> "Topology | TopologyHandle":
-        """A shippable reference for ``topology``: handle, or the object."""
+    def publish(
+        self, topology: Topology, inherited: bool = False
+    ) -> "Topology | TopologyHandle":
+        """A shippable reference for ``topology``: handle, or the object.
+
+        ``inherited`` says that every worker the handle will reach forks
+        after this call (set by ``GridRunner.ship``): the topology is then
+        only registered here, and the workers find it in the registry
+        they inherit. Otherwise it is copied into a shared-memory block.
+        """
         if not shm_available():
             # Deliberate (REPRO_NO_SHM) or structural (no shared_memory
             # module): not silent either way — the pickle-per-task path
@@ -226,10 +273,27 @@ class TopologyBroker:
             )
             obs.count("shm.fallback")
             return topology
+        shipped = self._shipped.get(id(topology))
+        if shipped is not None:
+            return shipped[1]
+        if inherited:
+            key = f"inherited-{os.getpid()}-{next(_INHERITED_KEYS)}"
+            handle = TopologyHandle(
+                key=key, shm_name=None, n_nodes=topology.n_nodes, names_size=0
+            )
+            _PUBLISHED[key] = topology
+        else:
+            handle = self._block(topology)
+            if handle is None:
+                return topology
+        self._shipped[id(topology)] = (topology, handle)
+        return handle
+
+    def _block(self, topology: Topology) -> TopologyHandle | None:
+        """The handle of a block holding ``topology`` (None: no block)."""
         fingerprint = topology_fingerprint(topology)
-        handle = self._handles.get(fingerprint)
-        if handle is not None:
-            return handle
+        if fingerprint in self._blocks:
+            return self._blocks[fingerprint][1]
         n = topology.n_nodes
         names_blob = pickle.dumps(
             tuple(topology.names), protocol=pickle.HIGHEST_PROTOCOL
@@ -253,7 +317,7 @@ class TopologyBroker:
                 exc,
             )
             obs.count("shm.fallback")
-            return topology
+            return None
         rtt_view = np.ndarray((n, n), dtype=np.float64, buffer=block.buf)
         rtt_view[:] = topology.rtt
         cap_view = np.ndarray(
@@ -265,28 +329,27 @@ class TopologyBroker:
         del rtt_view, cap_view  # release buffer exports before any close()
 
         handle = TopologyHandle(
-            fingerprint=fingerprint,
+            key=fingerprint,
             shm_name=block.name,
             n_nodes=n,
             names_size=len(names_blob),
         )
-        self._blocks[fingerprint] = block
-        self._handles[fingerprint] = handle
+        self._blocks[fingerprint] = (block, handle)
         _PUBLISHED[fingerprint] = topology
         obs.count("shm.publish")
         return handle
 
     @property
     def published(self) -> tuple[str, ...]:
-        """Fingerprints of the topologies this broker has published."""
-        return tuple(self._handles)
+        """Fingerprints of the topologies this broker holds in blocks."""
+        return tuple(self._blocks)
 
     def close(self) -> None:
-        """Unlink every published block (workers' borrows stay valid
-        until they detach; the OS reclaims the memory with the last one).
+        """Drop every registration and unlink every block (workers'
+        borrows stay valid until they detach; the OS reclaims the memory
+        with the last one).
         """
-        self._handles.clear()
-        _release_blocks(self._blocks, _PUBLISHED)
+        _release(self._blocks, self._shipped)
 
     def __enter__(self) -> "TopologyBroker":
         return self
@@ -295,4 +358,7 @@ class TopologyBroker:
         self.close()
 
     def __repr__(self) -> str:
-        return f"TopologyBroker(published={len(self._handles)})"
+        return (
+            f"TopologyBroker(shipped={len(self._shipped)}, "
+            f"blocks={len(self._blocks)})"
+        )

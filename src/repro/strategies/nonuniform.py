@@ -137,7 +137,12 @@ def sweep_nonuniform_capacities(
         if strategy is None:
             infeasible.append(float(gamma))
             continue
-        result = evaluate(placed, strategy, alpha=alpha)
+        if points and np.array_equal(
+            strategy.matrix, points[-1].strategy.matrix
+        ):
+            result = points[-1].result  # the same strategy evaluates alike
+        else:
+            result = evaluate(placed, strategy, alpha=alpha)
         points.append(
             NonuniformSweepPoint(
                 gamma=float(gamma),

@@ -537,6 +537,17 @@ class TestNestingGuard:
         runner.close()
         assert counting_pool == []
 
+    def test_close_waits_for_the_pool(self):
+        """An explicit close joins the executor's management thread: one
+        still running at interpreter exit can write to pipes the exit hook
+        has already closed (``OSError: [Errno 9] Bad file descriptor``)."""
+        runner = GridRunner(jobs=2)
+        assert runner.map(_square, [{"x": 2}, {"x": 3}]) == [4, 9]
+        thread = runner._pool_holder[0]._executor_manager_thread
+        assert thread.is_alive()
+        runner.close()
+        assert not thread.is_alive()
+
     def test_fig_8_9_single_pool_and_bit_identical(
         self, fast_figure, counting_pool
     ):

@@ -317,6 +317,56 @@ def test_kernel_matches_reference_on_random_integer_topologies(instance):
 
 
 # ---------------------------------------------------------------------------
+# Property: Grid quorum delays from row and column maxima
+# ---------------------------------------------------------------------------
+@st.composite
+def _grid_instances(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n_nodes = rows * cols + draw(st.integers(0, 4))
+    # RTTs in {1, 2, 3}: nearly every ball boundary and every quorum
+    # maximum is a tie.
+    weights = draw(
+        st.lists(
+            st.integers(1, 3),
+            min_size=n_nodes * n_nodes,
+            max_size=n_nodes * n_nodes,
+        )
+    )
+    rtt = np.asarray(weights, dtype=np.float64).reshape(n_nodes, n_nodes)
+    np.fill_diagonal(rtt, 0.0)
+    candidates = draw(
+        st.none()
+        | st.lists(st.integers(0, n_nodes - 1), min_size=1, max_size=8)
+    )
+    return Topology(rtt), RectangularGridQuorumSystem(rows, cols), candidates
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_grid_instances())
+def test_grid_maxima_match_slot_loop_and_reference(instance):
+    """The Grid path gives the slot loop's quorum delays and the
+    per-candidate reference's search result, bit for bit."""
+    topology, system, candidates = instance
+    v0s = search._candidate_ids(topology, candidates)
+    eligible = search._hosting_nodes(topology, system)
+    assignments = search._assignments(topology.rtt, system, eligible, v0s)
+    rows = np.take(topology.rtt, assignments.ravel(), axis=0)
+    table, _ = system.element_table
+    grid = search._grid_maxima(rows, system)
+    slots = search._slot_maxima(rows, table, system.universe_size)
+    assert grid.shape == slots.shape
+    assert grid.tobytes() == slots.tobytes()
+    assert_identical(
+        best_placement(topology, system, candidates=candidates),
+        reference_best_placement(topology, system, candidates),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Property: the comparator network orders like np.sort
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("n", range(1, search._NETWORK_MAX_N + 1))

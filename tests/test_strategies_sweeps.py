@@ -1,10 +1,12 @@
 """Tests for the capacity sweep and the non-uniform capacity heuristic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.core.response_time import alpha_from_demand
+from repro.core.response_time import alpha_from_demand, evaluate
 from repro.errors import StrategyError
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
@@ -205,3 +207,26 @@ class TestNonuniformSweep:
             nonuni.response_times.mean()
             <= uniform.response_times.mean() + 1e-6
         )
+
+    def test_equal_strategy_intervals_share_one_evaluation(self, planetlab):
+        """Intervals the LP answers with the previous feasible interval's
+        strategy reuse its result; the sweep equals evaluating each one."""
+        system = GridQuorumSystem(2)
+        placed = best_placement(planetlab, system).placed
+        alpha = alpha_from_demand(16000)
+        levels = capacity_levels(optimal_load(system).l_opt, 5)
+        sweep = sweep_nonuniform_capacities(placed, alpha, levels=levels)
+        shared = 0
+        for prev, point in zip(sweep.points, sweep.points[1:]):
+            same = np.array_equal(
+                point.strategy.matrix, prev.strategy.matrix
+            )
+            assert (point.result is prev.result) == same
+            shared += same
+        assert shared >= 1
+        for point in sweep.points:
+            fresh = evaluate(placed, point.strategy, alpha=alpha)
+            for field in dataclasses.fields(fresh):
+                got = getattr(point.result, field.name)
+                want = getattr(fresh, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
