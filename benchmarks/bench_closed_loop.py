@@ -1,13 +1,21 @@
-"""Benchmark of closed-loop (telemetry-driven) vs oracle replay.
+"""Benchmark of closed-loop (telemetry-driven) vs oracle replay, and of
+the lockstep controller against one controller per policy.
 
 Closed-loop adaptation pays, per epoch, one fluid-simulator probe plus
 the EWMA estimation fold on top of the oracle path's matrix evaluation
 and (occasional) warm LP re-solve. This benchmark replays the same
 churn-free >= 20-epoch planetlab-50 scenario (diurnal drift + flash
-crowd, Grid k=5, threshold policy) through :func:`replay_segment` twice
-— oracle and closed-loop, in-process — and records the overhead ratio
-and the probe throughput to
-``benchmarks/results/bench_closed_loop.json``.
+crowd, Grid k=5) in-process:
+
+* one threshold policy through :func:`replay_segment`, oracle and
+  closed-loop, for the overhead ratio and the probe throughput;
+* the threshold auto-tuner's policy set (``static`` plus four
+  thresholds), closed-loop, as five one-policy controllers and as one
+  lockstep :class:`AdaptiveController`, asserting equal series and
+  counting the fluid passes each takes and the probes the lockstep
+  shares;
+
+and records all of it to ``benchmarks/results/bench_closed_loop.json``.
 
 The acceptance bars: the closed loop completes within a bounded factor
 of the oracle replay (the probe is a vectorized fluid pass, not an event
@@ -18,13 +26,20 @@ adaptation loop it feeds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from repro.dynamics.controller import replay_segment
+from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.dynamics.controller import (
+    AdaptiveController,
+    parse_policy,
+    replay_segment,
+)
+from repro.obs import tracer as obs
 from repro.obs.bench import BenchRecorder
 from repro.dynamics.replay import _segment_placement
 from repro.dynamics.scenarios import (
@@ -40,6 +55,15 @@ from repro.quorums.grid import GridQuorumSystem
 GRID_K = 5
 N_EPOCHS = 24
 POLICY = "threshold:0.05"
+#: The closed-loop threshold auto-tuner's policy set (``bench_e2e``'s
+#: ``closed-loop`` workload): the static baseline plus four thresholds.
+TUNER_POLICIES = (
+    "static",
+    "threshold:0.02",
+    "threshold:0.05",
+    "threshold:0.1",
+    "threshold:0.2",
+)
 
 #: Closed-loop wall-clock must stay within this factor of the oracle
 #: replay (measured ~2-2.5x on a 2-core x86-64 host: one 500 ms fluid probe
@@ -76,6 +100,26 @@ def _scenario_inputs():
     return topology, system, assignment, factors, caps, changed
 
 
+def _controllers(placed, specs, telemetry, stacks):
+    """Series of ``specs`` from one lockstep controller per entry of
+    ``specs``; returns ``(series, seconds, fluid passes, shared probes)``."""
+    tracer = obs.Tracer()
+    series = []
+    started = time.perf_counter()
+    with obs.tracing(tracer):
+        for group in specs:
+            controller = AdaptiveController(
+                placed,
+                tuple(parse_policy(spec) for spec in group),
+                telemetry=telemetry,
+            )
+            series.extend(controller.run_segment(*stacks))
+    seconds = time.perf_counter() - started
+    events, counters = tracer.export()
+    passes = sum(event["name"] == "sim.fluid" for event in events)
+    return series, seconds, passes, counters.get("dynamics.probe_shared", 0)
+
+
 def test_closed_loop_overhead_is_bounded(results_dir):
     topology, system, assignment, factors, caps, changed = _scenario_inputs()
     kwargs = dict(
@@ -85,16 +129,16 @@ def test_closed_loop_overhead_is_bounded(results_dir):
         rtt_factors=factors,
         capacities=caps,
         rtt_changed=changed,
-        policy=POLICY,
+        policies=(POLICY,),
     )
 
     started = time.perf_counter()
-    oracle = replay_segment(**kwargs)
+    (oracle,) = replay_segment(**kwargs)
     oracle_s = time.perf_counter() - started
 
     telemetry = TelemetryConfig(noise=0.05, seed=7)
     started = time.perf_counter()
-    closed = replay_segment(telemetry=telemetry, **kwargs)
+    (closed,) = replay_segment(telemetry=telemetry, **kwargs)
     closed_s = time.perf_counter() - started
 
     overhead = closed_s / oracle_s
@@ -108,6 +152,29 @@ def test_closed_loop_overhead_is_bounded(results_dir):
     # ...and the oracle path stayed measurement-free.
     assert int(oracle.probe_operations.sum()) == 0
     assert oracle.estimation_error.max() == 0.0  # repro-lint: disable=RL006 -- oracle never estimates: identically zero by construction
+
+    # The tuner's policies, one controller each and then in lockstep.
+    placed = PlacedQuorumSystem(system, Placement(assignment), topology)
+    stacks = (factors, caps, changed)
+    # Best of three alternating runs of each: the two differ by about as
+    # much as one run's timing noise.
+    alone_s = lockstep_s = float("inf")
+    for _ in range(3):
+        alone, seconds, alone_passes, _ = _controllers(
+            placed, [(spec,) for spec in TUNER_POLICIES], telemetry, stacks
+        )
+        alone_s = min(alone_s, seconds)
+        lockstep, seconds, lockstep_passes, shared = _controllers(
+            placed, [TUNER_POLICIES], telemetry, stacks
+        )
+        lockstep_s = min(lockstep_s, seconds)
+    for one, many in zip(alone, lockstep, strict=True):
+        for field in dataclasses.fields(one):
+            assert np.array_equal(
+                getattr(one, field.name), getattr(many, field.name)
+            )
+    assert alone_passes == len(TUNER_POLICIES) * N_EPOCHS
+    assert lockstep_passes < alone_passes
 
     recorder = BenchRecorder("closed_loop_overhead")
     recorder.update(
@@ -127,6 +194,13 @@ def test_closed_loop_overhead_is_bounded(results_dir):
         oracle_reopts=int(oracle.reoptimized.sum()),
         closed_loop_reopts=int(closed.reoptimized.sum()),
         mean_estimation_error=float(closed.estimation_error.mean()),
+        tuner_policies=list(TUNER_POLICIES),
+        one_policy_controllers_seconds=alone_s,
+        lockstep_seconds=lockstep_s,
+        lockstep_speedup=alone_s / lockstep_s,
+        one_policy_probe_passes=alone_passes,
+        lockstep_probe_passes=lockstep_passes,
+        lockstep_probe_shared=shared,
     )
     record = recorder.write(results_dir, "bench_closed_loop.json")
 
@@ -141,6 +215,9 @@ def test_closed_loop_overhead_is_bounded(results_dir):
           f"{probe_replies} probe replies)")
     print(f"   overhead:       {overhead:8.2f}x")
     print(f"   probe ingest:   {replies_per_s:10.0f} replies/s")
+    print(f"   tuner policies: {alone_s * 1000:8.1f} ms alone "
+          f"({alone_passes} fluid passes), {lockstep_s * 1000:8.1f} ms "
+          f"in lockstep ({lockstep_passes} passes, {shared} shared probes)")
 
     assert overhead <= MAX_OVERHEAD
     assert replies_per_s >= MIN_PROBE_REPLIES_PER_S
@@ -161,6 +238,11 @@ def test_bench_json_is_machine_readable(results_dir):
         "overhead_ratio",
         "probe_replies",
         "probe_replies_per_second",
+        "one_policy_controllers_seconds",
+        "lockstep_seconds",
+        "one_policy_probe_passes",
+        "lockstep_probe_passes",
+        "lockstep_probe_shared",
         "timestamp",
     ):
         assert field in record
@@ -170,3 +252,4 @@ def test_bench_json_is_machine_readable(results_dir):
     )
     assert record["overhead_ratio"] <= MAX_OVERHEAD
     assert record["probe_replies_per_second"] >= MIN_PROBE_REPLIES_PER_S
+    assert record["lockstep_probe_passes"] < record["one_policy_probe_passes"]

@@ -50,7 +50,7 @@ class ColdRebuildController(AdaptiveController):
     """The baseline: a fresh program assembled and solved cold at every
     re-optimization."""
 
-    def _reoptimize(self, delta, capacities):
+    def _reoptimize(self, index, delta, capacities):
         program = StrategyProgram(self.placed, delay_matrix=delta)
         # A single-variant batch is exactly one cold solve — no anchor
         # calibration — which is what a from-scratch rebuild would pay.
@@ -61,8 +61,9 @@ class ColdRebuildController(AdaptiveController):
 
 def _replay(controller_cls, topology, system, assignment, policy, stacks):
     placed = PlacedQuorumSystem(system, Placement(assignment), topology)
-    controller = controller_cls(placed, parse_policy(policy))
-    return controller.run_segment(*stacks)
+    controller = controller_cls(placed, (parse_policy(policy),))
+    (series,) = controller.run_segment(*stacks)
+    return series
 
 
 def _scenario_inputs():

@@ -4,8 +4,8 @@ Between two churn boundaries the placement is fixed, so everything an
 adaptation policy does is drive the access-strategy LP (4.3)-(4.6) of one
 :class:`~repro.core.placement.PlacedQuorumSystem` as the topology drifts
 under it. The :class:`AdaptiveController` keeps one persistent warm
-program per segment and maps events onto the batched LP backend's cheap
-paths:
+program per policy and segment and maps events onto the batched LP
+backend's cheap paths:
 
 * **capacity events** are pure RHS — a re-optimization is one anchored
   re-solve of the warm program;
@@ -18,8 +18,8 @@ The warm program answers the same LPs a rebuild-and-solve-cold controller
 would, so their objectives agree within solver tolerance at every
 re-optimization epoch; that baseline lives beside the pins that hold it
 (``tests/test_dynamics.py``) and the benchmark that measures against it
-(``benchmarks/bench_dynamics.py``). Each segment owns its program, and
-the requests it sends are a function of the segment's inputs, so the
+(``benchmarks/bench_dynamics.py``). Each segment owns its programs, and
+the requests they are sent are a function of the segment's inputs, so the
 anchored solves make the whole replay a function of its inputs — which
 is what lets :func:`~repro.dynamics.replay.replay` schedule segments
 over a :class:`~repro.runtime.runner.GridRunner` with ``jobs=N``
@@ -33,12 +33,31 @@ drifted delays) and the expected delay it had right after the last
 re-optimization; it returns whether to re-optimize now. The first epoch of
 a segment always re-optimizes (the placement is fresh). ``clairvoyant`` —
 re-optimize every epoch — is the regret baseline.
+
+Lockstep
+--------
+One controller steps the policies of a segment that see the same
+measurement plane (the oracle, or one telemetry configuration) through
+the epochs together, computing the true effective RTT and delay matrix
+once per epoch for them. In closed loop, policies whose in-force
+matrices are equal would probe the same world with the same strategy
+and seed, so they share one probe sample, and each epoch probes the
+distinct strategies in one fluid pass. Every policy keeps its own
+:class:`~repro.dynamics.telemetry.TelemetryEstimator`, noise generator
+and :class:`~repro.strategies.lp_optimizer.StrategyProgram` (a HiGHS
+program's answers can depend on its request history), so each policy's
+series is byte-identical to a controller that replays it alone (the
+reference in ``tests/oracles.py``).
+
+A live program holds its HiGHS model and solver state, so the policies
+step in groups whose live programs stay within :data:`_LOCKSTEP_COLUMNS`
+LP columns, one group after another (see :func:`_lockstep_groups`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -138,6 +157,14 @@ class ThresholdPolicy:
 #: Any of the three adaptation policies; they share the
 #: ``spec`` / ``should_reoptimize`` protocol but no base class.
 AdaptationPolicy = StaticPolicy | PeriodicPolicy | ThresholdPolicy
+
+#: LP columns (clients x quorums per program) that the live programs of
+#: one lockstep group may hold. A planetlab-50 Grid 5x5 program (1,250
+#: columns) holds 3.9 MB of heap after its calibration solve; with two
+#: of them live, the closed-loop benchmark's peak RSS was 5.8% above
+#: stepping one policy at a time. A static policy rides along free: its
+#: program is released after its one successful solve.
+_LOCKSTEP_COLUMNS = 2_500
 
 
 def parse_policy(spec: str) -> AdaptationPolicy:
@@ -251,18 +278,71 @@ def _expected_delay(matrix: np.ndarray, delta: np.ndarray) -> float:
     return float((matrix * delta).sum(axis=1).mean())
 
 
+def _empty_series(n_epochs: int) -> SegmentSeries:
+    return SegmentSeries(
+        expected_delay=np.zeros(n_epochs),
+        reoptimized=np.zeros(n_epochs, dtype=bool),
+        infeasible=np.zeros(n_epochs, dtype=bool),
+        max_overload=np.zeros(n_epochs),
+        lp_solves=np.zeros(n_epochs, dtype=np.intp),
+        assemblies=np.zeros(n_epochs, dtype=np.intp),
+        estimation_error=np.zeros(n_epochs),
+        staleness=np.zeros(n_epochs),
+        probe_operations=np.zeros(n_epochs, dtype=np.intp),
+    )
+
+
+def _lockstep_groups(
+    policies: Sequence[AdaptationPolicy], columns: int
+) -> list[list[int]]:
+    """Indices of ``policies`` in the groups a controller steps in turn,
+    for programs of ``columns`` LP columns each: static policies join the
+    first group, and the rest, in order, fill groups of as many programs
+    as :data:`_LOCKSTEP_COLUMNS` holds (at least one)."""
+    width = max(1, _LOCKSTEP_COLUMNS // columns)
+    is_static = [isinstance(p, StaticPolicy) for p in policies]
+    static = [i for i, flag in enumerate(is_static) if flag]
+    adaptive = [i for i, flag in enumerate(is_static) if not flag]
+    groups = [
+        adaptive[k : k + width] for k in range(0, len(adaptive), width)
+    ] or [[]]
+    groups[0] = static + groups[0]
+    return groups
+
+
+def _group_equal(
+    indices: Sequence[int], matrices: Mapping[int, np.ndarray]
+) -> list[list[int]]:
+    """``indices`` grouped by equal ``matrices[i]``, groups in order of
+    first appearance."""
+    groups: list[list[int]] = []
+    for i in indices:
+        for group in groups:
+            lead = matrices[group[0]]
+            if matrices[i] is lead or np.array_equal(matrices[i], lead):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
 class AdaptiveController:
-    """Replays one fixed-placement segment under one adaptation policy.
+    """Replays one fixed-placement segment under several adaptation
+    policies, stepped in lockstep groups.
 
     Parameters
     ----------
     placed:
         The segment's placed quorum system (over the member node space).
-    policy:
-        A policy object (see :func:`parse_policy`).
+    policies:
+        Policy objects (see :func:`parse_policy`). :meth:`run_segment`
+        returns one series per policy, in order, each byte-identical to a
+        controller of that policy alone; see the module's *Lockstep*
+        section.
     telemetry:
-        A :class:`~repro.dynamics.telemetry.TelemetryConfig` switches the
-        controller to **closed-loop** operation: every epoch it probes
+        A :class:`~repro.dynamics.telemetry.TelemetryConfig` switches
+        every policy to **closed-loop** operation: every epoch it probes
         the placed system through the simulator, folds the observed
         response times into a
         :class:`~repro.dynamics.telemetry.TelemetryEstimator`, and makes
@@ -274,58 +354,69 @@ class AdaptiveController:
     def __init__(
         self,
         placed: PlacedQuorumSystem,
-        policy: AdaptationPolicy,
+        policies: Sequence[AdaptationPolicy],
         telemetry: TelemetryConfig | None = None,
     ) -> None:
         self.placed = placed
-        self.policy = policy
+        self.policies = tuple(policies)
+        if not self.policies:
+            raise DynamicsError("a controller needs at least one policy")
         self.telemetry = telemetry
-        self._program: StrategyProgram | None = None
-        self._synced_delta: np.ndarray | None = None
+        self._programs: list[StrategyProgram | None] = [None] * len(
+            self.policies
+        )
+        self._synced_delta: list[np.ndarray | None] = [None] * len(
+            self.policies
+        )
         self._uniform = np.full(
             (placed.n_nodes, placed.num_quorums), 1.0 / placed.num_quorums
         )
 
     def _reoptimize(
-        self, delta: np.ndarray, capacities: np.ndarray
+        self, index: int, delta: np.ndarray, capacities: np.ndarray
     ) -> tuple[np.ndarray | None, int, int]:
-        """One re-optimization; returns (matrix or None, solves, builds)."""
+        """One re-optimization of policy ``index``'s program; returns
+        (matrix or None, solves, builds)."""
         builds = 0
-        if self._program is None:
-            self._program = StrategyProgram(self.placed, delay_matrix=delta)
-            self._synced_delta = delta
+        program = self._programs[index]
+        if program is None:
+            program = StrategyProgram(self.placed, delay_matrix=delta)
+            self._programs[index] = program
+            self._synced_delta[index] = delta
             builds = 1
-        elif self._synced_delta is not delta:
-            self._program.update_delays(delta)
-            self._synced_delta = delta
-        before = self._program.lp_solves
+        elif self._synced_delta[index] is not delta:
+            program.update_delays(delta)
+            self._synced_delta[index] = delta
+        before = program.lp_solves
         try:
-            matrix = self._program.solve(capacities).matrix
+            matrix = program.solve(capacities).matrix
         except InfeasibleError:
             matrix = None
-        return matrix, self._program.lp_solves - before, builds
+        return matrix, program.lp_solves - before, builds
 
     def run_segment(
         self,
         rtt_factors: np.ndarray,
         capacities: np.ndarray,
         rtt_changed: np.ndarray,
-    ) -> SegmentSeries:
-        """Replay the segment's epochs in order.
+    ) -> tuple[SegmentSeries, ...]:
+        """Replay the segment's epochs in order under every policy.
 
         ``rtt_factors``/``capacities`` are ``(epochs, nodes)`` stacks over
         the segment's node space; ``rtt_changed[i]`` marks epochs whose
         drift actually moved (the delay matrix is recomputed only there).
         An infeasible re-optimization keeps the strategy in force (the
         segment's first epoch falls back to the uniform strategy) and is
-        recorded, never silently dropped.
+        recorded, never silently dropped. Returns one series per policy,
+        in order.
 
         In closed-loop runs (``telemetry`` set) the per-epoch stacks
-        describe the **world the probe traffic traverses**; the policy
-        and the LP see only the estimator's view of it. Probe seeds are
-        ``config.seed + epoch`` and the measurement-noise stream is one
-        seeded generator consumed in epoch order, so closed-loop replays
-        stay pure functions of their inputs (``jobs=N`` bit-identical).
+        describe the **world the probe traffic traverses**; the policies
+        and the LPs see only the estimators' view of it. Probe seeds are
+        ``config.seed + epoch`` and each policy's measurement-noise stream
+        is one seeded generator consumed in epoch order, so closed-loop
+        replays stay pure functions of their inputs (``jobs=N``
+        bit-identical).
         """
         factors = np.asarray(rtt_factors, dtype=np.float64)
         caps = np.asarray(capacities, dtype=np.float64)
@@ -335,106 +426,139 @@ class AdaptiveController:
             raise DynamicsError(
                 "per-epoch stacks must share the segment's epoch count"
             )
+        outs = tuple(_empty_series(n_epochs) for _ in self.policies)
+        shared = 0
+        columns = self.placed.n_nodes * self.placed.num_quorums
+        for group in _lockstep_groups(self.policies, columns):
+            shared += self._step_group(group, factors, caps, changed, outs)
+            for p in group:  # free the group's programs for the next one
+                self._programs[p] = None
+        obs.count("dynamics.epochs", n_epochs * len(self.policies))
+        reopts = sum(int(np.count_nonzero(o.reoptimized)) for o in outs)
+        if reopts:
+            obs.count("dynamics.reopt", reopts)
+        infeasible = sum(int(np.count_nonzero(o.infeasible)) for o in outs)
+        if infeasible:
+            obs.count("dynamics.infeasible", infeasible)
+        if shared:
+            obs.count("dynamics.probe_shared", shared)
+        return outs
 
+    def _step_group(
+        self,
+        group: list[int],
+        factors: np.ndarray,
+        caps: np.ndarray,
+        changed: np.ndarray,
+        outs: tuple[SegmentSeries, ...],
+    ) -> int:
+        """Step the policies ``group`` through the segment together,
+        filling in their ``outs``; returns how many policy-epochs another
+        policy's probe served."""
         base_rtt = self.placed.topology.rtt
         delta: np.ndarray | None = None
         effective: np.ndarray | None = None
-        matrix: np.ndarray | None = None
-        probe_strategy: ExplicitStrategy | None = None
-        probe_source: np.ndarray | None = None  # the matrix it was built from
-        value_at_reopt = np.inf
-        retry_pending = False  # last attempt was infeasible: keep trying
+        matrices: dict[int, np.ndarray | None] = dict.fromkeys(group)
+        value_at_reopt = dict.fromkeys(group, np.inf)
+        # Last attempt was infeasible: keep trying.
+        retry_pending = dict.fromkeys(group, False)
 
         telemetry = self.telemetry
-        estimator = None
-        noise_rng = None
+        estimators: dict[int, TelemetryEstimator] = {}
+        noise: dict[int, np.random.Generator] = {}
         if telemetry is not None:
-            estimator = TelemetryEstimator(self.placed, telemetry)
-            noise_rng = np.random.default_rng([telemetry.seed, 0x7E1E])
-
-        out = SegmentSeries(
-            expected_delay=np.zeros(n_epochs),
-            reoptimized=np.zeros(n_epochs, dtype=bool),
-            infeasible=np.zeros(n_epochs, dtype=bool),
-            max_overload=np.zeros(n_epochs),
-            lp_solves=np.zeros(n_epochs, dtype=np.intp),
-            assemblies=np.zeros(n_epochs, dtype=np.intp),
-            estimation_error=np.zeros(n_epochs),
-            staleness=np.zeros(n_epochs),
-            probe_operations=np.zeros(n_epochs, dtype=np.intp),
-        )
+            for p in group:
+                estimators[p] = TelemetryEstimator(self.placed, telemetry)
+                noise[p] = np.random.default_rng([telemetry.seed, 0x7E1E])
+        # Each policy's probe strategy and the matrix it was built from:
+        # built once per matrix put in force.
+        built: dict[int, tuple[np.ndarray, ExplicitStrategy]] = {}
+        shared = 0
         incidence = self.placed.incidence_counts  # (quorums, nodes)
-        for i in range(n_epochs):
+        for i in range(factors.shape[0]):
             if delta is None or changed[i]:
                 effective = effective_rtt(base_rtt, factors[i])
                 delta = self.placed.delay_matrix_for(effective)
-            if telemetry is None:
-                decision_delta, decision_caps = delta, caps[i]
-            else:
-                # Probe the world with the strategy actually in force
+            decisions = dict.fromkeys(group, (delta, caps[i]))
+            if telemetry is not None:
+                # Probe the world with the strategies actually in force
                 # (the uniform fallback before anything is), estimate,
-                # and decide from the estimates only. The probe's strategy
-                # is built once per matrix put in force.
-                in_force = matrix if matrix is not None else self._uniform
-                if probe_strategy is None or probe_source is not in_force:
-                    probe_strategy = ExplicitStrategy(in_force)
-                    probe_source = in_force
-                sample = probe_epoch(
+                # and decide from the estimates only.
+                in_force = {
+                    p: self._uniform if m is None else m
+                    for p, m in matrices.items()
+                }
+                probes = _group_equal(group, in_force)
+                for first, *_ in probes:
+                    source = in_force[first]
+                    if first not in built or built[first][0] is not source:
+                        built[first] = source, ExplicitStrategy(source)
+                samples = probe_epoch(
                     self.placed,
-                    probe_strategy,
+                    tuple(built[first][1] for first, *_ in probes),
                     effective,
                     caps[i],
                     seed=telemetry.seed + i,
                 )
-                estimator.observe(sample, noise_rng)
-                decision_delta = self.placed.delay_matrix_for(
-                    estimator.rtt_estimate
-                )
-                decision_caps = estimator.capacity_estimate
-                out.estimation_error[i] = float(
-                    np.abs(decision_delta - delta).mean()
-                    / max(float(delta.mean()), 1e-12)
-                )
-                out.staleness[i] = estimator.mean_staleness
-                out.probe_operations[i] = int(sample.counts.sum())
-            if matrix is None or retry_pending:
-                reopt = True  # nothing in force yet, or last attempt failed
-            else:
-                value_now = _expected_delay(matrix, decision_delta)
-                reopt = self.policy.should_reoptimize(
-                    i, value_now, value_at_reopt
-                )
-            if reopt:
-                new_matrix, solves, builds = self._reoptimize(
-                    decision_delta, decision_caps
-                )
-                out.lp_solves[i] = solves
-                out.assemblies[i] = builds
-                if new_matrix is None:
-                    out.infeasible[i] = True
-                    retry_pending = True
-                    if matrix is None:
-                        matrix = self._uniform
+                shared += len(group) - len(probes)
+                for members, sample in zip(probes, samples):
+                    for p in members:
+                        estimator = estimators[p]
+                        estimator.observe(sample, noise[p])
+                        decision_delta = self.placed.delay_matrix_for(
+                            estimator.rtt_estimate
+                        )
+                        decisions[p] = (
+                            decision_delta,
+                            estimator.capacity_estimate,
+                        )
+                        out = outs[p]
+                        out.estimation_error[i] = float(
+                            np.abs(decision_delta - delta).mean()
+                            / max(float(delta.mean()), 1e-12)
+                        )
+                        out.staleness[i] = estimator.mean_staleness
+                        out.probe_operations[i] = int(sample.counts.sum())
+            for p in group:
+                policy, out = self.policies[p], outs[p]
+                decision_delta, decision_caps = decisions[p]
+                matrix = matrices[p]
+                if matrix is None or retry_pending[p]:
+                    # Nothing in force yet, or the last attempt failed.
+                    reopt = True
                 else:
-                    out.reoptimized[i] = True
-                    retry_pending = False
-                    matrix = new_matrix
-                    value_at_reopt = _expected_delay(
-                        matrix, decision_delta
+                    value_now = _expected_delay(matrix, decision_delta)
+                    reopt = policy.should_reoptimize(
+                        i, value_now, value_at_reopt[p]
                     )
-            out.expected_delay[i] = _expected_delay(matrix, delta)
-            loads = (matrix @ incidence).mean(axis=0)
-            out.max_overload[i] = float(
-                np.maximum(loads - caps[i], 0.0).max()
-            )
-        obs.count("dynamics.epochs", n_epochs)
-        reopts = int(np.count_nonzero(out.reoptimized))
-        if reopts:
-            obs.count("dynamics.reopt", reopts)
-        infeasible = int(np.count_nonzero(out.infeasible))
-        if infeasible:
-            obs.count("dynamics.infeasible", infeasible)
-        return out
+                if reopt:
+                    new_matrix, solves, builds = self._reoptimize(
+                        p, decision_delta, decision_caps
+                    )
+                    out.lp_solves[i] = solves
+                    out.assemblies[i] = builds
+                    if new_matrix is None:
+                        out.infeasible[i] = True
+                        retry_pending[p] = True
+                        if matrix is None:
+                            matrix = self._uniform
+                    else:
+                        out.reoptimized[i] = True
+                        retry_pending[p] = False
+                        matrix = new_matrix
+                        value_at_reopt[p] = _expected_delay(
+                            matrix, decision_delta
+                        )
+                        if isinstance(policy, StaticPolicy):
+                            # It never asks again: free its program now.
+                            self._programs[p] = None
+                    matrices[p] = matrix
+                out.expected_delay[i] = _expected_delay(matrix, delta)
+                loads = (matrix @ incidence).mean(axis=0)
+                out.max_overload[i] = float(
+                    np.maximum(loads - caps[i], 0.0).max()
+                )
+        return shared
 
 
 def replay_segment(
@@ -444,23 +568,26 @@ def replay_segment(
     rtt_factors: np.ndarray,
     capacities: np.ndarray,
     rtt_changed: np.ndarray,
-    policy: str,
+    policies: tuple[str, ...],
     telemetry: TelemetryConfig | None = None,
-) -> SegmentSeries:
+) -> tuple[SegmentSeries, ...]:
     """Module-level segment replay (picklable — the replay driver's grid
-    point function).
+    point function): every policy of one measurement plane in lockstep.
 
     ``topology`` and ``assignment`` live in the segment's member node
-    space; ``policy`` is a spec string (see :func:`parse_policy`);
-    ``telemetry`` switches the controller to closed-loop operation.
+    space; ``policies`` are spec strings (see :func:`parse_policy`), and
+    one series per policy comes back, in order; ``telemetry`` switches
+    the controller to closed-loop operation.
     """
     placed = PlacedQuorumSystem(system, Placement(assignment), topology)
     controller = AdaptiveController(
-        placed, parse_policy(policy), telemetry=telemetry
+        placed,
+        tuple(parse_policy(policy) for policy in policies),
+        telemetry=telemetry,
     )
     with obs.span(
         "dynamics.segment",
-        policy=policy,
+        policies=",".join(policies),
         epochs=int(np.asarray(rtt_factors).shape[0]),
     ):
         return controller.run_segment(rtt_factors, capacities, rtt_changed)

@@ -9,26 +9,30 @@ same guarantees) the figure runners use:
    segments; each segment's placement is one point running the existing
    best-``v0`` search over the member subtopology. Only churn forces this:
    capacity and RTT events never invalidate a placement.
-2. **Segment-replay points** — one point per (policy, segment), each a
-   pure function replaying the segment's epochs through an
-   :class:`~repro.dynamics.controller.AdaptiveController`. The
-   ``clairvoyant`` policy (re-optimize every epoch) always runs as the
-   regret baseline.
+2. **Segment-replay points** — pure functions replaying a segment's
+   epochs through an
+   :class:`~repro.dynamics.controller.AdaptiveController`: one point
+   per (policy, segment) on the oracle plane, and one point per segment
+   for all closed-loop policies, which step in lockstep and share their
+   probes. The ``clairvoyant`` policy (re-optimize every epoch) always
+   runs as the regret baseline on the oracle plane.
 
 Every point carries a content cache key (topology/system fingerprints,
-the segment's event stacks, the policy spec; the cache folds in the LP
-solver identity), so repeated replays — or replays sharing segments —
-reuse results exactly like figure grid points do. Each point builds its
-own LP program and sends it a request sequence fixed by the point's
-inputs, so the point is a function of its inputs and ``jobs=N`` is
-bit-identical to ``jobs=1`` (pinned by ``tests/test_dynamics.py``).
+the segment's event stacks, the point's policy tuple; the cache folds in
+the LP solver identity), so repeated replays — or replays sharing
+segments — reuse results exactly like figure grid points do: an oracle
+point per policy, a closed-loop point only for the same policy tuple.
+Each point builds its own LP programs and sends them a request sequence
+fixed by the point's inputs, so the point is a function of its inputs
+and ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
+``tests/test_dynamics.py``).
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Sequence, cast
 
 import numpy as np
 
@@ -219,7 +223,7 @@ def simulate_placements(
         ExplicitStrategy,
         ThresholdBalancedStrategy,
     )
-    from repro.sim.generic import GenericQuorumSimulation
+    from repro.sim.generic import GenericQuorumSimulation, GenericSimResult
     from repro.sim.workload import PoissonArrivals
 
     states = trace.states(topology)
@@ -247,8 +251,12 @@ def simulate_placements(
             ),
             backend="fluid",
         )
-        out = sim.run(
-            duration_ms=_SIM_DURATION_MS, warmup_ms=0.1 * _SIM_DURATION_MS
+        out = cast(
+            GenericSimResult,
+            sim.run(
+                duration_ms=_SIM_DURATION_MS,
+                warmup_ms=0.1 * _SIM_DURATION_MS,
+            ),
         )
         rows.append(
             {
@@ -289,8 +297,10 @@ def replay(
     policies:
         Adaptation policy specs (see
         :func:`~repro.dynamics.controller.parse_policy`); duplicates
-        collapse, order is preserved. The per-epoch re-optimizer always
-        runs as the regret baseline (once, even if among ``policies``).
+        collapse, order is preserved. The oracle per-epoch re-optimizer
+        always runs as the regret baseline, once, whether or not
+        ``policies`` lists ``clairvoyant`` (or, in an oracle replay,
+        ``periodic:1``).
     candidates:
         Optional global node ids restricting each segment's placement
         search (intersected with the members; the paper's recipe searches
@@ -309,18 +319,22 @@ def replay(
         estimates instead of the oracle scenario values (see
         :mod:`repro.dynamics.telemetry`). The ``clairvoyant`` baseline
         deliberately stays oracle — it is the true-information optimum
-        that regret is defined against. Each segment's probes get a
-        distinct seed derived from ``telemetry.seed`` and the segment's
-        start epoch, and the configuration is part of every segment
-        point's cache key.
+        that regret is defined against — while a closed-loop
+        ``periodic:1`` re-optimizes every epoch from estimates and is a
+        policy of its own. Each segment's probes get a distinct seed
+        derived from ``telemetry.seed`` and the segment's start epoch,
+        and the configuration is part of the closed-loop points' cache
+        keys.
     """
     specs: list[str] = []
     for policy in policies:
         spec = parse_policy(policy).spec
-        if spec == "periodic:1":
-            # periodic:1 *is* the per-epoch re-optimizer: fold it into the
-            # clairvoyant entry so it is never replayed twice under two
-            # names (and regret against it is identically zero).
+        if str(policy).strip().lower() == CLAIRVOYANT or (
+            telemetry is None and spec == "periodic:1"
+        ):
+            # An oracle periodic:1 *is* the per-epoch re-optimizer: fold
+            # it into the clairvoyant entry so it is never replayed twice
+            # under two names (and regret against it is identically zero).
             spec = CLAIRVOYANT
         if spec not in specs:
             specs.append(spec)
@@ -385,12 +399,20 @@ def replay(
             placement_results[index] for index in range(len(segments))
         ]
 
-        # Phase 2 — one replay point per (policy, segment).
+        # Phase 2 — per segment, one replay point per oracle policy and
+        # one for all closed-loop policies, which share their probes. The
+        # clairvoyant baseline stays oracle even in closed-loop replays:
+        # regret is defined against the true-information optimum.
+        if telemetry is None:
+            planes = [((spec,), False) for spec in specs]
+        else:
+            closed = tuple(s for s in specs if s != CLAIRVOYANT)
+            planes = [(closed, True)] if closed else []
+            planes.append(((CLAIRVOYANT,), False))
         points = []
-        sub_topologies = []
         for index, (start, end) in enumerate(segments):
             up_nodes = states[start].up_nodes
-            sub_topologies.append(topology.subtopology(up_nodes))
+            sub_topology = topology.subtopology(up_nodes)
             factors = np.stack(
                 [states[t].rtt_factors[up_nodes] for t in range(start, end)]
             )
@@ -409,26 +431,24 @@ def replay(
                     seed=telemetry.seed + _SEGMENT_SEED_STRIDE * start,
                 )
             )
-            for spec in specs:
-                # The clairvoyant baseline stays oracle even in
-                # closed-loop replays: regret is defined against the
-                # true-information optimum.
-                point_telemetry = (
-                    None if spec == CLAIRVOYANT else seg_telemetry
-                )
+            for plane, closed_loop in planes:
+                point_telemetry = seg_telemetry if closed_loop else None
                 kwargs = {
-                    "topology": sub_topologies[index],
+                    "topology": sub_topology,
                     "system": system,
                     "assignment": sub_assignments[index],
                     "rtt_factors": factors,
                     "capacities": caps,
                     "rtt_changed": changed,
-                    "policy": "periodic:1" if spec == CLAIRVOYANT else spec,
+                    "policies": tuple(
+                        "periodic:1" if s == CLAIRVOYANT else s
+                        for s in plane
+                    ),
                     "telemetry": point_telemetry,
                 }
                 points.append(
                     GridPoint(
-                        tag=(spec, index),
+                        tag=(plane, index),
                         fn=replay_segment,
                         kwargs=kwargs,
                         cache_key={
@@ -440,7 +460,7 @@ def replay(
                             "rtt_factors": factors,
                             "capacities": caps,
                             "rtt_changed": changed,
-                            "policy": kwargs["policy"],
+                            "policies": kwargs["policies"],
                             "telemetry": None
                             if point_telemetry is None
                             else point_telemetry.fingerprint_components(),
@@ -450,11 +470,14 @@ def replay(
         with obs.span("dynamics.replays", points=len(points)):
             results = runner.run(points)
 
+    by_spec: dict[str, list[SegmentSeries]] = {spec: [] for spec in specs}
+    for index in range(len(segments)):
+        for plane, _closed_loop in planes:
+            for spec, part in zip(plane, results[(plane, index)]):
+                by_spec[spec].append(part)
     series = {
-        spec: SegmentSeries.concatenate(
-            [results[(spec, index)] for index in range(len(segments))]
-        )
-        for spec in specs
+        spec: SegmentSeries.concatenate(parts)
+        for spec, parts in by_spec.items()
     }
 
     placements = tuple(
@@ -551,14 +574,19 @@ def tune_threshold(
 ) -> ThresholdTuning:
     """Auto-tune the ``threshold:<x>`` policy over a replayed trace.
 
-    Sweeps every candidate threshold through **one** :func:`replay` call:
-    all (policy, segment) points land as cache-keyed grid points on one
-    :class:`~repro.runtime.runner.GridRunner`, so the sweep parallelizes
-    across workers, stays bit-identical for ``jobs=N``, and reuses any
-    cached segments (the clairvoyant baseline and the placements are
-    shared by every candidate). The winner minimizes mean regret against
-    the clairvoyant optimum; exact ties break toward fewer LP solves,
-    then toward the larger (cheaper) threshold — deterministically.
+    Sweeps every candidate threshold through **one** :func:`replay` call.
+    In closed loop, each segment's candidates (and ``baseline_policies``)
+    run in lockstep in one grid point, which shares each probe among the
+    policies whose strategies agree and measures the rest in one fluid
+    pass per epoch; in an oracle sweep every candidate is a point of its
+    own. The clairvoyant baseline and the placements are points of their
+    own too, cache-keyed on one :class:`~repro.runtime.runner.GridRunner`,
+    so the points parallelize across workers, the sweep stays
+    bit-identical for ``jobs=N``, and cached segments are reused. The
+    winner minimizes mean
+    regret against the clairvoyant optimum; exact ties break toward fewer
+    LP solves, then toward the larger (cheaper) threshold —
+    deterministically.
 
     ``baseline_policies`` (e.g. ``("static",)``) ride along in the same
     replay for comparison but are not eligible to win.

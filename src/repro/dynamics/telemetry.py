@@ -7,14 +7,16 @@ measured — King-style latency estimates assembled from observed response
 times, with noise, staleness, and whatever bias the load imposes. This
 module is that measurement plane:
 
-* :func:`probe_epoch` runs one epoch's placed system and strategy
-  through :class:`~repro.sim.generic.GenericQuorumSimulation` on the
-  fluid backend (cheap enough to probe every epoch; there is no other
-  probe path) with ``collect_telemetry=True`` and returns the
-  per-(client, server) :class:`~repro.sim.metrics.PairTelemetry`
-  aggregates. Servers run at ``PROBE_SERVICE_TIME_MS / capacity``, so
-  per-node capacity is observable from the service times their replies
-  report.
+* :func:`probe_epoch` runs one epoch's placed system under one or more
+  strategies through :class:`~repro.sim.generic.GenericQuorumSimulation`
+  on the fluid backend (cheap enough to probe every epoch; there is no
+  other probe path) with ``collect_telemetry=True`` and returns each
+  strategy's per-(client, server)
+  :class:`~repro.sim.metrics.PairTelemetry` aggregates. All strategies
+  share one pass: the same arrivals and quorum draws, the probe each
+  would make alone. Servers run at ``PROBE_SERVICE_TIME_MS / capacity``,
+  so per-node capacity is observable from the service times their
+  replies report.
 * :class:`TelemetryEstimator` folds each epoch's sample into
   exponentially-weighted RTT and capacity estimates (weight :data:`GAIN`).
   Per-pair measurement noise is seeded and shrinks as
@@ -35,6 +37,7 @@ clairvoyant re-optimizer is regret under realistic signal quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from repro.core.placement import PlacedQuorumSystem
 from repro.core.strategy import ExplicitStrategy
 from repro.errors import DynamicsError, SimulationError
 from repro.network.graph import Topology
-from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.generic import GenericQuorumSimulation, GenericSimResult
 from repro.sim.metrics import PairTelemetry
 from repro.sim.workload import PoissonArrivals
 
@@ -123,20 +126,23 @@ class TelemetryConfig:
 
 def probe_epoch(
     placed: PlacedQuorumSystem,
-    strategy: ExplicitStrategy,
+    strategies: tuple[ExplicitStrategy, ...],
     rtt: np.ndarray,
     capacities: np.ndarray,
     seed: int,
-) -> PairTelemetry:
-    """Measure one epoch: simulate the strategy in force, return telemetry.
+) -> tuple[PairTelemetry, ...]:
+    """Measure one epoch: simulate each strategy, return its telemetry.
 
     The probe moves the placed system onto the epoch's *true* drifted
     ``rtt`` and ``capacities`` (that is the world the probe traffic
-    traverses — the controller only ever sees the returned sample), runs
-    an open-loop Poisson workload sampling quorums from ``strategy``, and
-    returns the per-(client node, server) reply aggregates. Nodes serve
-    at ``PROBE_SERVICE_TIME_MS / capacity`` per unit, so each reply's
-    reported service time carries the capacity signal.
+    traverses — the controller only ever sees the returned samples), runs
+    an open-loop Poisson workload sampling quorums from each strategy,
+    and returns one sample of per-(client node, server) reply aggregates
+    per strategy, in order. Nodes serve at ``PROBE_SERVICE_TIME_MS /
+    capacity`` per unit, so each reply's reported service time carries
+    the capacity signal. The strategies run in one fluid pass over the
+    same arrivals and quorum draws, and each sample is byte-identical to
+    a probe of that strategy alone.
 
     ``rtt`` is taken as is (:meth:`Topology.adopt`), so it must be a
     float64 matrix that is exactly symmetric with a zero diagonal, as
@@ -154,7 +160,7 @@ def probe_epoch(
     )
     sim = GenericQuorumSimulation(
         probe_placed,
-        strategy,
+        tuple(strategies),
         service_time_ms=PROBE_SERVICE_TIME_MS / caps,
         seed=seed,
         arrivals=PoissonArrivals(
@@ -165,14 +171,16 @@ def probe_epoch(
         collect_telemetry=True,
     )
     try:
-        out = sim.run(duration_ms=PROBE_MS)
+        results = cast(
+            tuple[GenericSimResult, ...], sim.run(duration_ms=PROBE_MS)
+        )
     except SimulationError as exc:
         raise DynamicsError(
             "telemetry probe produced no completed operations "
             f"(probe_ms={PROBE_MS}, rate_per_ms={PROBE_RATE_PER_MS}): "
             "the quorum round-trips outlast the probe window"
         ) from exc
-    return out.telemetry
+    return tuple(cast(PairTelemetry, out.telemetry) for out in results)
 
 
 class TelemetryEstimator:

@@ -3,15 +3,17 @@
 No counterpart in the paper, which assumes the optimizer sees true RTTs
 (and points at King-style estimation for where they would really come
 from). This figure closes the loop on a churn-free diurnal + flash-crowd
-trace over a placed Grid on Planetlab-50: every epoch, each policy's
-controller probes the system through the fluid simulator, folds the
-observed response times into EWMA RTT/capacity estimates with seeded
-measurement noise, and re-optimizes from those *estimates* — while the
-plotted series score the resulting strategies under the true drifted
-delays. The ``threshold:<x>`` trigger is auto-tuned first
-(:func:`~repro.dynamics.replay.tune_threshold` sweeps the candidates as
-cache-keyed grid points on the shared runner), and the oracle
-clairvoyant re-optimizer is the regret floor.
+trace over a placed Grid on Planetlab-50: every epoch, each policy
+probes the system through the fluid simulator, folds the observed
+response times into EWMA RTT/capacity estimates with seeded measurement
+noise, and re-optimizes from those *estimates* — while the plotted
+series score the resulting strategies under the true drifted delays.
+The ``threshold:<x>`` trigger is auto-tuned first
+(:func:`~repro.dynamics.replay.tune_threshold` steps the candidates and
+``static`` in lockstep, sharing each probe while their strategies agree
+and measuring the rest in one fluid pass per epoch, in one cache-keyed
+grid point on the shared runner), and the oracle clairvoyant
+re-optimizer is the regret floor.
 
 The qualitative claim: closed-loop adaptation with realistic signal
 quality stays within a small factor of the clairvoyant optimum and

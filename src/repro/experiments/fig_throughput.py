@@ -24,6 +24,8 @@ does not duplicate).
 
 from __future__ import annotations
 
+from typing import cast
+
 import numpy as np
 
 from repro.core.placement import PlacedQuorumSystem, Placement
@@ -34,7 +36,7 @@ from repro.network.graph import Topology
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint, GridSpec
-from repro.sim.generic import GenericQuorumSimulation
+from repro.sim.generic import GenericQuorumSimulation, GenericSimResult
 from repro.sim.workload import PoissonArrivals
 
 __all__ = ["grid_spec", "BACKENDS"]
@@ -75,7 +77,10 @@ def _throughput_point(
         arrivals=PoissonArrivals(rate_per_ms=rate_per_ms, seed=seed + 1),
         backend=backend,
     )
-    result = sim.run(duration_ms=duration_ms, warmup_ms=warmup_ms)
+    result = cast(
+        GenericSimResult,
+        sim.run(duration_ms=duration_ms, warmup_ms=warmup_ms),
+    )
     conserved = result.requests_issued == (
         result.requests_processed + result.requests_in_flight
     )

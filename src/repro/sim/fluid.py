@@ -49,6 +49,14 @@ The pipeline:
    caller that reads only counters or telemetry never sorts for
    percentiles.
 
+Several explicit strategies run in one pass (common random numbers): they
+share the arrival stream and the one uniform draw per operation that each
+of them would make alone, their request tables are concatenated with
+every strategy's servers ranked in a block of their own, and the one sort
+and padded queueing pass above serve them all. Each strategy's result is
+byte-identical to its run alone; a one-strategy run is the one-element
+case of the same pipeline.
+
 Request conservation is exact, as in the reference engine: every issued
 request is processed or in flight at the horizon — ``issued == processed
 + in_flight`` holds to the unit. The two terms are counted apart: the
@@ -78,7 +86,7 @@ __all__ = ["run_fluid"]
 _SUBSET_CHUNK = 1 << 17
 
 #: Elements per chunk of the inverse-CDF quorum lookup (bounds the
-#: temporary (chunk, quorums) float gather to 4 MiB).
+#: temporary (strategies, chunk, quorums) float gather to 4 MiB).
 _CDF_CHUNK = 1 << 19
 
 
@@ -171,29 +179,33 @@ def _padded_departures(
 
 
 def _sample_quorums(
-    matrix: np.ndarray, op_node: np.ndarray, rng: np.random.Generator
+    matrices: np.ndarray, op_node: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Quorum index of every operation, drawn from its client's row.
+    """Quorum index of every operation under every strategy.
 
-    One ``rng.random`` draw over the operations stable-sorted by client
-    node, then an inverse-CDF lookup against the row-normalized cumulative
-    rows — exactly what one ``rng.choice(m, size, p=row)`` call per client
-    node, in ascending node order, computes and consumes. The comparison
-    runs in chunks so the ``(chunk, m)`` temporary stays a few MiB.
+    ``matrices`` stacks the strategies, ``(strategies, nodes, quorums)``;
+    the result is ``(strategies, operations)``. One ``rng.random`` draw
+    over the operations stable-sorted by client node serves every
+    strategy, then an inverse-CDF lookup against each strategy's
+    row-normalized cumulative rows — exactly what one ``rng.choice(m,
+    size, p=row)`` call per client node, in ascending node order, computes
+    and consumes for each strategy alone. The comparison runs in chunks so
+    the ``(strategies, chunk, m)`` temporary stays a few MiB.
     """
-    n_ops, m = op_node.size, matrix.shape[1]
+    n_strategies, _, m = matrices.shape
+    n_ops = op_node.size
     order = np.argsort(op_node, kind="stable")
     nodes = op_node[order]
     uniform = rng.random(n_ops)
-    cdf = matrix.cumsum(axis=1)
-    cdf = cdf / cdf[:, -1:]
-    quorum = np.empty(n_ops, dtype=np.intp)
-    chunk = max(1, _CDF_CHUNK // m)
+    cdf = matrices.cumsum(axis=2)
+    cdf = cdf / cdf[:, :, -1:]
+    quorum = np.empty((n_strategies, n_ops), dtype=np.intp)
+    chunk = max(1, _CDF_CHUNK // (n_strategies * m))
     for start in range(0, n_ops, chunk):
         stop = start + chunk
-        quorum[order[start:stop]] = (
-            cdf[nodes[start:stop]] <= uniform[start:stop, None]
-        ).sum(axis=1)
+        quorum[:, order[start:stop]] = (
+            cdf[:, nodes[start:stop]] <= uniform[None, start:stop, None]
+        ).sum(axis=2)
     return quorum
 
 
@@ -206,24 +218,34 @@ def _sample_requests(
 
     Returns ``(req_op, req_server, req_units, op_starts)``, one row per
     client->server request: its operation, server node and service
-    units. Each operation's requests are contiguous and start at
-    ``op_starts``. The row order is part of the result, since requests
-    tied on (server, arrival) queue in table order: explicit strategies
-    group operations by quorum (ascending, then by arrival) and list each
+    units. Strategy ``k``'s rows form the ``k``-th block of the table, and
+    its operations are numbered ``k * n_ops + operation``. Each
+    operation's requests are contiguous and start at ``op_starts``. The
+    row order within a block is part of the result, since requests tied
+    on (server, arrival) queue in table order: explicit strategies group
+    operations by quorum (ascending, then by arrival) and list each
     quorum's servers in ascending node order. Mirrors the sampling
     semantics of ``GenericQuorumSimulation._build_samplers`` exactly
     (same distributions, one bulk stream instead of per-client streams).
     """
     placed = sim.placed
-    strategy = sim.strategy
     n_ops = op_node.size
+    # The simulation holds explicit strategies only, or one balanced one.
+    explicit = [s for s in sim.strategies if isinstance(s, ExplicitStrategy)]
 
-    if isinstance(strategy, ExplicitStrategy):
+    if explicit:
         indptr, nodes, counts = placed.quorum_node_table
-        quorum = _sample_quorums(strategy.matrix, op_node, rng)
-        ops = np.argsort(quorum, kind="stable")
-        first = indptr[quorum[ops]]
-        width = indptr[quorum[ops] + 1] - first
+        matrices = np.stack([s.matrix for s in explicit])
+        quorum = _sample_quorums(matrices, op_node, rng).ravel()
+        # One stable sort of (strategy, quorum) keys: strategy-major, and
+        # within a strategy exactly the stable sort of its own quorums.
+        key = quorum + np.repeat(
+            np.arange(len(explicit)) * matrices.shape[2], n_ops
+        )
+        ops = np.argsort(key, kind="stable")
+        chosen = quorum[ops]
+        first = indptr[chosen]
+        width = indptr[chosen + 1] - first
         op_starts = np.cumsum(width) - width
         # Request r of operation k reads node-table row
         # first[k] + (r - op_starts[k]).
@@ -255,8 +277,12 @@ def run_fluid(
     sim: "GenericQuorumSimulation",
     duration_ms: float,
     warmup_ms: float = 0.0,
-) -> "GenericSimResult":
-    """Run ``sim``'s open-loop scenario through the fluid backend."""
+) -> tuple["GenericSimResult", ...]:
+    """Run ``sim``'s open-loop scenario through the fluid backend.
+
+    Returns one result per strategy of ``sim.strategies``, each equal to
+    the run of that strategy alone.
+    """
     from repro.sim.generic import GenericSimResult
 
     if sim.arrivals is None:
@@ -268,6 +294,7 @@ def run_fluid(
     service_times = sim.service_times
     telemetry_on = sim.collect_telemetry
     horizon = float(duration_ms)
+    n_strategies = len(sim.strategies)
 
     times = sim.arrivals.sample_until(duration_ms)
     n_ops = times.size
@@ -282,15 +309,21 @@ def run_fluid(
     rng = np.random.default_rng(sim.seed)
 
     # ------------------------------------------------------------------
-    # One request table (one row per client->server message); every
-    # column is a gather through the request's operation or server.
+    # One request table (one row per client->server message, one block
+    # of rows per strategy); every column is a gather through the
+    # request's operation or server.
     # ------------------------------------------------------------------
     req_op, req_server, req_units, op_starts = _sample_requests(
         sim, op_node, rng
     )
     total = req_op.size
-    req_client = op_node[req_op]
-    req_issue = times[req_op]
+    # Every strategy issues n_ops operations, so its block starts at the
+    # first request of its first operation.
+    bounds = np.append(op_starts[::n_ops], total)
+    block_rows = np.diff(bounds)
+    req_strategy = np.repeat(np.arange(n_strategies), block_rows)
+    req_client = np.tile(op_node, n_strategies)[req_op]
+    req_issue = np.tile(times, n_strategies)[req_op]
     req_one_way = rtt[req_client, req_server] / 2.0
     req_arrive = req_issue + req_one_way
     if sim.uniform_service:
@@ -301,26 +334,31 @@ def run_fluid(
     # ------------------------------------------------------------------
     # Per-server FIFO queueing: sort by (server, arrival) once, Lindley
     # over each server's run, scatter departures back. Servers are ranked
-    # by position in the (sorted, distinct) support set.
+    # by position in the (sorted, distinct) support set, and each
+    # strategy's servers form a block of ranks of their own (a queue
+    # slot), so strategies never share a queue.
     # ------------------------------------------------------------------
     servers = sim.placed.placement.support_set
+    n_servers = servers.size
     rank_of = np.zeros(sim.placed.n_nodes, dtype=np.intp)
-    rank_of[servers] = np.arange(servers.size)
+    rank_of[servers] = np.arange(n_servers)
     req_rank = rank_of[req_server]
-    order = _queue_order(req_rank, req_arrive, servers.size)
+    req_slot = req_strategy * n_servers + req_rank
+    n_slots = n_strategies * n_servers
+    order = _queue_order(req_slot, req_arrive, n_slots)
     arr_sorted = req_arrive[order]
     svc_sorted = req_service[order]
-    counts = np.bincount(req_rank, minlength=servers.size)
+    counts = np.bincount(req_slot, minlength=n_slots)
     starts = np.cumsum(counts) - counts
     dep_sorted = _padded_departures(arr_sorted, svc_sorted, starts, counts)
-    # Departures never decrease along a run, so each server's processed
+    # Departures never decrease along a run, so each slot's processed
     # requests (departed by the horizon) are a prefix of its run: the
     # rows before its first later departure.
     late = np.flatnonzero(dep_sorted > horizon)
     first_late = np.append(late, total)[np.searchsorted(late, starts)]
     ends = np.minimum(first_late, starts + counts)
-    processed = ends - starts
-    # One pairwise sum per server, as its 1-D pass summed: segmented or
+    processed = (ends - starts).reshape(n_strategies, n_servers)
+    # One pairwise sum per slot, as its 1-D pass summed: segmented or
     # padded sums add in another order and change the bits.
     busy = np.array(
         [
@@ -328,7 +366,7 @@ def run_fluid(
             for i0, i1 in zip(starts.tolist(), ends.tolist())
         ],
         dtype=np.float64,
-    )
+    ).reshape(n_strategies, n_servers)
 
     departure = np.empty(total, dtype=np.float64)
     departure[order] = dep_sorted
@@ -338,68 +376,85 @@ def run_fluid(
     # ------------------------------------------------------------------
     reply = departure + req_one_way
 
-    telemetry = None
+    counts_by_pair = rtt_by_pair = None
     if telemetry_on:
         # Per-(client node, server) reply aggregation — the same
         # decomposition the event engine's clients perform per reply
-        # (observed round-trip minus server residence), as two bincounts.
-        support = sim._telemetry_support
-        n_support = support.size
+        # (observed round-trip minus server residence), as two bincounts
+        # with one (nodes, support) block of bins per strategy.
         n_nodes = sim.placed.n_nodes
         observed = reply <= horizon
-        key = req_client[observed] * n_support + req_rank[observed]
+        key = (
+            req_strategy[observed] * n_nodes + req_client[observed]
+        ) * n_servers + req_rank[observed]
         samples = (req_arrive[observed] - req_issue[observed]) + (
             reply[observed] - departure[observed]
         )
-        size = n_nodes * n_support
-        telemetry = PairTelemetry(
-            support_nodes=support.copy(),
-            counts=np.bincount(key, minlength=size).reshape(
-                n_nodes, n_support
-            ),
-            rtt_sum_ms=np.bincount(
-                key, weights=samples, minlength=size
-            ).reshape(n_nodes, n_support),
-            service_ms=service_times[support].copy(),
-        )
+        shape = (n_strategies, n_nodes, n_servers)
+        size = n_strategies * n_nodes * n_servers
+        counts_by_pair = np.bincount(key, minlength=size).reshape(shape)
+        rtt_by_pair = np.bincount(
+            key, weights=samples, minlength=size
+        ).reshape(shape)
 
     ops = req_op[op_starts]
-    net_delay = np.empty(n_ops, dtype=np.float64)
+    net_delay = np.empty(n_strategies * n_ops, dtype=np.float64)
     net_delay[ops] = np.maximum.reduceat(req_one_way, op_starts) * 2.0
-    completion = np.empty(n_ops, dtype=np.float64)
+    completion = np.empty(n_strategies * n_ops, dtype=np.float64)
     completion[ops] = np.maximum.reduceat(reply, op_starts)
+    net_delay = net_delay.reshape(n_strategies, n_ops)
+    completion = completion.reshape(n_strategies, n_ops)
     completed = completion <= horizon
-    n_completed = int(np.count_nonzero(completed & (times >= warmup_ms)))
-    if n_completed == 0:
-        raise SimulationError(
-            "no operations completed after warmup; run longer or reduce "
-            "the warmup window"
-        )
-    # Percentiles are paid only if someone reads ``stats``.
-    stats = partial(
-        summarize_arrays,
-        issued_at_ms=times[completed],
-        completed_at_ms=completion[completed],
-        network_delay_ms=net_delay[completed],
-        client_ids=None,  # open loop: every operation is its own client
-        warmup_ms=warmup_ms,
-    )
+    after_warmup = times >= warmup_ms
 
     elapsed = horizon
-    rates = np.zeros(sim.placed.n_nodes)
-    rates[servers] = processed / elapsed
+    rates = np.zeros((n_strategies, sim.placed.n_nodes))
+    rates[:, servers] = processed / elapsed
     utils = np.minimum(1.0, busy / elapsed)
 
     obs.count("sim.requests", int(total))
-    return GenericSimResult(
-        stats=stats,
-        per_node_request_rate=rates,
-        server_utilizations=utils,
-        operations_completed=n_completed,
-        requests_issued=total,
-        requests_processed=int(processed.sum()),
-        # Counted over every request, not as issued - processed: the
-        # identity then checks that each run's processed rows are a prefix.
-        requests_in_flight=int(np.count_nonzero(departure > horizon)),
-        telemetry=telemetry,
-    )
+    results = []
+    for k in range(n_strategies):
+        done = completed[k]
+        n_completed = int(np.count_nonzero(done & after_warmup))
+        if n_completed == 0:
+            raise SimulationError(
+                "no operations completed after warmup; run longer or "
+                "reduce the warmup window"
+            )
+        telemetry = None
+        if counts_by_pair is not None and rtt_by_pair is not None:
+            telemetry = PairTelemetry(
+                support_nodes=servers.copy(),
+                counts=counts_by_pair[k],
+                rtt_sum_ms=rtt_by_pair[k],
+                service_ms=service_times[servers].copy(),
+            )
+        block = slice(bounds[k], bounds[k + 1])
+        results.append(
+            GenericSimResult(
+                # Percentiles are paid only if someone reads ``stats``.
+                stats=partial(
+                    summarize_arrays,
+                    issued_at_ms=times[done],
+                    completed_at_ms=completion[k][done],
+                    network_delay_ms=net_delay[k][done],
+                    # Open loop: every operation is its own client.
+                    client_ids=None,
+                    warmup_ms=warmup_ms,
+                ),
+                per_node_request_rate=rates[k],
+                server_utilizations=utils[k],
+                operations_completed=n_completed,
+                requests_issued=int(block_rows[k]),
+                requests_processed=int(processed[k].sum()),
+                # Counted over every request, not as issued - processed:
+                # the identity then checks that each run's processed rows
+                # are a prefix.
+                requests_in_flight=int(
+                    np.count_nonzero(departure[block] > horizon)
+                ),
+                telemetry=telemetry,
+            )
+        )
+    return tuple(results)

@@ -20,7 +20,8 @@ instead select ``backend="fluid"`` — the vectorized engine in
 :mod:`repro.sim.fluid` that replays the same scenario as numpy array
 passes at millions of simulated requests per second, pinned
 distribution-equivalent to this engine by
-``tests/test_fluid_equivalence.py``.
+``tests/test_fluid_equivalence.py``. The fluid backend also runs a tuple
+of explicit strategies in one pass, one result per strategy.
 """
 
 from __future__ import annotations
@@ -274,7 +275,10 @@ class GenericQuorumSimulation:
         indices per client row; a
         :class:`~repro.core.strategy.ThresholdBalancedStrategy` over a
         threshold system samples uniform random ``q``-subsets. The network
-        is exact: a message takes ``d(v, w) / 2``.
+        is exact: a message takes ``d(v, w) / 2``. On the fluid backend a
+        tuple of explicit strategies runs them all in one pass over the
+        same arrivals and quorum draws, and :meth:`run` returns one
+        result per strategy, each equal to the run of that strategy alone.
     client_nodes:
         Topology nodes hosting one closed-loop client each (a node may
         appear multiple times). Defaults to one client on every node, the
@@ -312,7 +316,7 @@ class GenericQuorumSimulation:
     def __init__(
         self,
         placed: PlacedQuorumSystem,
-        strategy: AccessStrategy,
+        strategy: AccessStrategy | tuple[ExplicitStrategy, ...],
         client_nodes: object = None,
         service_time_ms: float = 1.0,
         seed: int = 0,
@@ -343,18 +347,36 @@ class GenericQuorumSimulation:
                 "the fluid backend is open-loop only; pass arrivals= "
                 "(closed-loop feedback needs the event engine)"
             )
-        if not isinstance(strategy, ExplicitStrategy):
-            if not isinstance(placed.system, ThresholdQuorumSystem):
+        strategies: tuple[AccessStrategy, ...]
+        if isinstance(strategy, tuple):
+            if backend != "fluid":
                 raise SimulationError(
-                    "implicit strategies require a threshold system"
+                    "a tuple of strategies runs on the fluid backend only"
                 )
-            if not isinstance(strategy, ThresholdBalancedStrategy):
+            if not strategy or not all(
+                isinstance(s, ExplicitStrategy) for s in strategy
+            ):
                 raise SimulationError(
-                    f"unsupported strategy type {type(strategy).__name__!r} "
-                    "for the generic simulator"
+                    "a tuple of strategies must hold one or more "
+                    "ExplicitStrategy profiles"
                 )
+            strategies = strategy
+        else:
+            if not isinstance(strategy, ExplicitStrategy):
+                if not isinstance(placed.system, ThresholdQuorumSystem):
+                    raise SimulationError(
+                        "implicit strategies require a threshold system"
+                    )
+                if not isinstance(strategy, ThresholdBalancedStrategy):
+                    raise SimulationError(
+                        "unsupported strategy type "
+                        f"{type(strategy).__name__!r} for the generic "
+                        "simulator"
+                    )
+            strategies = (strategy,)
         self.placed = placed
         self.strategy = strategy
+        self.strategies = strategies
         self.arrivals = arrivals
         self.backend = backend
         self.service_times = service_arr
@@ -511,7 +533,7 @@ class GenericQuorumSimulation:
         self,
         duration_ms: float,
         warmup_ms: float = 0.0,
-    ) -> GenericSimResult:
+    ) -> GenericSimResult | tuple[GenericSimResult, ...]:
         """Run the workload (closed loop, or open loop with ``arrivals``)
         and summarize.
 
@@ -519,7 +541,9 @@ class GenericQuorumSimulation:
         scenario message by message; the fluid backend computes the same
         open-loop scenario as array passes. A closed loop starts its
         clients at uniform random offsets within ``START_STAGGER_MS``; an
-        open loop starts each operation at its arrival time.
+        open loop starts each operation at its arrival time. A simulation
+        built with a tuple of strategies returns a tuple of results, one
+        per strategy in order.
 
         The event engine runs once: its clients cannot resume where they
         stopped, so a second call raises.
@@ -528,7 +552,8 @@ class GenericQuorumSimulation:
             from repro.sim.fluid import run_fluid
 
             with obs.span("sim.fluid", duration_ms=float(duration_ms)):
-                return run_fluid(self, duration_ms, warmup_ms=warmup_ms)
+                results = run_fluid(self, duration_ms, warmup_ms=warmup_ms)
+            return results if isinstance(self.strategy, tuple) else results[0]
         if self._ran:
             raise SimulationError(
                 "this simulation has already run; build a new one to run "

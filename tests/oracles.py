@@ -12,7 +12,16 @@ import math
 
 import numpy as np
 
-from repro.errors import QuorumSystemError, TopologyError
+from repro.core.placement import PlacedQuorumSystem
+from repro.core.strategy import ExplicitStrategy
+from repro.dynamics.controller import AdaptationPolicy, SegmentSeries
+from repro.dynamics.events import effective_rtt
+from repro.dynamics.telemetry import (
+    TelemetryConfig,
+    TelemetryEstimator,
+    probe_epoch,
+)
+from repro.errors import InfeasibleError, QuorumSystemError, TopologyError
 from repro.network.generators import (
     MIN_RTT_MS,
     ClusterSpec,
@@ -22,6 +31,7 @@ from repro.network.geo import EARTH_RADIUS_KM, propagation_rtt_ms
 from repro.network.graph import Topology
 from repro.quorums.base import QuorumSystem
 from repro.quorums.order_stats import max_order_statistic_pmf
+from repro.strategies.lp_optimizer import StrategyProgram
 
 
 def expected_max_of_random_subset(values: np.ndarray, q: int) -> float:
@@ -141,3 +151,103 @@ def validate_metric(topology: Topology, tolerance: float = 1e-9) -> None:
             raise TopologyError(
                 f"triangle inequality violated through node {k}"
             )
+
+
+def replay_policy_alone(
+    placed: PlacedQuorumSystem,
+    policy: AdaptationPolicy,
+    rtt_factors: np.ndarray,
+    capacities: np.ndarray,
+    rtt_changed: np.ndarray,
+    telemetry: TelemetryConfig | None = None,
+) -> SegmentSeries:
+    """One policy's segment replay on its own, epoch by epoch.
+
+    The per-policy loop that a lockstep
+    :class:`~repro.dynamics.controller.AdaptiveController` must reproduce
+    for every policy byte for byte: one warm program, and in closed loop
+    one estimator and one noise stream fed by a probe of the policy's own
+    strategy in force (the uniform fallback before anything is).
+    """
+    factors = np.asarray(rtt_factors, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
+    n_epochs = factors.shape[0]
+    uniform = np.full(
+        (placed.n_nodes, placed.num_quorums), 1.0 / placed.num_quorums
+    )
+    program = synced = delta = effective = matrix = None
+    value_at_reopt, retry_pending = np.inf, False
+    estimator = noise_rng = None
+    if telemetry is not None:
+        estimator = TelemetryEstimator(placed, telemetry)
+        noise_rng = np.random.default_rng([telemetry.seed, 0x7E1E])
+    out = SegmentSeries(
+        expected_delay=np.zeros(n_epochs),
+        reoptimized=np.zeros(n_epochs, dtype=bool),
+        infeasible=np.zeros(n_epochs, dtype=bool),
+        max_overload=np.zeros(n_epochs),
+        lp_solves=np.zeros(n_epochs, dtype=np.intp),
+        assemblies=np.zeros(n_epochs, dtype=np.intp),
+        estimation_error=np.zeros(n_epochs),
+        staleness=np.zeros(n_epochs),
+        probe_operations=np.zeros(n_epochs, dtype=np.intp),
+    )
+    for i in range(n_epochs):
+        if delta is None or rtt_changed[i]:
+            effective = effective_rtt(placed.topology.rtt, factors[i])
+            delta = placed.delay_matrix_for(effective)
+        decision_delta, decision_caps = delta, caps[i]
+        if telemetry is not None:
+            in_force = uniform if matrix is None else matrix
+            (sample,) = probe_epoch(
+                placed,
+                (ExplicitStrategy(in_force),),
+                effective,
+                caps[i],
+                seed=telemetry.seed + i,
+            )
+            estimator.observe(sample, noise_rng)
+            decision_delta = placed.delay_matrix_for(estimator.rtt_estimate)
+            decision_caps = estimator.capacity_estimate
+            out.estimation_error[i] = float(
+                np.abs(decision_delta - delta).mean()
+                / max(float(delta.mean()), 1e-12)
+            )
+            out.staleness[i] = estimator.mean_staleness
+            out.probe_operations[i] = int(sample.counts.sum())
+        if matrix is None or retry_pending:
+            reopt = True
+        else:
+            reopt = policy.should_reoptimize(
+                i, float((matrix * decision_delta).sum(axis=1).mean()),
+                value_at_reopt,
+            )
+        if reopt:
+            if program is None:
+                program = StrategyProgram(placed, delay_matrix=decision_delta)
+                out.assemblies[i] = 1
+            elif synced is not decision_delta:
+                program.update_delays(decision_delta)
+            synced = decision_delta
+            before = program.lp_solves
+            try:
+                new_matrix = program.solve(decision_caps).matrix
+            except InfeasibleError:
+                new_matrix = None
+            out.lp_solves[i] = program.lp_solves - before
+            if new_matrix is None:
+                out.infeasible[i] = True
+                retry_pending = True
+                if matrix is None:
+                    matrix = uniform
+            else:
+                out.reoptimized[i] = True
+                retry_pending = False
+                matrix = new_matrix
+                value_at_reopt = float(
+                    (matrix * decision_delta).sum(axis=1).mean()
+                )
+        out.expected_delay[i] = float((matrix * delta).sum(axis=1).mean())
+        loads = (matrix @ placed.incidence_counts).mean(axis=0)
+        out.max_overload[i] = float(np.maximum(loads - caps[i], 0.0).max())
+    return out

@@ -10,15 +10,23 @@ the reference :func:`_cold_replay` swaps in.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import replay_policy_alone
 
+from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.dynamics import controller as controller_module
 from repro.dynamics.controller import (
     AdaptiveController,
     PeriodicPolicy,
     SegmentSeries,
     StaticPolicy,
     ThresholdPolicy,
+    _lockstep_groups,
     parse_policy,
 )
 from repro.dynamics.events import (
@@ -35,7 +43,10 @@ from repro.dynamics.scenarios import (
     flash_crowd_scenario,
     partition_heal_scenario,
 )
+from repro.dynamics.telemetry import TelemetryConfig
 from repro.errors import DynamicsError
+from repro.network.graph import Topology
+from repro.obs import tracer as obs
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import GridRunner
@@ -382,6 +393,23 @@ class TestReplayValidation:
         assert set(result.series) == {CLAIRVOYANT}
         assert np.all(result.regret(CLAIRVOYANT) == 0.0)
 
+    def test_closed_loop_periodic_one_is_its_own_policy(
+        self, clustered_topology
+    ):
+        """A closed-loop periodic:1 re-optimizes every epoch from
+        estimates: it is not the oracle baseline and keeps its own row."""
+        trace = diurnal_scenario(clustered_topology, 4, seed=2)
+        result = replay(
+            clustered_topology, GRID, trace,
+            policies=("static", "periodic:1"),
+            telemetry=TelemetryConfig(noise=0.05, seed=3),
+        )
+        assert list(result.series) == ["static", "periodic:1", CLAIRVOYANT]
+        assert result.policies == ("static", "periodic:1")
+        assert result.series["periodic:1"].probe_operations.min() > 0
+        assert result.series["periodic:1"].reoptimized.all()
+        assert np.all(result.series[CLAIRVOYANT].probe_operations == 0)
+
     def test_runner_jobs_conflict_raises(self, clustered_topology):
         from repro.errors import ReproError
 
@@ -485,6 +513,216 @@ def _assert_series_identical(a, b) -> None:
     assert np.array_equal(a.probe_operations, b.probe_operations)
 
 
+#: Policies the lockstep property draws from (duplicates included).
+_LOCKSTEP_SPECS = (
+    "static",
+    "periodic:1",
+    "periodic:2",
+    "periodic:3",
+    "threshold:0.01",
+    "threshold:0.05",
+    "threshold:0.2",
+)
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A small random trace with churn and capacity crunches, and a
+    policy list that may repeat a policy."""
+    seed = draw(st.integers(0, 2**16))
+    n_nodes, n_epochs = 8, draw(st.integers(2, 6))
+    rng = np.random.default_rng(seed)
+    raw = np.round(rng.uniform(5.0, 80.0, size=(n_nodes, n_nodes)))
+    raw = raw + raw.T
+    np.fill_diagonal(raw, 0.0)
+    topology = Topology(raw, metric_closure=False)
+    events = [
+        RttDriftEvent(
+            epoch=t, factors=rng.uniform(0.6, 1.5, size=n_nodes)
+        )
+        for t in range(1, n_epochs)
+        if draw(st.booleans())
+    ]
+    for t in draw(st.sets(st.integers(0, n_epochs - 1), max_size=2)):
+        # Depth 0.3 makes every Grid 2x2 strategy overload: infeasible.
+        depth = draw(st.sampled_from([0.3, 0.7, 1.0]))
+        events.append(
+            CapacityEvent(epoch=t, capacities=np.full(n_nodes, depth))
+        )
+    if n_epochs > 2 and draw(st.booleans()):
+        leave = draw(st.integers(1, n_epochs - 1))
+        events.append(ChurnEvent(epoch=leave, node=n_nodes - 1, up=False))
+    trace = ScenarioTrace(n_nodes, n_epochs, events)
+    specs = draw(
+        st.lists(st.sampled_from(_LOCKSTEP_SPECS), min_size=1, max_size=5)
+    )
+    closed_loop = draw(st.booleans())
+    # Programs per lockstep group: one, two, or every policy.
+    width = draw(st.sampled_from([1, 2, 99]))
+    return topology, trace, specs, closed_loop, seed, width
+
+
+class TestLockstep:
+    """One lockstep controller steps several policies; every policy's
+    series equals the reference replay of that policy alone."""
+
+    @given(case=_lockstep_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_every_series_equals_the_policy_alone(self, case):
+        topology, trace, specs, closed_loop, seed, width = case
+        policies = tuple(parse_policy(spec) for spec in specs)
+        telemetry = (
+            TelemetryConfig(noise=0.05, seed=seed) if closed_loop else None
+        )
+        states = trace.states(topology)
+        for start, end in trace.segments():
+            up = states[start].up_nodes
+            placed = PlacedQuorumSystem(
+                GRID, Placement([0, 1, 2, 3]), topology.subtopology(up)
+            )
+            factors = np.stack(
+                [states[t].rtt_factors[up] for t in range(start, end)]
+            )
+            caps = np.stack(
+                [states[t].capacities[up] for t in range(start, end)]
+            )
+            changed = np.array(
+                [states[t].rtt_changed for t in range(start, end)]
+            )
+            changed[0] = True
+            seg_telemetry = (
+                None
+                if telemetry is None
+                else replace(telemetry, seed=telemetry.seed + start)
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    controller_module,
+                    "_LOCKSTEP_COLUMNS",
+                    width * placed.n_nodes * GRID.num_quorums,
+                )
+                lockstep = AdaptiveController(
+                    placed, policies, telemetry=seg_telemetry
+                ).run_segment(factors, caps, changed)
+            for policy, series in zip(policies, lockstep, strict=True):
+                _assert_series_identical(
+                    series,
+                    replay_policy_alone(
+                        placed, policy, factors, caps, changed, seg_telemetry
+                    ),
+                )
+
+    def test_crunch_makes_epochs_infeasible(self, clustered_topology):
+        """The property's deepest crunch does reach the infeasible path."""
+        n = clustered_topology.n_nodes
+        placed = PlacedQuorumSystem(
+            GRID, Placement([0, 1, 2, 3]), clustered_topology
+        )
+        caps = np.ones((3, n))
+        caps[1] = 0.3
+        (series,) = AdaptiveController(
+            placed, (parse_policy("periodic:1"),)
+        ).run_segment(np.ones((3, n)), caps, np.ones(3, dtype=bool))
+        assert series.infeasible.tolist() == [False, True, False]
+
+    def test_probes_are_shared_and_batched(
+        self, clustered_topology, monkeypatch
+    ):
+        """Policies that hold one strategy share its probe, and each epoch
+        probes its distinct strategies in one pass."""
+        n = clustered_topology.n_nodes
+        placed = PlacedQuorumSystem(
+            GRID, Placement([0, 1, 2, 3]), clustered_topology
+        )
+        passes = []
+        probe = controller_module.probe_epoch
+
+        def probe_spy(placed, strategies, *args, **kwargs):
+            passes.append(len(strategies))
+            return probe(placed, strategies, *args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "probe_epoch", probe_spy)
+        specs = ("static", "threshold:0.2", "static", "periodic:1")
+        tracer = obs.Tracer()
+        rng = np.random.default_rng(3)
+        with obs.tracing(tracer):
+            AdaptiveController(
+                placed,
+                tuple(parse_policy(spec) for spec in specs),
+                telemetry=TelemetryConfig(noise=0.05, seed=4),
+            ).run_segment(
+                rng.uniform(0.7, 1.4, size=(5, n)),
+                np.ones((5, n)),
+                np.ones(5, dtype=bool),
+            )
+        # One group (two programs: threshold:0.2 and periodic:1), one pass
+        # per epoch; the two static policies always share.
+        assert len(passes) == 5
+        assert 1 <= min(passes) and max(passes) <= 3
+        assert tracer.counters["dynamics.probe_shared"] == (
+            len(specs) * 5 - sum(passes)
+        )
+        assert tracer.counters["dynamics.epochs"] == len(specs) * 5
+
+    def test_groups_hold_at_most_two_programs(
+        self, clustered_topology, monkeypatch
+    ):
+        """A controller keeps as many programs alive as the column budget
+        holds (two here), plus a static policy's until its one
+        successful solve."""
+        n = clustered_topology.n_nodes
+        placed = PlacedQuorumSystem(
+            GRID, Placement([0, 1, 2, 3]), clustered_topology
+        )
+        monkeypatch.setattr(
+            controller_module, "_LOCKSTEP_COLUMNS", 2 * n * GRID.num_quorums
+        )
+        specs = (
+            "static",
+            "threshold:0.01",
+            "periodic:2",
+            "threshold:0.2",
+            "periodic:1",
+        )
+        controller = AdaptiveController(
+            placed, tuple(parse_policy(spec) for spec in specs)
+        )
+        live, reoptimize = [], AdaptiveController._reoptimize
+
+        def reoptimize_spy(self, index, delta, capacities):
+            out = reoptimize(self, index, delta, capacities)
+            live.append(sum(p is not None for p in self._programs))
+            return out
+
+        monkeypatch.setattr(AdaptiveController, "_reoptimize", reoptimize_spy)
+        rng = np.random.default_rng(5)
+        controller.run_segment(
+            rng.uniform(0.7, 1.4, size=(4, n)),
+            np.ones((4, n)),
+            np.ones(4, dtype=bool),
+        )
+        assert max(live) == 2
+        assert all(p is None for p in controller._programs)
+
+    def test_groups_put_static_first_then_input_order(self):
+        policies = [
+            parse_policy(spec)
+            for spec in (
+                "periodic:1",
+                "threshold:0.02",
+                "static",
+                "periodic:4",
+                "threshold:0.2",
+            )
+        ]
+        # Two programs of 1,250 columns (a planetlab-50 Grid 5x5) fit.
+        assert _lockstep_groups(policies, 1_250) == [[2, 0, 1], [3, 4]]
+        assert _lockstep_groups(policies, 450) == [[2, 0, 1, 3, 4]]
+        assert _lockstep_groups(policies, 4_025) == [[2, 0], [1], [3], [4]]
+        assert _lockstep_groups(policies[:1], 1_250) == [[0]]
+        assert _lockstep_groups(policies[2:3], 1_250) == [[0]]
+
+
 class TestReplayDeterminism:
     """ISSUE acceptance: jobs=N bit-identical to jobs=1, both backends."""
 
@@ -536,7 +774,7 @@ class TestReplayDeterminism:
             )
 
 
-def _cold_reoptimize(self, delta, capacities):
+def _cold_reoptimize(self, index, delta, capacities):
     """Rebuild-and-solve-cold: a fresh program per re-optimization.
 
     A single-variant batch is exactly one cold solve — no anchor

@@ -11,9 +11,13 @@ byte for byte. Sampling consumes the same random stream in the same order
 and every reduction sums in the same order, so any difference is a bug,
 not rounding.
 
+A simulation of several explicit strategies runs them in one pass: each
+strategy's result must equal the reference run of that strategy alone.
+
 The closed-loop probe is pinned the same way: a multi-epoch
 ``run_segment`` with telemetry must match one whose probe rebuilds the
-placed system every epoch and simulates through the reference.
+placed system every epoch and simulates each strategy through the
+reference.
 """
 
 import dataclasses
@@ -506,6 +510,127 @@ def test_single_request_server_bit_identical(monkeypatch):
     assert counts[-1] == 1  # node 10, last in the support
 
 
+# ---------------------------------------------------------------------------
+# Several strategies in one pass
+# ---------------------------------------------------------------------------
+class _TiedArrivals:
+    """Operations in pairs at integer times: with integer RTTs, requests
+    tie on (server, arrival) and must queue in table order."""
+
+    def sample_until(self, duration_ms):
+        return np.repeat(np.arange(0.0, duration_ms, 1.0), 2)
+
+
+def _hub_matrix(n_nodes, n_quorums, hub_mass):
+    matrix = np.full((n_nodes, n_quorums), (1.0 - hub_mass) / (n_quorums - 1))
+    matrix[:, 0] = hub_mass
+    return matrix
+
+
+def _several(case):
+    """(placed, strategies, simulation keywords, duration) of one case."""
+    topology = _topology(12, 6)
+    if case == "hub_and_spread":
+        # Quorum 0 lives on node 2 alone, so the hub strategy's run there
+        # is long enough for a 1-D pass; the others fill the padded block.
+        system = EnumeratedQuorumSystem(
+            [{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}], universe_size=6
+        )
+        placed = PlacedQuorumSystem(
+            system, Placement([2, 2, 4, 6, 8, 10]), topology
+        )
+        strategies = (
+            ExplicitStrategy(_hub_matrix(12, 5, 0.96)),
+            _explicit(placed, 6),
+            ExplicitStrategy.closest(placed),
+        )
+        service = np.random.default_rng(2).uniform(0.05, 0.4, size=12)
+        kwargs = {
+            "service_time_ms": service,
+            "arrivals": PoissonArrivals(rate_per_ms=2.0, seed=16),
+            "collect_telemetry": True,
+        }
+        return placed, strategies, kwargs, 800.0
+    if case == "tied_arrivals":
+        placed = _placed("grid_many", topology, 6)
+        dirichlet = _explicit(placed, 7)
+        strategies = (
+            dirichlet,
+            ExplicitStrategy.uniform(placed),
+            dirichlet,  # a repeated strategy runs as its own block
+            _explicit(placed, 8),
+        )
+        kwargs = {
+            "service_time_ms": 0.5,
+            "arrivals": _TiedArrivals(),
+            "collect_telemetry": True,
+            "client_nodes": [4, 4, 2, 9, 4, 2, 0],
+        }
+        return placed, strategies, kwargs, 300.0
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["hub_and_spread", "tied_arrivals"])
+def test_several_strategies_equal_each_alone(monkeypatch, case):
+    placed, strategies, kwargs, duration_ms = _several(case)
+    passes, lindley = [], fluid._lindley
+
+    def lindley_spy(arrivals, service):
+        passes.append(arrivals.ndim)
+        return lindley(arrivals, service)
+
+    monkeypatch.setattr(fluid, "_lindley", lindley_spy)
+    sim = GenericQuorumSimulation(
+        placed, strategies, seed=5, backend="fluid", **kwargs
+    )
+    results = sim.run(duration_ms=duration_ms, warmup_ms=50.0)
+    if case == "hub_and_spread":
+        assert passes.count(1) >= 1 and passes.count(2) == 1
+    monkeypatch.setattr(fluid, "_lindley", lindley)
+    assert len(results) == len(strategies)
+    for strategy, result in zip(strategies, results, strict=True):
+        alone = GenericQuorumSimulation(
+            placed, strategy, seed=5, backend="fluid", **kwargs
+        )
+        expected = reference_run_fluid(alone, duration_ms, warmup_ms=50.0)
+        assert result.requests_issued > 400
+        assert_dataclass_bits_equal(result, expected)
+        assert_dataclass_bits_equal(
+            result, alone.run(duration_ms=duration_ms, warmup_ms=50.0)
+        )
+
+
+def test_one_strategy_tuple_is_the_single_run():
+    sim, warmup_ms = _simulation("explicit_telemetry")
+    batch = GenericQuorumSimulation(
+        sim.placed,
+        (sim.strategy,),
+        service_time_ms=sim.service_times,
+        seed=sim.seed,
+        arrivals=sim.arrivals,
+        backend="fluid",
+        collect_telemetry=True,
+    )
+    (result,) = batch.run(duration_ms=1_000.0, warmup_ms=warmup_ms)
+    assert_dataclass_bits_equal(
+        result, sim.run(duration_ms=1_000.0, warmup_ms=warmup_ms)
+    )
+
+
+def test_strategy_tuples_are_validated():
+    placed = _placed("grid_1to1", _topology(12, 0), 0)
+    arrivals = PoissonArrivals(rate_per_ms=1.0, seed=1)
+    uniform = ExplicitStrategy.uniform(placed)
+    with pytest.raises(SimulationError, match="fluid backend only"):
+        GenericQuorumSimulation(placed, (uniform,), arrivals=arrivals)
+    threshold = _placed("threshold", _topology(12, 0), 0)
+    for strategies in ((), (ThresholdBalancedStrategy(),)):
+        with pytest.raises(SimulationError, match="ExplicitStrategy"):
+            GenericQuorumSimulation(
+                threshold, strategies, arrivals=arrivals, backend="fluid"
+            )
+
+
 def test_fluid_simulation_builds_no_event_engine():
     sim, _ = _simulation("explicit_1to1")
     for attribute in ("sim", "network", "servers", "clients", "_samplers"):
@@ -592,29 +717,34 @@ def test_with_topology_rejects_another_node_count():
 # ---------------------------------------------------------------------------
 # The closed-loop probe across epochs
 # ---------------------------------------------------------------------------
-def reference_probe_epoch(placed, strategy, rtt, capacities, seed):
-    """The probe with a freshly built placed system and reference sim."""
+def reference_probe_epoch(placed, strategies, rtt, capacities, seed):
+    """The probe with a freshly built placed system and one reference run
+    per strategy."""
     caps = np.maximum(np.asarray(capacities, dtype=np.float64), _MIN_CAPACITY)
     probe_placed = PlacedQuorumSystem(
         placed.system,
         placed.placement,
         Topology(rtt, capacities=caps, metric_closure=False),
     )
-    sim = GenericQuorumSimulation(
-        probe_placed,
-        strategy,
-        service_time_ms=PROBE_SERVICE_TIME_MS / caps,
-        seed=seed,
-        arrivals=PoissonArrivals(
-            rate_per_ms=PROBE_RATE_PER_MS, seed=seed + _ARRIVAL_SEED_OFFSET
-        ),
-        backend="fluid",
-        collect_telemetry=True,
-    )
-    return reference_run_fluid(sim, PROBE_MS).telemetry
+    samples = []
+    for strategy in strategies:
+        sim = GenericQuorumSimulation(
+            probe_placed,
+            strategy,
+            service_time_ms=PROBE_SERVICE_TIME_MS / caps,
+            seed=seed,
+            arrivals=PoissonArrivals(
+                rate_per_ms=PROBE_RATE_PER_MS,
+                seed=seed + _ARRIVAL_SEED_OFFSET,
+            ),
+            backend="fluid",
+            collect_telemetry=True,
+        )
+        samples.append(reference_run_fluid(sim, PROBE_MS).telemetry)
+    return tuple(samples)
 
 
-def _segment(probe, monkeypatch):
+def _segment(probe, monkeypatch, specs=("threshold:0.02",)):
     monkeypatch.setattr(controller_module, "probe_epoch", probe)
     topology = _topology(14, 8)
     rng = np.random.default_rng(8)
@@ -625,7 +755,7 @@ def _segment(probe, monkeypatch):
     )
     controller = AdaptiveController(
         placed,
-        parse_policy("threshold:0.02"),
+        tuple(parse_policy(spec) for spec in specs),
         telemetry=TelemetryConfig(noise=0.05, seed=5),
     )
     epochs = 8
@@ -635,10 +765,20 @@ def _segment(probe, monkeypatch):
 
 
 def test_closed_loop_segment_bit_identical(monkeypatch):
-    fast = _segment(controller_module.probe_epoch, monkeypatch)
-    reference = _segment(reference_probe_epoch, monkeypatch)
+    (fast,) = _segment(controller_module.probe_epoch, monkeypatch)
+    (reference,) = _segment(reference_probe_epoch, monkeypatch)
     assert fast.probe_operations.min() > 0
     assert_dataclass_bits_equal(fast, reference)
+
+
+def test_closed_loop_lockstep_segment_bit_identical(monkeypatch):
+    """Several policies' batched probes equal one reference run each."""
+    specs = ("static", "threshold:0.02", "periodic:2")
+    fast = _segment(controller_module.probe_epoch, monkeypatch, specs)
+    reference = _segment(reference_probe_epoch, monkeypatch, specs)
+    for series, expected in zip(fast, reference, strict=True):
+        assert series.probe_operations.min() > 0
+        assert_dataclass_bits_equal(series, expected)
 
 
 def test_probe_strategy_is_built_once_per_strategy_in_force(monkeypatch):
@@ -647,17 +787,18 @@ def test_probe_strategy_is_built_once_per_strategy_in_force(monkeypatch):
     probed, solved = [], []
     probe, reoptimize = controller_module.probe_epoch, AdaptiveController._reoptimize
 
-    def probe_spy(placed, strategy, *args, **kwargs):
+    def probe_spy(placed, strategies, *args, **kwargs):
+        (strategy,) = strategies
         probed.append(strategy)
-        return probe(placed, strategy, *args, **kwargs)
+        return probe(placed, strategies, *args, **kwargs)
 
-    def reoptimize_spy(self, delta, capacities):
-        out = reoptimize(self, delta, capacities)
+    def reoptimize_spy(self, index, delta, capacities):
+        out = reoptimize(self, index, delta, capacities)
         solved.append(out[0])
         return out
 
     monkeypatch.setattr(AdaptiveController, "_reoptimize", reoptimize_spy)
-    series = _segment(probe_spy, monkeypatch)
+    (series,) = _segment(probe_spy, monkeypatch)
     assert len(probed) == series.reoptimized.size
 
     uniform = np.full(probed[0].matrix.shape, 1.0 / probed[0].num_quorums)

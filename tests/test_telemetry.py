@@ -229,9 +229,9 @@ class TestTelemetryConfig:
 
 class TestProbeEpoch:
     def test_returns_support_telemetry(self, grid2_placed, line_topology):
-        tel = probe_epoch(
+        (tel,) = probe_epoch(
             grid2_placed,
-            ExplicitStrategy.uniform(grid2_placed),
+            (ExplicitStrategy.uniform(grid2_placed),),
             line_topology.rtt,
             np.ones(10),
             seed=7,
@@ -243,10 +243,11 @@ class TestProbeEpoch:
         strategy = ExplicitStrategy.uniform(grid2_placed)
 
         def run(seed):
-            return probe_epoch(
-                grid2_placed, strategy, line_topology.rtt, np.ones(10),
+            (sample,) = probe_epoch(
+                grid2_placed, (strategy,), line_topology.rtt, np.ones(10),
                 seed=seed,
             )
+            return sample
 
         a, b, c = run(7), run(7), run(8)
         assert np.array_equal(a.counts, b.counts)
@@ -258,9 +259,9 @@ class TestProbeEpoch:
     ):
         caps = np.ones(10)
         caps[9] = 0.0  # not in the support; must not divide by zero
-        tel = probe_epoch(
+        (tel,) = probe_epoch(
             grid2_placed,
-            ExplicitStrategy.uniform(grid2_placed),
+            (ExplicitStrategy.uniform(grid2_placed),),
             line_topology.rtt,
             caps,
             seed=7,
@@ -274,7 +275,7 @@ class TestProbeEpoch:
         with pytest.raises(DynamicsError, match="probe"):
             probe_epoch(
                 grid2_placed,
-                ExplicitStrategy.uniform(grid2_placed),
+                (ExplicitStrategy.uniform(grid2_placed),),
                 line_topology.rtt,
                 np.ones(10),
                 seed=7,
@@ -293,9 +294,9 @@ class TestEstimator:
         cfg = TelemetryConfig(noise=noise, seed=seed)
         factors = np.linspace(0.8, 1.3, topology.n_nodes)
         truth = effective_rtt(topology.rtt, factors)
-        sample = probe_epoch(
+        (sample,) = probe_epoch(
             placed,
-            ExplicitStrategy.uniform(placed),
+            (ExplicitStrategy.uniform(placed),),
             truth,
             np.ones(topology.n_nodes),
             seed=11,
@@ -358,8 +359,8 @@ class TestEstimator:
         rng = np.random.default_rng([cfg.seed, 0x7E1E])
         observed = None
         for epoch in range(6):
-            sample = probe_epoch(
-                grid2_placed, strategy, truth, np.ones(10),
+            (sample,) = probe_epoch(
+                grid2_placed, (strategy,), truth, np.ones(10),
                 seed=cfg.seed + epoch,
             )
             est.observe(sample, rng)
@@ -397,8 +398,8 @@ class TestEstimator:
         est = TelemetryEstimator(grid2_placed, cfg)
         rng = np.random.default_rng(0)
         for epoch in range(3):
-            sample = probe_epoch(
-                grid2_placed, ExplicitStrategy(matrix), line_topology.rtt,
+            (sample,) = probe_epoch(
+                grid2_placed, (ExplicitStrategy(matrix),), line_topology.rtt,
                 np.ones(10), seed=epoch,
             )
             est.observe(sample, rng)
@@ -417,9 +418,9 @@ class TestEstimator:
         other = PlacedQuorumSystem(
             GRID, Placement([4, 5, 6, 7]), line_topology
         )
-        sample = probe_epoch(
+        (sample,) = probe_epoch(
             other,
-            ExplicitStrategy.uniform(other),
+            (ExplicitStrategy.uniform(other),),
             line_topology.rtt,
             np.ones(10),
             seed=1,
