@@ -9,7 +9,8 @@ Stages (both must pass; the script exits non-zero on the first failure):
 
 1. ``python -m repro.lint src tests benchmarks scripts`` — the
    AST-based invariant checks (seeded RNG streams, cache-key markers,
-   fingerprint completeness...), filtered through ``lint-baseline.json``.
+   fingerprint completeness...). The gate is zero findings: there is no
+   baseline of grandfathered ones.
 2. ``mypy src`` under ``mypy.ini`` — strict on ``repro.runtime``,
    ``repro.lp`` and ``repro.dynamics`` (any error there fails), ratcheted
    elsewhere: the total error count must not exceed the ceiling recorded

@@ -8,19 +8,18 @@ the *source*, not of any single test run. This package makes them
 machine-checked: a small rule registry (:mod:`repro.lint.rules`), an
 engine that parses each file once and dispatches AST nodes to every
 registered rule (:mod:`repro.lint.engine`), per-line
-``# repro-lint: disable=RULE`` suppressions, a checked-in baseline for
-grandfathered findings (:mod:`repro.lint.baseline`), and text/JSON
-reporters with a CLI exit-code contract (0 clean, 1 findings, 2 usage
-or internal error).
+``# repro-lint: disable=RULE`` suppressions, and text/JSON reporters
+with a CLI exit-code contract (0 clean, 1 findings, 2 usage or internal
+error). The gate is zero findings: a violation is fixed or suppressed on
+its own line with a written reason.
 
 Run it as ``python -m repro.lint [paths]``; see
 ``docs/architecture.md`` ("Static analysis & invariants") for the rule
-table and the suppression/baseline contract.
+table and the suppression contract.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.engine import (
     Finding,
     LintConfig,
@@ -37,7 +36,6 @@ from repro.lint.report import render_json, render_text
 import repro.lint.rules  # noqa: F401  (import-for-side-effect)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "Rule",
@@ -45,9 +43,7 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

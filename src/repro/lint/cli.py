@@ -2,16 +2,12 @@
 
 Exit-code contract (relied on by CI and ``scripts/lint.py``):
 
-* ``0`` — clean: every finding (if any) was absorbed by the baseline.
-* ``1`` — at least one non-baselined finding was reported.
-* ``2`` — usage or internal error (unknown rule, missing path,
-  malformed baseline...).
+* ``0`` — clean: no finding.
+* ``1`` — at least one finding was reported.
+* ``2`` — usage or internal error (unknown rule, missing path...).
 
-The default baseline is ``lint-baseline.json`` next to the current
-working directory when it exists; pass ``--no-baseline`` to report
-grandfathered findings too, or ``--write-baseline`` to (re)record the
-current findings as the new baseline — shrinking it is routine
-cleanup, growing it is a review decision.
+There is no baseline of grandfathered findings: a finding is fixed, or
+suppressed on its own line with a written reason.
 """
 
 from __future__ import annotations
@@ -20,14 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.engine import LintConfig, LintError, all_rules, lint_paths
 from repro.lint.report import render_json, render_text
 
 __all__ = ["main"]
-
-#: Default baseline filename, resolved against the working directory.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,25 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of rules to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            f"baseline file of grandfathered findings (default: "
-            f"{DEFAULT_BASELINE} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rule table and exit",
@@ -101,38 +74,18 @@ def main(argv: "list[str] | None" = None) -> int:
             code.strip() for code in args.rules.split(",") if code.strip()
         )
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-
     try:
-        config = LintConfig(rules=rules)
-        findings = lint_paths(args.paths, config=config)
-
-        if args.write_baseline:
-            target = baseline_path or DEFAULT_BASELINE
-            write_baseline(target, Baseline.from_findings(findings))
-            print(
-                f"wrote {len(findings)} finding(s) to baseline {target}",
-                file=sys.stderr,
-            )
-            return 0
-
-        baselined = 0
-        if baseline_path and not args.no_baseline:
-            findings, baselined = load_baseline(baseline_path).filter_new(
-                findings
-            )
+        findings = lint_paths(args.paths, config=LintConfig(rules=rules))
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
     if args.json_output:
         Path(args.json_output).write_text(
-            render_json(findings, baselined), encoding="utf-8"
+            render_json(findings), encoding="utf-8"
         )
     if args.format == "json":
-        sys.stdout.write(render_json(findings, baselined))
+        sys.stdout.write(render_json(findings))
     else:
-        sys.stdout.write(render_text(findings, baselined))
+        sys.stdout.write(render_text(findings))
     return 1 if findings else 0

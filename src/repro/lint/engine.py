@@ -7,9 +7,8 @@ same tree to every enabled rule, then drops findings that a same-line
 are recognized through :mod:`tokenize`, so a pragma spelled inside a
 string literal never silences anything.
 
-Findings are plain data; policy (baseline filtering, rendering, exit
-codes) lives in :mod:`repro.lint.baseline`, :mod:`repro.lint.report`,
-and :mod:`repro.lint.cli`.
+Findings are plain data; rendering and exit codes live in
+:mod:`repro.lint.report` and :mod:`repro.lint.cli`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ __all__ = [
 
 
 class LintError(ReproError):
-    """The linter itself was misused (unknown rule, unreadable baseline...)."""
+    """The linter itself was misused (unknown rule, missing path...)."""
 
 
 #: ``# repro-lint: disable=RL001`` or ``disable=RL001,RL005`` with an
@@ -56,9 +55,7 @@ _RULE_CODE_RE = re.compile(r"^[A-Z]+\d{3}$")
 class Finding:
     """One rule violation at one source location.
 
-    ``snippet`` is the stripped text of the offending line; the baseline
-    keys on it (not the line number) so unrelated edits above a
-    grandfathered finding do not un-baseline it.
+    ``snippet`` is the stripped text of the offending line.
     """
 
     rule: str
@@ -67,9 +64,6 @@ class Finding:
     col: int
     message: str
     snippet: str
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        return (self.path, self.rule, self.snippet)
 
     def to_json(self) -> dict:
         return {

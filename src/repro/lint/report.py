@@ -1,13 +1,12 @@
 """Text and JSON reporters for repro-lint findings.
 
-The JSON schema (version 1) is a stable contract — CI uploads it as an
+The JSON schema (version 2) is a stable contract — CI uploads it as an
 artifact and ``tests/test_lint.py`` pins its shape::
 
     {
-      "version": 1,
+      "version": 2,
       "counts": {
-        "findings": <int>,      # non-baselined findings reported below
-        "baselined": <int>,     # findings absorbed by the baseline
+        "findings": <int>,      # findings reported below
         "by_rule": {"RL001": <int>, ...}
       },
       "findings": [
@@ -26,13 +25,11 @@ from repro.lint.engine import Finding
 
 __all__ = ["render_json", "render_text"]
 
-#: Format version of the JSON report.
-REPORT_VERSION = 1
+#: Format version of the JSON report (2: no ``baselined`` count).
+REPORT_VERSION = 2
 
 
-def render_text(
-    findings: Iterable[Finding], baselined: int = 0
-) -> str:
+def render_text(findings: Iterable[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary."""
     findings = list(findings)
     lines = [finding.render() for finding in findings]
@@ -42,25 +39,19 @@ def render_text(
             f"{rule}: {count}" for rule, count in sorted(by_rule.items())
         )
         lines.append("")
-        lines.append(
-            f"{len(findings)} finding(s) ({summary})"
-            + (f"; {baselined} baselined" if baselined else "")
-        )
+        lines.append(f"{len(findings)} finding(s) ({summary})")
     else:
-        lines.append(
-            "clean" + (f" ({baselined} baselined finding(s))" if baselined else "")
-        )
+        lines.append("clean")
     return "\n".join(lines) + "\n"
 
 
-def render_json(findings: Iterable[Finding], baselined: int = 0) -> str:
+def render_json(findings: Iterable[Finding]) -> str:
     """Machine-readable report (schema above), newline-terminated."""
     findings = list(findings)
     payload = {
         "version": REPORT_VERSION,
         "counts": {
             "findings": len(findings),
-            "baselined": baselined,
             "by_rule": dict(
                 sorted(Counter(f.rule for f in findings).items())
             ),

@@ -11,17 +11,19 @@ Two solver paths sit behind one interface:
 
 * **HiGHS warm-start** — when HiGHS python bindings are importable (the
   standalone ``highspy`` package, or the copy scipy vendors as
-  ``scipy.optimize._highspy``), the model is passed to a persistent
-  ``Highs`` instance once, as arrays (``num_col, num_row, num_nz,
-  format, sense, offset``, then the cost, bound, CSC matrix and
-  integrality arrays) through the array overload of ``passModel``; each
-  variant only changes the affected row bounds and re-runs the solver,
-  which re-optimizes from a warm basis (dual simplex) instead of solving
-  cold. This is where the batched sweep's order-of-magnitude win comes
-  from.
+  ``scipy.optimize._highspy._core``, loaded from its file without
+  running ``scipy.optimize``'s package ``__init__``), the model is
+  passed to a persistent ``Highs`` instance once, as arrays
+  (``num_col, num_row, num_nz, format, sense, offset``, then the cost,
+  bound, CSC matrix and integrality arrays) through the array overload
+  of ``passModel``; each variant only changes the affected row bounds
+  and re-runs the solver, which re-optimizes from a warm basis (dual
+  simplex) instead of solving cold. This is where the batched sweep's
+  order-of-magnitude win comes from.
 * **scipy fallback** — otherwise each variant is one
   ``scipy.optimize.linprog`` call reusing the prebuilt CSR matrices, so
-  only assembly (not the cold solve) is amortized.
+  only assembly (not the cold solve) is amortized. ``linprog`` is
+  imported at the fallback's first solve.
 
 Families whose *coefficients* drift — not just their RHS — are covered by
 the in-place update hooks: :meth:`BatchedProgram.update_objective` and
@@ -98,7 +100,16 @@ The probe is transparent: callers never see which path ran unless they ask
 (:attr:`BatchedProgram.backend`). Set ``REPRO_LP_BACKEND=scipy`` to force
 the fallback (the equivalence tests use this to compare both paths); the
 scipy path is stateless per solve, so each of its answers is a function
-of the program and that request alone.
+of the program and that request alone. The probe runs once per
+normalized value of that variable.
+
+No path imports ``scipy.optimize`` at module top: its package
+``__init__`` costs every process about 0.26 s and 17 MB, and only the
+fallback calls into it. Deferring the package import to the probe would
+not help, because every run probes: :func:`repro.runtime.cache.content_key`
+folds :func:`lp_solver_identity` into every cached point's key. So the
+probe loads the vendored extension directly (:func:`_vendored_highs`),
+in about 5 ms.
 """
 
 from __future__ import annotations
@@ -107,14 +118,17 @@ from __future__ import annotations
 # how the backend is probed or named shifts every cache key.
 
 import functools
+import importlib.machinery
 import importlib.metadata
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 import scipy
-from scipy.optimize import linprog
 
 from repro.errors import InfeasibleError, SolverError
 from repro.lp.problem import LinearProgram
@@ -150,15 +164,27 @@ class LPSolution:
         return program.block(name).reshape(self.x)
 
 
+#: Canonical name of the HiGHS extension module scipy vendors.
+_VENDORED_HIGHS = "scipy.optimize._highspy._core"
+
+
 def _probe_highs_bindings() -> tuple[Any, str]:
     """``(module, name)`` for importable HiGHS bindings, or ``(None, "scipy")``.
 
     Tries the standalone ``highspy`` package first, then the bindings scipy
-    ships internally. Returns ``(None, "scipy")`` when neither imports or
-    when ``REPRO_LP_BACKEND=scipy`` forces the fallback.
+    ships internally (:func:`_vendored_highs`). Returns ``(None, "scipy")``
+    when neither imports or when ``REPRO_LP_BACKEND=scipy`` forces the
+    fallback. The probe runs once per normalized value of that variable:
+    every :class:`BatchedProgram` and every cache key asks again, and a
+    failing ``import highspy`` is not cached by Python.
     """
     forced = os.environ.get(LP_BACKEND_ENV, "")  # repro-lint: disable=RL002 -- backend selector; content_key folds in lp_solver_identity(), so entries never cross
-    if forced.strip().lower() == "scipy":
+    return _probe(forced.strip().lower())
+
+
+@functools.cache
+def _probe(setting: str) -> tuple[Any, str]:
+    if setting == "scipy":
         return None, "scipy"
     try:
         import highspy  # standalone distribution
@@ -168,13 +194,59 @@ def _probe_highs_bindings() -> tuple[Any, str]:
     except ImportError:
         pass
     try:
-        from scipy.optimize._highspy import _core  # vendored by scipy
-
-        if hasattr(_core, "_Highs") or hasattr(_core, "Highs"):
-            return _core, "scipy-highspy"
+        core = _vendored_highs()
     except ImportError:
-        pass
+        return None, "scipy"
+    if hasattr(core, "_Highs") or hasattr(core, "Highs"):
+        return core, "scipy-highspy"
     return None, "scipy"
+
+
+def _vendored_highs() -> ModuleType:
+    """scipy's vendored HiGHS bindings, without ``scipy.optimize``.
+
+    ``scipy/optimize/__init__.py`` imports ``linprog``, ``minimize``, the
+    global optimizers and scipy.special/spatial/fft/linalg (171 modules),
+    none of which the HiGHS path calls. The extension is loaded from its
+    file instead, and a later ``import scipy.optimize`` reuses it. The
+    package import remains the path when ``scipy.optimize`` is already
+    loaded, or when the direct load fails in any way.
+    """
+    if "scipy.optimize" not in sys.modules:
+        try:
+            return _load_vendored_highs()
+        except Exception:  # repro-lint: disable=RL005 -- any failure of the direct load falls back to the package import below, which raises if the bindings are missing
+            pass
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def _load_vendored_highs() -> ModuleType:
+    """Load :data:`_VENDORED_HIGHS` from ``<scipy>/optimize/_highspy``.
+
+    ``PathFinder.find_spec`` with an explicit path searches that directory
+    alone and imports no parent package. The module is registered in
+    ``sys.modules`` under its canonical name, so every later import of
+    it, direct or through ``scipy.optimize``, gets this one module.
+    """
+    loaded = sys.modules.get(_VENDORED_HIGHS)
+    if loaded is not None:
+        return loaded
+    directory = os.path.join(
+        os.path.dirname(scipy.__file__), "optimize", "_highspy"
+    )
+    spec = importlib.machinery.PathFinder.find_spec(
+        _VENDORED_HIGHS, [directory]
+    )
+    if spec is None or not isinstance(
+        spec.loader, importlib.machinery.ExtensionFileLoader
+    ):
+        raise ImportError(f"no {_VENDORED_HIGHS} extension in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_VENDORED_HIGHS] = module
+    return module
 
 
 def lp_backend_name() -> str:
@@ -395,6 +467,10 @@ class _ScipyBackend:
         return False  # a cold solve may pick another tied vertex
 
     def solve(self, b_ub: np.ndarray | None) -> LPSolution | None:
+        # Here, not at module top: importing scipy.optimize costs every
+        # process 0.26 s, and only this fallback calls linprog.
+        from scipy.optimize import linprog
+
         arrays = self._arrays
         result = linprog(
             arrays["c"],

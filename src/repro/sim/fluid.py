@@ -40,7 +40,8 @@ The pipeline:
    requests are the prefix of its run before its first departure past
    the horizon, and busy time is one pairwise ``sum`` per server over
    that prefix: a segmented ``add.reduceat`` or padded row sums add in
-   another order and would change the bits.
+   another order and would change the bits. The sums run on the first
+   read of ``server_utilizations``; the closed-loop probe never reads it.
 4. **Columnar metrics** — each operation's requests are contiguous in the
    table, so completions reduce with one ``np.maximum.reduceat``. The
    response-time summary (:func:`repro.sim.metrics.summarize_arrays`,
@@ -176,6 +177,28 @@ def _padded_departures(
     block = block.reshape(2, padded.size, width)
     departures[table_rows] = _lindley(block[0], block[1]).ravel()[cells]
     return departures
+
+
+def _utilizations(
+    svc_sorted: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    elapsed: float,
+) -> np.ndarray:
+    """Each queue slot's busy time over ``elapsed``, capped at 1.
+
+    Busy time is one pairwise sum per slot over its processed rows
+    ``svc_sorted[start:end]``, as the slot's 1-D pass summed: segmented
+    or padded sums add in another order and would change the bits.
+    """
+    busy = np.array(
+        [
+            np.add.reduce(svc_sorted[i0:i1])
+            for i0, i1 in zip(starts.tolist(), ends.tolist())
+        ],
+        dtype=np.float64,
+    )
+    return np.minimum(1.0, busy / elapsed)
 
 
 def _sample_quorums(
@@ -358,15 +381,6 @@ def run_fluid(
     first_late = np.append(late, total)[np.searchsorted(late, starts)]
     ends = np.minimum(first_late, starts + counts)
     processed = (ends - starts).reshape(n_strategies, n_servers)
-    # One pairwise sum per slot, as its 1-D pass summed: segmented or
-    # padded sums add in another order and change the bits.
-    busy = np.array(
-        [
-            np.add.reduce(svc_sorted[i0:i1])
-            for i0, i1 in zip(starts.tolist(), ends.tolist())
-        ],
-        dtype=np.float64,
-    ).reshape(n_strategies, n_servers)
 
     departure = np.empty(total, dtype=np.float64)
     departure[order] = dep_sorted
@@ -410,7 +424,6 @@ def run_fluid(
     elapsed = horizon
     rates = np.zeros((n_strategies, sim.placed.n_nodes))
     rates[:, servers] = processed / elapsed
-    utils = np.minimum(1.0, busy / elapsed)
 
     obs.count("sim.requests", int(total))
     results = []
@@ -431,6 +444,7 @@ def run_fluid(
                 service_ms=service_times[servers].copy(),
             )
         block = slice(bounds[k], bounds[k + 1])
+        slots = slice(k * n_servers, (k + 1) * n_servers)
         results.append(
             GenericSimResult(
                 # Percentiles are paid only if someone reads ``stats``.
@@ -444,7 +458,14 @@ def run_fluid(
                     warmup_ms=warmup_ms,
                 ),
                 per_node_request_rate=rates[k],
-                server_utilizations=utils[k],
+                # Busy time is summed only if someone reads it.
+                server_utilizations=partial(
+                    _utilizations,
+                    svc_sorted,
+                    starts[slots],
+                    ends[slots],
+                    elapsed,
+                ),
                 operations_completed=n_completed,
                 requests_issued=int(block_rows[k]),
                 requests_processed=int(processed[k].sum()),

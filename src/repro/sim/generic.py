@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from typing import Any
 
 import numpy as np
 
@@ -207,19 +208,18 @@ class _Client:
 
 
 class _SummaryField:
-    """The ``stats`` field: a summary computed on first read.
+    """A result field computed on first read (``stats``,
+    ``server_utilizations``).
 
-    Both backends store a zero-argument callable that computes the
-    :class:`ResponseTimeStats`; the first read calls it and keeps the
-    result. A finished summary may be passed instead and is kept as is.
+    A backend may store a zero-argument callable that computes the value;
+    the first read calls it and keeps the result. A finished value is
+    kept as is.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._slot = "_" + name
 
-    def __get__(
-        self, obj: object, owner: type | None = None
-    ) -> ResponseTimeStats:
+    def __get__(self, obj: object, owner: type | None = None) -> Any:
         if obj is None:
             # No class-level default: the dataclass keeps the field required.
             raise AttributeError(self._slot[1:])
@@ -245,15 +245,16 @@ class GenericSimResult:
     ``requests_in_flight`` from the other two counters, so the identity
     checks the simulation rather than restating a definition.
 
-    ``stats`` is summarized on first read, so a caller that needs only the
-    counters or the telemetry never pays for the percentiles.
+    ``stats`` and ``server_utilizations`` are computed on first read, so
+    a caller that needs only the counters or the telemetry never pays for
+    the percentiles or the busy-time sums.
     ``operations_completed`` is counted eagerly, and a run with no
     operation completed after the warmup raises when it ends.
     """
 
     stats: ResponseTimeStats = _SummaryField()  # type: ignore[assignment]
     per_node_request_rate: np.ndarray
-    server_utilizations: np.ndarray
+    server_utilizations: np.ndarray = _SummaryField()  # type: ignore[assignment]
     operations_completed: int
     requests_issued: int = 0
     requests_processed: int = 0

@@ -781,6 +781,31 @@ def test_closed_loop_lockstep_segment_bit_identical(monkeypatch):
         assert_dataclass_bits_equal(series, expected)
 
 
+def test_probe_computes_no_busy_time(monkeypatch):
+    """The closed-loop probe reads telemetry only, so it sums no busy time;
+    a result sums its own on the first read of ``server_utilizations``."""
+    calls = []
+    utilizations = fluid._utilizations
+
+    def spy(*args):
+        calls.append(args)
+        return utilizations(*args)
+
+    monkeypatch.setattr(fluid, "_utilizations", spy)
+    series = _segment(
+        controller_module.probe_epoch, monkeypatch, ("static", "periodic:2")
+    )
+    assert all(s.probe_operations.min() > 0 for s in series)
+    assert calls == []
+
+    sim, warmup_ms = _simulation("explicit_telemetry")
+    result = sim.run(duration_ms=1_000.0, warmup_ms=warmup_ms)
+    assert calls == []
+    first = result.server_utilizations
+    assert result.server_utilizations is first
+    assert len(calls) == 1
+
+
 def test_probe_strategy_is_built_once_per_strategy_in_force(monkeypatch):
     """Every probe samples ``ExplicitStrategy(matrix in force)`` bit for bit,
     and the controller builds it once per matrix, not once per epoch."""

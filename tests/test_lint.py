@@ -1,10 +1,9 @@
 """Tests for the repro-lint static-analysis framework.
 
 Every rule RL001–RL008 gets a true-positive fixture, a true-negative
-fixture, and a same-line suppression fixture. The reporters, baseline
-round-trip, CLI exit-code contract, and the repo-wide self-check (the
-committed tree must lint clean against the committed baseline) are
-pinned here too.
+fixture, and a same-line suppression fixture. The reporters, the CLI
+exit-code contract, and the repo-wide self-check (the committed tree
+must have zero findings) are pinned here too.
 """
 
 from __future__ import annotations
@@ -16,15 +15,12 @@ import numpy as np
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintConfig,
     all_rules,
     lint_paths,
     lint_source,
-    load_baseline,
     render_json,
     render_text,
-    write_baseline,
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import LintError
@@ -517,71 +513,16 @@ def test_findings_sorted_by_location():
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    findings = lint_source(
-        "rng = np.random.default_rng()\nflag = os.environ.get('X')\n",
-        path="repro/core/x.py",
-    )
-    baseline = Baseline.from_findings(findings)
-    target = tmp_path / "baseline.json"
-    write_baseline(target, baseline)
-    assert load_baseline(target) == baseline
-    # Written form is the documented schema, sorted and newline-terminated.
-    payload = json.loads(target.read_text())
-    assert payload["version"] == 1
-    assert [e["rule"] for e in payload["entries"]] == ["RL001", "RL002"]
-    assert target.read_text().endswith("\n")
-
-
-def test_baseline_absorbs_exactly_its_budget():
-    src = "a = np.random.default_rng()\na = np.random.default_rng()\n"
-    two = lint_source(src, path="repro/core/x.py")
-    baseline = Baseline.from_findings(two[:1])  # budget of 1 for the shape
-    fresh, absorbed = baseline.filter_new(two)
-    assert absorbed == 1
-    assert codes(fresh) == ["RL001"]
-
-
-def test_baseline_keys_on_snippet_not_line_number():
-    before = lint_source(
-        "rng = np.random.default_rng()\n", path="repro/core/x.py"
-    )
-    baseline = Baseline.from_findings(before)
-    # Same offending line, now pushed down by an unrelated edit above it.
-    after = lint_source(
-        "x = 1\n\nrng = np.random.default_rng()\n", path="repro/core/x.py"
-    )
-    fresh, absorbed = baseline.filter_new(after)
-    assert fresh == [] and absorbed == 1
-
-
-def test_malformed_baseline_raises(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(LintError, match="unrecognized format"):
-        load_baseline(bad)
-    bad.write_text('{"version": 1, "entries": [{"path": "x"}]}')
-    with pytest.raises(LintError, match="malformed entry"):
-        load_baseline(bad)
-
-
-# ----------------------------------------------------------------------
 # Reporters
 # ----------------------------------------------------------------------
 def test_json_report_schema():
     findings = lint_source(
         "rng = np.random.default_rng()\n", path="repro/core/x.py"
     )
-    payload = json.loads(render_json(findings, baselined=3))
+    payload = json.loads(render_json(findings))
     assert set(payload) == {"version", "counts", "findings"}
-    assert payload["version"] == 1
-    assert payload["counts"] == {
-        "findings": 1,
-        "baselined": 3,
-        "by_rule": {"RL001": 1},
-    }
+    assert payload["version"] == 2
+    assert payload["counts"] == {"findings": 1, "by_rule": {"RL001": 1}}
     (entry,) = payload["findings"]
     assert set(entry) == {"rule", "path", "line", "col", "message", "snippet"}
     assert entry["rule"] == "RL001"
@@ -590,7 +531,6 @@ def test_json_report_schema():
 
 def test_text_report_clean_and_dirty():
     assert render_text([]) == "clean\n"
-    assert render_text([], baselined=2) == "clean (2 baselined finding(s))\n"
     findings = lint_source("rng = np.random.default_rng()\n")
     text = render_text(findings)
     assert "RL001" in text and "1 finding(s)" in text
@@ -615,27 +555,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
+def test_cli_has_no_baseline(tmp_path, capsys, monkeypatch):
+    """The gate is zero findings: no option records or applies a
+    baseline, and a ``lint-baseline.json`` in the working directory
+    absorbs nothing."""
     monkeypatch.chdir(tmp_path)
     dirty = tmp_path / "dirty.py"
     dirty.write_text("rng = np.random.default_rng()\n")
-
-    assert lint_main([str(dirty)]) == 1
+    for option in (
+        ["--write-baseline"], ["--no-baseline"], ["--baseline", "b.json"]
+    ):
+        with pytest.raises(SystemExit) as exited:
+            lint_main([str(dirty), *option])
+        assert exited.value.code == 2
     capsys.readouterr()
-    assert lint_main([str(dirty), "--write-baseline"]) == 0
-    capsys.readouterr()
-    # The default baseline in cwd now absorbs the finding...
-    assert lint_main([str(dirty)]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # ...unless explicitly ignored.
-    assert lint_main([str(dirty), "--no-baseline"]) == 1
-    capsys.readouterr()
-    # A *new* finding still fails even with the baseline present.
-    dirty.write_text(
-        "rng = np.random.default_rng()\nflag = os.environ.get('X')\n"
+    (tmp_path / "lint-baseline.json").write_text(
+        json.dumps({"version": 1, "entries": [{
+            "path": str(dirty), "rule": "RL001",
+            "snippet": "rng = np.random.default_rng()", "count": 1,
+        }]})
     )
     assert lint_main([str(dirty)]) == 1
-    assert "RL002" in capsys.readouterr().out
+    assert "RL001" in capsys.readouterr().out
 
 
 def test_cli_json_output_artifact(tmp_path, capsys):
@@ -662,17 +603,13 @@ def test_cli_list_rules(capsys):
 # ----------------------------------------------------------------------
 # Repo self-check
 # ----------------------------------------------------------------------
-def test_repository_lints_clean_against_committed_baseline(monkeypatch):
-    """The committed tree must pass its own linter.
+def test_repository_lints_clean(monkeypatch):
+    """The committed tree must pass its own linter with zero findings.
 
-    Mirrors CI's ``python -m repro.lint src tests benchmarks``: any
-    finding not absorbed by the committed baseline fails this test, so
-    a PR cannot introduce a violation without either fixing it,
-    suppressing it with a reason, or visibly growing the baseline.
+    Mirrors CI's ``python -m repro.lint src tests benchmarks scripts``:
+    a change cannot introduce a violation without either fixing it or
+    suppressing it on its line with a reason.
     """
     monkeypatch.chdir(REPO_ROOT)
     findings = lint_paths(["src", "tests", "benchmarks", "scripts"])
-    baseline_file = REPO_ROOT / "lint-baseline.json"
-    if baseline_file.is_file():
-        findings, _ = load_baseline(baseline_file).filter_new(findings)
     assert findings == [], "\n" + render_text(findings)

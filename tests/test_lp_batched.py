@@ -23,7 +23,12 @@ from hypothesis import strategies as st
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SolverError
 from repro.lp import BatchedProgram, LinearProgram, lp_backend_name
-from repro.lp.batched import LP_BACKEND_ENV, _probe_highs_bindings
+from repro.lp.batched import (
+    LP_BACKEND_ENV,
+    _probe,
+    _probe_highs_bindings,
+    lp_solver_identity,
+)
 from repro.network.generators import synthetic_wan
 from repro.network.graph import Topology
 from repro.obs.tracer import Tracer, tracing
@@ -168,6 +173,28 @@ class TestBatchedProgram:
         assert lp_backend_name() == "scipy"
         batched = BatchedProgram(self._toy_program())
         assert batched.backend == "scipy"
+
+    def test_backend_is_probed_once_per_setting(self, monkeypatch):
+        """Every program and every cache key asks for the backend; the
+        probe runs once per normalized ``REPRO_LP_BACKEND`` value, and
+        changing the variable still changes the path."""
+        monkeypatch.delenv(LP_BACKEND_ENV, raising=False)
+        _probe.cache_clear()
+        try:
+            default = lp_backend_name()
+            for _ in range(3):
+                assert BatchedProgram(self._toy_program()).backend == default
+                assert lp_solver_identity()[0] == default
+            assert _probe.cache_info().misses == 1
+            for setting in ("scipy", " SciPy ", "scipy"):
+                monkeypatch.setenv(LP_BACKEND_ENV, setting)
+                assert BatchedProgram(self._toy_program()).backend == "scipy"
+            assert _probe.cache_info().misses == 2
+            monkeypatch.delenv(LP_BACKEND_ENV)
+            assert BatchedProgram(self._toy_program()).backend == default
+            assert _probe.cache_info().misses == 2
+        finally:
+            _probe.cache_clear()
 
     def test_backends_agree(self):
         variants = [[-1.0], [-3.0], [-7.5]]
