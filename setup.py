@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build metadata.
 
-Kept alongside pyproject.toml so that editable installs work on
-environments whose setuptools predates PEP 660 wheel-based editables
-(legacy ``setup.py develop`` path).
+``pip install -e .`` installs from it. Where that cannot build an
+editable wheel (no ``wheel`` package, no network),
+``scripts/dev_install.py`` links ``src/`` into site-packages instead.
 """
 
 from setuptools import find_packages, setup
@@ -17,5 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

@@ -159,12 +159,15 @@ class ThresholdPolicy:
 AdaptationPolicy = StaticPolicy | PeriodicPolicy | ThresholdPolicy
 
 #: LP columns (clients x quorums per program) that the live programs of
-#: one lockstep group may hold. A planetlab-50 Grid 5x5 program (1,250
-#: columns) holds 3.9 MB of heap after its calibration solve; with two
-#: of them live, the closed-loop benchmark's peak RSS was 5.8% above
-#: stepping one policy at a time. A static policy rides along free: its
-#: program is released after its one successful solve.
-_LOCKSTEP_COLUMNS = 2_500
+#: one lockstep group may hold: four planetlab-50 Grid 5x5 programs of
+#: 1,250 columns, each holding 3.9 MB of heap after its calibration
+#: solve. So the four thresholds that ``tune_threshold`` tries step in
+#: one group, 240 fluid passes on the closed-loop benchmark instead of
+#: the 480 of two-program groups. On a 2-core host that took the
+#: benchmark's wall time from 1.65-1.77 to 1.48-1.60 s and its peak RSS
+#: from 59.3 to 68.0 MB (4 alternating runs each). A static policy rides
+#: along free: its program is released after its one successful solve.
+_LOCKSTEP_COLUMNS = 5_000
 
 
 def parse_policy(spec: str) -> AdaptationPolicy:

@@ -21,14 +21,15 @@ Two solver paths sit behind one interface:
   simplex) instead of solving cold. This is where the batched sweep's
   order-of-magnitude win comes from.
 * **scipy fallback** — otherwise each variant is one
-  ``scipy.optimize.linprog`` call reusing the prebuilt CSR matrices, so
-  only assembly (not the cold solve) is amortized. ``linprog`` is
-  imported at the fallback's first solve.
+  ``scipy.optimize.linprog`` call reusing the prebuilt CSR arrays
+  (wrapped as ``scipy.sparse`` matrices without a copy), so only
+  assembly (not the cold solve) is amortized. ``linprog`` and
+  ``scipy.sparse`` are imported at the fallback's first solve.
 
 Families whose *coefficients* drift — not just their RHS — are covered by
 the in-place update hooks: :meth:`BatchedProgram.update_objective` and
 :meth:`BatchedProgram.update_le_rows` rewrite objective entries or whole
-inequality rows against the fixed sparsity structure, keeping the scipy
+inequality rows against the fixed sparsity structure, keeping the built
 arrays and the persistent HiGHS model in sync. The fractional-placement
 LP uses this: its element-load rows change as the iterative algorithm's
 strategy evolves, while everything else in the constraint system stays
@@ -118,11 +119,8 @@ from __future__ import annotations
 # how the backend is probed or named shifts every cache key.
 
 import functools
-import importlib.machinery
 import importlib.metadata
-import importlib.util
 import os
-import sys
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Any, Iterable, Sequence
@@ -131,8 +129,9 @@ import numpy as np
 import scipy
 
 from repro.errors import InfeasibleError, SolverError
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import CSRArrays, LinearProgram
 from repro.obs import tracer as obs
+from repro.scipy_ext import load_scipy_extension
 
 __all__ = [
     "BatchedProgram",
@@ -208,45 +207,10 @@ def _vendored_highs() -> ModuleType:
     ``scipy/optimize/__init__.py`` imports ``linprog``, ``minimize``, the
     global optimizers and scipy.special/spatial/fft/linalg (171 modules),
     none of which the HiGHS path calls. The extension is loaded from its
-    file instead, and a later ``import scipy.optimize`` reuses it. The
-    package import remains the path when ``scipy.optimize`` is already
-    loaded, or when the direct load fails in any way.
+    file instead (:func:`~repro.scipy_ext.load_scipy_extension`), and a
+    later ``import scipy.optimize`` reuses it.
     """
-    if "scipy.optimize" not in sys.modules:
-        try:
-            return _load_vendored_highs()
-        except Exception:  # repro-lint: disable=RL005 -- any failure of the direct load falls back to the package import below, which raises if the bindings are missing
-            pass
-    from scipy.optimize._highspy import _core
-
-    return _core
-
-
-def _load_vendored_highs() -> ModuleType:
-    """Load :data:`_VENDORED_HIGHS` from ``<scipy>/optimize/_highspy``.
-
-    ``PathFinder.find_spec`` with an explicit path searches that directory
-    alone and imports no parent package. The module is registered in
-    ``sys.modules`` under its canonical name, so every later import of
-    it, direct or through ``scipy.optimize``, gets this one module.
-    """
-    loaded = sys.modules.get(_VENDORED_HIGHS)
-    if loaded is not None:
-        return loaded
-    directory = os.path.join(
-        os.path.dirname(scipy.__file__), "optimize", "_highspy"
-    )
-    spec = importlib.machinery.PathFinder.find_spec(
-        _VENDORED_HIGHS, [directory]
-    )
-    if spec is None or not isinstance(
-        spec.loader, importlib.machinery.ExtensionFileLoader
-    ):
-        raise ImportError(f"no {_VENDORED_HIGHS} extension in {directory}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_VENDORED_HIGHS] = module
-    return module
+    return load_scipy_extension(_VENDORED_HIGHS, "scipy.optimize")
 
 
 def lp_backend_name() -> str:
@@ -273,26 +237,59 @@ def _highspy_version() -> str:
     return importlib.metadata.version("highspy")
 
 
+def _stacked_csc(
+    blocks: Sequence[CSRArrays], n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, index, value)``: the CSC arrays of ``blocks`` stacked
+    vertically, the column-wise model ``passModel`` takes.
+
+    The stacked entries come in row-major order, so one stable argsort of
+    their columns orders them column by column with rows ascending (each
+    row is an ascending run, which the sort merges). Stored zeros stay
+    stored. These are the arrays of ``scipy.sparse.vstack(blocks).tocsc()``.
+    """
+    n_rows = sum(b.shape[0] for b in blocks)
+    nnz = sum(b.data.size for b in blocks)
+    fits = max(nnz, n_rows, n_cols) <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
+    if not blocks:
+        return (
+            np.zeros(n_cols + 1, dtype=index),
+            np.empty(0, dtype=index),
+            np.empty(0, dtype=np.float64),
+        )
+    rows = np.repeat(
+        np.arange(n_rows, dtype=index),
+        np.concatenate([np.diff(b.indptr) for b in blocks]),
+    )
+    cols = np.concatenate([b.indices for b in blocks])
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(n_cols + 1, dtype=index)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
+    return (
+        start,
+        rows[order],
+        np.concatenate([b.data for b in blocks])[order],
+    )
+
+
 class _HighsBackend:
     """Persistent HiGHS model; RHS variants only change row bounds."""
 
     def __init__(
         self, bindings: Any, arrays: dict, n_le: int, n_eq: int
     ) -> None:
-        from scipy import sparse
-
         self._hs = bindings
         self._inf = float(bindings.kHighsInf)
         self._n_le = n_le
         self._anchor = None  # calibration basis; see capture_anchor()
         self.stateful = True  # solves reuse solver state: needs the anchor
 
-        blocks = [m for m in (arrays["A_ub"], arrays["A_eq"]) if m is not None]
         n_vars = arrays["c"].size
-        if blocks:
-            a = sparse.vstack(blocks).tocsc()
-        else:
-            a = sparse.csc_matrix((0, n_vars))
+        start, index, value = _stacked_csc(
+            [m for m in (arrays["A_ub"], arrays["A_eq"]) if m is not None],
+            n_vars,
+        )
 
         row_lower = np.full(n_le + n_eq, -self._inf)
         row_upper = np.full(n_le + n_eq, self._inf)
@@ -310,7 +307,7 @@ class _HighsBackend:
         status = solver.passModel(
             n_vars,
             n_le + n_eq,
-            a.nnz,
+            value.size,
             int(bindings.MatrixFormat.kColwise),
             int(bindings.ObjSense.kMinimize),
             0.0,
@@ -319,9 +316,9 @@ class _HighsBackend:
             np.ascontiguousarray(arrays["bounds"][:, 1]),
             row_lower,
             row_upper,
-            a.indptr,
-            a.indices,
-            a.data,
+            start,
+            index,
+            value,
             np.zeros(n_vars, dtype=np.int32),  # every column continuous
         )
         if status == bindings.HighsStatus.kError:
@@ -468,15 +465,28 @@ class _ScipyBackend:
 
     def solve(self, b_ub: np.ndarray | None) -> LPSolution | None:
         # Here, not at module top: importing scipy.optimize costs every
-        # process 0.26 s, and only this fallback calls linprog.
+        # process 0.26 s and scipy.sparse 0.12 s more, and only this
+        # fallback calls them.
         from scipy.optimize import linprog
+        from scipy.sparse import csr_matrix
+
+        def wrap(matrix: CSRArrays | None) -> Any:
+            # A view of the shared arrays, not a copy: the data that
+            # update_le_rows rewrote is what linprog reads.
+            if matrix is None:
+                return None
+            return csr_matrix(
+                (matrix.data, matrix.indices, matrix.indptr),
+                shape=matrix.shape,
+                copy=False,
+            )
 
         arrays = self._arrays
         result = linprog(
             arrays["c"],
-            A_ub=arrays["A_ub"],
+            A_ub=wrap(arrays["A_ub"]),
             b_ub=b_ub,
-            A_eq=arrays["A_eq"],
+            A_eq=wrap(arrays["A_eq"]),
             b_eq=arrays["b_eq"],
             bounds=arrays["bounds"],
             method="highs",

@@ -16,6 +16,14 @@ assembly-identity tests in ``tests/test_lp.py``); the array path is what the
 access-strategy LP uses so assembling a program once per placement costs
 a few numpy calls rather than tens of thousands of list appends.
 
+The matrices come out as :class:`CSRArrays`: the ``indptr``, ``indices``
+and ``data`` arrays of a compressed sparse row matrix, built in numpy
+(one stable argsort of the row-major key ``row * n_cols + col``, skipped
+when the entries already come in that order). They are the arrays
+``scipy.sparse.coo_matrix(...).tocsr()`` returns, dtypes included, so
+building a program imports no ``scipy.sparse``; the conversions that pin
+this live in ``tests/``.
+
 The intended usage pattern for repeated solves is build-once/solve-many:
 assemble a :class:`LinearProgram` once, wrap it in
 :class:`~repro.lp.batched.BatchedProgram`, and sweep right-hand-side
@@ -27,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import SolverError
 
-__all__ = ["LinearProgram", "VariableBlock"]
+__all__ = ["CSRArrays", "LinearProgram", "VariableBlock"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -66,14 +75,74 @@ class VariableBlock:
         return x[self.offset : self.offset + self.size].reshape(self.shape)
 
 
+@dataclass(frozen=True)
+class CSRArrays:
+    """A sparse matrix in compressed sparse row form, as plain arrays.
+
+    Row ``r`` stores the columns ``indices[indptr[r]:indptr[r + 1]]``, in
+    ascending order, with the values at the same positions of ``data``.
+    ``indptr`` and ``indices`` are int32 (int64 only when ``nnz`` or a
+    dimension exceeds int32), ``data`` is float64. Stored zeros stay
+    stored. The frozen fields are the arrays themselves: writing into
+    ``data`` is how :meth:`~repro.lp.batched.BatchedProgram.update_le_rows`
+    changes coefficients in place.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _coo_to_csr(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    shape: tuple[int, int],
+) -> CSRArrays:
+    """The CSR arrays of COO triplets, with duplicates summed.
+
+    Entries are ordered by the int64 key ``row * n_cols + col`` with one
+    stable argsort, skipped when the keys already ascend strictly. Entries
+    sharing a (row, col) are summed in input order, and a zero sum stays
+    stored. For up to two entries per (row, col) the arrays equal
+    ``scipy.sparse.coo_matrix((vals, (rows, cols)), shape).tocsr()``;
+    scipy leaves the order in which it sums three or more unspecified.
+    """
+    n_rows, n_cols = shape
+    nnz = int(vals.size)
+    index = np.int32 if max(nnz, n_rows, n_cols) <= _INT32_MAX else np.int64
+    key = rows.astype(np.int64) * n_cols + cols
+    if nnz > 1 and not bool(np.all(key[1:] > key[:-1])):
+        order = np.argsort(key, kind="stable")
+        key, rows = key[order], rows[order]
+        cols, vals = cols[order], vals[order]
+        first = np.empty(nnz, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not bool(first.all()):
+            starts = np.flatnonzero(first)
+            vals = np.add.reduceat(vals, starts)
+            rows, cols = rows[starts], cols[starts]
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return CSRArrays(
+        indptr=indptr,
+        indices=cols.astype(index),
+        data=np.ascontiguousarray(vals, dtype=np.float64),
+        shape=(n_rows, n_cols),
+    )
+
+
 @dataclass
 class _Triplets:
     """COO constraint rows stored as chunks of numpy arrays.
 
     Each ``add_rows`` call appends one chunk; :meth:`matrix` concatenates
-    the chunks exactly once at build time. Because COO→CSR conversion
-    canonicalizes entry order, a matrix assembled from one big broadcast
-    chunk is identical to the same matrix assembled row by row.
+    the chunks exactly once at build time. Because the CSR conversion
+    (:func:`_coo_to_csr`) canonicalizes entry order, a matrix assembled
+    from one big broadcast chunk is identical to the same matrix
+    assembled row by row.
     """
 
     rows: list[np.ndarray] = field(default_factory=list)
@@ -135,16 +204,15 @@ class _Triplets:
             return None
         return np.concatenate(self.rhs)
 
-    def matrix(self, n_vars: int) -> sparse.csr_matrix | None:
+    def matrix(self, n_vars: int) -> CSRArrays | None:
         if not self.n_rows:
             return None
-        return sparse.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=(self.n_rows, n_vars),
-        ).tocsr()
+        return _coo_to_csr(
+            np.concatenate(self.rows),
+            np.concatenate(self.cols),
+            np.concatenate(self.vals),
+            (self.n_rows, n_vars),
+        )
 
 
 class LinearProgram:
@@ -169,7 +237,9 @@ class LinearProgram:
     For families of LPs sharing structure and differing only in their
     inequality right-hand sides, build once and solve the whole family via
     :class:`~repro.lp.batched.BatchedProgram` instead of rebuilding per
-    variant.
+    variant. :meth:`build` returns the constraint matrices as
+    :class:`CSRArrays` made in numpy; batches whose rows come in order,
+    with ascending columns within each row, skip its sort.
     """
 
     def __init__(self) -> None:
@@ -294,8 +364,9 @@ class LinearProgram:
     # Assembly
     # ------------------------------------------------------------------
     def build(self) -> dict:
-        """Solver arrays: ``c``, CSR ``A_ub``/``A_eq``, ``b_ub``/``b_eq``
-        (``None`` without rows of that kind) and per-variable ``bounds``."""
+        """Solver arrays: ``c``, ``A_ub``/``A_eq`` as :class:`CSRArrays`,
+        ``b_ub``/``b_eq`` (``None`` without rows of that kind) and
+        per-variable ``bounds``."""
         if self._n_vars == 0:
             raise SolverError("LP has no variables")
         c = np.zeros(self._n_vars)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from repro.errors import TopologyError
 
@@ -42,6 +41,27 @@ def _as_rtt_array(rtt: object) -> np.ndarray:
     return matrix
 
 
+def _close_metric(matrix: np.ndarray) -> None:
+    """Replace a symmetric RTT matrix by its shortest-path closure, in place.
+
+    A Floyd–Warshall pass over the complete graph: for each intermediate
+    node ``k``, ``d = min(d, d[:, k] + d[k, :])``, O(n³) in all. An
+    off-diagonal zero is a missing link, not a free one: it becomes
+    ``inf`` first, and stays ``inf`` when no path joins its endpoints.
+    Each entry takes the same additions and exact minima as
+    ``scipy.sparse.csgraph.shortest_path(method="FW", directed=False)``,
+    so the closure equals scipy's bit for bit (pinned in
+    ``tests/test_network_graph.py``).
+    """
+    missing = matrix == 0
+    np.fill_diagonal(missing, False)
+    matrix[missing] = np.inf
+    for k in range(matrix.shape[0]):
+        np.minimum(
+            matrix, matrix[:, k, None] + matrix[None, k, :], out=matrix
+        )
+
+
 class Topology:
     """A wide-area topology: nodes, an RTT metric, and node capacities.
 
@@ -51,7 +71,9 @@ class Topology:
         Square array of round-trip times in milliseconds. Must be
         non-negative with a zero diagonal; small asymmetries are averaged
         away. By default the metric closure (all-pairs shortest path) of the
-        matrix is taken so distances satisfy the triangle inequality.
+        matrix is taken so distances satisfy the triangle inequality; under
+        the closure an off-diagonal zero is a missing link, and nodes that
+        no path joins end up ``inf`` apart.
     names:
         Optional node names (e.g. site hostnames). Defaults to ``site-<i>``.
     capacities:
@@ -59,7 +81,8 @@ class Topology:
         node (a node may absorb the full system load).
     metric_closure:
         When True (default), replace the RTT matrix by its shortest-path
-        closure.
+        closure: a numpy Floyd–Warshall, O(n³), equal bit for bit to
+        scipy's ``shortest_path(method="FW", directed=False)``.
     """
 
     def __init__(
@@ -78,7 +101,7 @@ class Topology:
         matrix = np.add(matrix, matrix.T)
         matrix /= 2.0
         if metric_closure and n > 1:
-            matrix = shortest_path(matrix, method="FW", directed=False)
+            _close_metric(matrix)
         self._rtt = matrix
         self._rtt.setflags(write=False)
 

@@ -14,6 +14,16 @@ placement by the Shmoys–Tardos generalized-assignment rounding:
 The resulting placement exceeds each node's capacity by less than the
 largest single element load poured into its last slot — the paper's
 "capacity exceeded by a small constant factor".
+
+The matching is scipy's ``min_weight_full_bipartite_matching``, run on a
+``scipy.sparse`` biadjacency. Both load on the first rounding, not at
+import: only the many-to-one placement rounds, and importing
+``scipy.sparse`` costs a process about 0.12 s and 20 MB (300 modules,
+``numpy.testing``, ``numpy.ma`` and ``numpy.f2py`` among them). The
+matching extension is loaded from its file
+(:func:`~repro.scipy_ext.load_scipy_extension`), without
+``scipy.sparse.csgraph``'s ``__init__``, which would also load
+``scipy.sparse.linalg`` and ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -22,11 +32,10 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from repro.core.placement import Placement
 from repro.errors import PlacementError
+from repro.scipy_ext import load_scipy_extension
 
 __all__ = ["round_fractional_placement", "SlotGraph"]
 
@@ -118,6 +127,11 @@ def round_fractional_placement(
             "fractional solution is not a valid assignment"
         )
 
+    from scipy.sparse import csr_matrix
+
+    matching = load_scipy_extension(
+        "scipy.sparse.csgraph._matching", "scipy.sparse.csgraph"
+    )
     rows, cols, vals = [], [], []
     for (u, s), cost in graph.edges.items():
         rows.append(u)
@@ -128,7 +142,9 @@ def round_fractional_placement(
         (vals, (rows, cols)), shape=(n_elements, n_slots)
     )
     try:
-        row_match, col_match = min_weight_full_bipartite_matching(biadjacency)
+        row_match, col_match = matching.min_weight_full_bipartite_matching(
+            biadjacency
+        )
     except ValueError as exc:  # no perfect matching on the support
         raise PlacementError(
             f"GAP rounding failed to find a perfect matching: {exc}"

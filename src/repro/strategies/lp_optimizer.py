@@ -100,20 +100,24 @@ class StrategyProgram:
 
         # Capacity constraints (4.4), one row per node with any placed
         # element. Entry (v, i) of row w carries a[i, w] / |V|; the same
-        # per-quorum weights repeat for every client, so the whole group is
-        # one broadcast over (clients, nonzeros of a).
+        # per-quorum weights repeat for every client, so every row is a
+        # column slice of one (clients, nonzeros of a) broadcast. Emitted
+        # row by row, the columns ascend within each row, and the CSR
+        # build (repro.lp.problem) skips its sort.
         node_ids, quorum_ids = np.nonzero(a.T)
-        support = np.unique(node_ids)
-        row_local = np.searchsorted(support, node_ids)
+        support, first, counts = np.unique(
+            node_ids, return_index=True, return_counts=True
+        )
         weights = a[quorum_ids, node_ids] / n_clients
         clients = np.arange(n_clients)
-        cols = (
-            p.offset + clients[:, None] * m + quorum_ids[None, :]
-        ).ravel()
-        rows = np.broadcast_to(row_local, (n_clients, row_local.size)).ravel()
-        vals = np.broadcast_to(weights, (n_clients, weights.size)).ravel()
+        cols = p.offset + clients[:, None] * m + quorum_ids[None, :]
+        vals = np.broadcast_to(weights, cols.shape)
+        rows = [slice(lo, lo + k) for lo, k in zip(first, counts)]
         lp.add_le_many(
-            rows, cols, vals, np.full(support.size, np.inf)
+            np.repeat(np.arange(support.size), n_clients * counts),
+            np.concatenate([cols[:, row] for row in rows], axis=None),
+            np.concatenate([vals[:, row] for row in rows], axis=None),
+            np.full(support.size, np.inf),
         )
 
         # Distribution constraints (4.5)-(4.6): one simplex per client.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.strategy import ExplicitStrategy
@@ -22,6 +23,7 @@ from repro.dynamics.telemetry import (
     probe_epoch,
 )
 from repro.errors import InfeasibleError, QuorumSystemError, TopologyError
+from repro.lp.problem import CSRArrays
 from repro.network.generators import (
     MIN_RTT_MS,
     ClusterSpec,
@@ -151,6 +153,58 @@ def validate_metric(topology: Topology, tolerance: float = 1e-9) -> None:
             raise TopologyError(
                 f"triangle inequality violated through node {k}"
             )
+
+
+def scipy_csr(matrix: CSRArrays) -> sparse.csr_matrix:
+    """``matrix`` as a ``scipy.sparse.csr_matrix`` over copies of its
+    arrays."""
+    return sparse.csr_matrix(
+        (matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy()),
+        shape=matrix.shape,
+    )
+
+
+def dense(matrix: CSRArrays) -> np.ndarray:
+    """``matrix`` as a dense array."""
+    return scipy_csr(matrix).toarray()
+
+
+def scipy_matrices(lp) -> dict:
+    """``A_ub`` and ``A_eq`` of a :class:`~repro.lp.problem.LinearProgram`,
+    built by scipy from its COO chunks: ``coo_matrix(...).tocsr()``."""
+    matrices = {}
+    for key, triplets in (("A_ub", lp._le), ("A_eq", lp._eq)):
+        matrices[key] = (
+            sparse.coo_matrix(
+                (
+                    np.concatenate(triplets.vals),
+                    (
+                        np.concatenate(triplets.rows),
+                        np.concatenate(triplets.cols),
+                    ),
+                ),
+                shape=(triplets.n_rows, lp.n_variables),
+            ).tocsr()
+            if triplets.n_rows
+            else None
+        )
+    return matrices
+
+
+def scipy_stacked_csc(blocks, n_cols: int) -> sparse.csc_matrix:
+    """The CSC that the HiGHS model takes, built by scipy:
+    ``vstack(blocks).tocsc()`` (an empty one without blocks)."""
+    if not blocks:
+        return sparse.csc_matrix((0, n_cols))
+    return sparse.vstack([scipy_csr(b) for b in blocks]).tocsc()
+
+
+def assert_same_arrays(got, want) -> None:
+    """``indptr``, ``indices`` and ``data`` equal, bits and dtypes."""
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, (field, a.dtype, b.dtype)
+        assert a.tobytes() == b.tobytes(), field
 
 
 def replay_policy_alone(

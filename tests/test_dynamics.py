@@ -715,8 +715,9 @@ class TestLockstep:
                 "threshold:0.2",
             )
         ]
-        # Two programs of 1,250 columns (a planetlab-50 Grid 5x5) fit.
-        assert _lockstep_groups(policies, 1_250) == [[2, 0, 1], [3, 4]]
+        # Four programs of 1,250 columns (a planetlab-50 Grid 5x5) fit.
+        assert _lockstep_groups(policies, 1_250) == [[2, 0, 1, 3, 4]]
+        assert _lockstep_groups(policies, 1_700) == [[2, 0, 1], [3, 4]]
         assert _lockstep_groups(policies, 450) == [[2, 0, 1, 3, 4]]
         assert _lockstep_groups(policies, 4_025) == [[2, 0], [1], [3], [4]]
         assert _lockstep_groups(policies[:1], 1_250) == [[0]]

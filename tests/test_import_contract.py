@@ -1,10 +1,15 @@
-"""The LP layer's import contract: ``scipy.optimize`` loads only when used.
+"""The import contract: scipy packages load only where they are used.
 
 :mod:`repro.lp.batched` loads the HiGHS extension that scipy vendors from
 its file, without running ``scipy/optimize/__init__.py``, and imports
-``linprog`` on the scipy fallback's first solve. Each test runs its
-script in a fresh interpreter: the test process's ``sys.modules`` already
-holds whatever the other tests imported.
+``linprog`` on the scipy fallback's first solve. The metric closure and
+the LP matrices are numpy, so no run imports ``scipy.sparse`` unless it
+rounds a many-to-one placement (:mod:`repro.placement.gap`) or solves on
+the scipy fallback. The rounding loads the matching extension from its
+file, without ``scipy.sparse.csgraph``'s ``__init__`` and the
+``scipy.sparse.linalg`` and ``scipy.linalg`` it imports. Each test runs
+its script in a fresh interpreter: the test process's ``sys.modules``
+already holds whatever the other tests imported.
 """
 
 from __future__ import annotations
@@ -20,24 +25,57 @@ from repro.lp.batched import LP_BACKEND_ENV
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: The figure every run below prints; it solves LPs at every grid point.
-FIGURE = "fig_7_6"
+#: The figures the default run prints: they solve LPs at every grid
+#: point, and the last two re-optimize strategies as the topology drifts.
+FIGURES = ("fig_7_6", "fig_dyn", "fig_closed_loop")
+
+#: The scipy packages that no run without a many-to-one placement loads.
+SPARSE = (
+    "scipy.sparse",
+    "scipy.sparse.csgraph",
+    "scipy.sparse.linalg",
+    "scipy.linalg",
+)
+
+#: The matching extension that the GAP rounding loads from its file.
+MATCHING = "scipy.sparse.csgraph._matching"
 
 _FIGURE_RUN = f"""
 import json, sys
 import repro, repro.cli
 from repro.experiments import run_figure
 from repro.lp.batched import lp_backend_name
-table = run_figure({FIGURE!r}, fast=True).render_text()
+from repro.network.datasets import daxlist_161, planetlab_50
+planetlab_50(), daxlist_161()
+tables = [run_figure(f, fast=True).render_text() for f in {FIGURES!r}]
 print(json.dumps({{
     "optimize_loaded": "scipy.optimize" in sys.modules,
+    "loaded": sorted(m for m in {SPARSE!r} if m in sys.modules),
     "backend": lp_backend_name(),
+    "table": "\\n".join(tables),
+}}))
+"""
+
+_ROUNDING_RUN = f"""
+import json, sys
+import repro, repro.cli
+from repro.experiments import run_figure
+table = run_figure("fig_8_9", fast=True).render_text()
+loaded = sorted(m for m in {SPARSE + (MATCHING,)!r} if m in sys.modules)
+registered = sys.modules.get({MATCHING!r})
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+print(json.dumps({{
+    "loaded": loaded,
+    "same_function": registered is not None and (
+        min_weight_full_bipartite_matching
+        is registered.min_weight_full_bipartite_matching
+    ),
     "table": table,
 }}))
 """
 
-#: Makes the direct load of the extension find nothing: only the lookup
-#: that runs before its parent package is imported fails.
+#: Makes the direct load of the HiGHS extension find nothing: only the
+#: lookup that runs before its parent package is imported fails.
 _BLOCK_DIRECT_LOAD = """
 import importlib.machinery, sys
 _find = importlib.machinery.PathFinder.find_spec.__func__
@@ -52,6 +90,11 @@ def find_spec(cls, name, path=None, target=None):
 
 importlib.machinery.PathFinder.find_spec = classmethod(find_spec)
 """
+
+#: The same for the matching extension.
+_BLOCK_MATCHING_LOAD = _BLOCK_DIRECT_LOAD.replace(
+    "scipy.optimize._highspy._core", MATCHING
+).replace('"scipy.optimize._highspy"', '"scipy.sparse.csgraph"')
 
 _STRATEGY_PROGRAM = """
 import numpy as np
@@ -100,6 +143,35 @@ def default_run() -> dict:
 
 def test_a_figure_run_never_loads_scipy_optimize(default_run):
     assert default_run["optimize_loaded"] is False
+
+
+def test_a_run_without_rounding_never_loads_scipy_sparse(default_run):
+    """Presets, LP builds and solves, and closed-loop re-optimization
+    load none of ``scipy.sparse``, ``csgraph`` or the linalg packages."""
+    assert default_run["loaded"] == []
+
+
+@pytest.fixture(scope="module")
+def rounding_run() -> dict:
+    """``fig_8_9`` fast (many-to-one placement) in a fresh process."""
+    return _run(_ROUNDING_RUN)
+
+
+def test_rounding_loads_the_matching_extension_alone(rounding_run):
+    """The rounding loads ``scipy.sparse`` and the matching extension,
+    not the ``csgraph`` package or the linalg packages; a later import
+    through the package gets the registered module's function."""
+    assert rounding_run["loaded"] == ["scipy.sparse", MATCHING]
+    assert rounding_run["same_function"] is True
+
+
+def test_a_failed_matching_load_falls_back_to_the_package(rounding_run):
+    """With the direct load broken, the matching comes through
+    ``scipy.sparse.csgraph`` and ``fig_8_9`` prints the same bytes."""
+    run = _run(_BLOCK_MATCHING_LOAD + _ROUNDING_RUN)
+    assert "scipy.sparse.csgraph" in run["loaded"]
+    assert run["same_function"] is True
+    assert run["table"] == rounding_run["table"]
 
 
 def test_a_later_scipy_optimize_reuses_the_loaded_bindings():
@@ -155,23 +227,28 @@ def test_a_failed_direct_load_falls_back_to_the_package(default_run):
 
 
 def test_the_scipy_fallback_loads_scipy_optimize_at_its_first_solve():
+    """And ``scipy.sparse`` with it: building a program needs neither."""
     run = _run(
         _STRATEGY_PROGRAM
         + """
 import json, sys
 import repro, repro.cli
 from repro.lp.batched import lp_backend_name
-at_import = "scipy.optimize" in sys.modules
+
+def loaded():
+    return ["scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules]
+
+at_import = loaded()
 program = StrategyProgram(placed)
-at_build = "scipy.optimize" in sys.modules
+at_build = loaded()
 program.solve(0.6)
 print(json.dumps({
     "backend": lp_backend_name(),
     "program": program._batched.backend,
-    "loaded": [at_import, at_build, "scipy.optimize" in sys.modules],
+    "loaded": [at_import, at_build, loaded()],
 }))
 """,
         **{LP_BACKEND_ENV: "scipy"},
     )
     assert run["backend"] == run["program"] == "scipy"
-    assert run["loaded"] == [False, False, True]
+    assert run["loaded"] == [[False, False], [False, False], [True, True]]

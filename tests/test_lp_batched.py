@@ -44,6 +44,8 @@ from repro.strategies.capacity_sweep import (
 from repro.strategies.lp_optimizer import StrategyProgram
 from repro.strategies.nonuniform import nonuniform_capacities
 
+from oracles import scipy_stacked_csc
+
 
 @pytest.fixture()
 def grid3_placed(line_topology):
@@ -395,13 +397,12 @@ def test_reuse_matches_running_every_variant(sweep):
 # Reference: the model built field by field into a HighsLp
 # ---------------------------------------------------------------------------
 def highs_lp_reference(bindings, arrays: dict, n_le: int, n_eq: int):
-    """A solver holding the model passed as one ``HighsLp``."""
-    from scipy import sparse
-
+    """A solver holding the model passed as one ``HighsLp``, its matrix
+    converted to CSC by scipy."""
     inf = float(bindings.kHighsInf)
     blocks = [m for m in (arrays["A_ub"], arrays["A_eq"]) if m is not None]
     n_vars = arrays["c"].size
-    a = sparse.vstack(blocks).tocsc()
+    a = scipy_stacked_csc(blocks, n_vars)
     lp = bindings.HighsLp()
     lp.num_col_ = n_vars
     lp.num_row_ = n_le + n_eq

@@ -4,9 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
+import repro.network.graph as graph_module
 from repro.errors import TopologyError
+from repro.network.datasets import daxlist_161, planetlab_50
 from repro.network.graph import Topology
+from repro.runtime.cache import topology_fingerprint
 
 from oracles import validate_metric
 
@@ -149,6 +155,77 @@ class TestMetricClosure:
         topo = Topology(m, metric_closure=False)
         with pytest.raises(TopologyError):
             validate_metric(topo)
+
+
+@st.composite
+def _link_matrices(draw):
+    """A symmetric RTT matrix in which a zero off the diagonal is a
+    missing link, and the node labels of the components it is cut into:
+    links between differently labelled nodes are missing."""
+    n = draw(st.integers(2, 8))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+    upper = np.triu(np.array(weights).reshape(n, n), 1)
+    labels = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    )
+    upper[labels[:, None] != labels[None, :]] = 0.0
+    return upper + upper.T, labels
+
+
+class TestClosureEqualsScipy:
+    """The numpy Floyd–Warshall equals ``scipy.sparse.csgraph``'s, bit
+    for bit, and so leaves every preset's bytes and cache keys as they
+    were."""
+
+    @pytest.mark.parametrize("preset", [planetlab_50, daxlist_161])
+    def test_presets(self, preset, monkeypatch):
+        closures = []
+        close = graph_module._close_metric
+
+        def spy(matrix):
+            raw = matrix.copy()
+            close(matrix)
+            closures.append((raw, matrix.copy()))
+
+        monkeypatch.setattr(graph_module, "_close_metric", spy)
+        preset()
+        ((raw, closed),) = closures
+        want = shortest_path(raw, method="FW", directed=False)
+        assert closed.tobytes() == want.tobytes()
+
+    @given(_link_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_small_matrices_with_missing_links(self, case):
+        matrix, labels = case
+        closed = Topology(matrix).rtt
+        want = shortest_path(matrix, method="FW", directed=False)
+        assert closed.tobytes() == want.tobytes()
+        apart = labels[:, None] != labels[None, :]
+        assert np.isinf(closed[apart]).all()
+
+    @pytest.mark.parametrize(
+        ("preset", "digest"),
+        [
+            (
+                planetlab_50,
+                "781901c461bf8218c5c85b9de774013d"
+                "5d648c24e46cf53f131666f42320073a",
+            ),
+            (
+                daxlist_161,
+                "a7dffc6657ed48d78af9779141503b52"
+                "10d5b2829ac550d0edb7d15295b16b76",
+            ),
+        ],
+    )
+    def test_preset_fingerprints(self, preset, digest):
+        assert topology_fingerprint(preset()) == digest
 
 
 class TestCapacities:
