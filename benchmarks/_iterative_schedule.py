@@ -54,6 +54,8 @@ def replay_family(topology, system, candidates, schedule):
     for caps, strategy in schedule:
         for v0 in candidates:
             solutions.append(
-                family.solve(int(v0), capacities=caps, strategy=strategy)
+                family.program(int(v0)).solve(
+                    capacities=caps, strategy=strategy
+                )
             )
     return solutions

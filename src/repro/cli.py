@@ -43,7 +43,7 @@ import numpy as np
 from repro.analysis.fault_tolerance import crash_tolerance
 from repro.core.response_time import alpha_from_demand, evaluate
 from repro.core.strategy import ExplicitStrategy
-from repro.dynamics.replay import replay, simulate_placements, tune_threshold
+from repro.dynamics.replay import replay_spec, simulate_placements, tuning_spec
 from repro.dynamics.telemetry import TelemetryConfig
 from repro.dynamics.scenarios import (
     diurnal_scenario,
@@ -329,41 +329,31 @@ def _cmd_dynamics(args) -> int:
         if args.candidates == 0
         else np.argsort(topology.mean_distances())[: args.candidates]
     )
+    if args.tune_thresholds is None:
+        grid = replay_spec(
+            topology, system, trace, policies, candidates, telemetry
+        )
+    else:
+        try:
+            thresholds = tuple(
+                float(part)
+                for part in args.tune_thresholds.split(",")
+                if part.strip()
+            )
+        except ValueError:
+            raise ReproError(
+                "--tune-thresholds expects comma-separated numbers, "
+                f"got {args.tune_thresholds!r}"
+            ) from None
+        grid = tuning_spec(
+            topology, system, trace, thresholds, telemetry, ("static",),
+            candidates,
+        )
     with GridRunner(jobs=args.jobs) as runner:
-        if args.tune_thresholds is not None:
-            try:
-                thresholds = tuple(
-                    float(part)
-                    for part in args.tune_thresholds.split(",")
-                    if part.strip()
-                )
-            except ValueError:
-                raise ReproError(
-                    "--tune-thresholds expects comma-separated numbers, "
-                    f"got {args.tune_thresholds!r}"
-                ) from None
-            tuning = tune_threshold(
-                topology,
-                system,
-                trace,
-                thresholds=thresholds,
-                telemetry=telemetry,
-                baseline_policies=("static",),
-                candidates=candidates,
-                runner=runner,
-            )
-            print(tuning.render_text())
-            result = tuning.result
-        else:
-            result = replay(
-                topology,
-                system,
-                trace,
-                policies=policies,
-                candidates=candidates,
-                runner=runner,
-                telemetry=telemetry,
-            )
+        result = runner.evaluate(grid)
+    if args.tune_thresholds is not None:
+        print(result.render_text())
+        result = result.result
     print(result.render_text())
     if args.simulate_rate > 0:
         rows = simulate_placements(

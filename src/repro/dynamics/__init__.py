@@ -8,13 +8,16 @@ typed scenario traces (RTT drift, capacity changes, node churn),
 oscillation, flash crowd, partition-and-heal),
 :mod:`~repro.dynamics.controller` adapts access strategies under pluggable
 policies — incrementally, against one persistent warm LP per placement —
-and :mod:`~repro.dynamics.replay` drives whole scenarios through the
-parallel runtime, emitting per-epoch time series (expected delay, regret
-versus a clairvoyant re-optimizer, cumulative re-optimization cost).
+and :mod:`~repro.dynamics.replay` declares whole scenario replays as grids
+for the parallel runtime, emitting per-epoch time series (expected delay,
+regret versus a clairvoyant re-optimizer, re-optimization cost).
 
-Entry points: :func:`~repro.dynamics.replay.replay` from code,
-``python -m repro dynamics`` from the shell, and the ``fig_dyn`` figure
-runner through the experiment registry.
+Entry points: :func:`~repro.dynamics.replay.replay_spec` and
+:func:`~repro.dynamics.replay.tuning_spec` from code, evaluated by
+:meth:`GridRunner.evaluate <repro.runtime.runner.GridRunner.evaluate>`
+(or :func:`~repro.dynamics.replay.tune_threshold`, which brings its own
+runner); ``python -m repro dynamics`` from the shell; and the ``fig_dyn``
+and ``fig_closed_loop`` figures through the experiment registry.
 """
 
 from repro.dynamics.controller import (
@@ -37,8 +40,9 @@ from repro.dynamics.replay import (
     CLAIRVOYANT,
     DynamicsResult,
     ThresholdTuning,
-    replay,
+    replay_spec,
     tune_threshold,
+    tuning_spec,
 )
 from repro.dynamics.telemetry import (
     TelemetryConfig,
@@ -79,7 +83,8 @@ __all__ = [
     "TelemetryEstimator",
     "probe_epoch",
     # replay
-    "replay",
+    "replay_spec",
+    "tuning_spec",
     "tune_threshold",
     "DynamicsResult",
     "ThresholdTuning",

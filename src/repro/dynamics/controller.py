@@ -21,9 +21,9 @@ re-optimization epoch; that baseline lives beside the pins that hold it
 (``benchmarks/bench_dynamics.py``). Each segment owns its programs, and
 the requests they are sent are a function of the segment's inputs, so the
 anchored solves make the whole replay a function of its inputs — which
-is what lets :func:`~repro.dynamics.replay.replay` schedule segments
-over a :class:`~repro.runtime.runner.GridRunner` with ``jobs=N``
-bit-identical to ``jobs=1``.
+is what lets :func:`~repro.dynamics.replay.replay_spec` declare segments
+as grid points that a :class:`~repro.runtime.runner.GridRunner` runs
+with ``jobs=N`` bit-identical to ``jobs=1``.
 
 Policy contract
 ---------------
@@ -255,16 +255,6 @@ class SegmentSeries:
                 for f in fields(cls)
             }
         )
-
-    @property
-    def cumulative_solves(self) -> np.ndarray:
-        """Running re-optimization cost in LP solves."""
-        return np.cumsum(self.lp_solves)
-
-    @property
-    def cumulative_assemblies(self) -> np.ndarray:
-        """Running re-optimization cost in program assemblies."""
-        return np.cumsum(self.assemblies)
 
     @property
     def reopt_count(self) -> int:

@@ -1,21 +1,24 @@
-"""The dynamics replay driver: scenario in, per-epoch time series out.
+"""The dynamics replay, declared: scenario in, per-epoch time series out.
 
-:func:`replay` turns a :class:`~repro.dynamics.events.ScenarioTrace` into
-independent grid points and schedules them through a
-:class:`~repro.runtime.runner.GridRunner` — the same machinery (and the
-same guarantees) the figure runners use:
+:func:`replay_spec` turns a :class:`~repro.dynamics.events.ScenarioTrace`
+into a two-stage :class:`~repro.runtime.grid.GridSpec`, which
+:meth:`GridRunner.evaluate <repro.runtime.runner.GridRunner.evaluate>`
+runs with the same machinery (and the same guarantees) as every figure:
 
 1. **Placement points** — churn splits the timeline into fixed-membership
    segments; each segment's placement is one point running the existing
    best-``v0`` search over the member subtopology. Only churn forces this:
    capacity and RTT events never invalidate a placement.
-2. **Segment-replay points** — pure functions replaying a segment's
-   epochs through an
+2. **Segment-replay points**, the second stage, built from the
+   placements — pure functions replaying a segment's epochs through an
    :class:`~repro.dynamics.controller.AdaptiveController`: one point
    per (policy, segment) on the oracle plane, and one point per segment
    for all closed-loop policies, which step in lockstep and share their
    probes. The ``clairvoyant`` policy (re-optimize every epoch) always
    runs as the regret baseline on the oracle plane.
+
+:func:`tuning_spec` declares the threshold auto-tuner on top of a replay,
+and :func:`tune_threshold` evaluates it on a runner of its own.
 
 Every point carries a content cache key (topology/system fingerprints,
 the segment's event stacks, the point's policy tuple; the cache folds in
@@ -30,9 +33,8 @@ and ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Sequence, cast
+from typing import Any, Hashable, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from repro.dynamics.telemetry import PROBE_BACKEND, TelemetryConfig
 from repro.errors import DynamicsError
 from repro.lp import lp_backend_name
 from repro.network.graph import Topology
-from repro.obs import tracer as obs
 from repro.placement.search import best_placement
 from repro.quorums.base import QuorumSystem
 from repro.runtime.cache import (  # cache-key-input
@@ -55,16 +56,17 @@ from repro.runtime.cache import (  # cache-key-input
     system_fingerprint,
     topology_fingerprint,
 )
-from repro.runtime.grid import GridPoint
-from repro.runtime.runner import GridRunner, shared_runner
+from repro.runtime.grid import GridPoint, GridSpec
+from repro.runtime.runner import GridRunner
 
 __all__ = [
     "CLAIRVOYANT",
     "DynamicsResult",
     "ThresholdTuning",
-    "replay",
+    "replay_spec",
     "simulate_placements",
     "tune_threshold",
+    "tuning_spec",
 ]
 
 #: Spec of the regret baseline: re-optimize at every epoch.
@@ -119,10 +121,6 @@ class DynamicsResult:
             self.series[policy].expected_delay
             - self.series[CLAIRVOYANT].expected_delay
         )
-
-    def cumulative_regret(self, policy: str) -> np.ndarray:
-        """Running sum of :meth:`regret` — total excess delay paid so far."""
-        return np.cumsum(self.regret(policy))
 
     def render_text(self) -> str:
         """Aligned per-epoch table plus a per-policy summary."""
@@ -180,7 +178,7 @@ def _segment_placement(
     """Best one-to-one placement over the member subtopology.
 
     Returns the assignment in the *member* (sub) node space; module-level
-    so the driver can fan segment placements out over worker processes.
+    so the replay can fan segment placements out over worker processes.
     Placement considers membership only — transient capacity events are
     the strategy LP's problem, which is exactly why churn is the only
     event class that lands here.
@@ -273,18 +271,19 @@ def simulate_placements(
     return tuple(rows)
 
 
-def replay(
+def replay_spec(
     topology: Topology,
     system: QuorumSystem,
     trace: ScenarioTrace,
-    policies: Sequence[str] = ("static", "periodic:4", "threshold:0.05"),
+    policies: Sequence[str],
     candidates: object = None,
-    runner: GridRunner | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
     telemetry: TelemetryConfig | None = None,
-) -> DynamicsResult:
-    """Replay a scenario trace and measure how policies track the optimum.
+) -> GridSpec:
+    """Declare the replay of a scenario trace under adaptation policies.
+
+    The spec's points are the segment placements; its second stage builds
+    the segment-replay points from them, and its ``assemble`` returns the
+    :class:`DynamicsResult`.
 
     Parameters
     ----------
@@ -305,14 +304,6 @@ def replay(
         Optional global node ids restricting each segment's placement
         search (intersected with the members; the paper's recipe searches
         every node).
-    runner:
-        A shared :class:`~repro.runtime.runner.GridRunner`. Without one,
-        a runner with ``jobs`` workers and ``cache`` attached is created
-        for this call. With one, its worker count is authoritative —
-        passing a non-default ``jobs`` alongside it raises — and
-        ``cache`` is attached to it for the duration of the call (a
-        runner already carrying a *different* cache raises): the
-        contract of :func:`~repro.runtime.runner.shared_runner`.
     telemetry:
         A :class:`~repro.dynamics.telemetry.TelemetryConfig` runs every
         policy **closed-loop**: decisions are made from simulated-probe
@@ -351,64 +342,54 @@ def replay(
         None if candidates is None else np.asarray(candidates, dtype=np.intp)
     )
 
-    with ExitStack() as stack:
-        if runner is None:
-            runner = stack.enter_context(GridRunner(jobs=jobs, cache=cache))
+    # Stage 1 — one placement per fixed-membership segment. A replay of
+    # the same trace (or another trace sharing a member set) hits the
+    # cache instead of re-running the search.
+    placement_points = []
+    for index, (start, _end) in enumerate(segments):
+        up_nodes = states[start].up_nodes
+        if candidate_arr is None:
+            cand_sub = None
         else:
-            runner = stack.enter_context(
-                shared_runner(runner, jobs=jobs, cache=cache)
+            # Map surviving global candidates into the sub node space.
+            mask = np.isin(up_nodes, candidate_arr)
+            cand_sub = np.flatnonzero(mask)
+            if cand_sub.size == 0:
+                cand_sub = None  # all candidates churned out: search all
+        placement_points.append(
+            GridPoint(
+                tag=index,
+                fn=_segment_placement,
+                kwargs={
+                    "topology": topology,
+                    "system": system,
+                    "up_nodes": up_nodes,
+                    "candidates": cand_sub,
+                },
+                cache_key={
+                    "figure_point": "dynamics_placement",
+                    "topology": topo_fp,
+                    "system": sys_fp,
+                    "up_nodes": up_nodes,
+                    "candidates": cand_sub,
+                },
             )
-        # Phase 1 — one placement per fixed-membership segment. A replay
-        # of the same trace (or another trace sharing a member set) hits
-        # the cache instead of re-running the search.
-        placement_points = []
-        for index, (start, _end) in enumerate(segments):
-            up_nodes = states[start].up_nodes
-            if candidate_arr is None:
-                cand_sub = None
-            else:
-                # Map surviving global candidates into the sub node space.
-                mask = np.isin(up_nodes, candidate_arr)
-                cand_sub = np.flatnonzero(mask)
-                if cand_sub.size == 0:
-                    cand_sub = None  # all candidates churned out: search all
-            placement_points.append(
-                GridPoint(
-                    tag=index,
-                    fn=_segment_placement,
-                    kwargs={
-                        "topology": topology,
-                        "system": system,
-                        "up_nodes": up_nodes,
-                        "candidates": cand_sub,
-                    },
-                    cache_key={
-                        "figure_point": "dynamics_placement",
-                        "topology": topo_fp,
-                        "system": sys_fp,
-                        "up_nodes": up_nodes,
-                        "candidates": cand_sub,
-                    },
-                )
-            )
-        with obs.span(
-            "dynamics.placements", segments=len(segments)
-        ):
-            placement_results = runner.run(placement_points)
-        sub_assignments = [
-            placement_results[index] for index in range(len(segments))
-        ]
+        )
 
-        # Phase 2 — per segment, one replay point per oracle policy and
-        # one for all closed-loop policies, which share their probes. The
-        # clairvoyant baseline stays oracle even in closed-loop replays:
-        # regret is defined against the true-information optimum.
-        if telemetry is None:
-            planes = [((spec,), False) for spec in specs]
-        else:
-            closed = tuple(s for s in specs if s != CLAIRVOYANT)
-            planes = [(closed, True)] if closed else []
-            planes.append(((CLAIRVOYANT,), False))
+    # Stage 2 — per segment, one replay point per oracle policy and one
+    # for all closed-loop policies, which share their probes. The
+    # clairvoyant baseline stays oracle even in closed-loop replays:
+    # regret is defined against the true-information optimum.
+    if telemetry is None:
+        planes = [((spec,), False) for spec in specs]
+    else:
+        closed = tuple(s for s in specs if s != CLAIRVOYANT)
+        planes = [(closed, True)] if closed else []
+        planes.append(((CLAIRVOYANT,), False))
+
+    def segment_points(
+        sub_assignments: Mapping[Hashable, Any]
+    ) -> list[GridPoint]:
         points = []
         for index, (start, end) in enumerate(segments):
             up_nodes = states[start].up_nodes
@@ -467,49 +448,53 @@ def replay(
                         },
                     )
                 )
-        with obs.span("dynamics.replays", points=len(points)):
-            results = runner.run(points)
+        return points
 
-    by_spec: dict[str, list[SegmentSeries]] = {spec: [] for spec in specs}
-    for index in range(len(segments)):
-        for plane, _closed_loop in planes:
-            for spec, part in zip(plane, results[(plane, index)]):
-                by_spec[spec].append(part)
-    series = {
-        spec: SegmentSeries.concatenate(parts)
-        for spec, parts in by_spec.items()
-    }
-
-    placements = tuple(
-        states[start].up_nodes[sub_assignments[index]]
-        for index, (start, _end) in enumerate(segments)
-    )
-    return DynamicsResult(
-        n_epochs=trace.n_epochs,
-        policies=tuple(s for s in specs if s != CLAIRVOYANT),
-        series=series,
-        segments=tuple(segments),
-        placements=placements,
-        metadata={
-            "system": system.name,
-            "events": len(trace.events),
-            "lp_backend": lp_backend_name(),
-            "closed_loop": telemetry is not None,
-            **(
-                {}
-                if telemetry is None
-                else {
-                    "telemetry_noise": telemetry.noise,
-                    "probe_backend": PROBE_BACKEND,
-                }
+    def assemble(results: Mapping[Hashable, Any]) -> DynamicsResult:
+        by_spec: dict[str, list[SegmentSeries]] = {spec: [] for spec in specs}
+        for index in range(len(segments)):
+            for plane, _closed_loop in planes:
+                for spec, part in zip(plane, results[(plane, index)]):
+                    by_spec[spec].append(part)
+        return DynamicsResult(
+            n_epochs=trace.n_epochs,
+            policies=tuple(s for s in specs if s != CLAIRVOYANT),
+            series={
+                spec: SegmentSeries.concatenate(parts)
+                for spec, parts in by_spec.items()
+            },
+            segments=tuple(segments),
+            placements=tuple(
+                states[start].up_nodes[results[index]]
+                for index, (start, _end) in enumerate(segments)
             ),
-        },
+            metadata={
+                "system": system.name,
+                "events": len(trace.events),
+                "lp_backend": lp_backend_name(),
+                "closed_loop": telemetry is not None,
+                **(
+                    {}
+                    if telemetry is None
+                    else {
+                        "telemetry_noise": telemetry.noise,
+                        "probe_backend": PROBE_BACKEND,
+                    }
+                ),
+            },
+        )
+
+    return GridSpec(
+        figure_id="dynamics replay",
+        points=tuple(placement_points),
+        assemble=assemble,
+        then=segment_points,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdTuning:
-    """Outcome of a :func:`tune_threshold` sweep.
+    """Outcome of a threshold sweep (:func:`tuning_spec`).
 
     ``mean_regret``/``reopt_counts``/``lp_solves`` are keyed by canonical
     threshold spec; ``result`` is the underlying :class:`DynamicsResult`
@@ -560,33 +545,29 @@ class ThresholdTuning:
         return "\n".join(lines)
 
 
-def tune_threshold(
+def tuning_spec(
     topology: Topology,
     system: QuorumSystem,
     trace: ScenarioTrace,
-    thresholds: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2),
-    telemetry: TelemetryConfig | None = None,
-    baseline_policies: Sequence[str] = (),
-    candidates: object = None,
-    runner: GridRunner | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> ThresholdTuning:
-    """Auto-tune the ``threshold:<x>`` policy over a replayed trace.
+    thresholds: Sequence[float],
+    telemetry: TelemetryConfig | None,
+    baseline_policies: Sequence[str],
+    candidates: object,
+) -> GridSpec:
+    """Declare the auto-tuning of the ``threshold:<x>`` policy.
 
-    Sweeps every candidate threshold through **one** :func:`replay` call.
+    Every candidate threshold is a policy of **one** :func:`replay_spec`.
     In closed loop, each segment's candidates (and ``baseline_policies``)
     run in lockstep in one grid point, which shares each probe among the
     policies whose strategies agree and measures the rest in one fluid
     pass per epoch; in an oracle sweep every candidate is a point of its
     own. The clairvoyant baseline and the placements are points of their
-    own too, cache-keyed on one :class:`~repro.runtime.runner.GridRunner`,
-    so the points parallelize across workers, the sweep stays
-    bit-identical for ``jobs=N``, and cached segments are reused. The
-    winner minimizes mean
-    regret against the clairvoyant optimum; exact ties break toward fewer
-    LP solves, then toward the larger (cheaper) threshold —
-    deterministically.
+    own too, cache-keyed like every grid point, so the points parallelize
+    across workers, the sweep stays bit-identical for ``jobs=N``, and
+    cached segments are reused. The spec's ``assemble`` returns a
+    :class:`ThresholdTuning`, whose winner minimizes mean regret against
+    the clairvoyant optimum; exact ties break toward fewer LP solves, then
+    toward the larger (cheaper) threshold — deterministically.
 
     ``baseline_policies`` (e.g. ``("static",)``) ride along in the same
     replay for comparison but are not eligible to win.
@@ -604,41 +585,60 @@ def tune_threshold(
             parsed.append(policy)
     if not parsed:
         raise DynamicsError(
-            "tune_threshold needs at least one candidate threshold"
+            "threshold tuning needs at least one candidate threshold"
         )
     specs = tuple(p.spec for p in parsed)
+    sweep = replay_spec(
+        topology, system, trace, tuple(baseline_policies) + specs,
+        candidates, telemetry,
+    )
 
-    result = replay(
-        topology,
-        system,
-        trace,
-        policies=tuple(baseline_policies) + specs,
-        candidates=candidates,
-        runner=runner,
-        jobs=jobs,
-        cache=cache,
-        telemetry=telemetry,
+    def assemble(results: Mapping[Hashable, Any]) -> ThresholdTuning:
+        result = sweep.assemble(results)
+        mean_regret = {s: float(result.regret(s).mean()) for s in specs}
+        lp_solves = {
+            s: int(result.series[s].lp_solves.sum()) for s in specs
+        }
+        best = min(
+            parsed,
+            key=lambda p: (
+                mean_regret[p.spec],
+                lp_solves[p.spec],
+                -p.degradation,
+            ),
+        )
+        return ThresholdTuning(
+            thresholds=tuple(p.degradation for p in parsed),
+            specs=specs,
+            mean_regret=mean_regret,
+            reopt_counts={s: result.series[s].reopt_count for s in specs},
+            lp_solves=lp_solves,
+            best_spec=best.spec,
+            best_threshold=best.degradation,
+            result=result,
+        )
+
+    return replace(sweep, figure_id="threshold tuning", assemble=assemble)
+
+
+def tune_threshold(
+    topology: Topology,
+    system: QuorumSystem,
+    trace: ScenarioTrace,
+    thresholds: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2),
+    telemetry: TelemetryConfig | None = None,
+    baseline_policies: Sequence[str] = (),
+    jobs: int | None = 1,
+    cache: ResultCache | None = None,
+) -> ThresholdTuning:
+    """Auto-tune the ``threshold:<x>`` policy over a replayed trace.
+
+    Evaluates :func:`tuning_spec`, with every node a placement candidate,
+    on a runner of its own with ``jobs`` workers and ``cache`` attached.
+    """
+    spec = tuning_spec(
+        topology, system, trace, thresholds, telemetry, baseline_policies,
+        None,
     )
-    mean_regret = {s: float(result.regret(s).mean()) for s in specs}
-    reopt_counts = {s: result.series[s].reopt_count for s in specs}
-    lp_solves = {
-        s: int(result.series[s].lp_solves.sum()) for s in specs
-    }
-    best = min(
-        parsed,
-        key=lambda p: (
-            mean_regret[p.spec],
-            lp_solves[p.spec],
-            -p.degradation,
-        ),
-    )
-    return ThresholdTuning(
-        thresholds=tuple(p.degradation for p in parsed),
-        specs=specs,
-        mean_regret=mean_regret,
-        reopt_counts=reopt_counts,
-        lp_solves=lp_solves,
-        best_spec=best.spec,
-        best_threshold=best.degradation,
-        result=result,
-    )
+    with GridRunner(jobs=jobs, cache=cache) as runner:
+        return runner.evaluate(spec)

@@ -3,7 +3,7 @@
 Each generator is a pure function of its arguments (all randomness flows
 through a seeded :class:`numpy.random.Generator`), returning a
 :class:`~repro.dynamics.events.ScenarioTrace` ready for
-:func:`~repro.dynamics.replay.replay`:
+:func:`~repro.dynamics.replay.replay_spec`:
 
 * :func:`diurnal_scenario` — RTT oscillation: every node gets a congestion
   factor ``1 + amplitude * sin(2 pi (t / period + phase_v))`` with a

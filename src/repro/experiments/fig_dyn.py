@@ -10,32 +10,36 @@ claim: ``static`` drifts away from the optimum, ``threshold`` tracks it
 at a fraction of the re-optimization cost, and the clairvoyant floor is
 what the warm incremental LP machinery makes affordable.
 
-Unlike the paper figures, the replay is two dependent grid phases
-(placements, then policy/segment replays), so the work is declared inside
-:func:`repro.dynamics.replay.replay` rather than as a single
-``grid_spec``; the same runner schedules both phases, every point is
+Unlike the paper figures, the replay is two dependent grid stages
+(placements, then policy/segment replays): :func:`grid_spec` is
+:func:`repro.dynamics.replay.replay_spec`'s declaration, whose second
+stage builds the segment points from the placements. Every point is
 content-cached, and ``--jobs N`` stays bit-identical to ``jobs=1``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Any, Hashable, Mapping
+
 import numpy as np
 
-from repro.dynamics.replay import CLAIRVOYANT, replay
+from repro.dynamics.replay import CLAIRVOYANT, replay_spec
 from repro.dynamics.scenarios import mixed_scenario
 from repro.experiments.series import FigureResult, Series
 from repro.network.datasets import planetlab_50
 from repro.quorums.grid import GridQuorumSystem
-from repro.runtime.runner import GridRunner
+from repro.runtime.grid import GridSpec
 
-__all__ = ["run"]
+__all__ = ["grid_spec"]
 
 #: Policies plotted next to the clairvoyant baseline.
 POLICIES = ("static", "periodic:4", "threshold:0.05")
 
 
-def run(runner: GridRunner, fast: bool) -> FigureResult:
-    """Replay the mixed dynamic scenario and package the time series.
+def grid_spec(fast: bool) -> GridSpec:
+    """Declare the replay of the mixed dynamic scenario and the packaging
+    of its time series.
 
     Fast mode shrinks the Grid (k=3), the timeline (8 epochs), and the
     placement candidate set (the 10 nodes with the smallest average
@@ -49,48 +53,46 @@ def run(runner: GridRunner, fast: bool) -> FigureResult:
     candidates = (
         np.argsort(topology.mean_distances())[:10] if fast else None
     )
-    result = replay(
-        topology,
-        system,
-        trace,
-        policies=POLICIES,
-        candidates=candidates,
-        runner=runner,
-    )
+    replay = replay_spec(topology, system, trace, POLICIES, candidates)
 
-    epochs = list(range(n_epochs))
-    series = [
-        Series.from_arrays(
-            spec, epochs, result.series[spec].expected_delay
+    def assemble(results: Mapping[Hashable, Any]) -> FigureResult:
+        result = replay.assemble(results)
+        epochs = list(range(n_epochs))
+        series = [
+            Series.from_arrays(
+                spec, epochs, result.series[spec].expected_delay
+            )
+            for spec in (*result.policies, CLAIRVOYANT)
+        ]
+        reopts = {
+            spec: result.series[spec].reopt_count for spec in result.series
+        }
+        solves = {
+            spec: int(result.series[spec].lp_solves.sum())
+            for spec in result.series
+        }
+        regrets = {
+            spec: float(result.regret(spec).mean())
+            for spec in result.policies
+        }
+        return FigureResult(
+            figure_id="fig_dyn",
+            title=f"Adaptation policies under a drifting WAN, {k}x{k} Grid",
+            x_label="epoch",
+            y_label="ms",
+            series=tuple(series),
+            metadata={
+                "topology": "planetlab-50",
+                "k": k,
+                "segments": len(result.segments),
+                "events": len(trace.events),
+                "reopts": reopts,
+                "lp_solves": solves,
+                "mean_regret_ms": regrets,
+                "infeasible_epochs": int(
+                    sum(s.infeasible.sum() for s in result.series.values())
+                ),
+            },
         )
-        for spec in (*result.policies, CLAIRVOYANT)
-    ]
-    reopts = {
-        spec: result.series[spec].reopt_count for spec in result.series
-    }
-    solves = {
-        spec: int(result.series[spec].lp_solves.sum())
-        for spec in result.series
-    }
-    regrets = {
-        spec: float(result.regret(spec).mean()) for spec in result.policies
-    }
-    return FigureResult(
-        figure_id="fig_dyn",
-        title=f"Adaptation policies under a drifting WAN, {k}x{k} Grid",
-        x_label="epoch",
-        y_label="ms",
-        series=tuple(series),
-        metadata={
-            "topology": "planetlab-50",
-            "k": k,
-            "segments": len(result.segments),
-            "events": len(trace.events),
-            "reopts": reopts,
-            "lp_solves": solves,
-            "mean_regret_ms": regrets,
-            "infeasible_epochs": int(
-                sum(s.infeasible.sum() for s in result.series.values())
-            ),
-        },
-    )
+
+    return replace(replay, figure_id="fig_dyn", assemble=assemble)

@@ -1,15 +1,14 @@
-"""Registry mapping figure ids to runners.
+"""Registry mapping figure ids to their grid declarations.
 
-Every figure but the two dynamics ones declares its parameter grid as
-data (:class:`~repro.runtime.grid.GridSpec`), and :func:`_grid` is the
-one place a declared grid is evaluated: it runs the points on the
-:class:`~repro.runtime.runner.GridRunner` that :func:`run_figure` hands
-it — serial, parallel (``jobs``), and/or content-cached (``cache``) —
-and assembles the figure. ``fig_dyn`` and ``fig_closed_loop`` register
-drivers instead, because a replay's segment points depend on the
-results of its placement points. Every figure is a function of ``fast``
-alone: its topology, demands and sweep ranges are constants of its
-module.
+Every figure declares its parameter grid as data
+(:class:`~repro.runtime.grid.GridSpec`), and :func:`run_figure` evaluates
+it on a :class:`~repro.runtime.runner.GridRunner` — serial, parallel
+(``jobs``), and/or content-cached (``cache``) — through
+:meth:`~repro.runtime.runner.GridRunner.evaluate`, the one place a
+declared grid runs. ``fig_dyn`` and ``fig_closed_loop`` declare a second
+stage: a replay's segment points are built from the results of its
+placement points. Every figure is a function of ``fast`` alone: its
+topology, demands and sweep ranges are constants of its module.
 """
 
 from __future__ import annotations
@@ -41,34 +40,22 @@ from repro.runtime.runner import GridRunner
 __all__ = ["FIGURES", "run_figure"]
 
 
-def _grid(
-    declare: Callable[[bool], GridSpec]
-) -> Callable[[GridRunner, bool], FigureResult]:
-    """The runner of a figure that is one declared grid."""
-
-    def run(runner: GridRunner, fast: bool) -> FigureResult:
-        spec = declare(fast)
-        return spec.assemble(runner.run(spec.points))
-
-    return run
-
-
-#: Figure id -> ``fn(runner, fast) -> FigureResult``.
-FIGURES: dict[str, Callable[[GridRunner, bool], FigureResult]] = {
-    "fig_3_1": _grid(fig_3_1.grid_spec),
-    "fig_3_2a": _grid(fig_3_2.grid_spec_a),
-    "fig_3_2b": _grid(fig_3_2.grid_spec_b),
-    "fig_6_3": _grid(fig_6_3.grid_spec),
-    "fig_6_4": _grid(fig_6_4.grid_spec),
-    "fig_6_5": _grid(fig_6_5.grid_spec),
-    "fig_7_6": _grid(fig_7_6.grid_spec),
-    "fig_7_7": _grid(fig_7_7.grid_spec),
-    "fig_7_8": _grid(fig_7_8.grid_spec),
-    "fig_8_9": _grid(fig_8_9.grid_spec),
-    "fig_closed_loop": fig_closed_loop.run,
-    "fig_dyn": fig_dyn.run,
-    "fig_scale": _grid(fig_scale.grid_spec),
-    "fig_throughput": _grid(fig_throughput.grid_spec),
+#: Figure id -> the figure's grid declaration ``grid_spec(fast)``.
+FIGURES: dict[str, Callable[[bool], GridSpec]] = {
+    "fig_3_1": fig_3_1.grid_spec,
+    "fig_3_2a": fig_3_2.grid_spec_a,
+    "fig_3_2b": fig_3_2.grid_spec_b,
+    "fig_6_3": fig_6_3.grid_spec,
+    "fig_6_4": fig_6_4.grid_spec,
+    "fig_6_5": fig_6_5.grid_spec,
+    "fig_7_6": fig_7_6.grid_spec,
+    "fig_7_7": fig_7_7.grid_spec,
+    "fig_7_8": fig_7_8.grid_spec,
+    "fig_8_9": fig_8_9.grid_spec,
+    "fig_closed_loop": fig_closed_loop.grid_spec,
+    "fig_dyn": fig_dyn.grid_spec,
+    "fig_scale": fig_scale.grid_spec,
+    "fig_throughput": fig_throughput.grid_spec,
 }
 
 
@@ -89,7 +76,7 @@ def run_figure(
     when the figure completes.
     """
     try:
-        runner_fn = FIGURES[figure_id]
+        declare = FIGURES[figure_id]
     except KeyError:
         raise ReproError(
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
@@ -97,7 +84,7 @@ def run_figure(
     before = cache.stats() if cache is not None else {}
     with obs.span("figure", figure_id=figure_id, fast=fast):
         with GridRunner(jobs=jobs, cache=cache) as runner:
-            result = runner_fn(runner, fast)
+            result: FigureResult = runner.evaluate(declare(fast))
     if cache is not None:
         after = cache.stats()
         # This run's cache effectiveness — a delta, so a cache shared

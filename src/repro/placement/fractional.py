@@ -396,15 +396,6 @@ class FractionalFamily:
             self._programs[int(v0)] = program
         return program
 
-    def solve(
-        self,
-        v0: int,
-        capacities: np.ndarray | None = None,
-        strategy: np.ndarray | None = None,
-    ) -> FractionalPlacement:
-        """Solve ``v0``'s program for one parameterization."""
-        return self.program(v0).solve(capacities=capacities, strategy=strategy)
-
     def __len__(self) -> int:
         return len(self._programs)
 

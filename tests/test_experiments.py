@@ -75,14 +75,12 @@ class TestRegistry:
 
     def test_every_figure_is_a_function_of_fast_alone(self):
         """A figure's topology, demands and sweep ranges are constants of
-        its module: runners take ``(runner, fast)``, grid declarations
-        take ``fast`` and ``run_figure`` nothing else that reaches them."""
+        its module: every figure is a grid declaration taking ``fast``,
+        and ``run_figure`` takes nothing else that reaches them."""
 
         def parameters(fn):
             return list(inspect.signature(fn).parameters)
 
-        for figure_id, runner_fn in FIGURES.items():
-            assert parameters(runner_fn) == ["runner", "fast"], figure_id
         declarations = [
             getattr(module, name)
             for info in pkgutil.iter_modules(experiments.__path__)
@@ -93,7 +91,10 @@ class TestRegistry:
             for name in vars(module)
             if name.startswith("grid_spec")
         ]
-        assert len(declarations) == 12  # every figure but the two replays
+        assert len(declarations) == 14
+        assert sorted(map(id, declarations)) == sorted(
+            map(id, FIGURES.values())
+        )
         for declare in declarations:
             assert parameters(declare) == ["fast"], declare.__module__
         assert parameters(run_figure) == ["figure_id", "fast", "jobs", "cache"]

@@ -173,7 +173,7 @@ class TestObjectiveEquivalence:
         for _ in range(3):
             p = rng.dirichlet(np.ones(system.num_quorums))
             for v0 in (0, 7, 23):
-                batched = family.solve(v0, strategy=p)
+                batched = family.program(v0).solve(strategy=p)
                 loop = fractional_placement_loop(
                     planetlab, system, v0, strategy=p
                 )

@@ -21,6 +21,7 @@ import logging
 
 import numpy as np
 import pytest
+from oracles import run_each
 
 from repro.errors import ReproError
 from repro.lp import BatchedProgram, LinearProgram
@@ -389,8 +390,8 @@ class TestMergeDeterminism:
             tracer = Tracer()
             with tracing(tracer):
                 with GridRunner(jobs=2) as runner:
-                    runner.map(
-                        pow, [{"base": 2, "exp": i} for i in range(6)]
+                    run_each(
+                        runner, pow, [{"base": 2, "exp": i} for i in range(6)]
                     )
             return _structure(tracer)
 
@@ -400,7 +401,9 @@ class TestMergeDeterminism:
         tracer = Tracer()
         with tracing(tracer):
             with GridRunner(jobs=2) as runner:
-                runner.map(pow, [{"base": 3, "exp": i} for i in range(4)])
+                run_each(
+                    runner, pow, [{"base": 3, "exp": i} for i in range(4)]
+                )
         events, _ = tracer.export()
         points = [e for e in events if e["name"] == "grid.point"]
         tasks = [e for e in events if e["name"] == "task"]

@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 import pytest
+from oracles import replay, run_each
 
 from repro.dynamics.events import ScenarioTrace
-from repro.dynamics.replay import replay
 from repro.errors import ReproError
 from repro.experiments import fig_6_3, run_figure
 from repro.lp.batched import LP_BACKEND_ENV, lp_backend_name
@@ -55,7 +55,7 @@ def _worker_state():
 
 def _nested_map(x):
     """A task that itself runs a runner — must degrade to inline."""
-    return GridRunner(jobs=4).map(_square, [{"x": x}, {"x": x + 1}])
+    return run_each(GridRunner(jobs=4), _square, [{"x": x}, {"x": x + 1}])
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +319,7 @@ class TestGridRunner:
         }
 
     def test_map_preserves_order(self):
-        out = GridRunner().map(_square, [{"x": i} for i in (3, 1, 2)])
+        out = run_each(GridRunner(), _square, [{"x": i} for i in (3, 1, 2)])
         assert out == [9, 1, 4]
 
     def test_duplicate_tags_rejected(self):
@@ -367,7 +367,7 @@ class TestGridRunner:
             with pytest.raises(ReproError, match="'boom'"):
                 runner.run(points)
             # the pool stays usable for the next batch
-            assert runner.map(_square, [{"x": 3}]) == [9]
+            assert run_each(runner, _square, [{"x": 3}]) == [9]
 
     def test_dead_worker_does_not_poison_the_next_batch(self):
         """A worker that dies breaks its whole executor. The failed batch
@@ -376,9 +376,9 @@ class TestGridRunner:
         kwargs_list = [{"x": 2}, {"x": 3}]
         with GridRunner(jobs=2) as runner:
             with pytest.raises(ReproError):
-                runner.map(_die, [{}])
-            after = runner.map(_square, kwargs_list)
-        assert after == GridRunner().map(_square, kwargs_list)
+                run_each(runner, _die, [{}])
+            after = run_each(runner, _square, kwargs_list)
+        assert after == run_each(GridRunner(), _square, kwargs_list)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_finished_before_a_failure_reach_the_cache(
@@ -488,6 +488,66 @@ class TestGridRunner:
             resolve_jobs(-2)
 
 
+def _square_each(results):
+    """A second stage that reads the first: one point per first-stage
+    value, squaring it again."""
+    return [
+        GridPoint(
+            tag=("again", tag),
+            fn=_square,
+            kwargs={"x": value},
+            cache_key={"stage": 2, "x": value},
+        )
+        for tag, value in sorted(results.items())
+    ]
+
+
+def _two_stage_spec(then=_square_each) -> GridSpec:
+    return GridSpec(
+        figure_id="two-stage",
+        points=tuple(
+            GridPoint(
+                tag=i,
+                fn=_square,
+                kwargs={"x": i},
+                cache_key={"stage": 1, "x": i},
+            )
+            for i in range(4)
+        ),
+        assemble=dict,
+        then=then,
+    )
+
+
+class TestTwoStageSpec:
+    """``GridRunner.evaluate`` on a spec whose second stage is built from
+    the first stage's results."""
+
+    def test_jobs_2_matches_jobs_1(self):
+        serial = GridRunner().evaluate(_two_stage_spec())
+        with GridRunner(jobs=2) as runner:
+            parallel = runner.evaluate(_two_stage_spec())
+        assert parallel == serial
+        assert serial[3] == 9 and serial[("again", 3)] == 81
+        assert len(serial) == 8
+
+    def test_rerun_on_the_same_cache_hits_both_stages(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = GridRunner(cache=cache).evaluate(_two_stage_spec())
+        assert cache.stores == 8 and cache.hits == 0
+        second = GridRunner(cache=cache).evaluate(_two_stage_spec())
+        assert second == first
+        assert cache.hits == 8 and cache.stores == 8
+
+    def test_second_stage_tag_repeating_a_first_stage_tag_raises(self):
+        def repeat_a_tag(results):
+            return [GridPoint(tag=0, fn=_square, kwargs={"x": 5})]
+
+        with pytest.raises(ReproError, match="two-stage") as info:
+            GridRunner().evaluate(_two_stage_spec(then=repeat_a_tag))
+        assert "['0']" in str(info.value)
+
+
 class TestNestingGuard:
     """Runners nest; process pools must not.
 
@@ -503,12 +563,16 @@ class TestNestingGuard:
 
     def test_workers_are_marked_and_degrade_to_inline(self):
         with GridRunner(jobs=2) as runner:
-            states = runner.map(_worker_state, [{} for _ in range(3)])
+            states = run_each(
+                runner, _worker_state, [{} for _ in range(3)]
+            )
         assert states == [False] * 3
 
     def test_nested_runner_inside_worker_produces_results(self):
         with GridRunner(jobs=2) as runner:
-            out = runner.map(_nested_map, [{"x": i} for i in range(4)])
+            out = run_each(
+                runner, _nested_map, [{"x": i} for i in range(4)]
+            )
         assert out == [[i * i, (i + 1) * (i + 1)] for i in range(4)]
 
     def test_single_pending_point_still_dispatches_to_pool(self):
@@ -517,13 +581,15 @@ class TestNestingGuard:
         parallel and compute through a different code path than jobs=1,
         under a cache key that deliberately ignores scheduling."""
         with GridRunner(jobs=2) as runner:
-            states = runner.map(_worker_state, [{}])
+            states = run_each(runner, _worker_state, [{}])
         assert states == [False]
 
     def test_pool_reused_across_batches(self, counting_pool):
         with GridRunner(jobs=2) as runner:
-            first = runner.map(_square, [{"x": i} for i in range(4)])
-            second = runner.map(_square, [{"x": i} for i in range(4, 8)])
+            first = run_each(runner, _square, [{"x": i} for i in range(4)])
+            second = run_each(
+                runner, _square, [{"x": i} for i in range(4, 8)]
+            )
         assert first == [i * i for i in range(4)]
         assert second == [i * i for i in range(4, 8)]
         assert len(counting_pool) == 1
@@ -532,7 +598,7 @@ class TestNestingGuard:
         self, counting_pool
     ):
         runner = GridRunner()  # jobs=1 never touches a pool
-        assert runner.map(_square, [{"x": 3}]) == [9]
+        assert run_each(runner, _square, [{"x": 3}]) == [9]
         runner.close()
         runner.close()
         assert counting_pool == []
@@ -542,7 +608,7 @@ class TestNestingGuard:
         still running at interpreter exit can write to pipes the exit hook
         has already closed (``OSError: [Errno 9] Bad file descriptor``)."""
         runner = GridRunner(jobs=2)
-        assert runner.map(_square, [{"x": 2}, {"x": 3}]) == [4, 9]
+        assert run_each(runner, _square, [{"x": 2}, {"x": 3}]) == [4, 9]
         thread = runner._pool_holder[0]._executor_manager_thread
         assert thread.is_alive()
         runner.close()

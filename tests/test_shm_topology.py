@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import run_each
 
 from repro.errors import ReproError, TopologyError
 from repro.network.datasets import PLANETLAB_CLUSTERS
@@ -59,7 +60,7 @@ def wan():
 def _started_runner(jobs: int) -> GridRunner:
     """A runner whose pool already runs: what it ships needs a block."""
     runner = GridRunner(jobs=jobs)
-    runner.map(os.getpid, [{} for _ in range(jobs)])
+    run_each(runner, os.getpid, [{} for _ in range(jobs)])
     return runner
 
 
@@ -334,6 +335,7 @@ from repro.errors import ReproError
 from repro.network.generators import synthetic_wan
 from repro.placement.search import best_placement
 from repro.quorums.grid import GridQuorumSystem
+from repro.runtime.grid import GridPoint
 from repro.runtime.runner import GridRunner
 
 
@@ -351,13 +353,14 @@ if __name__ == "__main__":
     system = GridQuorumSystem(3)
     candidates = np.arange(0, 300, 7)
     runner = GridRunner(jobs=2)
-    runner.map(os.getpid, [{}, {}])  # the pool forks before any block
+    # the pool forks before any block
+    runner.run([GridPoint(tag=i, fn=os.getpid) for i in range(2)])
     assert runner.ship(topology).shm_name is not None
     search = best_placement(
         topology, system, candidates=candidates, runner=runner
     )
     try:
-        runner.map(crash, [{}])
+        runner.run([GridPoint(tag="crash", fn=crash)])
     except ReproError:
         pass
     else:

@@ -15,11 +15,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import replay
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.core.strategy import ExplicitStrategy
 from repro.dynamics.events import effective_rtt
-from repro.dynamics.replay import CLAIRVOYANT, replay, tune_threshold
+from repro.dynamics.replay import CLAIRVOYANT, tune_threshold
 from repro.dynamics.scenarios import (
     combine,
     diurnal_scenario,
@@ -35,7 +36,6 @@ from repro.errors import DynamicsError, SimulationError
 from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.cache import ResultCache
-from repro.runtime.runner import GridRunner
 from repro.sim.generic import GenericQuorumSimulation
 from repro.sim.workload import PoissonArrivals
 
@@ -494,11 +494,10 @@ class TestClosedLoopReplay:
             two_cluster_topology, GRID, trace, policies=self.POLICIES,
             telemetry=telemetry,
         )
-        with GridRunner(jobs=2) as runner:
-            parallel = replay(
-                two_cluster_topology, GRID, trace, policies=self.POLICIES,
-                telemetry=telemetry, runner=runner,
-            )
+        parallel = replay(
+            two_cluster_topology, GRID, trace, policies=self.POLICIES,
+            telemetry=telemetry, jobs=2,
+        )
         assert set(serial.series) == set(parallel.series)
         for spec in serial.series:
             a, b = serial.series[spec], parallel.series[spec]
